@@ -80,8 +80,8 @@ def octonion_basis(k: int) -> np.ndarray:
 class QMatrix:
     """Quaternion matrix m = A + B j with complex blocks A, B.
 
-    Scalars are 1x1 matrices.  The complex embedding used for inversion,
-    exponentials and determinants sends m to [[A, -B], [conj(B), conj(A)]].
+    Scalars are 1x1 matrices.  The complex embedding used for inversion
+    and exponentials sends m to [[A, -B], [conj(B), conj(A)]].
     """
 
     __slots__ = ("a", "b")
@@ -117,10 +117,6 @@ class QMatrix:
     def components(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return (self.a.real, self.a.imag, self.b.real, self.b.imag)
 
-    def to_real(self) -> np.ndarray:
-        """Flatten to a real vector (w, x, y, z stacked entrywise)."""
-        return np.concatenate([c.ravel() for c in self.components()])
-
     @staticmethod
     def from_real(vec: np.ndarray, shape: tuple[int, int]) -> "QMatrix":
         n, m = shape
@@ -155,9 +151,6 @@ class QMatrix:
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.a) ** 2 + np.abs(self.b) ** 2)))
 
-    def real_trace(self) -> float:
-        return float(np.trace(self.a).real)
-
     # -- complex embedding -------------------------------------------------
 
     def embed(self) -> np.ndarray:
@@ -176,15 +169,6 @@ class QMatrix:
         from scipy.linalg import expm
 
         return QMatrix.unembed(expm(self.embed()), self.shape)
-
-    def complex_det(self) -> complex:
-        """Determinant of the complex embedding (real and >= 0)."""
-        return complex(np.linalg.det(self.embed()))
-
-
-def quaternion_mul(p: QMatrix, q: QMatrix) -> QMatrix:
-    """Product of 1x1 quaternions; alias for @ kept for readability."""
-    return p @ q
 
 
 # ---------------------------------------------------------------------------

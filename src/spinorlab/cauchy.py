@@ -14,150 +14,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .geometry import FreeFunction, symmetric_pairs
-
-
-def _total_degree(exps) -> int:
-    return sum(exps)
-
-
-class JetSeries:
-    """Truncated multivariate power series with exact rational coefficients.
-
-    Terms of total degree above ``order`` are dropped; multiplication
-    truncates to the smaller operand order and differentiation lowers the
-    trusted order by one.  Coefficients are Fractions by default; floats
-    are tolerated for profiling runs.
-    """
-
-    __slots__ = ("nvars", "order", "terms")
-
-    def __init__(self, nvars: int, order: int, terms=None):
-        self.nvars = int(nvars)
-        self.order = int(order)
-        clean = {}
-        for exps, coeff in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != self.nvars or min(exps, default=0) < 0:
-                raise ValueError(f"bad exponent tuple {exps}")
-            if _total_degree(exps) > self.order or coeff == 0:
-                continue
-            clean[exps] = clean.get(exps, 0) + coeff
-        self.terms = {e: c for e, c in clean.items() if c != 0}
-
-    @classmethod
-    def zero(cls, nvars: int, order: int) -> "JetSeries":
-        return cls(nvars, order)
-
-    @classmethod
-    def from_table(cls, nvars: int, order: int, table) -> "JetSeries":
-        return cls(nvars, order, {e: _coerce_exact(c) for e, c in table.items()})
-
-    def coefficient(self, exps):
-        return self.terms.get(tuple(int(e) for e in exps), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def max_abs(self) -> float:
-        return max((abs(float(c)) for c in self.terms.values()), default=0.0)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, JetSeries) and self.nvars == other.nvars
-                and self.order == other.order and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.nvars, self.order, frozenset(self.terms.items())))
-
-    def __repr__(self) -> str:
-        return f"JetSeries(nvars={self.nvars}, order={self.order}, nterms={len(self.terms)})"
-
-    def _like(self, order, terms) -> "JetSeries":
-        return JetSeries(self.nvars, order, terms)
-
-    def __add__(self, other: "JetSeries") -> "JetSeries":
-        self._check(other)
-        order = min(self.order, other.order)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return self._like(order, out)
-
-    def __sub__(self, other: "JetSeries") -> "JetSeries":
-        return self + (-other)
-
-    def __neg__(self) -> "JetSeries":
-        return self._like(self.order, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, JetSeries):
-            self._check(other)
-            order = min(self.order, other.order)
-            out = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    if _total_degree(e) > order:
-                        continue
-                    out[e] = out.get(e, 0) + c1 * c2
-            return self._like(order, out)
-        scal = _coerce_exact(other)
-        return self._like(self.order, {e: c * scal for e, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def _check(self, other: "JetSeries") -> None:
-        if self.nvars != other.nvars:
-            raise ValueError("variable counts disagree")
-
-    def diff(self, var: int) -> "JetSeries":
-        out = {}
-        for exps, coeff in self.terms.items():
-            if exps[var]:
-                e = exps[:var] + (exps[var] - 1,) + exps[var + 1:]
-                out[e] = out.get(e, 0) + coeff * exps[var]
-        return self._like(self.order - 1, out)
-
-    def truncate(self, order: int) -> "JetSeries":
-        return self._like(min(self.order, order), dict(self.terms))
-
-    def z_coefficient(self, k: int) -> "JetSeries":
-        """Coefficient of z^k: a series in the same variables, z-free."""
-        out = {}
-        for exps, coeff in self.terms.items():
-            if exps[0] == k:
-                out[(0,) + exps[1:]] = coeff
-        return self._like(self.order - k, out)
-
-    def times_z_power(self, k: int) -> "JetSeries":
-        out = {(exps[0] + k,) + exps[1:]: c for exps, c in self.terms.items()}
-        return self._like(self.order + k, out)
-
-    def depends_on(self, var: int) -> bool:
-        return any(e[var] for e in self.terms)
-
-    def evaluate(self, point) -> float:
-        point = np.asarray(point, dtype=float)
-        total = 0.0
-        for exps, coeff in self.terms.items():
-            total += float(coeff) * float(np.prod(point ** np.asarray(exps)))
-        return total
-
-    def float_table(self) -> dict:
-        return {e: float(c) for e, c in self.terms.items()}
-
-
-def _coerce_exact(val):
-    if isinstance(val, float):
-        return val
-    return Fraction(val)
+from .geometry import (
+    FreeFunction,
+    _fmatrix,
+    _quadratic_bracket,
+    _spec_table,
+    symmetric_pairs,
+)
+from .jets import JetSeries
 
 
 def series_to_function(series: JetSeries, name: str = "f") -> FreeFunction:
-    """Float free function on the same variables, for geometry interop."""
-    return FreeFunction(series.nvars, table=series.float_table(), name=name)
+    """Free function on the same variables, for geometry interop."""
+    return FreeFunction(series.nvars, table=series.terms, name=name)
 
 
 # -- initial data ---------------------------------------------------------
@@ -192,7 +61,7 @@ class CauchyData:
         """A_l of a and of b: exact divergence series of the data."""
         out = []
         for layer in (self.a, self.b):
-            grid = _pair_grid(layer, self.p)
+            grid = _fmatrix(layer, symmetric_pairs(self.p), self.p)
             out.append(tuple(_divergence(grid, self.p, l) for l in range(self.p)))
         return tuple(out)
 
@@ -221,14 +90,7 @@ def cauchy_data_from_spec(d: dict) -> CauchyData:
     order = int(d.get("order", 6))
 
     def tables(key):
-        out = []
-        for fd in d.get(key, []):
-            table = {}
-            for ks, val in fd.get("coefficients", {}).items():
-                exps = tuple(int(s) for s in str(ks).strip("() ").split(","))
-                table[exps] = Fraction(val) if isinstance(val, str) else Fraction(val)
-            out.append(table)
-        return out
+        return [_spec_table(fd.get("coefficients", {})) for fd in d.get(key, [])]
 
     a = tables("a")
     b = tables("b") or None
@@ -246,13 +108,6 @@ def series_to_spec(series: JetSeries) -> dict:
 # -- the quadratic bracket --------------------------------------------------
 
 
-def _pair_grid(flat, p):
-    grid = [[None] * p for _ in range(p)]
-    for (i, j), s in zip(symmetric_pairs(p), flat):
-        grid[i][j] = grid[j][i] = s
-    return grid
-
-
 def _divergence(grid, p: int, l: int) -> JetSeries:
     total = JetSeries.zero(2 * p + 1, grid[0][0].order - 1)
     for j in range(p):
@@ -266,22 +121,8 @@ def bracket_series(flat, p: int):
     The same quadratic bracket drives both split cases: for z-independent
     series it is the even-system Ricci up to the calibrated constant.
     """
-    grid = _pair_grid(flat, p)
-    xv = lambda k: 1 + k
-    yv = lambda k: 1 + p + k
-    dy = [[[grid[i][j].diff(yv(k)) for k in range(p)] for j in range(p)]
-          for i in range(p)]
-    out = []
-    for j, l in symmetric_pairs(p):
-        total = JetSeries.zero(2 * p + 1, grid[0][0].order - 2)
-        for k in range(p):
-            total = total + grid[j][l].diff(xv(k)).diff(yv(k))
-        for m in range(p):
-            for k in range(p):
-                total = total - grid[m][k] * dy[j][l][m].diff(yv(k))
-                total = total + dy[m][j][k] * dy[k][l][m]
-        out.append(total)
-    return tuple(out)
+    grid = _fmatrix(flat, symmetric_pairs(p), p)
+    return _quadratic_bracket(grid, range(1, 1 + p), range(1 + p, 1 + 2 * p))
 
 
 # -- solver ------------------------------------------------------------------
@@ -311,7 +152,7 @@ def solve_ricci_ivp(data: CauchyData, check_constraints: bool = True):
 
 def constraint_residual(f, p: int):
     """Divergence series A_l = sum_j df_jl/dy_j of a solved profile array."""
-    grid = _pair_grid(tuple(f), p)
+    grid = _fmatrix(f, symmetric_pairs(p), p)
     return tuple(_divergence(grid, p, l) for l in range(p))
 
 

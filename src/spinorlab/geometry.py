@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import octospin
-from .jets import Jet, JetContext, JetMatrix
+from .jets import Jet, JetContext, JetMatrix, JetSeries, monomials_upto
 from .linalg import (
     bracket_closure,
     guarded_rank,
@@ -41,7 +41,8 @@ FAMILY_TAGS = (
 class FreeFunction:
     """Scalar function of ``arity`` arguments, evaluated on jets.
 
-    Two backends: a sparse monomial table {exponents: coefficient} that is
+    Two backends: a sparse monomial table {exponents: coefficient}, held
+    as a :class:`JetSeries` truncated at its own total degree and so
     evaluated and differentiated exactly, or an arbitrary ``rule`` mapping
     argument jets to a jet in the same context.  Families whose components
     are built from derivatives of f (Hessian blocks) require the table
@@ -55,17 +56,15 @@ class FreeFunction:
         self.name = name
         self.rule = rule
         if table is None:
-            self.table = None
+            self.series = None
             return
-        clean: dict[tuple[int, ...], float] = {}
-        for exps, coeff in table.items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != self.arity or min(exps, default=0) < 0:
-                raise ValueError(f"bad exponent tuple {exps} for arity {self.arity}")
-            c = float(coeff)
-            if c != 0.0:
-                clean[exps] = clean.get(exps, 0.0) + c
-        self.table = clean
+        order = max((sum(int(e) for e in exps) for exps in table), default=0)
+        self.series = JetSeries.from_table(self.arity, order, table)
+
+    @property
+    def table(self):
+        """The {exponents: coefficient} terms of the series, or None for a rule."""
+        return None if self.series is None else self.series.terms
 
     @classmethod
     def zero(cls, arity: int) -> "FreeFunction":
@@ -99,14 +98,10 @@ class FreeFunction:
         return out
 
     def value(self, point) -> float:
-        point = np.asarray(point, dtype=float)
-        if self.table is not None:
-            total = 0.0
-            for exps, coeff in self.table.items():
-                total += coeff * float(np.prod(point ** np.asarray(exps)))
-            return total
+        if self.series is not None:
+            return self.series.evaluate(point)
         ctx = JetContext(self.arity, 0)
-        return self.jet(ctx.variables(point)).value()
+        return self.jet(ctx.variables(np.asarray(point, dtype=float))).value()
 
     def derivative(self, point, *vars_: int) -> float:
         """Mixed partial derivative value at ``point``."""
@@ -115,14 +110,10 @@ class FreeFunction:
 
     def partial(self, var: int) -> "FreeFunction":
         """Exact partial derivative; table backend only."""
-        if self.table is None:
+        if self.series is None:
             raise ValueError("partial derivatives need the sparse-table backend")
-        out: dict[tuple[int, ...], float] = {}
-        for exps, coeff in self.table.items():
-            if exps[var]:
-                key = exps[:var] + (exps[var] - 1,) + exps[var + 1:]
-                out[key] = out.get(key, 0.0) + coeff * exps[var]
-        return FreeFunction(self.arity, table=out, name=f"d{var}_{self.name}")
+        return FreeFunction(self.arity, table=self.series.diff(var).terms,
+                            name=f"d{var}_{self.name}")
 
     def fd_gradient_residual(self, point, h: float = 1e-6) -> float:
         """Max mismatch between jet first partials and central differences."""
@@ -135,17 +126,6 @@ class FreeFunction:
             exact = self.derivative(point, v)
             worst = max(worst, abs(fd - exact) / max(1.0, abs(exact)))
         return worst
-
-
-def monomials_upto(arity: int, degree: int) -> list[tuple[int, ...]]:
-    out = []
-    for d in range(degree + 1):
-        for combo in itertools.combinations_with_replacement(range(arity), d):
-            exps = [0] * arity
-            for v in combo:
-                exps[v] += 1
-            out.append(tuple(exps))
-    return out
 
 
 def random_polynomial(arity: int, rng: np.random.Generator,
@@ -245,19 +225,30 @@ def quadratic_profile_functions(h4: np.ndarray, h2: np.ndarray) -> list[FreeFunc
 # -- spec files ---------------------------------------------------------------
 
 
-def function_from_spec(d: dict) -> FreeFunction:
-    """Build a table-backed function from its serialized form.
+def _spec_table(coefficients: dict) -> dict[tuple[int, ...], Fraction]:
+    """Exact {exponents: coefficient} table from a spec's coefficient map.
 
-    Coefficient keys are comma-separated exponent strings; values may be
-    numbers or exact rational strings like "3/4".
+    Keys are comma-separated exponent strings; values may be numbers or
+    rational strings like "3/4", and are kept as Fractions.  A value that
+    is not a finite number (JSON Infinity or NaN, or beyond the float
+    range) is rejected with its key.
     """
-    arity = int(d["arity"])
-    table: dict[tuple[int, ...], float] = {}
-    for key, val in d.get("coefficients", {}).items():
+    table: dict[tuple[int, ...], Fraction] = {}
+    for key, val in coefficients.items():
         exps = tuple(int(s) for s in str(key).strip("() ").split(","))
-        coeff = float(Fraction(val)) if isinstance(val, str) else float(val)
-        table[exps] = table.get(exps, 0.0) + coeff
-    return FreeFunction(arity, table=table, name=d.get("name", "f"))
+        try:
+            coeff = Fraction(val)
+            float(coeff)  # OverflowError past the float range
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise ValueError(f"coefficient {key!r} is not a finite number: {val!r}") from exc
+        table[exps] = table.get(exps, 0) + coeff
+    return table
+
+
+def function_from_spec(d: dict) -> FreeFunction:
+    """Build a table-backed function from its serialized form (exact rationals)."""
+    return FreeFunction(int(d["arity"]), table=_spec_table(d.get("coefficients", {})),
+                        name=d.get("name", "f"))
 
 
 def metric_from_spec(d: dict) -> "CoordinateMetric":
@@ -663,11 +654,6 @@ def _build_m33null(functions, p=None):
     pairs = ((0, 0), (0, 1), (1, 1))
     fgrid = _fmatrix(functions, pairs, 2)
 
-    def fmat(X, i, j):
-        if i > 1 or j > 1:
-            return None
-        return fgrid[i][j].jet(X)
-
     def comp(X, ctx):
         e = _zeros(ctx, 6)
         half = ctx.constant(0.5)
@@ -990,27 +976,26 @@ RICCI_CALIBRATION = {
 }
 
 
-def _even_bracket(fgrid, p, point, x_vars, y_vars):
-    """Matrix B_jl = f_jl,xy - f_mk f_jl,yy + f_mj,y f_kl,y (traces as displayed)."""
-    nvars = len(point)
-    ctx = JetContext(nvars, 2)
-    jets = [[fgrid[i][j].jet(ctx.variables(np.asarray(point, float)))
-             for j in range(p)] for i in range(p)]
-    val = np.array([[jets[i][j].value() for j in range(p)] for i in range(p)])
-    dy = np.array([[[jets[i][j].derivative_value(y_vars[k]) for k in range(p)]
-                    for j in range(p)] for i in range(p)])
-    out = np.zeros((p, p))
-    for j in range(p):
-        for l in range(j, p):
-            total = 0.0
+def _quadratic_bracket(grid, x_vars, y_vars):
+    """B_jl = f_jl,x^k y_k - f_mk f_jl,y_m y_k + f_mj,y_k f_kl,y_m (summed), pair order.
+
+    The one quadratic bracket of both split normal forms.  It needs only
+    diff, +, - and *, so ``grid`` may hold jets at a point or exact series.
+    """
+    p = len(grid)
+    dy = [[[grid[i][j].diff(y_vars[k]) for k in range(p)] for j in range(p)]
+          for i in range(p)]
+    out = []
+    for j, l in symmetric_pairs(p):
+        total = grid[j][l].diff(x_vars[0]).diff(y_vars[0])
+        for k in range(1, p):
+            total = total + grid[j][l].diff(x_vars[k]).diff(y_vars[k])
+        for m in range(p):
             for k in range(p):
-                total += jets[j][l].derivative_value(x_vars[k], y_vars[k])
-            for mm in range(p):
-                for k in range(p):
-                    total -= val[mm][k] * jets[j][l].derivative_value(y_vars[mm], y_vars[k])
-                    total += dy[mm][j][k] * dy[k][l][mm]
-            out[j, l] = out[l, j] = total
-    return out
+                total = total - grid[m][k] * dy[j][l][m].diff(y_vars[k])
+                total = total + dy[m][j][k] * dy[k][l][m]
+        out.append(total)
+    return tuple(out)
 
 
 def ricci_paper(family: str, functions, point, p=None) -> np.ndarray:
@@ -1022,43 +1007,42 @@ def ricci_paper(family: str, functions, point, p=None) -> np.ndarray:
     tag, p = _parse_family_tag(family, p)
     functions = tuple(functions)
     point = np.asarray(point, dtype=float)
-    if tag == "PUREODD":
-        m = _build_pure_odd(functions, p)
-        fgrid = _fmatrix(functions, symmetric_pairs(p), p)
-        x_vars = tuple(1 + i for i in range(p))
-        y_vars = tuple(1 + p + i for i in range(p))
-        bracket = _even_bracket(fgrid, p, point, x_vars, y_vars)
-        zz = np.array([[fgrid[i][j].derivative(point, 0, 0) for j in range(p)]
-                       for i in range(p)])
-        out = np.zeros((m.n, m.n))
-        out[1:1 + p, 1:1 + p] = RICCI_CALIBRATION[tag] * (zz + 2.0 * bracket)
-        return out
-    if tag == "PUREEVEN":
-        m = _build_pure_even(functions, p)
-        fgrid = _fmatrix(functions, symmetric_pairs(p), p)
-        x_vars = tuple(range(p))
-        y_vars = tuple(p + i for i in range(p))
-        bracket = _even_bracket(fgrid, p, point, x_vars, y_vars)
-        out = np.zeros((m.n, m.n))
-        out[:p, :p] = RICCI_CALIBRATION[tag] * bracket
-        return out
-    if tag == "M22DEG":
-        f, = functions
-        if f.table is None:
-            raise ValueError("M22DEG closed form needs a table function")
-        hatted = []
-        for i, j in symmetric_pairs(2):
-            sij = f.partial(2 + i).partial(2 + j)
-            table = {}
-            for exps, coeff in sij.table.items():
-                key = (exps[0], exps[1], exps[3], exps[2])
-                table[key] = table.get(key, 0.0) + coeff * (-1.0) ** exps[2]
-            hatted.append(FreeFunction(4, table=table, name=f"s{i + 1}{j + 1}"))
-        fgrid = _fmatrix(hatted, symmetric_pairs(2), 2)
-        hat_point = np.array([point[0], point[1], point[3], -point[2]])
-        bracket = _even_bracket(fgrid, 2, hat_point, (0, 1), (2, 3))
-        out = np.zeros((4, 4))
-        out[:2, :2] = RICCI_CALIBRATION[tag] * bracket
+    if tag in ("PUREODD", "PUREEVEN", "M22DEG"):
+        if tag == "PUREODD":
+            n = _build_pure_odd(functions, p).n
+            x0 = 1
+        elif tag == "PUREEVEN":
+            n = _build_pure_even(functions, p).n
+            x0 = 0
+        else:
+            f, = functions
+            if f.table is None:
+                raise ValueError("M22DEG closed form needs a table function")
+            # the display reads s_ij = f_{y_i y_j} in the chart (y1, y2) = (-v2, v1),
+            # i.e. at v = (y2, -y1)
+            functions = []
+            for i, j in symmetric_pairs(2):
+                sij = f.partial(2 + i).partial(2 + j)
+                table = {(e[0], e[1], e[3], e[2]): c * (-1) ** e[2]
+                         for e, c in sij.table.items()}
+                functions.append(FreeFunction(4, table=table, name=f"s{i + 1}{j + 1}"))
+            point = np.array([point[0], point[1], point[3], -point[2]])
+            n, p, x0 = 4, 2, 0
+        ctx = JetContext(len(point), 2)
+        X = ctx.variables(point)
+        jets = _fmatrix([fn.jet(X) for fn in functions], symmetric_pairs(p), p)
+        x_vars = range(x0, x0 + p)
+        y_vars = range(x0 + p, x0 + 2 * p)
+        bracket = np.zeros((p, p))
+        for (j, l), b in zip(symmetric_pairs(p), _quadratic_bracket(jets, x_vars, y_vars)):
+            bracket[j, l] = bracket[l, j] = b.value()
+        out = np.zeros((n, n))
+        if tag == "PUREODD":
+            zz = np.array([[jets[i][j].diff(0).diff(0).value() for j in range(p)]
+                           for i in range(p)])
+            out[1:1 + p, 1:1 + p] = RICCI_CALIBRATION[tag] * (zz + 2.0 * bracket)
+        else:
+            out[:p, :p] = RICCI_CALIBRATION[tag] * bracket
         return out
     if tag in ("M31", "M41DEG", "M51NULL"):
         f, = functions

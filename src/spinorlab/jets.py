@@ -11,11 +11,17 @@ are trustworthy.  Multiplication keeps the smaller of the two orders,
 differentiation lowers the order by one, and reading a coefficient past
 the trusted order raises :class:`JetOrderError` instead of returning
 garbage.
+
+:class:`JetSeries` is the sparse counterpart: a truncated polynomial
+stored as an {exponents: coefficient} dict over exact rationals (floats
+are tolerated).  It backs table-defined profile functions and the exact
+Cauchy solver alike.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -25,7 +31,8 @@ class JetOrderError(Exception):
     """Requested data of higher degree than the jet can certify."""
 
 
-def _monomials(nvars: int, order: int) -> list[tuple[int, ...]]:
+def monomials_upto(nvars: int, order: int) -> list[tuple[int, ...]]:
+    """Exponent tuples of total degree <= order, by degree."""
     out = []
     for deg in range(order + 1):
         for combo in combinations_with_replacement(range(nvars), deg):
@@ -44,7 +51,7 @@ class JetContext:
             raise ValueError("need nvars >= 1 and order >= 0")
         self.nvars = nvars
         self.order = order
-        self.monomials = _monomials(nvars, order)
+        self.monomials = monomials_upto(nvars, order)
         self.nmono = len(self.monomials)
         self.index = {m: i for i, m in enumerate(self.monomials)}
         self.degrees = np.array([sum(m) for m in self.monomials], dtype=np.intp)
@@ -342,3 +349,132 @@ class JetMatrix:
         return JetMatrix(
             self.ctx, np.einsum("ikt,kj->ijt", out.c, a0inv), self.valid
         )
+
+
+class JetSeries:
+    """Truncated multivariate power series with exact rational coefficients.
+
+    Terms of total degree above ``order`` are dropped; multiplication
+    truncates to the smaller operand order and differentiation lowers the
+    trusted order by one.  Coefficients are Fractions by default; floats
+    (from float profile tables) are kept as floats.
+    """
+
+    __slots__ = ("nvars", "order", "terms")
+
+    def __init__(self, nvars: int, order: int, terms=None):
+        self.nvars = int(nvars)
+        self.order = int(order)
+        clean = {}
+        for exps, coeff in (terms or {}).items():
+            exps = tuple(int(e) for e in exps)
+            if len(exps) != self.nvars or min(exps, default=0) < 0:
+                raise ValueError(f"bad exponent tuple {exps}")
+            if sum(exps) > self.order or coeff == 0:
+                continue
+            clean[exps] = clean.get(exps, 0) + coeff
+        self.terms = {e: c for e, c in clean.items() if c != 0}
+
+    @classmethod
+    def zero(cls, nvars: int, order: int) -> "JetSeries":
+        return cls(nvars, order)
+
+    @classmethod
+    def from_table(cls, nvars: int, order: int, table) -> "JetSeries":
+        return cls(nvars, order, {e: _coerce_exact(c) for e, c in table.items()})
+
+    def coefficient(self, exps):
+        return self.terms.get(tuple(int(e) for e in exps), Fraction(0))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def max_abs(self) -> float:
+        return max((abs(float(c)) for c in self.terms.values()), default=0.0)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, JetSeries) and self.nvars == other.nvars
+                and self.order == other.order and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((self.nvars, self.order, frozenset(self.terms.items())))
+
+    def __repr__(self) -> str:
+        return f"JetSeries(nvars={self.nvars}, order={self.order}, nterms={len(self.terms)})"
+
+    def _like(self, order, terms) -> "JetSeries":
+        return JetSeries(self.nvars, order, terms)
+
+    def __add__(self, other: "JetSeries") -> "JetSeries":
+        self._check(other)
+        order = min(self.order, other.order)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) + c
+        return self._like(order, out)
+
+    def __sub__(self, other: "JetSeries") -> "JetSeries":
+        return self + (-other)
+
+    def __neg__(self) -> "JetSeries":
+        return self._like(self.order, {e: -c for e, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, JetSeries):
+            self._check(other)
+            order = min(self.order, other.order)
+            out = {}
+            for e1, c1 in self.terms.items():
+                for e2, c2 in other.terms.items():
+                    e = tuple(a + b for a, b in zip(e1, e2))
+                    if sum(e) > order:
+                        continue
+                    out[e] = out.get(e, 0) + c1 * c2
+            return self._like(order, out)
+        scal = _coerce_exact(other)
+        return self._like(self.order, {e: c * scal for e, c in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def _check(self, other: "JetSeries") -> None:
+        if self.nvars != other.nvars:
+            raise ValueError("variable counts disagree")
+
+    def diff(self, var: int) -> "JetSeries":
+        out = {}
+        for exps, coeff in self.terms.items():
+            if exps[var]:
+                e = exps[:var] + (exps[var] - 1,) + exps[var + 1:]
+                out[e] = out.get(e, 0) + coeff * exps[var]
+        return self._like(self.order - 1, out)
+
+    def truncate(self, order: int) -> "JetSeries":
+        return self._like(min(self.order, order), dict(self.terms))
+
+    def z_coefficient(self, k: int) -> "JetSeries":
+        """Coefficient of z^k: a series in the same variables, z-free."""
+        out = {}
+        for exps, coeff in self.terms.items():
+            if exps[0] == k:
+                out[(0,) + exps[1:]] = coeff
+        return self._like(self.order - k, out)
+
+    def times_z_power(self, k: int) -> "JetSeries":
+        out = {(exps[0] + k,) + exps[1:]: c for exps, c in self.terms.items()}
+        return self._like(self.order + k, out)
+
+    def depends_on(self, var: int) -> bool:
+        return any(e[var] for e in self.terms)
+
+    def evaluate(self, point) -> float:
+        point = np.asarray(point, dtype=float)
+        total = 0.0
+        for exps, coeff in self.terms.items():
+            total += float(coeff) * float(np.prod(point ** np.asarray(exps)))
+        return total
+
+
+def _coerce_exact(val):
+    if isinstance(val, (float, np.floating)):
+        return float(val)
+    return Fraction(val)

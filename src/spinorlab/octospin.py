@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .algebra import (
     CONJ_MATRIX,
@@ -383,11 +382,6 @@ def bracket_element(m: Spin101Element, n: Spin101Element) -> Spin101Element:
     """Commutator, re-expressed in the template; raises if it leaves the span."""
     br = m.matrix @ n.matrix - n.matrix @ m.matrix
     return element_from_coefficients(template_span().coefficients(br))
-
-
-def spinor_exponential(m: Spin101Element) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix exponentials of the spinor and vector actions."""
-    return expm(m.matrix), expm(m.rho)
 
 
 # ---------------------------------------------------------------------------

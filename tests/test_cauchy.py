@@ -4,6 +4,8 @@ from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinorlab import cauchy, geometry
 from spinorlab.cauchy import (
@@ -19,6 +21,7 @@ from spinorlab.cauchy import (
     solve_ricci_ivp,
     verify_ricci_flat,
 )
+from spinorlab.jets import JetContext
 
 
 def _potential_tables(phi_terms, x_extra, order):
@@ -219,6 +222,29 @@ class TestResidualReport:
             assert np.abs(num - form).max() < 1e-12
             # series Ricci is zero to order 4; only the truncation tail remains
             assert np.abs(num).max() < 1e-8
+
+
+# degree <= 3 profiles in (z, x1, x2, y1, y2); the bracket has degree <= 4,
+# so series of order 6 carry it without truncation
+_EXPONENTS = st.tuples(*[st.integers(0, 3)] * 5).filter(lambda e: sum(e) <= 3)
+_TABLES = st.dictionaries(
+    _EXPONENTS, st.fractions(min_value=-5, max_value=5, max_denominator=9), max_size=6)
+
+
+class TestSharedBracket:
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(tables=st.lists(_TABLES, min_size=3, max_size=3),
+           point=st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5))
+    def test_series_bracket_matches_jet_bracket_at_a_point(self, tables, point):
+        series = [JetSeries.from_table(5, 6, t) for t in tables]
+        exact = bracket_series(series, 2)
+        X = JetContext(5, 2).variables(point)
+        jets = [series_to_function(s).jet(X) for s in series]
+        grid = geometry._fmatrix(jets, geometry.symmetric_pairs(2), 2)
+        at_point = geometry._quadratic_bracket(grid, (1, 2), (3, 4))
+        for s, j in zip(exact, at_point):
+            ref = s.evaluate(point)
+            assert abs(j.value() - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 class TestSpecRoundTrip:

@@ -102,6 +102,20 @@ class TestExitCodes:
         _, status = run_command(RunSpec("algebra-selfcheck", tol=1e-30))
         assert status == 1
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_metric_coefficient(self, tmp_path, value):
+        desc = {"family": "M21", "functions": [{"arity": 2, "coefficients": {"1,1": value}}]}
+        spec = _write(tmp_path, "nonfinite.json", desc)
+        report, status = run_command(RunSpec("metric-verify", spec_path=spec))
+        assert status == 2 and "'1,1'" in report["error"]
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_cauchy_coefficient(self, tmp_path, value):
+        desc = {"p": 1, "order": 4, "a": [{"arity": 2, "coefficients": {"2,0": value}}]}
+        spec = _write(tmp_path, "nonfinite.json", desc)
+        report, status = run_command(RunSpec("cauchy-solve", spec_path=spec))
+        assert status == 2 and "'2,0'" in report["error"]
+
     def test_cauchy_p_out_of_range(self):
         _, status = run_command(RunSpec("cauchy-solve", p=4))
         assert status == 2

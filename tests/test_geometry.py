@@ -1,6 +1,7 @@
 """Geometry tests: family builders, jet curvature, connections, holonomy."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -755,6 +756,12 @@ class TestSpecRoundTrip:
         f = function_from_spec({"arity": 2, "coefficients": {"1,1": "2/3", "0,2": -0.4}})
         assert f.table[(1, 1)] == pytest.approx(2.0 / 3.0)
         assert f.table[(0, 2)] == pytest.approx(-0.4)
+
+    def test_rational_coefficients_stay_exact(self):
+        f = function_from_spec({"arity": 2, "coefficients": {"1,1": "1/3", "0,2": 2}})
+        assert f.table == {(1, 1): Fraction(1, 3), (0, 2): 2}
+        assert all(isinstance(c, Fraction) for c in f.table.values())
+        assert f.partial(0).table == {(0, 1): Fraction(1, 3)}
 
     def test_metric_round_trip(self):
         d = {"family": "PUREEVEN(2)", "functions": [
