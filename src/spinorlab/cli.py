@@ -73,8 +73,21 @@ def _row(name: str, anchor: str, ok: bool, **fields) -> dict:
 
 
 def _residual_row(name: str, anchor: str, residual: float, tol: float) -> dict:
-    return _row(name, anchor, residual <= tol, residual=float(residual),
-                tolerance=float(tol))
+    return _row(name, anchor, bool(np.isfinite(residual)) and residual <= tol,
+                residual=float(residual), tolerance=float(tol))
+
+
+def _magnitude_row(name: str, anchor: str, value: float) -> dict:
+    return _row(name, anchor, bool(np.isfinite(value)), value=float(value))
+
+
+def _worst(values) -> float:
+    """Largest of ``values`` (0.0 for none); NaN as soon as one value is NaN.
+
+    The builtin max keeps a NaN only in first position, so a failed
+    evaluation at a later probe would read as a zero residual.
+    """
+    return float(np.max(np.asarray(list(values), dtype=float), initial=0.0))
 
 
 # -- algebra -------------------------------------------------------------
@@ -111,29 +124,27 @@ def _cmd_algebra_selfcheck(rs: RunSpec) -> list[dict]:
         "conjugation reverses products",
         "conjugation anti-automorphism (xy)* = y* x*",
         float(np.abs(cl - cr).max()), tol))
-    worst = 0.0
+    relations = []
     for p, q in ((4, 3), (10, 1)):
         gens = clifford.clifford_generators(p, q)
         eta = clifford.signature_eta(p, q)
         eye = np.eye(gens[0].shape[0])
         for i, gi in enumerate(gens):
             for j, gj in enumerate(gens):
-                res = np.abs(gi @ gj + gj @ gi + 2.0 * eta[i, j] * eye).max()
-                worst = max(worst, float(res))
+                relations.append(np.abs(gi @ gj + gj @ gi + 2.0 * eta[i, j] * eye).max())
     rows.append(_residual_row(
         "clifford relations", "generator relations v w + w v = -2 <v, w>",
-        worst, tol))
+        _worst(relations), tol))
     imag = _sample(rng, 200)
     imag[:, 0] = 0.0
-    worst = 0.0
+    squares = []
     for v in imag:
         lm = algebra.left_mult_matrix(v)
-        worst = max(worst, float(np.abs(
-            lm @ lm + algebra.octonion_norm_sq(v) * np.eye(8)).max()))
+        squares.append(np.abs(lm @ lm + algebra.octonion_norm_sq(v) * np.eye(8)).max())
     rows.append(_residual_row(
         "imaginary multiplication square",
         "left multiplication by imaginary x squares to -|x|^2",
-        worst, tol))
+        _worst(squares), tol))
     return rows
 
 
@@ -249,25 +260,24 @@ def _cmd_triality_check(rs: RunSpec) -> list[dict]:
     tol = rs.tolerance
 
     def dist(t1, t2):
-        return max(float(np.abs(a - b).max())
-                   for a, b in zip(t1.as_tuple(), t2.as_tuple()))
+        return _worst(np.abs(a - b).max() for a, b in zip(t1.as_tuple(), t2.as_tuple()))
 
-    worst = {"alpha squared": 0.0, "beta squared": 0.0, "tau cubed": 0.0}
+    dists = {"alpha squared": [], "beta squared": [], "tau cubed": []}
     for _ in range(50):
         t = octospin.random_triple(rng)
         aa = octospin.triality_alpha(octospin.triality_alpha(t))
         bb = octospin.triality_beta(octospin.triality_beta(t))
         ttt = octospin.triality_tau(octospin.triality_tau(octospin.triality_tau(t)))
-        worst["alpha squared"] = max(worst["alpha squared"], dist(aa, t))
-        worst["beta squared"] = max(worst["beta squared"], dist(bb, t))
-        worst["tau cubed"] = max(worst["tau cubed"], dist(ttt, t))
+        dists["alpha squared"].append(dist(aa, t))
+        dists["beta squared"].append(dist(bb, t))
+        dists["tau cubed"].append(dist(ttt, t))
     anchors = {
         "alpha squared": "outer symmetry alpha is an involution on triples",
         "beta squared": "outer symmetry beta is an involution on triples",
         "tau cubed": "outer symmetry tau has order three on triples",
     }
-    return [_residual_row(name, anchors[name], res, tol)
-            for name, res in worst.items()]
+    return [_residual_row(name, anchors[name], _worst(res), tol)
+            for name, res in dists.items()]
 
 
 # -- geometry commands -------------------------------------------------------
@@ -291,13 +301,11 @@ def _cmd_metric_verify(rs: RunSpec) -> list[dict]:
     m = _load_metric(rs)
     tol = rs.tolerance
     pts = geometry.probe_points(m, rs.seed, count=5)
-    gram = torsion = skew = member = 0.0
-    for pt in pts:
-        ac = geometry.adapted_coframe(m, pt)
-        gram = max(gram, ac.gram_residual)
-        torsion = max(torsion, ac.torsion_residual)
-        skew = max(skew, ac.skew_residual)
-        member = max(member, ac.membership_residual)
+    coframes = [geometry.adapted_coframe(m, pt) for pt in pts]
+    gram = _worst(ac.gram_residual for ac in coframes)
+    torsion = _worst(ac.torsion_residual for ac in coframes)
+    skew = _worst(ac.skew_residual for ac in coframes)
+    member = _worst(ac.membership_residual for ac in coframes)
     rows = [
         _residual_row("coframe gram reproduction",
                       "adapted coframe has the constant normal-form Gram matrix",
@@ -326,10 +334,10 @@ def _cmd_metric_verify(rs: RunSpec) -> list[dict]:
             f"constraint {cname}",
             "profile functions satisfy the family constraint equations",
             res, max(tol, 1e-12)))
-    curv = max(float(np.abs(geometry.riemann_numeric(m, pt)).max()) for pt in pts)
-    rows.append(_row("curvature magnitude",
-                     "largest jet curvature component over the probe points",
-                     True, value=curv))
+    curv = _worst(np.abs(geometry.riemann_numeric(m, pt)).max() for pt in pts)
+    rows.append(_magnitude_row("curvature magnitude",
+                               "largest jet curvature component over the probe points",
+                               curv))
     return rows
 
 
@@ -338,20 +346,19 @@ def _cmd_ricci_compare(rs: RunSpec) -> list[dict]:
     if m.family not in geometry.RICCI_CALIBRATION:
         raise SpecError(f"family {m.family} has no closed-form Ricci display")
     tol = rs.tolerance
-    worst = 0.0
-    scale = 0.0
+    residuals = []
+    scales = []
     for pt in geometry.probe_points(m, rs.seed, count=5):
         num = geometry.ricci_numeric(m, pt)
         form = geometry.ricci_paper(m.family, m.functions, pt, p=m.p)
-        worst = max(worst, float(np.abs(num - form).max()
-                                 / max(1.0, np.abs(num).max())))
-        scale = max(scale, float(np.abs(num).max()))
+        scales.append(np.abs(num).max())
+        residuals.append(np.abs(num - form).max() / max(1.0, scales[-1]))
     return [
         _residual_row("closed form vs jet ricci",
                       "closed-form Ricci display agrees with jet curvature",
-                      worst, tol),
-        _row("ricci magnitude", "largest Ricci component over the probe points",
-             True, value=scale),
+                      _worst(residuals), tol),
+        _magnitude_row("ricci magnitude", "largest Ricci component over the probe points",
+                       _worst(scales)),
     ]
 
 

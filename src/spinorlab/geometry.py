@@ -1,11 +1,15 @@
 """Metric normal forms carrying parallel spinors, with jet-based curvature.
 
-Each family builder produces coordinate components as truncated Taylor
-jets together with an adapted coframe whose Gram matrix is constant and
-a basis of the stabilizer subalgebra the Levi-Civita connection must take
-values in.  Curvature is read off the jets (Christoffel symbols, Riemann,
-Ricci); closed-form Ricci displays, constraint equations, connection
-membership and holonomy spans are all checked against that machinery.
+Each normal form is declared as data: coordinates, signature, a constant
+Gram matrix, a basis of the stabilizer subalgebra the Levi-Civita
+connection must take values in, and two independent term lists placing
+profile functions in fixed cells of the metric components and of an
+adapted coframe.  One rule evaluates such a declaration as truncated
+Taylor jets; the 11-dimensional family, built from a fiber coframe, is
+assembled separately.  Curvature is read off the jets (Christoffel
+symbols, Riemann, Ricci); closed-form Ricci displays, constraint
+equations, connection membership and holonomy spans are all checked
+against that machinery.
 """
 
 from __future__ import annotations
@@ -343,6 +347,10 @@ def probe_points(m: CoordinateMetric, seed: int, count: int = 5,
 
 
 # -- family builders ----------------------------------------------------------
+#
+# Components and coframe are two independent term lists, never one derived
+# from the other (say as E^T gram E), so the coframe Gram reproduction check
+# compares two separate statements of each normal form.
 
 
 def _expect(tag: str, functions, arities) -> None:
@@ -351,6 +359,15 @@ def _expect(tag: str, functions, arities) -> None:
     for f, a in zip(functions, arities):
         if f.arity != a:
             raise ValueError(f"{tag} needs arity {a}, got {f.arity} ({f.name})")
+
+
+def _expect_block(tag: str, functions, p, base: int) -> int:
+    """Check a split family's block size and profiles; return n = 2p + base."""
+    if p is None or p < 1:
+        raise ValueError(f"{tag} needs the block size p")
+    n = 2 * p + base
+    _expect(f"{tag}({p})", functions, (n,) * len(symmetric_pairs(p)))
+    return n
 
 
 def _zeros(ctx: JetContext, n: int) -> list[list[Jet]]:
@@ -365,121 +382,129 @@ def _fmatrix(functions, pairs, size):
     return grid
 
 
-def _symmetric_divergence_rule(fgrid, size, y_vars, arg_of):
+def _matrix(n: int, cells) -> np.ndarray:
+    """n x n matrix with the given {(i, j): value} entries, zero elsewhere."""
+    m = np.zeros((n, n))
+    for (i, j), v in cells.items():
+        m[i, j] = v
+    return m
+
+
+def _gram(n: int, cells) -> np.ndarray:
+    """Symmetric n x n matrix from its upper-triangle {(i, j): value} entries."""
+    m = _matrix(n, cells)
+    for (i, j), v in cells.items():
+        m[j, i] = v
+    return m
+
+
+def _symmetric_divergence_rule(fgrid, size, y_vars):
     names = [f"divergence row {i + 1}" for i in range(size)]
 
     def rule(m: CoordinateMetric, points) -> dict[str, float]:
         out = {name: 0.0 for name in names}
         for pt in points:
-            args = arg_of(pt)
             for i in range(size):
-                total = sum(fgrid[i][j].derivative(args, y_vars[j]) for j in range(size))
+                total = sum(fgrid[i][j].derivative(pt, y_vars[j]) for j in range(size))
                 out[names[i]] = max(out[names[i]], abs(total))
         return out
 
     return rule
 
 
+def _profile_rule(const, profiles, terms):
+    """Jet rule (X, ctx) -> const + coeff * f_t(X[args_t]) in cell (i, j), per term.
+
+    ``profiles`` lists (FreeFunction, argument indices) and ``terms`` lists
+    (i, j, coeff, t).  Each profile is evaluated once per call, and the
+    matrix is trusted to the lowest order among the profile jets.
+    """
+    const = np.array(const, dtype=float)
+    profiles = [(f, tuple(args)) for f, args in profiles]
+    rows, cols, coeffs, which = zip(*terms)
+    cells = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp))
+    which = np.array(which, dtype=np.intp)
+    coeffs = np.array(coeffs, dtype=float)[:, None]
+
+    def rule(X, ctx):
+        jets = [f.jet([X[a] for a in args]) for f, args in profiles]
+        c = np.zeros(const.shape + (ctx.nmono,))
+        c[..., 0] = const
+        np.add.at(c, cells, coeffs * np.stack([j.c for j in jets])[which])
+        return JetMatrix(ctx, c, min(j.valid for j in jets))
+
+    return rule
+
+
+def _normal_form(tag, signature, coords, gram, stabilizer, functions, profiles,
+                 comp_terms, cof_terms, *, comp_const=None, cof_const=None, **extra):
+    """Metric whose components and coframe are constant parts plus profile terms.
+
+    The constant part of the components defaults to the Gram matrix and that
+    of the coframe to the identity.
+    """
+    n = len(coords)
+    comp = _profile_rule(gram if comp_const is None else comp_const, profiles, comp_terms)
+    cof = _profile_rule(np.eye(n) if cof_const is None else cof_const, profiles, cof_terms)
+    return CoordinateMetric(n, signature, coords, comp, family=tag, functions=functions,
+                            coframe_rule=cof, gram=gram, stabilizer=stabilizer, **extra)
+
+
+def _null_corner_form(tag, functions, signature, coords, gram, stabilizer, coeff):
+    """One profile f(x_1..x_{n-1}): g_nn gains coeff f and the coframe theta^0 gains f dx_n."""
+    n = len(coords)
+    return _normal_form(tag, signature, coords, gram, stabilizer, functions,
+                        [(functions[0], range(1, n))],
+                        [(n - 1, n - 1, coeff, 0)], [(0, n - 1, 1.0, 0)])
+
+
+def _paired_block_form(tag, functions, size, xoff, yoff, coeff, signature, coords,
+                       gram, stabilizer, **extra):
+    """Symmetric profile block f_ij of all coordinates, paired against the y block.
+
+    g gains coeff f_ij at (x_i, x_j), the coframe row of y_i gains f_ij dx_j,
+    and the constraints are the divergences sum_j df_ij/dy_j.
+    """
+    pairs = symmetric_pairs(size)
+    slot = {}
+    for t, (i, j) in enumerate(pairs):
+        slot[i, j] = slot[j, i] = t
+    cells = list(itertools.product(range(size), repeat=2))
+    y_vars = tuple(yoff + j for j in range(size))
+    return _normal_form(
+        tag, signature, coords, gram, stabilizer, functions,
+        [(f, range(len(coords))) for f in functions],
+        [(xoff + i, xoff + j, coeff, slot[i, j]) for i, j in cells],
+        [(yoff + i, xoff + j, 1.0, slot[i, j]) for i, j in cells],
+        constraint_rule=_symmetric_divergence_rule(
+            _fmatrix(functions, pairs, size), size, y_vars),
+        **extra)
+
+
 def _build_m21(functions, p=None):
     _expect("M21", functions, (2,))
-    f, = functions
-
-    def comp(X, ctx):
-        e = _zeros(ctx, 3)
-        fj = f.jet([X[1], X[2]])
-        e[0][2] = e[2][0] = ctx.constant(-0.5)
-        e[1][1] = ctx.constant(1.0)
-        e[2][2] = -fj
-        return JetMatrix.from_entries(e)
-
-    def cof(X, ctx):
-        e = _zeros(ctx, 3)
-        one = ctx.constant(1.0)
-        e[0][0] = one
-        e[0][2] = f.jet([X[1], X[2]])
-        e[1][1] = one
-        e[2][2] = one
-        return JetMatrix.from_entries(e)
-
-    gram = np.array([[0.0, 0.0, -0.5], [0.0, 1.0, 0.0], [-0.5, 0.0, 0.0]])
-    nil = np.zeros((3, 3))
-    nil[0, 1] = 2.0
-    nil[1, 2] = 1.0
-    return CoordinateMetric(3, (2, 1), ("x11", "x21", "x22"), comp, family="M21",
-                            functions=functions, coframe_rule=cof, gram=gram,
-                            stabilizer=(nil,))
+    return _null_corner_form(
+        "M21", functions, (2, 1), ("x11", "x21", "x22"),
+        _gram(3, {(0, 2): -0.5, (1, 1): 1.0}),
+        (_matrix(3, {(0, 1): 2.0, (1, 2): 1.0}),), -1.0)
 
 
 def _build_m31(functions, p=None):
     _expect("M31", functions, (3,))
-    f, = functions
-
-    def comp(X, ctx):
-        e = _zeros(ctx, 4)
-        fj = f.jet([X[1], X[2], X[3]])
-        e[0][3] = e[3][0] = ctx.constant(-0.5)
-        e[1][1] = e[2][2] = ctx.constant(1.0)
-        e[3][3] = -fj
-        return JetMatrix.from_entries(e)
-
-    def cof(X, ctx):
-        e = _zeros(ctx, 4)
-        one = ctx.constant(1.0)
-        e[0][0] = one
-        e[0][3] = f.jet([X[1], X[2], X[3]])
-        e[1][1] = one
-        e[2][2] = one
-        e[3][3] = one
-        return JetMatrix.from_entries(e)
-
-    gram = np.zeros((4, 4))
-    gram[0, 3] = gram[3, 0] = -0.5
-    gram[1, 1] = gram[2, 2] = 1.0
-    na = np.zeros((4, 4))
-    na[0, 1] = 2.0
-    na[1, 3] = 1.0
-    nb = np.zeros((4, 4))
-    nb[0, 2] = -2.0
-    nb[2, 3] = -1.0
-    return CoordinateMetric(4, (3, 1), ("x11", "u", "v", "x22"), comp, family="M31",
-                            functions=functions, coframe_rule=cof, gram=gram,
-                            stabilizer=(na, nb))
+    return _null_corner_form(
+        "M31", functions, (3, 1), ("x11", "u", "v", "x22"),
+        _gram(4, {(0, 3): -0.5, (1, 1): 1.0, (2, 2): 1.0}),
+        (_matrix(4, {(0, 1): 2.0, (1, 3): 1.0}), _matrix(4, {(0, 2): -2.0, (2, 3): -1.0})),
+        -1.0)
 
 
 def _build_m22gen(functions, p=None):
     _expect("M22GEN", functions, (3,))
-    f, = functions
-
-    def comp(X, ctx):
-        e = _zeros(ctx, 4)
-        fj = f.jet([X[1], X[2], X[3]])
-        e[0][3] = e[3][0] = ctx.constant(0.5)
-        e[1][2] = e[2][1] = ctx.constant(-0.5)
-        e[3][3] = fj
-        return JetMatrix.from_entries(e)
-
-    def cof(X, ctx):
-        e = _zeros(ctx, 4)
-        one = ctx.constant(1.0)
-        e[0][0] = one
-        e[0][3] = f.jet([X[1], X[2], X[3]])
-        e[1][1] = one
-        e[2][2] = one
-        e[3][3] = one
-        return JetMatrix.from_entries(e)
-
-    gram = np.zeros((4, 4))
-    gram[0, 3] = gram[3, 0] = 0.5
-    gram[1, 2] = gram[2, 1] = -0.5
-    na = np.zeros((4, 4))
-    na[0, 2] = 1.0
-    na[1, 3] = 1.0
-    nb = np.zeros((4, 4))
-    nb[0, 1] = -1.0
-    nb[2, 3] = -1.0
-    return CoordinateMetric(4, (2, 2), ("x11", "x12", "x21", "x22"), comp,
-                            family="M22GEN", functions=functions, coframe_rule=cof,
-                            gram=gram, stabilizer=(na, nb))
+    return _null_corner_form(
+        "M22GEN", functions, (2, 2), ("x11", "x12", "x21", "x22"),
+        _gram(4, {(0, 3): 0.5, (1, 2): -0.5}),
+        (_matrix(4, {(0, 2): 1.0, (1, 3): 1.0}), _matrix(4, {(0, 1): -1.0, (2, 3): -1.0})),
+        1.0)
 
 
 def _build_m22deg(functions, p=None):
@@ -487,121 +512,33 @@ def _build_m22deg(functions, p=None):
     f, = functions
     if f.table is None:
         raise ValueError("M22DEG components are Hessian-derived; need a table function")
-    s = [[f.partial(2 + i).partial(2 + j) for j in range(2)] for i in range(2)]
-
-    def comp(X, ctx):
-        e = _zeros(ctx, 4)
-        s11, s12, s22 = s[0][0].jet(X), s[0][1].jet(X), s[1][1].jet(X)
-        e[0][3] = e[3][0] = ctx.constant(0.5)
-        e[1][2] = e[2][1] = ctx.constant(-0.5)
-        e[0][0] = s11
-        e[0][1] = e[1][0] = s12
-        e[1][1] = s22
-        return JetMatrix.from_entries(e)
-
-    def cof(X, ctx):
-        e = _zeros(ctx, 4)
-        one = ctx.constant(1.0)
-        s11, s12, s22 = s[0][0].jet(X), s[0][1].jet(X), s[1][1].jet(X)
-        e[0][2] = one
-        e[0][0] = -s12
-        e[0][1] = -s22
-        e[1][3] = one
-        e[1][0] = s11
-        e[1][1] = s12
-        e[2][0] = -one
-        e[3][1] = -one
-        return JetMatrix.from_entries(e)
-
-    gram = np.zeros((4, 4))
-    gram[0, 3] = gram[3, 0] = 0.5
-    gram[1, 2] = gram[2, 1] = -0.5
-    na = np.zeros((4, 4))
-    na[0, 2] = 1.0
-    na[1, 3] = 1.0
-    nb11 = np.diag([-1.0, 1.0, -1.0, 1.0])
-    nb12 = np.zeros((4, 4))
-    nb12[1, 0] = -1.0
-    nb12[3, 2] = -1.0
-    nb21 = np.zeros((4, 4))
-    nb21[0, 1] = -1.0
-    nb21[2, 3] = -1.0
-    return CoordinateMetric(4, (2, 2), ("x1", "x2", "y1", "y2"), comp,
-                            family="M22DEG", functions=functions, coframe_rule=cof,
-                            gram=gram, stabilizer=(na, nb11, nb12, nb21))
+    # profiles s11, s12, s22 with s_ij = f_{y_i y_j}
+    s = [(f.partial(2 + i).partial(2 + j), range(4)) for i, j in symmetric_pairs(2)]
+    stab = (_matrix(4, {(0, 2): 1.0, (1, 3): 1.0}), np.diag([-1.0, 1.0, -1.0, 1.0]),
+            _matrix(4, {(1, 0): -1.0, (3, 2): -1.0}), _matrix(4, {(0, 1): -1.0, (2, 3): -1.0}))
+    return _normal_form(
+        "M22DEG", (2, 2), ("x1", "x2", "y1", "y2"), _gram(4, {(0, 3): 0.5, (1, 2): -0.5}),
+        stab, functions, s,
+        [(0, 0, 1.0, 0), (0, 1, 1.0, 1), (1, 0, 1.0, 1), (1, 1, 1.0, 2)],
+        [(0, 0, -1.0, 1), (0, 1, -1.0, 2), (1, 0, 1.0, 0), (1, 1, 1.0, 1)],
+        cof_const=_matrix(4, {(0, 2): 1.0, (1, 3): 1.0, (2, 0): -1.0, (3, 1): -1.0}))
 
 
 def _build_m41deg(functions, p=None):
     _expect("M41DEG", functions, (4,))
-    f, = functions
-
-    def comp(X, ctx):
-        e = _zeros(ctx, 5)
-        fj = f.jet([X[0], X[1], X[2], X[3]])
-        e[0][0] = -1.0 - 2.0 * fj
-        e[0][4] = e[4][0] = ctx.constant(-1.0)
-        e[1][1] = e[2][2] = e[3][3] = ctx.constant(1.0)
-        return JetMatrix.from_entries(e)
-
-    def cof(X, ctx):
-        e = _zeros(ctx, 5)
-        one = ctx.constant(1.0)
-        for a in range(4):
-            e[a][a] = one
-        e[4][4] = one
-        e[4][0] = f.jet([X[0], X[1], X[2], X[3]])
-        return JetMatrix.from_entries(e)
-
-    gram = np.zeros((5, 5))
-    gram[0, 0] = -1.0
-    gram[0, 4] = gram[4, 0] = -1.0
-    gram[1, 1] = gram[2, 2] = gram[3, 3] = 1.0
-    stab = []
-    for a in (1, 2, 3):
-        nmat = np.zeros((5, 5))
-        nmat[a, 0] = -2.0
-        nmat[4, a] = -2.0
-        stab.append(nmat)
-    return CoordinateMetric(5, (4, 1), ("x", "s1", "s2", "s3", "r"), comp,
-                            family="M41DEG", functions=functions, coframe_rule=cof,
-                            gram=gram, stabilizer=tuple(stab))
+    gram = _gram(5, {(0, 0): -1.0, (0, 4): -1.0, (1, 1): 1.0, (2, 2): 1.0, (3, 3): 1.0})
+    stab = tuple(_matrix(5, {(a, 0): -2.0, (4, a): -2.0}) for a in (1, 2, 3))
+    return _normal_form("M41DEG", (4, 1), ("x", "s1", "s2", "s3", "r"), gram, stab,
+                        functions, [(functions[0], range(4))],
+                        [(0, 0, -2.0, 0)], [(4, 0, 1.0, 0)])
 
 
 def _build_m51null(functions, p=None):
     _expect("M51NULL", functions, (5,))
-    f, = functions
-
-    def comp(X, ctx):
-        e = _zeros(ctx, 6)
-        fj = f.jet([X[1], X[2], X[3], X[4], X[5]])
-        e[0][5] = e[5][0] = ctx.constant(-0.5)
-        for a in range(1, 5):
-            e[a][a] = ctx.constant(1.0)
-        e[5][5] = -fj
-        return JetMatrix.from_entries(e)
-
-    def cof(X, ctx):
-        e = _zeros(ctx, 6)
-        one = ctx.constant(1.0)
-        e[0][0] = one
-        e[0][5] = f.jet([X[1], X[2], X[3], X[4], X[5]])
-        for a in range(1, 6):
-            e[a][a] = one
-        return JetMatrix.from_entries(e)
-
-    gram = np.zeros((6, 6))
-    gram[0, 5] = gram[5, 0] = -0.5
-    for a in range(1, 5):
-        gram[a, a] = 1.0
-    stab = []
-    for a in range(4):
-        nmat = np.zeros((6, 6))
-        nmat[0, 1 + a] = 2.0
-        nmat[1 + a, 5] = 1.0
-        stab.append(nmat)
-    return CoordinateMetric(6, (5, 1), ("x11", "u1", "u2", "u3", "u4", "x22"), comp,
-                            family="M51NULL", functions=functions, coframe_rule=cof,
-                            gram=gram, stabilizer=tuple(stab))
+    gram = _gram(6, {(0, 5): -0.5, **{(a, a): 1.0 for a in range(1, 5)}})
+    stab = tuple(_matrix(6, {(0, 1 + a): 2.0, (1 + a, 5): 1.0}) for a in range(4))
+    return _null_corner_form("M51NULL", functions, (5, 1),
+                             ("x11", "u1", "u2", "u3", "u4", "x22"), gram, stab, -1.0)
 
 
 def _build_m33gen(functions, p=None):
@@ -614,29 +551,6 @@ def _build_m33gen(functions, p=None):
     if abs(np.linalg.det(h0) - 1.0) > 1e-8:
         raise ValueError("mixed Hessian determinant differs from 1 at the probe point")
 
-    def comp(X, ctx):
-        e = _zeros(ctx, 6)
-        for i in range(3):
-            for j in range(3):
-                hj = 0.5 * hess[i][j].jet(X)
-                e[i][3 + j] = hj
-                e[3 + j][i] = hj
-        return JetMatrix.from_entries(e)
-
-    def cof(X, ctx):
-        e = _zeros(ctx, 6)
-        one = ctx.constant(1.0)
-        for i in range(3):
-            e[i][i] = one
-            for k in range(3):
-                e[3 + i][3 + k] = hess[i][k].jet(X)
-        return JetMatrix.from_entries(e)
-
-    gram = np.zeros((6, 6))
-    gram[:3, 3:] = 0.5 * np.eye(3)
-    gram[3:, :3] = 0.5 * np.eye(3)
-    stab = _paired_gl_stabilizer(3, skew_part=False)
-
     def constraints(m, points):
         worst = 0.0
         for pt in points:
@@ -644,161 +558,51 @@ def _build_m33gen(functions, p=None):
             worst = max(worst, abs(np.linalg.det(hval) - 1.0))
         return {"hessian determinant": worst}
 
-    return CoordinateMetric(6, (3, 3), ("x1", "x2", "x3", "y1", "y2", "y3"), comp,
-                            family="M33GEN", functions=functions, coframe_rule=cof,
-                            gram=gram, stabilizer=stab, constraint_rule=constraints)
+    # profile 3i + j is the mixed Hessian entry f_{x_i y_j}
+    cells = list(itertools.product(range(3), repeat=2))
+    return _normal_form(
+        "M33GEN", (3, 3), ("x1", "x2", "x3", "y1", "y2", "y3"),
+        _gram(6, {(i, 3 + i): 0.5 for i in range(3)}), tuple(_gl_pair_blocks(3, 6, 0, 3)),
+        functions, [(h, range(6)) for row in hess for h in row],
+        [(a, b, 0.5, 3 * i + j) for i, j in cells for a, b in ((i, 3 + j), (3 + j, i))],
+        [(3 + i, 3 + j, 1.0, 3 * i + j) for i, j in cells],
+        comp_const=np.zeros((6, 6)), cof_const=np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]),
+        constraint_rule=constraints)
 
 
 def _build_m33null(functions, p=None):
     _expect("M33NULL", functions, (6, 6, 6))
-    pairs = ((0, 0), (0, 1), (1, 1))
-    fgrid = _fmatrix(functions, pairs, 2)
-
-    def comp(X, ctx):
-        e = _zeros(ctx, 6)
-        half = ctx.constant(0.5)
-        for i in range(3):
-            e[i][3 + i] = e[3 + i][i] = half
-        e[0][0] = fgrid[0][0].jet(X)
-        e[0][1] = e[1][0] = fgrid[0][1].jet(X)
-        e[1][1] = fgrid[1][1].jet(X)
-        return JetMatrix.from_entries(e)
-
-    def cof(X, ctx):
-        e = _zeros(ctx, 6)
-        one = ctx.constant(1.0)
-        for i in range(3):
-            e[i][i] = one
-            e[3 + i][3 + i] = one
-        for i in range(2):
-            for j in range(2):
-                e[3 + i][j] = fgrid[i][j].jet(X)
-        return JetMatrix.from_entries(e)
-
-    gram = np.zeros((6, 6))
-    gram[:3, 3:] = 0.5 * np.eye(3)
-    gram[3:, :3] = 0.5 * np.eye(3)
-    stab = _m33null_stabilizer()
-    constraints = _symmetric_divergence_rule(fgrid, 2, (3, 4), lambda pt: pt)
-    return CoordinateMetric(6, (3, 3), ("x1", "x2", "x3", "y1", "y2", "y3"), comp,
-                            family="M33NULL", functions=functions, coframe_rule=cof,
-                            gram=gram, stabilizer=stab, constraint_rule=constraints)
+    return _paired_block_form(
+        "M33NULL", functions, 2, 0, 3, 1.0, (3, 3), ("x1", "x2", "x3", "y1", "y2", "y3"),
+        _gram(6, {(i, 3 + i): 0.5 for i in range(3)}), _m33null_stabilizer())
 
 
 def _build_pure_odd(functions, p):
-    if p is None or p < 1:
-        raise ValueError("PUREODD needs the block size p")
-    pairs = symmetric_pairs(p)
-    arity = 2 * p + 1
-    _expect(f"PUREODD({p})", functions, (arity,) * len(pairs))
-    fgrid = _fmatrix(functions, pairs, p)
-    n = 2 * p + 1
-
-    def comp(X, ctx):
-        e = _zeros(ctx, n)
-        e[0][0] = ctx.constant(1.0)
-        one = ctx.constant(1.0)
-        fj = [[fgrid[i][j].jet(X) for j in range(p)] for i in range(p)]
-        for i in range(p):
-            e[1 + i][1 + p + i] = one
-            e[1 + p + i][1 + i] = one
-            for j in range(p):
-                e[1 + i][1 + j] = 2.0 * fj[i][j]
-        return JetMatrix.from_entries(e)
-
-    def cof(X, ctx):
-        e = _zeros(ctx, n)
-        one = ctx.constant(1.0)
-        e[0][0] = one
-        for i in range(p):
-            e[1 + i][1 + i] = one
-            e[1 + p + i][1 + p + i] = one
-            for j in range(p):
-                e[1 + p + i][1 + j] = fgrid[i][j].jet(X)
-        return JetMatrix.from_entries(e)
-
-    gram = np.zeros((n, n))
-    gram[0, 0] = 1.0
-    for i in range(p):
-        gram[1 + i, 1 + p + i] = gram[1 + p + i, 1 + i] = 1.0
+    n = _expect_block("PUREODD", functions, p, 1)
+    gram = _gram(n, {(0, 0): 1.0, **{(1 + i, 1 + p + i): 1.0 for i in range(p)}})
     coords = ("z",) + tuple(f"x{i + 1}" for i in range(p)) + tuple(f"y{i + 1}" for i in range(p))
-    y_vars = tuple(1 + p + j for j in range(p))
-    constraints = _symmetric_divergence_rule(fgrid, p, y_vars, lambda pt: pt)
-    return CoordinateMetric(n, (p + 1, p), coords, comp, family="PUREODD",
-                            functions=functions, p=p, coframe_rule=cof, gram=gram,
-                            stabilizer=_pure_odd_stabilizer(p),
-                            constraint_rule=constraints)
+    return _paired_block_form("PUREODD", functions, p, 1, 1 + p, 2.0, (p + 1, p), coords,
+                              gram, _pure_odd_stabilizer(p), p=p)
 
 
 def _build_pure_even(functions, p):
-    if p is None or p < 1:
-        raise ValueError("PUREEVEN needs the block size p")
-    pairs = symmetric_pairs(p)
-    arity = 2 * p
-    _expect(f"PUREEVEN({p})", functions, (arity,) * len(pairs))
-    fgrid = _fmatrix(functions, pairs, p)
-    n = 2 * p
-
-    def comp(X, ctx):
-        e = _zeros(ctx, n)
-        half = ctx.constant(0.5)
-        for i in range(p):
-            e[i][p + i] = half
-            e[p + i][i] = half
-            for j in range(p):
-                e[i][j] = fgrid[i][j].jet(X)
-        return JetMatrix.from_entries(e)
-
-    def cof(X, ctx):
-        e = _zeros(ctx, n)
-        one = ctx.constant(1.0)
-        for i in range(p):
-            e[i][i] = one
-            e[p + i][p + i] = one
-            for j in range(p):
-                e[p + i][j] = fgrid[i][j].jet(X)
-        return JetMatrix.from_entries(e)
-
-    gram = np.zeros((n, n))
-    for i in range(p):
-        gram[i, p + i] = gram[p + i, i] = 0.5
+    n = _expect_block("PUREEVEN", functions, p, 0)
+    gram = _gram(n, {(i, p + i): 0.5 for i in range(p)})
     coords = tuple(f"x{i + 1}" for i in range(p)) + tuple(f"y{i + 1}" for i in range(p))
-    y_vars = tuple(p + j for j in range(p))
-    constraints = _symmetric_divergence_rule(fgrid, p, y_vars, lambda pt: pt)
-    return CoordinateMetric(n, (p, p), coords, comp, family="PUREEVEN",
-                            functions=functions, p=p, coframe_rule=cof, gram=gram,
-                            stabilizer=_pure_even_stabilizer(p),
-                            constraint_rule=constraints)
+    return _paired_block_form("PUREEVEN", functions, p, 0, p, 1.0, (p, p), coords,
+                              gram, _pure_even_stabilizer(p), p=p)
 
 
 def _pure_odd_stabilizer(p: int) -> tuple[np.ndarray, ...]:
     n = 2 * p + 1
-    out = []
-    for k in range(p):
-        m = np.zeros((n, n))
-        m[0, 1 + k] = -1.0
-        m[1 + p + k, 0] = 1.0
-        out.append(m)
+    out = [_matrix(n, {(0, 1 + k): -1.0, (1 + p + k, 0): 1.0}) for k in range(p)]
     out.extend(_gl_pair_blocks(p, n, 1, 1 + p))
-    for i in range(p):
-        for j in range(i + 1, p):
-            m = np.zeros((n, n))
-            m[1 + p + i, 1 + j] = 1.0
-            m[1 + p + j, 1 + i] = -1.0
-            out.append(m)
+    out.extend(_skew_pair_blocks(p, n, 1, 1 + p))
     return tuple(out)
 
 
 def _pure_even_stabilizer(p: int) -> tuple[np.ndarray, ...]:
-    n = 2 * p
-    out = list(_gl_pair_blocks(p, n, 0, p))
-    for i in range(p):
-        for j in range(i + 1, p):
-            m = np.zeros((n, n))
-            m[p + i, j] = 1.0
-            m[p + j, i] = -1.0
-            out.append(m)
-    return tuple(out)
+    return tuple(_gl_pair_blocks(p, 2 * p, 0, p) + _skew_pair_blocks(p, 2 * p, 0, p))
 
 
 def _gl_pair_blocks(p: int, n: int, xoff: int, yoff: int) -> list[np.ndarray]:
@@ -808,57 +612,30 @@ def _gl_pair_blocks(p: int, n: int, xoff: int, yoff: int) -> list[np.ndarray]:
         for j in range(p):
             if i == j:
                 continue
-            m = np.zeros((n, n))
-            m[xoff + i, xoff + j] = 1.0
-            m[yoff + j, yoff + i] = -1.0
-            out.append(m)
+            out.append(_matrix(n, {(xoff + i, xoff + j): 1.0, (yoff + j, yoff + i): -1.0}))
     for i in range(p - 1):
-        m = np.zeros((n, n))
-        m[xoff + i, xoff + i] = 1.0
-        m[xoff + i + 1, xoff + i + 1] = -1.0
-        m[yoff + i, yoff + i] = -1.0
-        m[yoff + i + 1, yoff + i + 1] = 1.0
-        out.append(m)
+        out.append(_matrix(n, {(xoff + i, xoff + i): 1.0, (xoff + i + 1, xoff + i + 1): -1.0,
+                               (yoff + i, yoff + i): -1.0, (yoff + i + 1, yoff + i + 1): 1.0}))
     return out
 
 
-def _paired_gl_stabilizer(p: int, skew_part: bool) -> tuple[np.ndarray, ...]:
-    n = 2 * p
-    out = list(_gl_pair_blocks(p, n, 0, p))
-    if skew_part:
-        for i in range(p):
-            for j in range(i + 1, p):
-                m = np.zeros((n, n))
-                m[p + i, j] = 1.0
-                m[p + j, i] = -1.0
-                out.append(m)
-    return tuple(out)
+def _skew_pair_blocks(p: int, n: int, xoff: int, yoff: int) -> list[np.ndarray]:
+    """Skew s mapping the x block into the y block, one generator per pair i < j."""
+    return [_matrix(n, {(yoff + i, xoff + j): 1.0, (yoff + j, xoff + i): -1.0})
+            for i, j in itertools.combinations(range(p), 2)]
 
 
 def _m33null_stabilizer() -> tuple[np.ndarray, ...]:
     # q runs over traceless matrices with vanishing third column; s is skew.
+    qbasis = [_matrix(3, {(0, 0): 1.0, (1, 1): -1.0})]
+    qbasis += [_matrix(3, {ij: 1.0}) for ij in ((0, 1), (1, 0), (2, 0), (2, 1))]
     out = []
-    qbasis = []
-    d = np.zeros((3, 3))
-    d[0, 0] = 1.0
-    d[1, 1] = -1.0
-    qbasis.append(d)
-    for i, j in ((0, 1), (1, 0), (2, 0), (2, 1)):
-        q = np.zeros((3, 3))
-        q[i, j] = 1.0
-        qbasis.append(q)
     for q in qbasis:
         m = np.zeros((6, 6))
         m[:3, :3] = q
         m[3:, 3:] = -q.T
         out.append(m)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            m = np.zeros((6, 6))
-            m[3 + i, j] = 1.0
-            m[3 + j, i] = -1.0
-            out.append(m)
-    return tuple(out)
+    return tuple(out + _skew_pair_blocks(3, 6, 0, 3))
 
 
 _BUILDERS = {
@@ -906,7 +683,7 @@ def _check_signature(m: CoordinateMetric) -> None:
     w = np.linalg.eigvalsh(g0)
     found = (int((w > 0).sum()), int((w < 0).sum()))
     if found != m.signature:
-        raise RuntimeError(f"{m.family} signature {found} != declared {m.signature}")
+        raise ValueError(f"{m.family} signature {found} != declared {m.signature}")
 
 
 # -- curvature from jets ------------------------------------------------------
@@ -975,6 +752,14 @@ RICCI_CALIBRATION = {
     "M51NULL": 0.5,
 }
 
+# Ricci is one Laplacian of the profile in one cell:
+# tag -> (profile argument slice, Laplacian variables, output cell, n)
+_LAPLACIAN_DISPLAYS = {
+    "M31": (slice(1, 4), (0, 1), (3, 3), 4),
+    "M41DEG": (slice(0, 4), (1, 2, 3), (0, 0), 5),
+    "M51NULL": (slice(1, 6), range(4), (5, 5), 6),
+}
+
 
 def _quadratic_bracket(grid, x_vars, y_vars):
     """B_jl = f_jl,x^k y_k - f_mk f_jl,y_m y_k + f_mj,y_k f_kl,y_m (summed), pair order.
@@ -1008,12 +793,9 @@ def ricci_paper(family: str, functions, point, p=None) -> np.ndarray:
     functions = tuple(functions)
     point = np.asarray(point, dtype=float)
     if tag in ("PUREODD", "PUREEVEN", "M22DEG"):
-        if tag == "PUREODD":
-            n = _build_pure_odd(functions, p).n
-            x0 = 1
-        elif tag == "PUREEVEN":
-            n = _build_pure_even(functions, p).n
-            x0 = 0
+        if tag in ("PUREODD", "PUREEVEN"):
+            x0 = 1 if tag == "PUREODD" else 0
+            n = _expect_block(tag, functions, p, x0)
         else:
             f, = functions
             if f.table is None:
@@ -1044,23 +826,12 @@ def ricci_paper(family: str, functions, point, p=None) -> np.ndarray:
         else:
             out[:p, :p] = RICCI_CALIBRATION[tag] * bracket
         return out
-    if tag in ("M31", "M41DEG", "M51NULL"):
+    if tag in _LAPLACIAN_DISPLAYS:
         f, = functions
-        if tag == "M31":
-            lap = f.derivative(point[1:4], 0, 0) + f.derivative(point[1:4], 1, 1)
-            out = np.zeros((4, 4))
-            out[3, 3] = RICCI_CALIBRATION[tag] * lap
-            return out
-        if tag == "M41DEG":
-            args = point[0:4]
-            lap = sum(f.derivative(args, a, a) for a in (1, 2, 3))
-            out = np.zeros((5, 5))
-            out[0, 0] = RICCI_CALIBRATION[tag] * lap
-            return out
-        args = point[1:6]
-        lap = sum(f.derivative(args, a, a) for a in range(4))
-        out = np.zeros((6, 6))
-        out[5, 5] = RICCI_CALIBRATION[tag] * lap
+        args, lap_vars, cell, n = _LAPLACIAN_DISPLAYS[tag]
+        out = np.zeros((n, n))
+        out[cell] = RICCI_CALIBRATION[tag] * sum(
+            f.derivative(point[args], a, a) for a in lap_vars)
         return out
     raise ValueError(f"{tag} has no closed-form Ricci display")
 

@@ -21,6 +21,11 @@ PUREODD2 = {
     ],
 }
 
+# f = 1e308 (u^2 + v^2) + 1: second derivatives overflow, so the jet Ricci is
+# NaN and the closed-form display is inf at every probe point
+M31_OVERFLOW = {"family": "M31", "functions": [
+    {"arity": 3, "coefficients": {"2,0,0": 1e308, "0,2,0": 1e308, "0,0,0": 1}}]}
+
 PUREEVEN2_BAD = {
     "family": "PUREEVEN",
     "p": 2,
@@ -115,6 +120,13 @@ class TestExitCodes:
         spec = _write(tmp_path, "nonfinite.json", desc)
         report, status = run_command(RunSpec("cauchy-solve", spec_path=spec))
         assert status == 2 and "'2,0'" in report["error"]
+
+    def test_signature_mismatch_is_bad_input(self, tmp_path):
+        # g_x22x22 = -1e308 at the origin turns the eigenvalue count to (1, 1)
+        desc = {"family": "M31", "functions": [{"arity": 3, "coefficients": {"0,0,0": 1e308}}]}
+        spec = _write(tmp_path, "m31.json", desc)
+        report, status = run_command(RunSpec("metric-verify", spec_path=spec))
+        assert status == 2 and "signature (1, 1) != declared (3, 1)" in report["error"]
 
     def test_cauchy_p_out_of_range(self):
         _, status = run_command(RunSpec("cauchy-solve", p=4))
@@ -219,6 +231,14 @@ class TestMetricVerify:
         assert rows["connection torsion"]["pass"]
         assert rows["connection skewness"]["pass"]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_curvature_magnitude_fails(self, tmp_path):
+        spec = _write(tmp_path, "m31.json", M31_OVERFLOW)
+        report, status = run_command(RunSpec("metric-verify", spec_path=spec))
+        assert status == 1
+        row = _by_name(report)["curvature magnitude"]
+        assert np.isnan(row["value"]) and not row["pass"]
+
 
 class TestRicciCompare:
     def test_divergence_free_profile_matches(self, tmp_path):
@@ -228,6 +248,16 @@ class TestRicciCompare:
         rows = _by_name(report)
         assert rows["closed form vs jet ricci"]["residual"] <= 1e-7
         assert rows["ricci magnitude"]["value"] > 0.01
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_residual_fails(self, tmp_path):
+        spec = _write(tmp_path, "m31.json", M31_OVERFLOW)
+        report, status = run_command(RunSpec("ricci-compare", spec_path=spec))
+        assert status == 1
+        rows = _by_name(report)
+        for name, field in (("closed form vs jet ricci", "residual"),
+                            ("ricci magnitude", "value")):
+            assert np.isnan(rows[name][field]) and not rows[name]["pass"]
 
     def test_family_without_display(self, tmp_path):
         spec = _write(tmp_path, "m21.json", M21_FLAT)

@@ -1,6 +1,7 @@
 """Geometry tests: family builders, jet curvature, connections, holonomy."""
 
 import itertools
+import zlib
 from fractions import Fraction
 
 import numpy as np
@@ -39,7 +40,7 @@ from spinorlab.jets import JetMatrix
 
 
 def _rng(name, salt=0):
-    return np.random.default_rng(abs(hash((name, salt))) % 2**32)
+    return np.random.default_rng(zlib.crc32(repr((name, salt)).encode()))
 
 
 def _generic(family, salt=0, p=None):
@@ -293,6 +294,20 @@ class TestFamilyBuilders:
     ])
     def test_stabilizer_dimension(self, family, p, dim):
         assert _generic(family, p=p).stabilizer_dimension == dim
+
+    @pytest.mark.parametrize("family,p,distinct", [
+        ("PUREODD", 3, 6), ("PUREEVEN", 3, 6), ("M33NULL", None, 3),
+    ])
+    def test_each_profile_evaluated_once(self, family, p, distinct, monkeypatch):
+        m = _generic(family, p=p)
+        calls = []
+        jet = FreeFunction.jet
+        monkeypatch.setattr(FreeFunction, "jet",
+                            lambda f, args: calls.append(f) or jet(f, args))
+        for jets in (m.component_jets, m.coframe_jets):
+            calls.clear()
+            jets(np.full(m.n, 0.1), order=1)
+            assert len(calls) == len(set(map(id, calls))) == distinct
 
     def test_wrong_function_count_rejected(self):
         with pytest.raises(ValueError):
