@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, algebra, cauchy, clifford, geometry, octospin, orbits
+from .geometry import _worst
 
 COMMANDS = (
     "algebra-selfcheck", "clifford-table", "orbit-report", "triality-check",
@@ -79,15 +80,6 @@ def _residual_row(name: str, anchor: str, residual: float, tol: float) -> dict:
 
 def _magnitude_row(name: str, anchor: str, value: float) -> dict:
     return _row(name, anchor, bool(np.isfinite(value)), value=float(value))
-
-
-def _worst(values) -> float:
-    """Largest of ``values`` (0.0 for none); NaN as soon as one value is NaN.
-
-    The builtin max keeps a NaN only in first position, so a failed
-    evaluation at a later probe would read as a zero residual.
-    """
-    return float(np.max(np.asarray(list(values), dtype=float), initial=0.0))
 
 
 # -- algebra -------------------------------------------------------------

@@ -29,7 +29,6 @@ from .linalg import (
     nullspace,
     orthonormal_span,
     projection_residual,
-    span_dimension,
 )
 
 DEGENERACY_TOL = 1e-8
@@ -37,6 +36,15 @@ FAMILY_TAGS = (
     "M21", "M31", "M22GEN", "M22DEG", "M41DEG", "M51NULL",
     "M33GEN", "M33NULL", "PUREODD", "PUREEVEN", "M101",
 )
+
+
+def _worst(values) -> float:
+    """Largest of ``values`` (0.0 for none); NaN as soon as one value is NaN.
+
+    The builtin max keeps a NaN only in first position, so a failed
+    evaluation at a later probe would read as a zero residual.
+    """
+    return float(np.max(np.asarray(list(values), dtype=float), initial=0.0))
 
 
 # -- free functions ----------------------------------------------------------
@@ -315,9 +323,7 @@ class CoordinateMetric:
 
     @property
     def stabilizer_dimension(self) -> int:
-        if not self.stabilizer:
-            return 0
-        return span_dimension(list(self.stabilizer), "stabilizer basis")
+        return self.stabilizer_rows().shape[0] if self.stabilizer else 0
 
     def stabilizer_rows(self) -> np.ndarray:
         if self._stab_rows is None:
@@ -402,12 +408,12 @@ def _symmetric_divergence_rule(fgrid, size, y_vars):
     names = [f"divergence row {i + 1}" for i in range(size)]
 
     def rule(m: CoordinateMetric, points) -> dict[str, float]:
-        out = {name: 0.0 for name in names}
-        for pt in points:
-            for i in range(size):
-                total = sum(fgrid[i][j].derivative(pt, y_vars[j]) for j in range(size))
-                out[names[i]] = max(out[names[i]], abs(total))
-        return out
+        return {
+            names[i]: _worst(
+                abs(sum(fgrid[i][j].derivative(pt, y_vars[j]) for j in range(size)))
+                for pt in points)
+            for i in range(size)
+        }
 
     return rule
 
@@ -552,11 +558,9 @@ def _build_m33gen(functions, p=None):
         raise ValueError("mixed Hessian determinant differs from 1 at the probe point")
 
     def constraints(m, points):
-        worst = 0.0
-        for pt in points:
-            hval = np.array([[hess[i][j].value(pt) for j in range(3)] for i in range(3)])
-            worst = max(worst, abs(np.linalg.det(hval) - 1.0))
-        return {"hessian determinant": worst}
+        dets = (np.linalg.det([[hess[i][j].value(pt) for j in range(3)] for i in range(3)])
+                for pt in points)
+        return {"hessian determinant": _worst(abs(d - 1.0) for d in dets)}
 
     # profile 3i + j is the mixed Hessian entry f_{x_i y_j}
     cells = list(itertools.product(range(3), repeat=2))
@@ -853,8 +857,8 @@ def constraint_check(m: CoordinateMetric, points) -> ConstraintReport:
     if m._constraint_rule is None:
         return ConstraintReport(m.family or "custom", {}, 0.0, len(points))
     residuals = m._constraint_rule(m, points)
-    worst = max(residuals.values(), default=0.0)
-    return ConstraintReport(m.family, dict(residuals), float(worst), len(points))
+    return ConstraintReport(m.family, dict(residuals), _worst(residuals.values()),
+                            len(points))
 
 
 # -- adapted coframe and connection ------------------------------------------
@@ -907,14 +911,10 @@ def adapted_coframe(m: CoordinateMetric, point) -> AdaptedCoframe:
     ev = E.value()
     gram_res = float(np.abs(ev.T @ m.gram @ ev - m.components(point)).max())
     torsion = float(np.abs((av - av.transpose(0, 2, 1)) - cv).max())
-    skew = 0.0
     rows = m.stabilizer_rows()
-    member = 0.0
-    for cdir in range(m.n):
-        mat = av[:, :, cdir]
-        gm = m.gram @ mat
-        skew = max(skew, float(np.abs(gm + gm.T).max()))
-        member = max(member, projection_residual(mat, rows))
+    gms = [m.gram @ av[:, :, c] for c in range(m.n)]
+    skew = _worst(np.abs(gm + gm.T).max() for gm in gms)
+    member = _worst(projection_residual(av[:, :, c], rows) for c in range(m.n))
     return AdaptedCoframe(point, ev, m.gram, m.stabilizer, av,
                           member, torsion, skew, gram_res)
 
@@ -960,14 +960,18 @@ def holonomy_span(m: CoordinateMetric, points) -> HolonomyEstimate:
     """Bracket-closed span of sampled curvature operators (cap 10 sweeps)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     rows = m.stabilizer_rows()
-    sdim = m.stabilizer_dimension
+    sdim = rows.shape[0]
     ops = []
-    member = 0.0
+    residuals = []
     for pt in points:
         for th in curvature_operators(m, pt):
-            if np.abs(th).max() > 1e-10:
+            if not np.isfinite(th).all():
+                # NaN membership fails the check; the closure's SVD would raise
+                residuals.append(np.nan)
+            elif np.abs(th).max() > 1e-10:
                 ops.append(th)
-                member = max(member, projection_residual(th, rows))
+                residuals.append(projection_residual(th, rows))
+    member = _worst(residuals)
     if not ops:
         return HolonomyEstimate(m.family, 0, sdim, 0, 0, member)
     basis, sweeps = bracket_closure(ops, cap=10, label="holonomy span")

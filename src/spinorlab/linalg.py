@@ -3,7 +3,8 @@
 Rank decisions are deliberately conservative.  Singular values are
 normalized by the largest one and compared against a hard threshold;
 values falling inside the ambiguous guard band abort the computation
-instead of silently rounding a dimension up or down.
+instead of silently rounding a dimension up or down.  Each decision is
+one SVD, and a kernel or span is read from the same factorization.
 """
 
 from __future__ import annotations
@@ -22,23 +23,36 @@ class RankAmbiguityError(RuntimeError):
     """A singular value fell inside the guard band; rank is not trustworthy."""
 
 
-def guarded_rank(mat: np.ndarray, label: str = "matrix") -> int:
-    """Numerical rank of ``mat`` with a guard band around the threshold."""
-    m = np.asarray(mat, dtype=float)
-    if m.size == 0:
-        return 0
-    sv = np.linalg.svd(m, compute_uv=False)
-    top = sv[0]
-    if top == 0.0:
-        return 0
-    rel = sv / top
+def _guarded_svd(
+    m: np.ndarray, label: str, vectors: bool = True, full_matrices: bool = False
+) -> tuple[int, np.ndarray | None]:
+    """Guard-banded rank of ``m`` and its ``vt`` factor, from one SVD.
+
+    With ``vectors=False`` only singular values are computed and ``vt`` is
+    None.
+    """
+    if vectors:
+        _, sv, vt = np.linalg.svd(m, full_matrices=full_matrices)
+    else:
+        sv, vt = np.linalg.svd(m, compute_uv=False), None
+    if sv.size == 0 or sv[0] == 0.0:
+        return 0, vt
+    rel = sv / sv[0]
     bad = rel[(rel > GUARD_LO) & (rel < GUARD_HI)]
     if bad.size:
         raise RankAmbiguityError(
             f"{label}: singular value ratio {bad[0]:.3e} inside guard band "
             f"[{GUARD_LO:g}, {GUARD_HI:g}]"
         )
-    return int(np.count_nonzero(rel >= GUARD_HI))
+    return int(np.count_nonzero(rel >= GUARD_HI)), vt
+
+
+def guarded_rank(mat: np.ndarray, label: str = "matrix") -> int:
+    """Numerical rank of ``mat`` with a guard band around the threshold."""
+    m = np.asarray(mat, dtype=float)
+    if m.size == 0:
+        return 0
+    return _guarded_svd(m, label, vectors=False)[0]
 
 
 def nullspace(mat: np.ndarray, label: str = "matrix") -> np.ndarray:
@@ -46,8 +60,9 @@ def nullspace(mat: np.ndarray, label: str = "matrix") -> np.ndarray:
     m = np.asarray(mat, dtype=float)
     if m.size == 0:
         return np.eye(m.shape[1] if m.ndim == 2 else 0)
-    u, sv, vt = np.linalg.svd(m, full_matrices=True)
-    rank = guarded_rank(m, label)
+    # a tall matrix's thin vt is already square; only a wide one needs the
+    # full factor to reach its kernel
+    rank, vt = _guarded_svd(m, label, full_matrices=m.shape[0] < m.shape[1])
     return vt[rank:].T.copy()
 
 
@@ -62,8 +77,7 @@ def span_dimension(vectors: list[np.ndarray] | np.ndarray, label: str = "span") 
 def orthonormal_span(vectors: list[np.ndarray], label: str = "span") -> np.ndarray:
     """Orthonormal row basis for the span of flattened arrays."""
     rows = np.stack([np.asarray(v, dtype=float).ravel() for v in vectors])
-    u, sv, vt = np.linalg.svd(rows, full_matrices=False)
-    rank = guarded_rank(rows, label)
+    rank, vt = _guarded_svd(rows, label)
     return vt[:rank].copy()
 
 

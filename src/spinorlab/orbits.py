@@ -29,7 +29,7 @@ from scipy.linalg import expm
 
 from . import clifford
 from .algebra import QMatrix, pfaffian, qdet2
-from .linalg import MatrixSpan, guarded_rank, nullspace, real_flat
+from .linalg import MatrixSpan, guarded_rank, nullspace, orthonormal_span, real_flat
 
 MODEL_NAMES = (
     "SPIN2",
@@ -65,9 +65,6 @@ def _norm(x: np.ndarray) -> float:
     return float(np.linalg.norm(x))
 
 
-_real_vec = real_flat
-
-
 def _jmat(n: int) -> np.ndarray:
     # Quaternionic structure on C^{2n}: multiplication by j from the right.
     j = np.zeros((2 * n, 2 * n))
@@ -101,7 +98,7 @@ def _constrained_matrices(
     if not constraints:
         return units
     cols = [
-        np.concatenate([_real_vec(c(u)) for c in constraints]) for u in units
+        np.concatenate([real_flat(c(u)) for c in constraints]) for u in units
     ]
     coeffs = nullspace(np.column_stack(cols), label=label)
     basis = []
@@ -111,9 +108,6 @@ def _constrained_matrices(
             m = m + c * u
         basis.append(m)
     return basis
-
-
-_MatrixSpan = MatrixSpan
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +204,7 @@ class SpinOrbitModel:
     spinor_dim: int
     complex_field: bool
     lie_basis: tuple[np.ndarray, ...]
-    vector_space: _MatrixSpan
+    vector_space: MatrixSpan
     blocks: tuple[slice, slice] | None
     membership_fn: Callable[[np.ndarray], float]
     vector_action_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -299,7 +293,7 @@ class SpinOrbitModel:
 
     def _action_matrix(self, s: np.ndarray) -> np.ndarray:
         s = self._coerce_spinor(s)
-        return np.column_stack([_real_vec(a @ s) for a in self.lie_basis])
+        return np.column_stack([real_flat(a @ s) for a in self.lie_basis])
 
     def stabilizer_dimension(self, s: np.ndarray) -> int:
         rank = guarded_rank(
@@ -370,7 +364,7 @@ def _check_dim(items: list, expected: int, label: str) -> None:
 def _model_spin2() -> SpinOrbitModel:
     # U(1) on C; a unit scalar rotates spinors once and vectors twice.
     lie = [np.array([[1j]])]
-    vec = _MatrixSpan([np.array([1.0 + 0j]), np.array([1j])], "SPIN2 vectors")
+    vec = MatrixSpan([np.array([1.0 + 0j]), np.array([1j])], "SPIN2 vectors")
 
     def membership(g):
         return abs(abs(g[0, 0]) - 1.0)
@@ -402,7 +396,7 @@ def _model_spin2() -> SpinOrbitModel:
 def _model_spin11() -> SpinOrbitModel:
     # R^x acting on the two null half-spinor lines with opposite weights.
     lie = [np.diag([1.0, -1.0])]
-    vec = _MatrixSpan([np.array([1.0, 0.0]), np.array([0.0, 1.0])], "SPIN11 vectors")
+    vec = MatrixSpan([np.array([1.0, 0.0]), np.array([0.0, 1.0])], "SPIN11 vectors")
     blocks = (slice(0, 1), slice(1, 2))
 
     def membership(g):
@@ -462,7 +456,7 @@ def _model_spin3() -> SpinOrbitModel:
         "SPIN3 vector space",
     )
     _check_dim(vec_basis, 3, "SPIN3 vectors")
-    vec = _MatrixSpan(vec_basis, "SPIN3 vectors")
+    vec = MatrixSpan(vec_basis, "SPIN3 vectors")
 
     def membership(g):
         unitary = _norm(g.conj().T @ g - np.eye(2))
@@ -503,7 +497,7 @@ def _model_spin21() -> SpinOrbitModel:
         2, False, [_symmetric], "SPIN21 vector space"
     )
     _check_dim(vec_basis, 3, "SPIN21 vectors")
-    vec = _MatrixSpan(vec_basis, "SPIN21 vectors")
+    vec = MatrixSpan(vec_basis, "SPIN21 vectors")
 
     return SpinOrbitModel(
         name="SPIN21",
@@ -546,7 +540,7 @@ def _model_spin4() -> SpinOrbitModel:
         2, True, [_quaternion_linear(j2)], "SPIN4 vector space"
     )
     _check_dim(vec_basis, 4, "SPIN4 vectors")
-    vec = _MatrixSpan(vec_basis, "SPIN4 vectors")
+    vec = MatrixSpan(vec_basis, "SPIN4 vectors")
 
     def membership(g):
         gp, gm = g[0:2, 0:2], g[2:4, 2:4]
@@ -602,7 +596,7 @@ def _model_spin31() -> SpinOrbitModel:
     _check_dim(lie, 6, "SPIN31 algebra")
     vec_basis = _constrained_matrices(2, True, [_hermitian], "SPIN31 vector space")
     _check_dim(vec_basis, 4, "SPIN31 vectors")
-    vec = _MatrixSpan(vec_basis, "SPIN31 vectors")
+    vec = MatrixSpan(vec_basis, "SPIN31 vectors")
 
     return SpinOrbitModel(
         name="SPIN31",
@@ -634,7 +628,7 @@ def _model_spin22() -> SpinOrbitModel:
     ]
     lie = _constrained_matrices(4, False, constraints, "sl(2,R)+sl(2,R)")
     _check_dim(lie, 6, "SPIN22 algebra")
-    vec = _MatrixSpan(
+    vec = MatrixSpan(
         _constrained_matrices(2, False, [], "SPIN22 vector space"),
         "SPIN22 vectors",
     )
@@ -692,7 +686,7 @@ def _model_spin5() -> SpinOrbitModel:
         "SPIN5 vector space",
     )
     _check_dim(vec_basis, 5, "SPIN5 vectors")
-    vec = _MatrixSpan(vec_basis, "SPIN5 vectors")
+    vec = MatrixSpan(vec_basis, "SPIN5 vectors")
 
     def membership(g):
         unitary = _norm(g.conj().T @ g - np.eye(4))
@@ -750,7 +744,7 @@ def _model_spin41() -> SpinOrbitModel:
         "SPIN41 vector space",
     )
     _check_dim(vec_basis, 5, "SPIN41 vectors")
-    vec = _MatrixSpan(vec_basis, "SPIN41 vectors")
+    vec = MatrixSpan(vec_basis, "SPIN41 vectors")
 
     def membership(g):
         form = _norm(g.conj().T @ _Q41 @ g - _Q41)
@@ -807,7 +801,7 @@ def _model_spin32() -> SpinOrbitModel:
         "SPIN32 vector space",
     )
     _check_dim(vec_basis, 5, "SPIN32 vectors")
-    vec = _MatrixSpan(vec_basis, "SPIN32 vectors")
+    vec = MatrixSpan(vec_basis, "SPIN32 vectors")
 
     return SpinOrbitModel(
         name="SPIN32",
@@ -844,7 +838,7 @@ def _model_spin6() -> SpinOrbitModel:
         "SPIN6 vector space",
     )
     _check_dim(vec_basis, 6, "SPIN6 vectors")
-    vec = _MatrixSpan(vec_basis, "SPIN6 vectors")
+    vec = MatrixSpan(vec_basis, "SPIN6 vectors")
 
     def membership(g):
         return _norm(g.conj().T @ g - np.eye(4)) + abs(np.linalg.det(g) - 1.0)
@@ -886,7 +880,7 @@ def _model_spin51() -> SpinOrbitModel:
         4, True, [_quaternion_linear(j4), _hermitian], "SPIN51 vector space"
     )
     _check_dim(vec_basis, 6, "SPIN51 vectors")
-    vec = _MatrixSpan(vec_basis, "SPIN51 vectors")
+    vec = MatrixSpan(vec_basis, "SPIN51 vectors")
 
     def membership(g):
         gp, gm = g[0:4, 0:4], g[4:8, 4:8]
@@ -960,7 +954,7 @@ def _model_spin42() -> SpinOrbitModel:
         "SPIN42 vector space",
     )
     _check_dim(vec_basis, 6, "SPIN42 vectors")
-    vec = _MatrixSpan(vec_basis, "SPIN42 vectors")
+    vec = MatrixSpan(vec_basis, "SPIN42 vectors")
 
     def membership(g):
         form = _norm(g.conj().T @ _Q42 @ g - _Q42)
@@ -1008,7 +1002,7 @@ def _model_spin33() -> SpinOrbitModel:
     ]
     lie = _constrained_matrices(8, False, constraints, "sl(4,R)")
     _check_dim(lie, 15, "SPIN33 algebra")
-    vec = _MatrixSpan(
+    vec = MatrixSpan(
         _constrained_matrices(4, False, [_skew], "SPIN33 vector space"),
         "SPIN33 vectors",
     )
@@ -1157,13 +1151,10 @@ def _cached_rep(p: int, q: int) -> clifford.SpinRepresentation:
 
 def _half_spinor_basis(rep: clifford.SpinRepresentation):
     """Orthonormal column bases of the two chiral halves."""
-    plus, minus = rep.chiral_projectors()
-    halves = []
-    for proj in (plus, minus):
-        u, sv, _ = np.linalg.svd(proj)
-        rank = int(np.count_nonzero(sv > 0.5))
-        halves.append(u[:, :rank])
-    return halves
+    return [
+        orthonormal_span(list(proj), f"spin({rep.p},{rep.q}) {half} half-spinors").T
+        for proj, half in zip(rep.chiral_projectors(), ("plus", "minus"))
+    ]
 
 
 def is_pure(signature: tuple[int, int], s: np.ndarray, tol: float = 1e-8) -> bool:

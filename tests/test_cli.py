@@ -281,6 +281,15 @@ class TestHolonomyEstimate:
         assert status == 0
         assert _by_name(report)["curvature span dimension"]["dimension"] == 0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_curvature_fails_membership(self, tmp_path):
+        # every curvature operator is NaN; none may vanish as "zero curvature"
+        spec = _write(tmp_path, "m31.json", M31_OVERFLOW)
+        report, status = run_command(RunSpec("holonomy-estimate", spec_path=spec))
+        assert status == 1
+        row = _by_name(report)["curvature membership"]
+        assert np.isnan(row["residual"]) and not row["pass"]
+
 
 class TestCauchySolve:
     def test_builtin_order_six(self):

@@ -594,6 +594,17 @@ class TestConstraintReports:
         rep = constraint_check(m, probe_points(m, 26, count=3))
         assert rep.residuals["divergence row 1"] == pytest.approx(1.0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_at_a_later_point_is_kept(self):
+        # the divergence is inf - inf = NaN at the second point only
+        fs = [FreeFunction(4, table={(0, 0, 3, 0): 1e308}),
+              FreeFunction(4, table={(0, 0, 0, 3): -1e308}),
+              FreeFunction.zero(4)]
+        m = build_metric("PUREEVEN", fs, p=2)
+        rep = constraint_check(m, [(0, 0, 0.01, 0.01), (0, 0, 5, 5)])
+        assert np.isnan(rep.residuals["divergence row 1"])
+        assert np.isnan(rep.max_residual)
+
     def test_m33gen_reports_hessian_determinant(self):
         m = _generic("M33GEN")
         rep = constraint_check(m, probe_points(m, 27, count=4))

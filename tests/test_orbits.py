@@ -310,6 +310,18 @@ class TestOrbitIntegers:
             s = model.act_spinor(model.sample_group(rng), s)
             assert model.stabilizer_dimension(s) == 4
 
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_generic_orbit_matches_clifford_module(self, name):
+        # second route: the generic Clifford-module action of spin(p,q)
+        model = get_model(name)
+        p, q = model.signature
+        real_dim = model.spinor_dim * (2 if model.complex_field else 1)
+        rng = _rng(name, 21)
+        for _ in range(3):
+            s = model.sample_spinor(rng)
+            module_spinor = rng.standard_normal(real_dim)
+            assert model.orbit_dimension(s) == spin_orbit_dimension(p, q, module_spinor)
+
 
 # ---------------------------------------------------------------------------
 # Pin swap
