@@ -217,8 +217,8 @@ def _cmd_orbit_report(rs: RunSpec) -> list[dict]:
     for name, coeffs, stab, orbit, label in _ORBIT_REFERENCE:
         model = orbits.get_model(name)
         s = np.asarray(coeffs, dtype=float)
-        got_stab = orbits.stabilizer_dimension(model, s)
-        got_orbit = orbits.orbit_dimension(model, s)
+        got_stab = model.stabilizer_dimension(s)
+        got_orbit = model.orbit_dimension(s)
         rows.append(_row(
             f"{name.lower()} {label} class",
             "spin orbit and stabilizer dimensions of the model spinor",

@@ -19,7 +19,7 @@ tolerance tuning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -331,6 +331,8 @@ class SpinRepresentation:
     so_basis: list[np.ndarray]
     so_index: list[tuple[int, int]]
     volume: np.ndarray | None
+    _forms: list[np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -353,8 +355,10 @@ class SpinRepresentation:
         return 0.5 * (eye + w), 0.5 * (eye - w)
 
     def invariant_forms(self) -> list[np.ndarray]:
-        """Symmetric forms preserved by the rotation generators."""
-        return invariant_symmetric_forms(self.so_basis, "spinor form")
+        """Symmetric forms preserved by the rotation generators (solved once)."""
+        if self._forms is None:
+            self._forms = invariant_symmetric_forms(self.so_basis, "spinor form")
+        return list(self._forms)
 
 
 def spin_representation(p: int, q: int, rng=None) -> SpinRepresentation:

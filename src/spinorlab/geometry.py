@@ -130,14 +130,14 @@ class FreeFunction:
     def fd_gradient_residual(self, point, h: float = 1e-6) -> float:
         """Max mismatch between jet first partials and central differences."""
         point = np.asarray(point, dtype=float)
-        worst = 0.0
+        mismatches = []
         for v in range(self.arity):
             step = np.zeros(self.arity)
             step[v] = h
             fd = (self.value(point + step) - self.value(point - step)) / (2.0 * h)
             exact = self.derivative(point, v)
-            worst = max(worst, abs(fd - exact) / max(1.0, abs(exact)))
-        return worst
+            mismatches.append(abs(fd - exact) / max(1.0, abs(exact)))
+        return _worst(mismatches)
 
 
 def random_polynomial(arity: int, rng: np.random.Generator,
@@ -327,9 +327,13 @@ class CoordinateMetric:
 
     def stabilizer_rows(self) -> np.ndarray:
         if self._stab_rows is None:
-            if not self.stabilizer:
+            if self.stabilizer:
+                self._stab_rows = orthonormal_span(list(self.stabilizer), "stabilizer basis")
+            elif self._coframe_rule is not None:
+                # a normal form whose stabilizer is trivial
+                self._stab_rows = np.zeros((0, self.n * self.n))
+            else:
                 raise ValueError("metric carries no stabilizer basis")
-            self._stab_rows = orthonormal_span(list(self.stabilizer), "stabilizer basis")
         return self._stab_rows
 
 
@@ -975,12 +979,9 @@ def holonomy_span(m: CoordinateMetric, points) -> HolonomyEstimate:
     if not ops:
         return HolonomyEstimate(m.family, 0, sdim, 0, 0, member)
     basis, sweeps = bracket_closure(ops, cap=10, label="holonomy span")
-    dim = len(basis)
-    if dim > sdim:
-        raise RuntimeError(
-            f"holonomy span {dim} exceeds stabilizer dimension {sdim}; "
-            "connection or coframe data is wrong")
-    return HolonomyEstimate(m.family, dim, sdim, len(ops), sweeps, member)
+    # a span beyond the stabilizer means wrong connection or coframe data;
+    # the caller's span check reports it
+    return HolonomyEstimate(m.family, len(basis), sdim, len(ops), sweeps, member)
 
 
 # -- formal curvature space ----------------------------------------------------

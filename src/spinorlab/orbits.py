@@ -1,11 +1,15 @@
 """Orbit models for spin groups acting on low-dimensional spinor spaces.
 
-Each model packages a concrete matrix realization of a spin group in
-dimensions two through six: the spinor space it acts on, a Lie-algebra
-basis cut out of matrix space by the defining linear constraints, the
-vector representation realized on a space of structured matrices, and
-whatever equivariant squaring map and algebraic invariants the
-realization carries.
+Each model is a concrete matrix realization of a spin group in
+dimensions two through six, declared by what the group preserves: a
+Hermitian (over R, bilinear) form, a quaternionic structure, unit
+determinant on a block, the split into half-spinor blocks, a
+contragredient block, or a sign.  One rule turns a declaration into the
+model: every preserved structure states its equation once, linearized
+at the identity for the Lie algebra and as a residual for the group
+membership test.  The vector representation is realized on a space of
+structured matrices, with whatever equivariant squaring map and
+algebraic invariants the realization carries.
 
 Quaternionic column vectors H^n are realized on C^{2n} by writing
 s = a + b j and stacking (a, conj(b)); a quaternion matrix then acts
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -111,28 +115,31 @@ def _constrained_matrices(
 
 
 # ---------------------------------------------------------------------------
-# Constraint closures shared by several models
+# Linear conditions on matrices (each vanishes exactly on its subspace)
 
 
-def _quaternion_linear(j: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda m: m @ j - j @ m.conj()
+def _adj(m: np.ndarray) -> np.ndarray:
+    return m.conj().T
+
+
+def _quaternion_linear(m: np.ndarray) -> np.ndarray:
+    j = _jmat(m.shape[0] // 2)
+    return m @ j - j @ m.conj()
 
 
 def _anti_hermitian(m: np.ndarray) -> np.ndarray:
-    return m + m.conj().T
+    return m + _adj(m)
 
 
 def _hermitian(m: np.ndarray) -> np.ndarray:
-    return m - m.conj().T
+    return m - _adj(m)
 
 
 def _skew(m: np.ndarray) -> np.ndarray:
-    # vanishes exactly on skew matrices
     return m + m.T
 
 
 def _symmetric(m: np.ndarray) -> np.ndarray:
-    # vanishes exactly on symmetric matrices
     return m - m.T
 
 
@@ -167,8 +174,97 @@ def _quaternion_outer_embed(z: np.ndarray, jmat: np.ndarray) -> np.ndarray:
     return np.outer(z, z.conj()) + np.outer(jz, jz.conj())
 
 
+def _form_value(q: np.ndarray, s: np.ndarray) -> float:
+    return float((s.conj() @ (q @ s)).real)
+
+
 def _pf_real(m: np.ndarray) -> float:
     return float(np.real(pfaffian(m)))
+
+
+def _det_real(m: np.ndarray) -> float:
+    return float(np.linalg.det(m).real)
+
+
+def _minus_qdet(m: np.ndarray) -> float:
+    return -qdet2(QMatrix.unembed(m, (2, 2)))
+
+
+# ---------------------------------------------------------------------------
+# What a group preserves
+
+
+class _Preserved(NamedTuple):
+    """One defining equation of a spin group, stated once.
+
+    ``lie`` is the equation linearized at the identity, a linear
+    constraint on the Lie algebra (None for an open condition), and
+    ``residual`` measures how far a matrix is from satisfying it.
+    """
+
+    lie: Callable[[np.ndarray], np.ndarray] | None
+    residual: Callable[[np.ndarray], float]
+
+
+_ALL = slice(None)
+
+
+def _halves(h: int) -> tuple[slice, slice]:
+    return slice(0, h), slice(h, 2 * h)
+
+
+def _form(q: np.ndarray, sl: slice = _ALL) -> _Preserved:
+    """g^* q g = q on a diagonal block (bilinear over the reals)."""
+    return _Preserved(
+        lambda m: _adj(m[sl, sl]) @ q + q @ m[sl, sl],
+        lambda g: _norm(_adj(g[sl, sl]) @ q @ g[sl, sl] - q),
+    )
+
+
+def _quaternionic(sl: slice = _ALL) -> _Preserved:
+    """g j = j conj(g) on a diagonal block."""
+    return _Preserved(
+        lambda m: _quaternion_linear(m[sl, sl]),
+        lambda g: _norm(_quaternion_linear(g[sl, sl])),
+    )
+
+
+def _unit_det(sl: slice = _ALL) -> _Preserved:
+    """det g = 1 on a diagonal block; linearized, the trace vanishes."""
+    return _Preserved(
+        lambda m: np.array([np.trace(m[sl, sl])]),
+        lambda g: abs(np.linalg.det(g[sl, sl]) - 1.0),
+    )
+
+
+def _block_diagonal(blocks: tuple[slice, slice]) -> _Preserved:
+    """g maps each half-spinor block to itself."""
+    lo, hi = blocks
+    return _Preserved(
+        lambda m: np.concatenate([m[lo, hi].ravel(), m[hi, lo].ravel()]),
+        lambda g: _norm(g[lo, hi]) + _norm(g[hi, lo]),
+    )
+
+
+def _contragredient(blocks: tuple[slice, slice]) -> _Preserved:
+    """The minus block acts as (g+^*)^{-1}, so s-^* s+ is invariant."""
+    lo, hi = blocks
+    return _Preserved(
+        lambda m: m[hi, hi] + _adj(m[lo, lo]),
+        lambda g: _norm(g[hi, hi] - np.linalg.inv(_adj(g[lo, lo]))),
+    )
+
+
+# The identity component of SPIN11: an open condition, no Lie constraint.
+_POSITIVE_ENTRY = _Preserved(None, lambda g: float(g[0, 0].real <= 0.0))
+
+
+def _congruence(hermitian: bool, left: slice = _ALL, right: slice | None = None):
+    """Vector action v -> A v B^* (B^t when not Hermitian) by blocks of g."""
+    right = left if right is None else right
+    if hermitian:
+        return lambda g, m: g[left, left] @ m @ _adj(g[right, right])
+    return lambda g, m: g[left, left] @ m @ g[right, right].T
 
 
 # ---------------------------------------------------------------------------
@@ -193,25 +289,32 @@ class SpinOrbitModel:
     """A spin group realized on its spinor and vector representations.
 
     ``lie_basis`` spans the group's Lie algebra inside the matrices acting
-    on the spinor coordinates; group elements are sampled as exponentials
-    of its random combinations, and membership of a candidate matrix is
-    the residual of the group's defining structure.
+    on the spinor coordinates, cut out by the linearized ``preserves``
+    equations; group elements are sampled as exponentials of its random
+    combinations, and membership of a candidate matrix is the summed
+    residual of the same equations.  Labels and invariants are read off
+    the half-spinor ``blocks``, compactness (q = 0), the ``pairing_fn``
+    between the blocks and the indefinite ``spinor_form``.
     """
 
     name: str
     signature: tuple[int, int]
-    group_dim: int
     spinor_dim: int
     complex_field: bool
     lie_basis: tuple[np.ndarray, ...]
     vector_space: MatrixSpan
-    blocks: tuple[slice, slice] | None
-    membership_fn: Callable[[np.ndarray], float]
+    preserves: tuple[_Preserved, ...]
     vector_action_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    sigma_fn: Callable[[np.ndarray], np.ndarray] | None
-    invariants_fn: Callable[[np.ndarray], dict]
-    label_fn: Callable[[np.ndarray], str]
     vector_square_fn: Callable[[np.ndarray], float]
+    blocks: tuple[slice, slice] | None = None
+    sigma_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    pairing_fn: Callable[[np.ndarray], float | tuple] | None = None
+    spinor_form: np.ndarray | None = None
+
+    @property
+    def group_dim(self) -> int:
+        n = sum(self.signature)
+        return n * (n - 1) // 2
 
     # -- coercion ----------------------------------------------------------
 
@@ -254,17 +357,17 @@ class SpinOrbitModel:
     # -- group actions -----------------------------------------------------
 
     def membership_residual(self, g: np.ndarray) -> float:
-        return self.membership_fn(self._coerce_group(g))
+        g = self._coerce_group(g)
+        return float(sum(p.residual(g) for p in self.preserves))
 
     def _checked(self, g: np.ndarray) -> np.ndarray:
-        g = self._coerce_group(g)
-        residual = self.membership_fn(g)
+        residual = self.membership_residual(g)
         if residual > MEMBERSHIP_TOL:
             raise ValueError(
                 f"{self.name}: matrix is not a group element "
                 f"(structure residual {residual:.2e})"
             )
-        return g
+        return self._coerce_group(g)
 
     def act_spinor(self, g: np.ndarray, s: np.ndarray) -> np.ndarray:
         return self._checked(g) @ self._coerce_spinor(s)
@@ -286,10 +389,44 @@ class SpinOrbitModel:
     # -- invariants and dimensions ------------------------------------------
 
     def orbit_invariant(self, s: np.ndarray) -> dict:
-        return self.invariants_fn(self._coerce_spinor(s))
+        s = self._coerce_spinor(s)
+        compact = self.signature[1] == 0
+        out = {}
+        if self.blocks is None:
+            if compact:
+                out["norm_sq"] = float(np.vdot(s, s).real)
+            if self.spinor_form is not None:
+                out["nu"] = _form_value(self.spinor_form, s)
+            return out
+        lo, hi = self.blocks
+        if compact:
+            out["norm_plus"] = float(np.vdot(s[lo], s[lo]).real)
+            out["norm_minus"] = float(np.vdot(s[hi], s[hi]).real)
+        if self.pairing_fn is not None:
+            out["pairing"] = self.pairing_fn(s)
+        out["support"] = _support_label(s, self.blocks)
+        return out
 
     def orbit_label(self, s: np.ndarray) -> str:
-        return self.label_fn(self._coerce_spinor(s))
+        s = self._coerce_spinor(s)
+        total = _norm(s)
+        if total == 0.0:
+            return "zero"
+        if self.blocks is not None:
+            support = _support_label(s, self.blocks)
+            if support != "both":
+                return f"chiral-{support}"
+            if self.pairing_fn is not None:
+                pairing = np.atleast_1d(self.pairing_fn(s))
+                if _norm(pairing) <= SUPPORT_TOL * total**2:
+                    return "null-pair"
+            return "generic"
+        if self.spinor_form is not None:
+            value = _form_value(self.spinor_form, s)
+            if abs(value) <= 1e-10 * total**2:
+                return "null"
+            return "positive" if value > 0 else "negative"
+        return "sphere" if self.signature[1] == 0 else "generic"
 
     def _action_matrix(self, s: np.ndarray) -> np.ndarray:
         s = self._coerce_spinor(s)
@@ -350,798 +487,226 @@ def _support_label(s: np.ndarray, blocks: tuple[slice, slice]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Model builders
-
-
-def _check_dim(items: list, expected: int, label: str) -> None:
-    if len(items) != expected:
-        raise RuntimeError(
-            f"{label}: constraint solution has dimension {len(items)}, "
-            f"expected {expected}"
-        )
-
-
-def _model_spin2() -> SpinOrbitModel:
-    # U(1) on C; a unit scalar rotates spinors once and vectors twice.
-    lie = [np.array([[1j]])]
-    vec = MatrixSpan([np.array([1.0 + 0j]), np.array([1j])], "SPIN2 vectors")
-
-    def membership(g):
-        return abs(abs(g[0, 0]) - 1.0)
-
-    def invariants(s):
-        return {"norm_sq": float(abs(s[0]) ** 2)}
-
-    def label(s):
-        return "zero" if _norm(s) == 0.0 else "sphere"
-
-    return SpinOrbitModel(
-        name="SPIN2",
-        signature=(2, 0),
-        group_dim=1,
-        spinor_dim=1,
-        complex_field=True,
-        lie_basis=tuple(lie),
-        vector_space=vec,
-        blocks=None,
-        membership_fn=membership,
-        vector_action_fn=lambda g, m: g[0, 0] ** 2 * m,
-        sigma_fn=None,
-        invariants_fn=invariants,
-        label_fn=label,
-        vector_square_fn=lambda m: float(abs(m[0]) ** 2),
-    )
-
-
-def _model_spin11() -> SpinOrbitModel:
-    # R^x acting on the two null half-spinor lines with opposite weights.
-    lie = [np.diag([1.0, -1.0])]
-    vec = MatrixSpan([np.array([1.0, 0.0]), np.array([0.0, 1.0])], "SPIN11 vectors")
-    blocks = (slice(0, 1), slice(1, 2))
-
-    def membership(g):
-        r = abs(g[0, 1]) + abs(g[1, 0]) + abs(g[0, 0] * g[1, 1] - 1.0)
-        if g[0, 0] <= 0.0:
-            r += 1.0
-        return float(r)
-
-    def invariants(s):
-        return {
-            "pairing": float(s[0] * s[1]),
-            "support": _support_label(s, blocks),
-        }
-
-    def label(s):
-        support = _support_label(s, blocks)
-        if support == "zero":
-            return "zero"
-        if support == "plus":
-            return "chiral-plus"
-        if support == "minus":
-            return "chiral-minus"
-        return "generic"
-
-    return SpinOrbitModel(
-        name="SPIN11",
-        signature=(1, 1),
-        group_dim=1,
-        spinor_dim=2,
-        complex_field=False,
-        lie_basis=tuple(lie),
-        vector_space=vec,
-        blocks=blocks,
-        membership_fn=membership,
-        vector_action_fn=lambda g, m: np.array(
-            [g[0, 0] ** 2 * m[0], g[1, 1] ** 2 * m[1]]
-        ),
-        sigma_fn=None,
-        invariants_fn=invariants,
-        label_fn=label,
-        vector_square_fn=lambda m: float(m[0] * m[1]),
-    )
-
-
-def _model_spin3() -> SpinOrbitModel:
-    # Sp(1) = unit quaternions acting on H by left multiplication;
-    # vectors are imaginary quaternions, rotated by v -> A v conj(A).
-    j2 = _jmat(1)
-    lie = _constrained_matrices(
-        2, True, [_quaternion_linear(j2), _anti_hermitian], "sp(1)"
-    )
-    _check_dim(lie, 3, "SPIN3 algebra")
-    vec_basis = _constrained_matrices(
-        2,
-        True,
-        [_quaternion_linear(j2), _anti_hermitian],
-        "SPIN3 vector space",
-    )
-    _check_dim(vec_basis, 3, "SPIN3 vectors")
-    vec = MatrixSpan(vec_basis, "SPIN3 vectors")
-
-    def membership(g):
-        unitary = _norm(g.conj().T @ g - np.eye(2))
-        return unitary + _norm(g @ j2 - j2 @ g.conj())
-
-    def invariants(s):
-        return {"norm_sq": float(np.vdot(s, s).real)}
-
-    def label(s):
-        return "zero" if _norm(s) == 0.0 else "sphere"
-
-    return SpinOrbitModel(
-        name="SPIN3",
-        signature=(3, 0),
-        group_dim=3,
-        spinor_dim=2,
-        complex_field=True,
-        lie_basis=tuple(lie),
-        vector_space=vec,
-        blocks=None,
-        membership_fn=membership,
-        vector_action_fn=lambda g, m: g @ m @ g.conj().T,
-        sigma_fn=None,
-        invariants_fn=invariants,
-        label_fn=label,
-        vector_square_fn=lambda m: float(np.linalg.det(m).real),
-    )
-
-
-def _model_spin21() -> SpinOrbitModel:
-    # SL(2,R) on R^2; vectors are symmetric 2x2 matrices with v.v = -det v,
-    # and sigma(s) = s s^t sweeps one nappe of the null cone.
-    lie = _constrained_matrices(
-        2, False, [lambda m: np.array([np.trace(m)])], "sl(2,R)"
-    )
-    _check_dim(lie, 3, "SPIN21 algebra")
-    vec_basis = _constrained_matrices(
-        2, False, [_symmetric], "SPIN21 vector space"
-    )
-    _check_dim(vec_basis, 3, "SPIN21 vectors")
-    vec = MatrixSpan(vec_basis, "SPIN21 vectors")
-
-    return SpinOrbitModel(
-        name="SPIN21",
-        signature=(2, 1),
-        group_dim=3,
-        spinor_dim=2,
-        complex_field=False,
-        lie_basis=tuple(lie),
-        vector_space=vec,
-        blocks=None,
-        membership_fn=lambda g: abs(float(np.linalg.det(g)) - 1.0),
-        vector_action_fn=lambda g, m: g @ m @ g.T,
-        sigma_fn=lambda s: np.outer(s, s),
-        invariants_fn=lambda s: {},
-        label_fn=lambda s: "zero" if _norm(s) == 0.0 else "generic",
-        vector_square_fn=lambda m: -float(np.linalg.det(m)),
-    )
-
-
-def _model_spin4() -> SpinOrbitModel:
-    # Sp(1) x Sp(1) on H + H; vectors are quaternions with v -> A v conj(B).
-    j2 = _jmat(1)
-    blocks = (slice(0, 2), slice(2, 4))
-
-    def block_constraints(sl):
-        return [
-            lambda m, sl=sl: _quaternion_linear(j2)(m[sl, sl]),
-            lambda m, sl=sl: _anti_hermitian(m[sl, sl]),
-        ]
-
-    constraints = [
-        lambda m: m[0:2, 2:4],
-        lambda m: m[2:4, 0:2],
-        *block_constraints(blocks[0]),
-        *block_constraints(blocks[1]),
-    ]
-    lie = _constrained_matrices(4, True, constraints, "sp(1)+sp(1)")
-    _check_dim(lie, 6, "SPIN4 algebra")
-    vec_basis = _constrained_matrices(
-        2, True, [_quaternion_linear(j2)], "SPIN4 vector space"
-    )
-    _check_dim(vec_basis, 4, "SPIN4 vectors")
-    vec = MatrixSpan(vec_basis, "SPIN4 vectors")
-
-    def membership(g):
-        gp, gm = g[0:2, 0:2], g[2:4, 2:4]
-        r = _norm(g[0:2, 2:4]) + _norm(g[2:4, 0:2])
-        for blk in (gp, gm):
-            r += _norm(blk.conj().T @ blk - np.eye(2))
-            r += _norm(blk @ j2 - j2 @ blk.conj())
-        return r
-
-    def invariants(s):
-        return {
-            "norm_plus": float(np.vdot(s[0:2], s[0:2]).real),
-            "norm_minus": float(np.vdot(s[2:4], s[2:4]).real),
-            "support": _support_label(s, blocks),
-        }
-
-    def label(s):
-        support = _support_label(s, blocks)
-        return {
-            "zero": "zero",
-            "plus": "chiral-plus",
-            "minus": "chiral-minus",
-            "both": "generic",
-        }[support]
-
-    return SpinOrbitModel(
-        name="SPIN4",
-        signature=(4, 0),
-        group_dim=6,
-        spinor_dim=4,
-        complex_field=True,
-        lie_basis=tuple(lie),
-        vector_space=vec,
-        blocks=blocks,
-        membership_fn=membership,
-        vector_action_fn=lambda g, m: g[0:2, 0:2] @ m @ g[2:4, 2:4].conj().T,
-        sigma_fn=None,
-        invariants_fn=invariants,
-        label_fn=label,
-        vector_square_fn=lambda m: float(np.linalg.det(m).real),
-    )
-
-
-def _model_spin31() -> SpinOrbitModel:
-    # SL(2,C) on C^2; vectors are Hermitian 2x2 matrices with v.v = -det v,
-    # and sigma(s) = s s^* lands on the forward nappe of the null cone.
-    lie = _constrained_matrices(
-        2,
-        True,
-        [lambda m: np.array([np.trace(m).real, np.trace(m).imag])],
-        "sl(2,C)",
-    )
-    _check_dim(lie, 6, "SPIN31 algebra")
-    vec_basis = _constrained_matrices(2, True, [_hermitian], "SPIN31 vector space")
-    _check_dim(vec_basis, 4, "SPIN31 vectors")
-    vec = MatrixSpan(vec_basis, "SPIN31 vectors")
-
-    return SpinOrbitModel(
-        name="SPIN31",
-        signature=(3, 1),
-        group_dim=6,
-        spinor_dim=2,
-        complex_field=True,
-        lie_basis=tuple(lie),
-        vector_space=vec,
-        blocks=None,
-        membership_fn=lambda g: abs(np.linalg.det(g) - 1.0),
-        vector_action_fn=lambda g, m: g @ m @ g.conj().T,
-        sigma_fn=lambda s: np.outer(s, s.conj()),
-        invariants_fn=lambda s: {},
-        label_fn=lambda s: "zero" if _norm(s) == 0.0 else "generic",
-        vector_square_fn=lambda m: -float(np.linalg.det(m).real),
-    )
-
-
-def _model_spin22() -> SpinOrbitModel:
-    # SL(2,R) x SL(2,R) on R^2 + R^2; vectors are all real 2x2 matrices
-    # with v.v = det v, and sigma(s+, s-) = s+ s-^t fills the null cone.
-    blocks = (slice(0, 2), slice(2, 4))
-    constraints = [
-        lambda m: m[0:2, 2:4],
-        lambda m: m[2:4, 0:2],
-        lambda m: np.array([np.trace(m[0:2, 0:2])]),
-        lambda m: np.array([np.trace(m[2:4, 2:4])]),
-    ]
-    lie = _constrained_matrices(4, False, constraints, "sl(2,R)+sl(2,R)")
-    _check_dim(lie, 6, "SPIN22 algebra")
-    vec = MatrixSpan(
-        _constrained_matrices(2, False, [], "SPIN22 vector space"),
-        "SPIN22 vectors",
-    )
-
-    def membership(g):
-        r = _norm(g[0:2, 2:4]) + _norm(g[2:4, 0:2])
-        r += abs(float(np.linalg.det(g[0:2, 0:2])) - 1.0)
-        r += abs(float(np.linalg.det(g[2:4, 2:4])) - 1.0)
-        return r
-
-    def label(s):
-        support = _support_label(s, blocks)
-        return {
-            "zero": "zero",
-            "plus": "chiral-plus",
-            "minus": "chiral-minus",
-            "both": "generic",
-        }[support]
-
-    return SpinOrbitModel(
-        name="SPIN22",
-        signature=(2, 2),
-        group_dim=6,
-        spinor_dim=4,
-        complex_field=False,
-        lie_basis=tuple(lie),
-        vector_space=vec,
-        blocks=blocks,
-        membership_fn=membership,
-        vector_action_fn=lambda g, m: g[0:2, 0:2] @ m @ g[2:4, 2:4].T,
-        sigma_fn=lambda s: np.outer(s[0:2], s[2:4]),
-        invariants_fn=lambda s: {"support": _support_label(s, blocks)},
-        label_fn=label,
-        vector_square_fn=lambda m: float(np.linalg.det(m)),
-    )
-
-
-def _model_spin5() -> SpinOrbitModel:
-    # Sp(2) on H^2; vectors are traceless quaternion-Hermitian 2x2 matrices
-    # acted on by m -> A m A^*; sigma(s) = s s^* - |s|^2/2 projects the
-    # quaternion outer square onto the traceless part.
-    j4 = _jmat(2)
-    lie = _constrained_matrices(
-        4, True, [_quaternion_linear(j4), _anti_hermitian], "sp(2)"
-    )
-    _check_dim(lie, 10, "SPIN5 algebra")
-    vec_basis = _constrained_matrices(
-        4,
-        True,
-        [
-            _quaternion_linear(j4),
-            _hermitian,
-            lambda m: np.array([np.trace(m).real]),
-        ],
-        "SPIN5 vector space",
-    )
-    _check_dim(vec_basis, 5, "SPIN5 vectors")
-    vec = MatrixSpan(vec_basis, "SPIN5 vectors")
-
-    def membership(g):
-        unitary = _norm(g.conj().T @ g - np.eye(4))
-        return unitary + _norm(g @ j4 - j4 @ g.conj())
-
-    def sigma(s):
-        norm_sq = float(np.vdot(s, s).real)
-        return _quaternion_outer_embed(s, j4) - 0.5 * norm_sq * np.eye(4)
-
-    return SpinOrbitModel(
-        name="SPIN5",
-        signature=(5, 0),
-        group_dim=10,
-        spinor_dim=4,
-        complex_field=True,
-        lie_basis=tuple(lie),
-        vector_space=vec,
-        blocks=None,
-        membership_fn=membership,
-        vector_action_fn=lambda g, m: g @ m @ g.conj().T,
-        sigma_fn=sigma,
-        invariants_fn=lambda s: {"norm_sq": float(np.vdot(s, s).real)},
-        label_fn=lambda s: "zero" if _norm(s) == 0.0 else "sphere",
-        vector_square_fn=lambda m: float(np.trace(m @ m).real) / 2.0,
-    )
+# Declarations: what each group preserves, and the maps that differ
 
 
 _Q41 = np.diag([1.0, -1.0, 1.0, -1.0])
+_Q42 = np.diag([1.0, 1.0, -1.0, -1.0])
+_J4 = _jmat(2)
+_J32 = _J4  # as a real matrix, the standard symplectic form of R^4
+_H1, _H2, _H4 = _halves(1), _halves(2), _halves(4)
 
 
-def _model_spin41() -> SpinOrbitModel:
+def _quaternion_pairing(s: np.ndarray) -> tuple[float, ...]:
+    # the quaternion s-^* s+ between the SPIN51 half-spinors
+    lam = quaternion_vector_unembed(s[4:8]).conj_t() @ (
+        quaternion_vector_unembed(s[0:4])
+    )
+    return tuple(float(c[0, 0]) for c in lam.components())
+
+
+# Each entry gives the signature, the spinor space, the preserved
+# structures and the vector space as (matrix size, linear constraints),
+# plus the maps that really differ between models.
+_DECLARATIONS = {
+    # U(1) on C; a unit scalar rotates spinors once and vectors twice.
+    "SPIN2": dict(
+        signature=(2, 0), spinor_dim=1, complex_field=True,
+        preserves=(_form(np.eye(1)),),
+        vectors=(1, ()), vector_action_fn=_congruence(False),
+        vector_square_fn=lambda m: float(abs(m[0, 0]) ** 2),
+    ),
+    # R^x acting on the two null half-spinor lines with opposite weights.
+    "SPIN11": dict(
+        signature=(1, 1), spinor_dim=2, complex_field=False, blocks=_H1,
+        preserves=(_block_diagonal(_H1), _unit_det(), _POSITIVE_ENTRY),
+        vectors=(2, (lambda m: np.array([m[0, 1], m[1, 0]]),)),
+        vector_action_fn=_congruence(False),
+        vector_square_fn=lambda m: float(m[0, 0] * m[1, 1]),
+        pairing_fn=lambda s: float(s[0] * s[1]),
+    ),
+    # Sp(1) = unit quaternions acting on H by left multiplication;
+    # vectors are imaginary quaternions, rotated by v -> A v conj(A).
+    "SPIN3": dict(
+        signature=(3, 0), spinor_dim=2, complex_field=True,
+        preserves=(_form(np.eye(2)), _quaternionic()),
+        vectors=(2, (_quaternion_linear, _anti_hermitian)),
+        vector_action_fn=_congruence(True), vector_square_fn=_det_real,
+    ),
+    # SL(2,R) on R^2; vectors are symmetric 2x2 matrices with v.v = -det v,
+    # and sigma(s) = s s^t sweeps one nappe of the null cone.
+    "SPIN21": dict(
+        signature=(2, 1), spinor_dim=2, complex_field=False,
+        preserves=(_unit_det(),),
+        vectors=(2, (_symmetric,)), vector_action_fn=_congruence(False),
+        vector_square_fn=lambda m: -_det_real(m),
+        sigma_fn=lambda s: np.outer(s, s),
+    ),
+    # Sp(1) x Sp(1) on H + H; vectors are quaternions with v -> A v conj(B).
+    "SPIN4": dict(
+        signature=(4, 0), spinor_dim=4, complex_field=True, blocks=_H2,
+        preserves=(
+            _block_diagonal(_H2),
+            _form(np.eye(2), _H2[0]), _quaternionic(_H2[0]),
+            _form(np.eye(2), _H2[1]), _quaternionic(_H2[1]),
+        ),
+        vectors=(2, (_quaternion_linear,)),
+        vector_action_fn=_congruence(True, *_H2), vector_square_fn=_det_real,
+    ),
+    # SL(2,C) on C^2; vectors are Hermitian 2x2 matrices with v.v = -det v,
+    # and sigma(s) = s s^* lands on the forward nappe of the null cone.
+    "SPIN31": dict(
+        signature=(3, 1), spinor_dim=2, complex_field=True,
+        preserves=(_unit_det(),),
+        vectors=(2, (_hermitian,)), vector_action_fn=_congruence(True),
+        vector_square_fn=lambda m: -_det_real(m),
+        sigma_fn=lambda s: np.outer(s, s.conj()),
+    ),
+    # SL(2,R) x SL(2,R) on R^2 + R^2; vectors are all real 2x2 matrices
+    # with v.v = det v, and sigma(s+, s-) = s+ s-^t fills the null cone.
+    "SPIN22": dict(
+        signature=(2, 2), spinor_dim=4, complex_field=False, blocks=_H2,
+        preserves=(_block_diagonal(_H2), _unit_det(_H2[0]), _unit_det(_H2[1])),
+        vectors=(2, ()), vector_action_fn=_congruence(False, *_H2),
+        vector_square_fn=_det_real,
+        sigma_fn=lambda s: np.outer(s[0:2], s[2:4]),
+    ),
+    # Sp(2) on H^2; vectors are traceless quaternion-Hermitian 2x2 matrices
+    # acted on by m -> A m A^*; sigma(s) = s s^* - |s|^2/2 projects the
+    # quaternion outer square onto the traceless part.
+    "SPIN5": dict(
+        signature=(5, 0), spinor_dim=4, complex_field=True,
+        preserves=(_form(np.eye(4)), _quaternionic()),
+        vectors=(4, (_quaternion_linear, _hermitian,
+                     lambda m: np.array([np.trace(m).real]))),
+        vector_action_fn=_congruence(True),
+        vector_square_fn=lambda m: float(np.trace(m @ m).real) / 2.0,
+        sigma_fn=lambda s: _quaternion_outer_embed(s, _J4)
+        - 0.5 * float(np.vdot(s, s).real) * np.eye(4),
+    ),
     # Sp(1,1) preserving the quaternion form |s1|^2 - |s2|^2 on H^2.
     # Vectors are quaternion-Hermitian with tr(Q m) = 0 and v.v = -det m;
     # sigma(s) = s s^* - nu(s) Q / 2 squares to a past/future-pointing or
     # null vector according to the sign of nu.
-    j4 = _jmat(2)
-    lie = _constrained_matrices(
-        4,
-        True,
-        [
-            _quaternion_linear(j4),
-            lambda m: m.conj().T @ _Q41 + _Q41 @ m,
-        ],
-        "sp(1,1)",
-    )
-    _check_dim(lie, 10, "SPIN41 algebra")
-    vec_basis = _constrained_matrices(
-        4,
-        True,
-        [
-            _quaternion_linear(j4),
-            _hermitian,
-            lambda m: np.array([np.trace(_Q41 @ m).real]),
-        ],
-        "SPIN41 vector space",
-    )
-    _check_dim(vec_basis, 5, "SPIN41 vectors")
-    vec = MatrixSpan(vec_basis, "SPIN41 vectors")
-
-    def membership(g):
-        form = _norm(g.conj().T @ _Q41 @ g - _Q41)
-        return form + _norm(g @ j4 - j4 @ g.conj())
-
-    def nu(s):
-        return float((s.conj() @ (_Q41 @ s)).real)
-
-    def sigma(s):
-        return _quaternion_outer_embed(s, j4) - 0.5 * nu(s) * _Q41
-
-    def label(s):
-        if _norm(s) == 0.0:
-            return "zero"
-        value = nu(s)
-        if abs(value) <= 1e-10 * _norm(s) ** 2:
-            return "null"
-        return "positive" if value > 0 else "negative"
-
-    return SpinOrbitModel(
-        name="SPIN41",
-        signature=(4, 1),
-        group_dim=10,
-        spinor_dim=4,
-        complex_field=True,
-        lie_basis=tuple(lie),
-        vector_space=vec,
-        blocks=None,
-        membership_fn=membership,
-        vector_action_fn=lambda g, m: g @ m @ g.conj().T,
-        sigma_fn=sigma,
-        invariants_fn=lambda s: {"nu": nu(s)},
-        label_fn=label,
-        vector_square_fn=lambda m: -qdet2(QMatrix.unembed(m, (2, 2))),
-    )
-
-
-_J32 = np.block(
-    [[np.zeros((2, 2)), -np.eye(2)], [np.eye(2), np.zeros((2, 2))]]
-)
-
-
-def _model_spin32() -> SpinOrbitModel:
+    "SPIN41": dict(
+        signature=(4, 1), spinor_dim=4, complex_field=True,
+        preserves=(_form(_Q41), _quaternionic()),
+        vectors=(4, (_quaternion_linear, _hermitian,
+                     lambda m: np.array([np.trace(_Q41 @ m).real]))),
+        vector_action_fn=_congruence(True), vector_square_fn=_minus_qdet,
+        sigma_fn=lambda s: _quaternion_outer_embed(s, _J4)
+        - 0.5 * _form_value(_Q41, s) * _Q41,
+        spinor_form=_Q41,
+    ),
     # Sp(4,R) on R^4; vectors are skew 4x4 matrices orthogonal to the
     # symplectic form, with v.v the Pfaffian.
-    lie = _constrained_matrices(
-        4, False, [lambda m: m.T @ _J32 + _J32 @ m], "sp(4,R)"
-    )
-    _check_dim(lie, 10, "SPIN32 algebra")
-    vec_basis = _constrained_matrices(
-        4,
-        False,
-        [_skew, lambda m: np.array([np.trace(_J32 @ m)])],
-        "SPIN32 vector space",
-    )
-    _check_dim(vec_basis, 5, "SPIN32 vectors")
-    vec = MatrixSpan(vec_basis, "SPIN32 vectors")
-
-    return SpinOrbitModel(
-        name="SPIN32",
-        signature=(3, 2),
-        group_dim=10,
-        spinor_dim=4,
-        complex_field=False,
-        lie_basis=tuple(lie),
-        vector_space=vec,
-        blocks=None,
-        membership_fn=lambda g: _norm(g.T @ _J32 @ g - _J32),
-        vector_action_fn=lambda g, m: g @ m @ g.T,
-        sigma_fn=None,
-        invariants_fn=lambda s: {},
-        label_fn=lambda s: "zero" if _norm(s) == 0.0 else "generic",
-        vector_square_fn=_pf_real,
-    )
-
-
-def _model_spin6() -> SpinOrbitModel:
+    "SPIN32": dict(
+        signature=(3, 2), spinor_dim=4, complex_field=False,
+        preserves=(_form(_J32),),
+        vectors=(4, (_skew, lambda m: np.array([np.trace(_J32 @ m)]))),
+        vector_action_fn=_congruence(False), vector_square_fn=_pf_real,
+    ),
     # SU(4) on C^4; vectors are the real points of Lambda^2 C^4 under the
     # conjugation w -> star(conj w), with v.v the (positive) Pfaffian.
-    lie = _constrained_matrices(
-        4,
-        True,
-        [_anti_hermitian, lambda m: np.array([np.trace(m).imag])],
-        "su(4)",
-    )
-    _check_dim(lie, 15, "SPIN6 algebra")
-    vec_basis = _constrained_matrices(
-        4,
-        True,
-        [_skew, lambda m: _hodge_star4(m.conj()) - m],
-        "SPIN6 vector space",
-    )
-    _check_dim(vec_basis, 6, "SPIN6 vectors")
-    vec = MatrixSpan(vec_basis, "SPIN6 vectors")
-
-    def membership(g):
-        return _norm(g.conj().T @ g - np.eye(4)) + abs(np.linalg.det(g) - 1.0)
-
-    return SpinOrbitModel(
-        name="SPIN6",
-        signature=(6, 0),
-        group_dim=15,
-        spinor_dim=4,
-        complex_field=True,
-        lie_basis=tuple(lie),
-        vector_space=vec,
-        blocks=None,
-        membership_fn=membership,
-        vector_action_fn=lambda g, m: g @ m @ g.T,
-        sigma_fn=None,
-        invariants_fn=lambda s: {"norm_sq": float(np.vdot(s, s).real)},
-        label_fn=lambda s: "zero" if _norm(s) == 0.0 else "sphere",
-        vector_square_fn=_pf_real,
-    )
-
-
-def _model_spin51() -> SpinOrbitModel:
+    "SPIN6": dict(
+        signature=(6, 0), spinor_dim=4, complex_field=True,
+        preserves=(_form(np.eye(4)), _unit_det()),
+        vectors=(4, (_skew, lambda m: _hodge_star4(m.conj()) - m)),
+        vector_action_fn=_congruence(False), vector_square_fn=_pf_real,
+    ),
     # SL(2,H) acting on H^2 + H^2 as (A s+, (A^*)^{-1} s-); vectors are
     # quaternion-Hermitian 2x2 matrices with v.v = -det, transformed
     # through the plus factor, and sigma(s+) = s+ s+^* is null.
-    j4 = _jmat(2)
-    blocks = (slice(0, 4), slice(4, 8))
-    constraints = [
-        lambda m: m[0:4, 4:8],
-        lambda m: m[4:8, 0:4],
-        lambda m: _quaternion_linear(j4)(m[0:4, 0:4]),
-        lambda m: np.array([np.trace(m[0:4, 0:4]).real]),
-        lambda m: m[4:8, 4:8] + m[0:4, 0:4].conj().T,
-    ]
-    lie = _constrained_matrices(8, True, constraints, "sl(2,H)")
-    _check_dim(lie, 15, "SPIN51 algebra")
-    vec_basis = _constrained_matrices(
-        4, True, [_quaternion_linear(j4), _hermitian], "SPIN51 vector space"
-    )
-    _check_dim(vec_basis, 6, "SPIN51 vectors")
-    vec = MatrixSpan(vec_basis, "SPIN51 vectors")
-
-    def membership(g):
-        gp, gm = g[0:4, 0:4], g[4:8, 4:8]
-        r = _norm(g[0:4, 4:8]) + _norm(g[4:8, 0:4])
-        r += _norm(gp @ j4 - j4 @ gp.conj())
-        r += abs(np.linalg.det(gp) - 1.0)
-        r += _norm(gm - np.linalg.inv(gp.conj().T))
-        return r
-
-    def pairing(s):
-        lam = quaternion_vector_unembed(s[4:8]).conj_t() @ (
-            quaternion_vector_unembed(s[0:4])
-        )
-        return tuple(float(c[0, 0]) for c in lam.components())
-
-    def invariants(s):
-        return {"pairing": pairing(s), "support": _support_label(s, blocks)}
-
-    def label(s):
-        support = _support_label(s, blocks)
-        if support == "zero":
-            return "zero"
-        if support == "plus":
-            return "chiral-plus"
-        if support == "minus":
-            return "chiral-minus"
-        lam = np.array(pairing(s))
-        if _norm(lam) <= SUPPORT_TOL * _norm(s) ** 2:
-            return "null-pair"
-        return "generic"
-
-    return SpinOrbitModel(
-        name="SPIN51",
-        signature=(5, 1),
-        group_dim=15,
-        spinor_dim=8,
-        complex_field=True,
-        lie_basis=tuple(lie),
-        vector_space=vec,
-        blocks=blocks,
-        membership_fn=membership,
-        vector_action_fn=lambda g, m: g[0:4, 0:4] @ m @ g[0:4, 0:4].conj().T,
-        sigma_fn=lambda s: _quaternion_outer_embed(s[0:4], j4),
-        invariants_fn=invariants,
-        label_fn=label,
-        vector_square_fn=lambda m: -qdet2(QMatrix.unembed(m, (2, 2))),
-    )
-
-
-_Q42 = np.diag([1.0, 1.0, -1.0, -1.0])
-
-
-def _model_spin42() -> SpinOrbitModel:
+    "SPIN51": dict(
+        signature=(5, 1), spinor_dim=8, complex_field=True, blocks=_H4,
+        preserves=(_block_diagonal(_H4), _quaternionic(_H4[0]),
+                   _unit_det(_H4[0]), _contragredient(_H4)),
+        vectors=(4, (_quaternion_linear, _hermitian)),
+        vector_action_fn=_congruence(True, _H4[0]),
+        vector_square_fn=_minus_qdet,
+        sigma_fn=lambda s: _quaternion_outer_embed(s[0:4], _J4),
+        pairing_fn=_quaternion_pairing,
+    ),
     # SU(2,2) on C^4 with the (2,2) Hermitian form; vectors are the real
     # points of Lambda^2 C^4 under the form-twisted conjugation
     # w -> star(Q conj(w) Q), with v.v = -Pf of signature (4,2).
-    lie = _constrained_matrices(
-        4,
-        True,
-        [
-            lambda m: m.conj().T @ _Q42 + _Q42 @ m,
-            lambda m: np.array([np.trace(m).imag]),
-        ],
-        "su(2,2)",
-    )
-    _check_dim(lie, 15, "SPIN42 algebra")
-    vec_basis = _constrained_matrices(
-        4,
-        True,
-        [_skew, lambda m: _hodge_star4(_Q42 @ m.conj() @ _Q42) - m],
-        "SPIN42 vector space",
-    )
-    _check_dim(vec_basis, 6, "SPIN42 vectors")
-    vec = MatrixSpan(vec_basis, "SPIN42 vectors")
-
-    def membership(g):
-        form = _norm(g.conj().T @ _Q42 @ g - _Q42)
-        return form + abs(np.linalg.det(g) - 1.0)
-
-    def nu(s):
-        return float((s.conj() @ (_Q42 @ s)).real)
-
-    def label(s):
-        if _norm(s) == 0.0:
-            return "zero"
-        value = nu(s)
-        if abs(value) <= 1e-10 * _norm(s) ** 2:
-            return "null"
-        return "positive" if value > 0 else "negative"
-
-    return SpinOrbitModel(
-        name="SPIN42",
-        signature=(4, 2),
-        group_dim=15,
-        spinor_dim=4,
-        complex_field=True,
-        lie_basis=tuple(lie),
-        vector_space=vec,
-        blocks=None,
-        membership_fn=membership,
-        vector_action_fn=lambda g, m: g @ m @ g.T,
-        sigma_fn=None,
-        invariants_fn=lambda s: {"nu": nu(s)},
-        label_fn=label,
+    "SPIN42": dict(
+        signature=(4, 2), spinor_dim=4, complex_field=True,
+        preserves=(_form(_Q42), _unit_det()),
+        vectors=(4, (_skew, lambda m: _hodge_star4(_Q42 @ m.conj() @ _Q42) - m)),
+        vector_action_fn=_congruence(False),
         vector_square_fn=lambda m: -_pf_real(m),
-    )
-
-
-def _model_spin33() -> SpinOrbitModel:
+        spinor_form=_Q42,
+    ),
     # SL(4,R) acting on R^4 + R^4 as (A s+, (A^t)^{-1} s-); vectors are
     # skew 4x4 matrices with v.v the Pfaffian, transformed through the
     # plus factor.
-    blocks = (slice(0, 4), slice(4, 8))
-    constraints = [
-        lambda m: m[0:4, 4:8],
-        lambda m: m[4:8, 0:4],
-        lambda m: np.array([np.trace(m[0:4, 0:4])]),
-        lambda m: m[4:8, 4:8] + m[0:4, 0:4].T,
-    ]
-    lie = _constrained_matrices(8, False, constraints, "sl(4,R)")
-    _check_dim(lie, 15, "SPIN33 algebra")
-    vec = MatrixSpan(
-        _constrained_matrices(4, False, [_skew], "SPIN33 vector space"),
-        "SPIN33 vectors",
-    )
-
-    def membership(g):
-        gp, gm = g[0:4, 0:4], g[4:8, 4:8]
-        r = _norm(g[0:4, 4:8]) + _norm(g[4:8, 0:4])
-        r += abs(float(np.linalg.det(gp)) - 1.0)
-        r += _norm(gm - np.linalg.inv(gp.T))
-        return r
-
-    def pairing(s):
-        return float(s[4:8] @ s[0:4])
-
-    def invariants(s):
-        return {"pairing": pairing(s), "support": _support_label(s, blocks)}
-
-    def label(s):
-        support = _support_label(s, blocks)
-        if support == "zero":
-            return "zero"
-        if support == "plus":
-            return "chiral-plus"
-        if support == "minus":
-            return "chiral-minus"
-        if abs(pairing(s)) <= SUPPORT_TOL * _norm(s) ** 2:
-            return "null-pair"
-        return "generic"
-
-    return SpinOrbitModel(
-        name="SPIN33",
-        signature=(3, 3),
-        group_dim=15,
-        spinor_dim=8,
-        complex_field=False,
-        lie_basis=tuple(lie),
-        vector_space=vec,
-        blocks=blocks,
-        membership_fn=membership,
-        vector_action_fn=lambda g, m: g[0:4, 0:4] @ m @ g[0:4, 0:4].T,
-        sigma_fn=None,
-        invariants_fn=invariants,
-        label_fn=label,
+    "SPIN33": dict(
+        signature=(3, 3), spinor_dim=8, complex_field=False, blocks=_H4,
+        preserves=(_block_diagonal(_H4), _unit_det(_H4[0]),
+                   _contragredient(_H4)),
+        vectors=(4, (_skew,)), vector_action_fn=_congruence(False, _H4[0]),
         vector_square_fn=_pf_real,
-    )
-
-
-_BUILDERS = {
-    "SPIN2": _model_spin2,
-    "SPIN11": _model_spin11,
-    "SPIN3": _model_spin3,
-    "SPIN21": _model_spin21,
-    "SPIN4": _model_spin4,
-    "SPIN31": _model_spin31,
-    "SPIN22": _model_spin22,
-    "SPIN5": _model_spin5,
-    "SPIN41": _model_spin41,
-    "SPIN32": _model_spin32,
-    "SPIN6": _model_spin6,
-    "SPIN51": _model_spin51,
-    "SPIN42": _model_spin42,
-    "SPIN33": _model_spin33,
+        pairing_fn=lambda s: float(s[4:8] @ s[0:4]),
+    ),
 }
+
+
+def _derive(name: str, declaration: dict) -> SpinOrbitModel:
+    """The model of a declaration: Lie algebra and vectors from constraints."""
+    decl = dict(declaration)
+    size, vector_constraints = decl.pop("vectors")
+    field = decl["complex_field"]
+    lie = _constrained_matrices(
+        decl["spinor_dim"], field,
+        [p.lie for p in decl["preserves"] if p.lie is not None],
+        f"{name} algebra",
+    )
+    vectors = _constrained_matrices(
+        size, field, list(vector_constraints), f"{name} vector space"
+    )
+    n = sum(decl["signature"])
+    for what, got, expected in (("algebra", lie, n * (n - 1) // 2),
+                                ("vectors", vectors, n)):
+        if len(got) != expected:
+            raise RuntimeError(
+                f"{name} {what}: constraint solution has dimension "
+                f"{len(got)}, expected {expected}"
+            )
+    return SpinOrbitModel(
+        name=name,
+        lie_basis=tuple(lie),
+        vector_space=MatrixSpan(vectors, f"{name} vectors"),
+        **decl,
+    )
 
 
 @lru_cache(maxsize=None)
 def get_model(name: str) -> SpinOrbitModel:
     try:
-        builder = _BUILDERS[name]
+        declaration = _DECLARATIONS[name]
     except KeyError:
         raise ValueError(f"unknown orbit model {name!r}") from None
-    return builder()
+    return _derive(name, declaration)
 
 
 def all_models() -> tuple[SpinOrbitModel, ...]:
     return tuple(get_model(name) for name in MODEL_NAMES)
 
 
-def _resolve(model: SpinOrbitModel | str) -> SpinOrbitModel:
-    return get_model(model) if isinstance(model, str) else model
-
-
-def act_spinor(model, g, s):
-    return _resolve(model).act_spinor(g, s)
-
-
-def act_vector(model, g, v):
-    return _resolve(model).act_vector(g, v)
-
-
-def square_spinor(model, s):
-    return _resolve(model).square_spinor(s)
-
-
-def vector_square(model, v):
-    return _resolve(model).vector_square(v)
-
-
-def orbit_invariant(model, s):
-    return _resolve(model).orbit_invariant(s)
-
-
-def orbit_label(model, s):
-    return _resolve(model).orbit_label(s)
-
-
-def stabilizer_dimension(model, s):
-    return _resolve(model).stabilizer_dimension(s)
-
-
-def orbit_dimension(model, s):
-    return _resolve(model).orbit_dimension(s)
-
-
-def orbit_report(model, s):
-    return _resolve(model).orbit_report(s)
-
-
-def pin_swap(model, s):
-    return _resolve(model).pin_swap(s)
-
-
 # ---------------------------------------------------------------------------
 # Purity in split (and nearly split) signatures
 
 
-# Signatures whose purity criterion runs through the explicit models above;
-# values are the half-spinor block slices.
-_EVEN_SPLIT_BLOCKS = {
-    (1, 1): (slice(0, 1), slice(1, 2)),
-    (2, 2): (slice(0, 2), slice(2, 4)),
-    (3, 3): (slice(0, 4), slice(4, 8)),
+# Split signatures whose purity criterion runs through an orbit model: a
+# model with half-spinor blocks (even split) or without (odd split).
+_SPLIT_MODELS = {
+    _DECLARATIONS[name]["signature"]: _DECLARATIONS[name]
+    for name in ("SPIN11", "SPIN21", "SPIN22", "SPIN32", "SPIN33")
 }
-_ODD_SPLIT = {(2, 1), (3, 2)}
 _CLIFFORD_PURITY = {(4, 3), (4, 4)}
 
-PURITY_SIGNATURES = tuple(
-    sorted(_ODD_SPLIT | set(_EVEN_SPLIT_BLOCKS) | _CLIFFORD_PURITY)
-)
+PURITY_SIGNATURES = tuple(sorted(set(_SPLIT_MODELS) | _CLIFFORD_PURITY))
 
 
 @lru_cache(maxsize=None)
@@ -1169,44 +734,34 @@ def is_pure(signature: tuple[int, int], s: np.ndarray, tol: float = 1e-8) -> boo
     total = _norm(s)
     if total == 0.0:
         raise ValueError("the zero spinor has no purity type")
-    if (p, q) in _ODD_SPLIT:
-        return True
-    if (p, q) in _EVEN_SPLIT_BLOCKS:
-        lo, hi = _EVEN_SPLIT_BLOCKS[(p, q)]
+    if (p, q) in _SPLIT_MODELS:
+        blocks = _SPLIT_MODELS[(p, q)].get("blocks")
+        if blocks is None:
+            return True
+        lo, hi = blocks
         plus = _norm(s[lo]) > tol * total
         minus = _norm(s[hi]) > tol * total
         return plus != minus
-    if (p, q) == (4, 3):
-        rep = _cached_rep(4, 3)
-        forms = rep.invariant_forms()
-        return all(
-            abs(s @ (f @ s)) <= tol * _norm(f) * total**2 for f in forms
-        )
+    if (p, q) not in _CLIFFORD_PURITY:
+        raise ValueError(f"no purity criterion for signature {signature}")
+    rep = _cached_rep(p, q)
     if (p, q) == (4, 4):
-        rep = _cached_rep(4, 4)
         plus, minus = _half_spinor_basis(rep)
         in_plus = _norm(s - plus @ (plus.T @ s)) <= tol * total
         in_minus = _norm(s - minus @ (minus.T @ s)) <= tol * total
         if not (in_plus or in_minus):
             return False
-        forms = rep.invariant_forms()
-        return all(
-            abs(s @ (f @ s)) <= tol * _norm(f) * total**2 for f in forms
-        )
-    raise ValueError(f"no purity criterion for signature {signature}")
+    return all(
+        abs(s @ (f @ s)) <= tol * _norm(f) * total**2
+        for f in rep.invariant_forms()
+    )
 
 
 def pure_spinor(signature: tuple[int, int]) -> np.ndarray:
     """A deterministic unit-norm pure spinor for a split signature."""
     p, q = signature
-    if (p, q) in _ODD_SPLIT:
-        dim = {(2, 1): 2, (3, 2): 4}[(p, q)]
-        s = np.zeros(dim)
-        s[0] = 1.0
-        return s
-    if (p, q) in _EVEN_SPLIT_BLOCKS:
-        dim = {(1, 1): 2, (2, 2): 4, (3, 3): 8}[(p, q)]
-        s = np.zeros(dim)
+    if (p, q) in _SPLIT_MODELS:
+        s = np.zeros(_SPLIT_MODELS[(p, q)]["spinor_dim"])
         s[0] = 1.0
         return s
     if (p, q) == (4, 3):

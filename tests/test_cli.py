@@ -37,6 +37,25 @@ PUREEVEN2_BAD = {
 }
 
 
+# PUREEVEN(1) declares a trivial stabilizer: a profile in x alone gives a
+# flat connection, one with y-dependence gives one outside the stabilizer
+PUREEVEN1 = {"family": "PUREEVEN", "p": 1, "functions": [
+    {"arity": 2, "coefficients": {"0,0": "1/7", "1,0": "-1/20", "2,0": "2/9", "3,0": "1/6"}}]}
+PUREEVEN1_Y = {"family": "PUREEVEN", "p": 1, "functions": [
+    {"arity": 2, "coefficients": {"1,0": "1/2", "0,2": "1/3", "1,1": 1}}]}
+
+# a PUREEVEN(2) profile whose curvature span (5) exceeds the stabilizer (4)
+PUREEVEN2_WIDE = {
+    "family": "PUREEVEN",
+    "p": 2,
+    "functions": [
+        {"arity": 4, "coefficients": {"0,0,2,0": "1/2", "1,0,1,1": 1}},
+        {"arity": 4, "coefficients": {"0,0,1,1": "1/3"}},
+        {"arity": 4, "coefficients": {"0,1,0,2": -1, "0,0,2,0": "1/5"}},
+    ],
+}
+
+
 def _write(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
@@ -231,6 +250,20 @@ class TestMetricVerify:
         assert rows["connection torsion"]["pass"]
         assert rows["connection skewness"]["pass"]
 
+    def test_trivial_stabilizer_flat_connection(self, tmp_path):
+        spec = _write(tmp_path, "pe1.json", PUREEVEN1)
+        report, status = run_command(RunSpec("metric-verify", spec_path=spec))
+        assert status == 0
+        assert _by_name(report)["connection membership"]["residual"] == 0.0
+
+    def test_trivial_stabilizer_rejects_y_dependence(self, tmp_path):
+        spec = _write(tmp_path, "pe1y.json", PUREEVEN1_Y)
+        report, status = run_command(RunSpec("metric-verify", spec_path=spec))
+        assert status == 1
+        rows = _by_name(report)
+        assert not rows["connection membership"]["pass"]
+        assert not rows["constraint divergence row 1"]["pass"]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_curvature_magnitude_fails(self, tmp_path):
         spec = _write(tmp_path, "m31.json", M31_OVERFLOW)
@@ -280,6 +313,23 @@ class TestHolonomyEstimate:
         report, status = run_command(RunSpec("holonomy-estimate", spec_path=spec))
         assert status == 0
         assert _by_name(report)["curvature span dimension"]["dimension"] == 0
+
+    def test_trivial_stabilizer_has_zero_span(self, tmp_path):
+        spec = _write(tmp_path, "pe1.json", PUREEVEN1)
+        report, status = run_command(RunSpec("holonomy-estimate", spec_path=spec))
+        assert status == 0
+        rows = _by_name(report)
+        span = rows["curvature span dimension"]
+        assert span["dimension"] == span["stabilizer"] == 0
+        assert rows["curvature membership"]["residual"] == 0.0
+
+    def test_span_beyond_stabilizer_fails_its_row(self, tmp_path):
+        spec = _write(tmp_path, "pe2.json", PUREEVEN2_WIDE)
+        report, status = run_command(RunSpec("holonomy-estimate", spec_path=spec))
+        assert status == 1
+        span = _by_name(report)["curvature span dimension"]
+        assert (span["dimension"], span["stabilizer"]) == (5, 4)
+        assert not span["pass"]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_curvature_fails_membership(self, tmp_path):

@@ -110,6 +110,12 @@ class TestFreeFunction:
             pt = rng.uniform(-1, 1, 3)
             assert f.fd_gradient_residual(pt) < 1e-6
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_fd_gradient_keeps_nan(self):
+        # the x difference is inf - inf; it must not read as a zero mismatch
+        f = FreeFunction(2, table={(3, 0): 1e308, (0, 1): 1.0})
+        assert np.isnan(f.fd_gradient_residual(np.array([5.0, 0.0])))
+
     def test_rule_backend_derivatives(self):
         f = FreeFunction(2, rule=lambda u, v: u.sin() * v + v.exp())
         pt = np.array([0.3, -0.2])

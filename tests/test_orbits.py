@@ -111,6 +111,15 @@ class TestConstruction:
             g = model.sample_group(rng)
             assert model.membership_residual(g) < 1e-12
 
+    def test_spin11_is_the_identity_component(self):
+        # diag(-1, -1) keeps the blocks and has unit determinant, but lies
+        # outside the identity component
+        model = get_model("SPIN11")
+        g = np.diag([-1.0, -1.0])
+        assert model.membership_residual(g) >= 1.0
+        with pytest.raises(ValueError):
+            model.act_spinor(g, np.array([1.0, 1.0]))
+
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_act_spinor_rejects_perturbed_elements(self, name):
         model = get_model(name)
@@ -124,6 +133,26 @@ class TestConstruction:
 
 # ---------------------------------------------------------------------------
 # Actions and invariants
+
+
+# The invariants each model reports, in order; derived from the blocks,
+# compactness, the pairing and the spinor form of the declaration.
+INVARIANT_KEYS = {
+    "SPIN2": ("norm_sq",),
+    "SPIN11": ("pairing", "support"),
+    "SPIN3": ("norm_sq",),
+    "SPIN21": (),
+    "SPIN4": ("norm_plus", "norm_minus", "support"),
+    "SPIN31": (),
+    "SPIN22": ("support",),
+    "SPIN5": ("norm_sq",),
+    "SPIN41": ("nu",),
+    "SPIN32": (),
+    "SPIN6": ("norm_sq",),
+    "SPIN51": ("pairing", "support"),
+    "SPIN42": ("nu",),
+    "SPIN33": ("pairing", "support"),
+}
 
 
 class TestActions:
@@ -163,6 +192,12 @@ class TestActions:
         lhs = model.act_vector(g, v1 + 2.0 * v2)
         rhs = model.act_vector(g, v1) + 2.0 * model.act_vector(g, v2)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_invariant_keys_are_frozen(self, name):
+        model = get_model(name)
+        s = model.sample_spinor(_rng(name, 22))
+        assert tuple(model.orbit_invariant(s)) == INVARIANT_KEYS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +456,23 @@ class TestPurity:
         chiral_non_null = half @ vecs[:, -1]
         assert not is_pure((4, 4), chiral_non_null)
 
+    def test_invariant_forms_solved_once_per_representation(self, monkeypatch):
+        from spinorlab import clifford
+
+        calls = []
+        solve = clifford.invariant_symmetric_forms
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(clifford, "invariant_symmetric_forms", counted)
+        orbits._cached_rep.cache_clear()
+        s = pure_spinor((4, 4))
+        assert is_pure((4, 4), s)
+        assert is_pure((4, 4), s)
+        assert len(calls) == 1
+
     def test_4_4_pure_orbit_dimension(self):
         s = pure_spinor((4, 4))
         assert spin_orbit_dimension(4, 4, s) == 7
@@ -445,13 +497,3 @@ class TestRegistry:
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
             get_model("SPIN99")
-
-    def test_module_level_wrappers(self):
-        rng = _rng("SPIN21", 20)
-        model = get_model("SPIN21")
-        s = model.sample_spinor(rng)
-        g = model.sample_group(rng)
-        assert np.allclose(
-            orbits.act_spinor("SPIN21", g, s), model.act_spinor(g, s)
-        )
-        assert orbits.orbit_dimension("SPIN21", s) == model.orbit_dimension(s)
