@@ -333,6 +333,8 @@ class SpinRepresentation:
     volume: np.ndarray | None
     _forms: list[np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False)
+    _halves: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -353,6 +355,18 @@ class SpinRepresentation:
         w = self.chirality()
         eye = np.eye(w.shape[0])
         return 0.5 * (eye + w), 0.5 * (eye - w)
+
+    def half_spinor_bases(self) -> tuple[np.ndarray, np.ndarray]:
+        """Orthonormal column bases of the plus and minus halves (solved once, read-only)."""
+        if self._halves is None:
+            bases = []
+            for proj, half in zip(self.chiral_projectors(), ("plus", "minus")):
+                basis = orthonormal_span(
+                    list(proj), f"spin({self.p},{self.q}) {half} half-spinors").T
+                basis.setflags(write=False)
+                bases.append(basis)
+            self._halves = tuple(bases)
+        return self._halves
 
     def invariant_forms(self) -> list[np.ndarray]:
         """Symmetric forms preserved by the rotation generators (solved once)."""

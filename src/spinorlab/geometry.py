@@ -22,7 +22,15 @@ from functools import lru_cache
 import numpy as np
 
 from . import octospin
-from .jets import Jet, JetContext, JetMatrix, JetSeries, monomials_upto
+from .jets import (
+    Jet,
+    JetContext,
+    JetMatrix,
+    JetSeries,
+    TaylorShift,
+    monomials_upto,
+    shared_context,
+)
 from .linalg import (
     bracket_closure,
     guarded_rank,
@@ -67,6 +75,8 @@ class FreeFunction:
         self.arity = int(arity)
         self.name = name
         self.rule = rule
+        # Taylor shifts of the table, by (nvars, order, argument variables)
+        self._shifts: dict[tuple, TaylorShift] = {}
         if table is None:
             self.series = None
             return
@@ -87,10 +97,30 @@ class FreeFunction:
         return f"FreeFunction({self.name}, arity={self.arity}, {kind})"
 
     def jet(self, args: list[Jet]) -> Jet:
+        """The jet of f at argument jets of one context.
+
+        A table at coordinate variables (each argument value + x_v) is
+        expanded as its Taylor shift, precomputed once per context size and
+        argument variables; other argument jets go through term-by-term jet
+        products.
+        """
         if len(args) != self.arity:
             raise ValueError(f"{self.name} takes {self.arity} arguments, got {len(args)}")
         if self.rule is not None:
             return self.rule(*args)
+        ctx = args[0].ctx
+        coords = ctx.coordinates(args)
+        if coords is None:
+            return self._product_jet(args)
+        values, variables = coords
+        key = (ctx.nvars, ctx.order, variables)
+        shift = self._shifts.get(key)
+        if shift is None:
+            shift = self._shifts[key] = TaylorShift(self.table, ctx, variables)
+        return Jet(ctx, shift(values), ctx.order)
+
+    def _product_jet(self, args: list[Jet]) -> Jet:
+        """The table's jet as a sum of products of argument-jet powers."""
         ctx = args[0].ctx
         powers: list[dict[int, Jet]] = [{0: ctx.constant(1.0)} for _ in range(self.arity)]
 
@@ -112,12 +142,12 @@ class FreeFunction:
     def value(self, point) -> float:
         if self.series is not None:
             return self.series.evaluate(point)
-        ctx = JetContext(self.arity, 0)
+        ctx = shared_context(self.arity, 0)
         return self.jet(ctx.variables(np.asarray(point, dtype=float))).value()
 
     def derivative(self, point, *vars_: int) -> float:
         """Mixed partial derivative value at ``point``."""
-        ctx = JetContext(self.arity, max(len(vars_), 1))
+        ctx = shared_context(self.arity, max(len(vars_), 1))
         return self.jet(ctx.variables(np.asarray(point, dtype=float))).derivative_value(*vars_)
 
     def partial(self, var: int) -> "FreeFunction":
@@ -306,7 +336,7 @@ class CoordinateMetric:
             raise ValueError("coordinate names disagree with the dimension")
 
     def component_jets(self, point, order: int = 2) -> JetMatrix:
-        ctx = JetContext(self.n, order)
+        ctx = shared_context(self.n, order)
         return self._component_rule(ctx.variables(np.asarray(point, dtype=float)), ctx)
 
     def components(self, point) -> np.ndarray:
@@ -318,7 +348,7 @@ class CoordinateMetric:
     def coframe_jets(self, point, order: int = 1) -> JetMatrix:
         if self._coframe_rule is None:
             raise ValueError("metric carries no adapted coframe")
-        ctx = JetContext(self.n, order)
+        ctx = shared_context(self.n, order)
         return self._coframe_rule(ctx.variables(np.asarray(point, dtype=float)), ctx)
 
     @property
@@ -432,15 +462,17 @@ def _profile_rule(const, profiles, terms):
     const = np.array(const, dtype=float)
     profiles = [(f, tuple(args)) for f, args in profiles]
     rows, cols, coeffs, which = zip(*terms)
-    cells = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp))
+    cells = np.ravel_multi_index((rows, cols), const.shape)
     which = np.array(which, dtype=np.intp)
     coeffs = np.array(coeffs, dtype=float)[:, None]
 
     def rule(X, ctx):
         jets = [f.jet([X[a] for a in args]) for f, args in profiles]
-        c = np.zeros(const.shape + (ctx.nmono,))
-        c[..., 0] = const
-        np.add.at(c, cells, coeffs * np.stack([j.c for j in jets])[which])
+        bins = (cells[:, None] * ctx.nmono + np.arange(ctx.nmono)).ravel()
+        vals = coeffs * np.stack([j.c for j in jets])[which]
+        c = np.bincount(bins, weights=vals.ravel(), minlength=const.size * ctx.nmono)
+        c = c.reshape(const.shape + (ctx.nmono,))
+        c[..., 0] += const
         return JetMatrix(ctx, c, min(j.valid for j in jets))
 
     return rule
@@ -818,7 +850,7 @@ def ricci_paper(family: str, functions, point, p=None) -> np.ndarray:
                 functions.append(FreeFunction(4, table=table, name=f"s{i + 1}{j + 1}"))
             point = np.array([point[0], point[1], point[3], -point[2]])
             n, p, x0 = 4, 2, 0
-        ctx = JetContext(len(point), 2)
+        ctx = shared_context(len(point), 2)
         X = ctx.variables(point)
         jets = _fmatrix([fn.jet(X) for fn in functions], symmetric_pairs(p), p)
         x_vars = range(x0, x0 + p)
@@ -1117,7 +1149,7 @@ class FiberFamily:
         return JetMatrix.from_entries(rows)
 
     def values(self, x3v: float, wv) -> np.ndarray:
-        ctx = JetContext(9, 0)
+        ctx = shared_context(9, 0)
         jets = ctx.variables(np.concatenate([[x3v], np.asarray(wv, float)]))
         return self.jets(jets[0], jets[1:], ctx).value()
 

@@ -4,7 +4,8 @@ A jet is a polynomial truncated at a fixed total degree, used to carry a
 function value together with its partial derivatives at a base point.
 All jets attached to one :class:`JetContext` share the monomial basis and
 the precomputed sparse multiplication table, so products and derivatives
-are plain indexed numpy operations.
+are plain indexed numpy operations.  ``shared_context`` hands out one
+read-only context per (nvars, order).
 
 Every jet tracks the highest total degree up to which its coefficients
 are trustworthy.  Multiplication keeps the smaller of the two orders,
@@ -15,13 +16,15 @@ garbage.
 :class:`JetSeries` is the sparse counterpart: a truncated polynomial
 stored as an {exponents: coefficient} dict over exact rationals (floats
 are tolerated).  It backs table-defined profile functions and the exact
-Cauchy solver alike.
+Cauchy solver alike.  :class:`TaylorShift` expands such a polynomial at
+coordinate variables in one weighted product, with no jet products.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -43,18 +46,50 @@ def monomials_upto(nvars: int, order: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@lru_cache(maxsize=None)
+def _exponent_rows(nvars: int, order: int) -> np.ndarray:
+    """``monomials_upto(nvars, order)`` as a read-only integer array, one row each."""
+    rows = np.array(monomials_upto(nvars, order), dtype=np.intp).reshape(-1, nvars)
+    return _frozen(rows)
+
+
+@lru_cache(maxsize=None)
+def _pascal(top: int) -> np.ndarray:
+    """Read-only table of binom(a, b) for 0 <= a, b <= top, as floats."""
+    table = np.zeros((top + 1, top + 1))
+    table[:, 0] = 1.0
+    for a in range(1, top + 1):
+        table[a, 1:] = table[a - 1, 1:] + table[a - 1, :-1]
+    return _frozen(table)
+
+
+@lru_cache(maxsize=None)
+def shared_context(nvars: int, order: int) -> "JetContext":
+    """The one JetContext for (nvars, order); building one costs up to tens of ms."""
+    return JetContext(nvars, order)
+
+
 class JetContext:
-    """Shared basis and operation tables for jets in ``nvars`` variables."""
+    """Shared basis and operation tables for jets in ``nvars`` variables.
+
+    The tables are read-only, so one context can serve every caller; see
+    :func:`shared_context`.
+    """
 
     def __init__(self, nvars: int, order: int):
         if nvars < 1 or order < 0:
             raise ValueError("need nvars >= 1 and order >= 0")
         self.nvars = nvars
         self.order = order
-        self.monomials = monomials_upto(nvars, order)
+        self.monomials = tuple(monomials_upto(nvars, order))
         self.nmono = len(self.monomials)
         self.index = {m: i for i, m in enumerate(self.monomials)}
-        self.degrees = np.array([sum(m) for m in self.monomials], dtype=np.intp)
+        self.degrees = _frozen(np.array([sum(m) for m in self.monomials], dtype=np.intp))
 
         # Sparse multiplication table: products of basis monomials that
         # survive truncation, as parallel index arrays.
@@ -67,9 +102,9 @@ class JetContext:
                 mi.append(i)
                 mj.append(j)
                 mk.append(self.index[tuple(a + b for a, b in zip(ei, ej))])
-        self._mul_i = np.array(mi, dtype=np.intp)
-        self._mul_j = np.array(mj, dtype=np.intp)
-        self._mul_k = np.array(mk, dtype=np.intp)
+        self._mul_i = _frozen(np.array(mi, dtype=np.intp))
+        self._mul_j = _frozen(np.array(mj, dtype=np.intp))
+        self._mul_k = _frozen(np.array(mk, dtype=np.intp))
 
         # Per-variable differentiation maps: src monomial -> dst monomial
         # with integer factor (the exponent being lowered).
@@ -84,9 +119,11 @@ class JetContext:
                 src.append(i)
                 dst.append(self.index[tuple(lowered)])
                 fac.append(e[v])
-            self._dsrc.append(np.array(src, dtype=np.intp))
-            self._ddst.append(np.array(dst, dtype=np.intp))
-            self._dfac.append(np.array(fac, dtype=float))
+            self._dsrc.append(_frozen(np.array(src, dtype=np.intp)))
+            self._ddst.append(_frozen(np.array(dst, dtype=np.intp)))
+            self._dfac.append(_frozen(np.array(fac, dtype=float)))
+        self._linear = _frozen(np.eye(nvars))
+        self._columns: dict[tuple[int, ...], np.ndarray] = {}
 
     # -- raw array kernels (last axis = monomial coefficients) -------------
 
@@ -98,24 +135,66 @@ class JetContext:
         out[..., self.degrees > max(valid, -1)] = 0.0
         return out
 
+    def _sum_products(self, vals: np.ndarray) -> np.ndarray:
+        """Sum table products (first axis of ``vals``) by monomial: (T, ...) -> (nmono, ...).
+
+        Each monomial sums its products in table order.
+        """
+        lead = vals.shape[1:]
+        width = math.prod(lead)
+        bins = self._mul_k
+        if width != 1:
+            bins = (bins[:, None] * width + np.arange(width)).ravel()
+        out = np.bincount(bins, weights=vals.ravel(), minlength=self.nmono * width)
+        return out.reshape((self.nmono,) + lead)
+
     def mul_arrays(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-        shape = np.broadcast_shapes(c1.shape[:-1], c2.shape[:-1])
-        out = np.zeros(shape + (self.nmono,))
-        vals = c1[..., self._mul_i] * c2[..., self._mul_j]
-        np.add.at(out, (..., self._mul_k), vals)
-        return out
+        # reversing the axes puts the products first and back last
+        return self._sum_products((c1[..., self._mul_i] * c2[..., self._mul_j]).T).T
 
     def matmul_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Matrix product of jet matrices, shapes (n,k,nmono) x (k,m,nmono)."""
-        vals = np.einsum("ikt,kjt->ijt", a[:, :, self._mul_i], b[:, :, self._mul_j])
-        out = np.zeros((a.shape[0], b.shape[1], self.nmono))
-        np.add.at(out, (slice(None), slice(None), self._mul_k), vals)
-        return out
+        products = np.moveaxis(a, -1, 0)[self._mul_i] @ np.moveaxis(b, -1, 0)[self._mul_j]
+        return self._sum_products(products).transpose(1, 2, 0)
 
     def diff_arrays(self, c: np.ndarray, var: int) -> np.ndarray:
         out = np.zeros_like(c)
         out[..., self._ddst[var]] = c[..., self._dsrc[var]] * self._dfac[var]
         return out
+
+    # -- coordinate variables ------------------------------------------------
+
+    def coordinates(self, jets) -> tuple[np.ndarray, tuple[int, ...]] | None:
+        """Base values and variable indices if every jet is a coordinate variable.
+
+        A coordinate variable is value + x_v, trusted to the full order.  At
+        order 0 every jet is its value and the indices are reported as 0.
+        Returns None when any jet is something else.
+        """
+        if any(j.ctx is not self or j.valid < self.order for j in jets):
+            return None
+        c = np.stack([j.c for j in jets])
+        if self.order == 0:
+            return c[:, 0], (0,) * len(jets)
+        linear = c[:, 1:1 + self.nvars]
+        var = linear.argmax(axis=1)
+        if c[:, 1 + self.nvars:].any() or not np.array_equal(linear, self._linear[var]):
+            return None
+        return c[:, 0], tuple(var.tolist())
+
+    def _placed_columns(self, variables: tuple[int, ...]) -> np.ndarray:
+        """Column of x^E(b) for each row b of ``_exponent_rows(len(variables), order)``.
+
+        E(b) puts b_i on variable ``variables[i]`` (repeated variables add).
+        """
+        cols = self._columns.get(variables)
+        if cols is None:
+            place = np.zeros((len(variables), self.nvars), dtype=np.intp)
+            place[np.arange(len(variables)), variables] = 1
+            exps = _exponent_rows(len(variables), self.order) @ place
+            cols = np.array([self.index[tuple(e)] for e in exps.tolist()], dtype=np.intp)
+            cols = self._columns[variables] = _frozen(cols)
+        return cols
 
     # -- constructors -------------------------------------------------------
 
@@ -472,6 +551,42 @@ class JetSeries:
         for exps, coeff in self.terms.items():
             total += float(coeff) * float(np.prod(point ** np.asarray(exps)))
         return total
+
+
+class TaylorShift:
+    """Jet of a polynomial at coordinate variables, precomputed for one context.
+
+    For P(y) = sum_a c_a y^a at y_i = p_i + x_{v_i}, the coefficient of
+    x^E(b) is sum_a c_a prod_i binom(a_i, b_i) p_i^(a_i - b_i), where E(b)
+    puts b_i on variable v_i.  The pairs (a, b) with b <= a and |b| within
+    the context order, their binomial weights, exponent gaps and target
+    columns depend only on the terms, the context and the variables; each
+    call builds one power table and takes one weighted product.  Terms are
+    summed in sorted order, as a term-by-term jet product would.
+    """
+
+    __slots__ = ("_nmono", "_top", "_cols", "_coeffs", "_binom", "_gaps")
+
+    def __init__(self, terms: dict, ctx: JetContext, variables: tuple[int, ...]):
+        k = len(variables)
+        items = sorted(terms.items())
+        alphas = np.array([e for e, _ in items], dtype=np.intp).reshape(-1, k)
+        betas = _exponent_rows(k, ctx.order)
+        a, b = np.nonzero((betas[None, :, :] <= alphas[:, None, :]).all(axis=2))
+        alphas, betas = alphas[a], betas[b]
+        self._nmono = ctx.nmono
+        self._top = int(alphas.max(initial=0))
+        self._cols = ctx._placed_columns(variables)[b]
+        self._coeffs = np.array([float(c) for _, c in items])[a]
+        self._binom = _pascal(self._top)[alphas, betas].prod(axis=1)
+        # flat indices of p_i^(a_i - b_i) in the (k, top + 1) power table
+        self._gaps = alphas - betas + (self._top + 1) * np.arange(k)
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        """Coefficients of the jet at base values p (one per argument)."""
+        powers = np.asarray(values, dtype=float)[:, None] ** np.arange(self._top + 1)
+        weights = self._coeffs * (self._binom * powers.ravel()[self._gaps].prod(axis=1))
+        return np.bincount(self._cols, weights=weights, minlength=self._nmono)
 
 
 def _coerce_exact(val):

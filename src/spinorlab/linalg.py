@@ -76,6 +76,8 @@ def span_dimension(vectors: list[np.ndarray] | np.ndarray, label: str = "span") 
 
 def orthonormal_span(vectors: list[np.ndarray], label: str = "span") -> np.ndarray:
     """Orthonormal row basis for the span of flattened arrays."""
+    if len(vectors) == 0:
+        raise ValueError(f"{label}: no vectors to span")
     rows = np.stack([np.asarray(v, dtype=float).ravel() for v in vectors])
     rank, vt = _guarded_svd(rows, label)
     return vt[:rank].copy()

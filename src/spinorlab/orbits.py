@@ -33,7 +33,7 @@ from scipy.linalg import expm
 
 from . import clifford
 from .algebra import QMatrix, pfaffian, qdet2
-from .linalg import MatrixSpan, guarded_rank, nullspace, orthonormal_span, real_flat
+from .linalg import MatrixSpan, guarded_rank, nullspace, real_flat
 
 MODEL_NAMES = (
     "SPIN2",
@@ -249,10 +249,17 @@ def _block_diagonal(blocks: tuple[slice, slice]) -> _Preserved:
 def _contragredient(blocks: tuple[slice, slice]) -> _Preserved:
     """The minus block acts as (g+^*)^{-1}, so s-^* s+ is invariant."""
     lo, hi = blocks
-    return _Preserved(
-        lambda m: m[hi, hi] + _adj(m[lo, lo]),
-        lambda g: _norm(g[hi, hi] - np.linalg.inv(_adj(g[lo, lo]))),
-    )
+
+    def residual(g: np.ndarray) -> float:
+        plus_adj = _adj(g[lo, lo])
+        try:
+            return _norm(g[hi, hi] - np.linalg.inv(plus_adj))
+        except np.linalg.LinAlgError:
+            # a singular plus block has no inverse: measure g- g+^* = 1
+            # instead, which misses by at least 1
+            return _norm(g[hi, hi] @ plus_adj - np.eye(plus_adj.shape[0]))
+
+    return _Preserved(lambda m: m[hi, hi] + _adj(m[lo, lo]), residual)
 
 
 # The identity component of SPIN11: an open condition, no Lie constraint.
@@ -715,11 +722,8 @@ def _cached_rep(p: int, q: int) -> clifford.SpinRepresentation:
 
 
 def _half_spinor_basis(rep: clifford.SpinRepresentation):
-    """Orthonormal column bases of the two chiral halves."""
-    return [
-        orthonormal_span(list(proj), f"spin({rep.p},{rep.q}) {half} half-spinors").T
-        for proj, half in zip(rep.chiral_projectors(), ("plus", "minus"))
-    ]
+    """Orthonormal column bases of the two chiral halves, kept on ``rep``."""
+    return rep.half_spinor_bases()
 
 
 def is_pure(signature: tuple[int, int], s: np.ndarray, tol: float = 1e-8) -> bool:

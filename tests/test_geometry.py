@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinorlab import geometry, octospin
 from spinorlab.geometry import (
@@ -36,7 +38,7 @@ from spinorlab.geometry import (
     so_basis,
     symmetric_pairs,
 )
-from spinorlab.jets import JetMatrix
+from spinorlab.jets import JetContext, JetMatrix
 
 
 def _rng(name, salt=0):
@@ -151,6 +153,93 @@ class TestFreeFunction:
         ctx = JetContext(3, 1)
         with pytest.raises(ValueError):
             f.jet(ctx.variables(np.zeros(3)))
+
+
+# Argument maps of the call sites: all coordinates, the null-corner slice
+# x_2..x_n, M101's (x2, x3) among eleven, and a non-contiguous subset.
+ARGUMENT_MAPS = {
+    "identity": (4, (0, 1, 2, 3)),
+    "null-corner": (5, (1, 2, 3, 4)),
+    "M101 (x2, x3)": (11, (1, 2)),
+    "non-contiguous": (6, (0, 2, 5)),
+}
+
+
+@st.composite
+def _table_at_point(draw, arity):
+    exps = st.tuples(*[st.integers(0, 3)] * arity).filter(lambda e: sum(e) <= 5)
+    exact = draw(st.booleans())
+    coeff = (st.fractions(min_value=-20, max_value=20, max_denominator=12) if exact
+             else st.floats(-20, 20, allow_subnormal=False))
+    table = draw(st.dictionaries(exps, coeff, max_size=12))
+    point = draw(st.lists(st.floats(-2, 2, allow_subnormal=False),
+                          min_size=arity, max_size=arity))
+    return table, point
+
+
+class TestTaylorShift:
+    """FreeFunction.jet at coordinate variables against the jet-product oracle."""
+
+    @pytest.mark.parametrize("argmap", list(ARGUMENT_MAPS))
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(order=st.integers(0, 3), data=st.data())
+    def test_shift_matches_product_oracle(self, argmap, order, data):
+        nvars, variables = ARGUMENT_MAPS[argmap]
+        table, values = data.draw(_table_at_point(len(variables)))
+        point = np.zeros(nvars)
+        point[list(variables)] = values
+        ctx = JetContext(nvars, order)
+        X, absX = ctx.variables(point), ctx.variables(np.abs(point))
+        args = [X[v] for v in variables]
+        f = FreeFunction(len(variables), table=table)
+        got, want = f.jet(args), f._product_jet(args)
+        # scale: the same expansion with every coefficient and value made positive
+        size = FreeFunction(len(variables), table={e: abs(c) for e, c in table.items()})
+        scale = size._product_jet([absX[v] for v in variables]).c
+        assert got.valid == want.valid == order
+        assert np.all(np.abs(got.c - want.c) <= 1e-12 * scale + np.finfo(float).tiny)
+
+    def test_other_argument_jets_take_the_product_path(self, monkeypatch):
+        f = FreeFunction(2, table={(2, 1): 1.5, (0, 2): -1.0, (1, 0): 2.0})
+        ctx = JetContext(3, 2)
+        X = ctx.variables([0.4, -0.3, 0.2])
+        shifts = []
+        shift = geometry.TaylorShift
+        monkeypatch.setattr(geometry, "TaylorShift", lambda *a: shifts.append(a) or shift(*a))
+        for args in ([X[0] * X[1], X[2]], [2.0 * X[0], X[1]], [X[0], X[1].diff(1)]):
+            got = f.jet(args)
+            want = f._product_jet(args)
+            assert np.array_equal(got.c, want.c) and got.valid == want.valid
+        assert not shifts
+
+    def test_repeated_variable(self):
+        # f(x, x) sums the shifted coefficients of both arguments
+        f = FreeFunction(2, table={(2, 1): 1.0, (1, 0): -3.0})
+        X = JetContext(1, 3).variables([0.7])
+        got, want = f.jet([X[0], X[0]]), f._product_jet([X[0], X[0]])
+        assert np.allclose(got.c, want.c, rtol=1e-14, atol=1e-14)
+
+    def test_shift_data_stays_with_its_function(self):
+        # functions built and dropped in turn reuse object ids; each must
+        # still be expanded from its own table
+        X = JetContext(2, 2).variables([0.3, -0.2])
+        ids = []
+        for i in range(20):
+            f = FreeFunction(2, table={(i % 3 + 1, 0): i + 1.0, (0, i % 2 + 1): 0.5})
+            got, want = f.jet(X), f._product_jet(X)
+            assert np.allclose(got.c, want.c, rtol=1e-14, atol=1e-14)
+            ids.append(id(f))
+            del f
+        assert len(set(ids)) < len(ids)  # CPython hands freed ids out again
+
+    def test_m22deg_display_on_fresh_functions(self):
+        # ricci_paper builds new s_ij functions on every call
+        for salt in range(4):
+            m = _generic("M22DEG", salt=salt)
+            for pt in probe_points(m, 30 + salt, count=2):
+                num = ricci_numeric(m, pt)
+                form = ricci_paper("M22DEG", m.functions, pt)
+                assert np.abs(num - form).max() / max(1.0, np.abs(num).max()) < 1e-9
 
 
 class TestProfileDraws:

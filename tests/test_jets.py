@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from spinorlab.jets import Jet, JetContext, JetMatrix, JetOrderError
+from spinorlab.jets import Jet, JetContext, JetMatrix, JetOrderError, shared_context
 
 
 # Independent oracle: truncated polynomials as exponent-tuple dicts.
@@ -76,6 +76,33 @@ class TestContextTables:
         assert JetContext(11, 3).nmono == 364
         assert JetContext(11, 2).nmono == 78
         assert JetContext(2, 6).nmono == 28
+
+
+class TestSharedContext:
+    def test_one_context_per_size_and_order(self):
+        assert shared_context(4, 2) is shared_context(4, 2)
+        assert shared_context(4, 2) is not shared_context(4, 3)
+
+    def test_tables_are_read_only(self):
+        ctx = shared_context(3, 2)
+        for table in (ctx.degrees, ctx._mul_i, ctx._mul_j, ctx._mul_k,
+                      *ctx._dsrc, *ctx._ddst, *ctx._dfac):
+            with pytest.raises(ValueError):
+                table[0] = 0
+
+    def test_coordinates_are_recognised(self):
+        ctx = JetContext(3, 2)
+        X = ctx.variables([0.5, -1.0, 2.0])
+        values, variables = ctx.coordinates([X[2], X[0] + 1.0, X[2]])
+        assert np.array_equal(values, [2.0, 1.5, 2.0]) and variables == (2, 0, 2)
+        for other in ([2.0 * X[0]], [X[0] * X[1]], [X[0].diff(0)], [ctx.constant(1.0)],
+                      [JetContext(3, 2).variable(0, 0.5)]):
+            assert ctx.coordinates(other) is None
+
+    def test_order_zero_jets_are_their_values(self):
+        ctx = JetContext(2, 0)
+        values, variables = ctx.coordinates([ctx.constant(3.0), ctx.variable(1, -2.0)])
+        assert np.array_equal(values, [3.0, -2.0]) and variables == (0, 0)
 
 
 class TestValidityTracking:

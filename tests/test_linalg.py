@@ -42,6 +42,11 @@ def test_orthonormal_span_of_dependent_rows():
         assert linalg.projection_residual(v, span) < 1e-13
 
 
+def test_orthonormal_span_of_nothing_names_its_label():
+    with pytest.raises(ValueError, match="empty stabilizer: no vectors to span"):
+        orthonormal_span([], "empty stabilizer")
+
+
 AMBIGUOUS = np.diag([1.0, 1e-7, 0.0])
 
 

@@ -120,6 +120,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             model.act_spinor(g, np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("name", ["SPIN33", "SPIN51"])
+    def test_singular_plus_block_is_not_a_member(self, name):
+        # the contragredient block has no inverse to compare against
+        model = get_model(name)
+        g = np.eye(8)
+        g[0, 0] = 0.0
+        residual = model.membership_residual(g)
+        assert np.isfinite(residual) and residual >= 1.0
+        with pytest.raises(ValueError, match="not a group element"):
+            model.act_spinor(g, model.sample_spinor(_rng(name, 3)))
+
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_act_spinor_rejects_perturbed_elements(self, name):
         model = get_model(name)
@@ -472,6 +483,27 @@ class TestPurity:
         assert is_pure((4, 4), s)
         assert is_pure((4, 4), s)
         assert len(calls) == 1
+
+    def test_half_spinor_bases_solved_once_per_representation(self, monkeypatch):
+        from spinorlab import clifford
+
+        calls = []
+        for module in (clifford, orbits):
+            span = getattr(module, "orthonormal_span", None)
+            if span is None:
+                continue
+
+            def counted(vectors, label="span", span=span):
+                if "half-spinors" in label:
+                    calls.append(label)
+                return span(vectors, label)
+
+            monkeypatch.setattr(module, "orthonormal_span", counted)
+        orbits._cached_rep.cache_clear()
+        s = pure_spinor((4, 4))
+        for _ in range(3):
+            assert is_pure((4, 4), s)
+        assert len(calls) == 2
 
     def test_4_4_pure_orbit_dimension(self):
         s = pure_spinor((4, 4))
