@@ -5,7 +5,9 @@ per-check residuals and dimensions, a pass flag per row, the library
 version and the frozen octonion-table checksum.  Rows are ordered by
 check name and identical (spec, seed) inputs produce byte-identical
 reports.  Exit status: 0 all checks pass, 1 any check failed, 2
-malformed input.
+malformed input, 3 a rank decision refused inside its guard band.
+Written reports are strict JSON: a non-finite number is spelled "inf",
+"-inf" or "nan", and each row's pass flag is decided on the float.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 
 from . import __version__, algebra, cauchy, clifford, geometry, octospin, orbits
 from .geometry import _worst
+from .linalg import RankAmbiguityError
 
 COMMANDS = (
     "algebra-selfcheck", "clifford-table", "orbit-report", "triality-check",
@@ -313,9 +316,7 @@ def _cmd_metric_verify(rs: RunSpec) -> list[dict]:
                       "connection is skew for the coframe Gram matrix",
                       skew, tol),
     ]
-    g0 = m.components(np.zeros(m.n))
-    w = np.linalg.eigvalsh(g0)
-    found = (int((w > 0).sum()), int((w < 0).sum()))
+    found = geometry._signature_at(m, np.zeros(m.n))
     rows.append(_row("metric signature",
                      "normal form has the family's split signature",
                      found == m.signature,
@@ -527,17 +528,33 @@ def run_command(rs: RunSpec) -> tuple[dict, int]:
             report["error"] = f"cannot read spec: {exc}"
             return report, 2
     try:
-        checks = _HANDLERS[rs.command](rs)
+        # a non-finite value fails its row, so numpy's warnings about it are noise
+        with np.errstate(all="ignore"):
+            checks = _HANDLERS[rs.command](rs)
     except SpecError as exc:
         report["error"] = str(exc)
         return report, 2
+    except RankAmbiguityError as exc:
+        report["error"] = f"rank refused: {exc}"
+        return report, 3
     report["checks"] = sorted(checks, key=lambda row: row["name"])
     report["pass"] = all(row["pass"] for row in checks)
     return report, 0 if report["pass"] else 1
 
 
+def _strict_json(value):
+    """``value`` with each non-finite float spelled "inf", "-inf" or "nan"."""
+    if isinstance(value, dict):
+        return {key: _strict_json(val) for key, val in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(val) for val in value]
+    if isinstance(value, float) and not np.isfinite(value):
+        return str(value)
+    return value
+
+
 def _write_report(report: dict, out_path: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(_strict_json(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out_path is None:
         sys.stdout.write(text)
     else:

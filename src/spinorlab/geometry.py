@@ -5,11 +5,11 @@ Gram matrix, a basis of the stabilizer subalgebra the Levi-Civita
 connection must take values in, and two independent term lists placing
 profile functions in fixed cells of the metric components and of an
 adapted coframe.  One rule evaluates such a declaration as truncated
-Taylor jets; the 11-dimensional family, built from a fiber coframe, is
-assembled separately.  Curvature is read off the jets (Christoffel
-symbols, Riemann, Ricci); closed-form Ricci displays, constraint
-equations, connection membership and holonomy spans are all checked
-against that machinery.
+Taylor jets, the 11-dimensional family included: its fiber Gram block
+is formed exactly, once per build, as product tables.  Curvature is read
+off the jets (Christoffel symbols, Riemann, Ricci); closed-form Ricci
+displays, constraint equations, connection membership and holonomy spans
+are all checked against that machinery.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import numpy as np
 from . import octospin
 from .jets import (
     Jet,
-    JetContext,
     JetMatrix,
     JetSeries,
     TaylorShift,
@@ -40,10 +39,6 @@ from .linalg import (
 )
 
 DEGENERACY_TOL = 1e-8
-FAMILY_TAGS = (
-    "M21", "M31", "M22GEN", "M22DEG", "M41DEG", "M51NULL",
-    "M33GEN", "M33NULL", "PUREODD", "PUREEVEN", "M101",
-)
 
 
 def _worst(values) -> float:
@@ -283,7 +278,7 @@ def _spec_table(coefficients: dict) -> dict[tuple[int, ...], Fraction]:
             float(coeff)  # OverflowError past the float range
         except (OverflowError, TypeError, ValueError) as exc:
             raise ValueError(f"coefficient {key!r} is not a finite number: {val!r}") from exc
-        table[exps] = table.get(exps, 0) + coeff
+        table[exps] = table[exps] + coeff if exps in table else coeff
     return table
 
 
@@ -296,13 +291,9 @@ def function_from_spec(d: dict) -> FreeFunction:
 def metric_from_spec(d: dict) -> "CoordinateMetric":
     family = str(d["family"])
     functions = [function_from_spec(fd) for fd in d["functions"]]
-    tag, p = _parse_family_tag(family, d.get("p"))
-    if tag == "M101":
-        fiber = d.get("fiber", "identity")
-        if fiber != "identity":
-            raise ValueError("only the identity fiber is serializable")
-        return build_metric_10_1(FiberFamily.identity(), functions[0])
-    return build_metric(tag, functions, p=p)
+    if d.get("fiber", "identity") != "identity":
+        raise ValueError("only the identity fiber is serializable")
+    return build_metric(family, functions, p=d.get("p"))
 
 
 # -- coordinate metrics -------------------------------------------------------
@@ -410,11 +401,6 @@ def _expect_block(tag: str, functions, p, base: int) -> int:
     return n
 
 
-def _zeros(ctx: JetContext, n: int) -> list[list[Jet]]:
-    z = ctx.constant(0.0)
-    return [[z for _ in range(n)] for _ in range(n)]
-
-
 def _fmatrix(functions, pairs, size):
     grid = [[None] * size for _ in range(size)]
     for (i, j), f in zip(pairs, functions):
@@ -452,18 +438,28 @@ def _symmetric_divergence_rule(fgrid, size, y_vars):
     return rule
 
 
+def _hessian_determinant_rule(hess):
+    def rule(m: CoordinateMetric, points) -> dict[str, float]:
+        dets = (np.linalg.det([[h.value(pt) for h in row] for row in hess]) for pt in points)
+        return {"hessian determinant": _worst(abs(d - 1.0) for d in dets)}
+
+    return rule
+
+
 def _profile_rule(const, profiles, terms):
     """Jet rule (X, ctx) -> const + coeff * f_t(X[args_t]) in cell (i, j), per term.
 
     ``profiles`` lists (FreeFunction, argument indices) and ``terms`` lists
-    (i, j, coeff, t).  Each profile is evaluated once per call, and the
-    matrix is trusted to the lowest order among the profile jets.
+    (i, j, coeff, t).  Each profile the terms reference is evaluated once
+    per call, and the others not at all; the matrix is trusted to the
+    lowest order among the evaluated profile jets.
     """
     const = np.array(const, dtype=float)
-    profiles = [(f, tuple(args)) for f, args in profiles]
     rows, cols, coeffs, which = zip(*terms)
+    used = sorted(set(which))
+    profiles = [(profiles[t][0], tuple(profiles[t][1])) for t in used]
     cells = np.ravel_multi_index((rows, cols), const.shape)
-    which = np.array(which, dtype=np.intp)
+    which = np.searchsorted(used, which)
     coeffs = np.array(coeffs, dtype=float)[:, None]
 
     def rule(X, ctx):
@@ -483,13 +479,15 @@ def _normal_form(tag, signature, coords, gram, stabilizer, functions, profiles,
     """Metric whose components and coframe are constant parts plus profile terms.
 
     The constant part of the components defaults to the Gram matrix and that
-    of the coframe to the identity.
+    of the coframe to the identity.  The signature is checked at the origin.
     """
     n = len(coords)
     comp = _profile_rule(gram if comp_const is None else comp_const, profiles, comp_terms)
     cof = _profile_rule(np.eye(n) if cof_const is None else cof_const, profiles, cof_terms)
-    return CoordinateMetric(n, signature, coords, comp, family=tag, functions=functions,
-                            coframe_rule=cof, gram=gram, stabilizer=stabilizer, **extra)
+    m = CoordinateMetric(n, signature, coords, comp, family=tag, functions=functions,
+                         coframe_rule=cof, gram=gram, stabilizer=stabilizer, **extra)
+    _check_signature(m)
+    return m
 
 
 def _null_corner_form(tag, functions, signature, coords, gram, stabilizer, coeff):
@@ -592,12 +590,6 @@ def _build_m33gen(functions, p=None):
     h0 = np.array([[hess[i][j].value(np.zeros(6)) for j in range(3)] for i in range(3)])
     if abs(np.linalg.det(h0) - 1.0) > 1e-8:
         raise ValueError("mixed Hessian determinant differs from 1 at the probe point")
-
-    def constraints(m, points):
-        dets = (np.linalg.det([[hess[i][j].value(pt) for j in range(3)] for i in range(3)])
-                for pt in points)
-        return {"hessian determinant": _worst(abs(d - 1.0) for d in dets)}
-
     # profile 3i + j is the mixed Hessian entry f_{x_i y_j}
     cells = list(itertools.product(range(3), repeat=2))
     return _normal_form(
@@ -607,7 +599,7 @@ def _build_m33gen(functions, p=None):
         [(a, b, 0.5, 3 * i + j) for i, j in cells for a, b in ((i, 3 + j), (3 + j, i))],
         [(3 + i, 3 + j, 1.0, 3 * i + j) for i, j in cells],
         comp_const=np.zeros((6, 6)), cof_const=np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]),
-        constraint_rule=constraints)
+        constraint_rule=_hessian_determinant_rule(hess))
 
 
 def _build_m33null(functions, p=None):
@@ -678,6 +670,12 @@ def _m33null_stabilizer() -> tuple[np.ndarray, ...]:
     return tuple(out + _skew_pair_blocks(3, 6, 0, 3))
 
 
+def _build_m101(functions, p=None):
+    if len(functions) != 1:
+        raise ValueError("M101 takes a single free profile")
+    return build_metric_10_1(FiberFamily.identity(), functions[0])
+
+
 _BUILDERS = {
     "M21": _build_m21,
     "M31": _build_m31,
@@ -689,7 +687,9 @@ _BUILDERS = {
     "M33NULL": _build_m33null,
     "PUREODD": _build_pure_odd,
     "PUREEVEN": _build_pure_even,
+    "M101": _build_m101,
 }
+FAMILY_TAGS = tuple(_BUILDERS)
 
 
 def _parse_family_tag(family: str, p=None):
@@ -706,22 +706,20 @@ def _parse_family_tag(family: str, p=None):
 def build_metric(family: str, functions, p=None) -> CoordinateMetric:
     """Assemble a normal-form metric from its free functions."""
     tag, p = _parse_family_tag(family, p)
-    functions = tuple(functions)
-    if tag == "M101":
-        if len(functions) != 1:
-            raise ValueError("M101 takes a single free profile")
-        return build_metric_10_1(FiberFamily.identity(), functions[0])
-    m = _BUILDERS[tag](functions, p)
-    _check_signature(m)
-    return m
+    return _BUILDERS[tag](tuple(functions), p)
+
+
+def _signature_at(m: CoordinateMetric, point) -> tuple[int, int]:
+    """Numbers of positive and negative eigenvalues of the metric at a point."""
+    w = np.linalg.eigvalsh(m.components(point))
+    return int((w > 0).sum()), int((w < 0).sum())
 
 
 def _check_signature(m: CoordinateMetric) -> None:
-    g0 = m.components(np.zeros(m.n))
-    if abs(np.linalg.det(g0)) <= DEGENERACY_TOL:
+    origin = np.zeros(m.n)
+    if abs(np.linalg.det(m.components(origin))) <= DEGENERACY_TOL:
         raise ValueError("metric degenerate at the origin probe")
-    w = np.linalg.eigvalsh(g0)
-    found = (int((w > 0).sum()), int((w < 0).sum()))
+    found = _signature_at(m, origin)
     if found != m.signature:
         raise ValueError(f"{m.family} signature {found} != declared {m.signature}")
 
@@ -1105,60 +1103,70 @@ def curvature_space_dim(stabilizer, n: int | None = None) -> int:
 class FiberFamily:
     """x3-dependent coframe on the 8-dimensional fiber.
 
-    Entries are numbers or functions of (x3, w1..w8); each slice must be an
-    invertible 8x8 matrix.
+    Entries are numbers or polynomial tables of (x3, w1..w8), so that the
+    Gram block E^T E is formed exactly; each slice must be an invertible
+    8x8 matrix.
     """
 
     def __init__(self, entries):
-        grid = []
-        constant = True
         arr = np.asarray(entries, dtype=object)
         if arr.shape != (8, 8):
             raise ValueError("fiber coframe must be 8x8")
-        for i in range(8):
-            row = []
-            for j in range(8):
-                cell = arr[i, j]
-                if isinstance(cell, FreeFunction):
-                    if cell.arity != 9:
-                        raise ValueError("fiber entries take (x3, w1..w8)")
-                    row.append(cell)
-                    constant = False
-                else:
-                    row.append(float(cell))
-            grid.append(row)
-        self.entries = grid
-        self.constant = constant
+        for cell in arr.flat:
+            if isinstance(cell, FreeFunction) and (cell.arity != 9 or cell.table is None):
+                raise ValueError("fiber entries are numbers or tables of (x3, w1..w8)")
+        self.entries = [[c if isinstance(c, FreeFunction) else float(c) for c in row]
+                        for row in arr]
+        self.constant = not any(isinstance(c, FreeFunction) for c in arr.flat)
 
     @classmethod
     def identity(cls) -> "FiberFamily":
         return cls(np.eye(8))
 
-    def jets(self, x3: Jet, wjets, ctx: JetContext) -> JetMatrix:
-        args = [x3] + list(wjets)
-        rows = []
-        for i in range(8):
-            row = []
-            for j in range(8):
-                cell = self.entries[i][j]
-                if isinstance(cell, FreeFunction):
-                    row.append(cell.jet(args))
-                else:
-                    row.append(ctx.constant(cell))
-            rows.append(row)
-        return JetMatrix.from_entries(rows)
 
-    def values(self, x3v: float, wv) -> np.ndarray:
-        ctx = shared_context(9, 0)
-        jets = ctx.variables(np.concatenate([[x3v], np.asarray(wv, float)]))
-        return self.jets(jets[0], jets[1:], ctx).value()
+def _fiber_gram(entries) -> dict:
+    """E^T E as {(a, b): number or product table of (x3, w1..w8)}, formed exactly."""
+    tables = [[c.table if isinstance(c, FreeFunction) else {(0,) * 9: c} for c in row]
+              for row in entries]
+    order = 2 * max((sum(e) for row in tables for t in row for e in t), default=0)
+    series = [[JetSeries(9, order, t) for t in row] for row in tables]
+    cells = {}
+    for a, b in symmetric_pairs(8):
+        total = JetSeries.zero(9, order)
+        for k in range(8):
+            total = total + series[k][a] * series[k][b]
+        if total.terms.keys() - {(0,) * 9}:
+            cell = FreeFunction(9, table=total.terms, name=f"(E^T E){a + 1}{b + 1}")
+        else:
+            cell = float(total.terms.get((0,) * 9, 0.0))
+        cells[a, b] = cells[b, a] = cell
+    return cells
+
+
+def _place_fiber(const, terms, profiles, cells) -> None:
+    """Put {(a, b): number or table} cells into the 8x8 block at (3, 3).
+
+    A number goes into ``const``; a table becomes a profile of (x3, w1..w8),
+    appended to ``profiles`` once however many cells hold it, and a term.
+    """
+    slots = {}
+    for (a, b), cell in cells.items():
+        if isinstance(cell, FreeFunction):
+            if id(cell) not in slots:
+                slots[id(cell)] = len(profiles)
+                profiles.append((cell, range(2, 11)))
+            terms.append((3 + a, 3 + b, 1.0, slots[id(cell)]))
+            cell = 0.0
+        const[3 + a, 3 + b] = cell
 
 
 def build_metric_10_1(fiber, g: FreeFunction) -> CoordinateMetric:
     """Signature (10,1) metric from a fiber coframe family and a free profile.
 
     The profile g may take (x2, x3), (x2, x3, w1..w8) or all eleven
-    coordinates, but must not depend on x1.
+    coordinates, but must not depend on x1.  It enters the components as
+    -4 g in the (x3, x3) cell and the coframe as g dx3 in theta^0; the fiber
+    block is E in the coframe and E^T E in the components.
     """
     if not isinstance(fiber, FiberFamily):
         fiber = FiberFamily(fiber)
@@ -1174,49 +1182,17 @@ def build_metric_10_1(fiber, g: FreeFunction) -> CoordinateMetric:
                 x = rng.uniform(-0.5, 0.5, 11)
                 if abs(g.derivative(x, 0)) > 1e-9:
                     raise ValueError("profile must not depend on x1")
-
-    def gargs(X):
-        if g.arity == 2:
-            return [X[1], X[2]]
-        if g.arity == 10:
-            return [X[1], X[2]] + list(X[3:])
-        return list(X)
-
-    def comp(X, ctx):
-        e = _zeros(ctx, 11)
-        e[0][2] = e[2][0] = ctx.constant(-2.0)
-        e[1][1] = ctx.constant(1.0)
-        e[2][2] = -4.0 * g.jet(gargs(X))
-        ef = fiber.jets(X[2], X[3:], ctx)
-        ete = ef.transpose() @ ef
-        for a in range(8):
-            for bq in range(8):
-                e[3 + a][3 + bq] = ete.entry(a, bq)
-        return JetMatrix.from_entries(e)
-
-    def cof(X, ctx):
-        e = _zeros(ctx, 11)
-        one = ctx.constant(1.0)
-        e[0][0] = one
-        e[0][2] = g.jet(gargs(X))
-        e[1][1] = one
-        e[2][2] = one
-        ef = fiber.jets(X[2], X[3:], ctx)
-        for a in range(8):
-            for bq in range(8):
-                e[3 + a][3 + bq] = ef.entry(a, bq)
-        return JetMatrix.from_entries(e)
-
+    profiles = [(g, {2: (1, 2), 10: range(1, 11), 11: range(11)}[g.arity])]
+    comp_const, comp_terms = octospin.GRAM_10_1.copy(), [(2, 2, -4.0, 0)]
+    cof_const, cof_terms = np.eye(11), [(0, 2, 1.0, 0)]
+    _place_fiber(comp_const, comp_terms, profiles, _fiber_gram(fiber.entries))
+    _place_fiber(cof_const, cof_terms, profiles,
+                 {(a, b): fiber.entries[a][b] for a, b in itertools.product(range(8), repeat=2)})
     coords = ("x1", "x2", "x3") + tuple(f"w{a + 1}" for a in range(8))
     stab = tuple(e.rho.astype(float).copy() for e in octospin.null_stabilizer_basis())
-    m = CoordinateMetric(11, (10, 1), coords, comp, family="M101",
-                         functions=(g,), coframe_rule=cof,
-                         gram=octospin.GRAM_10_1.copy(), stabilizer=stab,
-                         fiber=fiber)
-    if abs(np.linalg.det(fiber.values(0.0, np.zeros(8)))) <= DEGENERACY_TOL:
-        raise ValueError("fiber coframe degenerate at the origin")
-    _check_signature(m)
-    return m
+    return _normal_form("M101", (10, 1), coords, octospin.GRAM_10_1.copy(), stab, (g,),
+                        profiles, comp_terms, cof_terms, comp_const=comp_const,
+                        cof_const=cof_const, fiber=fiber)
 
 
 @lru_cache(maxsize=1)
@@ -1297,7 +1273,7 @@ def parallel_forms_10_1(m: CoordinateMetric) -> dict[str, np.ndarray]:
     out = {"dx3": one, "dx2^dx3": two}
     if m.fiber is not None and m.fiber.constant:
         phi = cayley_four_form()
-        ev = m.fiber.values(0.0, np.zeros(8))
+        ev = m.coframe_jets(np.zeros(11), order=0).value()[3:, 3:]
         pulled = np.einsum("abcd,ai,bj,ck,dl->ijkl", phi, ev, ev, ev, ev)
         five = np.zeros((11,) * 5)
         base = list(itertools.combinations(range(8), 4))

@@ -406,9 +406,6 @@ class JetMatrix:
     def diff(self, var: int) -> "JetMatrix":
         return JetMatrix(self.ctx, self.ctx.diff_arrays(self.c, var), self.valid - 1)
 
-    def transpose(self) -> "JetMatrix":
-        return JetMatrix(self.ctx, np.swapaxes(self.c, 0, 1), self.valid)
-
     def inv(self) -> "JetMatrix":
         n, m = self.shape
         if n != m:
@@ -451,7 +448,7 @@ class JetSeries:
                 raise ValueError(f"bad exponent tuple {exps}")
             if sum(exps) > self.order or coeff == 0:
                 continue
-            clean[exps] = clean.get(exps, 0) + coeff
+            clean[exps] = clean[exps] + coeff if exps in clean else coeff
         self.terms = {e: c for e, c in clean.items() if c != 0}
 
     @classmethod
@@ -592,4 +589,4 @@ class TaylorShift:
 def _coerce_exact(val):
     if isinstance(val, (float, np.floating)):
         return float(val)
-    return Fraction(val)
+    return val if isinstance(val, Fraction) else Fraction(val)

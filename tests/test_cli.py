@@ -1,10 +1,15 @@
 """Exit codes, report shape and determinism of the verification driver."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinorlab
 from spinorlab import __version__, algebra
 from spinorlab.cli import COMMANDS, DEFAULT_TOLS, RunSpec, main, run_command
 
@@ -25,6 +30,11 @@ PUREODD2 = {
 # NaN and the closed-form display is inf at every probe point
 M31_OVERFLOW = {"family": "M31", "functions": [
     {"arity": 3, "coefficients": {"2,0,0": 1e308, "0,2,0": 1e308, "0,0,0": 1}}]}
+
+# f = u^2 + v^2 / 10^6: the curvature operators' singular values differ by a
+# ratio of 1e-6, inside the rank guard band
+M31_AMBIGUOUS = {"family": "M31", "functions": [
+    {"arity": 3, "coefficients": {"2,0,0": 1, "0,2,0": "1/1000000"}}]}
 
 PUREEVEN2_BAD = {
     "family": "PUREEVEN",
@@ -150,6 +160,12 @@ class TestExitCodes:
     def test_cauchy_p_out_of_range(self):
         _, status = run_command(RunSpec("cauchy-solve", p=4))
         assert status == 2
+
+    def test_guard_band_refusal(self, tmp_path):
+        spec = _write(tmp_path, "m31.json", M31_AMBIGUOUS)
+        report, status = run_command(RunSpec("holonomy-estimate", spec_path=spec))
+        assert status == 3 and "checks" not in report
+        assert "holonomy span" in report["error"] and "guard band" in report["error"]
 
 
 class TestDeterminism:
@@ -391,3 +407,22 @@ class TestMain:
         code = main(["metric-verify", "--spec", spec,
                      "--out", str(tmp_path / "r.json")])
         assert code == 1
+
+    def test_non_finite_report_is_strict_json(self, tmp_path):
+        spec = _write(tmp_path, "m31.json", M31_OVERFLOW)
+        src = str(Path(spinorlab.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "spinorlab.cli", "metric-verify", "--spec", spec],
+            capture_output=True, text=True, env=env, check=False)
+        assert proc.returncode == 1 and proc.stderr == ""
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        rows = _by_name(json.loads(proc.stdout, parse_constant=reject))
+        assert rows["curvature magnitude"]["value"] == "nan"
+        assert rows["connection membership"]["residual"] == "inf"
+        assert not rows["curvature magnitude"]["pass"]
+        assert not rows["connection membership"]["pass"]

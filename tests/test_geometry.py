@@ -391,7 +391,7 @@ class TestFamilyBuilders:
         assert _generic(family, p=p).stabilizer_dimension == dim
 
     @pytest.mark.parametrize("family,p,distinct", [
-        ("PUREODD", 3, 6), ("PUREEVEN", 3, 6), ("M33NULL", None, 3),
+        ("PUREODD", 3, 6), ("PUREEVEN", 3, 6), ("M33NULL", None, 3), ("M101", None, 1),
     ])
     def test_each_profile_evaluated_once(self, family, p, distinct, monkeypatch):
         m = _generic(family, p=p)
@@ -862,6 +862,34 @@ class TestElevenDimensionalFamily:
         with pytest.raises(ValueError):
             FiberFamily(np.eye(7))
 
+    def test_rule_fiber_entry_rejected(self):
+        entries = np.eye(8).astype(object)
+        entries[0, 0] = FreeFunction(9, rule=lambda *X: X[0] * X[1])
+        with pytest.raises(ValueError):
+            FiberFamily(entries)
+
+    def test_degenerate_fiber_rejected(self):
+        entries = np.eye(8)
+        entries[4, 4] = 0.0
+        with pytest.raises(ValueError, match="degenerate"):
+            build_metric_10_1(FiberFamily(entries), FreeFunction(2, table={(1, 1): 0.3}))
+
+    def test_fiber_gram_block_is_coframe_product(self):
+        # the components' E^T E comes from exact product tables; multiply the
+        # coframe's E jets instead
+        entries = np.eye(8).astype(object)
+        entries[0, 0] = FreeFunction(9, table={(0,) * 9: 1.0, (1,) + (0,) * 8: 0.2})
+        entries[2, 5] = random_polynomial(9, _rng("M101 fiber"), degree=2, scale=0.1)
+        entries[5, 5] = FreeFunction(9, table={(0,) * 9: 1.0, (2,) + (0,) * 8: -0.3})
+        entries[7, 1] = 0.25
+        m = build_metric_10_1(FiberFamily(entries), FreeFunction(2, table={(1, 1): 0.3}))
+        for pt in probe_points(m, 45, count=2):
+            for order in (0, 1, 2):
+                e = m.coframe_jets(pt, order=order).c[3:, 3:]
+                g = m.component_jets(pt, order=order)
+                want = g.ctx.matmul_arrays(np.swapaxes(e, 0, 1), e)
+                assert np.abs(g.c[3:, 3:] - want).max() < 1e-14
+
     def test_holonomy_span_stays_within_stabilizer(self):
         m = _generic("M101")
         est = holonomy_span(m, probe_points(m, 44, count=2))
@@ -883,6 +911,15 @@ class TestSpecRoundTrip:
         assert f.table == {(1, 1): Fraction(1, 3), (0, 2): 2}
         assert all(isinstance(c, Fraction) for c in f.table.values())
         assert f.partial(0).table == {(0, 1): Fraction(1, 3)}
+
+    def test_one_fraction_per_coefficient(self, monkeypatch):
+        made = []
+        new = Fraction.__new__
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(
+            lambda cls, *args, **kw: made.append(args) or new(cls, *args, **kw)))
+        f = function_from_spec({"arity": 2, "coefficients": {"1,1": "1/3", "0,2": 2, "2,0": 0.5}})
+        assert len(made) == 3
+        assert f.table == {(1, 1): Fraction(1, 3), (0, 2): 2, (2, 0): Fraction(1, 2)}
 
     def test_metric_round_trip(self):
         d = {"family": "PUREEVEN(2)", "functions": [
