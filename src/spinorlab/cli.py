@@ -25,25 +25,6 @@ from . import __version__, algebra, cauchy, clifford, geometry, octospin, orbits
 from .geometry import _worst
 from .linalg import RankAmbiguityError
 
-COMMANDS = (
-    "algebra-selfcheck", "clifford-table", "orbit-report", "triality-check",
-    "metric-verify", "ricci-compare", "holonomy-estimate", "cauchy-solve",
-    "curvature-space",
-)
-
-DEFAULT_TOLS = {
-    "algebra-selfcheck": 1e-12,
-    "clifford-table": 0.0,
-    "orbit-report": 0.0,
-    "triality-check": 1e-9,
-    "metric-verify": 1e-9,
-    "ricci-compare": 1e-7,
-    "holonomy-estimate": 1e-8,
-    "cauchy-solve": 0.0,
-    "curvature-space": 0.0,
-}
-
-
 @dataclass(frozen=True)
 class RunSpec:
     """One verification run: subcommand plus the recorded inputs."""
@@ -220,8 +201,8 @@ def _cmd_orbit_report(rs: RunSpec) -> list[dict]:
     for name, coeffs, stab, orbit, label in _ORBIT_REFERENCE:
         model = orbits.get_model(name)
         s = np.asarray(coeffs, dtype=float)
-        got_stab = model.stabilizer_dimension(s)
         got_orbit = model.orbit_dimension(s)
+        got_stab = model.group_dim - got_orbit
         rows.append(_row(
             f"{name.lower()} {label} class",
             "spin orbit and stabilizer dimensions of the model spinor",
@@ -494,17 +475,20 @@ def _cmd_curvature_space(rs: RunSpec) -> list[dict]:
     return rows
 
 
-_HANDLERS = {
-    "algebra-selfcheck": _cmd_algebra_selfcheck,
-    "clifford-table": _cmd_clifford_table,
-    "orbit-report": _cmd_orbit_report,
-    "triality-check": _cmd_triality_check,
-    "metric-verify": _cmd_metric_verify,
-    "ricci-compare": _cmd_ricci_compare,
-    "holonomy-estimate": _cmd_holonomy_estimate,
-    "cauchy-solve": _cmd_cauchy_solve,
-    "curvature-space": _cmd_curvature_space,
+# subcommand -> (handler, default tolerance)
+_COMMAND_TABLE = {
+    "algebra-selfcheck": (_cmd_algebra_selfcheck, 1e-12),
+    "clifford-table": (_cmd_clifford_table, 0.0),
+    "orbit-report": (_cmd_orbit_report, 0.0),
+    "triality-check": (_cmd_triality_check, 1e-9),
+    "metric-verify": (_cmd_metric_verify, 1e-9),
+    "ricci-compare": (_cmd_ricci_compare, 1e-7),
+    "holonomy-estimate": (_cmd_holonomy_estimate, 1e-8),
+    "cauchy-solve": (_cmd_cauchy_solve, 0.0),
+    "curvature-space": (_cmd_curvature_space, 0.0),
 }
+COMMANDS = tuple(_COMMAND_TABLE)
+DEFAULT_TOLS = {name: tol for name, (_, tol) in _COMMAND_TABLE.items()}
 
 
 def run_command(rs: RunSpec) -> tuple[dict, int]:
@@ -530,7 +514,7 @@ def run_command(rs: RunSpec) -> tuple[dict, int]:
     try:
         # a non-finite value fails its row, so numpy's warnings about it are noise
         with np.errstate(all="ignore"):
-            checks = _HANDLERS[rs.command](rs)
+            checks = _COMMAND_TABLE[rs.command][0](rs)
     except SpecError as exc:
         report["error"] = str(exc)
         return report, 2

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import invariant_symmetric_forms, orthonormal_span
+from .linalg import MatrixSpan, invariant_symmetric_forms, orthonormal_span
 
 _J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 _D2 = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -281,15 +281,6 @@ def vector_embedding(gens: list[np.ndarray], v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _vector_coefficients(gens, mat) -> np.ndarray:
-    cols = np.stack([g.ravel() for g in gens], axis=1)
-    coeff, res, *_ = np.linalg.lstsq(cols, mat.ravel(), rcond=None)
-    resid = np.linalg.norm(cols @ coeff - mat.ravel())
-    if resid > 1e-9 * max(1.0, np.linalg.norm(mat)):
-        raise ArithmeticError("matrix does not lie in the span of the generators")
-    return coeff
-
-
 def twisted_reflection(p: int, q: int, v: np.ndarray, w: np.ndarray, gens=None):
     """Conjugate the vector w by the invertible vector v, with a sign twist.
 
@@ -305,7 +296,7 @@ def twisted_reflection(p: int, q: int, v: np.ndarray, w: np.ndarray, gens=None):
         raise ValueError("null vectors are not invertible")
     gv = vector_embedding(gens, v)
     gw = vector_embedding(gens, np.asarray(w, dtype=float))
-    return _vector_coefficients(gens, gv @ gw @ gv / vv)
+    return MatrixSpan(gens, "vector generators").coefficients(gv @ gw @ gv / vv)
 
 
 # -- spinor modules ----------------------------------------------------------

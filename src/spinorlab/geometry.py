@@ -24,7 +24,6 @@ import numpy as np
 from . import octospin
 from .jets import (
     Jet,
-    JetMatrix,
     JetSeries,
     TaylorShift,
     monomials_upto,
@@ -54,55 +53,43 @@ def _worst(values) -> float:
 
 
 class FreeFunction:
-    """Scalar function of ``arity`` arguments, evaluated on jets.
+    """Polynomial profile of ``arity`` arguments, evaluated on jets.
 
-    Two backends: a sparse monomial table {exponents: coefficient}, held
-    as a :class:`JetSeries` truncated at its own total degree and so
-    evaluated and differentiated exactly, or an arbitrary ``rule`` mapping
-    argument jets to a jet in the same context.  Families whose components
-    are built from derivatives of f (Hessian blocks) require the table
-    backend.
+    The sparse monomial table {exponents: coefficient} is held as a
+    :class:`JetSeries` truncated at its own total degree, so the profile is
+    evaluated and differentiated exactly.
     """
 
-    def __init__(self, arity: int, table=None, rule=None, name: str = "f"):
-        if (table is None) == (rule is None):
-            raise ValueError("provide exactly one of table/rule")
+    def __init__(self, arity: int, table, name: str = "f"):
         self.arity = int(arity)
         self.name = name
-        self.rule = rule
         # Taylor shifts of the table, by (nvars, order, argument variables)
         self._shifts: dict[tuple, TaylorShift] = {}
-        if table is None:
-            self.series = None
-            return
         order = max((sum(int(e) for e in exps) for exps in table), default=0)
         self.series = JetSeries.from_table(self.arity, order, table)
 
     @property
     def table(self):
-        """The {exponents: coefficient} terms of the series, or None for a rule."""
-        return None if self.series is None else self.series.terms
+        """The {exponents: coefficient} terms of the series."""
+        return self.series.terms
 
     @classmethod
     def zero(cls, arity: int) -> "FreeFunction":
         return cls(arity, table={})
 
     def __repr__(self) -> str:
-        kind = "table" if self.table is not None else "rule"
-        return f"FreeFunction({self.name}, arity={self.arity}, {kind})"
+        return f"FreeFunction({self.name}, arity={self.arity})"
 
     def jet(self, args: list[Jet]) -> Jet:
         """The jet of f at argument jets of one context.
 
-        A table at coordinate variables (each argument value + x_v) is
+        At coordinate variables (each argument value + x_v) the table is
         expanded as its Taylor shift, precomputed once per context size and
         argument variables; other argument jets go through term-by-term jet
         products.
         """
         if len(args) != self.arity:
             raise ValueError(f"{self.name} takes {self.arity} arguments, got {len(args)}")
-        if self.rule is not None:
-            return self.rule(*args)
         ctx = args[0].ctx
         coords = ctx.coordinates(args)
         if coords is None:
@@ -135,10 +122,7 @@ class FreeFunction:
         return out
 
     def value(self, point) -> float:
-        if self.series is not None:
-            return self.series.evaluate(point)
-        ctx = shared_context(self.arity, 0)
-        return self.jet(ctx.variables(np.asarray(point, dtype=float))).value()
+        return self.series.evaluate(point)
 
     def derivative(self, point, *vars_: int) -> float:
         """Mixed partial derivative value at ``point``."""
@@ -146,9 +130,7 @@ class FreeFunction:
         return self.jet(ctx.variables(np.asarray(point, dtype=float))).derivative_value(*vars_)
 
     def partial(self, var: int) -> "FreeFunction":
-        """Exact partial derivative; table backend only."""
-        if self.series is None:
-            raise ValueError("partial derivatives need the sparse-table backend")
+        """Exact partial derivative."""
         return FreeFunction(self.arity, table=self.series.diff(var).terms,
                             name=f"d{var}_{self.name}")
 
@@ -326,7 +308,7 @@ class CoordinateMetric:
         if len(self.coordinates) != self.n:
             raise ValueError("coordinate names disagree with the dimension")
 
-    def component_jets(self, point, order: int = 2) -> JetMatrix:
+    def component_jets(self, point, order: int = 2) -> Jet:
         ctx = shared_context(self.n, order)
         return self._component_rule(ctx.variables(np.asarray(point, dtype=float)), ctx)
 
@@ -336,7 +318,7 @@ class CoordinateMetric:
     def det(self, point) -> float:
         return float(np.linalg.det(self.components(point)))
 
-    def coframe_jets(self, point, order: int = 1) -> JetMatrix:
+    def coframe_jets(self, point, order: int = 1) -> Jet:
         if self._coframe_rule is None:
             raise ValueError("metric carries no adapted coframe")
         ctx = shared_context(self.n, order)
@@ -359,7 +341,12 @@ class CoordinateMetric:
 
 
 def custom_metric(n, signature, coordinates, component_rule) -> CoordinateMetric:
-    """Metric from a raw component rule (jets in, JetMatrix out)."""
+    """Metric from a raw component rule.
+
+    ``component_rule(X, ctx)`` takes the coordinate jets X of a shared
+    context and returns the n x n matrix :class:`~spinorlab.jets.Jet` of the
+    components, for instance ``Jet.stack`` of scalar jet rows.
+    """
     return CoordinateMetric(n, signature, coordinates, component_rule)
 
 
@@ -469,7 +456,7 @@ def _profile_rule(const, profiles, terms):
         c = np.bincount(bins, weights=vals.ravel(), minlength=const.size * ctx.nmono)
         c = c.reshape(const.shape + (ctx.nmono,))
         c[..., 0] += const
-        return JetMatrix(ctx, c, min(j.valid for j in jets))
+        return Jet(ctx, c, min(j.valid for j in jets))
 
     return rule
 
@@ -550,8 +537,6 @@ def _build_m22gen(functions, p=None):
 def _build_m22deg(functions, p=None):
     _expect("M22DEG", functions, (4,))
     f, = functions
-    if f.table is None:
-        raise ValueError("M22DEG components are Hessian-derived; need a table function")
     # profiles s11, s12, s22 with s_ij = f_{y_i y_j}
     s = [(f.partial(2 + i).partial(2 + j), range(4)) for i, j in symmetric_pairs(2)]
     stab = (_matrix(4, {(0, 2): 1.0, (1, 3): 1.0}), np.diag([-1.0, 1.0, -1.0, 1.0]),
@@ -584,8 +569,6 @@ def _build_m51null(functions, p=None):
 def _build_m33gen(functions, p=None):
     _expect("M33GEN", functions, (6,))
     f, = functions
-    if f.table is None:
-        raise ValueError("M33GEN components are Hessian-derived; need a table function")
     hess = [[f.partial(i).partial(3 + j) for j in range(3)] for i in range(3)]
     h0 = np.array([[hess[i][j].value(np.zeros(6)) for j in range(3)] for i in range(3)])
     if abs(np.linalg.det(h0) - 1.0) > 1e-8:
@@ -727,8 +710,11 @@ def _check_signature(m: CoordinateMetric) -> None:
 # -- curvature from jets ------------------------------------------------------
 
 
-def _christoffel_arrays(G: JetMatrix):
-    """Christoffel coefficients as jet arrays, shape (n, n, n, nmono)."""
+def _christoffel_arrays(m: CoordinateMetric, point, order: int):
+    """Christoffel coefficients as jet arrays, shape (n, n, n, nmono), and their context."""
+    G = m.component_jets(point, order=order)
+    if abs(np.linalg.det(G.value())) <= DEGENERACY_TOL:
+        raise ValueError("metric degenerate at the probe point")
     ctx = G.ctx
     n = G.shape[0]
     ginv = G.inv()
@@ -739,24 +725,19 @@ def _christoffel_arrays(G: JetMatrix):
 
 
 def christoffel_values(m: CoordinateMetric, point) -> np.ndarray:
-    G = m.component_jets(point, order=1)
-    _require_nondegenerate(G)
-    gam, _ = _christoffel_arrays(G)
-    return gam[..., 0]
+    return _christoffel_arrays(m, point, 1)[0][..., 0]
 
 
-def _require_nondegenerate(G: JetMatrix) -> None:
-    if abs(np.linalg.det(G.value())) <= DEGENERACY_TOL:
-        raise ValueError("metric degenerate at the probe point")
+def _curvature_parts(m: CoordinateMetric, point) -> tuple[np.ndarray, np.ndarray]:
+    """Christoffel values and their first partials, stacked on the derivative first."""
+    gam, ctx = _christoffel_arrays(m, point, 2)
+    dgam = np.stack([ctx.diff_arrays(gam, j)[..., 0] for j in range(m.n)])
+    return gam[..., 0], dgam
 
 
 def ricci_numeric(m: CoordinateMetric, point) -> np.ndarray:
     """Ricci tensor from jet Christoffel symbols (round sphere positive)."""
-    G = m.component_jets(point, order=2)
-    _require_nondegenerate(G)
-    gam, ctx = _christoffel_arrays(G)
-    gv = gam[..., 0]
-    dgam = np.stack([ctx.diff_arrays(gam, j)[..., 0] for j in range(m.n)])
+    gv, dgam = _curvature_parts(m, point)
     term1 = np.einsum("aadb->bd", dgam)
     term2 = np.einsum("daab->bd", dgam)
     contr = np.einsum("aae->e", gv)
@@ -767,11 +748,7 @@ def ricci_numeric(m: CoordinateMetric, point) -> np.ndarray:
 
 def riemann_numeric(m: CoordinateMetric, point) -> np.ndarray:
     """Curvature tensor R^a_{bcd} at a point."""
-    G = m.component_jets(point, order=2)
-    _require_nondegenerate(G)
-    gam, ctx = _christoffel_arrays(G)
-    gv = gam[..., 0]
-    dgam = np.stack([ctx.diff_arrays(gam, j)[..., 0] for j in range(m.n)])
+    gv, dgam = _curvature_parts(m, point)
     t1 = np.einsum("cadb->abcd", dgam)
     t2 = np.einsum("dacb->abcd", dgam)
     t3 = np.einsum("ace,edb->abcd", gv, gv)
@@ -836,8 +813,6 @@ def ricci_paper(family: str, functions, point, p=None) -> np.ndarray:
             n = _expect_block(tag, functions, p, x0)
         else:
             f, = functions
-            if f.table is None:
-                raise ValueError("M22DEG closed form needs a table function")
             # the display reads s_ij = f_{y_i y_j} in the chart (y1, y2) = (-v2, v1),
             # i.e. at v = (y2, -y1)
             functions = []
@@ -911,7 +886,7 @@ class AdaptedCoframe:
     gram_residual: float
 
 
-def _connection_arrays(E: JetMatrix, gram: np.ndarray):
+def _connection_arrays(E: Jet, gram: np.ndarray):
     """Levi-Civita connection A^a_{b,c} in the coframe, as jet arrays.
 
     Solves dtheta^a + A^a_b wedge theta^b = 0 with A metric for the constant
@@ -1113,7 +1088,7 @@ class FiberFamily:
         if arr.shape != (8, 8):
             raise ValueError("fiber coframe must be 8x8")
         for cell in arr.flat:
-            if isinstance(cell, FreeFunction) and (cell.arity != 9 or cell.table is None):
+            if isinstance(cell, FreeFunction) and cell.arity != 9:
                 raise ValueError("fiber entries are numbers or tables of (x3, w1..w8)")
         self.entries = [[c if isinstance(c, FreeFunction) else float(c) for c in row]
                         for row in arr]
@@ -1172,16 +1147,8 @@ def build_metric_10_1(fiber, g: FreeFunction) -> CoordinateMetric:
         fiber = FiberFamily(fiber)
     if g.arity not in (2, 10, 11):
         raise ValueError("profile takes (x2,x3), (x2,x3,w) or all coordinates")
-    if g.arity == 11:
-        if g.table is not None:
-            if any(e[0] for e in g.table):
-                raise ValueError("profile must not depend on x1")
-        else:
-            rng = np.random.default_rng(20260814)
-            for _ in range(5):
-                x = rng.uniform(-0.5, 0.5, 11)
-                if abs(g.derivative(x, 0)) > 1e-9:
-                    raise ValueError("profile must not depend on x1")
+    if g.arity == 11 and g.series.depends_on(0):
+        raise ValueError("profile must not depend on x1")
     profiles = [(g, {2: (1, 2), 10: range(1, 11), 11: range(11)}[g.arity])]
     comp_const, comp_terms = octospin.GRAM_10_1.copy(), [(2, 2, -4.0, 0)]
     cof_const, cof_terms = np.eye(11), [(0, 2, 1.0, 0)]

@@ -2,6 +2,8 @@
 
 A jet is a polynomial truncated at a fixed total degree, used to carry a
 function value together with its partial derivatives at a base point.
+One :class:`Jet` type holds a scalar or an array of such polynomials
+(the metric components, a coframe); a scalar is the shape () case.
 All jets attached to one :class:`JetContext` share the monomial basis and
 the precomputed sparse multiplication table, so products and derivatives
 are plain indexed numpy operations.  ``shared_context`` hands out one
@@ -198,9 +200,11 @@ class JetContext:
 
     # -- constructors -------------------------------------------------------
 
-    def constant(self, value: float) -> "Jet":
-        c = np.zeros(self.nmono)
-        c[0] = value
+    def constant(self, value) -> "Jet":
+        """Jet of a number or an array that does not vary."""
+        value = np.asarray(value, dtype=float)
+        c = np.zeros(value.shape + (self.nmono,))
+        c[..., 0] = value
         return Jet(self, c, self.order)
 
     def variable(self, var: int, value: float) -> "Jet":
@@ -221,7 +225,12 @@ class JetContext:
 
 
 class Jet:
-    """Scalar truncated Taylor expansion with a trusted-order marker."""
+    """Truncated Taylor expansion of a scalar or an array, with a trusted-order marker.
+
+    The monomial coefficients sit on the last axis of ``c``, so ``shape`` is
+    () for a scalar and (n, m) for a matrix.  ``*`` is entrywise, ``@`` is
+    the matrix product and ``jet[i, j]`` is an entry.
+    """
 
     __slots__ = ("ctx", "c", "valid")
 
@@ -230,22 +239,41 @@ class Jet:
         self.valid = min(valid, ctx.order)
         self.c = ctx.mask(np.asarray(coeffs, dtype=float), self.valid)
 
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.c.shape[:-1]
+
+    @staticmethod
+    def stack(rows) -> "Jet":
+        """Matrix jet from rows of scalar jets of one context."""
+        rows = [list(r) for r in rows]
+        valid = min(j.valid for r in rows for j in r)
+        return Jet(rows[0][0].ctx, [[j.c for j in r] for r in rows], valid)
+
+    def __getitem__(self, index) -> "Jet":
+        """Entry or sub-array; the index never reaches the coefficient axis."""
+        return Jet(self.ctx, self.c[np.index_exp[index] + (slice(None),)], self.valid)
+
     # -- extraction ---------------------------------------------------------
 
-    def value(self) -> float:
+    def _read(self, k: int) -> float | np.ndarray:
+        """Coefficient k: a float for a scalar jet, an array otherwise."""
+        return float(self.c[k]) if not self.shape else self.c[..., k].copy()
+
+    def value(self) -> float | np.ndarray:
         if self.valid < 0:
             raise JetOrderError("jet carries no trusted coefficients")
-        return float(self.c[0])
+        return self._read(0)
 
-    def coefficient(self, exps: tuple[int, ...]) -> float:
+    def coefficient(self, exps: tuple[int, ...]) -> float | np.ndarray:
         deg = sum(exps)
         if deg > self.valid:
             raise JetOrderError(
                 f"degree {deg} coefficient requested, trusted only to {self.valid}"
             )
-        return float(self.c[self.ctx.index[tuple(exps)]])
+        return self._read(self.ctx.index[tuple(exps)])
 
-    def derivative_value(self, *vars_: int) -> float:
+    def derivative_value(self, *vars_: int) -> float | np.ndarray:
         """Value of the mixed partial derivative (with factorial factors)."""
         j = self
         for v in vars_:
@@ -259,7 +287,7 @@ class Jet:
             if other.ctx is not self.ctx:
                 raise ValueError("jets from different contexts")
             return other
-        return self.ctx.constant(float(other))
+        return self.ctx.constant(other)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -284,6 +312,10 @@ class Jet:
 
     __rmul__ = __mul__
 
+    def __matmul__(self, other: "Jet") -> "Jet":
+        o = self._coerce(other)
+        return Jet(self.ctx, self.ctx.matmul_arrays(self.c, o.c), min(self.valid, o.valid))
+
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
             return Jet(self.ctx, self.c / other, self.valid)
@@ -304,19 +336,25 @@ class Jet:
         return Jet(self.ctx, self.ctx.diff_arrays(self.c, var), self.valid - 1)
 
     def inv(self) -> "Jet":
-        u0 = self.c[0]
-        if u0 == 0.0:
-            raise ZeroDivisionError("jet with zero value part")
-        # u = u0 (1 - t) with t nilpotent, so 1/u = (1/u0) sum t^k.
-        t = Jet(self.ctx, (self.ctx.constant(u0).c - self.c) / u0, self.valid)
-        out = self.ctx.constant(1.0)
-        term = self.ctx.constant(1.0)
+        """Inverse of a square matrix jet; a scalar is the 1x1 case."""
+        if not self.shape:
+            if self.c[0] == 0.0:
+                raise ZeroDivisionError("jet with zero value part")
+            return Jet(self.ctx, self.c[None, None], self.valid).inv()[0, 0]
+        if len(self.shape) != 2 or self.shape[0] != self.shape[1]:
+            raise ValueError("square matrices only")
+        a0inv = np.linalg.inv(self.c[..., 0])
+        # A = A0 + H with H valueless, so A^-1 = sum (-A0^-1 H)^k A0^-1.
+        h = self.c.copy()
+        h[..., 0] = 0.0
+        ninv = Jet(self.ctx, -np.einsum("ik,kjt->ijt", a0inv, h), self.valid)
+        out = term = self.ctx.constant(np.eye(self.shape[0]))
         for _ in range(self.ctx.order):
-            term = term * t
+            term = ninv @ term
             out = out + term
-        return Jet(self.ctx, out.c / u0, self.valid)
+        return Jet(self.ctx, np.einsum("ikt,kj->ijt", out.c, a0inv), self.valid)
 
-    # -- analytic functions ---------------------------------------------------
+    # -- analytic functions (scalar jets) -----------------------------------
 
     def _nilpotent_series(self, coeff_fn) -> "Jet":
         h = Jet(self.ctx, self.c - self.ctx.constant(self.c[0]).c, self.valid)
@@ -351,80 +389,6 @@ class Jet:
         u0 = float(self.c[0])
         e = self._nilpotent_series(lambda k: 1.0 / math.factorial(k))
         return math.exp(u0) * e
-
-
-class JetMatrix:
-    """Matrix whose entries are jets sharing one context and trusted order."""
-
-    __slots__ = ("ctx", "c", "valid")
-
-    def __init__(self, ctx: JetContext, coeffs: np.ndarray, valid: int):
-        self.ctx = ctx
-        self.valid = min(valid, ctx.order)
-        self.c = ctx.mask(np.asarray(coeffs, dtype=float), self.valid)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.c.shape[0], self.c.shape[1]
-
-    @staticmethod
-    def from_entries(entries) -> "JetMatrix":
-        rows = [list(r) for r in entries]
-        ctx = rows[0][0].ctx
-        valid = min(j.valid for r in rows for j in r)
-        c = np.stack([np.stack([j.c for j in r]) for r in rows])
-        return JetMatrix(ctx, c, valid)
-
-    @staticmethod
-    def constant(ctx: JetContext, mat: np.ndarray) -> "JetMatrix":
-        mat = np.asarray(mat, dtype=float)
-        c = np.zeros(mat.shape + (ctx.nmono,))
-        c[..., 0] = mat
-        return JetMatrix(ctx, c, ctx.order)
-
-    def entry(self, i: int, j: int) -> Jet:
-        return Jet(self.ctx, self.c[i, j], self.valid)
-
-    def value(self) -> np.ndarray:
-        if self.valid < 0:
-            raise JetOrderError("matrix carries no trusted coefficients")
-        return self.c[..., 0].copy()
-
-    def __add__(self, other: "JetMatrix") -> "JetMatrix":
-        return JetMatrix(self.ctx, self.c + other.c, min(self.valid, other.valid))
-
-    def __sub__(self, other: "JetMatrix") -> "JetMatrix":
-        return JetMatrix(self.ctx, self.c - other.c, min(self.valid, other.valid))
-
-    def __matmul__(self, other: "JetMatrix") -> "JetMatrix":
-        return JetMatrix(
-            self.ctx,
-            self.ctx.matmul_arrays(self.c, other.c),
-            min(self.valid, other.valid),
-        )
-
-    def diff(self, var: int) -> "JetMatrix":
-        return JetMatrix(self.ctx, self.ctx.diff_arrays(self.c, var), self.valid - 1)
-
-    def inv(self) -> "JetMatrix":
-        n, m = self.shape
-        if n != m:
-            raise ValueError("square matrices only")
-        a0 = self.c[..., 0]
-        a0inv = np.linalg.inv(a0)
-        # A = A0 + H with H valueless, so A^-1 = sum (-A0^-1 H)^k A0^-1.
-        h = self.c.copy()
-        h[..., 0] = 0.0
-        ninv = JetMatrix(self.ctx, -np.einsum("ik,kjt->ijt", a0inv, h), self.valid)
-        eye = JetMatrix.constant(self.ctx, np.eye(n))
-        out = eye
-        term = eye
-        for _ in range(self.ctx.order):
-            term = ninv @ term
-            out = out + term
-        return JetMatrix(
-            self.ctx, np.einsum("ikt,kj->ijt", out.c, a0inv), self.valid
-        )
 
 
 class JetSeries:

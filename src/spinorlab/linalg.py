@@ -12,9 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 # Normalized singular values below GUARD_LO count as zero, above GUARD_HI
-# as nonzero.  Anything in between is refused.  The nominal split point
-# RANK_TOL sits inside the band and is reported in diagnostics.
-RANK_TOL = 1e-7
+# as nonzero.  Anything in between is refused.
 GUARD_LO = 1e-9
 GUARD_HI = 1e-5
 

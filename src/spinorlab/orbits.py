@@ -61,7 +61,6 @@ SQUARING_MODELS = ("SPIN21", "SPIN31", "SPIN22", "SPIN5", "SPIN41", "SPIN51")
 PIN_SWAP_MODELS = ("SPIN4", "SPIN22", "SPIN33", "SPIN51")
 
 MEMBERSHIP_TOL = 1e-10
-SPAN_TOL = 1e-9
 SUPPORT_TOL = 1e-9
 
 
@@ -463,20 +462,15 @@ class SpinOrbitModel:
 
     def orbit_report(self, s: np.ndarray) -> OrbitReport:
         s = self._coerce_spinor(s)
+        # one rank decision: the stabilizer is the kernel of the action
         orbit = self.orbit_dimension(s)
-        stab = self.stabilizer_dimension(s)
-        if orbit + stab != self.group_dim:
-            raise RuntimeError(
-                f"{self.name}: orbit {orbit} + stabilizer {stab} does not "
-                f"exhaust the group dimension {self.group_dim}"
-            )
         return OrbitReport(
             model=self.name,
             spinor=s.copy(),
             invariants=self.orbit_invariant(s),
             label=self.orbit_label(s),
             orbit_dim=orbit,
-            stabilizer_dim=stab,
+            stabilizer_dim=self.group_dim - orbit,
             group_dim=self.group_dim,
         )
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from spinorlab.jets import Jet, JetContext, JetMatrix, JetOrderError, shared_context
+from spinorlab.jets import Jet, JetContext, JetOrderError, shared_context
 
 
 # Independent oracle: truncated polynomials as exponent-tuple dicts.
@@ -201,26 +201,27 @@ class TestScalarCalculus:
         assert abs(jet.diff(0).value() - 0.4 * math.exp(0.04)) < 1e-12
 
 
-class TestJetMatrix:
+class TestMatrixJets:
     def test_matmul_matches_entrywise(self):
         rng = np.random.default_rng(7)
         ctx = JetContext(2, 3)
-        a = JetMatrix(ctx, rng.standard_normal((3, 4, ctx.nmono)), ctx.order)
-        b = JetMatrix(ctx, rng.standard_normal((4, 2, ctx.nmono)), ctx.order)
+        a = Jet(ctx, rng.standard_normal((3, 4, ctx.nmono)), ctx.order)
+        b = Jet(ctx, rng.standard_normal((4, 2, ctx.nmono)), ctx.order)
         prod = a @ b
+        assert prod.shape == (3, 2)
         for i in range(3):
             for j in range(2):
                 want = ctx.constant(0.0)
                 for k in range(4):
-                    want = want + a.entry(i, k) * b.entry(k, j)
-                assert np.allclose(prod.entry(i, j).c, want.c, atol=1e-12)
+                    want = want + a[i, k] * b[k, j]
+                assert np.allclose(prod[i, j].c, want.c, atol=1e-12)
 
     def test_inverse_of_jet_matrix(self):
         rng = np.random.default_rng(8)
         ctx = JetContext(3, 3)
         c = rng.standard_normal((4, 4, ctx.nmono))
         c[..., 0] += 4.0 * np.eye(4)  # keep the value part invertible
-        a = JetMatrix(ctx, c, ctx.order)
+        a = Jet(ctx, c, ctx.order)
         prod = (a @ a.inv()).c
         eye = np.zeros_like(prod)
         eye[..., 0] = np.eye(4)
@@ -229,8 +230,62 @@ class TestJetMatrix:
     def test_diff_and_valid_propagation(self):
         ctx = JetContext(2, 2)
         x, y = ctx.variables([1.0, 2.0])
-        m = JetMatrix.from_entries([[x * y, x], [y, ctx.constant(1.0)]])
+        m = Jet.stack([[x * y, x], [y, ctx.constant(1.0)]])
         d = m.diff(1)
         assert d.valid == 1
-        assert abs(d.entry(0, 0).value() - 1.0) < 1e-14
-        assert abs(d.entry(0, 1).value()) < 1e-14
+        assert abs(d[0, 0].value() - 1.0) < 1e-14
+        assert abs(d[0, 1].value()) < 1e-14
+
+    def test_product_is_entrywise(self):
+        ctx = JetContext(2, 2)
+        x, y = ctx.variables([0.5, -1.5])
+        a = Jet.stack([[x, y], [x * y, ctx.constant(2.0)]])
+        b = Jet.stack([[y, y], [x, x + y]])
+        prod = a * b
+        for i in range(2):
+            for j in range(2):
+                assert np.array_equal(prod[i, j].c, (a[i, j] * b[i, j]).c)
+
+    def test_constant_stack_and_indexing_round_trip(self):
+        ctx = JetContext(3, 2)
+        mat = np.arange(6.0).reshape(2, 3) - 2.5
+        k = ctx.constant(mat)
+        assert k.shape == (2, 3) and k.valid == ctx.order
+        assert np.array_equal(k.value(), mat)
+        back = Jet.stack([[k[i, j] for j in range(3)] for i in range(2)])
+        assert np.array_equal(back.c, k.c) and back.valid == k.valid
+        X = ctx.variables([0.1, 0.2, 0.3])
+        m = Jet.stack([[X[0], X[1] * X[2]], [X[2].diff(2), X[0] + 1.0]])
+        assert m.valid == ctx.order - 1
+        for i, j, want in ((0, 0, X[0]), (0, 1, X[1] * X[2]), (1, 1, X[0] + 1.0)):
+            assert np.array_equal(m[i, j].c, ctx.mask(want.c, m.valid))
+        assert m[1].shape == (2,) and np.array_equal(m[1].c, m.c[1])
+
+    def test_scalar_value_is_a_float(self):
+        ctx = JetContext(2, 1)
+        x, _ = ctx.variables([0.25, 0.5])
+        assert type(x.value()) is float
+        assert type(Jet.stack([[x]])[0, 0].value()) is float
+
+    def test_zero_scalar_inverse_raises(self):
+        ctx = JetContext(2, 2)
+        x, _ = ctx.variables([0.0, 1.0])
+        with pytest.raises(ZeroDivisionError):
+            x.inv()
+        with pytest.raises(ZeroDivisionError):
+            1.0 / (x * 3.0)
+
+    def test_non_square_inverse_raises(self):
+        ctx = JetContext(2, 1)
+        with pytest.raises(ValueError):
+            ctx.constant(np.ones((2, 3))).inv()
+
+    def test_mixed_contexts_raise(self):
+        a = JetContext(2, 2).variables([0.0, 1.0])[0]
+        b = JetContext(2, 2).variables([0.0, 1.0])[1]
+        for op in (lambda: a + b, lambda: a * b, lambda: a - b):
+            with pytest.raises(ValueError):
+                op()
+        ma, mb = Jet.stack([[a]]), Jet.stack([[b]])
+        with pytest.raises(ValueError):
+            ma @ mb

@@ -342,10 +342,18 @@ class TestOrbitIntegers:
         assert model.orbit_label(zero) == "zero"
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
-    def test_random_report_is_consistent(self, name):
+    def test_random_report_is_consistent(self, name, monkeypatch):
         model = get_model(name)
         rng = _rng(name, 12)
-        report = model.orbit_report(model.sample_spinor(rng))
+        s = model.sample_spinor(rng)
+        # the report reads orbit and stabilizer off one rank decision
+        labels = []
+        rank = orbits.guarded_rank
+        monkeypatch.setattr(orbits, "guarded_rank",
+                            lambda m, label: labels.append(label) or rank(m, label))
+        report = model.orbit_report(s)
+        assert len(labels) == 1
+        assert report.stabilizer_dim == model.stabilizer_dimension(s)
         assert report.orbit_dim + report.stabilizer_dim == model.group_dim
 
     def test_stabilizer_invariant_along_orbit(self):
