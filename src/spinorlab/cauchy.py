@@ -16,6 +16,9 @@ from fractions import Fraction
 
 from .geometry import (
     FreeFunction,
+    _add_bracket_products,
+    _bracket_linear,
+    _bracket_parts,
     _fmatrix,
     _quadratic_bracket,
     _spec_table,
@@ -46,6 +49,8 @@ class CauchyData:
     b: tuple
 
     def __post_init__(self):
+        if self.p < 1:
+            raise ValueError("block size p must be at least 1")
         npairs = len(symmetric_pairs(self.p))
         if self.order < 2:
             raise ValueError("truncation order must be at least 2")
@@ -54,6 +59,8 @@ class CauchyData:
         for s in self.a + self.b:
             if s.nvars != 2 * self.p + 1:
                 raise ValueError("series must use the z,x,y variable layout")
+            if s.order != self.order:
+                raise ValueError("series must be truncated at the data's order")
             if s.depends_on(0):
                 raise ValueError("initial data must not depend on z")
 
@@ -84,10 +91,21 @@ def cauchy_data(p: int, order: int, a_tables, b_tables=None) -> CauchyData:
                       tuple(lift(t) for t in b_tables))
 
 
+def _spec_integer(value, key: str) -> int:
+    """An integral spec number; 2.7 is rejected with its key, not rounded."""
+    try:
+        num = Fraction(value)
+    except (OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{key} must be an integer, got {value!r}") from exc
+    if num.denominator != 1:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(num)
+
+
 def cauchy_data_from_spec(d: dict) -> CauchyData:
     """Data from the JSON polynomial format shared with geometry specs."""
-    p = int(d["p"])
-    order = int(d.get("order", 6))
+    p = _spec_integer(d["p"], "p")
+    order = _spec_integer(d.get("order", 6), "order")
 
     def tables(key):
         return [_spec_table(fd.get("coefficients", {})) for fd in d.get(key, [])]
@@ -128,26 +146,48 @@ def bracket_series(flat, p: int):
 # -- solver ------------------------------------------------------------------
 
 
+def _truncated(tree, order: int):
+    """Nested lists of series with each series truncated at ``order``."""
+    if isinstance(tree, JetSeries):
+        return tree.truncate(order)
+    return [_truncated(node, order) for node in tree]
+
+
 def solve_ricci_ivp(data: CauchyData, check_constraints: bool = True):
     """Solve f_zz = -2 B(f) with f|_{z=0} = a, f_z|_{z=0} = b.
 
     Returns the symmetric profile array (pair order) as series of total
-    degree <= N.  The z^{m+2} coefficients depend only on z-degrees <= m,
-    so the recursion is triangular and, with rational data, exact.
+    degree <= N.  f is built from its z-slices S_k, the z-free coefficients
+    of z^k, trusted to degree N - k.  With B = L + Q(f, f), L linear and Q
+    bilinear, and x, y derivatives keeping z-degrees, the z^m coefficient
+    of B(f) is L(S_m) + sum_{i<=m} Q(S_i, S_{m-i}) up to degree N - 2 - m,
+    and it fixes S_{m+2}: the recursion is triangular and, with rational
+    data, exact.  Each slice's y-derivatives are formed once.
     """
     if data.order < 2:
         raise ValueError("truncation order must be at least 2")
     if check_constraints and data.max_constraint_residual() != 0.0:
         raise ValueError("initial data violates the divergence constraints")
     p, order = data.p, data.order
-    f = [a + b.times_z_power(1).truncate(order) for a, b in zip(data.a, data.b)]
+    pairs = symmetric_pairs(p)
+    x_vars, y_vars = range(1, 1 + p), range(1 + p, 1 + 2 * p)
+    slices = [list(data.a), [b.truncate(order - 1) for b in data.b]]
+    parts = []  # bracket parts of each final slice; None for a zero slice
     for m in range(order - 1):
-        bracket = bracket_series(f, p)
-        for t in range(len(f)):
-            slice_m = bracket[t].z_coefficient(m)
-            phi = slice_m * Fraction(-2, (m + 2) * (m + 1))
-            f[t] = f[t] + phi.times_z_power(m + 2).truncate(order)
-    return tuple(f)
+        keep = order - 2 - m
+        grid = _fmatrix(slices[m], pairs, p)
+        empty = all(s.is_zero() for s in slices[m])
+        parts.append(None if empty else _bracket_parts(grid, y_vars))
+        cut = [None if pt is None else _truncated(pt, keep) for pt in parts]
+        totals = _bracket_linear(grid, x_vars, y_vars)
+        for i in range(m + 1):
+            if cut[i] is not None and cut[m - i] is not None:
+                _add_bracket_products(totals, cut[i], cut[m - i])
+        scale = Fraction(-2, (m + 2) * (m + 1))
+        slices.append([s * scale for s in totals])
+    zero = JetSeries.zero(2 * p + 1, order)
+    return tuple(sum((s.times_z_power(k) for k, s in enumerate(column)), zero)
+                 for column in zip(*slices))
 
 
 def constraint_residual(f, p: int):

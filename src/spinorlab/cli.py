@@ -441,7 +441,8 @@ def _cmd_cauchy_solve(rs: RunSpec) -> list[dict]:
         data_res, tol)]
     if data_res > tol:
         return rows
-    f = cauchy.solve_ricci_ivp(data)
+    # the tolerance has decided on the data; the solver need not re-check it
+    f = cauchy.solve_ricci_ivp(data, check_constraints=False)
     rep = cauchy.verify_ricci_flat(f, data.p)
     rows.append(_residual_row(
         "divergence propagation",

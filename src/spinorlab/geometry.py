@@ -249,8 +249,8 @@ def _spec_table(coefficients: dict) -> dict[tuple[int, ...], Fraction]:
 
     Keys are comma-separated exponent strings; values may be numbers or
     rational strings like "3/4", and are kept as Fractions.  A value that
-    is not a finite number (JSON Infinity or NaN, or beyond the float
-    range) is rejected with its key.
+    is not a finite number (JSON Infinity or NaN, a zero denominator, or
+    beyond the float range) is rejected with its key.
     """
     table: dict[tuple[int, ...], Fraction] = {}
     for key, val in coefficients.items():
@@ -258,7 +258,7 @@ def _spec_table(coefficients: dict) -> dict[tuple[int, ...], Fraction]:
         try:
             coeff = Fraction(val)
             float(coeff)  # OverflowError past the float range
-        except (OverflowError, TypeError, ValueError) as exc:
+        except (OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"coefficient {key!r} is not a finite number: {val!r}") from exc
         table[exps] = table[exps] + coeff if exps in table else coeff
     return table
@@ -776,26 +776,61 @@ _LAPLACIAN_DISPLAYS = {
 }
 
 
-def _quadratic_bracket(grid, x_vars, y_vars):
-    """B_jl = f_jl,x^k y_k - f_mk f_jl,y_m y_k + f_mj,y_k f_kl,y_m (summed), pair order.
+def _bracket_parts(grid, y_vars):
+    """``grid`` with the y-derivatives the bracket's product part reads.
 
-    The one quadratic bracket of both split normal forms.  It needs only
-    diff, +, - and *, so ``grid`` may hold jets at a point or exact series.
+    Returns (grid, dy, dyy) with dy[i][j][k] = f_ij,y_k (shared by the
+    symmetric entries) and dyy[t][m][k] = f_jl,y_m y_k for the t-th pair (j, l).
     """
     p = len(grid)
-    dy = [[[grid[i][j].diff(y_vars[k]) for k in range(p)] for j in range(p)]
-          for i in range(p)]
+    pairs = symmetric_pairs(p)
+    dy = _fmatrix([[grid[j][l].diff(y_vars[k]) for k in range(p)] for j, l in pairs],
+                  pairs, p)
+    dyy = [[[dy[j][l][m].diff(y_vars[k]) for k in range(p)] for m in range(p)]
+           for j, l in pairs]
+    return grid, dy, dyy
+
+
+def _bracket_linear(grid, x_vars, y_vars) -> list:
+    """Linear part of the bracket: L_jl = f_jl,x^k y_k (summed), pair order."""
+    p = len(grid)
     out = []
     for j, l in symmetric_pairs(p):
         total = grid[j][l].diff(x_vars[0]).diff(y_vars[0])
         for k in range(1, p):
             total = total + grid[j][l].diff(x_vars[k]).diff(y_vars[k])
+        out.append(total)
+    return out
+
+
+def _add_bracket_products(totals: list, f, g) -> list:
+    """Add the bilinear part Q_jl(f, g) = -f_mk g_jl,y_m y_k + f_mj,y_k g_kl,y_m to totals.
+
+    f and g are :func:`_bracket_parts`; Q(f, f) is the bracket's product
+    part.  Each pair's terms are added to its total in place, in (m, k) order.
+    """
+    f_grid, f_dy, _ = f
+    _, g_dy, g_dyy = g
+    p = len(f_grid)
+    for t, (j, l) in enumerate(symmetric_pairs(p)):
+        total = totals[t]
         for m in range(p):
             for k in range(p):
-                total = total - grid[m][k] * dy[j][l][m].diff(y_vars[k])
-                total = total + dy[m][j][k] * dy[k][l][m]
-        out.append(total)
-    return tuple(out)
+                total = total - f_grid[m][k] * g_dyy[t][m][k]
+                total = total + f_dy[m][j][k] * g_dy[k][l][m]
+        totals[t] = total
+    return totals
+
+
+def _quadratic_bracket(grid, x_vars, y_vars):
+    """B_jl = f_jl,x^k y_k - f_mk f_jl,y_m y_k + f_mj,y_k f_kl,y_m (summed), pair order.
+
+    The one quadratic bracket of both split normal forms, B = L + Q(f, f)
+    (:func:`_bracket_linear`, :func:`_add_bracket_products`).  It needs only
+    diff, +, - and *, so ``grid`` may hold jets at a point or exact series.
+    """
+    parts = _bracket_parts(grid, y_vars)
+    return tuple(_add_bracket_products(_bracket_linear(grid, x_vars, y_vars), parts, parts))
 
 
 def ricci_paper(family: str, functions, point, p=None) -> np.ndarray:

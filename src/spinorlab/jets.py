@@ -28,6 +28,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from operator import add
 
 import numpy as np
 
@@ -430,7 +431,7 @@ class JetSeries:
         return not self.terms
 
     def max_abs(self) -> float:
-        return max((abs(float(c)) for c in self.terms.values()), default=0.0)
+        return max((abs(_saturating_float(c)) for c in self.terms.values()), default=0.0)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, JetSeries) and self.nvars == other.nvars
@@ -442,19 +443,33 @@ class JetSeries:
     def __repr__(self) -> str:
         return f"JetSeries(nvars={self.nvars}, order={self.order}, nterms={len(self.terms)})"
 
-    def _like(self, order, terms) -> "JetSeries":
-        return JetSeries(self.nvars, order, terms)
+    def _like(self, order: int, terms: dict) -> "JetSeries":
+        """Result of internal arithmetic: ``terms`` already has valid integer exponents.
+
+        Skips the public constructor's checks; only zero coefficients and
+        terms past ``order`` are dropped.
+        """
+        out = JetSeries.__new__(JetSeries)
+        out.nvars = self.nvars
+        out.order = order
+        out.terms = {e: c for e, c in terms.items() if c != 0 and sum(e) <= order}
+        return out
 
     def __add__(self, other: "JetSeries") -> "JetSeries":
         self._check(other)
-        order = min(self.order, other.order)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return self._like(order, out)
+            prev = out.get(e)
+            out[e] = c if prev is None else prev + c
+        return self._like(min(self.order, other.order), out)
 
     def __sub__(self, other: "JetSeries") -> "JetSeries":
-        return self + (-other)
+        self._check(other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            prev = out.get(e)
+            out[e] = -c if prev is None else prev - c
+        return self._like(min(self.order, other.order), out)
 
     def __neg__(self) -> "JetSeries":
         return self._like(self.order, {e: -c for e, c in self.terms.items()})
@@ -463,13 +478,16 @@ class JetSeries:
         if isinstance(other, JetSeries):
             self._check(other)
             order = min(self.order, other.order)
+            right = [(e, c, sum(e)) for e, c in other.terms.items()]
             out = {}
             for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    if sum(e) > order:
+                room = order - sum(e1)
+                for e2, c2, d2 in right:
+                    if d2 > room:
                         continue
-                    out[e] = out.get(e, 0) + c1 * c2
+                    e = tuple(map(add, e1, e2))
+                    prev = out.get(e)
+                    out[e] = c1 * c2 if prev is None else prev + c1 * c2
             return self._like(order, out)
         scal = _coerce_exact(other)
         return self._like(self.order, {e: c * scal for e, c in self.terms.items()})
@@ -484,8 +502,7 @@ class JetSeries:
         out = {}
         for exps, coeff in self.terms.items():
             if exps[var]:
-                e = exps[:var] + (exps[var] - 1,) + exps[var + 1:]
-                out[e] = out.get(e, 0) + coeff * exps[var]
+                out[exps[:var] + (exps[var] - 1,) + exps[var + 1:]] = coeff * exps[var]
         return self._like(self.order - 1, out)
 
     def truncate(self, order: int) -> "JetSeries":
@@ -510,7 +527,7 @@ class JetSeries:
         point = np.asarray(point, dtype=float)
         total = 0.0
         for exps, coeff in self.terms.items():
-            total += float(coeff) * float(np.prod(point ** np.asarray(exps)))
+            total += _saturating_float(coeff) * float(np.prod(point ** np.asarray(exps)))
         return total
 
 
@@ -538,7 +555,7 @@ class TaylorShift:
         self._nmono = ctx.nmono
         self._top = int(alphas.max(initial=0))
         self._cols = ctx._placed_columns(variables)[b]
-        self._coeffs = np.array([float(c) for _, c in items])[a]
+        self._coeffs = np.array([_saturating_float(c) for _, c in items])[a]
         self._binom = _pascal(self._top)[alphas, betas].prod(axis=1)
         # flat indices of p_i^(a_i - b_i) in the (k, top + 1) power table
         self._gaps = alphas - betas + (self._top + 1) * np.arange(k)
@@ -554,3 +571,11 @@ def _coerce_exact(val):
     if isinstance(val, (float, np.floating)):
         return float(val)
     return val if isinstance(val, Fraction) else Fraction(val)
+
+
+def _saturating_float(val) -> float:
+    """float(val), or +-inf where an exact coefficient outgrows the float range."""
+    try:
+        return float(val)
+    except OverflowError:
+        return math.inf if val > 0 else -math.inf

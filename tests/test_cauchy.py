@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinorlab import cauchy, geometry
+from spinorlab import cauchy, cli, geometry
 from spinorlab.cauchy import (
     CauchyData,
     JetSeries,
@@ -55,6 +55,11 @@ def _generic_data(order=6):
     b_extra = [{}, {(0, 1, 0, 0): Fr(1, 9)}, {}]
     return cauchy_data(2, order, _potential_tables(phi, a_extra, order),
                        _potential_tables(psi, b_extra, order))
+
+
+_SERIES_TABLES = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 3).filter(lambda e: sum(e) <= 5),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6), max_size=6)
 
 
 class TestJetSeries:
@@ -110,6 +115,37 @@ class TestJetSeries:
         with pytest.raises(ValueError):
             a + b
 
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(t1=_SERIES_TABLES, t2=_SERIES_TABLES, o1=st.integers(0, 5), o2=st.integers(0, 5),
+           var=st.integers(0, 2), k=st.integers(0, 4),
+           scal=st.fractions(min_value=-3, max_value=3, max_denominator=5))
+    def test_arithmetic_results_are_validated_series(self, t1, t2, o1, o2, var, k, scal):
+        a = JetSeries.from_table(3, o1, t1)
+        b = JetSeries.from_table(3, o2, t2)
+        naive = {}
+        for e1, c1 in a.terms.items():
+            for e2, c2 in b.terms.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                naive[e] = naive.get(e, 0) + c1 * c2
+        assert a * b == JetSeries(3, min(o1, o2), naive)
+        results = (a + b, a - b, -a, a * b, a * scal, scal * a, a.diff(var),
+                   a.truncate(k), a.z_coefficient(k), a.times_z_power(k))
+        for r in results:
+            assert r == JetSeries(r.nvars, r.order, r.terms)
+            assert all(c != 0 and sum(e) <= r.order for e, c in r.terms.items())
+
+    def test_exact_coefficients_past_float_range_saturate(self):
+        huge = Fr(10) ** 400
+        s = JetSeries.from_table(2, 3, {(1, 0): huge, (0, 1): -huge})
+        assert s.max_abs() == np.inf
+        assert s.z_coefficient(0).evaluate([0.0, 2.0]) == -np.inf
+        f = series_to_function(s)
+        X = JetContext(2, 1).variables([0.0, 0.0])
+        with np.errstate(invalid="ignore"):  # inf * 0 in the value part
+            jet = f.jet(X)
+        assert jet.coefficient((1, 0)) == np.inf and jet.coefficient((0, 1)) == -np.inf
+        assert f.partial(0).value([0.5, 0.5]) == np.inf
+
 
 class TestCauchyData:
     def test_order_floor(self):
@@ -125,6 +161,28 @@ class TestCauchyData:
         z = JetSeries.zero(3, 6)
         with pytest.raises(ValueError):
             CauchyData(1, 6, (s,), (z,))
+
+    def test_block_size_floor(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            cauchy_data(0, 6, [])
+
+    def test_series_order_must_match(self):
+        s = JetSeries.from_table(3, 5, {(0, 1, 0): 1})
+        z = JetSeries.zero(3, 6)
+        with pytest.raises(ValueError, match="order"):
+            CauchyData(1, 6, (s,), (z,))
+
+    @pytest.mark.parametrize("key, value", [("p", 1.5), ("order", 2.7), ("order", "7/2"),
+                                            ("p", None), ("order", float("inf"))])
+    def test_spec_integers_are_not_rounded(self, key, value):
+        d = {"p": 1, "order": 4, "a": [{"coefficients": {"2,0": 1}}]}
+        d[key] = value
+        with pytest.raises(ValueError, match=key):
+            cauchy_data_from_spec(d)
+
+    def test_integral_spec_numbers_accepted(self):
+        data = cauchy_data_from_spec({"p": 1.0, "order": "5", "a": [{"coefficients": {}}]})
+        assert (data.p, data.order) == (1, 5)
 
     def test_potential_data_satisfies_constraints_exactly(self):
         assert _generic_data().max_constraint_residual() == 0.0
@@ -196,6 +254,92 @@ class TestSolver:
         f1 = solve_ricci_ivp(data)
         f2 = solve_ricci_ivp(data)
         assert all(s1 == s2 for s1, s2 in zip(f1, f2))
+
+
+def _full_bracket_solve(data):
+    """Oracle: the ungraded recursion, one full bracket of the whole solution per step."""
+    order = data.order
+    f = [a + b.times_z_power(1).truncate(order) for a, b in zip(data.a, data.b)]
+    for m in range(order - 1):
+        bracket = bracket_series(f, data.p)
+        for t in range(len(f)):
+            phi = bracket[t].z_coefficient(m) * Fr(-2, (m + 2) * (m + 1))
+            f[t] = f[t] + phi.times_z_power(m + 2).truncate(order)
+    return tuple(f)
+
+
+_COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _ivp_data(draw, p):
+    """(data, divergence_free): random tables, or potential blocks plus x-only terms.
+
+    Each pair j < k of a potential phi(x, y) adds phi_{y_k y_k} to a_jj,
+    -phi_{y_j y_k} to a_jk and phi_{y_j y_j} to a_kk, which cancels in every
+    divergence row.
+    """
+    order = draw(st.integers(2, 8))
+    n = 2 * p
+    pairs = geometry.symmetric_pairs(p)
+    free = draw(st.booleans())
+
+    def exps(top):
+        return st.lists(st.integers(0, n - 1), max_size=top).map(
+            lambda vs: tuple(vs.count(v) for v in range(n)))
+
+    def layer():
+        if not free:
+            return [draw(st.dictionaries(exps(3), _COEFFS, max_size=4)) for _ in pairs]
+        tables = [draw(st.dictionaries(exps(2).map(lambda e: e[:p] + (0,) * p),
+                                       _COEFFS, max_size=2)) for _ in pairs]
+        for j in range(p):
+            for k in range(j + 1, p):
+                phi = JetSeries.from_table(n, 6, draw(st.dictionaries(exps(5), _COEFFS,
+                                                                      max_size=4)))
+                yj, yk = p + j, p + k
+                for pair, s in (((j, j), phi.diff(yk).diff(yk)),
+                                ((j, k), -phi.diff(yj).diff(yk)),
+                                ((k, k), phi.diff(yj).diff(yj))):
+                    t = tables[pairs.index(pair)]
+                    for e, c in s.terms.items():
+                        t[e] = t.get(e, 0) + c
+        return tables
+
+    return cauchy_data(p, order, layer(), layer()), free
+
+
+class TestGradedRecursion:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_graded_solver_matches_full_bracket_recursion(self, p, data):
+        data, free = data.draw(_ivp_data(p))
+        if free:
+            assert data.max_constraint_residual() == 0.0
+        f = solve_ricci_ivp(data, check_constraints=free)
+        assert f == _full_bracket_solve(data)
+        assert all(s.order == data.order for s in f)
+
+    def test_fixed_data_matches_full_bracket_recursion(self):
+        cases = [_generic_data(order) for order in (2, 6, 8)]
+        cases += [cauchy_data(p, 8, *cli._builtin_cauchy_tables(p)) for p in (1, 2, 3)]
+        for data in cases:
+            assert solve_ricci_ivp(data) == _full_bracket_solve(data)
+
+    def test_solver_makes_no_full_bracket_and_verify_makes_two(self, monkeypatch):
+        calls = []
+        full = cauchy.bracket_series
+
+        def counted(flat, p):
+            calls.append(p)
+            return full(flat, p)
+
+        monkeypatch.setattr(cauchy, "bracket_series", counted)
+        f = solve_ricci_ivp(_generic_data())
+        assert calls == []
+        verify_ricci_flat(f, 2)
+        assert calls == [2, 2]
 
 
 class TestResidualReport:

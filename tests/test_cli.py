@@ -36,6 +36,11 @@ M31_OVERFLOW = {"family": "M31", "functions": [
 M31_AMBIGUOUS = {"family": "M31", "functions": [
     {"arity": 3, "coefficients": {"2,0,0": 1, "0,2,0": "1/1000000"}}]}
 
+# x1y1 + x2y2 + x3y3 + 1e308 (x1^2 y1^2 + x2^2 y2^2 - x1 x2 y1 y2)
+M33GEN_OVERFLOW = {"family": "M33GEN", "functions": [{"arity": 6, "coefficients": {
+    "1,0,0,1,0,0": 1, "0,1,0,0,1,0": 1, "0,0,1,0,0,1": 1, "2,0,0,2,0,0": 1e308,
+    "0,2,0,0,2,0": 1e308, "1,1,0,1,1,0": -1e308}}]}
+
 PUREEVEN2_BAD = {
     "family": "PUREEVEN",
     "p": 2,
@@ -149,6 +154,24 @@ class TestExitCodes:
         spec = _write(tmp_path, "nonfinite.json", desc)
         report, status = run_command(RunSpec("cauchy-solve", spec_path=spec))
         assert status == 2 and "'2,0'" in report["error"]
+
+    @pytest.mark.parametrize("command, desc", [
+        ("metric-verify", {"family": "M21",
+                           "functions": [{"arity": 2, "coefficients": {"0,2": "1/0"}}]}),
+        ("cauchy-solve", {"p": 1, "order": 4,
+                          "a": [{"arity": 2, "coefficients": {"0,2": "1/0"}}]}),
+    ])
+    def test_zero_denominator_coefficient(self, tmp_path, command, desc):
+        spec = _write(tmp_path, "zero_den.json", desc)
+        report, status = run_command(RunSpec(command, spec_path=spec))
+        assert status == 2 and "'0,2'" in report["error"]
+
+    @pytest.mark.parametrize("command", ["metric-verify", "ricci-compare", "holonomy-estimate"])
+    def test_profile_derivatives_past_float_range(self, tmp_path, command):
+        # the mixed Hessian entries 4e308 outgrow a float and read as inf
+        spec = _write(tmp_path, "m33.json", M33GEN_OVERFLOW)
+        report, status = run_command(RunSpec(command, spec_path=spec))
+        assert status == 2 and "degenerate" in report["error"]
 
     def test_signature_mismatch_is_bad_input(self, tmp_path):
         # g_x22x22 = -1e308 at the origin turns the eigenvalue count to (1, 1)
@@ -384,6 +407,37 @@ class TestCauchySolve:
         rows = _by_name(report)
         assert list(rows) == ["initial data constraints"]
         assert rows["initial data constraints"]["residual"] == 1.0
+
+
+    def test_tolerance_admits_small_violation(self, tmp_path):
+        desc = {"p": 1, "order": 6,
+                "a": [{"arity": 2, "coefficients": {"0,1": "1/1000"}}]}
+        spec = _write(tmp_path, "small.json", desc)
+        report, status = run_command(RunSpec("cauchy-solve", spec_path=spec, tol=0.01))
+        assert status == 0
+        rows = _by_name(report)
+        assert rows["initial data constraints"]["residual"] == 0.001
+        assert rows["divergence propagation"]["residual"] == 0.001
+
+    def test_coefficient_past_float_range_fails_its_row(self, tmp_path):
+        # divergence 3e308 y^2 outgrows a float and reads as inf
+        desc = {"p": 1, "order": 6,
+                "a": [{"arity": 2, "coefficients": {"0,3": 1e308}}]}
+        spec = _write(tmp_path, "big.json", desc)
+        report, status = run_command(RunSpec("cauchy-solve", spec_path=spec))
+        assert status == 1
+        row = _by_name(report)["initial data constraints"]
+        assert row["residual"] == float("inf") and not row["pass"]
+
+    @pytest.mark.parametrize("key, value", [("p", 0), ("p", 1.5), ("order", 2.7)])
+    def test_bad_p_or_order_is_bad_input(self, tmp_path, key, value):
+        desc = {"p": 1, "order": 4, "a": [{"arity": 2, "coefficients": {"2,0": 1}}]}
+        desc[key] = value
+        if value == 0:
+            desc["a"] = []
+        spec = _write(tmp_path, "bad.json", desc)
+        report, status = run_command(RunSpec("cauchy-solve", spec_path=spec))
+        assert status == 2 and key in report["error"]
 
 
 class TestCurvatureSpace:
