@@ -30,8 +30,9 @@ from .jets import (
     shared_context,
 )
 from .linalg import (
+    block_rank,
+    block_span,
     bracket_closure,
-    guarded_rank,
     nullspace,
     orthonormal_span,
     projection_residual,
@@ -571,8 +572,10 @@ def _build_m33gen(functions, p=None):
     f, = functions
     hess = [[f.partial(i).partial(3 + j) for j in range(3)] for i in range(3)]
     h0 = np.array([[hess[i][j].value(np.zeros(6)) for j in range(3)] for i in range(3)])
-    if abs(np.linalg.det(h0) - 1.0) > 1e-8:
-        raise ValueError("mixed Hessian determinant differs from 1 at the probe point")
+    det = np.linalg.det(h0)
+    # a NaN entry makes the determinant NaN, which fails this test too
+    if not abs(det - 1.0) <= 1e-8:
+        raise ValueError(f"mixed Hessian determinant {det:.6g} at the origin is not 1")
     # profile 3i + j is the mixed Hessian entry f_{x_i y_j}
     cells = list(itertools.product(range(3), repeat=2))
     return _normal_form(
@@ -1082,19 +1085,22 @@ def curvature_space_dim(stabilizer, n: int | None = None) -> int:
 
     Kernel of the first Bianchi map on h tensor Lambda^2; the rank is taken
     over floats with a guard band, cross-checked by exact elimination mod a
-    large prime whenever the supplied basis is integral.
+    large prime whenever the supplied basis is integral.  The orthonormal
+    basis of h keeps each element on one block of matrix entries, so the
+    Bianchi matrix splits into independent blocks and is ranked block by
+    block.
     """
     mats = [np.asarray(h, dtype=float) for h in stabilizer]
     if not mats:
         return 0
     n = mats[0].shape[0] if n is None else int(n)
-    rows = orthonormal_span(mats, "curvature space basis")
+    rows = block_span(mats, "curvature space basis")
     m = rows.shape[0]
     if m == 0:
         return 0
     ortho = [rows[t].reshape(n, n) for t in range(m)]
     b = _bianchi_matrix(ortho, n)
-    rank = guarded_rank(b, "curvature space")
+    rank = block_rank(b, "curvature space")
     integral = (len(mats) == m
                 and all(np.abs(h - np.round(h)).max() < 1e-9 for h in mats))
     if integral:

@@ -5,6 +5,8 @@ normalized by the largest one and compared against a hard threshold;
 values falling inside the ambiguous guard band abort the computation
 instead of silently rounding a dimension up or down.  Each decision is
 one SVD, and a kernel or span is read from the same factorization.
+``block_rank`` and ``block_span`` take one SVD per independent block of a
+sparse matrix instead, under one guard band across all blocks.
 """
 
 from __future__ import annotations
@@ -21,6 +23,24 @@ class RankAmbiguityError(RuntimeError):
     """A singular value fell inside the guard band; rank is not trustworthy."""
 
 
+def _band_rank(sv: np.ndarray, label: str) -> int:
+    """Count of the singular values ``sv`` (descending) that are nonzero.
+
+    Each value is normalized by the largest one; a ratio inside the guard
+    band is refused.
+    """
+    if sv.size == 0 or sv[0] == 0.0:
+        return 0
+    rel = sv / sv[0]
+    bad = rel[(rel > GUARD_LO) & (rel < GUARD_HI)]
+    if bad.size:
+        raise RankAmbiguityError(
+            f"{label}: singular value ratio {bad[0]:.3e} inside guard band "
+            f"[{GUARD_LO:g}, {GUARD_HI:g}]"
+        )
+    return int(np.count_nonzero(rel >= GUARD_HI))
+
+
 def _guarded_svd(
     m: np.ndarray, label: str, vectors: bool = True, full_matrices: bool = False
 ) -> tuple[int, np.ndarray | None]:
@@ -33,16 +53,73 @@ def _guarded_svd(
         _, sv, vt = np.linalg.svd(m, full_matrices=full_matrices)
     else:
         sv, vt = np.linalg.svd(m, compute_uv=False), None
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0, vt
-    rel = sv / sv[0]
-    bad = rel[(rel > GUARD_LO) & (rel < GUARD_HI)]
-    if bad.size:
-        raise RankAmbiguityError(
-            f"{label}: singular value ratio {bad[0]:.3e} inside guard band "
-            f"[{GUARD_LO:g}, {GUARD_HI:g}]"
-        )
-    return int(np.count_nonzero(rel >= GUARD_HI)), vt
+    return _band_rank(sv, label), vt
+
+
+def _blocks(m: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Row and column indices of the independent blocks of ``m``.
+
+    Rows and columns that share a nonzero belong to the same block; a row
+    or column that is all zero belongs to none.
+    """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    nrows, ncols = m.shape
+    r, c = np.nonzero(m)
+    graph = coo_matrix((np.ones(r.size), (r, nrows + c)),
+                       shape=(nrows + ncols, nrows + ncols))
+    count, labels = connected_components(graph, directed=False)
+    order = np.argsort(labels, kind="stable")
+    bounds = np.searchsorted(labels[order], np.arange(count + 1))
+    out = []
+    for k in range(count):
+        nodes = order[bounds[k]:bounds[k + 1]]
+        rows, cols = nodes[nodes < nrows], nodes[nodes >= nrows] - nrows
+        if rows.size and cols.size:
+            out.append((rows, cols))
+    return out
+
+
+def _descending(values: list[np.ndarray]) -> np.ndarray:
+    """The blocks' singular values as one array, largest first."""
+    return np.sort(np.concatenate(values or [np.empty(0)]))[::-1]
+
+
+def block_rank(mat: np.ndarray, label: str = "matrix") -> int:
+    """``guarded_rank`` of ``mat`` from one SVD per independent block.
+
+    The blocks' singular values together are those of ``mat``, and the guard
+    band is applied to them relative to the largest overall.
+    """
+    m = np.asarray(mat, dtype=float)
+    sv = [np.linalg.svd(m[np.ix_(r, c)], compute_uv=False) for r, c in _blocks(m)]
+    return _band_rank(_descending(sv), label)
+
+
+def block_span(vectors: list[np.ndarray], label: str = "span") -> np.ndarray:
+    """Orthonormal row basis for the span of flattened arrays, block by block.
+
+    Spans the same space as ``orthonormal_span``, but each row is supported
+    on the columns of one independent block of the stacked vectors.
+    """
+    if len(vectors) == 0:
+        raise ValueError(f"{label}: no vectors to span")
+    rows = np.stack([np.asarray(v, dtype=float).ravel() for v in vectors])
+    blocks = _blocks(rows)
+    factors = [np.linalg.svd(rows[np.ix_(r, c)], full_matrices=False)[1:]
+               for r, c in blocks]
+    merged = _descending([sv for sv, _ in factors])
+    rank = _band_rank(merged, label)
+    # the kept values are exactly those at least the smallest kept one
+    cut = merged[rank - 1] if rank else np.inf
+    out = np.zeros((rank, rows.shape[1]))
+    done = 0
+    for (_, cols), (sv, vt) in zip(blocks, factors):
+        keep = int(np.count_nonzero(sv >= cut))
+        out[done:done + keep, cols] = vt[:keep]
+        done += keep
+    return out
 
 
 def guarded_rank(mat: np.ndarray, label: str = "matrix") -> int:

@@ -441,8 +441,7 @@ def spinor_action_matrix(zvec: np.ndarray) -> np.ndarray:
 
 
 def stabilizer_dimension_10_1(zvec: np.ndarray) -> int:
-    rank = guarded_rank(spinor_action_matrix(zvec), "spin(10,1) stabilizer")
-    return 55 - rank
+    return 55 - orbit_dimension_10_1(zvec)
 
 
 def orbit_dimension_10_1(zvec: np.ndarray) -> int:

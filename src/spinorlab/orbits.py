@@ -439,10 +439,7 @@ class SpinOrbitModel:
         return np.column_stack([real_flat(a @ s) for a in self.lie_basis])
 
     def stabilizer_dimension(self, s: np.ndarray) -> int:
-        rank = guarded_rank(
-            self._action_matrix(s), label=f"{self.name} stabilizer"
-        )
-        return self.group_dim - rank
+        return self.group_dim - self.orbit_dimension(s)
 
     def orbit_dimension(self, s: np.ndarray) -> int:
         return guarded_rank(self._action_matrix(s), label=f"{self.name} orbit")
@@ -796,11 +793,7 @@ def spin_action_matrix(p: int, q: int, s: np.ndarray) -> np.ndarray:
 
 
 def spin_stabilizer_dimension(p: int, q: int, s: np.ndarray) -> int:
-    rep = _cached_rep(p, q)
-    rank = guarded_rank(
-        spin_action_matrix(p, q, s), label=f"spin({p},{q}) stabilizer"
-    )
-    return len(rep.so_basis) - rank
+    return len(_cached_rep(p, q).so_basis) - spin_orbit_dimension(p, q, s)
 
 
 def spin_orbit_dimension(p: int, q: int, s: np.ndarray) -> int:

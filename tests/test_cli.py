@@ -168,10 +168,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["metric-verify", "ricci-compare", "holonomy-estimate"])
     def test_profile_derivatives_past_float_range(self, tmp_path, command):
-        # the mixed Hessian entries 4e308 outgrow a float and read as inf
+        # the mixed Hessian entries 4e308 outgrow a float and read as inf,
+        # so the Hessian determinant at the origin is NaN
         spec = _write(tmp_path, "m33.json", M33GEN_OVERFLOW)
         report, status = run_command(RunSpec(command, spec_path=spec))
-        assert status == 2 and "degenerate" in report["error"]
+        assert status == 2
+        assert "mixed Hessian determinant nan at the origin" in report["error"]
 
     def test_signature_mismatch_is_bad_input(self, tmp_path):
         # g_x22x22 = -1e308 at the origin turns the eigenvalue count to (1, 1)

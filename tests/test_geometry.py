@@ -39,6 +39,7 @@ from spinorlab.geometry import (
     symmetric_pairs,
 )
 from spinorlab.jets import Jet, JetContext
+from spinorlab.linalg import guarded_rank, orthonormal_span
 
 
 def _rng(name, salt=0):
@@ -750,6 +751,27 @@ class TestHolonomySpans:
 # Formal curvature spaces
 
 
+def _dense_curvature_space_dim(mats):
+    """Oracle: one dense orthonormal basis of h and one SVD of the whole Bianchi matrix."""
+    n = mats[0].shape[0]
+    rows = orthonormal_span(mats, "dense curvature space basis")
+    b = geometry._bianchi_matrix([row.reshape(n, n) for row in rows], n)
+    return rows.shape[0] * n * (n - 1) // 2 - guarded_rank(b, "dense curvature space")
+
+
+def _curvature_case(case):
+    if case == "null":
+        return [e.rho for e in octospin.null_stabilizer_basis()]
+    if case == "so4 rotated":
+        # conjugate by a random rotation and mix the basis: every entry dense
+        rng = np.random.default_rng(11)
+        r = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        mix = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+        conj = [r @ h @ r.T for h in so_basis(4)]
+        return [sum(c * h for c, h in zip(row, conj)) for row in mix]
+    return so_basis(int(case[2]))
+
+
 class TestCurvatureSpace:
     def test_trivial_inputs(self):
         assert curvature_space_dim([], n=4) == 0
@@ -762,6 +784,26 @@ class TestCurvatureSpace:
     def test_spinor_stabilizer_in_eleven_dimensions(self):
         stab = [e.rho for e in octospin.null_stabilizer_basis()]
         assert curvature_space_dim(stab) == 325
+
+    @pytest.mark.parametrize("case, expected", [
+        ("so3", 6), ("so4", 20), ("so5", 50), ("null", 325), ("so4 rotated", 20)])
+    def test_block_route_matches_dense_oracle(self, case, expected):
+        mats = _curvature_case(case)
+        assert curvature_space_dim(mats) == _dense_curvature_space_dim(mats) == expected
+
+    def test_null_stabilizer_needs_no_large_svd(self, monkeypatch):
+        stab = [e.rho for e in octospin.null_stabilizer_basis()]
+        cells = []
+        svd = np.linalg.svd
+
+        def counted(mat, *args, **kwargs):
+            cells.append(np.asarray(mat).size)
+            return svd(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        assert curvature_space_dim(stab) == 325
+        # the dense Bianchi matrix has 1815 x 1650 cells
+        assert 0 < max(cells) <= 300_000
 
     def test_so_basis_count(self):
         assert len(so_basis(5)) == 10

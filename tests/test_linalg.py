@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinorlab import linalg
 from spinorlab.linalg import (
     RankAmbiguityError,
+    block_rank,
+    block_span,
     guarded_rank,
     nullspace,
     orthonormal_span,
@@ -54,7 +58,9 @@ AMBIGUOUS = np.diag([1.0, 1e-7, 0.0])
     lambda m: guarded_rank(m, "ambiguous"),
     lambda m: nullspace(m, "ambiguous"),
     lambda m: orthonormal_span(list(m), "ambiguous"),
-], ids=["guarded_rank", "nullspace", "orthonormal_span"])
+    lambda m: block_rank(m, "ambiguous"),
+    lambda m: block_span(list(m), "ambiguous"),
+], ids=["guarded_rank", "nullspace", "orthonormal_span", "block_rank", "block_span"])
 def test_ratio_inside_guard_band_is_refused(decide):
     with pytest.raises(RankAmbiguityError, match=r"ambiguous: singular value ratio 1\.000e-07"):
         decide(AMBIGUOUS)
@@ -88,3 +94,80 @@ def test_tall_nullspace_builds_no_full_u(svd_calls):
     nullspace(_low_rank(40, 6, 4, seed=8))
     nullspace(_low_rank(3, 8, 2, seed=9))
     assert [kw.get("full_matrices") for kw in svd_calls] == [False, True]
+
+
+# ---------------------------------------------------------------------------
+# Block by block: one SVD per independent block, one guard band over all
+
+
+def _permuted_blocks(shapes, seed):
+    """Block-diagonal matrix of random low-rank blocks, rows and columns shuffled.
+
+    Returns the matrix and the column indices of each block after the shuffle.
+    """
+    rng = np.random.default_rng(seed)
+    rows, cols = sum(s[0] for s in shapes), sum(s[1] for s in shapes)
+    m = np.zeros((rows, cols))
+    col_sets = []
+    r0 = c0 = 0
+    for r, c, k in shapes:
+        m[r0:r0 + r, c0:c0 + c] = rng.standard_normal((r, k)) @ rng.standard_normal((k, c))
+        col_sets.append(np.arange(c0, c0 + c))
+        r0, c0 = r0 + r, c0 + c
+    prow, pcol = rng.permutation(rows), rng.permutation(cols)
+    where = np.argsort(pcol)
+    return m[prow][:, pcol], [set(where[cs]) for cs in col_sets]
+
+
+BLOCK_SHAPES = st.lists(
+    st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(0, 6)).map(
+        lambda t: (t[0], t[1], min(t[2], t[0], t[1]))),
+    min_size=1, max_size=5)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(shapes=BLOCK_SHAPES, seed=st.integers(0, 2**32 - 1))
+def test_block_rank_and_span_match_the_dense_decision(shapes, seed):
+    m, col_sets = _permuted_blocks(shapes, seed)
+    try:
+        rank = guarded_rank(m, "blocks")
+        dense = orthonormal_span(list(m), "blocks")
+    except RankAmbiguityError:
+        with pytest.raises(RankAmbiguityError):
+            block_rank(m, "blocks")
+        with pytest.raises(RankAmbiguityError):
+            block_span(list(m), "blocks")
+        return
+    assert block_rank(m, "blocks") == rank
+    span = block_span(list(m), "blocks")
+    assert span.shape == dense.shape == (rank, m.shape[1])
+    assert np.allclose(span @ span.T, np.eye(rank), atol=1e-12)
+    for row in span:
+        support = set(np.flatnonzero(row))
+        assert any(support <= cs for cs in col_sets)
+    for v in dense:
+        assert linalg.projection_residual(v, span) < 1e-10
+    for v in span:
+        assert linalg.projection_residual(v, dense) < 1e-10
+
+
+def test_blocks_skip_zero_rows_and_columns():
+    m = np.zeros((4, 5))
+    m[1, 3] = 2.0
+    m[3, 0] = m[3, 2] = 1.0
+    assert [(list(r), list(c)) for r, c in linalg._blocks(m)] == [([1], [3]), ([3], [0, 2])]
+    assert block_rank(np.zeros((3, 2))) == 0
+    assert block_span([np.zeros(4)]).shape == (0, 4)
+
+
+def test_guard_band_is_global_across_blocks():
+    # each block alone is well conditioned; together the second block's
+    # values sit near 1e-7 of the largest, inside the band
+    a = np.array([[2.0, 1.0], [1.0, 3.0]])
+    b = np.array([[1.0, 0.5], [0.2, 1.0]])
+    m = np.zeros((4, 4))
+    m[:2, :2], m[2:, 2:] = a, 1e-7 * b
+    with pytest.raises(RankAmbiguityError, match="global: singular value ratio"):
+        block_rank(m, "global")
+    with pytest.raises(RankAmbiguityError, match="global: singular value ratio"):
+        block_span(list(m), "global")
