@@ -273,10 +273,17 @@ def _load_metric(rs: RunSpec):
         raise SpecError(f"bad metric spec: {exc}") from exc
 
 
+def _probe_points(m, seed: int, count: int) -> np.ndarray:
+    try:
+        return geometry.probe_points(m, seed, count=count)
+    except RuntimeError as exc:
+        raise SpecError(f"metric degenerate across the probe box: {exc}") from exc
+
+
 def _cmd_metric_verify(rs: RunSpec) -> list[dict]:
     m = _load_metric(rs)
     tol = rs.tolerance
-    pts = geometry.probe_points(m, rs.seed, count=5)
+    pts = _probe_points(m, rs.seed, count=5)
     coframes = [geometry.adapted_coframe(m, pt) for pt in pts]
     gram = _worst(ac.gram_residual for ac in coframes)
     torsion = _worst(ac.torsion_residual for ac in coframes)
@@ -322,7 +329,7 @@ def _cmd_ricci_compare(rs: RunSpec) -> list[dict]:
     tol = rs.tolerance
     residuals = []
     scales = []
-    for pt in geometry.probe_points(m, rs.seed, count=5):
+    for pt in _probe_points(m, rs.seed, count=5):
         num = geometry.ricci_numeric(m, pt)
         form = geometry.ricci_paper(m.family, m.functions, pt, p=m.p)
         scales.append(np.abs(num).max())
@@ -338,7 +345,7 @@ def _cmd_ricci_compare(rs: RunSpec) -> list[dict]:
 
 def _cmd_holonomy_estimate(rs: RunSpec) -> list[dict]:
     m = _load_metric(rs)
-    est = geometry.holonomy_span(m, geometry.probe_points(m, rs.seed, count=3))
+    est = geometry.holonomy_span(m, _probe_points(m, rs.seed, count=3))
     rows = [
         _row("curvature span dimension",
              "bracket-closed span of curvature operators (holonomy estimate)",

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -74,6 +74,11 @@ class FreeFunction:
         """The {exponents: coefficient} terms of the series."""
         return self.series.terms
 
+    @cached_property
+    def _float_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The terms as float arrays, converted once for every Taylor shift."""
+        return self.series.float_terms()
+
     @classmethod
     def zero(cls, arity: int) -> "FreeFunction":
         return cls(arity, table={})
@@ -99,7 +104,7 @@ class FreeFunction:
         key = (ctx.nvars, ctx.order, variables)
         shift = self._shifts.get(key)
         if shift is None:
-            shift = self._shifts[key] = TaylorShift(self.table, ctx, variables)
+            shift = self._shifts[key] = TaylorShift(*self._float_terms, ctx, variables)
         return Jet(ctx, shift(values), ctx.order)
 
     def _product_jet(self, args: list[Jet]) -> Jet:
@@ -309,7 +314,7 @@ class CoordinateMetric:
         if len(self.coordinates) != self.n:
             raise ValueError("coordinate names disagree with the dimension")
 
-    def component_jets(self, point, order: int = 2) -> Jet:
+    def component_jets(self, point, order: int) -> Jet:
         ctx = shared_context(self.n, order)
         return self._component_rule(ctx.variables(np.asarray(point, dtype=float)), ctx)
 
@@ -319,7 +324,7 @@ class CoordinateMetric:
     def det(self, point) -> float:
         return float(np.linalg.det(self.components(point)))
 
-    def coframe_jets(self, point, order: int = 1) -> Jet:
+    def coframe_jets(self, point, order: int) -> Jet:
         if self._coframe_rule is None:
             raise ValueError("metric carries no adapted coframe")
         ctx = shared_context(self.n, order)
@@ -714,26 +719,30 @@ def _check_signature(m: CoordinateMetric) -> None:
 
 
 def _christoffel_arrays(m: CoordinateMetric, point, order: int):
-    """Christoffel coefficients as jet arrays, shape (n, n, n, nmono), and their context."""
-    G = m.component_jets(point, order=order)
+    """Christoffel coefficients as jets to ``order``, shape (n, n, n, nmono), and their context.
+
+    They read the first partials of the metric, whose jets are taken one
+    order higher.
+    """
+    G = m.component_jets(point, order=order + 1)
     if abs(np.linalg.det(G.value())) <= DEGENERACY_TOL:
         raise ValueError("metric degenerate at the probe point")
-    ctx = G.ctx
+    ginv = G.truncate(order).inv()
+    ctx = ginv.ctx
     n = G.shape[0]
-    ginv = G.inv()
-    dG = np.stack([ctx.diff_arrays(G.c, b) for b in range(n)])
+    dG = np.stack([G.ctx.diff_arrays(G.c, b)[..., :ctx.nmono] for b in range(n)])
     k = dG.transpose(1, 0, 2, 3) + np.einsum("cdbt->dbct", dG) - dG
     gam = 0.5 * ctx.matmul_arrays(ginv.c, k.reshape(n, n * n, -1)).reshape(n, n, n, -1)
     return gam, ctx
 
 
 def christoffel_values(m: CoordinateMetric, point) -> np.ndarray:
-    return _christoffel_arrays(m, point, 1)[0][..., 0]
+    return _christoffel_arrays(m, point, 0)[0][..., 0]
 
 
 def _curvature_parts(m: CoordinateMetric, point) -> tuple[np.ndarray, np.ndarray]:
     """Christoffel values and their first partials, stacked on the derivative first."""
-    gam, ctx = _christoffel_arrays(m, point, 2)
+    gam, ctx = _christoffel_arrays(m, point, 1)
     dgam = np.stack([ctx.diff_arrays(gam, j)[..., 0] for j in range(m.n)])
     return gam[..., 0], dgam
 
@@ -928,12 +937,14 @@ def _connection_arrays(E: Jet, gram: np.ndarray):
     """Levi-Civita connection A^a_{b,c} in the coframe, as jet arrays.
 
     Solves dtheta^a + A^a_b wedge theta^b = 0 with A metric for the constant
-    Gram matrix; trusted one order below the coframe jets.
+    Gram matrix.  A reads the first partials of E, so it is formed in the
+    context one order below E's, which is returned with A and the structure
+    coefficients.
     """
-    ctx = E.ctx
+    einv = E.truncate(E.ctx.order - 1).inv()
+    ctx = einv.ctx
     n = E.shape[0]
-    einv = E.inv()
-    dE = np.stack([ctx.diff_arrays(E.c, j) for j in range(n)])
+    dE = np.stack([E.ctx.diff_arrays(E.c, j)[..., :ctx.nmono] for j in range(n)])
     t = dE.transpose(1, 0, 2, 3)
     f = t - t.transpose(0, 2, 1, 3)
     t1 = ctx.matmul_arrays(f.reshape(n * n, n, -1), einv.c).reshape(n, n, n, -1)
@@ -942,7 +953,7 @@ def _connection_arrays(E: Jet, gram: np.ndarray):
     k = np.einsum("ea,apqt->epqt", gram, c)
     d = 0.5 * (k - np.einsum("bact->abct", k) - np.einsum("cabt->abct", k))
     a = np.einsum("ae,ebct->abct", np.linalg.inv(gram), d)
-    return a, c
+    return a, c, ctx
 
 
 def adapted_coframe(m: CoordinateMetric, point) -> AdaptedCoframe:
@@ -950,7 +961,7 @@ def adapted_coframe(m: CoordinateMetric, point) -> AdaptedCoframe:
     point = np.asarray(point, dtype=float)
     E = m.coframe_jets(point, order=1)
     try:
-        a, c = _connection_arrays(E, m.gram)
+        a, c, _ = _connection_arrays(E, m.gram)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"adapted coframe degenerate at {point}") from exc
     av = a[..., 0]
@@ -988,10 +999,10 @@ def curvature_operators(m: CoordinateMetric, point) -> list[np.ndarray]:
     """Coframe curvature endomorphisms on all coordinate planes at a point."""
     point = np.asarray(point, dtype=float)
     E = m.coframe_jets(point, order=2)
-    a, _ = _connection_arrays(E, m.gram)
-    ctx = E.ctx
+    a, _, ctx = _connection_arrays(E, m.gram)
     n = m.n
-    ahat = ctx.matmul_arrays(a.reshape(n * n, n, -1), E.c).reshape(n, n, n, -1)
+    e1 = E.truncate(ctx.order).c
+    ahat = ctx.matmul_arrays(a.reshape(n * n, n, -1), e1).reshape(n, n, n, -1)
     av = ahat[..., 0]
     dav = np.stack([ctx.diff_arrays(ahat, j)[..., 0] for j in range(n)])
     out = []

@@ -15,6 +15,14 @@ differentiation lowers the order by one, and reading a coefficient past
 the trusted order raises :class:`JetOrderError` instead of returning
 garbage.
 
+A derived jet lives in the context of the order its reader needs, not
+that of its inputs: a quantity read through its first partials is formed
+at order 1 even when it is built from the derivatives of order-2 jets.
+:meth:`Jet.truncate` moves a jet to the context of a lower order; as the
+monomials are ordered by degree, that is a prefix of its coefficients,
+and sums, products and inverses of prefixes equal the prefixes of the
+full results.
+
 :class:`JetSeries` is the sparse counterpart: a truncated polynomial
 stored as an {exponents: coefficient} dict over exact rationals (floats
 are tolerated).  It backs table-defined profile functions and the exact
@@ -255,6 +263,17 @@ class Jet:
         """Entry or sub-array; the index never reaches the coefficient axis."""
         return Jet(self.ctx, self.c[np.index_exp[index] + (slice(None),)], self.valid)
 
+    def truncate(self, order: int) -> "Jet":
+        """The same jet in ``shared_context(nvars, order)``, for ``order`` at most its own.
+
+        Monomials are ordered by degree, so this is a prefix of the
+        coefficient axis.
+        """
+        if order > self.ctx.order:
+            raise ValueError(f"cannot raise a jet of order {self.ctx.order} to {order}")
+        ctx = shared_context(self.ctx.nvars, order)
+        return Jet(ctx, self.c[..., :ctx.nmono], min(self.valid, order))
+
     # -- extraction ---------------------------------------------------------
 
     def _read(self, k: int) -> float | np.ndarray:
@@ -430,6 +449,12 @@ class JetSeries:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def float_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Exponent rows and float coefficients of the terms, in sorted exponent order."""
+        items = sorted(self.terms.items())
+        exps = np.array([e for e, _ in items], dtype=np.intp).reshape(-1, self.nvars)
+        return _frozen(exps), _frozen(np.array([_saturating_float(c) for _, c in items]))
+
     def max_abs(self) -> float:
         return max((abs(_saturating_float(c)) for c in self.terms.values()), default=0.0)
 
@@ -539,23 +564,23 @@ class TaylorShift:
     puts b_i on variable v_i.  The pairs (a, b) with b <= a and |b| within
     the context order, their binomial weights, exponent gaps and target
     columns depend only on the terms, the context and the variables; each
-    call builds one power table and takes one weighted product.  Terms are
-    summed in sorted order, as a term-by-term jet product would.
+    call builds one power table and takes one weighted product.  The terms
+    come as :meth:`JetSeries.float_terms`; they are summed in that sorted
+    order, as a term-by-term jet product would.
     """
 
     __slots__ = ("_nmono", "_top", "_cols", "_coeffs", "_binom", "_gaps")
 
-    def __init__(self, terms: dict, ctx: JetContext, variables: tuple[int, ...]):
+    def __init__(self, alphas: np.ndarray, coeffs: np.ndarray, ctx: JetContext,
+                 variables: tuple[int, ...]):
         k = len(variables)
-        items = sorted(terms.items())
-        alphas = np.array([e for e, _ in items], dtype=np.intp).reshape(-1, k)
         betas = _exponent_rows(k, ctx.order)
         a, b = np.nonzero((betas[None, :, :] <= alphas[:, None, :]).all(axis=2))
         alphas, betas = alphas[a], betas[b]
         self._nmono = ctx.nmono
         self._top = int(alphas.max(initial=0))
         self._cols = ctx._placed_columns(variables)[b]
-        self._coeffs = np.array([_saturating_float(c) for _, c in items])[a]
+        self._coeffs = coeffs[a]
         self._binom = _pascal(self._top)[alphas, betas].prod(axis=1)
         # flat indices of p_i^(a_i - b_i) in the (k, top + 1) power table
         self._gaps = alphas - betas + (self._top + 1) * np.arange(k)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import spinorlab
-from spinorlab import __version__, algebra
+from spinorlab import __version__, algebra, geometry
 from spinorlab.cli import COMMANDS, DEFAULT_TOLS, RunSpec, main, run_command
 
 M21_FLAT = {"family": "M21", "functions": [{"arity": 2, "coefficients": {}}]}
@@ -174,6 +174,19 @@ class TestExitCodes:
         report, status = run_command(RunSpec(command, spec_path=spec))
         assert status == 2
         assert "mixed Hessian determinant nan at the origin" in report["error"]
+
+    @pytest.mark.parametrize("command", ["metric-verify", "ricci-compare", "holonomy-estimate"])
+    def test_no_nondegenerate_probe_points(self, tmp_path, command, monkeypatch):
+        def degenerate(m, seed, count=5, box=0.5):
+            raise RuntimeError("could not sample nondegenerate probe points")
+
+        monkeypatch.setattr(geometry, "probe_points", degenerate)
+        desc = {"family": "M31", "functions": [{"arity": 3, "coefficients": {}}]}
+        spec = _write(tmp_path, "m31.json", desc)
+        report, status = run_command(RunSpec(command, spec_path=spec))
+        assert status == 2 and "checks" not in report
+        assert report["error"] == ("metric degenerate across the probe box: "
+                                   "could not sample nondegenerate probe points")
 
     def test_signature_mismatch_is_bad_input(self, tmp_path):
         # g_x22x22 = -1e308 at the origin turns the eigenvalue count to (1, 1)

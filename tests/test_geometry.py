@@ -38,7 +38,7 @@ from spinorlab.geometry import (
     so_basis,
     symmetric_pairs,
 )
-from spinorlab.jets import Jet, JetContext
+from spinorlab.jets import Jet, JetContext, shared_context
 from spinorlab.linalg import guarded_rank, orthonormal_span
 
 
@@ -476,12 +476,93 @@ class TestFlatnessCriteria:
 
 
 # ---------------------------------------------------------------------------
+# Derived jets at the order their reader uses
+
+
+def _full_christoffel(m, pt, order):
+    """Γ as a jet of the metric's own ``order`` context, truncated nowhere."""
+    G = m.component_jets(pt, order=order)
+    ctx, n = G.ctx, m.n
+    ginv = G.inv()
+    dG = np.stack([ctx.diff_arrays(G.c, b) for b in range(n)])
+    k = dG.transpose(1, 0, 2, 3) + np.einsum("cdbt->dbct", dG) - dG
+    return 0.5 * ctx.matmul_arrays(ginv.c, k.reshape(n, n * n, -1)).reshape(n, n, n, -1)
+
+
+def _full_connection(E, gram):
+    """Connection A in the coframe's own context, truncated nowhere."""
+    ctx, n = E.ctx, E.shape[0]
+    einv = E.inv()
+    dE = np.stack([ctx.diff_arrays(E.c, j) for j in range(n)])
+    t = dE.transpose(1, 0, 2, 3)
+    f = t - t.transpose(0, 2, 1, 3)
+    t1 = ctx.matmul_arrays(f.reshape(n * n, n, -1), einv.c).reshape(n, n, n, -1)
+    t1 = np.ascontiguousarray(t1.transpose(0, 2, 1, 3)).reshape(n * n, n, -1)
+    c = ctx.matmul_arrays(t1, einv.c).reshape(n, n, n, -1).transpose(0, 2, 1, 3)
+    k = np.einsum("ea,apqt->epqt", gram, c)
+    d = 0.5 * (k - np.einsum("bact->abct", k) - np.einsum("cabt->abct", k))
+    return np.einsum("ae,ebct->abct", np.linalg.inv(gram), d)
+
+
+def _full_curvature_operators(m, pt):
+    E = m.coframe_jets(pt, order=2)
+    ctx, n = E.ctx, m.n
+    a = _full_connection(E, m.gram)
+    ahat = ctx.matmul_arrays(a.reshape(n * n, n, -1), E.c).reshape(n, n, n, -1)
+    av = ahat[..., 0]
+    dav = np.stack([ctx.diff_arrays(ahat, j)[..., 0] for j in range(n)])
+    return [dav[i][:, :, j] - dav[j][:, :, i]
+            + av[:, :, i] @ av[:, :, j] - av[:, :, j] @ av[:, :, i]
+            for i in range(n) for j in range(i + 1, n)]
+
+
+class TestTruncatedDerivedJets:
+    """Each derived jet, formed in the context its reader needs, equals the
+    same read-out of the jet formed one order higher, bit for bit."""
+
+    @pytest.mark.parametrize("family,p", GENERIC_CASES)
+    def test_matches_full_order_jets(self, family, p):
+        m = _generic(family, salt=5, p=p)
+        for pt in probe_points(m, 5, count=3):
+            gam = _full_christoffel(m, pt, 2)
+            ctx2 = shared_context(m.n, 2)
+            dgam = np.stack([ctx2.diff_arrays(gam, j)[..., 0] for j in range(m.n)])
+            gv, dgv = geometry._curvature_parts(m, pt)
+            assert np.array_equal(gv, gam[..., 0]) and np.array_equal(dgv, dgam)
+            assert np.array_equal(geometry.christoffel_values(m, pt),
+                                  _full_christoffel(m, pt, 1)[..., 0])
+            got = geometry.curvature_operators(m, pt)
+            want = _full_curvature_operators(m, pt)
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            full = _full_connection(m.coframe_jets(pt, order=1), m.gram)
+            assert np.array_equal(adapted_coframe(m, pt).connection, full[..., 0])
+
+    @pytest.mark.parametrize("family,p", [("M22DEG", None), ("PUREEVEN", 3), ("M101", None)])
+    def test_no_order_two_products(self, family, p, monkeypatch):
+        m = _generic(family, salt=5, p=p)
+        orders = []
+        matmul, inv = JetContext.matmul_arrays, Jet.inv
+        monkeypatch.setattr(JetContext, "matmul_arrays",
+                            lambda ctx, a, b: orders.append(ctx.order) or matmul(ctx, a, b))
+        monkeypatch.setattr(Jet, "inv", lambda jet: orders.append(jet.ctx.order) or inv(jet))
+        pt = probe_points(m, 5, count=1)[0]
+        geometry._curvature_parts(m, pt)
+        geometry.curvature_operators(m, pt)
+        assert orders and max(orders) == 1
+        orders.clear()
+        geometry.christoffel_values(m, pt)
+        adapted_coframe(m, pt)
+        assert orders and max(orders) == 0
+
+
+# ---------------------------------------------------------------------------
 # Displayed connection forms
 
 
 class TestDisplayedConnections:
     def _connection_values(self, m, pt):
-        a, _ = geometry._connection_arrays(m.coframe_jets(pt, order=1), m.gram)
+        a, _, _ = geometry._connection_arrays(m.coframe_jets(pt, order=1), m.gram)
         return a[..., 0]
 
     def test_m21_display(self):

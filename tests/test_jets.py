@@ -289,3 +289,54 @@ class TestMatrixJets:
         ma, mb = Jet.stack([[a]]), Jet.stack([[b]])
         with pytest.raises(ValueError):
             ma @ mb
+
+
+class TestTruncate:
+    def test_prefix_is_the_jet_of_the_lower_context(self):
+        def build(ctx):
+            x, y, z = ctx.variables([0.7, -0.4, 0.2])
+            return (x * x * y + 3.0 * z) / (1.0 + x * y * y) - (y * z).sin()
+
+        high = build(shared_context(3, 3))
+        for order in range(4):
+            low = high.truncate(order)
+            assert low.ctx is shared_context(3, order)
+            assert low.valid == order
+            assert np.array_equal(low.c, build(shared_context(3, order)).c)
+
+    def test_arithmetic_commutes_with_truncation(self):
+        rng = np.random.default_rng(13)
+        ctx = shared_context(3, 3)
+        a = Jet(ctx, rng.standard_normal((4, 4, ctx.nmono)), ctx.order)
+        b = Jet(ctx, rng.standard_normal((4, 4, ctx.nmono)), ctx.order)
+        a.c[..., 0] += 4.0 * np.eye(4)  # keep the value part invertible
+        for order in range(4):
+            at, bt = a.truncate(order), b.truncate(order)
+            assert np.array_equal((at * bt).c, (a * b).truncate(order).c)
+            assert np.array_equal((at @ bt).c, (a @ b).truncate(order).c)
+            assert np.array_equal(at.inv().c, a.inv().truncate(order).c)
+            assert np.array_equal(at[1, 2].inv().c, a[1, 2].inv().truncate(order).c)
+
+    def test_trusted_order_is_carried(self):
+        ctx = shared_context(2, 3)
+        x, y = ctx.variables([0.5, -1.5])
+        g = (x * x * x * y).diff(0).diff(1)  # trusted to 1
+        assert [g.truncate(k).valid for k in range(4)] == [0, 1, 1, 1]
+        assert np.array_equal(g.truncate(2).c, g.c[: shared_context(2, 2).nmono])
+
+    def test_raising_the_order_is_refused(self):
+        (x,) = shared_context(1, 2).variables([0.3])
+        x.truncate(2)
+        with pytest.raises(ValueError):
+            x.truncate(3)
+
+    def test_reading_past_the_trusted_order_still_raises(self):
+        ctx = shared_context(2, 3)
+        x, _ = ctx.variables([1.0, 2.0])
+        g = (x * x * x).diff(0).diff(0)  # trusted to 1
+        low = g.truncate(2)
+        assert low.coefficient((1, 0)) == g.coefficient((1, 0))
+        with pytest.raises(JetOrderError):
+            low.coefficient((2, 0))
+        with pytest.raises(JetOrderError):
+            low.diff(0).diff(0).value()
