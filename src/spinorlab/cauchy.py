@@ -21,6 +21,7 @@ from .geometry import (
     _bracket_parts,
     _fmatrix,
     _quadratic_bracket,
+    _spec_integer,
     _spec_table,
     symmetric_pairs,
 )
@@ -66,11 +67,7 @@ class CauchyData:
 
     def constraint_residuals(self):
         """A_l of a and of b: exact divergence series of the data."""
-        out = []
-        for layer in (self.a, self.b):
-            grid = _fmatrix(layer, symmetric_pairs(self.p), self.p)
-            out.append(tuple(_divergence(grid, self.p, l) for l in range(self.p)))
-        return tuple(out)
+        return tuple(constraint_residual(layer, self.p) for layer in (self.a, self.b))
 
     def max_constraint_residual(self) -> float:
         return max((s.max_abs() for layer in self.constraint_residuals()
@@ -91,24 +88,16 @@ def cauchy_data(p: int, order: int, a_tables, b_tables=None) -> CauchyData:
                       tuple(lift(t) for t in b_tables))
 
 
-def _spec_integer(value, key: str) -> int:
-    """An integral spec number; 2.7 is rejected with its key, not rounded."""
-    try:
-        num = Fraction(value)
-    except (OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"{key} must be an integer, got {value!r}") from exc
-    if num.denominator != 1:
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(num)
-
-
 def cauchy_data_from_spec(d: dict) -> CauchyData:
     """Data from the JSON polynomial format shared with geometry specs."""
     p = _spec_integer(d["p"], "p")
     order = _spec_integer(d.get("order", 6), "order")
 
     def tables(key):
-        return [_spec_table(fd.get("coefficients", {})) for fd in d.get(key, [])]
+        entries = d.get(key, [])
+        if not isinstance(entries, list) or not all(isinstance(fd, dict) for fd in entries):
+            raise ValueError(f"{key} must be a list of function objects, got {entries!r}")
+        return [_spec_table(fd.get("coefficients", {})) for fd in entries]
 
     a = tables("a")
     b = tables("b") or None
@@ -124,13 +113,6 @@ def series_to_spec(series: JetSeries) -> dict:
 
 
 # -- the quadratic bracket --------------------------------------------------
-
-
-def _divergence(grid, p: int, l: int) -> JetSeries:
-    total = JetSeries.zero(2 * p + 1, grid[0][0].order - 1)
-    for j in range(p):
-        total = total + grid[j][l].diff(1 + p + j)
-    return total
 
 
 def bracket_series(flat, p: int):
@@ -193,7 +175,8 @@ def solve_ricci_ivp(data: CauchyData, check_constraints: bool = True):
 def constraint_residual(f, p: int):
     """Divergence series A_l = sum_j df_jl/dy_j of a solved profile array."""
     grid = _fmatrix(f, symmetric_pairs(p), p)
-    return tuple(_divergence(grid, p, l) for l in range(p))
+    zero = JetSeries.zero(2 * p + 1, grid[0][0].order - 1)
+    return tuple(sum((grid[j][l].diff(1 + p + j) for j in range(p)), zero) for l in range(p))
 
 
 def ricci_series(f, p: int):

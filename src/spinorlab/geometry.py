@@ -105,7 +105,7 @@ class FreeFunction:
         shift = self._shifts.get(key)
         if shift is None:
             shift = self._shifts[key] = TaylorShift(*self._float_terms, ctx, variables)
-        return Jet(ctx, shift(values), ctx.order)
+        return Jet(ctx, shift(values))
 
     def _product_jet(self, args: list[Jet]) -> Jet:
         """The table's jet as a sum of products of argument-jet powers."""
@@ -250,14 +250,27 @@ def quadratic_profile_functions(h4: np.ndarray, h2: np.ndarray) -> list[FreeFunc
 # -- spec files ---------------------------------------------------------------
 
 
+def _spec_integer(value, key: str) -> int:
+    """An integral spec number; 2.7 is rejected with its key, not rounded."""
+    try:
+        num = Fraction(value)
+    except (OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{key} must be an integer, got {value!r}") from exc
+    if num.denominator != 1:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(num)
+
+
 def _spec_table(coefficients: dict) -> dict[tuple[int, ...], Fraction]:
     """Exact {exponents: coefficient} table from a spec's coefficient map.
 
     Keys are comma-separated exponent strings; values may be numbers or
-    rational strings like "3/4", and are kept as Fractions.  A value that
-    is not a finite number (JSON Infinity or NaN, a zero denominator, or
-    beyond the float range) is rejected with its key.
+    rational strings like "3/4", and are kept as Fractions.  A map that is
+    not an object, or a value that is not finite (JSON Infinity or NaN, a
+    zero denominator, past the float range), is rejected with its key.
     """
+    if not isinstance(coefficients, dict):
+        raise ValueError(f"coefficients must be an object, got {coefficients!r}")
     table: dict[tuple[int, ...], Fraction] = {}
     for key, val in coefficients.items():
         exps = tuple(int(s) for s in str(key).strip("() ").split(","))
@@ -444,8 +457,7 @@ def _profile_rule(const, profiles, terms):
 
     ``profiles`` lists (FreeFunction, argument indices) and ``terms`` lists
     (i, j, coeff, t).  Each profile the terms reference is evaluated once
-    per call, and the others not at all; the matrix is trusted to the
-    lowest order among the evaluated profile jets.
+    per call, and the others not at all.
     """
     const = np.array(const, dtype=float)
     rows, cols, coeffs, which = zip(*terms)
@@ -462,7 +474,7 @@ def _profile_rule(const, profiles, terms):
         c = np.bincount(bins, weights=vals.ravel(), minlength=const.size * ctx.nmono)
         c = c.reshape(const.shape + (ctx.nmono,))
         c[..., 0] += const
-        return Jet(ctx, c, min(j.valid for j in jets))
+        return Jet(ctx, c)
 
     return rule
 
@@ -688,10 +700,10 @@ def _parse_family_tag(family: str, p=None):
     if "(" in tag:
         base, rest = tag.split("(", 1)
         tag = base.strip()
-        p = int(rest.strip(") "))
+        p = rest.strip(") ")
     if tag not in FAMILY_TAGS:
         raise ValueError(f"unknown family {family!r}")
-    return tag, (None if p is None else int(p))
+    return tag, (None if p is None else _spec_integer(p, "p"))
 
 
 def build_metric(family: str, functions, p=None) -> CoordinateMetric:
@@ -730,7 +742,7 @@ def _christoffel_arrays(m: CoordinateMetric, point, order: int):
     ginv = G.truncate(order).inv()
     ctx = ginv.ctx
     n = G.shape[0]
-    dG = np.stack([G.ctx.diff_arrays(G.c, b)[..., :ctx.nmono] for b in range(n)])
+    dG = np.stack([G.ctx.diff_arrays(G.c, b) for b in range(n)])
     k = dG.transpose(1, 0, 2, 3) + np.einsum("cdbt->dbct", dG) - dG
     gam = 0.5 * ctx.matmul_arrays(ginv.c, k.reshape(n, n * n, -1)).reshape(n, n, n, -1)
     return gam, ctx
@@ -944,7 +956,7 @@ def _connection_arrays(E: Jet, gram: np.ndarray):
     einv = E.truncate(E.ctx.order - 1).inv()
     ctx = einv.ctx
     n = E.shape[0]
-    dE = np.stack([E.ctx.diff_arrays(E.c, j)[..., :ctx.nmono] for j in range(n)])
+    dE = np.stack([E.ctx.diff_arrays(E.c, j) for j in range(n)])
     t = dE.transpose(1, 0, 2, 3)
     f = t - t.transpose(0, 2, 1, 3)
     t1 = ctx.matmul_arrays(f.reshape(n * n, n, -1), einv.c).reshape(n, n, n, -1)

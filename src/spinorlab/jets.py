@@ -9,19 +9,18 @@ the precomputed sparse multiplication table, so products and derivatives
 are plain indexed numpy operations.  ``shared_context`` hands out one
 read-only context per (nvars, order).
 
-Every jet tracks the highest total degree up to which its coefficients
-are trustworthy.  Multiplication keeps the smaller of the two orders,
-differentiation lowers the order by one, and reading a coefficient past
-the trusted order raises :class:`JetOrderError` instead of returning
-garbage.
+A jet is trusted to its context's order and carries no other.  ``diff``
+lands one order lower, in the context ``shared_context(nvars, order - 1)``.
+Jets of the same variables but different orders meet in the lower order,
+as :class:`JetSeries` do.  Reading a coefficient past the order raises
+:class:`JetOrderError`.  As the monomials are ordered by degree, a lower
+context is a prefix of the coefficients (:meth:`Jet.truncate`), and
+sums, products, inverses and derivatives of prefixes equal the prefixes
+of the full results.
 
 A derived jet lives in the context of the order its reader needs, not
 that of its inputs: a quantity read through its first partials is formed
 at order 1 even when it is built from the derivatives of order-2 jets.
-:meth:`Jet.truncate` moves a jet to the context of a lower order; as the
-monomials are ordered by degree, that is a prefix of its coefficients,
-and sums, products and inverses of prefixes equal the prefixes of the
-full results.
 
 :class:`JetSeries` is the sparse counterpart: a truncated polynomial
 stored as an {exponents: coefficient} dict over exact rationals (floats
@@ -100,7 +99,6 @@ class JetContext:
         self.monomials = tuple(monomials_upto(nvars, order))
         self.nmono = len(self.monomials)
         self.index = {m: i for i, m in enumerate(self.monomials)}
-        self.degrees = _frozen(np.array([sum(m) for m in self.monomials], dtype=np.intp))
 
         # Sparse multiplication table: products of basis monomials that
         # survive truncation, as parallel index arrays.
@@ -138,14 +136,6 @@ class JetContext:
 
     # -- raw array kernels (last axis = monomial coefficients) -------------
 
-    def mask(self, coeffs: np.ndarray, valid: int) -> np.ndarray:
-        """Zero out coefficients above the trusted degree."""
-        if valid >= self.order:
-            return coeffs
-        out = coeffs.copy()
-        out[..., self.degrees > max(valid, -1)] = 0.0
-        return out
-
     def _sum_products(self, vals: np.ndarray) -> np.ndarray:
         """Sum table products (first axis of ``vals``) by monomial: (T, ...) -> (nmono, ...).
 
@@ -169,7 +159,10 @@ class JetContext:
         return self._sum_products(products).transpose(1, 2, 0)
 
     def diff_arrays(self, c: np.ndarray, var: int) -> np.ndarray:
-        out = np.zeros_like(c)
+        """Partial derivative in ``var``, as coefficients of the context one order lower."""
+        if self.order == 0:
+            raise JetOrderError("an order-0 jet has no derivative")
+        out = np.zeros(c.shape[:-1] + (math.comb(self.nvars + self.order - 1, self.nvars),))
         out[..., self._ddst[var]] = c[..., self._dsrc[var]] * self._dfac[var]
         return out
 
@@ -178,11 +171,11 @@ class JetContext:
     def coordinates(self, jets) -> tuple[np.ndarray, tuple[int, ...]] | None:
         """Base values and variable indices if every jet is a coordinate variable.
 
-        A coordinate variable is value + x_v, trusted to the full order.  At
-        order 0 every jet is its value and the indices are reported as 0.
-        Returns None when any jet is something else.
+        A coordinate variable is value + x_v in this context.  At order 0
+        every jet is its value and the indices are reported as 0.  Returns
+        None when any jet is something else.
         """
-        if any(j.ctx is not self or j.valid < self.order for j in jets):
+        if any(j.ctx is not self for j in jets):
             return None
         c = np.stack([j.c for j in jets])
         if self.order == 0:
@@ -214,7 +207,7 @@ class JetContext:
         value = np.asarray(value, dtype=float)
         c = np.zeros(value.shape + (self.nmono,))
         c[..., 0] = value
-        return Jet(self, c, self.order)
+        return Jet(self, c)
 
     def variable(self, var: int, value: float) -> "Jet":
         if not 0 <= var < self.nvars:
@@ -224,7 +217,7 @@ class JetContext:
         if self.order >= 1:
             exps = tuple(1 if i == var else 0 for i in range(self.nvars))
             c[self.index[exps]] = 1.0
-        return Jet(self, c, self.order)
+        return Jet(self, c)
 
     def variables(self, values) -> list["Jet"]:
         values = np.asarray(values, dtype=float)
@@ -234,19 +227,18 @@ class JetContext:
 
 
 class Jet:
-    """Truncated Taylor expansion of a scalar or an array, with a trusted-order marker.
+    """Truncated Taylor expansion of a scalar or an array, trusted to ``ctx.order``.
 
     The monomial coefficients sit on the last axis of ``c``, so ``shape`` is
     () for a scalar and (n, m) for a matrix.  ``*`` is entrywise, ``@`` is
     the matrix product and ``jet[i, j]`` is an entry.
     """
 
-    __slots__ = ("ctx", "c", "valid")
+    __slots__ = ("ctx", "c")
 
-    def __init__(self, ctx: JetContext, coeffs: np.ndarray, valid: int):
+    def __init__(self, ctx: JetContext, coeffs: np.ndarray):
         self.ctx = ctx
-        self.valid = min(valid, ctx.order)
-        self.c = ctx.mask(np.asarray(coeffs, dtype=float), self.valid)
+        self.c = np.asarray(coeffs, dtype=float)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -254,14 +246,14 @@ class Jet:
 
     @staticmethod
     def stack(rows) -> "Jet":
-        """Matrix jet from rows of scalar jets of one context."""
+        """Matrix jet from rows of scalar jets, in the lowest order among them."""
         rows = [list(r) for r in rows]
-        valid = min(j.valid for r in rows for j in r)
-        return Jet(rows[0][0].ctx, [[j.c for j in r] for r in rows], valid)
+        cells = _meet([j for r in rows for j in r])
+        return Jet(cells[0].ctx, np.reshape([j.c for j in cells], (len(rows), len(rows[0]), -1)))
 
     def __getitem__(self, index) -> "Jet":
         """Entry or sub-array; the index never reaches the coefficient axis."""
-        return Jet(self.ctx, self.c[np.index_exp[index] + (slice(None),)], self.valid)
+        return Jet(self.ctx, self.c[np.index_exp[index] + (slice(None),)])
 
     def truncate(self, order: int) -> "Jet":
         """The same jet in ``shared_context(nvars, order)``, for ``order`` at most its own.
@@ -272,7 +264,7 @@ class Jet:
         if order > self.ctx.order:
             raise ValueError(f"cannot raise a jet of order {self.ctx.order} to {order}")
         ctx = shared_context(self.ctx.nvars, order)
-        return Jet(ctx, self.c[..., :ctx.nmono], min(self.valid, order))
+        return Jet(ctx, self.c[..., :ctx.nmono])
 
     # -- extraction ---------------------------------------------------------
 
@@ -281,15 +273,13 @@ class Jet:
         return float(self.c[k]) if not self.shape else self.c[..., k].copy()
 
     def value(self) -> float | np.ndarray:
-        if self.valid < 0:
-            raise JetOrderError("jet carries no trusted coefficients")
         return self._read(0)
 
     def coefficient(self, exps: tuple[int, ...]) -> float | np.ndarray:
         deg = sum(exps)
-        if deg > self.valid:
+        if deg > self.ctx.order:
             raise JetOrderError(
-                f"degree {deg} coefficient requested, trusted only to {self.valid}"
+                f"degree {deg} coefficient requested, trusted only to {self.ctx.order}"
             )
         return self._read(self.ctx.index[tuple(exps)])
 
@@ -302,44 +292,44 @@ class Jet:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _coerce(self, other) -> "Jet":
-        if isinstance(other, Jet):
-            if other.ctx is not self.ctx:
-                raise ValueError("jets from different contexts")
-            return other
-        return self.ctx.constant(other)
+    def _coerce(self, other) -> tuple["Jet", "Jet"]:
+        """Self and ``other`` (a jet or a constant) in one context."""
+        if not isinstance(other, Jet):
+            return self, self.ctx.constant(other)
+        return (self, other) if other.ctx is self.ctx else _meet((self, other))
 
     def __add__(self, other):
-        o = self._coerce(other)
-        return Jet(self.ctx, self.c + o.c, min(self.valid, o.valid))
+        a, b = self._coerce(other)
+        return Jet(a.ctx, a.c + b.c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.ctx, -self.c, self.valid)
+        return Jet(self.ctx, -self.c)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return Jet(self.ctx, self.c * other, self.valid)
-        o = self._coerce(other)
-        return Jet(self.ctx, self.ctx.mul_arrays(self.c, o.c), min(self.valid, o.valid))
+            return Jet(self.ctx, self.c * other)
+        a, b = self._coerce(other)
+        return Jet(a.ctx, a.ctx.mul_arrays(a.c, b.c))
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "Jet") -> "Jet":
-        o = self._coerce(other)
-        return Jet(self.ctx, self.ctx.matmul_arrays(self.c, o.c), min(self.valid, o.valid))
+        a, b = self._coerce(other)
+        return Jet(a.ctx, a.ctx.matmul_arrays(a.c, b.c))
 
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
-            return Jet(self.ctx, self.c / other, self.valid)
-        return self * self._coerce(other).inv()
+            return Jet(self.ctx, self.c / other)
+        a, b = self._coerce(other)
+        return a * b.inv()
 
     def __rtruediv__(self, other):
         return self.inv() * other
@@ -353,31 +343,33 @@ class Jet:
         return out
 
     def diff(self, var: int) -> "Jet":
-        return Jet(self.ctx, self.ctx.diff_arrays(self.c, var), self.valid - 1)
+        """Partial derivative in ``var``, in the context one order lower."""
+        c = self.ctx.diff_arrays(self.c, var)
+        return Jet(shared_context(self.ctx.nvars, self.ctx.order - 1), c)
 
     def inv(self) -> "Jet":
         """Inverse of a square matrix jet; a scalar is the 1x1 case."""
         if not self.shape:
             if self.c[0] == 0.0:
                 raise ZeroDivisionError("jet with zero value part")
-            return Jet(self.ctx, self.c[None, None], self.valid).inv()[0, 0]
+            return Jet(self.ctx, self.c[None, None]).inv()[0, 0]
         if len(self.shape) != 2 or self.shape[0] != self.shape[1]:
             raise ValueError("square matrices only")
         a0inv = np.linalg.inv(self.c[..., 0])
         # A = A0 + H with H valueless, so A^-1 = sum (-A0^-1 H)^k A0^-1.
         h = self.c.copy()
         h[..., 0] = 0.0
-        ninv = Jet(self.ctx, -np.einsum("ik,kjt->ijt", a0inv, h), self.valid)
+        ninv = Jet(self.ctx, -np.einsum("ik,kjt->ijt", a0inv, h))
         out = term = self.ctx.constant(np.eye(self.shape[0]))
         for _ in range(self.ctx.order):
             term = ninv @ term
             out = out + term
-        return Jet(self.ctx, np.einsum("ikt,kj->ijt", out.c, a0inv), self.valid)
+        return Jet(self.ctx, np.einsum("ikt,kj->ijt", out.c, a0inv))
 
     # -- analytic functions (scalar jets) -----------------------------------
 
     def _nilpotent_series(self, coeff_fn) -> "Jet":
-        h = Jet(self.ctx, self.c - self.ctx.constant(self.c[0]).c, self.valid)
+        h = Jet(self.ctx, self.c - self.ctx.constant(self.c[0]).c)
         out = self.ctx.constant(coeff_fn(0))
         term = self.ctx.constant(1.0)
         for k in range(1, self.ctx.order + 1):
@@ -409,6 +401,17 @@ class Jet:
         u0 = float(self.c[0])
         e = self._nilpotent_series(lambda k: 1.0 / math.factorial(k))
         return math.exp(u0) * e
+
+
+def _meet(jets) -> list[Jet]:
+    """The jets of one set of variables, truncated to the lowest order among them."""
+    ctxs = {j.ctx for j in jets}
+    if len(ctxs) == 1:
+        return list(jets)
+    if len({c.nvars for c in ctxs}) > 1 or len({c.order for c in ctxs}) < len(ctxs):
+        raise ValueError("jets from different contexts")
+    order = min(c.order for c in ctxs)
+    return [j.truncate(order) for j in jets]
 
 
 class JetSeries:
@@ -469,7 +472,7 @@ class JetSeries:
         return f"JetSeries(nvars={self.nvars}, order={self.order}, nterms={len(self.terms)})"
 
     def _like(self, order: int, terms: dict) -> "JetSeries":
-        """Result of internal arithmetic: ``terms`` already has valid integer exponents.
+        """Result of internal arithmetic: ``terms`` already has well-formed integer exponents.
 
         Skips the public constructor's checks; only zero coefficients and
         terms past ``order`` are dropped.

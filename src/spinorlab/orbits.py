@@ -712,11 +712,6 @@ def _cached_rep(p: int, q: int) -> clifford.SpinRepresentation:
     return clifford.spin_representation(p, q)
 
 
-def _half_spinor_basis(rep: clifford.SpinRepresentation):
-    """Orthonormal column bases of the two chiral halves, kept on ``rep``."""
-    return rep.half_spinor_bases()
-
-
 def is_pure(signature: tuple[int, int], s: np.ndarray, tol: float = 1e-8) -> bool:
     """Whether a spinor lies on the minimal (pure) orbit of a split form.
 
@@ -741,7 +736,7 @@ def is_pure(signature: tuple[int, int], s: np.ndarray, tol: float = 1e-8) -> boo
         raise ValueError(f"no purity criterion for signature {signature}")
     rep = _cached_rep(p, q)
     if (p, q) == (4, 4):
-        plus, minus = _half_spinor_basis(rep)
+        plus, minus = rep.half_spinor_bases()
         in_plus = _norm(s - plus @ (plus.T @ s)) <= tol * total
         in_minus = _norm(s - minus @ (minus.T @ s)) <= tol * total
         if not (in_plus or in_minus):
@@ -765,7 +760,7 @@ def pure_spinor(signature: tuple[int, int]) -> np.ndarray:
         return _null_vector_of(form)
     if (p, q) == (4, 4):
         rep = _cached_rep(4, 4)
-        half = _half_spinor_basis(rep)[0]
+        half = rep.half_spinor_bases()[0]
         forms = rep.invariant_forms()
         restricted = [half.T @ f @ half for f in forms]
         form = max(restricted, key=lambda f: _norm(f))

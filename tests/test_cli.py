@@ -166,6 +166,25 @@ class TestExitCodes:
         report, status = run_command(RunSpec(command, spec_path=spec))
         assert status == 2 and "'0,2'" in report["error"]
 
+    @pytest.mark.parametrize("command, desc, key", [
+        ("metric-verify", {"family": "M21",
+                           "functions": [{"arity": 2, "coefficients": [[1, 1], 2.0]}]},
+         "coefficients"),
+        ("cauchy-solve", {"p": 1, "order": 4, "a": ["oops"]}, "a"),
+        ("cauchy-solve", {"p": 1, "order": 4, "b": {"x": 1}}, "b"),
+    ])
+    def test_spec_entry_that_is_not_an_object(self, tmp_path, command, desc, key):
+        spec = _write(tmp_path, "shape.json", desc)
+        report, status = run_command(RunSpec(command, spec_path=spec))
+        assert status == 2 and f"{key} must be" in report["error"]
+
+    def test_fractional_metric_p(self, tmp_path):
+        desc = {"family": "PUREEVEN", "p": 2.7,
+                "functions": [{"arity": 4, "coefficients": {}}] * 3}
+        spec = _write(tmp_path, "p.json", desc)
+        report, status = run_command(RunSpec("metric-verify", spec_path=spec))
+        assert status == 2 and "p must be an integer, got 2.7" in report["error"]
+
     @pytest.mark.parametrize("command", ["metric-verify", "ricci-compare", "holonomy-estimate"])
     def test_profile_derivatives_past_float_range(self, tmp_path, command):
         # the mixed Hessian entries 4e308 outgrow a float and read as inf,

@@ -41,12 +41,12 @@ def _jet_from_poly(ctx, poly):
     c = np.zeros(ctx.nmono)
     for e, v in poly.items():
         c[ctx.index[e]] = v
-    return Jet(ctx, c, ctx.order)
+    return Jet(ctx, c)
 
 
 def _assert_jet_equals_poly(jet, poly, tol=1e-12):
     for e, v in poly.items():
-        if sum(e) <= jet.valid:
+        if sum(e) <= jet.ctx.order:
             assert abs(jet.coefficient(e) - v) < tol
 
 
@@ -85,7 +85,7 @@ class TestSharedContext:
 
     def test_tables_are_read_only(self):
         ctx = shared_context(3, 2)
-        for table in (ctx.degrees, ctx._mul_i, ctx._mul_j, ctx._mul_k,
+        for table in (ctx._mul_i, ctx._mul_j, ctx._mul_k,
                       *ctx._dsrc, *ctx._ddst, *ctx._dfac):
             with pytest.raises(ValueError):
                 table[0] = 0
@@ -110,14 +110,14 @@ class TestValidityTracking:
         ctx = JetContext(2, 3)
         x, y = ctx.variables([0.5, -0.25])
         f = x * x * y
-        assert f.valid == 3
-        assert f.diff(0).valid == 2
-        assert f.diff(0).diff(1).valid == 1
+        assert f.ctx.order == 3
+        assert f.diff(0).ctx.order == 2
+        assert f.diff(0).diff(1).ctx.order == 1
 
     def test_extraction_past_trusted_order_raises(self):
         ctx = JetContext(2, 3)
         x, _ = ctx.variables([1.0, 2.0])
-        g = (x * x * x).diff(0)  # valid 2
+        g = (x * x * x).diff(0)  # order 2
         g.coefficient((2, 0))
         with pytest.raises(JetOrderError):
             g.coefficient((3, 0))
@@ -125,8 +125,8 @@ class TestValidityTracking:
     def test_product_keeps_weaker_order(self):
         ctx = JetContext(1, 4)
         (x,) = ctx.variables([2.0])
-        a = x.diff(0)  # valid 3
-        assert (a * x).valid == 3
+        a = x.diff(0)  # order 3
+        assert (a * x).ctx.order == 3
 
 
 class TestScalarCalculus:
@@ -205,8 +205,8 @@ class TestMatrixJets:
     def test_matmul_matches_entrywise(self):
         rng = np.random.default_rng(7)
         ctx = JetContext(2, 3)
-        a = Jet(ctx, rng.standard_normal((3, 4, ctx.nmono)), ctx.order)
-        b = Jet(ctx, rng.standard_normal((4, 2, ctx.nmono)), ctx.order)
+        a = Jet(ctx, rng.standard_normal((3, 4, ctx.nmono)))
+        b = Jet(ctx, rng.standard_normal((4, 2, ctx.nmono)))
         prod = a @ b
         assert prod.shape == (3, 2)
         for i in range(3):
@@ -221,7 +221,7 @@ class TestMatrixJets:
         ctx = JetContext(3, 3)
         c = rng.standard_normal((4, 4, ctx.nmono))
         c[..., 0] += 4.0 * np.eye(4)  # keep the value part invertible
-        a = Jet(ctx, c, ctx.order)
+        a = Jet(ctx, c)
         prod = (a @ a.inv()).c
         eye = np.zeros_like(prod)
         eye[..., 0] = np.eye(4)
@@ -232,7 +232,7 @@ class TestMatrixJets:
         x, y = ctx.variables([1.0, 2.0])
         m = Jet.stack([[x * y, x], [y, ctx.constant(1.0)]])
         d = m.diff(1)
-        assert d.valid == 1
+        assert d.ctx.order == 1
         assert abs(d[0, 0].value() - 1.0) < 1e-14
         assert abs(d[0, 1].value()) < 1e-14
 
@@ -250,15 +250,15 @@ class TestMatrixJets:
         ctx = JetContext(3, 2)
         mat = np.arange(6.0).reshape(2, 3) - 2.5
         k = ctx.constant(mat)
-        assert k.shape == (2, 3) and k.valid == ctx.order
+        assert k.shape == (2, 3) and k.ctx.order == ctx.order
         assert np.array_equal(k.value(), mat)
         back = Jet.stack([[k[i, j] for j in range(3)] for i in range(2)])
-        assert np.array_equal(back.c, k.c) and back.valid == k.valid
+        assert np.array_equal(back.c, k.c) and back.ctx.order == k.ctx.order
         X = ctx.variables([0.1, 0.2, 0.3])
         m = Jet.stack([[X[0], X[1] * X[2]], [X[2].diff(2), X[0] + 1.0]])
-        assert m.valid == ctx.order - 1
+        assert m.ctx.order == ctx.order - 1
         for i, j, want in ((0, 0, X[0]), (0, 1, X[1] * X[2]), (1, 1, X[0] + 1.0)):
-            assert np.array_equal(m[i, j].c, ctx.mask(want.c, m.valid))
+            assert np.array_equal(m[i, j].c, want.truncate(m.ctx.order).c)
         assert m[1].shape == (2,) and np.array_equal(m[1].c, m.c[1])
 
     def test_scalar_value_is_a_float(self):
@@ -301,14 +301,14 @@ class TestTruncate:
         for order in range(4):
             low = high.truncate(order)
             assert low.ctx is shared_context(3, order)
-            assert low.valid == order
+            assert low.ctx.order == order
             assert np.array_equal(low.c, build(shared_context(3, order)).c)
 
     def test_arithmetic_commutes_with_truncation(self):
         rng = np.random.default_rng(13)
         ctx = shared_context(3, 3)
-        a = Jet(ctx, rng.standard_normal((4, 4, ctx.nmono)), ctx.order)
-        b = Jet(ctx, rng.standard_normal((4, 4, ctx.nmono)), ctx.order)
+        a = Jet(ctx, rng.standard_normal((4, 4, ctx.nmono)))
+        b = Jet(ctx, rng.standard_normal((4, 4, ctx.nmono)))
         a.c[..., 0] += 4.0 * np.eye(4)  # keep the value part invertible
         for order in range(4):
             at, bt = a.truncate(order), b.truncate(order)
@@ -320,9 +320,12 @@ class TestTruncate:
     def test_trusted_order_is_carried(self):
         ctx = shared_context(2, 3)
         x, y = ctx.variables([0.5, -1.5])
-        g = (x * x * x * y).diff(0).diff(1)  # trusted to 1
-        assert [g.truncate(k).valid for k in range(4)] == [0, 1, 1, 1]
-        assert np.array_equal(g.truncate(2).c, g.c[: shared_context(2, 2).nmono])
+        g = (x * x * x * y).diff(0).diff(1)  # order 1
+        assert [g.truncate(k).ctx.order for k in range(2)] == [0, 1]
+        assert np.array_equal(g.truncate(0).c, g.c[:1])
+        for k in (2, 3):
+            with pytest.raises(ValueError):
+                g.truncate(k)
 
     def test_raising_the_order_is_refused(self):
         (x,) = shared_context(1, 2).variables([0.3])
@@ -333,10 +336,66 @@ class TestTruncate:
     def test_reading_past_the_trusted_order_still_raises(self):
         ctx = shared_context(2, 3)
         x, _ = ctx.variables([1.0, 2.0])
-        g = (x * x * x).diff(0).diff(0)  # trusted to 1
-        low = g.truncate(2)
+        g = (x * x * x).diff(0).diff(0)  # order 1
+        low = g.truncate(1)
         assert low.coefficient((1, 0)) == g.coefficient((1, 0))
         with pytest.raises(JetOrderError):
             low.coefficient((2, 0))
         with pytest.raises(JetOrderError):
             low.diff(0).diff(0).value()
+
+
+class TestMixedOrders:
+    """Jets of the same variables but different orders meet in the lower order."""
+
+    @staticmethod
+    def _scalars():
+        x, y = shared_context(2, 2).variables([0.5, -1.5])
+        high = (x * x + 2.0) * (y + 1.0)
+        low = (x * x + y).diff(0).diff(0)  # order 0
+        return high, low
+
+    def test_ops_equal_the_ops_after_an_explicit_truncate(self):
+        high, low = self._scalars()
+        cut = high.truncate(0)
+        ops = (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+               lambda a, b: a / b)
+        for op in ops:
+            for got, want in ((op(high, low), op(cut, low)), (op(low, high), op(low, cut))):
+                assert got.ctx is shared_context(2, 0)
+                assert np.array_equal(got.c, want.c)
+
+    def test_matmul_and_stack_meet_in_the_lower_order(self):
+        high, low = self._scalars()
+        cut = high.truncate(0)
+        m = Jet.stack([[high, low], [low, high]])
+        assert m.ctx is shared_context(2, 0)
+        assert np.array_equal(m.c, Jet.stack([[cut, low], [low, cut]]).c)
+        full = Jet.stack([[high, high * high], [high + 1.0, high]])
+        got = full @ m
+        assert got.ctx is shared_context(2, 0)
+        assert np.array_equal(got.c, (full.truncate(0) @ m).c)
+
+    def test_diff_below_order_zero_raises(self):
+        ctx = shared_context(2, 0)
+        x = ctx.variable(0, 1.0)
+        with pytest.raises(JetOrderError):
+            x.diff(0)
+        with pytest.raises(JetOrderError):
+            ctx.diff_arrays(x.c, 1)
+
+    def test_diff_is_a_prefix_in_the_lower_context(self):
+        ctx = shared_context(2, 3)
+        x, y = ctx.variables([0.5, -1.5])
+        f = x * x * y + y.sin()
+        for var in range(2):
+            d = f.diff(var)
+            assert d.ctx is shared_context(2, 2) and d.c.shape == (d.ctx.nmono,)
+
+    def test_distinct_contexts_of_one_order_raise(self):
+        a = JetContext(2, 2).variables([0.0, 1.0])[0]
+        b = JetContext(2, 2).variables([0.0, 1.0])[1]
+        with pytest.raises(ValueError):
+            Jet.stack([[a, b]])
+        with pytest.raises(ValueError):
+            a * shared_context(3, 1).variable(0, 0.0)

@@ -466,7 +466,7 @@ class TestPurity:
         from spinorlab import clifford
 
         rep = clifford.spin_representation(4, 4)
-        half = orbits._half_spinor_basis(rep)[0]
+        half = rep.half_spinor_bases()[0]
         forms = rep.invariant_forms()
         restricted = max(
             (half.T @ f @ half for f in forms), key=np.linalg.norm
