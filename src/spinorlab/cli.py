@@ -497,6 +497,8 @@ _COMMAND_TABLE = {
 }
 COMMANDS = tuple(_COMMAND_TABLE)
 DEFAULT_TOLS = {name: tol for name, (_, tol) in _COMMAND_TABLE.items()}
+# the subcommands that read --spec; only cauchy-solve reads --order and --p
+_SPEC_COMMANDS = ("metric-verify", "ricci-compare", "holonomy-estimate", "cauchy-solve")
 
 
 def run_command(rs: RunSpec) -> tuple[dict, int]:
@@ -561,22 +563,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         cmd = sub.add_parser(name)
-        cmd.add_argument("--spec", dest="spec_path", default=None,
-                         help="JSON input description")
+        if name in _SPEC_COMMANDS:
+            cmd.add_argument("--spec", dest="spec_path", default=None,
+                             help="JSON input description")
         cmd.add_argument("--seed", type=int, default=0)
         cmd.add_argument("--out", dest="out_path", default=None,
                          help="report path (default: stdout)")
         cmd.add_argument("--tol", type=float, default=None)
-        cmd.add_argument("--order", type=int, default=None)
-        cmd.add_argument("--p", type=int, default=None)
+        if name == "cauchy-solve":
+            cmd.add_argument("--order", type=int, default=None)
+            cmd.add_argument("--p", type=int, default=None)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    rs = RunSpec(command=args.command, spec_path=args.spec_path,
-                 seed=args.seed, tol=args.tol, order=args.order,
-                 p=args.p, out_path=args.out_path)
+    rs = RunSpec(**vars(build_parser().parse_args(argv)))
     report, status = run_command(rs)
     _write_report(report, rs.out_path)
     return status

@@ -18,12 +18,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from numbers import Integral
 
 import numpy as np
 
 from . import octospin
 from .jets import (
     Jet,
+    JetContext,
     JetSeries,
     TaylorShift,
     monomials_upto,
@@ -54,7 +56,7 @@ def _worst(values) -> float:
 
 
 class FreeFunction:
-    """Polynomial profile of ``arity`` arguments, evaluated on jets.
+    """Polynomial profile of ``arity`` arguments, expanded as jets at points.
 
     The sparse monomial table {exponents: coefficient} is held as a
     :class:`JetSeries` truncated at its own total degree, so the profile is
@@ -86,46 +88,23 @@ class FreeFunction:
     def __repr__(self) -> str:
         return f"FreeFunction({self.name}, arity={self.arity})"
 
-    def jet(self, args: list[Jet]) -> Jet:
-        """The jet of f at argument jets of one context.
+    def jet(self, ctx: JetContext, point, variables) -> Jet:
+        """The jet of f in ``ctx`` at ``point``, argument i being coordinate ``variables[i]``.
 
-        At coordinate variables (each argument value + x_v) the table is
-        expanded as its Taylor shift, precomputed once per context size and
-        argument variables; other argument jets go through term-by-term jet
-        products.
+        The table is expanded as its Taylor shift, precomputed once per
+        context size and argument variables.
         """
-        if len(args) != self.arity:
-            raise ValueError(f"{self.name} takes {self.arity} arguments, got {len(args)}")
-        ctx = args[0].ctx
-        coords = ctx.coordinates(args)
-        if coords is None:
-            return self._product_jet(args)
-        values, variables = coords
+        variables = tuple(variables)
+        if len(variables) != self.arity:
+            raise ValueError(f"{self.name} takes {self.arity} arguments, got {len(variables)}")
+        point = np.asarray(point, dtype=float)
+        if point.shape != (ctx.nvars,):
+            raise ValueError("need one value per variable")
         key = (ctx.nvars, ctx.order, variables)
         shift = self._shifts.get(key)
         if shift is None:
             shift = self._shifts[key] = TaylorShift(*self._float_terms, ctx, variables)
-        return Jet(ctx, shift(values))
-
-    def _product_jet(self, args: list[Jet]) -> Jet:
-        """The table's jet as a sum of products of argument-jet powers."""
-        ctx = args[0].ctx
-        powers: list[dict[int, Jet]] = [{0: ctx.constant(1.0)} for _ in range(self.arity)]
-
-        def pw(i: int, e: int) -> Jet:
-            cache = powers[i]
-            if e not in cache:
-                cache[e] = pw(i, e - 1) * args[i]
-            return cache[e]
-
-        out = ctx.constant(0.0)
-        for exps, coeff in sorted(self.table.items()):
-            term = ctx.constant(coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * pw(i, e)
-            out = out + term
-        return out
+        return Jet(ctx, shift(point[list(variables)]))
 
     def value(self, point) -> float:
         return self.series.evaluate(point)
@@ -133,7 +112,7 @@ class FreeFunction:
     def derivative(self, point, *vars_: int) -> float:
         """Mixed partial derivative value at ``point``."""
         ctx = shared_context(self.arity, max(len(vars_), 1))
-        return self.jet(ctx.variables(np.asarray(point, dtype=float))).derivative_value(*vars_)
+        return self.jet(ctx, point, range(self.arity)).derivative_value(*vars_)
 
     def partial(self, var: int) -> "FreeFunction":
         """Exact partial derivative."""
@@ -266,14 +245,18 @@ def _spec_table(coefficients: dict) -> dict[tuple[int, ...], Fraction]:
 
     Keys are comma-separated exponent strings; values may be numbers or
     rational strings like "3/4", and are kept as Fractions.  A map that is
-    not an object, or a value that is not finite (JSON Infinity or NaN, a
-    zero denominator, past the float range), is rejected with its key.
+    not an object, a key that is not a list of nonnegative integers, or a
+    value that is not finite (JSON Infinity or NaN, a zero denominator,
+    past the float range), is rejected with its key.
     """
     if not isinstance(coefficients, dict):
         raise ValueError(f"coefficients must be an object, got {coefficients!r}")
     table: dict[tuple[int, ...], Fraction] = {}
     for key, val in coefficients.items():
-        exps = tuple(int(s) for s in str(key).strip("() ").split(","))
+        parts = [s.strip() for s in str(key).strip("() ").split(",")]
+        if not all(s.isdecimal() for s in parts):
+            raise ValueError(f"exponent key {key!r} is not a list of nonnegative integers")
+        exps = tuple(int(s) for s in parts)
         try:
             coeff = Fraction(val)
             float(coeff)  # OverflowError past the float range
@@ -284,8 +267,14 @@ def _spec_table(coefficients: dict) -> dict[tuple[int, ...], Fraction]:
 
 
 def function_from_spec(d: dict) -> FreeFunction:
-    """Build a table-backed function from its serialized form (exact rationals)."""
-    return FreeFunction(int(d["arity"]), table=_spec_table(d.get("coefficients", {})),
+    """Build a table-backed function from its serialized form (exact rationals).
+
+    ``arity`` must be an integer: 3.5 or "3" is rejected, not rounded or parsed.
+    """
+    arity = d["arity"]
+    if isinstance(arity, bool) or not isinstance(arity, Integral):
+        raise ValueError(f"arity must be an integer, got {arity!r}")
+    return FreeFunction(arity, table=_spec_table(d.get("coefficients", {})),
                         name=d.get("name", "f"))
 
 
@@ -328,8 +317,7 @@ class CoordinateMetric:
             raise ValueError("coordinate names disagree with the dimension")
 
     def component_jets(self, point, order: int) -> Jet:
-        ctx = shared_context(self.n, order)
-        return self._component_rule(ctx.variables(np.asarray(point, dtype=float)), ctx)
+        return self._component_rule(np.asarray(point, dtype=float), shared_context(self.n, order))
 
     def components(self, point) -> np.ndarray:
         return self.component_jets(point, order=0).value()
@@ -340,8 +328,7 @@ class CoordinateMetric:
     def coframe_jets(self, point, order: int) -> Jet:
         if self._coframe_rule is None:
             raise ValueError("metric carries no adapted coframe")
-        ctx = shared_context(self.n, order)
-        return self._coframe_rule(ctx.variables(np.asarray(point, dtype=float)), ctx)
+        return self._coframe_rule(np.asarray(point, dtype=float), shared_context(self.n, order))
 
     @property
     def stabilizer_dimension(self) -> int:
@@ -363,10 +350,15 @@ def custom_metric(n, signature, coordinates, component_rule) -> CoordinateMetric
     """Metric from a raw component rule.
 
     ``component_rule(X, ctx)`` takes the coordinate jets X of a shared
-    context and returns the n x n matrix :class:`~spinorlab.jets.Jet` of the
-    components, for instance ``Jet.stack`` of scalar jet rows.
+    context, one per coordinate at the point, and returns the n x n matrix
+    :class:`~spinorlab.jets.Jet` of the components, for instance
+    ``Jet.stack`` of scalar jet rows.  The normal forms take the point
+    itself and form no coordinate jets.
     """
-    return CoordinateMetric(n, signature, coordinates, component_rule)
+    def rule(point, ctx):
+        return component_rule(ctx.variables(point), ctx)
+
+    return CoordinateMetric(n, signature, coordinates, rule)
 
 
 def probe_points(m: CoordinateMetric, seed: int, count: int = 5,
@@ -453,7 +445,7 @@ def _hessian_determinant_rule(hess):
 
 
 def _profile_rule(const, profiles, terms):
-    """Jet rule (X, ctx) -> const + coeff * f_t(X[args_t]) in cell (i, j), per term.
+    """Jet rule (point, ctx) -> const + coeff * f_t(point[args_t]) in cell (i, j), per term.
 
     ``profiles`` lists (FreeFunction, argument indices) and ``terms`` lists
     (i, j, coeff, t).  Each profile the terms reference is evaluated once
@@ -467,8 +459,8 @@ def _profile_rule(const, profiles, terms):
     which = np.searchsorted(used, which)
     coeffs = np.array(coeffs, dtype=float)[:, None]
 
-    def rule(X, ctx):
-        jets = [f.jet([X[a] for a in args]) for f, args in profiles]
+    def rule(point, ctx):
+        jets = [f.jet(ctx, point, args) for f, args in profiles]
         bins = (cells[:, None] * ctx.nmono + np.arange(ctx.nmono)).ravel()
         vals = coeffs * np.stack([j.c for j in jets])[which]
         c = np.bincount(bins, weights=vals.ravel(), minlength=const.size * ctx.nmono)
@@ -883,8 +875,8 @@ def ricci_paper(family: str, functions, point, p=None) -> np.ndarray:
             point = np.array([point[0], point[1], point[3], -point[2]])
             n, p, x0 = 4, 2, 0
         ctx = shared_context(len(point), 2)
-        X = ctx.variables(point)
-        jets = _fmatrix([fn.jet(X) for fn in functions], symmetric_pairs(p), p)
+        jets = _fmatrix([fn.jet(ctx, point, range(len(point))) for fn in functions],
+                        symmetric_pairs(p), p)
         x_vars = range(x0, x0 + p)
         y_vars = range(x0 + p, x0 + 2 * p)
         bracket = np.zeros((p, p))

@@ -26,7 +26,9 @@ at order 1 even when it is built from the derivatives of order-2 jets.
 stored as an {exponents: coefficient} dict over exact rationals (floats
 are tolerated).  It backs table-defined profile functions and the exact
 Cauchy solver alike.  :class:`TaylorShift` expands such a polynomial at
-coordinate variables in one weighted product, with no jet products.
+a point whose arguments are coordinates (argument i is y_i = p_i + x_{v_i}),
+in one weighted product from the values p and the variable indices v,
+with no coordinate-variable jets and no jet products.
 """
 
 from __future__ import annotations
@@ -131,7 +133,6 @@ class JetContext:
             self._dsrc.append(_frozen(np.array(src, dtype=np.intp)))
             self._ddst.append(_frozen(np.array(dst, dtype=np.intp)))
             self._dfac.append(_frozen(np.array(fac, dtype=float)))
-        self._linear = _frozen(np.eye(nvars))
         self._columns: dict[tuple[int, ...], np.ndarray] = {}
 
     # -- raw array kernels (last axis = monomial coefficients) -------------
@@ -166,25 +167,7 @@ class JetContext:
         out[..., self._ddst[var]] = c[..., self._dsrc[var]] * self._dfac[var]
         return out
 
-    # -- coordinate variables ------------------------------------------------
-
-    def coordinates(self, jets) -> tuple[np.ndarray, tuple[int, ...]] | None:
-        """Base values and variable indices if every jet is a coordinate variable.
-
-        A coordinate variable is value + x_v in this context.  At order 0
-        every jet is its value and the indices are reported as 0.  Returns
-        None when any jet is something else.
-        """
-        if any(j.ctx is not self for j in jets):
-            return None
-        c = np.stack([j.c for j in jets])
-        if self.order == 0:
-            return c[:, 0], (0,) * len(jets)
-        linear = c[:, 1:1 + self.nvars]
-        var = linear.argmax(axis=1)
-        if c[:, 1 + self.nvars:].any() or not np.array_equal(linear, self._linear[var]):
-            return None
-        return c[:, 0], tuple(var.tolist())
+    # -- Taylor shift columns ------------------------------------------------
 
     def _placed_columns(self, variables: tuple[int, ...]) -> np.ndarray:
         """Column of x^E(b) for each row b of ``_exponent_rows(len(variables), order)``.

@@ -140,9 +140,8 @@ class TestJetSeries:
         assert s.max_abs() == np.inf
         assert s.z_coefficient(0).evaluate([0.0, 2.0]) == -np.inf
         f = series_to_function(s)
-        X = JetContext(2, 1).variables([0.0, 0.0])
         with np.errstate(invalid="ignore"):  # inf * 0 in the value part
-            jet = f.jet(X)
+            jet = f.jet(JetContext(2, 1), [0.0, 0.0], (0, 1))
         assert jet.coefficient((1, 0)) == np.inf and jet.coefficient((0, 1)) == -np.inf
         assert f.partial(0).value([0.5, 0.5]) == np.inf
 
@@ -382,8 +381,8 @@ class TestSharedBracket:
     def test_series_bracket_matches_jet_bracket_at_a_point(self, tables, point):
         series = [JetSeries.from_table(5, 6, t) for t in tables]
         exact = bracket_series(series, 2)
-        X = JetContext(5, 2).variables(point)
-        jets = [series_to_function(s).jet(X) for s in series]
+        ctx = JetContext(5, 2)
+        jets = [series_to_function(s).jet(ctx, point, range(5)) for s in series]
         grid = geometry._fmatrix(jets, geometry.symmetric_pairs(2), 2)
         at_point = geometry._quadratic_bracket(grid, (1, 2), (3, 4))
         for s, j in zip(exact, at_point):

@@ -178,6 +178,23 @@ class TestExitCodes:
         report, status = run_command(RunSpec(command, spec_path=spec))
         assert status == 2 and f"{key} must be" in report["error"]
 
+    @pytest.mark.parametrize("arity", [3.5, "3", True])
+    def test_arity_that_is_not_an_integer(self, tmp_path, arity):
+        desc = {"family": "M31", "functions": [{"arity": arity, "coefficients": {"2,0,0": 1}}]}
+        spec = _write(tmp_path, "arity.json", desc)
+        report, status = run_command(RunSpec("metric-verify", spec_path=spec))
+        assert status == 2 and f"arity must be an integer, got {arity!r}" in report["error"]
+
+    @pytest.mark.parametrize("key", ["1,1,", "1.5,0,0", "a,b,c"])
+    @pytest.mark.parametrize("command", ["metric-verify", "cauchy-solve"])
+    def test_malformed_exponent_key(self, tmp_path, key, command):
+        function = {"arity": 3, "coefficients": {key: 1}}
+        desc = ({"family": "M31", "functions": [function]} if command == "metric-verify"
+                else {"p": 1, "order": 4, "a": [function]})
+        spec = _write(tmp_path, "key.json", desc)
+        report, status = run_command(RunSpec(command, spec_path=spec))
+        assert status == 2 and f"exponent key {key!r}" in report["error"]
+
     def test_fractional_metric_p(self, tmp_path):
         desc = {"family": "PUREEVEN", "p": 2.7,
                 "functions": [{"arity": 4, "coefficients": {}}] * 3}
@@ -484,6 +501,18 @@ class TestCurvatureSpace:
 
 
 class TestMain:
+    @pytest.mark.parametrize("argv", [
+        ["metric-verify", "--spec", "m.json", "--p", "3"],
+        ["metric-verify", "--spec", "m.json", "--order", "4"],
+        ["clifford-table", "--spec", "missing.json"],
+        ["curvature-space", "--p", "2"],
+    ])
+    def test_option_rejected_where_unread(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_stdout_report(self, capsys):
         code = main(["curvature-space"])
         assert code == 0

@@ -132,10 +132,35 @@ class TestFreeFunction:
 
     def test_argument_count_checked(self):
         f = FreeFunction(2, table={(1, 0): 1.0})
-        from spinorlab.jets import JetContext
         ctx = JetContext(3, 1)
         with pytest.raises(ValueError):
-            f.jet(ctx.variables(np.zeros(3)))
+            f.jet(ctx, np.zeros(3), range(3))
+
+    def test_point_size_checked(self):
+        f = FreeFunction(2, table={(1, 0): 1.0})
+        with pytest.raises(ValueError):
+            f.jet(JetContext(3, 1), np.zeros(2), (0, 1))
+
+
+def _product_jet(f: FreeFunction, args: list[Jet]) -> Jet:
+    """The jet of f's table at argument jets, as a sum of products of their powers."""
+    ctx = args[0].ctx
+    powers: list[dict[int, Jet]] = [{0: ctx.constant(1.0)} for _ in range(f.arity)]
+
+    def pw(i: int, e: int) -> Jet:
+        cache = powers[i]
+        if e not in cache:
+            cache[e] = pw(i, e - 1) * args[i]
+        return cache[e]
+
+    out = ctx.constant(0.0)
+    for exps, coeff in sorted(f.table.items()):
+        term = ctx.constant(coeff)
+        for i, e in enumerate(exps):
+            if e:
+                term = term * pw(i, e)
+        out = out + term
+    return out
 
 
 # Argument maps of the call sites: all coordinates, the null-corner slice
@@ -161,7 +186,7 @@ def _table_at_point(draw, arity):
 
 
 class TestTaylorShift:
-    """FreeFunction.jet at coordinate variables against the jet-product oracle."""
+    """FreeFunction.jet at a point against the jet-product oracle at coordinate jets."""
 
     @pytest.mark.parametrize("argmap", list(ARGUMENT_MAPS))
     @settings(derandomize=True, max_examples=25, deadline=None)
@@ -173,43 +198,31 @@ class TestTaylorShift:
         point[list(variables)] = values
         ctx = JetContext(nvars, order)
         X, absX = ctx.variables(point), ctx.variables(np.abs(point))
-        args = [X[v] for v in variables]
         f = FreeFunction(len(variables), table=table)
-        got, want = f.jet(args), f._product_jet(args)
+        got, want = f.jet(ctx, point, variables), _product_jet(f, [X[v] for v in variables])
         # scale: the same expansion with every coefficient and value made positive
         size = FreeFunction(len(variables), table={e: abs(c) for e, c in table.items()})
-        scale = size._product_jet([absX[v] for v in variables]).c
+        scale = _product_jet(size, [absX[v] for v in variables]).c
         assert got.ctx.order == want.ctx.order == order
         assert np.all(np.abs(got.c - want.c) <= 1e-12 * scale + np.finfo(float).tiny)
-
-    def test_other_argument_jets_take_the_product_path(self, monkeypatch):
-        f = FreeFunction(2, table={(2, 1): 1.5, (0, 2): -1.0, (1, 0): 2.0})
-        ctx = JetContext(3, 2)
-        X = ctx.variables([0.4, -0.3, 0.2])
-        shifts = []
-        shift = geometry.TaylorShift
-        monkeypatch.setattr(geometry, "TaylorShift", lambda *a: shifts.append(a) or shift(*a))
-        for args in ([X[0] * X[1], X[2]], [2.0 * X[0], X[1]], [X[0], X[1].diff(1)]):
-            got = f.jet(args)
-            want = f._product_jet(args)
-            assert np.array_equal(got.c, want.c) and got.ctx.order == want.ctx.order
-        assert not shifts
 
     def test_repeated_variable(self):
         # f(x, x) sums the shifted coefficients of both arguments
         f = FreeFunction(2, table={(2, 1): 1.0, (1, 0): -3.0})
-        X = JetContext(1, 3).variables([0.7])
-        got, want = f.jet([X[0], X[0]]), f._product_jet([X[0], X[0]])
+        ctx = JetContext(1, 3)
+        X = ctx.variables([0.7])
+        got, want = f.jet(ctx, [0.7], (0, 0)), _product_jet(f, [X[0], X[0]])
         assert np.allclose(got.c, want.c, rtol=1e-14, atol=1e-14)
 
     def test_shift_data_stays_with_its_function(self):
         # functions built and dropped in turn reuse object ids; each must
         # still be expanded from its own table
-        X = JetContext(2, 2).variables([0.3, -0.2])
+        ctx = JetContext(2, 2)
+        X = ctx.variables([0.3, -0.2])
         ids = []
         for i in range(20):
             f = FreeFunction(2, table={(i % 3 + 1, 0): i + 1.0, (0, i % 2 + 1): 0.5})
-            got, want = f.jet(X), f._product_jet(X)
+            got, want = f.jet(ctx, [0.3, -0.2], (0, 1)), _product_jet(f, X)
             assert np.allclose(got.c, want.c, rtol=1e-14, atol=1e-14)
             ids.append(id(f))
             del f
@@ -295,12 +308,13 @@ class TestCurvatureOracles:
         fs = [random_polynomial(3, rng, degree=2, scale=0.1) for _ in range(6)]
 
         def rule(X, ctx):
+            point = [x.value() for x in X]
             e = [[None] * 3 for _ in range(3)]
             k = 0
             for i in range(3):
                 for j in range(i, 3):
                     base = 1.0 if i == j else 0.0
-                    e[i][j] = e[j][i] = base + fs[k].jet(list(X))
+                    e[i][j] = e[j][i] = base + fs[k].jet(ctx, point, range(3))
                     k += 1
             return Jet.stack(e)
 
@@ -335,6 +349,21 @@ class TestCurvatureOracles:
 
 
 class TestFamilyBuilders:
+    def test_normal_form_jets_form_no_coordinate_jets(self, monkeypatch):
+        calls = []
+        variable = JetContext.variable
+        monkeypatch.setattr(JetContext, "variable",
+                            lambda ctx, *a: calls.append(a) or variable(ctx, *a))
+        for family, p in GENERIC_CASES:
+            m = _generic(family, p=p)
+            pt = probe_points(m, 5, count=1)[0]
+            m.component_jets(pt, 2)
+            m.coframe_jets(pt, 2)
+        assert not calls
+        # a custom rule still takes one coordinate jet per coordinate
+        _sphere().component_jets(np.array([0.4, 0.2]), 2)
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("family,p", GENERIC_CASES)
     def test_signature_and_gram(self, family, p):
         m = _generic(family, p=p)
@@ -381,7 +410,7 @@ class TestFamilyBuilders:
         calls = []
         jet = FreeFunction.jet
         monkeypatch.setattr(FreeFunction, "jet",
-                            lambda f, args: calls.append(f) or jet(f, args))
+                            lambda f, *args: calls.append(f) or jet(f, *args))
         for jets in (m.component_jets, m.coframe_jets):
             calls.clear()
             jets(np.full(m.n, 0.1), order=1)

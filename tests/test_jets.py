@@ -90,20 +90,6 @@ class TestSharedContext:
             with pytest.raises(ValueError):
                 table[0] = 0
 
-    def test_coordinates_are_recognised(self):
-        ctx = JetContext(3, 2)
-        X = ctx.variables([0.5, -1.0, 2.0])
-        values, variables = ctx.coordinates([X[2], X[0] + 1.0, X[2]])
-        assert np.array_equal(values, [2.0, 1.5, 2.0]) and variables == (2, 0, 2)
-        for other in ([2.0 * X[0]], [X[0] * X[1]], [X[0].diff(0)], [ctx.constant(1.0)],
-                      [JetContext(3, 2).variable(0, 0.5)]):
-            assert ctx.coordinates(other) is None
-
-    def test_order_zero_jets_are_their_values(self):
-        ctx = JetContext(2, 0)
-        values, variables = ctx.coordinates([ctx.constant(3.0), ctx.variable(1, -2.0)])
-        assert np.array_equal(values, [3.0, -2.0]) and variables == (0, 0)
-
 
 class TestValidityTracking:
     def test_diff_lowers_trusted_order(self):
