@@ -2,12 +2,15 @@
 
 Each subcommand runs a fixed battery of checks and writes one report:
 per-check residuals and dimensions, a pass flag per row, the library
-version and the frozen octonion-table checksum.  Rows are ordered by
-check name and identical (spec, seed) inputs produce byte-identical
-reports.  Exit status: 0 all checks pass, 1 any check failed, 2
-malformed input, 3 a rank decision refused inside its guard band.
-Written reports are strict JSON: a non-finite number is spelled "inf",
-"-inf" or "nan", and each row's pass flag is decided on the float.
+version and the frozen octonion-table checksum.  ``_COMMAND_TABLE``
+declares the inputs each subcommand reads: only those are accepted as
+options (plus --out), passed to its handler and recorded in the header; a
+spec is read once and recorded by its sha256.  Rows are ordered by check
+name and identical inputs produce byte-identical reports.  Exit status: 0
+all checks pass, 1 any check failed, 2 malformed input, 3 a rank decision
+refused inside its guard band.  Written reports are strict JSON: a
+non-finite number is spelled "inf", "-inf" or "nan", and each row's pass
+flag is decided on the float.
 """
 
 from __future__ import annotations
@@ -25,9 +28,10 @@ from . import __version__, algebra, cauchy, clifford, geometry, octospin, orbits
 from .geometry import _worst
 from .linalg import RankAmbiguityError
 
+
 @dataclass(frozen=True)
 class RunSpec:
-    """One verification run: subcommand plus the recorded inputs."""
+    """One verification run: a subcommand and its inputs (others are ignored)."""
 
     command: str
     spec_path: str | None = None
@@ -73,9 +77,8 @@ def _sample(rng, count):
     return rng.normal(size=(count, 8))
 
 
-def _cmd_algebra_selfcheck(rs: RunSpec) -> list[dict]:
-    rng = np.random.default_rng(rs.seed)
-    tol = rs.tolerance
+def _cmd_algebra_selfcheck(seed: int, tol: float) -> list[dict]:
+    rng = np.random.default_rng(seed)
     m = algebra.octonion_mul
     x, y, z = _sample(rng, 1000), _sample(rng, 1000), _sample(rng, 1000)
     rows = []
@@ -155,9 +158,9 @@ def _expected_label(p: int, q: int) -> str:
     return f"{base}+{base}" if s else base
 
 
-def _cmd_clifford_table(rs: RunSpec) -> list[dict]:
+def _cmd_clifford_table(seed: int) -> list[dict]:
     rows = []
-    rng = np.random.default_rng(rs.seed)
+    rng = np.random.default_rng(seed)
     for n in range(0, 9):
         for p in range(n + 1):
             q = n - p
@@ -196,7 +199,7 @@ _ORBIT_REFERENCE = (
 )
 
 
-def _cmd_orbit_report(rs: RunSpec) -> list[dict]:
+def _cmd_orbit_report() -> list[dict]:
     rows = []
     for name, coeffs, stab, orbit, label in _ORBIT_REFERENCE:
         model = orbits.get_model(name)
@@ -231,9 +234,8 @@ def _cmd_orbit_report(rs: RunSpec) -> list[dict]:
 # -- triality ---------------------------------------------------------------
 
 
-def _cmd_triality_check(rs: RunSpec) -> list[dict]:
-    rng = np.random.default_rng(rs.seed)
-    tol = rs.tolerance
+def _cmd_triality_check(seed: int, tol: float) -> list[dict]:
+    rng = np.random.default_rng(seed)
 
     def dist(t1, t2):
         return _worst(np.abs(a - b).max() for a, b in zip(t1.as_tuple(), t2.as_tuple()))
@@ -259,16 +261,11 @@ def _cmd_triality_check(rs: RunSpec) -> list[dict]:
 # -- geometry commands -------------------------------------------------------
 
 
-def _load_metric(rs: RunSpec):
-    if rs.spec_path is None:
-        raise SpecError(f"{rs.command} needs --spec with a metric description")
+def _load_metric(spec: dict | None):
+    if spec is None:
+        raise SpecError("--spec with a metric description is required")
     try:
-        with open(rs.spec_path, encoding="utf-8") as fh:
-            desc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SpecError(f"cannot read metric spec: {exc}") from exc
-    try:
-        return geometry.metric_from_spec(desc)
+        return geometry.metric_from_spec(spec)
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"bad metric spec: {exc}") from exc
 
@@ -280,10 +277,9 @@ def _probe_points(m, seed: int, count: int) -> np.ndarray:
         raise SpecError(f"metric degenerate across the probe box: {exc}") from exc
 
 
-def _cmd_metric_verify(rs: RunSpec) -> list[dict]:
-    m = _load_metric(rs)
-    tol = rs.tolerance
-    pts = _probe_points(m, rs.seed, count=5)
+def _cmd_metric_verify(spec: dict | None, seed: int, tol: float) -> list[dict]:
+    m = _load_metric(spec)
+    pts = _probe_points(m, seed, count=5)
     coframes = [geometry.adapted_coframe(m, pt) for pt in pts]
     gram = _worst(ac.gram_residual for ac in coframes)
     torsion = _worst(ac.torsion_residual for ac in coframes)
@@ -322,14 +318,13 @@ def _cmd_metric_verify(rs: RunSpec) -> list[dict]:
     return rows
 
 
-def _cmd_ricci_compare(rs: RunSpec) -> list[dict]:
-    m = _load_metric(rs)
+def _cmd_ricci_compare(spec: dict | None, seed: int, tol: float) -> list[dict]:
+    m = _load_metric(spec)
     if m.family not in geometry.RICCI_CALIBRATION:
         raise SpecError(f"family {m.family} has no closed-form Ricci display")
-    tol = rs.tolerance
     residuals = []
     scales = []
-    for pt in _probe_points(m, rs.seed, count=5):
+    for pt in _probe_points(m, seed, count=5):
         num = geometry.ricci_numeric(m, pt)
         form = geometry.ricci_paper(m.family, m.functions, pt, p=m.p)
         scales.append(np.abs(num).max())
@@ -343,9 +338,9 @@ def _cmd_ricci_compare(rs: RunSpec) -> list[dict]:
     ]
 
 
-def _cmd_holonomy_estimate(rs: RunSpec) -> list[dict]:
-    m = _load_metric(rs)
-    est = geometry.holonomy_span(m, _probe_points(m, rs.seed, count=3))
+def _cmd_holonomy_estimate(spec: dict | None, seed: int, tol: float) -> list[dict]:
+    m = _load_metric(spec)
+    est = geometry.holonomy_span(m, _probe_points(m, seed, count=3))
     rows = [
         _row("curvature span dimension",
              "bracket-closed span of curvature operators (holonomy estimate)",
@@ -354,7 +349,7 @@ def _cmd_holonomy_estimate(rs: RunSpec) -> list[dict]:
              generators=est.generator_count, sweeps=est.sweeps),
         _residual_row("curvature membership",
                       "curvature operators lie in the stabilizer subalgebra",
-                      est.membership_residual, rs.tolerance),
+                      est.membership_residual, tol),
     ]
     return rows
 
@@ -423,24 +418,24 @@ def _builtin_cauchy_tables(p: int):
     raise SpecError("built-in data covers p in {1, 2, 3}")
 
 
-def _cmd_cauchy_solve(rs: RunSpec) -> list[dict]:
-    p = 2 if rs.p is None else rs.p
-    order = 6 if rs.order is None else rs.order
-    if rs.spec_path is not None:
+def _cmd_cauchy_solve(spec: dict | None, tol: float, order: int | None,
+                      p: int | None) -> list[dict]:
+    if spec is not None:
+        given = " and ".join(f"{k} = {v}" for k, v in (("p", p), ("order", order))
+                             if v is not None)
+        if given:
+            raise SpecError(f"{given} given with a spec, which carries its own p and order")
         try:
-            with open(rs.spec_path, encoding="utf-8") as fh:
-                desc = json.load(fh)
-            data = cauchy.cauchy_data_from_spec(desc)
-        except (OSError, json.JSONDecodeError, KeyError, TypeError,
-                ValueError) as exc:
+            data = cauchy.cauchy_data_from_spec(spec)
+        except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"bad initial data: {exc}") from exc
     else:
+        p = 2 if p is None else p
         atabs, btabs = _builtin_cauchy_tables(p)
         try:
-            data = cauchy.cauchy_data(p, order, atabs, btabs)
+            data = cauchy.cauchy_data(p, 6 if order is None else order, atabs, btabs)
         except ValueError as exc:
             raise SpecError(str(exc)) from exc
-    tol = rs.tolerance
     data_res = data.max_constraint_residual()
     rows = [_residual_row(
         "initial data constraints",
@@ -468,7 +463,7 @@ def _cmd_cauchy_solve(rs: RunSpec) -> list[dict]:
     return rows
 
 
-def _cmd_curvature_space(rs: RunSpec) -> list[dict]:
+def _cmd_curvature_space() -> list[dict]:
     stab = [e.rho for e in octospin.null_stabilizer_basis()]
     got = geometry.curvature_space_dim(stab)
     rows = [_row(
@@ -483,48 +478,67 @@ def _cmd_curvature_space(rs: RunSpec) -> list[dict]:
     return rows
 
 
-# subcommand -> (handler, default tolerance)
+# subcommand -> (handler, the inputs it takes as keywords, default tolerance
+# or None when it reads no tol)
 _COMMAND_TABLE = {
-    "algebra-selfcheck": (_cmd_algebra_selfcheck, 1e-12),
-    "clifford-table": (_cmd_clifford_table, 0.0),
-    "orbit-report": (_cmd_orbit_report, 0.0),
-    "triality-check": (_cmd_triality_check, 1e-9),
-    "metric-verify": (_cmd_metric_verify, 1e-9),
-    "ricci-compare": (_cmd_ricci_compare, 1e-7),
-    "holonomy-estimate": (_cmd_holonomy_estimate, 1e-8),
-    "cauchy-solve": (_cmd_cauchy_solve, 0.0),
-    "curvature-space": (_cmd_curvature_space, 0.0),
+    "algebra-selfcheck": (_cmd_algebra_selfcheck, ("seed", "tol"), 1e-12),
+    "clifford-table": (_cmd_clifford_table, ("seed",), None),
+    "orbit-report": (_cmd_orbit_report, (), None),
+    "triality-check": (_cmd_triality_check, ("seed", "tol"), 1e-9),
+    "metric-verify": (_cmd_metric_verify, ("spec", "seed", "tol"), 1e-9),
+    "ricci-compare": (_cmd_ricci_compare, ("spec", "seed", "tol"), 1e-7),
+    "holonomy-estimate": (_cmd_holonomy_estimate, ("spec", "seed", "tol"), 1e-8),
+    "cauchy-solve": (_cmd_cauchy_solve, ("spec", "tol", "order", "p"), 0.0),
+    "curvature-space": (_cmd_curvature_space, (), None),
 }
 COMMANDS = tuple(_COMMAND_TABLE)
-DEFAULT_TOLS = {name: tol for name, (_, tol) in _COMMAND_TABLE.items()}
-# the subcommands that read --spec; only cauchy-solve reads --order and --p
-_SPEC_COMMANDS = ("metric-verify", "ricci-compare", "holonomy-estimate", "cauchy-solve")
+DEFAULT_TOLS = {name: tol for name, (_, _, tol) in _COMMAND_TABLE.items()
+                if tol is not None}
+# input -> (header key, option, argparse keywords); each option's dest is the
+# RunSpec field, and the spec is recorded by its sha256
+_INPUTS = {
+    "spec": ("spec_sha256", "--spec", {"dest": "spec_path", "help": "JSON input description"}),
+    "seed": ("seed", "--seed", {"type": int}),
+    "tol": ("tolerance", "--tol", {"type": float}),
+    "order": ("order", "--order", {"type": int}),
+    "p": ("p", "--p", {"type": int}),
+}
+
+
+def _read_spec(path: str, report: dict) -> dict:
+    """The JSON object at ``path``, read once; its sha256 goes into ``report``."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        report["spec_sha256"] = hashlib.sha256(raw).hexdigest()
+        spec = json.loads(raw.decode("utf-8"))
+    except (OSError, ValueError) as exc:
+        raise SpecError(f"cannot read spec: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise SpecError(f"spec must be a JSON object, got {type(spec).__name__}")
+    return spec
 
 
 def run_command(rs: RunSpec) -> tuple[dict, int]:
-    """Execute one verification run; returns (report, exit status)."""
+    """Execute one verification run; returns (report, exit status).
+
+    The handler gets, and the header records, only the inputs it reads.
+    """
+    handler, inputs, _ = _COMMAND_TABLE[rs.command]
     report = {
         "command": rs.command,
-        "seed": rs.seed,
-        "tolerance": rs.tolerance,
         "version": __version__,
         "octonion_table_checksum": algebra.octonion_table_checksum(),
     }
-    if rs.order is not None:
-        report["order"] = rs.order
-    if rs.p is not None:
-        report["p"] = rs.p
-    if rs.spec_path is not None:
-        try:
-            with open(rs.spec_path, "rb") as fh:
-                report["spec_sha256"] = hashlib.sha256(fh.read()).hexdigest()
-        except OSError as exc:
-            report["error"] = f"cannot read spec: {exc}"
-            return report, 2
+    args = {name: rs.tolerance if name == "tol" else getattr(rs, name)
+            for name in inputs if name != "spec"}
+    report.update((_INPUTS[name][0], val) for name, val in args.items() if val is not None)
     try:
+        if "spec" in inputs:
+            args["spec"] = None if rs.spec_path is None else _read_spec(rs.spec_path, report)
         # a non-finite value fails its row, so numpy's warnings about it are noise
         with np.errstate(all="ignore"):
-            checks = _COMMAND_TABLE[rs.command][0](rs)
+            checks = handler(**args)
     except SpecError as exc:
         report["error"] = str(exc)
         return report, 2
@@ -561,18 +575,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spinorlab",
         description="verification runs for metrics with parallel spinors")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        cmd = sub.add_parser(name)
-        if name in _SPEC_COMMANDS:
-            cmd.add_argument("--spec", dest="spec_path", default=None,
-                             help="JSON input description")
-        cmd.add_argument("--seed", type=int, default=0)
-        cmd.add_argument("--out", dest="out_path", default=None,
+    for name, (_, inputs, _) in _COMMAND_TABLE.items():
+        # an option left out is left to its RunSpec default
+        cmd = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        for key in inputs:
+            _, option, kwargs = _INPUTS[key]
+            cmd.add_argument(option, **kwargs)
+        cmd.add_argument("--out", dest="out_path",
                          help="report path (default: stdout)")
-        cmd.add_argument("--tol", type=float, default=None)
-        if name == "cauchy-solve":
-            cmd.add_argument("--order", type=int, default=None)
-            cmd.add_argument("--p", type=int, default=None)
     return parser
 
 

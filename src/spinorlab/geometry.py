@@ -18,7 +18,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from numbers import Integral
 
 import numpy as np
 
@@ -119,8 +118,9 @@ class FreeFunction:
         return FreeFunction(self.arity, table=self.series.diff(var).terms,
                             name=f"d{var}_{self.name}")
 
-    def fd_gradient_residual(self, point, h: float = 1e-6) -> float:
+    def fd_gradient_residual(self, point) -> float:
         """Max mismatch between jet first partials and central differences."""
+        h = 1e-6
         point = np.asarray(point, dtype=float)
         mismatches = []
         for v in range(self.arity):
@@ -230,14 +230,10 @@ def quadratic_profile_functions(h4: np.ndarray, h2: np.ndarray) -> list[FreeFunc
 
 
 def _spec_integer(value, key: str) -> int:
-    """An integral spec number; 2.7 is rejected with its key, not rounded."""
-    try:
-        num = Fraction(value)
-    except (OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"{key} must be an integer, got {value!r}") from exc
-    if num.denominator != 1:
+    """A JSON integer; true, 3.0, "3" or "12/2" is rejected with its key."""
+    if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(num)
+    return value
 
 
 def _spec_table(coefficients: dict) -> dict[tuple[int, ...], Fraction]:
@@ -267,13 +263,8 @@ def _spec_table(coefficients: dict) -> dict[tuple[int, ...], Fraction]:
 
 
 def function_from_spec(d: dict) -> FreeFunction:
-    """Build a table-backed function from its serialized form (exact rationals).
-
-    ``arity`` must be an integer: 3.5 or "3" is rejected, not rounded or parsed.
-    """
-    arity = d["arity"]
-    if isinstance(arity, bool) or not isinstance(arity, Integral):
-        raise ValueError(f"arity must be an integer, got {arity!r}")
+    """Build a table-backed function from its serialized form (exact rationals)."""
+    arity = _spec_integer(d["arity"], "arity")
     return FreeFunction(arity, table=_spec_table(d.get("coefficients", {})),
                         name=d.get("name", "f"))
 
@@ -322,9 +313,6 @@ class CoordinateMetric:
     def components(self, point) -> np.ndarray:
         return self.component_jets(point, order=0).value()
 
-    def det(self, point) -> float:
-        return float(np.linalg.det(self.components(point)))
-
     def coframe_jets(self, point, order: int) -> Jet:
         if self._coframe_rule is None:
             raise ValueError("metric carries no adapted coframe")
@@ -361,13 +349,12 @@ def custom_metric(n, signature, coordinates, component_rule) -> CoordinateMetric
     return CoordinateMetric(n, signature, coordinates, rule)
 
 
-def probe_points(m: CoordinateMetric, seed: int, count: int = 5,
-                 box: float = 0.5) -> np.ndarray:
-    """Seeded sample points in a coordinate box, avoiding degeneracies."""
+def probe_points(m: CoordinateMetric, seed: int, count: int = 5) -> np.ndarray:
+    """Seeded sample points in the box [-1/2, 1/2]^n, avoiding degeneracies."""
     rng = np.random.default_rng(seed)
     pts = []
     for _ in range(100 * count):
-        x = rng.uniform(-box, box, m.n)
+        x = rng.uniform(-0.5, 0.5, m.n)
         if abs(np.linalg.det(m.components(x))) > DEGENERACY_TOL:
             pts.append(x)
             if len(pts) == count:
@@ -693,6 +680,7 @@ def _parse_family_tag(family: str, p=None):
         base, rest = tag.split("(", 1)
         tag = base.strip()
         p = rest.strip(") ")
+        p = int(p) if p.isdecimal() else p
     if tag not in FAMILY_TAGS:
         raise ValueError(f"unknown family {family!r}")
     return tag, (None if p is None else _spec_integer(p, "p"))
@@ -1036,7 +1024,7 @@ def holonomy_span(m: CoordinateMetric, points) -> HolonomyEstimate:
     member = _worst(residuals)
     if not ops:
         return HolonomyEstimate(m.family, 0, sdim, 0, 0, member)
-    basis, sweeps = bracket_closure(ops, cap=10, label="holonomy span")
+    basis, sweeps = bracket_closure(ops, "holonomy span")
     # a span beyond the stabilizer means wrong connection or coframe data;
     # the caller's span check reports it
     return HolonomyEstimate(m.family, len(basis), sdim, len(ops), sweeps, member)
@@ -1095,7 +1083,7 @@ def _rank_mod_p(mat: np.ndarray, prime: int = 1_000_003) -> int:
     return r
 
 
-def curvature_space_dim(stabilizer, n: int | None = None) -> int:
+def curvature_space_dim(stabilizer) -> int:
     """Dimension of the formal curvature space of a matrix algebra.
 
     Kernel of the first Bianchi map on h tensor Lambda^2; the rank is taken
@@ -1108,7 +1096,7 @@ def curvature_space_dim(stabilizer, n: int | None = None) -> int:
     mats = [np.asarray(h, dtype=float) for h in stabilizer]
     if not mats:
         return 0
-    n = mats[0].shape[0] if n is None else int(n)
+    n = mats[0].shape[0]
     rows = block_span(mats, "curvature space basis")
     m = rows.shape[0]
     if m == 0:

@@ -17,6 +17,8 @@ import numpy as np
 # as nonzero.  Anything in between is refused.
 GUARD_LO = 1e-9
 GUARD_HI = 1e-5
+SPAN_TOL = 1e-9  # a matrix whose residual exceeds SPAN_TOL max(1, |matrix|) leaves a span
+CLOSURE_SWEEPS = 10  # bracket_closure stops after this many sweeps
 
 
 class RankAmbiguityError(RuntimeError):
@@ -178,10 +180,9 @@ def real_flat(v: np.ndarray) -> np.ndarray:
 class MatrixSpan:
     """Real span of structured arrays with coefficient round-tripping."""
 
-    def __init__(self, basis: list[np.ndarray], label: str, tol: float = 1e-9):
+    def __init__(self, basis: list[np.ndarray], label: str):
         self.basis = [np.asarray(b) for b in basis]
         self.label = label
-        self.tol = tol
         self._stack = np.column_stack([real_flat(b) for b in self.basis])
         self._pinv = np.linalg.pinv(self._stack)
 
@@ -205,7 +206,7 @@ class MatrixSpan:
         target = real_flat(mat)
         coeffs = self._pinv @ target
         residual = float(np.linalg.norm(self._stack @ coeffs - target))
-        if residual > self.tol * max(1.0, float(np.linalg.norm(target))):
+        if residual > SPAN_TOL * max(1.0, float(np.linalg.norm(target))):
             raise ValueError(
                 f"{self.label}: matrix leaves the span (residual {residual:.2e})"
             )
@@ -213,20 +214,20 @@ class MatrixSpan:
 
 
 def bracket_closure(
-    mats: list[np.ndarray], cap: int = 10, label: str = "bracket closure"
+    mats: list[np.ndarray], label: str = "bracket closure"
 ) -> tuple[list[np.ndarray], int]:
     """Close a list of square matrices under commutators.
 
     Returns an orthonormal basis (as matrices) of the generated Lie algebra
     together with the number of sweeps used.  Stops when the span stops
-    growing or after ``cap`` sweeps.
+    growing or after ``CLOSURE_SWEEPS`` sweeps.
     """
     if not mats:
         return [], 0
     n = mats[0].shape[0]
     basis = orthonormal_span(mats, label)
     sweeps = 0
-    while sweeps < cap:
+    while sweeps < CLOSURE_SWEEPS:
         sweeps += 1
         cur = [row.reshape(n, n) for row in basis]
         new = list(cur)

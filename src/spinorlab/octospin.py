@@ -29,7 +29,6 @@ from .algebra import (
 from .linalg import MatrixSpan, guarded_rank, nullspace, span_dimension
 
 TRIPLE_TOL = 1e-8
-SPAN_TOL = 1e-9
 
 _I8 = np.eye(8)
 _ZERO_OCT = np.zeros(8)
@@ -89,12 +88,10 @@ def triple_residual(g1: np.ndarray, g2: np.ndarray, g3: np.ndarray) -> float:
     return max(orth, float(np.abs(lhs - rhs).max()))
 
 
-def triality_triple(
-    g1: np.ndarray, g2: np.ndarray, g3: np.ndarray, tol: float = TRIPLE_TOL
-) -> TrialityTriple:
+def triality_triple(g1: np.ndarray, g2: np.ndarray, g3: np.ndarray) -> TrialityTriple:
     g1, g2, g3 = (np.asarray(g, dtype=float) for g in (g1, g2, g3))
     res = triple_residual(g1, g2, g3)
-    if res > tol:
+    if res > TRIPLE_TOL:
         raise ValueError(f"not a triality triple (residual {res:.2e})")
     return TrialityTriple(g1, g2, g3)
 
@@ -120,18 +117,18 @@ def random_triple(rng: np.random.Generator, factors: int = 3) -> TrialityTriple:
     return out
 
 
-def triality_alpha(t: TrialityTriple, tol: float = TRIPLE_TOL) -> TrialityTriple:
+def triality_alpha(t: TrialityTriple) -> TrialityTriple:
     c = CONJ_MATRIX
-    return triality_triple(c @ t.g3 @ c, c @ t.g2 @ c, c @ t.g1 @ c, tol)
+    return triality_triple(c @ t.g3 @ c, c @ t.g2 @ c, c @ t.g1 @ c)
 
 
-def triality_beta(t: TrialityTriple, tol: float = TRIPLE_TOL) -> TrialityTriple:
+def triality_beta(t: TrialityTriple) -> TrialityTriple:
     c = CONJ_MATRIX
-    return triality_triple(t.g2, t.g1, c @ t.g3 @ c, tol)
+    return triality_triple(t.g2, t.g1, c @ t.g3 @ c)
 
 
-def triality_tau(t: TrialityTriple, tol: float = TRIPLE_TOL) -> TrialityTriple:
-    return triality_alpha(triality_beta(t, tol), tol)
+def triality_tau(t: TrialityTriple) -> TrialityTriple:
+    return triality_alpha(triality_beta(t))
 
 
 _TRIALITY_OPS = {
@@ -141,14 +138,14 @@ _TRIALITY_OPS = {
 }
 
 
-def triality_apply(op: str, t: TrialityTriple, tol: float = TRIPLE_TOL) -> TrialityTriple:
+def triality_apply(op: str, t: TrialityTriple) -> TrialityTriple:
     """Apply one of the outer symmetries alpha, beta, tau to a valid triple."""
     if op not in _TRIALITY_OPS:
         raise ValueError(f"unknown triality operation {op!r}")
     res = triple_residual(*t.as_tuple())
-    if res > tol:
+    if res > TRIPLE_TOL:
         raise ValueError(f"input is not a triality triple (residual {res:.2e})")
-    return _TRIALITY_OPS[op](t, tol)
+    return _TRIALITY_OPS[op](t)
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +213,7 @@ def unit_stabilizer_basis() -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], 
     return tuple(out)
 
 
-def derive_middle_component(
-    a1: np.ndarray, a3: np.ndarray, tol: float = TRIPLE_TOL
-) -> np.ndarray:
+def derive_middle_component(a1: np.ndarray, a3: np.ndarray) -> np.ndarray:
     """Solve a2(xy) = a1(x) y + x a3(y) for a2, rejecting incompatible pairs.
 
     The 512 scalar equations over basis products determine the 64 entries
@@ -229,7 +224,7 @@ def derive_middle_component(
     a3 = np.asarray(a3, dtype=float)
     scale = max(1.0, float(np.linalg.norm(a1)), float(np.linalg.norm(a3)))
     for name, a in (("a1", a1), ("a3", a3)):
-        if float(np.abs(a + a.T).max()) > tol * scale:
+        if float(np.abs(a + a.T).max()) > TRIPLE_TOL * scale:
             raise ValueError(f"{name} is not antisymmetric")
     prods = _MUL.reshape(8, 64)
     rhs = (
@@ -239,7 +234,7 @@ def derive_middle_component(
     a2t, *_ = np.linalg.lstsq(prods.T, rhs.T, rcond=None)
     a2 = a2t.T
     res = float(np.abs(a2 @ prods - rhs).max())
-    if res > tol * scale:
+    if res > TRIPLE_TOL * scale:
         raise ValueError(
             f"(a1, a3) admits no compatible middle component (residual {res:.2e})"
         )
@@ -324,12 +319,11 @@ def spin101_element(
     xv: np.ndarray | None = None,
     yv: np.ndarray | None = None,
     zv: np.ndarray | None = None,
-    tol: float = TRIPLE_TOL,
 ) -> Spin101Element:
     """Build an algebra element from a compatible (a1, a3) pair and slot data."""
     a1 = np.asarray(a1, dtype=float)
     a3 = np.asarray(a3, dtype=float)
-    a2 = derive_middle_component(a1, a3, tol)
+    a2 = derive_middle_component(a1, a3)
     return _assemble(a1, a2, a3, x, y, z, _oct(xv), _oct(yv), _oct(zv))
 
 
@@ -354,8 +348,7 @@ def spin101_basis() -> tuple[Spin101Element, ...]:
 
 @lru_cache(maxsize=1)
 def template_span() -> MatrixSpan:
-    span = MatrixSpan([e.matrix for e in spin101_basis()],
-                      label="spin(10,1) template span", tol=SPAN_TOL)
+    span = MatrixSpan([e.matrix for e in spin101_basis()], "spin(10,1) template span")
     if span_dimension([e.matrix for e in spin101_basis()], "spin(10,1) basis") != 55:
         raise RuntimeError("template basis is degenerate")
     return span

@@ -29,7 +29,6 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import clifford
 from .algebra import QMatrix, pfaffian, qdet2
@@ -349,6 +348,8 @@ class SpinOrbitModel:
         return m
 
     def sample_group(self, rng: np.random.Generator, scale: float = 0.3):
+        from scipy.linalg import expm
+
         return expm(self.sample_algebra(rng, scale))
 
     def sample_spinor(self, rng: np.random.Generator) -> np.ndarray:
@@ -705,6 +706,8 @@ _SPLIT_MODELS = {
 _CLIFFORD_PURITY = {(4, 3), (4, 4)}
 
 PURITY_SIGNATURES = tuple(sorted(set(_SPLIT_MODELS) | _CLIFFORD_PURITY))
+# relative size below which a half-spinor part or an invariant form vanishes
+PURITY_TOL = 1e-8
 
 
 @lru_cache(maxsize=None)
@@ -712,7 +715,7 @@ def _cached_rep(p: int, q: int) -> clifford.SpinRepresentation:
     return clifford.spin_representation(p, q)
 
 
-def is_pure(signature: tuple[int, int], s: np.ndarray, tol: float = 1e-8) -> bool:
+def is_pure(signature: tuple[int, int], s: np.ndarray) -> bool:
     """Whether a spinor lies on the minimal (pure) orbit of a split form.
 
     Spinors are given in the coordinates of the matching orbit model for
@@ -729,20 +732,20 @@ def is_pure(signature: tuple[int, int], s: np.ndarray, tol: float = 1e-8) -> boo
         if blocks is None:
             return True
         lo, hi = blocks
-        plus = _norm(s[lo]) > tol * total
-        minus = _norm(s[hi]) > tol * total
+        plus = _norm(s[lo]) > PURITY_TOL * total
+        minus = _norm(s[hi]) > PURITY_TOL * total
         return plus != minus
     if (p, q) not in _CLIFFORD_PURITY:
         raise ValueError(f"no purity criterion for signature {signature}")
     rep = _cached_rep(p, q)
     if (p, q) == (4, 4):
         plus, minus = rep.half_spinor_bases()
-        in_plus = _norm(s - plus @ (plus.T @ s)) <= tol * total
-        in_minus = _norm(s - minus @ (minus.T @ s)) <= tol * total
+        in_plus = _norm(s - plus @ (plus.T @ s)) <= PURITY_TOL * total
+        in_minus = _norm(s - minus @ (minus.T @ s)) <= PURITY_TOL * total
         if not (in_plus or in_minus):
             return False
     return all(
-        abs(s @ (f @ s)) <= tol * _norm(f) * total**2
+        abs(s @ (f @ s)) <= PURITY_TOL * _norm(f) * total**2
         for f in rep.invariant_forms()
     )
 

@@ -180,8 +180,13 @@ class TestCauchyData:
             cauchy_data_from_spec(d)
 
     def test_integral_spec_numbers_accepted(self):
-        data = cauchy_data_from_spec({"p": 1.0, "order": "5", "a": [{"coefficients": {}}]})
+        data = cauchy_data_from_spec({"p": 1, "order": 5, "a": [{"coefficients": {}}]})
         assert (data.p, data.order) == (1, 5)
+        # a spec integer is a JSON integer: 1.0, "5" and true are not converted
+        for key, value in (("p", 1.0), ("order", "5"), ("p", True)):
+            d = {"p": 1, "order": 5, "a": [{"coefficients": {}}], key: value}
+            with pytest.raises(ValueError, match=f"{key} must be an integer"):
+                cauchy_data_from_spec(d)
 
     def test_potential_data_satisfies_constraints_exactly(self):
         assert _generic_data().max_constraint_residual() == 0.0

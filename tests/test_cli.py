@@ -11,7 +11,28 @@ import pytest
 
 import spinorlab
 from spinorlab import __version__, algebra, geometry
-from spinorlab.cli import COMMANDS, DEFAULT_TOLS, RunSpec, main, run_command
+from spinorlab.cli import COMMANDS, DEFAULT_TOLS, RunSpec, build_parser, main, run_command
+
+# the inputs each subcommand reads, as the README's option table lists them
+READS = {
+    "algebra-selfcheck": {"seed", "tol"},
+    "clifford-table": {"seed"},
+    "orbit-report": set(),
+    "triality-check": {"seed", "tol"},
+    "metric-verify": {"spec", "seed", "tol"},
+    "ricci-compare": {"spec", "seed", "tol"},
+    "holonomy-estimate": {"spec", "seed", "tol"},
+    "cauchy-solve": {"spec", "tol", "order", "p"},
+    "curvature-space": set(),
+}
+# input -> (option, a value on the command line, RunSpec field, header key)
+OPTIONS = {
+    "spec": ("--spec", "m.json", "spec_path", "spec_sha256"),
+    "seed": ("--seed", "7", "seed", "seed"),
+    "tol": ("--tol", "0.001", "tol", "tolerance"),
+    "order": ("--order", "9", "order", "order"),
+    "p": ("--p", "3", "p", "p"),
+}
 
 M21_FLAT = {"family": "M21", "functions": [{"arity": 2, "coefficients": {}}]}
 
@@ -81,23 +102,102 @@ def _by_name(report):
     return {row["name"]: row for row in report["checks"]}
 
 
+def _source_env():
+    """The environment of a fresh interpreter that imports this spinorlab."""
+    src = str(Path(spinorlab.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestRunSpec:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_default_tolerance(self, command):
-        assert RunSpec(command).tolerance == DEFAULT_TOLS[command]
+        # only a subcommand that reads --tol has a default tolerance
+        if "tol" in READS[command]:
+            assert RunSpec(command).tolerance == DEFAULT_TOLS[command]
+        else:
+            assert command not in DEFAULT_TOLS
 
     def test_explicit_tolerance_wins(self):
         assert RunSpec("metric-verify", tol=1e-3).tolerance == 1e-3
 
 
+class TestDeclaration:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_parser_takes_exactly_the_inputs_read(self, command):
+        parser = build_parser()
+        assert RunSpec(**vars(parser.parse_args([command]))) == RunSpec(command)
+        out = RunSpec(**vars(parser.parse_args([command, "--out", "r.json"])))
+        assert out.out_path == "r.json"
+        for name, (option, value, field, _) in OPTIONS.items():
+            argv = [command, option, value]
+            if name in READS[command]:
+                rs = RunSpec(**vars(parser.parse_args(argv)))
+                assert str(getattr(rs, field)) == value
+            else:
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args(argv)
+                assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unread_inputs_change_nothing(self, command, tmp_path):
+        base = {}
+        if "spec" in READS[command] and command != "cauchy-solve":
+            base["spec_path"] = _write(tmp_path, "po2.json", PUREODD2)
+        unread = {"spec": ("spec_path", str(tmp_path / "missing.json")),
+                  "seed": ("seed", 7), "tol": ("tol", 1e-3),
+                  "order": ("order", 9), "p": ("p", 3)}
+        extra = dict(field_value for name, field_value in unread.items()
+                     if name not in READS[command])
+        want = run_command(RunSpec(command, **base))
+        report, status = run_command(RunSpec(command, **base, **extra))
+        assert (report, status) == want
+        for name in set(unread) - READS[command]:
+            assert OPTIONS[name][3] not in report
+
+    @pytest.mark.parametrize("given", [{"p": 3}, {"order": 9}, {"p": 1, "order": 6}])
+    def test_cauchy_spec_with_p_or_order(self, tmp_path, given):
+        desc = {"p": 1, "order": 6, "a": [{"arity": 2, "coefficients": {"2,0": "1/3"}}]}
+        spec = _write(tmp_path, "c.json", desc)
+        report, status = run_command(RunSpec("cauchy-solve", spec_path=spec, **given))
+        assert status == 2 and "checks" not in report
+        for key, val in given.items():
+            assert f"{key} = {val}" in report["error"]
+        argv = ["cauchy-solve", "--spec", spec, "--out", str(tmp_path / "r.json")]
+        for key, val in given.items():
+            argv += [f"--{key}", str(val)]
+        assert main(argv) == 2
+        assert run_command(RunSpec("cauchy-solve", spec_path=spec))[1] == 0
+
+    @pytest.mark.parametrize("command, desc", [
+        ("metric-verify", M21_FLAT),
+        ("cauchy-solve", {"p": 1, "order": 4,
+                          "a": [{"arity": 2, "coefficients": {"2,0": "1/3"}}]}),
+    ])
+    def test_spec_opened_once(self, tmp_path, monkeypatch, command, desc):
+        spec = _write(tmp_path, "spec.json", desc)
+        opened = []
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            if str(file) == spec:
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        report, status = run_command(RunSpec(command, spec_path=spec))
+        assert status == 0 and len(report["spec_sha256"]) == 64
+        assert len(opened) == 1
+
+
 class TestReportShape:
     def test_header_and_row_fields(self):
-        report, status = run_command(RunSpec("clifford-table", seed=5))
+        report, status = run_command(RunSpec("triality-check", seed=5))
         assert status == 0
         assert report["version"] == __version__
         assert report["octonion_table_checksum"] == algebra.octonion_table_checksum()
         assert report["seed"] == 5
-        assert report["tolerance"] == 0.0
+        assert report["tolerance"] == 1e-9
         assert report["pass"] is True
         for row in report["checks"]:
             assert set(row) >= {"name", "anchor", "pass"}
@@ -196,11 +296,29 @@ class TestExitCodes:
         assert status == 2 and f"exponent key {key!r}" in report["error"]
 
     def test_fractional_metric_p(self, tmp_path):
-        desc = {"family": "PUREEVEN", "p": 2.7,
-                "functions": [{"arity": 4, "coefficients": {}}] * 3}
-        spec = _write(tmp_path, "p.json", desc)
+        for p in (2.7, True, "3", "12/2", 3.0):
+            desc = {"family": "PUREEVEN", "p": p,
+                    "functions": [{"arity": 4, "coefficients": {}}] * 3}
+            spec = _write(tmp_path, "p.json", desc)
+            report, status = run_command(RunSpec("metric-verify", spec_path=spec))
+            assert status == 2 and f"p must be an integer, got {p!r}" in report["error"]
+
+    @pytest.mark.parametrize("family", ["PUREEVEN(2.0)", "PUREEVEN(4/2)", "PUREEVEN()"])
+    def test_family_tag_size_is_decimal(self, tmp_path, family):
+        desc = {"family": family, "functions": [{"arity": 4, "coefficients": {}}] * 3}
+        spec = _write(tmp_path, "tag.json", desc)
         report, status = run_command(RunSpec("metric-verify", spec_path=spec))
-        assert status == 2 and "p must be an integer, got 2.7" in report["error"]
+        assert status == 2 and "p must be an integer" in report["error"]
+
+    @pytest.mark.parametrize("text", [b"[1, 2]", b"null", b'{"family": "M21\xff"}'],
+                             ids=["list", "null", "not-utf8"])
+    @pytest.mark.parametrize("command", ["metric-verify", "cauchy-solve"])
+    def test_spec_that_is_not_a_json_object(self, tmp_path, command, text):
+        path = tmp_path / "spec.json"
+        path.write_bytes(text)
+        report, status = run_command(RunSpec(command, spec_path=str(path)))
+        assert status == 2 and "checks" not in report
+        assert report["error"].startswith(("spec must be a JSON object", "cannot read spec"))
 
     @pytest.mark.parametrize("command", ["metric-verify", "ricci-compare", "holonomy-estimate"])
     def test_profile_derivatives_past_float_range(self, tmp_path, command):
@@ -213,7 +331,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["metric-verify", "ricci-compare", "holonomy-estimate"])
     def test_no_nondegenerate_probe_points(self, tmp_path, command, monkeypatch):
-        def degenerate(m, seed, count=5, box=0.5):
+        def degenerate(m, seed, count=5):
             raise RuntimeError("could not sample nondegenerate probe points")
 
         monkeypatch.setattr(geometry, "probe_points", degenerate)
@@ -480,7 +598,11 @@ class TestCauchySolve:
         row = _by_name(report)["initial data constraints"]
         assert row["residual"] == float("inf") and not row["pass"]
 
-    @pytest.mark.parametrize("key, value", [("p", 0), ("p", 1.5), ("order", 2.7)])
+    @pytest.mark.parametrize("key, value", [
+        ("p", 0), ("p", 1.5), ("order", 2.7),
+        ("p", True), ("p", "3"), ("p", "12/2"), ("p", 3.0),
+        ("order", True), ("order", "3"), ("order", "12/2"), ("order", 3.0),
+    ])
     def test_bad_p_or_order_is_bad_input(self, tmp_path, key, value):
         desc = {"p": 1, "order": 4, "a": [{"arity": 2, "coefficients": {"2,0": 1}}]}
         desc[key] = value
@@ -489,6 +611,8 @@ class TestCauchySolve:
         spec = _write(tmp_path, "bad.json", desc)
         report, status = run_command(RunSpec("cauchy-solve", spec_path=spec))
         assert status == 2 and key in report["error"]
+        if value != 0:
+            assert f"{key} must be an integer, got {value!r}" in report["error"]
 
 
 class TestCurvatureSpace:
@@ -506,6 +630,10 @@ class TestMain:
         ["metric-verify", "--spec", "m.json", "--order", "4"],
         ["clifford-table", "--spec", "missing.json"],
         ["curvature-space", "--p", "2"],
+        ["orbit-report", "--seed", "1"],
+        ["curvature-space", "--tol", "1"],
+        ["clifford-table", "--tol", "1"],
+        ["cauchy-solve", "--seed", "1"],
     ])
     def test_option_rejected_where_unread(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -525,14 +653,18 @@ class TestMain:
                      "--out", str(tmp_path / "r.json")])
         assert code == 1
 
+    def test_import_loads_no_scipy(self):
+        code = ("import sys, spinorlab.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=_source_env(), check=True)
+        assert proc.stdout.strip() == "[]"
+
     def test_non_finite_report_is_strict_json(self, tmp_path):
         spec = _write(tmp_path, "m31.json", M31_OVERFLOW)
-        src = str(Path(spinorlab.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "spinorlab.cli", "metric-verify", "--spec", spec],
-            capture_output=True, text=True, env=env, check=False)
+            capture_output=True, text=True, env=_source_env(), check=False)
         assert proc.returncode == 1 and proc.stderr == ""
 
         def reject(token):
