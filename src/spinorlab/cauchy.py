@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import (
-    FreeFunction,
     _add_bracket_products,
     _bracket_linear,
     _bracket_parts,
@@ -26,11 +25,6 @@ from .geometry import (
     symmetric_pairs,
 )
 from .jets import JetSeries
-
-
-def series_to_function(series: JetSeries, name: str = "f") -> FreeFunction:
-    """Free function on the same variables, for geometry interop."""
-    return FreeFunction(series.nvars, table=series.terms, name=name)
 
 
 # -- initial data ---------------------------------------------------------
@@ -82,7 +76,7 @@ def cauchy_data(p: int, order: int, a_tables, b_tables=None) -> CauchyData:
 
     def lift(table):
         lifted = {(0,) + tuple(e): c for e, c in table.items()}
-        return JetSeries.from_table(2 * p + 1, order, lifted)
+        return JetSeries(2 * p + 1, order, lifted)
 
     return CauchyData(p, order, tuple(lift(t) for t in a_tables),
                       tuple(lift(t) for t in b_tables))
@@ -105,10 +99,8 @@ def cauchy_data_from_spec(d: dict) -> CauchyData:
 
 
 def series_to_spec(series: JetSeries) -> dict:
-    coeffs = {}
-    for exps, coeff in sorted(series.terms.items()):
-        key = ",".join(str(e) for e in exps)
-        coeffs[key] = str(coeff) if isinstance(coeff, Fraction) else float(coeff)
+    coeffs = {",".join(str(e) for e in exps): str(coeff)
+              for exps, coeff in sorted(series.terms.items())}
     return {"arity": series.nvars, "coefficients": coeffs}
 
 

@@ -68,7 +68,7 @@ class FreeFunction:
         # Taylor shifts of the table, by (nvars, order, argument variables)
         self._shifts: dict[tuple, TaylorShift] = {}
         order = max((sum(int(e) for e in exps) for exps in table), default=0)
-        self.series = JetSeries.from_table(self.arity, order, table)
+        self.series = JetSeries(self.arity, order, table)
 
     @property
     def table(self):
@@ -242,8 +242,8 @@ def _spec_table(coefficients: dict) -> dict[tuple[int, ...], Fraction]:
     Keys are comma-separated exponent strings; values may be numbers or
     rational strings like "3/4", and are kept as Fractions.  A map that is
     not an object, a key that is not a list of nonnegative integers, or a
-    value that is not finite (JSON Infinity or NaN, a zero denominator,
-    past the float range), is rejected with its key.
+    value that is not a finite number (a JSON boolean, Infinity or NaN, a
+    zero denominator, past the float range), is rejected with its key.
     """
     if not isinstance(coefficients, dict):
         raise ValueError(f"coefficients must be an object, got {coefficients!r}")
@@ -254,6 +254,8 @@ def _spec_table(coefficients: dict) -> dict[tuple[int, ...], Fraction]:
             raise ValueError(f"exponent key {key!r} is not a list of nonnegative integers")
         exps = tuple(int(s) for s in parts)
         try:
+            if isinstance(val, bool):
+                raise TypeError("a boolean is not a coefficient")
             coeff = Fraction(val)
             float(coeff)  # OverflowError past the float range
         except (OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -285,12 +287,14 @@ class CoordinateMetric:
 
     ``family`` is one of the normal-form tags or None for a custom metric;
     custom metrics support curvature computations but carry no adapted
-    coframe or stabilizer data.
+    coframe or stabilizer data.  ``ricci_display`` maps a point to the
+    family's closed-form Ricci display, or is None where it has none.
     """
 
     def __init__(self, n, signature, coordinates, component_rule, *,
                  family=None, functions=(), p=None, coframe_rule=None,
-                 gram=None, stabilizer=(), constraint_rule=None, fiber=None):
+                 gram=None, stabilizer=(), constraint_rule=None, fiber=None,
+                 ricci_display=None):
         self.n = int(n)
         self.signature = tuple(int(s) for s in signature)
         self.coordinates = tuple(coordinates)
@@ -303,6 +307,7 @@ class CoordinateMetric:
         self.gram = None if gram is None else np.asarray(gram, dtype=float)
         self.stabilizer = tuple(np.asarray(h, dtype=float) for h in stabilizer)
         self._constraint_rule = constraint_rule
+        self.ricci_display = ricci_display
         self._stab_rows = None
         if len(self.coordinates) != self.n:
             raise ValueError("coordinate names disagree with the dimension")
@@ -382,7 +387,7 @@ def _expect_block(tag: str, functions, p, base: int) -> int:
     if p is None or p < 1:
         raise ValueError(f"{tag} needs the block size p")
     n = 2 * p + base
-    _expect(f"{tag}({p})", functions, (n,) * len(symmetric_pairs(p)))
+    _expect(f"{tag} with p = {p}", functions, (n,) * len(symmetric_pairs(p)))
     return n
 
 
@@ -474,12 +479,20 @@ def _normal_form(tag, signature, coords, gram, stabilizer, functions, profiles,
     return m
 
 
-def _null_corner_form(tag, functions, signature, coords, gram, stabilizer, coeff):
-    """One profile f(x_1..x_{n-1}): g_nn gains coeff f and the coframe theta^0 gains f dx_n."""
+def _null_corner_form(tag, functions, signature, coords, gram, stabilizer, coeff,
+                      laplacian=None):
+    """One profile f(x_1..x_{n-1}): g_nn gains coeff f and the coframe theta^0 gains f dx_n.
+
+    With ``laplacian``, a list of profile arguments, the Ricci display is
+    the Laplacian of f in those arguments, placed in the same cell.
+    """
     n = len(coords)
-    return _normal_form(tag, signature, coords, gram, stabilizer, functions,
-                        [(functions[0], range(1, n))],
-                        [(n - 1, n - 1, coeff, 0)], [(0, n - 1, 1.0, 0)])
+    profile = (functions[0], range(1, n))
+    display = (None if laplacian is None
+               else _laplacian_display(tag, n, profile, laplacian, (n - 1, n - 1)))
+    return _normal_form(tag, signature, coords, gram, stabilizer, functions, [profile],
+                        [(n - 1, n - 1, coeff, 0)], [(0, n - 1, 1.0, 0)],
+                        ricci_display=display)
 
 
 def _paired_block_form(tag, functions, size, xoff, yoff, coeff, signature, coords,
@@ -519,7 +532,7 @@ def _build_m31(functions, p=None):
         "M31", functions, (3, 1), ("x11", "u", "v", "x22"),
         _gram(4, {(0, 3): -0.5, (1, 1): 1.0, (2, 2): 1.0}),
         (_matrix(4, {(0, 1): 2.0, (1, 3): 1.0}), _matrix(4, {(0, 2): -2.0, (2, 3): -1.0})),
-        -1.0)
+        -1.0, laplacian=(0, 1))
 
 
 def _build_m22gen(functions, p=None):
@@ -535,24 +548,33 @@ def _build_m22deg(functions, p=None):
     _expect("M22DEG", functions, (4,))
     f, = functions
     # profiles s11, s12, s22 with s_ij = f_{y_i y_j}
-    s = [(f.partial(2 + i).partial(2 + j), range(4)) for i, j in symmetric_pairs(2)]
+    s = [f.partial(2 + i).partial(2 + j) for i, j in symmetric_pairs(2)]
+    # the Ricci display reads the s_ij in the chart (v1, v2) = (y2, -y1)
+    recharted = [FreeFunction(4, table={(e[0], e[1], e[3], e[2]): c * (-1) ** e[2]
+                                        for e, c in sij.table.items()},
+                              name=f"s{i + 1}{j + 1}")
+                 for sij, (i, j) in zip(s, symmetric_pairs(2))]
     stab = (_matrix(4, {(0, 2): 1.0, (1, 3): 1.0}), np.diag([-1.0, 1.0, -1.0, 1.0]),
             _matrix(4, {(1, 0): -1.0, (3, 2): -1.0}), _matrix(4, {(0, 1): -1.0, (2, 3): -1.0}))
     return _normal_form(
         "M22DEG", (2, 2), ("x1", "x2", "y1", "y2"), _gram(4, {(0, 3): 0.5, (1, 2): -0.5}),
-        stab, functions, s,
+        stab, functions, [(sij, range(4)) for sij in s],
         [(0, 0, 1.0, 0), (0, 1, 1.0, 1), (1, 0, 1.0, 1), (1, 1, 1.0, 2)],
         [(0, 0, -1.0, 1), (0, 1, -1.0, 2), (1, 0, 1.0, 0), (1, 1, 1.0, 1)],
-        cof_const=_matrix(4, {(0, 2): 1.0, (1, 3): 1.0, (2, 0): -1.0, (3, 1): -1.0}))
+        cof_const=_matrix(4, {(0, 2): 1.0, (1, 3): 1.0, (2, 0): -1.0, (3, 1): -1.0}),
+        ricci_display=_bracket_display("M22DEG", recharted, 2, 0,
+                                       chart=lambda x: np.array([x[0], x[1], x[3], -x[2]])))
 
 
 def _build_m41deg(functions, p=None):
     _expect("M41DEG", functions, (4,))
     gram = _gram(5, {(0, 0): -1.0, (0, 4): -1.0, (1, 1): 1.0, (2, 2): 1.0, (3, 3): 1.0})
     stab = tuple(_matrix(5, {(a, 0): -2.0, (4, a): -2.0}) for a in (1, 2, 3))
+    profile = (functions[0], range(4))
     return _normal_form("M41DEG", (4, 1), ("x", "s1", "s2", "s3", "r"), gram, stab,
-                        functions, [(functions[0], range(4))],
-                        [(0, 0, -2.0, 0)], [(4, 0, 1.0, 0)])
+                        functions, [profile], [(0, 0, -2.0, 0)], [(4, 0, 1.0, 0)],
+                        ricci_display=_laplacian_display("M41DEG", 5, profile, (1, 2, 3),
+                                                         (0, 0)))
 
 
 def _build_m51null(functions, p=None):
@@ -560,7 +582,8 @@ def _build_m51null(functions, p=None):
     gram = _gram(6, {(0, 5): -0.5, **{(a, a): 1.0 for a in range(1, 5)}})
     stab = tuple(_matrix(6, {(0, 1 + a): 2.0, (1 + a, 5): 1.0}) for a in range(4))
     return _null_corner_form("M51NULL", functions, (5, 1),
-                             ("x11", "u1", "u2", "u3", "u4", "x22"), gram, stab, -1.0)
+                             ("x11", "u1", "u2", "u3", "u4", "x22"), gram, stab, -1.0,
+                             laplacian=range(4))
 
 
 def _build_m33gen(functions, p=None):
@@ -596,7 +619,9 @@ def _build_pure_odd(functions, p):
     gram = _gram(n, {(0, 0): 1.0, **{(1 + i, 1 + p + i): 1.0 for i in range(p)}})
     coords = ("z",) + tuple(f"x{i + 1}" for i in range(p)) + tuple(f"y{i + 1}" for i in range(p))
     return _paired_block_form("PUREODD", functions, p, 1, 1 + p, 2.0, (p + 1, p), coords,
-                              gram, _pure_odd_stabilizer(p), p=p)
+                              gram, _pure_odd_stabilizer(p), p=p,
+                              ricci_display=_bracket_display("PUREODD", functions, p, 1,
+                                                             odd=True))
 
 
 def _build_pure_even(functions, p):
@@ -604,7 +629,8 @@ def _build_pure_even(functions, p):
     gram = _gram(n, {(i, p + i): 0.5 for i in range(p)})
     coords = tuple(f"x{i + 1}" for i in range(p)) + tuple(f"y{i + 1}" for i in range(p))
     return _paired_block_form("PUREEVEN", functions, p, 0, p, 1.0, (p, p), coords,
-                              gram, _pure_even_stabilizer(p), p=p)
+                              gram, _pure_even_stabilizer(p), p=p,
+                              ricci_display=_bracket_display("PUREEVEN", functions, p, 0))
 
 
 def _pure_odd_stabilizer(p: int) -> tuple[np.ndarray, ...]:
@@ -674,22 +700,15 @@ _BUILDERS = {
 FAMILY_TAGS = tuple(_BUILDERS)
 
 
-def _parse_family_tag(family: str, p=None):
-    tag = str(family).strip().upper()
-    if "(" in tag:
-        base, rest = tag.split("(", 1)
-        tag = base.strip()
-        p = rest.strip(") ")
-        p = int(p) if p.isdecimal() else p
-    if tag not in FAMILY_TAGS:
-        raise ValueError(f"unknown family {family!r}")
-    return tag, (None if p is None else _spec_integer(p, "p"))
-
-
 def build_metric(family: str, functions, p=None) -> CoordinateMetric:
-    """Assemble a normal-form metric from its free functions."""
-    tag, p = _parse_family_tag(family, p)
-    return _BUILDERS[tag](tuple(functions), p)
+    """Assemble a normal-form metric from its free functions.
+
+    ``p`` is the block size of PUREODD and PUREEVEN; a tag carries none.
+    """
+    tag = str(family).strip().upper()
+    if tag not in _BUILDERS:
+        raise ValueError(f"unknown family {family!r}")
+    return _BUILDERS[tag](tuple(functions), None if p is None else _spec_integer(p, "p"))
 
 
 def _signature_at(m: CoordinateMetric, point) -> tuple[int, int]:
@@ -771,14 +790,6 @@ RICCI_CALIBRATION = {
     "M51NULL": 0.5,
 }
 
-# Ricci is one Laplacian of the profile in one cell:
-# tag -> (profile argument slice, Laplacian variables, output cell, n)
-_LAPLACIAN_DISPLAYS = {
-    "M31": (slice(1, 4), (0, 1), (3, 3), 4),
-    "M41DEG": (slice(0, 4), (1, 2, 3), (0, 0), 5),
-    "M51NULL": (slice(1, 6), range(4), (5, 5), 6),
-}
-
 
 def _bracket_parts(grid, y_vars):
     """``grid`` with the y-derivatives the bracket's product part reads.
@@ -837,55 +848,62 @@ def _quadratic_bracket(grid, x_vars, y_vars):
     return tuple(_add_bracket_products(_bracket_linear(grid, x_vars, y_vars), parts, parts))
 
 
-def ricci_paper(family: str, functions, point, p=None) -> np.ndarray:
-    """Closed-form Ricci display for the families that have one.
+def _bracket_display(tag, block, p, xoff, odd=False, chart=None):
+    """Display c B in the x cells, B the quadratic bracket of the profile block.
+
+    ``block`` lists the profiles f_ij of all n coordinates in pair order,
+    x^k being coordinate xoff + k and y_k coordinate xoff + p + k.  The odd
+    form adds the second derivative in z, coordinate 0: c (f_zz + 2 B).
+    ``chart`` maps a point to the coordinates the block is written in.
+    """
+    n = block[0].arity
+    pairs = symmetric_pairs(p)
+    x_vars, y_vars = range(xoff, xoff + p), range(xoff + p, xoff + 2 * p)
+    cells = slice(xoff, xoff + p)
+    scale = RICCI_CALIBRATION[tag]
+
+    def display(point):
+        if chart is not None:
+            point = chart(point)
+        ctx = shared_context(n, 2)
+        jets = _fmatrix([f.jet(ctx, point, range(n)) for f in block], pairs, p)
+        bracket = np.zeros((p, p))
+        for (j, l), b in zip(pairs, _quadratic_bracket(jets, x_vars, y_vars)):
+            bracket[j, l] = bracket[l, j] = b.value()
+        if odd:
+            zz = np.array([[jets[i][j].diff(0).diff(0).value() for j in range(p)]
+                           for i in range(p)])
+            bracket = zz + 2.0 * bracket
+        out = np.zeros((n, n))
+        out[cells, cells] = scale * bracket
+        return out
+
+    return display
+
+
+def _laplacian_display(tag, n, profile, lap_vars, cell):
+    """Display c (sum_a f_aa) in one cell, a running over the profile arguments ``lap_vars``."""
+    f, args = profile
+    args = list(args)
+    scale = RICCI_CALIBRATION[tag]
+
+    def display(point):
+        out = np.zeros((n, n))
+        out[cell] = scale * sum(f.derivative(point[args], a, a) for a in lap_vars)
+        return out
+
+    return display
+
+
+def ricci_paper(m: CoordinateMetric, point) -> np.ndarray:
+    """Closed-form Ricci display of a normal form that declares one.
 
     Output matches ricci_numeric; the per-family constant was calibrated
     once against the jet oracle and is frozen in RICCI_CALIBRATION.
     """
-    tag, p = _parse_family_tag(family, p)
-    functions = tuple(functions)
-    point = np.asarray(point, dtype=float)
-    if tag in ("PUREODD", "PUREEVEN", "M22DEG"):
-        if tag in ("PUREODD", "PUREEVEN"):
-            x0 = 1 if tag == "PUREODD" else 0
-            n = _expect_block(tag, functions, p, x0)
-        else:
-            f, = functions
-            # the display reads s_ij = f_{y_i y_j} in the chart (y1, y2) = (-v2, v1),
-            # i.e. at v = (y2, -y1)
-            functions = []
-            for i, j in symmetric_pairs(2):
-                sij = f.partial(2 + i).partial(2 + j)
-                table = {(e[0], e[1], e[3], e[2]): c * (-1) ** e[2]
-                         for e, c in sij.table.items()}
-                functions.append(FreeFunction(4, table=table, name=f"s{i + 1}{j + 1}"))
-            point = np.array([point[0], point[1], point[3], -point[2]])
-            n, p, x0 = 4, 2, 0
-        ctx = shared_context(len(point), 2)
-        jets = _fmatrix([fn.jet(ctx, point, range(len(point))) for fn in functions],
-                        symmetric_pairs(p), p)
-        x_vars = range(x0, x0 + p)
-        y_vars = range(x0 + p, x0 + 2 * p)
-        bracket = np.zeros((p, p))
-        for (j, l), b in zip(symmetric_pairs(p), _quadratic_bracket(jets, x_vars, y_vars)):
-            bracket[j, l] = bracket[l, j] = b.value()
-        out = np.zeros((n, n))
-        if tag == "PUREODD":
-            zz = np.array([[jets[i][j].diff(0).diff(0).value() for j in range(p)]
-                           for i in range(p)])
-            out[1:1 + p, 1:1 + p] = RICCI_CALIBRATION[tag] * (zz + 2.0 * bracket)
-        else:
-            out[:p, :p] = RICCI_CALIBRATION[tag] * bracket
-        return out
-    if tag in _LAPLACIAN_DISPLAYS:
-        f, = functions
-        args, lap_vars, cell, n = _LAPLACIAN_DISPLAYS[tag]
-        out = np.zeros((n, n))
-        out[cell] = RICCI_CALIBRATION[tag] * sum(
-            f.derivative(point[args], a, a) for a in lap_vars)
-        return out
-    raise ValueError(f"{tag} has no closed-form Ricci display")
+    if m.ricci_display is None:
+        raise ValueError(f"{m.family or 'custom metric'} has no closed-form Ricci display")
+    return m.ricci_display(np.asarray(point, dtype=float))
 
 
 # -- constraint reports -------------------------------------------------------
@@ -967,11 +985,6 @@ def adapted_coframe(m: CoordinateMetric, point) -> AdaptedCoframe:
     member = _worst(projection_residual(av[:, :, c], rows) for c in range(m.n))
     return AdaptedCoframe(point, ev, m.gram, m.stabilizer, av,
                           member, torsion, skew, gram_res)
-
-
-def adapted_connection_check(m: CoordinateMetric, point) -> float:
-    """Distance of the adapted connection from the stabilizer subalgebra."""
-    return adapted_coframe(m, point).membership_residual
 
 
 # -- holonomy span ------------------------------------------------------------

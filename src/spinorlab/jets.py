@@ -23,12 +23,12 @@ that of its inputs: a quantity read through its first partials is formed
 at order 1 even when it is built from the derivatives of order-2 jets.
 
 :class:`JetSeries` is the sparse counterpart: a truncated polynomial
-stored as an {exponents: coefficient} dict over exact rationals (floats
-are tolerated).  It backs table-defined profile functions and the exact
-Cauchy solver alike.  :class:`TaylorShift` expands such a polynomial at
-a point whose arguments are coordinates (argument i is y_i = p_i + x_{v_i}),
-in one weighted product from the values p and the variable indices v,
-with no coordinate-variable jets and no jet products.
+stored as an {exponents: coefficient} dict over exact rationals.  It
+backs table-defined profile functions and the exact Cauchy solver alike.
+:class:`TaylorShift` expands such a polynomial at a point whose arguments
+are coordinates (argument i is y_i = p_i + x_{v_i}), in one weighted
+product from the values p and the variable indices v, with no
+coordinate-variable jets and no jet products.
 """
 
 from __future__ import annotations
@@ -402,8 +402,9 @@ class JetSeries:
 
     Terms of total degree above ``order`` are dropped; multiplication
     truncates to the smaller operand order and differentiation lowers the
-    trusted order by one.  Coefficients are Fractions by default; floats
-    (from float profile tables) are kept as floats.
+    trusted order by one.  Coefficients are Fractions: the constructor
+    converts each given number, a float exactly, so reading one back as a
+    float returns that float.
     """
 
     __slots__ = ("nvars", "order", "terms")
@@ -416,18 +417,15 @@ class JetSeries:
             exps = tuple(int(e) for e in exps)
             if len(exps) != self.nvars or min(exps, default=0) < 0:
                 raise ValueError(f"bad exponent tuple {exps}")
-            if sum(exps) > self.order or coeff == 0:
+            if sum(exps) > self.order:
                 continue
+            coeff = _coerce_exact(coeff)
             clean[exps] = clean[exps] + coeff if exps in clean else coeff
         self.terms = {e: c for e, c in clean.items() if c != 0}
 
     @classmethod
     def zero(cls, nvars: int, order: int) -> "JetSeries":
         return cls(nvars, order)
-
-    @classmethod
-    def from_table(cls, nvars: int, order: int, table) -> "JetSeries":
-        return cls(nvars, order, {e: _coerce_exact(c) for e, c in table.items()})
 
     def coefficient(self, exps):
         return self.terms.get(tuple(int(e) for e in exps), Fraction(0))
@@ -578,9 +576,7 @@ class TaylorShift:
         return np.bincount(self._cols, weights=weights, minlength=self._nmono)
 
 
-def _coerce_exact(val):
-    if isinstance(val, (float, np.floating)):
-        return float(val)
+def _coerce_exact(val) -> Fraction:
     return val if isinstance(val, Fraction) else Fraction(val)
 
 

@@ -277,19 +277,6 @@ def _congruence(hermitian: bool, left: slice = _ALL, right: slice | None = None)
 
 
 @dataclass(frozen=True, eq=False)
-class OrbitReport:
-    """Orbit diagnostics for one spinor under one model."""
-
-    model: str
-    spinor: np.ndarray
-    invariants: dict
-    label: str
-    orbit_dim: int
-    stabilizer_dim: int
-    group_dim: int
-
-
-@dataclass(frozen=True, eq=False)
 class SpinOrbitModel:
     """A spin group realized on its spinor and vector representations.
 
@@ -457,20 +444,6 @@ class SpinOrbitModel:
             raise ValueError(f"{self.name} has no pin swap")
         plus, minus = self.spinor_blocks(s)
         return np.concatenate([minus, plus])
-
-    def orbit_report(self, s: np.ndarray) -> OrbitReport:
-        s = self._coerce_spinor(s)
-        # one rank decision: the stabilizer is the kernel of the action
-        orbit = self.orbit_dimension(s)
-        return OrbitReport(
-            model=self.name,
-            spinor=s.copy(),
-            invariants=self.orbit_invariant(s),
-            label=self.orbit_label(s),
-            orbit_dim=orbit,
-            stabilizer_dim=self.group_dim - orbit,
-            group_dim=self.group_dim,
-        )
 
 
 def _support_label(s: np.ndarray, blocks: tuple[slice, slice]) -> str:

@@ -16,7 +16,6 @@ from spinorlab.cauchy import (
     cauchy_data_from_spec,
     constraint_residual,
     ricci_series,
-    series_to_function,
     series_to_spec,
     solve_ricci_ivp,
     verify_ricci_flat,
@@ -30,7 +29,7 @@ def _potential_tables(phi_terms, x_extra, order):
     a_11 = phi_y2y2, a_12 = -phi_y1y2, a_22 = phi_y1y1 kill both divergence
     rows identically; x-only extras never touch the constraint.
     """
-    phi = JetSeries.from_table(5, order + 2, phi_terms)
+    phi = JetSeries(5, order + 2, phi_terms)
     picks = (phi.diff(4).diff(4), -phi.diff(3).diff(4), phi.diff(3).diff(3))
     tables = []
     for s, extra in zip(picks, x_extra):
@@ -64,42 +63,49 @@ _SERIES_TABLES = st.dictionaries(
 
 class TestJetSeries:
     def test_rational_coercion_and_lookup(self):
-        s = JetSeries.from_table(2, 4, {(1, 0): "1/3", (0, 2): 2})
+        s = JetSeries(2, 4, {(1, 0): "1/3", (0, 2): 2})
         assert s.coefficient((1, 0)) == Fr(1, 3)
         assert s.coefficient((0, 2)) == Fr(2)
         assert s.coefficient((5, 5)) == 0
+
+    def test_float_coefficients_are_held_exactly(self):
+        s = JetSeries(2, 4, {(1, 0): 0.1, (0, 1): np.float64(-2.5)})
+        assert all(type(c) is Fr for c in s.terms.values())
+        assert s.coefficient((1, 0)) == Fr(0.1) != Fr(1, 10)
+        assert s.float_terms()[1].tolist() == [-2.5, 0.1]
+        assert (s * 0.5).coefficient((0, 1)) == Fr(-5, 4)
 
     def test_construction_drops_high_degree_terms(self):
         s = JetSeries(2, 2, {(3, 0): Fr(1), (1, 1): Fr(1)})
         assert s.coefficient((3, 0)) == 0 and s.coefficient((1, 1)) == 1
 
     def test_multiplication_truncates_by_total_degree(self):
-        s = JetSeries.from_table(2, 3, {(1, 0): 1, (0, 1): 1})
+        s = JetSeries(2, 3, {(1, 0): 1, (0, 1): 1})
         sq = s * s
         cube = sq * s
         assert cube.coefficient((2, 1)) == 3
         assert (cube * s).coefficient((2, 2)) == 0  # degree 4 > order 3
 
     def test_diff_lowers_order_by_one(self):
-        s = JetSeries.from_table(3, 5, {(2, 1, 0): Fr(1, 2)})
+        s = JetSeries(3, 5, {(2, 1, 0): Fr(1, 2)})
         ds = s.diff(0)
         assert ds.order == 4
         assert ds.coefficient((1, 1, 0)) == 1
 
     def test_mixed_partials_commute(self):
-        s = JetSeries.from_table(2, 6, {(3, 2): Fr(5, 7), (1, 1): 2})
+        s = JetSeries(2, 6, {(3, 2): Fr(5, 7), (1, 1): 2})
         assert s.diff(0).diff(1) == s.diff(1).diff(0)
 
     def test_z_slice_and_shift_roundtrip(self):
-        s = JetSeries.from_table(3, 4, {(2, 1, 0): 3, (0, 0, 1): 1})
+        s = JetSeries(3, 4, {(2, 1, 0): 3, (0, 0, 1): 1})
         sl = s.z_coefficient(2)
         assert sl.coefficient((0, 1, 0)) == 3
         back = sl.times_z_power(2)
         assert back.coefficient((2, 1, 0)) == 3
 
     def test_evaluation_matches_free_function(self):
-        s = JetSeries.from_table(2, 4, {(2, 1): Fr(1, 4), (0, 3): "-2/3"})
-        f = series_to_function(s)
+        s = JetSeries(2, 4, {(2, 1): Fr(1, 4), (0, 3): "-2/3"})
+        f = geometry.FreeFunction(s.nvars, table=s.terms)
         pt = np.array([0.3, -0.7])
         assert s.evaluate(pt) == pytest.approx(f.value(pt))
 
@@ -110,8 +116,8 @@ class TestJetSeries:
             JetSeries(2, 3, {(-1, 0): Fr(1)})
 
     def test_variable_count_mismatch_rejected(self):
-        a = JetSeries.from_table(2, 3, {(1, 0): 1})
-        b = JetSeries.from_table(3, 3, {(1, 0, 0): 1})
+        a = JetSeries(2, 3, {(1, 0): 1})
+        b = JetSeries(3, 3, {(1, 0, 0): 1})
         with pytest.raises(ValueError):
             a + b
 
@@ -120,8 +126,8 @@ class TestJetSeries:
            var=st.integers(0, 2), k=st.integers(0, 4),
            scal=st.fractions(min_value=-3, max_value=3, max_denominator=5))
     def test_arithmetic_results_are_validated_series(self, t1, t2, o1, o2, var, k, scal):
-        a = JetSeries.from_table(3, o1, t1)
-        b = JetSeries.from_table(3, o2, t2)
+        a = JetSeries(3, o1, t1)
+        b = JetSeries(3, o2, t2)
         naive = {}
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
@@ -136,10 +142,10 @@ class TestJetSeries:
 
     def test_exact_coefficients_past_float_range_saturate(self):
         huge = Fr(10) ** 400
-        s = JetSeries.from_table(2, 3, {(1, 0): huge, (0, 1): -huge})
+        s = JetSeries(2, 3, {(1, 0): huge, (0, 1): -huge})
         assert s.max_abs() == np.inf
         assert s.z_coefficient(0).evaluate([0.0, 2.0]) == -np.inf
-        f = series_to_function(s)
+        f = geometry.FreeFunction(s.nvars, table=s.terms)
         with np.errstate(invalid="ignore"):  # inf * 0 in the value part
             jet = f.jet(JetContext(2, 1), [0.0, 0.0], (0, 1))
         assert jet.coefficient((1, 0)) == np.inf and jet.coefficient((0, 1)) == -np.inf
@@ -156,7 +162,7 @@ class TestCauchyData:
             cauchy_data(2, 6, [{}, {}])
 
     def test_data_must_not_depend_on_z(self):
-        s = JetSeries.from_table(3, 6, {(1, 0, 0): 1})
+        s = JetSeries(3, 6, {(1, 0, 0): 1})
         z = JetSeries.zero(3, 6)
         with pytest.raises(ValueError):
             CauchyData(1, 6, (s,), (z,))
@@ -166,7 +172,7 @@ class TestCauchyData:
             cauchy_data(0, 6, [])
 
     def test_series_order_must_match(self):
-        s = JetSeries.from_table(3, 5, {(0, 1, 0): 1})
+        s = JetSeries(3, 5, {(0, 1, 0): 1})
         z = JetSeries.zero(3, 6)
         with pytest.raises(ValueError, match="order"):
             CauchyData(1, 6, (s,), (z,))
@@ -299,8 +305,7 @@ def _ivp_data(draw, p):
                                        _COEFFS, max_size=2)) for _ in pairs]
         for j in range(p):
             for k in range(j + 1, p):
-                phi = JetSeries.from_table(n, 6, draw(st.dictionaries(exps(5), _COEFFS,
-                                                                      max_size=4)))
+                phi = JetSeries(n, 6, draw(st.dictionaries(exps(5), _COEFFS, max_size=4)))
                 yj, yk = p + j, p + k
                 for pair, s in (((j, j), phi.diff(yk).diff(yk)),
                                 ((j, k), -phi.diff(yj).diff(yk)),
@@ -360,13 +365,13 @@ class TestResidualReport:
 
     def test_float_cross_validation_against_geometry(self):
         f = solve_ricci_ivp(_generic_data())
-        funcs = [series_to_function(s) for s in f]
-        m = geometry.build_metric("PUREODD(2)", funcs)
+        funcs = [geometry.FreeFunction(s.nvars, table=s.terms) for s in f]
+        m = geometry.build_metric("PUREODD", funcs, p=2)
         rng = np.random.default_rng(5)
         for _ in range(4):
             pt = rng.uniform(-0.01, 0.01, 5)
             num = geometry.ricci_numeric(m, pt)
-            form = geometry.ricci_paper("PUREODD", funcs, pt, p=2)
+            form = geometry.ricci_paper(m, pt)
             assert np.abs(num - form).max() < 1e-12
             # series Ricci is zero to order 4; only the truncation tail remains
             assert np.abs(num).max() < 1e-8
@@ -384,10 +389,11 @@ class TestSharedBracket:
     @given(tables=st.lists(_TABLES, min_size=3, max_size=3),
            point=st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5))
     def test_series_bracket_matches_jet_bracket_at_a_point(self, tables, point):
-        series = [JetSeries.from_table(5, 6, t) for t in tables]
+        series = [JetSeries(5, 6, t) for t in tables]
         exact = bracket_series(series, 2)
         ctx = JetContext(5, 2)
-        jets = [series_to_function(s).jet(ctx, point, range(5)) for s in series]
+        jets = [geometry.FreeFunction(s.nvars, table=s.terms).jet(ctx, point, range(5))
+                for s in series]
         grid = geometry._fmatrix(jets, geometry.symmetric_pairs(2), 2)
         at_point = geometry._quadratic_bracket(grid, (1, 2), (3, 4))
         for s, j in zip(exact, at_point):
@@ -409,7 +415,7 @@ class TestSpecRoundTrip:
         assert data.max_constraint_residual() == 0.0
         f = solve_ricci_ivp(data)
         spec = series_to_spec(f[0])
-        rebuilt = JetSeries.from_table(5, 6, {
+        rebuilt = JetSeries(5, 6, {
             tuple(int(v) for v in k.split(",")): c
             for k, c in spec["coefficients"].items()})
         assert rebuilt == f[0]

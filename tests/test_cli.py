@@ -303,12 +303,32 @@ class TestExitCodes:
             report, status = run_command(RunSpec("metric-verify", spec_path=spec))
             assert status == 2 and f"p must be an integer, got {p!r}" in report["error"]
 
-    @pytest.mark.parametrize("family", ["PUREEVEN(2.0)", "PUREEVEN(4/2)", "PUREEVEN()"])
-    def test_family_tag_size_is_decimal(self, tmp_path, family):
-        desc = {"family": family, "functions": [{"arity": 4, "coefficients": {}}] * 3}
-        spec = _write(tmp_path, "tag.json", desc)
-        report, status = run_command(RunSpec("metric-verify", spec_path=spec))
-        assert status == 2 and "p must be an integer" in report["error"]
+    @pytest.mark.parametrize("family", ["PUREEVEN(2)", "PUREEVEN(2", "PUREEVEN(2.0)",
+                                        "PUREEVEN(4/2)", "PUREEVEN()"])
+    def test_family_tag_carries_no_size(self, tmp_path, family):
+        # the block size is spelled only as p: a tag neither gives nor overrides it
+        functions = [{"arity": 4, "coefficients": {}}] * 3
+        for desc in ({"family": family, "functions": functions},
+                     {"family": family, "p": 2, "functions": functions}):
+            spec = _write(tmp_path, "tag.json", desc)
+            report, status = run_command(RunSpec("metric-verify", spec_path=spec))
+            assert status == 2 and f"unknown family {family!r}" in report["error"]
+        spec = _write(tmp_path, "bare.json",
+                      {"family": "PUREEVEN", "p": 2, "functions": functions})
+        assert run_command(RunSpec("metric-verify", spec_path=spec))[1] == 0
+
+    @pytest.mark.parametrize("command, desc, key", [
+        ("metric-verify", {"family": "M31",
+                           "functions": [{"arity": 3, "coefficients": {"1,0,0": True}}]},
+         "1,0,0"),
+        ("cauchy-solve", {"p": 1, "order": 4,
+                          "a": [{"arity": 2, "coefficients": {"2,0": False}}]}, "2,0"),
+    ], ids=["metric", "cauchy"])
+    def test_boolean_coefficient(self, tmp_path, command, desc, key):
+        spec = _write(tmp_path, "bool.json", desc)
+        report, status = run_command(RunSpec(command, spec_path=spec))
+        assert status == 2 and "checks" not in report
+        assert f"coefficient {key!r} is not a finite number" in report["error"]
 
     @pytest.mark.parametrize("text", [b"[1, 2]", b"null", b'{"family": "M21\xff"}'],
                              ids=["list", "null", "not-utf8"])

@@ -16,7 +16,6 @@ from spinorlab.geometry import (
     FiberFamily,
     FreeFunction,
     adapted_coframe,
-    adapted_connection_check,
     build_metric,
     build_metric_10_1,
     cayley_four_form,
@@ -229,12 +228,12 @@ class TestTaylorShift:
         assert len(set(ids)) < len(ids)  # CPython hands freed ids out again
 
     def test_m22deg_display_on_fresh_functions(self):
-        # ricci_paper builds new s_ij functions on every call
+        # each metric builds its display's re-charted s_ij functions afresh
         for salt in range(4):
             m = _generic("M22DEG", salt=salt)
             for pt in probe_points(m, 30 + salt, count=2):
                 num = ricci_numeric(m, pt)
-                form = ricci_paper("M22DEG", m.functions, pt)
+                form = ricci_paper(m, pt)
                 assert np.abs(num - form).max() / max(1.0, np.abs(num).max()) < 1e-9
 
 
@@ -430,8 +429,13 @@ class TestFamilyBuilders:
         with pytest.raises(ValueError):
             build_metric("PUREODD", [FreeFunction.zero(5)] * 3)
 
-    def test_parenthesized_tag_sets_block_size(self):
-        m = build_metric("PUREODD(2)", [FreeFunction.zero(5)] * 3)
+    def test_parenthesized_tag_is_unknown(self):
+        # the block size is spelled only as p
+        with pytest.raises(ValueError, match="unknown family"):
+            build_metric("PUREODD(2)", [FreeFunction.zero(5)] * 3)
+        with pytest.raises(ValueError, match="unknown family"):
+            build_metric("PUREODD(1)", [FreeFunction.zero(5)] * 3, p=2)
+        m = build_metric("PUREODD", [FreeFunction.zero(5)] * 3, p=2)
         assert m.p == 2 and m.n == 5
 
     def test_unknown_family_rejected(self):
@@ -703,11 +707,11 @@ class TestDisplayedConnections:
     def test_connection_check_certifies(self):
         m = _generic("M51NULL", salt=3)
         for pt in probe_points(m, 19, count=3):
-            assert adapted_connection_check(m, pt) < 1e-9
+            assert adapted_coframe(m, pt).membership_residual < 1e-9
 
     def test_connection_check_requires_family_data(self):
         with pytest.raises(ValueError):
-            adapted_connection_check(_sphere(), np.array([0.7, 0.1]))
+            adapted_coframe(_sphere(), np.array([0.7, 0.1]))
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +730,7 @@ class TestRicciDisplays:
             m = _generic(family, salt=salt, p=p)
             for pt in probe_points(m, 20 + salt, count=3):
                 num = ricci_numeric(m, pt)
-                form = ricci_paper(family, m.functions, pt, p=p)
+                form = ricci_paper(m, pt)
                 rel = np.abs(num - form).max() / max(1.0, np.abs(num).max())
                 assert rel < 1e-9
 
@@ -737,11 +741,32 @@ class TestRicciDisplays:
         }
 
     def test_families_without_display_raise(self):
-        m = _generic("M21")
-        with pytest.raises(ValueError):
-            ricci_paper("M21", m.functions, np.zeros(3))
-        with pytest.raises(ValueError):
-            ricci_paper("M33GEN", _generic("M33GEN").functions, np.zeros(6))
+        # the families that declare a display are exactly the calibrated ones
+        assert {family for family, _ in GENERIC_CASES} == set(FAMILY_TAGS)
+        for family, p in GENERIC_CASES:
+            m = _generic(family, p=p)
+            if family in RICCI_CALIBRATION:
+                assert ricci_paper(m, np.zeros(m.n)).shape == (m.n, m.n)
+            else:
+                with pytest.raises(ValueError, match="no closed-form Ricci display"):
+                    ricci_paper(m, np.zeros(m.n))
+        with pytest.raises(ValueError, match="no closed-form Ricci display"):
+            ricci_paper(_sphere(), np.array([0.7, 0.1]))
+
+    def test_m22deg_display_builds_nothing_per_call(self, monkeypatch):
+        m = _generic("M22DEG")
+        pts = probe_points(m, 31, count=3)
+        first = ricci_paper(m, pts[0])
+        built = []
+        shift, init = geometry.TaylorShift, FreeFunction.__init__
+        monkeypatch.setattr(geometry, "TaylorShift",
+                            lambda *a: built.append("shift") or shift(*a))
+        monkeypatch.setattr(FreeFunction, "__init__",
+                            lambda self, *a, **kw: built.append("function") or init(self, *a, **kw))
+        for pt in pts:
+            ricci_paper(m, pt)
+        assert built == []
+        assert np.array_equal(ricci_paper(m, pts[0]), first)
 
 
 # ---------------------------------------------------------------------------
@@ -850,7 +875,7 @@ class TestHolonomySpans:
                 h4 += c * np.einsum("ij,kl->ijkl", a, b)
             h2 = np.array([[1.0, 2.0, 0.0], [2.0, -1.0, 1.0], [0.0, 1.0, 2.0]])
         fs = quadratic_profile_functions(h4, h2)
-        m = build_metric(f"PUREODD({p})", fs)
+        m = build_metric("PUREODD", fs, p=p)
         assert constraint_check(m, probe_points(m, 32, count=2)).max_residual < 1e-12
         est = holonomy_span(m, probe_points(m, 32, count=3))
         assert est.span_dim == expected == est.stabilizer_dim
@@ -979,7 +1004,7 @@ class TestElevenDimensionalFamily:
         table[tuple(e)] = 0.3
         m = build_metric_10_1(FiberFamily.identity(), FreeFunction(10, table=table))
         for pt in probe_points(m, 43, count=3):
-            assert adapted_connection_check(m, pt) < 1e-9
+            assert adapted_coframe(m, pt).membership_residual < 1e-9
 
     def test_nonconstant_fiber_drops_four_form(self):
         entries = np.eye(8).astype(object)
@@ -1048,7 +1073,7 @@ class TestSpecRoundTrip:
         assert f.table == {(1, 1): Fraction(1, 3), (0, 2): 2, (2, 0): Fraction(1, 2)}
 
     def test_metric_round_trip(self):
-        d = {"family": "PUREEVEN(2)", "functions": [
+        d = {"family": "PUREEVEN", "p": 2, "functions": [
             {"arity": 4, "coefficients": {"0,0,0,1": "1"}},
             {"arity": 4, "coefficients": {"0,0,1,0": "-1/2"}},
             {"arity": 4, "coefficients": {"0,0,0,1": 0.5}},
