@@ -21,8 +21,6 @@ for _s in range(8):
         _k, _sign = TABLE[_s][_t]
         STRUCTURE[_s, _t, _k] = float(_sign)
 
-OCT_DIM = 8
-
 
 def octonion_table_checksum() -> str:
     """SHA-256 of the frozen multiplication table, embedded in CLI reports."""

@@ -9,12 +9,13 @@ The list returned by :func:`clifford_generators` keeps the spacelike block
 first and the timelike block second.
 
 Classification of the generated algebra as R(k), C(k), H(k) or a double
-block F(k)+F(k) works module-theoretically: extract an irreducible
-submodule, then measure the commutant acting on it.  Conjugation by a
+block F(k)+F(k) works module-theoretically: generate an irreducible
+module from a primitive idempotent built out of products of the
+generators, then measure the commutant acting on it.  Conjugation by a
 generator is an involution of matrix space and the generators pairwise
 anticommute, so composing the averaging maps (X + g X g^-1)/2 over all
-generators is an exact projector onto the commutant; no iteration, no
-tolerance tuning.
+generators is an exact projector onto the commutant.  Every step is
+deterministic, with no sampling and no tolerance tuning.
 """
 
 from __future__ import annotations
@@ -100,58 +101,61 @@ def even_generators(gens: list[np.ndarray]) -> list[np.ndarray]:
 
 # -- module extraction ------------------------------------------------------
 
+# relative size above which a restricted generator leaves the candidate basis
+_INVARIANCE_TOL = 1e-9
 
-def _commutant_projector(mats: list[np.ndarray]):
-    """Exact projector onto {X : X commutes with all mats}.
 
-    Requires each matrix orthogonal with square +-I and the family
-    pairwise anticommuting (or commuting), which makes the individual
-    averaging maps commuting involutive projections.
+def _product(mats: list[np.ndarray], mask: int, x: np.ndarray) -> np.ndarray:
+    """e_S x for the product e_S of the generators whose bits are set in ``mask``."""
+    for i in reversed(range(len(mats))):
+        if mask >> i & 1:
+            x = mats[i] @ x
+    return x
+
+
+def _irreducible_module(mats: list[np.ndarray], size: int) -> np.ndarray:
+    """Orthonormal column basis of an irreducible module, from a primitive idempotent.
+
+    For a subset S of the generators (a bit mask), the product e_S squares
+    to (-1)^(|S|(|S|-1)/2 + #{i in S : g_i^2 = -I}) I, and e_S commutes with
+    e_T iff |S||T| + |S & T| is even.  The masks are walked in a fixed
+    order, full product first, keeping each e_S that squares to +I,
+    commutes with those kept and is not a product of them.  The kept set
+    is then maximal, so f = prod (1 + e_S)/2 is a primitive idempotent
+    (P. Lounesto, Clifford Algebras and Spinors, 2nd ed., CUP 2001), and a
+    central volume element squaring to +I acts as +1 on its image.  The
+    products over one mask per coset of the kept ones carry f's largest
+    column v to pairwise orthogonal vectors of norm |v| spanning the module
+    that v generates.
     """
-
-    def proj(x: np.ndarray) -> np.ndarray:
-        for g in mats:
-            x = 0.5 * (x + g @ x @ g.T)
-        return x
-
-    return proj
-
-
-def _eigencluster_spaces(b: np.ndarray, tol: float = 1e-6) -> list[np.ndarray]:
-    vals, vecs = np.linalg.eigh(b)
-    scale = max(float(np.max(np.abs(vals))), 1e-300)
-    spaces = []
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i] - vals[i - 1] > tol * scale:
-            spaces.append(vecs[:, start:i])
-            start = i
-    return spaces
-
-
-def _minimal_module(mats, rng, prefer_plus=None) -> np.ndarray:
-    """Orthonormal column basis of a minimal-dimension invariant eigenspace."""
-    n = mats[0].shape[0]
-    proj = _commutant_projector(mats)
-    x = rng.standard_normal((n, n))
-    b = proj(x + x.T)
-    b /= np.linalg.norm(b)
-    spaces = _eigencluster_spaces(b)
-    dmin = min(s.shape[1] for s in spaces)
-    candidates = [s for s in spaces if s.shape[1] == dmin]
-    if prefer_plus is not None:
-        for s in candidates:
-            if np.trace(s.T @ prefer_plus @ s) > 0:
-                return s
-    return candidates[0]
+    neg = sum(1 << i for i, g in enumerate(mats) if g[0] @ g[:, 0] < 0)
+    full = (1 << len(mats)) - 1
+    kept, span = [], {0}
+    for s in (full, *range(1, full)):
+        c = s.bit_count()
+        if (s in span or (c * (c - 1) // 2 + (s & neg).bit_count()) % 2
+                or any((c * t.bit_count() + (s & t).bit_count()) % 2 for t in kept)):
+            continue
+        kept.append(s)
+        span |= {s ^ t for t in span}
+    f = np.eye(size)
+    for s in kept:
+        f = 0.5 * (f + _product(mats, s, f))
+    v = f[:, np.argmax(np.einsum("ij,ij->j", f, f))]
+    cosets, seen = [], set()
+    for t in range(full + 1):
+        if t not in seen:
+            cosets.append(t)
+            seen |= {t ^ s for s in span}
+    return np.column_stack([_product(mats, t, v) for t in cosets]) / np.linalg.norm(v)
 
 
-def _restrict(mats, basis, tol: float = 1e-9) -> list[np.ndarray]:
+def _restrict(mats, basis) -> list[np.ndarray]:
     out = []
     for g in mats:
         gb = g @ basis
         gt = basis.T @ gb
-        if np.linalg.norm(gb - basis @ gt) > tol * max(1.0, np.linalg.norm(gb)):
+        if np.linalg.norm(gb - basis @ gt) > _INVARIANCE_TOL * max(1.0, np.linalg.norm(gb)):
             raise ArithmeticError("candidate subspace is not invariant")
         out.append(gt)
     return out
@@ -162,34 +166,49 @@ def _commutant_dim(restricted: list[np.ndarray]) -> int:
 
     The +-products of generator subsets form a finite group; averaging
     tr(rho(g))^2 over it counts the commutant dimension exactly, and any
-    collapse of the group on the module cancels out of the average.
+    collapse of the group on the module cancels out of the average.  Each
+    subset product is L R, with L over the first half of the generators
+    and R over the rest, so one matrix product gives every tr(L R).
     """
     d = restricted[0].shape[0] if restricted else 1
-    mats = [np.eye(d)]
-    for g in restricted:
-        mats = mats + [m @ g for m in mats]
-    total = sum(float(np.trace(m)) ** 2 for m in mats)
-    val = total / len(mats)
+    half = len(restricted) // 2
+    products = []
+    for part in (restricted[:half], restricted[half:]):
+        prods = np.eye(d)[None]
+        for g in part:
+            prods = np.concatenate([prods, prods @ g])
+        products.append(prods)
+    left, right = products
+    traces = left.reshape(len(left), -1) @ right.transpose(0, 2, 1).reshape(len(right), -1).T
+    val = float(np.sum(traces**2)) / traces.size
     f = round(val)
     if abs(val - f) > 1e-6:
         raise ArithmeticError(f"non-integer commutant dimension {val!r}")
     return f
 
 
-def _commutant_field(restricted, f: int, rng) -> str | None:
+def _commutant_field(restricted, f: int) -> str | None:
     """Identify the commutant division algebra by its trace-form signature.
 
-    Signature of (a, b) -> tr(ab) on the commutant: R gives (1,0), C gives
-    (1,1), H gives (1,3).  Anything else means the module was reducible.
+    The commutant is spanned by the projections of the matrix units
+    e_0 e_j^T: the generators are orthogonal, so composing the averaging
+    maps X -> (X + g X g^T)/2 projects orthogonally onto the commutant, and
+    a commutant element c orthogonal to every e_0 e_j^T has c^T e_0 = 0,
+    which on an irreducible module (commutant a division algebra) forces
+    c = 0.  Signature of (a, b) -> tr(ab) on the commutant: R gives (1,0),
+    C gives (1,1), H gives (1,3).  Anything else means the module was
+    reducible.
     """
     d = restricted[0].shape[0]
-    proj = _commutant_projector(restricted)
-    samples = [proj(rng.standard_normal((d, d))) for _ in range(f + 3)]
-    basis = orthonormal_span(samples, "commutant basis")
+    units = np.zeros((d, d, d))
+    units[:, 0, :] = np.eye(d)
+    for g in restricted:
+        units = 0.5 * (units + g @ units @ g.T)
+    basis = orthonormal_span(list(units), "commutant basis")
     if basis.shape[0] != f:
         return None
-    mats = [row.reshape(d, d) for row in basis]
-    t = np.array([[np.trace(a @ b) for b in mats] for a in mats])
+    mats = basis.reshape(f, d, d)
+    t = np.einsum("aij,bji->ab", mats, mats)
     ev = np.linalg.eigvalsh(t)
     cut = 1e-8 * float(np.max(np.abs(ev)))
     sig = (int(np.sum(ev > cut)), int(np.sum(ev < -cut)))
@@ -213,17 +232,15 @@ class Classification:
         return f"{base}+{base}" if self.split else base
 
 
-def _classify_generators(gens, rng, prefer_plus=None, split=False) -> Classification:
-    for _ in range(4):
-        basis = _minimal_module(gens, rng, prefer_plus=prefer_plus)
-        restricted = _restrict(gens, basis)
-        f = _commutant_dim(restricted)
-        fld = _commutant_field(restricted, f, rng)
-        if fld is None:
-            continue  # unlucky draw, re-sample the commutant element
-        d = basis.shape[1]
-        return Classification(fld, d // f, split, d, f)
-    raise ArithmeticError("failed to isolate an irreducible module")
+def _classify_generators(gens, split: bool) -> Classification:
+    basis = _irreducible_module(gens, gens[0].shape[0])
+    restricted = _restrict(gens, basis)
+    f = _commutant_dim(restricted)
+    fld = _commutant_field(restricted, f)
+    if fld is None:
+        raise ArithmeticError("the primitive idempotent gave a reducible module")
+    d = basis.shape[1]
+    return Classification(fld, d // f, split, d, f)
 
 
 def _central_split(vol: np.ndarray) -> bool:
@@ -235,39 +252,23 @@ def _central_split(vol: np.ndarray) -> bool:
     return s > 0
 
 
-def classify(p: int, q: int, rng=None) -> Classification:
+def classify(p: int, q: int) -> Classification:
     """Matrix-algebra type of the Clifford algebra with signature (p, q)."""
-    if rng is None:
-        rng = np.random.default_rng(100_000 + 97 * p + q)
     gens = clifford_generators(p, q)
     if not gens:
         return Classification("R", 1, False, 1, 1)
-    split = False
-    prefer = None
-    if (p + q) % 2 == 1:
-        vol = volume_element(gens)
-        if _central_split(vol):
-            split = True
-            prefer = vol
-    return _classify_generators(gens, rng, prefer_plus=prefer, split=split)
+    split = (p + q) % 2 == 1 and _central_split(volume_element(gens))
+    return _classify_generators(gens, split=split)
 
 
-def classify_even(p: int, q: int, rng=None) -> Classification:
+def classify_even(p: int, q: int) -> Classification:
     """Matrix-algebra type of the even subalgebra for signature (p, q)."""
-    if rng is None:
-        rng = np.random.default_rng(200_000 + 97 * p + q)
     gens = clifford_generators(p, q)
     if len(gens) <= 1:
         return Classification("R", 1, False, 1, 1)
-    pairs = even_generators(gens)
-    split = False
-    prefer = None
-    if (p + q) % 2 == 0:
-        vol = volume_element(gens)  # lies in the even part, central there
-        if _central_split(vol):
-            split = True
-            prefer = vol
-    return _classify_generators(pairs, rng, prefer_plus=prefer, split=split)
+    # the volume element lies in the even part, central there for even n
+    split = (p + q) % 2 == 0 and _central_split(volume_element(gens))
+    return _classify_generators(even_generators(gens), split=split)
 
 
 # -- vectors under twisted conjugation --------------------------------------
@@ -366,25 +367,18 @@ class SpinRepresentation:
         return list(self._forms)
 
 
-def spin_representation(p: int, q: int, rng=None) -> SpinRepresentation:
-    if rng is None:
-        rng = np.random.default_rng(300_000 + 97 * p + q)
+def spin_representation(p: int, q: int) -> SpinRepresentation:
     gens = clifford_generators(p, q)
     if not gens:
         raise ValueError("signature (0, 0) carries no spinors")
     n = p + q
-    prefer = None
-    if n % 2 == 1:
-        vol = volume_element(gens)
-        if _central_split(vol):
-            prefer = vol
-    basis = _minimal_module(gens, rng, prefer_plus=prefer)
+    basis = _irreducible_module(gens, gens[0].shape[0])
     restricted = _restrict(gens, basis)
 
     halved = (p - q) % 8 in (1, 2)
     if halved:
         pair_gens = [restricted[0] @ g for g in restricted[1:]]
-        half = _minimal_module(pair_gens, rng)
+        half = _irreducible_module(pair_gens, basis.shape[1])
         if 2 * half.shape[1] != basis.shape[1]:
             raise ArithmeticError("even-subalgebra split did not halve the module")
         so_basis, so_index = [], []

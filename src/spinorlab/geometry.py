@@ -236,13 +236,16 @@ def _spec_integer(value, key: str) -> int:
     return value
 
 
+_MAX_EXPONENT = int(np.iinfo(np.intp).max)
+
+
 def _spec_table(coefficients: dict) -> dict[tuple[int, ...], Fraction]:
     """Exact {exponents: coefficient} table from a spec's coefficient map.
 
     Keys are comma-separated exponent strings; values may be numbers or
     rational strings like "3/4", and are kept as Fractions.  A map that is
-    not an object, a key that is not a list of nonnegative integers, or a
-    value that is not a finite number (a JSON boolean, Infinity or NaN, a
+    not an object, a key that is not a list of nonnegative machine integers,
+    or a value that is not a finite number (a JSON boolean, Infinity or NaN, a
     zero denominator, past the float range), is rejected with its key.
     """
     if not isinstance(coefficients, dict):
@@ -253,6 +256,8 @@ def _spec_table(coefficients: dict) -> dict[tuple[int, ...], Fraction]:
         if not all(s.isdecimal() for s in parts):
             raise ValueError(f"exponent key {key!r} is not a list of nonnegative integers")
         exps = tuple(int(s) for s in parts)
+        if max(exps) > _MAX_EXPONENT:
+            raise ValueError(f"exponent key {key!r} does not fit a machine integer")
         try:
             if isinstance(val, bool):
                 raise TypeError("a boolean is not a coefficient")
@@ -1166,7 +1171,8 @@ def _fiber_gram(entries) -> dict:
     for a, b in symmetric_pairs(8):
         total = JetSeries.zero(9, order)
         for k in range(8):
-            total = total + series[k][a] * series[k][b]
+            if not (series[k][a].is_zero() or series[k][b].is_zero()):
+                total = total + series[k][a] * series[k][b]
         if total.terms.keys() - {(0,) * 9}:
             cell = FreeFunction(9, table=total.terms, name=f"(E^T E){a + 1}{b + 1}")
         else:

@@ -71,16 +71,6 @@ def _exponent_rows(nvars: int, order: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _pascal(top: int) -> np.ndarray:
-    """Read-only table of binom(a, b) for 0 <= a, b <= top, as floats."""
-    table = np.zeros((top + 1, top + 1))
-    table[:, 0] = 1.0
-    for a in range(1, top + 1):
-        table[a, 1:] = table[a - 1, 1:] + table[a - 1, :-1]
-    return _frozen(table)
-
-
-@lru_cache(maxsize=None)
 def shared_context(nvars: int, order: int) -> "JetContext":
     """The one JetContext for (nvars, order); building one costs up to tens of ms."""
     return JetContext(nvars, order)
@@ -548,31 +538,42 @@ class TaylorShift:
     puts b_i on variable v_i.  The pairs (a, b) with b <= a and |b| within
     the context order, their binomial weights, exponent gaps and target
     columns depend only on the terms, the context and the variables; each
-    call builds one power table and takes one weighted product.  The terms
-    come as :meth:`JetSeries.float_terms`; they are summed in that sorted
-    order, as a term-by-term jet product would.
+    call raises each value to the gaps that occur and takes one weighted
+    product, so nothing is sized by the largest exponent.  The terms come
+    as :meth:`JetSeries.float_terms`; they are summed in that sorted order,
+    as a term-by-term jet product would.
     """
 
-    __slots__ = ("_nmono", "_top", "_cols", "_coeffs", "_binom", "_gaps")
+    __slots__ = ("_nmono", "_cols", "_coeffs", "_binom", "_gaps", "_at")
 
     def __init__(self, alphas: np.ndarray, coeffs: np.ndarray, ctx: JetContext,
                  variables: tuple[int, ...]):
         k = len(variables)
         betas = _exponent_rows(k, ctx.order)
-        a, b = np.nonzero((betas[None, :, :] <= alphas[:, None, :]).all(axis=2))
-        alphas, betas = alphas[a], betas[b]
+        fits = np.ones((len(alphas), len(betas)), dtype=bool)
+        for i in range(k):
+            fits &= betas[:, i] <= alphas[:, i, None]
+        a, b = np.nonzero(fits)
         self._nmono = ctx.nmono
-        self._top = int(alphas.max(initial=0))
         self._cols = ctx._placed_columns(variables)[b]
         self._coeffs = coeffs[a]
-        self._binom = _pascal(self._top)[alphas, betas].prod(axis=1)
-        # flat indices of p_i^(a_i - b_i) in the (k, top + 1) power table
-        self._gaps = alphas - betas + (self._top + 1) * np.arange(k)
+        # per distinct exponent e: binom(e, j) for j <= order, each step's
+        # product an integer (exact as a float below 2^53), and the gap e - j
+        exps, steps = np.unique(alphas), np.arange(ctx.order + 1)
+        binom = np.ones((len(exps), len(steps)))
+        for j in steps[1:]:
+            binom[:, j] = binom[:, j - 1] * (exps - j + 1) / j
+        self._gaps = np.maximum(exps[:, None] - steps, 0)
+        # flat index of (a_i, b_i) in those (exponents, order + 1) tables, and
+        # of p_i^(a_i - b_i) in the (k, exponents, order + 1) power table
+        cell = np.searchsorted(exps, alphas)[a] * len(steps) + betas[b]
+        self._binom = binom.ravel()[cell].prod(axis=1)
+        self._at = cell + binom.size * np.arange(k)
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         """Coefficients of the jet at base values p (one per argument)."""
-        powers = np.asarray(values, dtype=float)[:, None] ** np.arange(self._top + 1)
-        weights = self._coeffs * (self._binom * powers.ravel()[self._gaps].prod(axis=1))
+        powers = np.asarray(values, dtype=float)[:, None, None] ** self._gaps
+        weights = self._coeffs * (self._binom * powers.ravel()[self._at].prod(axis=1))
         return np.bincount(self._cols, weights=weights, minlength=self._nmono)
 
 

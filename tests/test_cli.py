@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from spinorlab.cli import COMMANDS, DEFAULT_TOLS, RunSpec, build_parser, main, r
 # the inputs each subcommand reads, as the README's option table lists them
 READS = {
     "algebra-selfcheck": {"seed", "tol"},
-    "clifford-table": {"seed"},
+    "clifford-table": set(),
     "orbit-report": set(),
     "triality-check": {"seed", "tol"},
     "metric-verify": {"spec", "seed", "tol"},
@@ -330,6 +331,25 @@ class TestExitCodes:
         assert status == 2 and "checks" not in report
         assert f"coefficient {key!r} is not a finite number" in report["error"]
 
+    def test_exponent_sets_no_table_size(self, tmp_path):
+        # a profile of degree 10^6 is expanded without a table sized by its degree
+        spec = _write(tmp_path, "deg.json", {
+            "family": "M21", "functions": [{"arity": 2, "coefficients": {"1000000,0": 1}}]})
+        start = time.perf_counter()
+        report, status = run_command(RunSpec("metric-verify", spec_path=spec))
+        assert time.perf_counter() - start < 1.0
+        assert status == 0 and report["pass"] is True
+
+    def test_exponent_past_machine_integers(self, tmp_path):
+        key = "100000000000000000000000,0"
+        spec = _write(tmp_path, "huge.json", {
+            "family": "M21", "functions": [{"arity": 2, "coefficients": {key: 1}}]})
+        start = time.perf_counter()
+        report, status = run_command(RunSpec("metric-verify", spec_path=spec))
+        assert time.perf_counter() - start < 1.0
+        assert status == 2 and "checks" not in report
+        assert f"exponent key {key!r} does not fit a machine integer" in report["error"]
+
     @pytest.mark.parametrize("text", [b"[1, 2]", b"null", b'{"family": "M21\xff"}'],
                              ids=["list", "null", "not-utf8"])
     @pytest.mark.parametrize("command", ["metric-verify", "cauchy-solve"])
@@ -414,6 +434,14 @@ class TestAlgebraSelfcheck:
 
 
 class TestCliffordTable:
+    def test_report_bytes_do_not_depend_on_hash_seed(self):
+        reports = [subprocess.run(
+            [sys.executable, "-m", "spinorlab.cli", "clifford-table"], capture_output=True,
+            env=dict(_source_env(), PYTHONHASHSEED=seed), check=True).stdout
+            for seed in ("1", "2")]
+        assert reports[0] == reports[1]
+        assert "seed" not in json.loads(reports[0])
+
     def test_forty_five_rows(self):
         report, status = run_command(RunSpec("clifford-table"))
         assert status == 0
@@ -654,6 +682,7 @@ class TestMain:
         ["curvature-space", "--tol", "1"],
         ["clifford-table", "--tol", "1"],
         ["cauchy-solve", "--seed", "1"],
+        ["clifford-table", "--seed", "1"],
     ])
     def test_option_rejected_where_unread(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

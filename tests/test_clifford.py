@@ -160,6 +160,7 @@ class TestTwistedReflection:
 
 
 _SPIN_DIMS = {
+    (1, 0): 1,
     (2, 1): 2,
     (3, 1): 4,
     (3, 2): 4,
@@ -229,3 +230,22 @@ class TestSpinRepresentation:
         coeffs = rng.standard_normal(len(rep.so_basis))
         a = sum(c * b for c, b in zip(coeffs, rep.so_basis))
         assert np.linalg.norm(a.T @ forms[0] + forms[0] @ a) < 1e-10
+
+    @pytest.mark.parametrize("p,q", [(3, 0), (1, 2), (5, 2)])
+    def test_central_volume_acts_as_plus_one(self, p, q):
+        # the full product is tried first, so a central volume element
+        # squaring to +I fixes the primitive idempotent's module
+        rep = spin_representation(p, q)
+        assert np.allclose(rep.volume, np.eye(rep.dim), atol=1e-12)
+
+
+def test_modules_draw_no_random_numbers(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Clifford module drew a random number")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    for p, q in [(1, 0), (3, 0), (2, 2), (5, 2), (4, 3), (4, 4), (10, 1)]:
+        assert classify(p, q).label == expected_label(p, q)
+        assert classify_even(p, q).label == expected_label(p - 1, q)
+        basis = spin_representation(p, q).basis
+        assert np.allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)

@@ -37,7 +37,7 @@ from spinorlab.geometry import (
     so_basis,
     symmetric_pairs,
 )
-from spinorlab.jets import Jet, JetContext, shared_context
+from spinorlab.jets import Jet, JetContext, JetSeries, shared_context
 from spinorlab.linalg import guarded_rank, orthonormal_span
 
 
@@ -212,6 +212,11 @@ class TestTaylorShift:
         X = ctx.variables([0.7])
         got, want = f.jet(ctx, [0.7], (0, 0)), _product_jet(f, [X[0], X[0]])
         assert np.allclose(got.c, want.c, rtol=1e-14, atol=1e-14)
+
+    def test_degree_sets_no_table_size(self):
+        # y^(10^6) at y = 1 + x has Taylor coefficients binom(10^6, b)
+        f = FreeFunction(1, table={(10**6,): 1})
+        assert f.jet(JetContext(1, 2), [1.0], (0,)).c.tolist() == [1.0, 1e6, 499999500000.0]
 
     def test_shift_data_stays_with_its_function(self):
         # functions built and dropped in turn reuse object ids; each must
@@ -1040,6 +1045,18 @@ class TestElevenDimensionalFamily:
                 g = m.component_jets(pt, order=order)
                 want = g.ctx.matmul_arrays(np.swapaxes(e, 0, 1), e)
                 assert np.abs(g.c[3:, 3:] - want).max() < 1e-14
+
+    def test_identity_fiber_gram_skips_zero_factors(self, monkeypatch):
+        # a product with a zero factor is skipped, so the identity fiber's
+        # E^T E takes one product per diagonal cell and no other
+        calls = []
+        mul = JetSeries.__mul__
+        monkeypatch.setattr(JetSeries, "__mul__", lambda s, o: calls.append(1) or mul(s, o))
+        for _ in range(2):
+            build_metric_10_1(FiberFamily.identity(), FreeFunction(2, table={(1, 1): 0.3}))
+        assert len(calls) == 2 * 8
+        cells = geometry._fiber_gram(FiberFamily.identity().entries)
+        assert cells == {(a, b): float(a == b) for a in range(8) for b in range(8)}
 
     def test_holonomy_span_stays_within_stabilizer(self):
         m = _generic("M101")
