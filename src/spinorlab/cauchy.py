@@ -91,7 +91,13 @@ def cauchy_data_from_spec(d: dict) -> CauchyData:
         entries = d.get(key, [])
         if not isinstance(entries, list) or not all(isinstance(fd, dict) for fd in entries):
             raise ValueError(f"{key} must be a list of function objects, got {entries!r}")
-        return [_spec_table(fd.get("coefficients", {})) for fd in entries]
+        out = []
+        for fd in entries:
+            out.append(_spec_table(fd.get("coefficients", {})))
+            # a profile takes the 2p arguments (x^1..x^p, y_1..y_p)
+            if "arity" in fd and _spec_integer(fd["arity"], "arity") != 2 * p:
+                raise ValueError(f"{key} entry arity must be 2p = {2 * p}, got {fd['arity']!r}")
+        return out
 
     a = tables("a")
     b = tables("b") or None
@@ -120,11 +126,15 @@ def bracket_series(flat, p: int):
 # -- solver ------------------------------------------------------------------
 
 
-def _truncated(tree, order: int):
-    """Nested lists of series with each series truncated at ``order``."""
-    if isinstance(tree, JetSeries):
-        return tree.truncate(order)
-    return [_truncated(node, order) for node in tree]
+def _left_factors(parts, order: int):
+    """The (grid, dy) of bracket parts, each series truncated at ``order``.
+
+    They are the left factors of every bracket product, and a product is
+    cut at the lower order of its factors, so the right factors stay whole.
+    """
+    grid, dy, _ = parts
+    return ([[s.truncate(order) for s in row] for row in grid],
+            [[[s.truncate(order) for s in cell] for cell in row] for row in dy], None)
 
 
 def solve_ricci_ivp(data: CauchyData, check_constraints: bool = True):
@@ -152,11 +162,10 @@ def solve_ricci_ivp(data: CauchyData, check_constraints: bool = True):
         grid = _fmatrix(slices[m], pairs, p)
         empty = all(s.is_zero() for s in slices[m])
         parts.append(None if empty else _bracket_parts(grid, y_vars))
-        cut = [None if pt is None else _truncated(pt, keep) for pt in parts]
         totals = _bracket_linear(grid, x_vars, y_vars)
         for i in range(m + 1):
-            if cut[i] is not None and cut[m - i] is not None:
-                _add_bracket_products(totals, cut[i], cut[m - i])
+            if parts[i] is not None and parts[m - i] is not None:
+                _add_bracket_products(totals, _left_factors(parts[i], keep), parts[m - i])
         scale = Fraction(-2, (m + 2) * (m + 1))
         slices.append([s * scale for s in totals])
     zero = JetSeries.zero(2 * p + 1, order)

@@ -22,9 +22,12 @@ A derived jet lives in the context of the order its reader needs, not
 that of its inputs: a quantity read through its first partials is formed
 at order 1 even when it is built from the derivatives of order-2 jets.
 
-:class:`JetSeries` is the sparse counterpart: a truncated polynomial
-stored as an {exponents: coefficient} dict over exact rationals.  It
-backs table-defined profile functions and the exact Cauchy solver alike.
+:class:`JetSeries` is the sparse counterpart: an exact truncated
+polynomial stored as {exponents: integer numerator} over one positive
+denominator, in lowest terms.  Its arithmetic runs on Python ints, and
+Fractions appear only at the boundary, where a coefficient is given or
+read.  It backs table-defined profile functions and the exact Cauchy
+solver alike.
 :class:`TaylorShift` expands such a polynomial at a point whose arguments
 are coordinates (argument i is y_i = p_i + x_{v_i}), in one weighted
 product from the values p and the variable indices v, with no
@@ -37,7 +40,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from operator import add
+from operator import add, itemgetter
+from types import MappingProxyType
 
 import numpy as np
 
@@ -392,12 +396,19 @@ class JetSeries:
 
     Terms of total degree above ``order`` are dropped; multiplication
     truncates to the smaller operand order and differentiation lowers the
-    trusted order by one.  Coefficients are Fractions: the constructor
-    converts each given number, a float exactly, so reading one back as a
-    float returns that float.
+    trusted order by one.  The coefficients are held as integer numerators
+    ``nums`` over one positive denominator ``den``, in lowest terms (the gcd
+    of ``den`` and every numerator is 1, the zero series has ``den`` 1), so
+    ``==`` and ``hash`` compare structure.  Arithmetic is on Python ints; a
+    sum scales each operand by the lcm of the denominators, a product
+    multiplies them, and each result divides out its common content once.
+    Fractions appear only at the boundary: the constructor converts each
+    given number, a float exactly, and ``terms`` and ``coefficient`` read
+    Fractions back.  A zero operand costs no loop, and truncating to an
+    order at or above the series' own returns the series itself.
     """
 
-    __slots__ = ("nvars", "order", "terms")
+    __slots__ = ("nvars", "order", "nums", "den", "_terms")
 
     def __init__(self, nvars: int, order: int, terms=None):
         self.nvars = int(nvars)
@@ -411,85 +422,116 @@ class JetSeries:
                 continue
             coeff = _coerce_exact(coeff)
             clean[exps] = clean[exps] + coeff if exps in clean else coeff
-        self.terms = {e: c for e, c in clean.items() if c != 0}
+        terms = {e: c for e, c in clean.items() if c != 0}
+        self.den = den = math.lcm(*(c.denominator for c in terms.values()))
+        self.nums = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+        self._terms = MappingProxyType(terms)
 
     @classmethod
     def zero(cls, nvars: int, order: int) -> "JetSeries":
         return cls(nvars, order)
 
-    def coefficient(self, exps):
-        return self.terms.get(tuple(int(e) for e in exps), Fraction(0))
+    @property
+    def terms(self) -> MappingProxyType:
+        """The {exponents: Fraction} terms, read-only, built on the first read."""
+        if self._terms is None:
+            den = self.den
+            self._terms = MappingProxyType({e: Fraction(n, den) for e, n in self.nums.items()})
+        return self._terms
+
+    def coefficient(self, exps) -> Fraction:
+        return Fraction(self.nums.get(tuple(int(e) for e in exps), 0), self.den)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def float_terms(self) -> tuple[np.ndarray, np.ndarray]:
         """Exponent rows and float coefficients of the terms, in sorted exponent order."""
-        items = sorted(self.terms.items())
+        items = sorted(self.nums.items())
         exps = np.array([e for e, _ in items], dtype=np.intp).reshape(-1, self.nvars)
-        return _frozen(exps), _frozen(np.array([_saturating_float(c) for _, c in items]))
+        floats = np.array([_saturating_float(n, self.den) for _, n in items])
+        return _frozen(exps), _frozen(floats)
 
     def max_abs(self) -> float:
-        return max((abs(_saturating_float(c)) for c in self.terms.values()), default=0.0)
+        top = max(map(abs, self.nums.values()), default=0)
+        return _saturating_float(top, self.den)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, JetSeries) and self.nvars == other.nvars
-                and self.order == other.order and self.terms == other.terms)
+                and self.order == other.order and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.nvars, self.order, frozenset(self.terms.items())))
+        return hash((self.nvars, self.order, self.den, frozenset(self.nums.items())))
 
     def __repr__(self) -> str:
-        return f"JetSeries(nvars={self.nvars}, order={self.order}, nterms={len(self.terms)})"
+        return f"JetSeries(nvars={self.nvars}, order={self.order}, nterms={len(self.nums)})"
 
-    def _like(self, order: int, terms: dict) -> "JetSeries":
-        """Result of internal arithmetic: ``terms`` already has well-formed integer exponents.
+    def _like(self, order: int, nums: dict, den: int = 1) -> "JetSeries":
+        """Result of internal arithmetic, ``nums`` over ``den`` already in lowest terms.
 
-        Skips the public constructor's checks; only zero coefficients and
-        terms past ``order`` are dropped.
+        Skips the public constructor's checks: ``nums`` has well-formed
+        integer exponents within ``order`` and no zero numerator.
         """
         out = JetSeries.__new__(JetSeries)
         out.nvars = self.nvars
         out.order = order
-        out.terms = {e: c for e, c in terms.items() if c != 0 and sum(e) <= order}
+        out.nums = nums
+        out.den = den
+        out._terms = None
         return out
 
-    def __add__(self, other: "JetSeries") -> "JetSeries":
+    def _reduced(self, order: int, nums: dict, den: int) -> "JetSeries":
+        """:meth:`_like` after dividing out the common content of ``den`` and ``nums``."""
+        if den != 1:
+            g = math.gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {e: n // g for e, n in nums.items()}
+        return self._like(order, nums, den)
+
+    def _combine(self, other: "JetSeries", sign: int) -> "JetSeries":
+        """self + sign * other, in the lower order of the two."""
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            prev = out.get(e)
-            out[e] = c if prev is None else prev + c
-        return self._like(min(self.order, other.order), out)
+        order = min(self.order, other.order)
+        if not other.nums:
+            return self.truncate(order)
+        if not self.nums:
+            return (other if sign > 0 else -other).truncate(order)
+        den = math.lcm(self.den, other.den)
+        left, right = den // self.den, sign * (den // other.den)
+        out = {e: n * left for e, n in _upto(self.nums, self.order, order).items()}
+        for e, n in _upto(other.nums, other.order, order).items():
+            total = out.get(e, 0) + n * right
+            if total:
+                out[e] = total
+            else:
+                del out[e]
+        return self._reduced(order, out, den)
+
+    def __add__(self, other: "JetSeries") -> "JetSeries":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "JetSeries") -> "JetSeries":
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            prev = out.get(e)
-            out[e] = -c if prev is None else prev - c
-        return self._like(min(self.order, other.order), out)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "JetSeries":
-        return self._like(self.order, {e: -c for e, c in self.terms.items()})
+        return self._like(self.order, {e: -n for e, n in self.nums.items()}, self.den)
 
     def __mul__(self, other):
         if isinstance(other, JetSeries):
             self._check(other)
             order = min(self.order, other.order)
-            right = [(e, c, sum(e)) for e, c in other.terms.items()]
-            out = {}
-            for e1, c1 in self.terms.items():
-                room = order - sum(e1)
-                for e2, c2, d2 in right:
-                    if d2 > room:
-                        continue
-                    e = tuple(map(add, e1, e2))
-                    prev = out.get(e)
-                    out[e] = c1 * c2 if prev is None else prev + c1 * c2
-            return self._like(order, out)
+            if not (self.nums and other.nums):
+                return self._like(order, {})
+            return self._reduced(order, _product(self.nums, other.nums, order),
+                                 self.den * other.den)
         scal = _coerce_exact(other)
-        return self._like(self.order, {e: c * scal for e, c in self.terms.items()})
+        if not scal or not self.nums:
+            return self._like(self.order, {})
+        top = scal.numerator
+        return self._reduced(self.order, {e: n * top for e, n in self.nums.items()},
+                             self.den * scal.denominator)
 
     __rmul__ = __mul__
 
@@ -499,35 +541,59 @@ class JetSeries:
 
     def diff(self, var: int) -> "JetSeries":
         out = {}
-        for exps, coeff in self.terms.items():
-            if exps[var]:
-                out[exps[:var] + (exps[var] - 1,) + exps[var + 1:]] = coeff * exps[var]
-        return self._like(self.order - 1, out)
+        for exps, n in self.nums.items():
+            k = exps[var]
+            if k:
+                out[exps[:var] + (k - 1,) + exps[var + 1:]] = n * k
+        return self._reduced(self.order - 1, out, self.den)
 
     def truncate(self, order: int) -> "JetSeries":
-        return self._like(min(self.order, order), dict(self.terms))
+        """The series to total degree ``order``; itself when that is at or above its order."""
+        if order >= self.order:
+            return self
+        return self._reduced(order, _upto(self.nums, self.order, order), self.den)
 
     def z_coefficient(self, k: int) -> "JetSeries":
         """Coefficient of z^k: a series in the same variables, z-free."""
-        out = {}
-        for exps, coeff in self.terms.items():
-            if exps[0] == k:
-                out[(0,) + exps[1:]] = coeff
-        return self._like(self.order - k, out)
+        out = {(0,) + exps[1:]: n for exps, n in self.nums.items() if exps[0] == k}
+        return self._reduced(self.order - k, out, self.den)
 
     def times_z_power(self, k: int) -> "JetSeries":
-        out = {(exps[0] + k,) + exps[1:]: c for exps, c in self.terms.items()}
-        return self._like(self.order + k, out)
+        out = {(exps[0] + k,) + exps[1:]: n for exps, n in self.nums.items()}
+        return self._like(self.order + k, out, self.den)
 
     def depends_on(self, var: int) -> bool:
-        return any(e[var] for e in self.terms)
+        return any(e[var] for e in self.nums)
 
     def evaluate(self, point) -> float:
         point = np.asarray(point, dtype=float)
         total = 0.0
-        for exps, coeff in self.terms.items():
-            total += _saturating_float(coeff) * float(np.prod(point ** np.asarray(exps)))
+        for exps, n in self.nums.items():
+            total += _saturating_float(n, self.den) * float(np.prod(point ** np.asarray(exps)))
         return total
+
+
+def _upto(nums: dict, have: int, order: int) -> dict:
+    """The terms of total degree <= ``order`` of numerators trusted to ``have``."""
+    return nums if have <= order else {e: n for e, n in nums.items() if sum(e) <= order}
+
+
+def _product(left: dict, right: dict, order: int) -> dict:
+    """Numerators of the product of two nonempty term maps, to total degree ``order``.
+
+    Zero sums are dropped.  The right terms are taken by degree, so each
+    left term stops at the first right term past its room.
+    """
+    rows = sorted(((sum(e), e, n) for e, n in right.items()), key=itemgetter(0))
+    out = {}
+    for e1, n1 in left.items():
+        room = order - sum(e1)
+        for d2, e2, n2 in rows:
+            if d2 > room:
+                break
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + n1 * n2
+    return {e: n for e, n in out.items() if n}
 
 
 class TaylorShift:
@@ -581,9 +647,16 @@ def _coerce_exact(val) -> Fraction:
     return val if isinstance(val, Fraction) else Fraction(val)
 
 
-def _saturating_float(val) -> float:
-    """float(val), or +-inf where an exact coefficient outgrows the float range."""
+def _saturating_float(num: int, den: int) -> float:
+    """num / den as a float, never losing its sign or its nonzero-ness.
+
+    An exact value past the float range reads as +-inf, and a nonzero one
+    below it as +-``math.ulp(0.0)`` rather than 0.0.
+    """
     try:
-        return float(val)
+        val = num / den
     except OverflowError:
-        return math.inf if val > 0 else -math.inf
+        return math.inf if num > 0 else -math.inf
+    if val == 0.0 and num:
+        return math.copysign(math.ulp(0.0), num)
+    return val

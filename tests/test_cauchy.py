@@ -1,5 +1,6 @@
 """Series-solver tests: exact recursion, constraint propagation, oracles."""
 
+import math
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinorlab import cauchy, cli, geometry
+from spinorlab import cauchy, cli, geometry, jets
 from spinorlab.cauchy import (
     CauchyData,
     JetSeries,
@@ -59,6 +60,57 @@ def _generic_data(order=6):
 _SERIES_TABLES = st.dictionaries(
     st.tuples(*[st.integers(0, 3)] * 3).filter(lambda e: sum(e) <= 5),
     st.fractions(min_value=-4, max_value=4, max_denominator=6), max_size=6)
+_SERIES_OPERANDS = st.one_of(st.just({}), _SERIES_TABLES)
+
+
+class _OracleSeries:
+    """Reference truncated series: a plain {exponents: Fraction} dict, term by term."""
+
+    def __init__(self, nvars, order, terms):
+        self.nvars, self.order = nvars, order
+        self.terms = {}
+        for e, c in terms.items():
+            if sum(e) <= order:
+                self.terms[e] = self.terms.get(e, 0) + Fr(c)
+        self.terms = {e: c for e, c in self.terms.items() if c != 0}
+
+    def _new(self, order, terms):
+        return _OracleSeries(self.nvars, order, terms)
+
+    def plus(self, other, sign=1):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) + sign * c
+        return self._new(min(self.order, other.order), out)
+
+    def times(self, scal):
+        return self._new(self.order, {e: c * scal for e, c in self.terms.items()})
+
+    def product(self, other):
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return self._new(min(self.order, other.order), out)
+
+    def diff(self, var):
+        out = {}
+        for e, c in self.terms.items():
+            if e[var]:
+                out[e[:var] + (e[var] - 1,) + e[var + 1:]] = c * e[var]
+        return self._new(self.order - 1, out)
+
+    def truncate(self, order):
+        return self._new(min(self.order, order), self.terms)
+
+    def z_coefficient(self, k):
+        return self._new(self.order - k, {(0,) + e[1:]: c for e, c in self.terms.items()
+                                          if e[0] == k})
+
+    def times_z_power(self, k):
+        return self._new(self.order + k, {(e[0] + k,) + e[1:]: c
+                                          for e, c in self.terms.items()})
 
 
 class TestJetSeries:
@@ -67,6 +119,8 @@ class TestJetSeries:
         assert s.coefficient((1, 0)) == Fr(1, 3)
         assert s.coefficient((0, 2)) == Fr(2)
         assert s.coefficient((5, 5)) == 0
+        with pytest.raises(TypeError):  # the terms are a read-only view
+            s.terms[(0, 1)] = 1
 
     def test_float_coefficients_are_held_exactly(self):
         s = JetSeries(2, 4, {(1, 0): 0.1, (0, 1): np.float64(-2.5)})
@@ -121,24 +175,39 @@ class TestJetSeries:
         with pytest.raises(ValueError):
             a + b
 
-    @settings(derandomize=True, max_examples=60, deadline=None)
-    @given(t1=_SERIES_TABLES, t2=_SERIES_TABLES, o1=st.integers(0, 5), o2=st.integers(0, 5),
-           var=st.integers(0, 2), k=st.integers(0, 4),
-           scal=st.fractions(min_value=-3, max_value=3, max_denominator=5))
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(t1=_SERIES_OPERANDS, t2=_SERIES_OPERANDS, o1=st.integers(0, 5),
+           o2=st.integers(0, 5), var=st.integers(0, 2), k=st.integers(0, 4),
+           scal=st.one_of(st.just(Fr(0)),
+                          st.fractions(min_value=-3, max_value=3, max_denominator=5)))
     def test_arithmetic_results_are_validated_series(self, t1, t2, o1, o2, var, k, scal):
         a = JetSeries(3, o1, t1)
         b = JetSeries(3, o2, t2)
-        naive = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                naive[e] = naive.get(e, 0) + c1 * c2
-        assert a * b == JetSeries(3, min(o1, o2), naive)
-        results = (a + b, a - b, -a, a * b, a * scal, scal * a, a.diff(var),
-                   a.truncate(k), a.z_coefficient(k), a.times_z_power(k))
-        for r in results:
-            assert r == JetSeries(r.nvars, r.order, r.terms)
-            assert all(c != 0 and sum(e) <= r.order for e, c in r.terms.items())
+        ra, rb = _OracleSeries(3, o1, t1), _OracleSeries(3, o2, t2)
+        pairs = ((a + b, ra.plus(rb)), (a - b, ra.plus(rb, -1)), (b - a, rb.plus(ra, -1)),
+                 (a - a, ra.plus(ra, -1)), (-a, ra.times(-1)), (a * b, ra.product(rb)),
+                 (b * a, rb.product(ra)), (a * scal, ra.times(scal)), (scal * a, ra.times(scal)),
+                 (a.diff(var), ra.diff(var)), (a.truncate(k), ra.truncate(k)),
+                 (a.z_coefficient(k), ra.z_coefficient(k)),
+                 (a.times_z_power(k), ra.times_z_power(k)))
+        for r, want in pairs:
+            assert (r.nvars, r.order, r.terms) == (want.nvars, want.order, want.terms)
+            assert all(type(c) is Fr for c in r.terms.values())
+            rebuilt = JetSeries(r.nvars, r.order, want.terms)
+            assert r == rebuilt and hash(r) == hash(rebuilt)
+            # one positive denominator, in lowest terms
+            assert r.den > 0 and math.gcd(r.den, *r.nums.values()) == 1
+            assert all(r.coefficient(e) == c for e, c in want.terms.items())
+        assert (a == b) == (ra.order == rb.order and ra.terms == rb.terms)
+
+    def test_zero_operands_and_high_truncation_cost_nothing(self):
+        a = JetSeries(2, 4, {(1, 0): Fr(1, 3), (0, 3): 2})
+        zero = JetSeries.zero(2, 6)
+        assert a.truncate(4) is a and a.truncate(9) is a
+        assert a + zero is a and zero + a is a and a - zero is a
+        assert (zero - a) == -a
+        assert (a * zero).is_zero() and (a * zero).order == 4
+        assert (a + JetSeries.zero(2, 2)) == a.truncate(2)
 
     def test_exact_coefficients_past_float_range_saturate(self):
         huge = Fr(10) ** 400
@@ -150,6 +219,14 @@ class TestJetSeries:
             jet = f.jet(JetContext(2, 1), [0.0, 0.0], (0, 1))
         assert jet.coefficient((1, 0)) == np.inf and jet.coefficient((0, 1)) == -np.inf
         assert f.partial(0).value([0.5, 0.5]) == np.inf
+
+    def test_nonzero_coefficients_below_float_range_never_read_as_zero(self):
+        tiny = Fr(1, 10 ** 400)
+        s = JetSeries(2, 3, {(1, 0): tiny, (0, 1): -tiny})
+        assert s.max_abs() == math.ulp(0.0)
+        assert s.float_terms()[1].tolist() == [-math.ulp(0.0), math.ulp(0.0)]
+        assert s.z_coefficient(0).evaluate([0.0, 1.0]) == -math.ulp(0.0)
+        assert (s - s).max_abs() == 0.0
 
 
 class TestCauchyData:
@@ -349,6 +426,25 @@ class TestGradedRecursion:
         assert calls == []
         verify_ricci_flat(f, 2)
         assert calls == [2, 2]
+
+    def test_p3_solve_loops_over_no_product_with_a_zero_factor(self, monkeypatch):
+        loops, zero_factors = [], []
+        product, mul = jets._product, JetSeries.__mul__
+
+        def counted_product(left, right, order):
+            loops.append(bool(left) and bool(right))
+            return product(left, right, order)
+
+        def counted_mul(s, o):
+            zero_factors.append(isinstance(o, JetSeries) and (s.is_zero() or o.is_zero()))
+            return mul(s, o)
+
+        monkeypatch.setattr(jets, "_product", counted_product)
+        monkeypatch.setattr(JetSeries, "__mul__", counted_mul)
+        solve_ricci_ivp(cauchy_data(3, 8, *cli._builtin_cauchy_tables(3)))
+        # the zero factors are there, and none of them reaches the product loop
+        assert sum(zero_factors) > 0 and len(loops) > 0
+        assert all(loops)
 
 
 class TestResidualReport:

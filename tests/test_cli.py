@@ -1,6 +1,8 @@
 """Exit codes, report shape and determinism of the verification driver."""
 
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -597,7 +599,31 @@ class TestHolonomyEstimate:
         assert np.isnan(row["residual"]) and not row["pass"]
 
 
+DATA = Path(__file__).resolve().parent / "data"
+
+# sha256 of the full written cauchy-solve report, recorded while the series
+# still held one Fraction per coefficient: the exact arithmetic may change
+# how the coefficients are stored, not a byte of any report
+CAUCHY_REPORT_SHA256 = {
+    "p1": (["--p", "1", "--order", "8"],
+           "9fd87b7055c78ba45b63be594e3f75a177923deab9edde79dd53f242a3de3a9a"),
+    "p2": (["--p", "2", "--order", "8"],
+           "58bf7d2165437f3c020e7e145fe83d32db0febb4f43d6bd8fbb53efe86be01c2"),
+    "p3": (["--p", "3", "--order", "8"],
+           "60e4c33971931e2065b02c0503c1aa7ef4c8a5c180b050f8d8d46b8c20a982cd"),
+    "p3-ydeg4-spec": (["--spec", str(DATA / "cauchy_p3_order8_ydeg4.json")],
+                      "544e0b1e7be57bc9ca2348fedd52090182f8445c1099a2d49064a6ceaec12057"),
+}
+
+
 class TestCauchySolve:
+    @pytest.mark.parametrize("case", sorted(CAUCHY_REPORT_SHA256))
+    def test_report_bytes_are_pinned(self, tmp_path, case):
+        argv, want = CAUCHY_REPORT_SHA256[case]
+        out = tmp_path / "report.json"
+        assert main(["cauchy-solve", *argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
     def test_builtin_order_six(self):
         report, status = run_command(RunSpec("cauchy-solve", p=2, order=6))
         assert status == 0
@@ -645,6 +671,27 @@ class TestCauchySolve:
         assert status == 1
         row = _by_name(report)["initial data constraints"]
         assert row["residual"] == float("inf") and not row["pass"]
+
+    def test_coefficient_below_float_range_fails_its_row(self, tmp_path):
+        # divergence 10^-400 is below the float range and reads as ulp(0), not 0
+        desc = {"p": 2, "order": 4,
+                "a": [{"arity": 4, "coefficients": {"0,0,1,0": "1/1" + "0" * 400}},
+                      {"arity": 4, "coefficients": {}}, {"arity": 4, "coefficients": {}}]}
+        spec = _write(tmp_path, "tiny.json", desc)
+        report, status = run_command(RunSpec("cauchy-solve", spec_path=spec))
+        assert status == 1
+        row = _by_name(report)["initial data constraints"]
+        assert row["residual"] == math.ulp(0.0) and not row["pass"]
+
+    @pytest.mark.parametrize("key, arity", [
+        ("a", 7), ("b", "x"), ("a", 3), ("b", 2.0), ("a", True)])
+    def test_entry_arity_must_be_2p(self, tmp_path, key, arity):
+        desc = {"p": 1, "order": 4, "a": [{"arity": 2, "coefficients": {"2,0": 1}}],
+                "b": [{"arity": 2, "coefficients": {}}]}
+        desc[key][0]["arity"] = arity
+        spec = _write(tmp_path, "arity.json", desc)
+        report, status = run_command(RunSpec("cauchy-solve", spec_path=spec))
+        assert status == 2 and "arity" in report["error"] and repr(arity) in report["error"]
 
     @pytest.mark.parametrize("key, value", [
         ("p", 0), ("p", 1.5), ("order", 2.7),
