@@ -46,7 +46,7 @@ class CauchyData:
     def __post_init__(self):
         if self.p < 1:
             raise ValueError("block size p must be at least 1")
-        npairs = len(symmetric_pairs(self.p))
+        npairs = self.p * (self.p + 1) // 2
         if self.order < 2:
             raise ValueError("truncation order must be at least 2")
         if len(self.a) != npairs or len(self.b) != npairs:
@@ -69,10 +69,14 @@ class CauchyData:
 
 
 def cauchy_data(p: int, order: int, a_tables, b_tables=None) -> CauchyData:
-    """Data from {exponents: rational} tables over (x^1..x^p, y_1..y_p)."""
-    npairs = len(symmetric_pairs(p))
+    """Data from {exponents: rational} tables over (x^1..x^p, y_1..y_p), counted before lifting."""
+    if p < 1:
+        raise ValueError("block size p must be at least 1")
+    npairs = p * (p + 1) // 2
     if b_tables is None:
-        b_tables = [{}] * npairs
+        b_tables = [{}] * len(a_tables)
+    if len(a_tables) != npairs or len(b_tables) != npairs:
+        raise ValueError(f"need {npairs} series for p = {p}")
 
     def lift(table):
         lifted = {(0,) + tuple(e): c for e, c in table.items()}

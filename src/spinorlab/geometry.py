@@ -391,8 +391,12 @@ def _expect_block(tag: str, functions, p, base: int) -> int:
     """Check a split family's block size and profiles; return n = 2p + base."""
     if p is None or p < 1:
         raise ValueError(f"{tag} needs the block size p")
+    # counted first, so a huge p builds nothing sized by it
+    if len(functions) != p * (p + 1) // 2:
+        raise ValueError(f"{tag} with p = {p} takes {p * (p + 1) // 2} functions, "
+                         f"got {len(functions)}")
     n = 2 * p + base
-    _expect(f"{tag} with p = {p}", functions, (n,) * len(symmetric_pairs(p)))
+    _expect(f"{tag} with p = {p}", functions, (n,) * len(functions))
     return n
 
 
@@ -523,7 +527,7 @@ def _paired_block_form(tag, functions, size, xoff, yoff, coeff, signature, coord
         **extra)
 
 
-def _build_m21(functions, p=None):
+def _build_m21(functions):
     _expect("M21", functions, (2,))
     return _null_corner_form(
         "M21", functions, (2, 1), ("x11", "x21", "x22"),
@@ -531,7 +535,7 @@ def _build_m21(functions, p=None):
         (_matrix(3, {(0, 1): 2.0, (1, 2): 1.0}),), -1.0)
 
 
-def _build_m31(functions, p=None):
+def _build_m31(functions):
     _expect("M31", functions, (3,))
     return _null_corner_form(
         "M31", functions, (3, 1), ("x11", "u", "v", "x22"),
@@ -540,7 +544,7 @@ def _build_m31(functions, p=None):
         -1.0, laplacian=(0, 1))
 
 
-def _build_m22gen(functions, p=None):
+def _build_m22gen(functions):
     _expect("M22GEN", functions, (3,))
     return _null_corner_form(
         "M22GEN", functions, (2, 2), ("x11", "x12", "x21", "x22"),
@@ -549,7 +553,7 @@ def _build_m22gen(functions, p=None):
         1.0)
 
 
-def _build_m22deg(functions, p=None):
+def _build_m22deg(functions):
     _expect("M22DEG", functions, (4,))
     f, = functions
     # profiles s11, s12, s22 with s_ij = f_{y_i y_j}
@@ -571,7 +575,7 @@ def _build_m22deg(functions, p=None):
                                        chart=lambda x: np.array([x[0], x[1], x[3], -x[2]])))
 
 
-def _build_m41deg(functions, p=None):
+def _build_m41deg(functions):
     _expect("M41DEG", functions, (4,))
     gram = _gram(5, {(0, 0): -1.0, (0, 4): -1.0, (1, 1): 1.0, (2, 2): 1.0, (3, 3): 1.0})
     stab = tuple(_matrix(5, {(a, 0): -2.0, (4, a): -2.0}) for a in (1, 2, 3))
@@ -582,7 +586,7 @@ def _build_m41deg(functions, p=None):
                                                          (0, 0)))
 
 
-def _build_m51null(functions, p=None):
+def _build_m51null(functions):
     _expect("M51NULL", functions, (5,))
     gram = _gram(6, {(0, 5): -0.5, **{(a, a): 1.0 for a in range(1, 5)}})
     stab = tuple(_matrix(6, {(0, 1 + a): 2.0, (1 + a, 5): 1.0}) for a in range(4))
@@ -591,7 +595,7 @@ def _build_m51null(functions, p=None):
                              laplacian=range(4))
 
 
-def _build_m33gen(functions, p=None):
+def _build_m33gen(functions):
     _expect("M33GEN", functions, (6,))
     f, = functions
     hess = [[f.partial(i).partial(3 + j) for j in range(3)] for i in range(3)]
@@ -612,7 +616,7 @@ def _build_m33gen(functions, p=None):
         constraint_rule=_hessian_determinant_rule(hess))
 
 
-def _build_m33null(functions, p=None):
+def _build_m33null(functions):
     _expect("M33NULL", functions, (6, 6, 6))
     return _paired_block_form(
         "M33NULL", functions, 2, 0, 3, 1.0, (3, 3), ("x1", "x2", "x3", "y1", "y2", "y3"),
@@ -683,7 +687,7 @@ def _m33null_stabilizer() -> tuple[np.ndarray, ...]:
     return tuple(out + _skew_pair_blocks(3, 6, 0, 3))
 
 
-def _build_m101(functions, p=None):
+def _build_m101(functions):
     if len(functions) != 1:
         raise ValueError("M101 takes a single free profile")
     return build_metric_10_1(FiberFamily.identity(), functions[0])
@@ -708,12 +712,17 @@ FAMILY_TAGS = tuple(_BUILDERS)
 def build_metric(family: str, functions, p=None) -> CoordinateMetric:
     """Assemble a normal-form metric from its free functions.
 
-    ``p`` is the block size of PUREODD and PUREEVEN; a tag carries none.
+    ``p`` is the block size of PUREODD and PUREEVEN; a tag carries none, and
+    any other family refuses one.
     """
     tag = str(family).strip().upper()
     if tag not in _BUILDERS:
         raise ValueError(f"unknown family {family!r}")
-    return _BUILDERS[tag](tuple(functions), None if p is None else _spec_integer(p, "p"))
+    if tag in ("PUREODD", "PUREEVEN"):
+        return _BUILDERS[tag](tuple(functions), None if p is None else _spec_integer(p, "p"))
+    if p is not None:
+        raise ValueError(f"{tag} takes no block size p, got p = {p!r}")
+    return _BUILDERS[tag](tuple(functions))
 
 
 def _signature_at(m: CoordinateMetric, point) -> tuple[int, int]:
@@ -1052,30 +1061,72 @@ def holonomy_span(m: CoordinateMetric, points) -> HolonomyEstimate:
 
 
 def so_basis(n: int) -> list[np.ndarray]:
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n))
-            m[i, j] = 1.0
-            m[j, i] = -1.0
-            out.append(m)
-    return out
+    e = np.eye(n)
+    return [np.outer(e[i], e[j]) - np.outer(e[j], e[i])
+            for i, j in itertools.combinations(range(n), 2)]
+
+
+@lru_cache(maxsize=None)
+def _faces(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The faces of the k-subsets T of range(n), as four read-only (C(n, k), k) arrays.
+
+    Subsets are in ``itertools.combinations`` order.  At [t, s] they hold the
+    row t of T, the index of the face T minus T_s among the (k-1)-subsets,
+    the removed element T_s (so the third array lists the subsets), and (-1)^s.
+    """
+    index = {f: i for i, f in enumerate(itertools.combinations(range(n), k - 1))}
+    table = np.array([[(t, index[T[:s] + T[s + 1:]], T[s], (-1) ** s) for s in range(k)]
+                      for t, T in enumerate(itertools.combinations(range(n), k))],
+                     dtype=np.intp).reshape(-1, k, 4)
+    table.setflags(write=False)
+    return tuple(np.moveaxis(table, -1, 0))
 
 
 def _bianchi_matrix(mats: list[np.ndarray], n: int) -> np.ndarray:
-    pairs = list(itertools.combinations(range(n), 2))
-    pidx = {pq: t for t, pq in enumerate(pairs)}
-    triples = list(itertools.combinations(range(n), 3))
-    rows = n * len(triples)
-    cols = len(mats) * len(pairs)
-    b = np.zeros((rows, cols))
-    for alpha, h in enumerate(mats):
-        for tix, (i, j, k) in enumerate(triples):
-            base = tix * n
-            b[base:base + n, alpha * len(pairs) + pidx[(i, j)]] += h[:, k]
-            b[base:base + n, alpha * len(pairs) + pidx[(j, k)]] += h[:, i]
-            b[base:base + n, alpha * len(pairs) + pidx[(i, k)]] -= h[:, j]
+    """First Bianchi map on h tensor Lambda^2, R(x, y)z + cyclic, one indexed assignment.
+
+    Row t n + a is component a on triple t, column alpha C(n, 2) + f basis
+    element alpha on pair f; the face without T_s takes (-1)^s h_alpha[a, T_s].
+    """
+    row, face, removed, sign = _faces(n, 3)
+    h = np.stack(mats)
+    npairs = n * (n - 1) // 2
+    b = np.zeros((n * len(row), len(mats) * npairs))
+    # values[alpha, t, s, a]; each cell is hit once, so += adds to a zero
+    values = sign[..., None] * h[:, :, removed].transpose(0, 2, 3, 1)
+    cols = np.arange(len(mats))[:, None, None] * npairs + face
+    b[row[..., None] * n + np.arange(n), cols[..., None]] += values
     return b
+
+
+def invariant_forms(mats, k: int, label: str) -> np.ndarray:
+    """Orthonormal basis (columns) of the alternating k-forms that -a^T kills for every a.
+
+    ``mats`` is a sequence of n x n matrices or an (m, n, n) array, and m = 0
+    keeps every k-form.  Coefficients run over ``combinations(range(n), k)``.
+    k-subsets T and U with a common face, T without T_s and U without U_r,
+    give -(-1)^(s + r) a[U_r, T_s] at (T, U): pairing the cofaces of each
+    face builds the operator, one block of rows per a.
+    """
+    h = np.asarray(mats, dtype=float)
+    if h.ndim != 3 or h.shape[1] != h.shape[2] or not 1 <= k <= h.shape[1]:
+        raise ValueError(f"{label}: need an (m, n, n) stack and a degree k in 1..n, "
+                         f"got shape {h.shape} and k = {k}")
+    n = h.shape[1]
+    row, face, removed, sign = _faces(n, k)
+    size = len(row)
+    if not len(h):
+        return np.eye(size)
+    # the n - k + 1 cofaces (T, s) of each face, one face per row
+    by_face = np.argsort(face, axis=None, kind="stable").reshape(-1, n - k + 1)
+    t, r, s = row.ravel()[by_face], removed.ravel()[by_face], sign.ravel()[by_face]
+    values = -(s[:, :, None] * s[:, None, :]) * h[:, r[:, None, :], r[:, :, None]]
+    cells = (np.arange(len(h))[:, None, None, None] * size + t[:, :, None]) * size + t[:, None, :]
+    op = np.bincount(cells.ravel(), weights=values.ravel(), minlength=len(h) * size * size)
+    # the guard band decides the rank block by block; the kernel is the rest
+    # of an orthonormal completion of that row basis, with no second decision
+    basis = block_span(op.reshape(-1, size), label)
+    return np.linalg.qr(basis.T, mode="complete")[0][:, len(basis):]
 
 
 def _rank_mod_p(mat: np.ndarray, prime: int = 1_000_003) -> int:
@@ -1088,15 +1139,10 @@ def _rank_mod_p(mat: np.ndarray, prime: int = 1_000_003) -> int:
         pivots = np.nonzero(a[r:, c])[0]
         if pivots.size == 0:
             continue
-        pr = r + pivots[0]
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), prime - 2, prime)
-        a[r] = a[r] * inv % prime
-        below = np.nonzero(a[r + 1:, c])[0]
-        if below.size:
-            sel = r + 1 + below
-            a[sel] = (a[sel] - np.outer(a[sel, c], a[r])) % prime
+        a[[r, r + pivots[0]]] = a[[r + pivots[0], r]]
+        a[r] = a[r] * pow(int(a[r, c]), prime - 2, prime) % prime
+        sel = r + 1 + np.nonzero(a[r + 1:, c])[0]
+        a[sel] = (a[sel] - np.outer(a[sel, c], a[r])) % prime
         r += 1
     return r
 
@@ -1119,9 +1165,7 @@ def curvature_space_dim(stabilizer) -> int:
     m = rows.shape[0]
     if m == 0:
         return 0
-    ortho = [rows[t].reshape(n, n) for t in range(m)]
-    b = _bianchi_matrix(ortho, n)
-    rank = block_rank(b, "curvature space")
+    rank = block_rank(_bianchi_matrix(rows.reshape(m, n, n), n), "curvature space")
     integral = (len(mats) == m
                 and all(np.abs(h - np.round(h)).max() < 1e-9 for h in mats))
     if integral:
@@ -1225,96 +1269,45 @@ def build_metric_10_1(fiber, g: FreeFunction) -> CoordinateMetric:
                         cof_const=cof_const, fiber=fiber)
 
 
-@lru_cache(maxsize=1)
-def cayley_four_form() -> np.ndarray:
-    """Invariant 4-form of the fiber stabilizer action, unit-normalized.
-
-    Computed as the kernel of the induced action on 4-forms of the 8x8
-    blocks of the null-stabilizer vector representation; the kernel is one
-    dimensional and its coefficients snap to 0, +1, -1.
-    """
-    blocks = [e.rho[3:, 3:] for e in octospin.null_stabilizer_basis()]
-    quads = list(itertools.combinations(range(8), 4))
-    qidx = {q: t for t, q in enumerate(quads)}
-    ops = []
-    for bmat in blocks:
-        if np.abs(bmat).max() == 0.0:
-            continue
-        op = np.zeros((len(quads), len(quads)))
-        for t, quad in enumerate(quads):
-            for slot in range(4):
-                for s in range(8):
-                    coeff = bmat[s, quad[slot]]
-                    if coeff == 0.0:
-                        continue
-                    replaced = list(quad)
-                    replaced[slot] = s
-                    if len(set(replaced)) < 4:
-                        continue
-                    order = np.argsort(replaced)
-                    sign = _perm_sign(order)
-                    key = tuple(sorted(replaced))
-                    op[t, qidx[key]] -= sign * coeff
-        ops.append(op)
-    kern = nullspace(np.vstack(ops), "invariant 4-form")
+def _integral_form(mats, k: int, label: str) -> np.ndarray:
+    """The one invariant k-form of ``mats``: max |coefficient| 1, first one > 0, integral."""
+    kern = invariant_forms(mats, k, label)
     if kern.shape[1] != 1:
-        raise RuntimeError(f"invariant 4-form space has dimension {kern.shape[1]}")
-    v = kern[:, 0]
-    v = v / np.abs(v).max()
-    lead = v[np.nonzero(np.abs(v) > 0.5)[0][0]]
-    v = v * np.sign(lead)
+        raise RuntimeError(f"{label} space has dimension {kern.shape[1]}")
+    v = kern[:, 0] / np.abs(kern[:, 0]).max()
     snapped = np.round(v)
     if np.abs(v - snapped).max() > 1e-9:
-        raise RuntimeError("invariant 4-form coefficients fail to snap to integers")
-    dense = np.zeros((8,) * 4)
-    for t, quad in enumerate(quads):
-        if snapped[t] == 0.0:
-            continue
-        for perm in itertools.permutations(range(4)):
-            idx = tuple(quad[s] for s in perm)
-            dense[idx] = _perm_sign(np.asarray(perm)) * snapped[t]
+        raise RuntimeError(f"{label} coefficients fail to snap to integers")
+    return snapped * np.sign(snapped[np.flatnonzero(snapped)[0]])
+
+
+def _alternating(coeffs, n: int, k: int) -> np.ndarray:
+    """Dense alternating k-tensor on R^n with ``coeffs`` over ``combinations(range(n), k)``."""
+    perms = np.array(list(itertools.permutations(range(k))))
+    signs = np.round(np.linalg.det(np.eye(k)[perms]))
+    subsets = _faces(n, k)[2]
+    dense = np.zeros((n,) * k)
+    dense[tuple(np.moveaxis(subsets[:, perms], -1, 0))] = np.multiply.outer(coeffs, signs)
     return dense
 
 
-def _perm_sign(order) -> float:
-    order = list(order)
-    sign = 1.0
-    for i in range(len(order)):
-        for j in range(i + 1, len(order)):
-            if order[i] > order[j]:
-                sign = -sign
-    return sign
-
-
 def parallel_forms_10_1(m: CoordinateMetric) -> dict[str, np.ndarray]:
-    """Constant-coefficient forms expected to be parallel (flat fiber case).
+    """dx3, dx2^dx3 and dx3^Phi: the stabilizer's one invariant 1-, 2- and 5-form.
 
-    dx3 and dx2^dx3 are always included; the 5-form dx3^Phi built from the
-    invariant 4-form needs a constant fiber coframe to have constant
-    coordinate components.
+    Each is pulled back by the coframe at the origin; dx3^Phi has constant
+    coordinate components only for a constant fiber, so only that gets it.
     """
     if m.family != "M101":
         raise ValueError("parallel-form inventory is specific to M101")
-    one = np.zeros(11)
-    one[2] = 1.0
-    two = np.zeros((11, 11))
-    two[1, 2] = 1.0
-    two[2, 1] = -1.0
-    out = {"dx3": one, "dx2^dx3": two}
+    degrees = {"dx3": 1, "dx2^dx3": 2}
     if m.fiber is not None and m.fiber.constant:
-        phi = cayley_four_form()
-        ev = m.coframe_jets(np.zeros(11), order=0).value()[3:, 3:]
-        pulled = np.einsum("abcd,ai,bj,ck,dl->ijkl", phi, ev, ev, ev, ev)
-        five = np.zeros((11,) * 5)
-        base = list(itertools.combinations(range(8), 4))
-        for quad in base:
-            coeff = pulled[quad]
-            if abs(coeff) < 1e-14:
-                continue
-            idx5 = (2,) + tuple(3 + q for q in quad)
-            for perm in itertools.permutations(range(5)):
-                five[tuple(idx5[s] for s in perm)] = _perm_sign(np.asarray(perm)) * coeff
-        out["dx3^Phi"] = five
+        degrees["dx3^Phi"] = 5
+    coframe = m.coframe_jets(np.zeros(m.n), order=0).value()
+    out = {}
+    for name, k in degrees.items():
+        out[name] = _alternating(_integral_form(m.stabilizer, k, f"invariant {k}-form"), m.n, k)
+        for _ in range(k):
+            out[name] = np.tensordot(out[name], coframe, axes=(0, 0))
     return out
 
 

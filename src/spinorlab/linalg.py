@@ -107,7 +107,7 @@ def block_span(vectors: list[np.ndarray], label: str = "span") -> np.ndarray:
     """
     if len(vectors) == 0:
         raise ValueError(f"{label}: no vectors to span")
-    rows = np.stack([np.asarray(v, dtype=float).ravel() for v in vectors])
+    rows = np.asarray(vectors, dtype=float).reshape(len(vectors), -1)
     blocks = _blocks(rows)
     factors = [np.linalg.svd(rows[np.ix_(r, c)], full_matrices=False)[1:]
                for r, c in blocks]

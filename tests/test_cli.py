@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import spinorlab
-from spinorlab import __version__, algebra, geometry
+from spinorlab import __version__, algebra, cauchy, geometry
 from spinorlab.cli import COMMANDS, DEFAULT_TOLS, RunSpec, build_parser, main, run_command
 
 # the inputs each subcommand reads, as the README's option table lists them
@@ -319,6 +319,43 @@ class TestExitCodes:
         spec = _write(tmp_path, "bare.json",
                       {"family": "PUREEVEN", "p": 2, "functions": functions})
         assert run_command(RunSpec("metric-verify", spec_path=spec))[1] == 0
+
+    @pytest.mark.parametrize("family", [f for f in geometry.FAMILY_TAGS
+                                        if f not in ("PUREODD", "PUREEVEN")])
+    def test_block_size_refused_where_unread(self, tmp_path, family):
+        # only PUREODD and PUREEVEN have a block size; no builder ignores a p
+        spec = _write(tmp_path, "p.json", {"family": family, "p": 7, "functions": []})
+        report, status = run_command(RunSpec("metric-verify", spec_path=spec))
+        assert status == 2 and f"{family} takes no block size p, got p = 7" in report["error"]
+
+    def test_block_size_refused_on_a_valid_spec(self, tmp_path):
+        desc = {"family": "M31", "functions": [{"arity": 3, "coefficients": {"1,0,0": 1}}]}
+        valid = _write(tmp_path, "m.json", desc)
+        assert run_command(RunSpec("metric-verify", spec_path=valid))[1] == 0
+        spec = _write(tmp_path, "p.json", {**desc, "p": 7})
+        report, status = run_command(RunSpec("metric-verify", spec_path=spec))
+        assert status == 2 and "M31" in report["error"] and "checks" not in report
+
+    @pytest.mark.parametrize("command, desc, message", [
+        ("metric-verify", {"family": "PUREEVEN", "p": 10 ** 5,
+                           "functions": [{"arity": 4, "coefficients": {}}]},
+         "PUREEVEN with p = 100000 takes 5000050000 functions, got 1"),
+        ("cauchy-solve", {"p": 10 ** 5, "order": 4, "a": [{"coefficients": {"0,0": 1}}]},
+         "need 5000050000 series for p = 100000"),
+    ], ids=["metric", "cauchy"])
+    def test_huge_block_size_refused_before_building(self, tmp_path, monkeypatch,
+                                                     command, desc, message):
+        # the counts are compared arithmetically: no p(p + 1)/2 pairs are listed
+        pairs = geometry.symmetric_pairs
+
+        def small(size):
+            assert size <= 100, f"listed the pairs of p = {size}"
+            return pairs(size)
+
+        monkeypatch.setattr(geometry, "symmetric_pairs", small)
+        monkeypatch.setattr(cauchy, "symmetric_pairs", small)
+        report, status = run_command(RunSpec(command, spec_path=_write(tmp_path, "p.json", desc)))
+        assert status == 2 and message in report["error"]
 
     @pytest.mark.parametrize("command, desc, key", [
         ("metric-verify", {"family": "M31",

@@ -1,6 +1,7 @@
 """Geometry tests: family builders, jet curvature, connections, holonomy."""
 
 import itertools
+import math
 import zlib
 from fractions import Fraction
 
@@ -18,13 +19,13 @@ from spinorlab.geometry import (
     adapted_coframe,
     build_metric,
     build_metric_10_1,
-    cayley_four_form,
     constraint_check,
     curvature_space_dim,
     custom_metric,
     divergence_free_draw,
     function_from_spec,
     holonomy_span,
+    invariant_forms,
     metric_from_spec,
     parallel_form_residual,
     parallel_forms_10_1,
@@ -38,7 +39,7 @@ from spinorlab.geometry import (
     symmetric_pairs,
 )
 from spinorlab.jets import Jet, JetContext, JetSeries, shared_context
-from spinorlab.linalg import guarded_rank, orthonormal_span
+from spinorlab.linalg import guarded_rank, nullspace, orthonormal_span
 
 
 def _rng(name, salt=0):
@@ -957,6 +958,173 @@ class TestCurvatureSpace:
         assert np.abs(m + m.T).max() == 0.0
 
 
+def test_bianchi_rows_kill_the_round_sphere():
+    # R(e_i, e_j) = e_i e_j^T - e_j e_i^T, the so(n) basis element of the pair
+    # itself, satisfies the first Bianchi identity; a swapped pair does not
+    for n in (3, 4, 5):
+        npairs = n * (n - 1) // 2
+        b = geometry._bianchi_matrix(so_basis(n), n)
+        assert b.shape == (n * math.comb(n, 3), npairs * npairs)
+        assert not np.any(b @ np.eye(npairs).ravel())
+        swapped = np.zeros((npairs, npairs))
+        swapped[0, 1] = 1.0
+        assert np.any(b @ swapped.ravel())
+
+
+# ---------------------------------------------------------------------------
+# Invariant forms
+
+
+def _stack(m):
+    """The declared stabilizer of ``m`` as an (m, n, n) stack, empty or not."""
+    return np.reshape(m.stabilizer, (-1, m.n, m.n))
+
+
+def _invariance_residual(mats, k, basis):
+    """Largest entry of -a^T acting on each dense basis form, slot by slot (n^k cells)."""
+    n = mats[0].shape[0]
+    worst = 0.0
+    for v in basis.T:
+        form = geometry._alternating(v, n, k)
+        for a in mats:
+            acted = sum(np.moveaxis(np.tensordot(a, form, axes=(0, r)), 0, r)
+                        for r in range(k))
+            worst = max(worst, float(np.abs(acted).max()))
+    return worst
+
+
+def _spin7():
+    return [t[1] for t in octospin.unit_stabilizer_basis()]
+
+
+def _g2():
+    """g2 in so(7): the unit stabilizer triples with equal first two components, on Im O."""
+    triples = octospin.unit_stabilizer_basis()
+    coeffs = nullspace(np.column_stack([(t[0] - t[1]).ravel() for t in triples]), "g2")
+    return [sum(c * t[1] for c, t in zip(col, triples))[1:, 1:] for col in coeffs.T]
+
+
+def _two_form(n, *terms):
+    """Skew matrix sum of sign (e_i e_j^T - e_j e_i^T) over (sign, i, j) terms."""
+    out = np.zeros((n, n))
+    for sign, i, j in terms:
+        out[i, j] += sign
+        out[j, i] -= sign
+    return out
+
+
+def _sp1():
+    """The self-dual forms of R^4, a copy of sp(1) in so(4)."""
+    return [_two_form(4, (1, 0, 1), (1, 2, 3)), _two_form(4, (1, 0, 2), (-1, 1, 3)),
+            _two_form(4, (1, 0, 3), (1, 1, 2))]
+
+
+def _u2():
+    return _sp1() + [_two_form(4, (1, 0, 1), (-1, 2, 3))]
+
+
+# published holonomy algebras: invariant k-forms {k: count} and dim K(h), after
+# Bryant, Ann. of Math. 126 (1987), and Wang, Ann. Global Anal. Geom. 7 (1989)
+LITERATURE = {
+    "g2": (_g2, 14, {1: 0, 2: 0, 3: 1, 4: 1, 5: 0, 6: 0, 7: 1}, 77),
+    "spin7": (_spin7, 21, {4: 1, 8: 1}, 168),
+    "sp1": (_sp1, 3, {2: 3}, 5),
+    "u2": (_u2, 4, {2: 1}, 9),
+    "so4": (lambda: so_basis(4), 6, {2: 0, 4: 1}, 20),
+}
+
+# invariant k-forms, k = 1, 2, ..., of each normal form's declared stabilizer;
+# frozen from this code (M101 up to k = 5)
+NORMAL_FORM_COUNTS = {
+    ("M21", None): (1, 1, 1),
+    ("M31", None): (1, 2, 1, 1),
+    ("M22GEN", None): (1, 2, 1, 1),
+    ("M22DEG", None): (0, 1, 0, 1),
+    ("M41DEG", None): (1, 3, 3, 1, 1),
+    ("M51NULL", None): (1, 4, 6, 4, 1, 1),
+    ("M33GEN", None): (0, 1, 2, 1, 0, 1),
+    ("M33NULL", None): (0, 1, 2, 1, 0, 1),
+    ("PUREODD", 1): (1, 1, 1),
+    ("PUREODD", 2): (0, 1, 1, 0, 1),
+    ("PUREODD", 3): (0, 0, 1, 1, 0, 0, 1),
+    ("PUREEVEN", 1): (2, 1),
+    ("PUREEVEN", 2): (0, 1, 0, 1),
+    ("PUREEVEN", 3): (0, 0, 1, 0, 0, 1),
+    ("M101", None): (1, 1, 0, 0, 1),
+}
+
+
+class TestInvariantForms:
+    @pytest.mark.parametrize("name", sorted(LITERATURE))
+    def test_literature_anchor(self, name):
+        build, dim, counts, kdim = LITERATURE[name]
+        mats = build()
+        n = mats[0].shape[0]
+        assert orthonormal_span(mats, name).shape[0] == dim
+        for k, count in counts.items():
+            basis = invariant_forms(mats, k, name)
+            assert basis.shape == (math.comb(n, k), count)
+            assert np.allclose(basis.T @ basis, np.eye(count), atol=1e-12)
+            if n ** k <= 10 ** 6:
+                assert _invariance_residual(mats, k, basis) < 1e-12
+        assert curvature_space_dim(mats) == kdim
+
+    @pytest.mark.parametrize("family, p", sorted(NORMAL_FORM_COUNTS, key=str))
+    def test_normal_form_counts(self, family, p):
+        m = _generic(family, p=p)
+        mats = _stack(m)
+        counts = NORMAL_FORM_COUNTS[family, p]
+        assert tuple(invariant_forms(mats, k, family).shape[1]
+                     for k in range(1, len(counts) + 1)) == counts
+        if m.n <= 7:
+            for k in range(1, m.n + 1):
+                basis = invariant_forms(mats, k, family)
+                if len(mats) and basis.size:
+                    assert _invariance_residual(mats, k, basis) < 1e-12
+
+    def test_cayley_form_matches_spin7(self):
+        # the fiber blocks of the null stabilizer and spin(7) fix the same 4-form
+        blocks = [e.rho[3:, 3:] for e in octospin.null_stabilizer_basis()]
+        fiber = geometry._integral_form(blocks, 4, "fiber 4-form")
+        spin7 = geometry._integral_form(_spin7(), 4, "spin(7) 4-form")
+        assert np.array_equal(fiber, spin7)
+
+    def test_one_forms_are_the_kernel_of_the_transpose(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((5, 5))
+        a[:, 0] = 0.0
+        a[:, 3] = 0.0
+        basis = invariant_forms([a], 1, "one-forms")
+        assert basis.shape == (5, 2)
+        assert np.abs(a.T @ basis).max() < 1e-12
+
+    def test_empty_stabilizer_fixes_every_form(self):
+        assert np.array_equal(invariant_forms(np.zeros((0, 4, 4)), 2, "none"), np.eye(6))
+
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_degree_out_of_range(self, k):
+        with pytest.raises(ValueError, match="degree k in 1..n"):
+            invariant_forms(so_basis(4), k, "so4")
+
+    def test_matrices_must_be_square_stack(self):
+        with pytest.raises(ValueError, match="stack"):
+            invariant_forms([], 1, "none")
+
+    def test_m101_five_forms_need_no_large_svd(self, monkeypatch):
+        mats = _stack(_generic("M101"))
+        cells = []
+        svd = np.linalg.svd
+
+        def counted(mat, *args, **kwargs):
+            cells.append(np.asarray(mat).size)
+            return svd(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        assert invariant_forms(mats, 5, "M101").shape == (462, 1)
+        # the whole operator has 13,860 x 462 cells, its largest block 2,094 x 70
+        assert 0 < max(cells) <= 150_000
+
+
 # ---------------------------------------------------------------------------
 # The eleven-dimensional family
 
@@ -973,13 +1141,18 @@ class TestElevenDimensionalFamily:
         assert max(np.abs(ricci_numeric(m, pt)).max() for pt in pts) > 0.01
 
     def test_cayley_form_combinatorics(self):
-        phi = cayley_four_form()
-        base = np.array([phi[q] for q in itertools.combinations(range(8), 4)])
-        nz = base[np.abs(base) > 0.5]
+        # the invariant 4-form of the fiber blocks is the Cayley form
+        blocks = [e.rho[3:, 3:] for e in octospin.null_stabilizer_basis()]
+        coeffs = geometry._integral_form(blocks, 4, "fiber 4-form")
+        nz = coeffs[coeffs != 0.0]
         assert len(nz) == 14
         assert set(nz) <= {1.0, -1.0}
+        phi = geometry._alternating(coeffs, 8, 4)
+        assert np.array_equal([phi[q] for q in itertools.combinations(range(8), 4)], coeffs)
         # full antisymmetry
-        assert phi[0, 1, 2, 3] == -phi[1, 0, 2, 3] == phi[1, 2, 0, 3]
+        for perm in itertools.permutations(range(4)):
+            sign = round(np.linalg.det(np.eye(4)[list(perm)]))
+            assert np.array_equal(phi.transpose(perm), sign * phi)
 
     def test_inventory_forms_are_parallel(self):
         m = _generic("M101")
@@ -1010,6 +1183,32 @@ class TestElevenDimensionalFamily:
         m = build_metric_10_1(FiberFamily.identity(), FreeFunction(10, table=table))
         for pt in probe_points(m, 43, count=3):
             assert adapted_coframe(m, pt).membership_residual < 1e-9
+
+    def test_inventory_forms_are_frozen(self):
+        forms = parallel_forms_10_1(_generic("M101"))
+        assert np.array_equal(forms["dx3"], np.eye(11)[2])
+        two = np.zeros((11, 11))
+        two[1, 2], two[2, 1] = 1.0, -1.0
+        assert np.array_equal(forms["dx2^dx3"], two)
+        five = forms["dx3^Phi"]
+        # dx3 wedge the 14-term Cayley form: each term in 5! orders
+        assert np.count_nonzero(five) == 14 * 120
+        assert set(five[five != 0.0]) == {1.0, -1.0}
+        assert np.count_nonzero(five[2]) == 14 * 24
+        assert not np.any(five[:2]) and not np.any(five[2, 2])
+
+    def test_constant_fiber_pulls_back_the_five_form(self):
+        # dx3^Phi of a constant fiber E is the identity fiber's pulled back by E
+        fiber = np.eye(8)
+        fiber[0, 3], fiber[5, 1], fiber[2, 2], fiber[7, 6], fiber[4, 4] = 2.0, -0.5, 3.0, 1.0, -1.0
+        g = FreeFunction(2, table={(1, 1): 0.3, (2, 0): -0.2})
+        flat = parallel_forms_10_1(build_metric_10_1(FiberFamily.identity(), g))
+        forms = parallel_forms_10_1(build_metric_10_1(FiberFamily(fiber), g))
+        assert np.array_equal(forms["dx3"], flat["dx3"])
+        assert np.array_equal(forms["dx2^dx3"], flat["dx2^dx3"])
+        pulled = np.einsum("abcd,ai,bj,ck,dl->ijkl", flat["dx3^Phi"][2, 3:, 3:, 3:, 3:],
+                           fiber, fiber, fiber, fiber, optimize=True)
+        assert np.array_equal(forms["dx3^Phi"][2, 3:, 3:, 3:, 3:], pulled)
 
     def test_nonconstant_fiber_drops_four_form(self):
         entries = np.eye(8).astype(object)
