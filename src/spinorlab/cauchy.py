@@ -152,8 +152,6 @@ def solve_ricci_ivp(data: CauchyData, check_constraints: bool = True):
     and it fixes S_{m+2}: the recursion is triangular and, with rational
     data, exact.  Each slice's y-derivatives are formed once.
     """
-    if data.order < 2:
-        raise ValueError("truncation order must be at least 2")
     if check_constraints and data.max_constraint_residual() != 0.0:
         raise ValueError("initial data violates the divergence constraints")
     p, order = data.p, data.order

@@ -21,6 +21,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -519,6 +520,16 @@ def _read_spec(path: str, report: dict) -> dict:
     return spec
 
 
+def _check_seed_and_tol(args: dict) -> None:
+    """Refuse a seed that is not a nonnegative integer and a NaN or negative tolerance."""
+    seed, tol = args.get("seed", 0), args.get("tol", 0.0)
+    if not isinstance(seed, Integral) or seed < 0:
+        raise SpecError(f"seed must be a nonnegative integer, got {seed!r}")
+    # NaN compares false, so it is refused with the negative values
+    if not (isinstance(tol, Real) and tol >= 0):
+        raise SpecError(f"tolerance must be a nonnegative number, got {tol!r}")
+
+
 def run_command(rs: RunSpec) -> tuple[dict, int]:
     """Execute one verification run; returns (report, exit status).
 
@@ -534,6 +545,7 @@ def run_command(rs: RunSpec) -> tuple[dict, int]:
             for name in inputs if name != "spec"}
     report.update((_INPUTS[name][0], val) for name, val in args.items() if val is not None)
     try:
+        _check_seed_and_tol(args)
         if "spec" in inputs:
             args["spec"] = None if rs.spec_path is None else _read_spec(rs.spec_path, report)
         # a non-finite value fails its row, so numpy's warnings about it are noise

@@ -21,10 +21,12 @@ deterministic, with no sampling and no tolerance tuning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
-from .linalg import MatrixSpan, invariant_symmetric_forms, orthonormal_span
+from .linalg import MatrixSpan, constrained_span, orthonormal_span
 
 _J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 _D2 = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -150,18 +152,17 @@ def _irreducible_module(mats: list[np.ndarray], size: int) -> np.ndarray:
     return np.column_stack([_product(mats, t, v) for t in cosets]) / np.linalg.norm(v)
 
 
-def _restrict(mats, basis) -> list[np.ndarray]:
-    out = []
-    for g in mats:
-        gb = g @ basis
-        gt = basis.T @ gb
-        if np.linalg.norm(gb - basis @ gt) > _INVARIANCE_TOL * max(1.0, np.linalg.norm(gb)):
-            raise ArithmeticError("candidate subspace is not invariant")
-        out.append(gt)
-    return out
+def _restrict(mats, basis: np.ndarray) -> np.ndarray:
+    """The stacked ``mats`` restricted to the invariant column span of ``basis``."""
+    gb = np.asarray(mats) @ basis
+    gt = basis.T @ gb
+    drift = np.linalg.norm(gb - basis @ gt, axis=(1, 2))
+    if np.any(drift > _INVARIANCE_TOL * np.maximum(1.0, np.linalg.norm(gb, axis=(1, 2)))):
+        raise ArithmeticError("candidate subspace is not invariant")
+    return gt
 
 
-def _commutant_dim(restricted: list[np.ndarray]) -> int:
+def _commutant_dim(restricted: np.ndarray) -> int:
     """dim of the commutant on an invariant module, by character averaging.
 
     The +-products of generator subsets form a finite group; averaging
@@ -170,7 +171,7 @@ def _commutant_dim(restricted: list[np.ndarray]) -> int:
     subset product is L R, with L over the first half of the generators
     and R over the rest, so one matrix product gives every tr(L R).
     """
-    d = restricted[0].shape[0] if restricted else 1
+    d = restricted.shape[1]
     half = len(restricted) // 2
     products = []
     for part in (restricted[:half], restricted[half:]):
@@ -307,21 +308,22 @@ def twisted_reflection(p: int, q: int, v: np.ndarray, w: np.ndarray, gens=None):
 class SpinRepresentation:
     """Irreducible spinor module with the action of the rotation generators.
 
-    ``so_basis`` lists the operators (1/2) g_i g_j for i < j restricted to
-    the module; they span the image of the rank-two rotation algebra.  For
-    signatures with p - q = 1 or 2 mod 8 the irreducible full-algebra
-    module splits in two over the even subalgebra and the convention here
-    keeps one half, so only even elements act (``halved`` is set and
-    vector action is unavailable).
+    ``so_basis`` stacks the operators (1/2) g_i g_j for i < j restricted to
+    the module, in ``so_index`` order; they span the image of the rank-two
+    rotation algebra.  For signatures with p - q = 1 or 2 mod 8 the
+    irreducible full-algebra module splits in two over the even subalgebra
+    and the convention here keeps one half, so only even elements act
+    (``halved`` is set and vector action is unavailable).  One
+    representation per signature is shared, so its arrays are read-only.
     """
 
     p: int
     q: int
     basis: np.ndarray
     halved: bool
-    gens_restricted: list[np.ndarray] | None
-    so_basis: list[np.ndarray]
-    so_index: list[tuple[int, int]]
+    gens_restricted: np.ndarray | None
+    so_basis: np.ndarray
+    so_index: tuple[tuple[int, int], ...]
     volume: np.ndarray | None
     _forms: list[np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False)
@@ -330,7 +332,7 @@ class SpinRepresentation:
 
     @property
     def dim(self) -> int:
-        return self.so_basis[0].shape[0] if self.so_basis else self.basis.shape[1]
+        return self.basis.shape[1]
 
     def vector_action(self, v: np.ndarray) -> np.ndarray:
         if self.gens_restricted is None:
@@ -355,52 +357,56 @@ class SpinRepresentation:
             for proj, half in zip(self.chiral_projectors(), ("plus", "minus")):
                 basis = orthonormal_span(
                     list(proj), f"spin({self.p},{self.q}) {half} half-spinors").T
-                basis.setflags(write=False)
-                bases.append(basis)
+                bases.append(_read_only(basis))
             self._halves = tuple(bases)
         return self._halves
 
     def invariant_forms(self) -> list[np.ndarray]:
-        """Symmetric forms preserved by the rotation generators (solved once)."""
+        """Symmetric forms Q with a^T Q + Q a = 0 on the rotation generators (solved once).
+
+        Each form is normalized to unit Frobenius norm and is read-only.
+        """
         if self._forms is None:
-            self._forms = invariant_symmetric_forms(self.so_basis, "spinor form")
+            d = self.dim
+            rows, cols = np.triu_indices(d)
+            units = np.zeros((rows.size, d, d))
+            units[np.arange(rows.size), rows, cols] = 1.0
+            units[np.arange(rows.size), cols, rows] = 1.0
+            forms = constrained_span(
+                units, [lambda e, a=a: a.T @ e + e @ a for a in self.so_basis],
+                "spinor form")
+            forms /= np.linalg.norm(forms, axis=(1, 2))[:, None, None]
+            self._forms = list(_read_only(forms))
         return list(self._forms)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@lru_cache(maxsize=None)
 def spin_representation(p: int, q: int) -> SpinRepresentation:
+    """The spinor module of signature (p, q), built once and shared."""
     gens = clifford_generators(p, q)
     if not gens:
         raise ValueError("signature (0, 0) carries no spinors")
     n = p + q
     basis = _irreducible_module(gens, gens[0].shape[0])
     restricted = _restrict(gens, basis)
-
     halved = (p - q) % 8 in (1, 2)
+    half = np.eye(basis.shape[1])
     if halved:
-        pair_gens = [restricted[0] @ g for g in restricted[1:]]
-        half = _irreducible_module(pair_gens, basis.shape[1])
+        half = _irreducible_module(restricted[0] @ restricted[1:], basis.shape[1])
         if 2 * half.shape[1] != basis.shape[1]:
             raise ArithmeticError("even-subalgebra split did not halve the module")
-        so_basis, so_index = [], []
-        for i in range(n):
-            for j in range(i + 1, n):
-                so_basis.append(
-                    0.5 * _restrict([restricted[i] @ restricted[j]], half)[0]
-                )
-                so_index.append((i, j))
-        volume = None
-        if n % 2 == 0:
-            volume = _restrict([volume_element(restricted)], half)[0]
-        return SpinRepresentation(
-            p, q, basis @ half, True, None, so_basis, so_index, volume
-        )
-
-    so_basis, so_index = [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            so_basis.append(0.5 * restricted[i] @ restricted[j])
-            so_index.append((i, j))
-    volume = volume_element(restricted)
+    so_index = tuple(combinations(range(n), 2))
+    i, j = np.array(so_index, dtype=int).reshape(-1, 2).T
+    so_basis = 0.5 * _restrict(restricted[i] @ restricted[j], half)
+    # an odd volume element swaps the two halves, so it has no restriction
+    volume = (None if halved and n % 2
+              else _read_only(_restrict(volume_element(restricted)[None], half)[0]))
     return SpinRepresentation(
-        p, q, basis, False, restricted, so_basis, so_index, volume
-    )
+        p, q, _read_only(basis @ half), halved,
+        None if halved else _read_only(restricted), _read_only(so_basis),
+        so_index, volume)

@@ -11,6 +11,8 @@ sparse matrix instead, under one guard band across all blocks.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 # Normalized singular values below GUARD_LO count as zero, above GUARD_HI
@@ -143,6 +145,24 @@ def nullspace(mat: np.ndarray, label: str = "matrix") -> np.ndarray:
     return vt[rank:].T.copy()
 
 
+def constrained_span(
+    units: np.ndarray,
+    constraints: list[Callable[[np.ndarray], np.ndarray]],
+    label: str = "constrained span",
+) -> np.ndarray:
+    """Basis of the span of ``units`` that every linear constraint kills.
+
+    ``units`` stacks a real basis of the space searched along its first
+    axis.  The kernel of the constraints' column-stacked images is one
+    guarded ``nullspace`` decision; the result stacks the corresponding
+    combinations of the units the same way.
+    """
+    if not constraints:
+        return units
+    cols = [np.concatenate([real_flat(c(u)) for c in constraints]) for u in units]
+    return np.tensordot(nullspace(np.column_stack(cols), label), units, axes=(0, 0))
+
+
 def span_dimension(vectors: list[np.ndarray] | np.ndarray, label: str = "span") -> int:
     """Dimension of the real span of a family of arrays (flattened rows)."""
     if len(vectors) == 0:
@@ -239,30 +259,3 @@ def bracket_closure(
             return [row.reshape(n, n) for row in grown], sweeps
         basis = grown
     return [row.reshape(n, n) for row in basis], sweeps
-
-
-def invariant_symmetric_forms(mats: list[np.ndarray], label: str = "forms") -> list[np.ndarray]:
-    """Symmetric bilinear forms Q with a^T Q + Q a = 0 for every listed a.
-
-    Returns a basis of the solution space as symmetric matrices.
-    """
-    d = mats[0].shape[0]
-    pairs = [(i, j) for i in range(d) for j in range(i, d)]
-    sym_basis = []
-    for i, j in pairs:
-        e = np.zeros((d, d))
-        e[i, j] = 1.0
-        e[j, i] = 1.0
-        sym_basis.append(e)
-    rows = []
-    for a in mats:
-        block = np.empty((d * d, len(pairs)))
-        for c, e in enumerate(sym_basis):
-            block[:, c] = (a.T @ e + e @ a).ravel()
-        rows.append(block)
-    ns = nullspace(np.vstack(rows), label)
-    out = []
-    for c in range(ns.shape[1]):
-        q = sum(coef * e for coef, e in zip(ns[:, c], sym_basis))
-        out.append(q / np.linalg.norm(q))
-    return out

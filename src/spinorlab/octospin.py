@@ -26,7 +26,7 @@ from .algebra import (
     octonion_mul,
     right_mult_matrix,
 )
-from .linalg import MatrixSpan, guarded_rank, nullspace, span_dimension
+from .linalg import MatrixSpan, constrained_span, guarded_rank, span_dimension
 
 TRIPLE_TOL = 1e-8
 
@@ -199,18 +199,12 @@ def triple_algebra_basis() -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], .
 @lru_cache(maxsize=1)
 def unit_stabilizer_basis() -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """The 21-dim subalgebra of triples whose first component kills 1."""
-    kb = triple_algebra_basis()
     # a1 applied to the unit octonion is the first column of a1.
-    cols = np.column_stack([t[0][:, 0] for t in kb])
-    coeffs = nullspace(cols, label="triple algebra unit stabilizer")
-    out = []
-    for c in range(coeffs.shape[1]):
-        out.append(tuple(
-            sum(coeffs[k, c] * kb[k][i] for k in range(len(kb))) for i in range(3)
-        ))
+    out = constrained_span(np.array(triple_algebra_basis()), [lambda t: t[0][:, 0]],
+                           "triple algebra unit stabilizer")
     if len(out) != 21:
         raise RuntimeError(f"unit stabilizer has dimension {len(out)}, expected 21")
-    return tuple(out)
+    return tuple(tuple(t) for t in out)
 
 
 def derive_middle_component(a1: np.ndarray, a3: np.ndarray) -> np.ndarray:

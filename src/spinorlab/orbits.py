@@ -32,7 +32,7 @@ import numpy as np
 
 from . import clifford
 from .algebra import QMatrix, pfaffian, qdet2
-from .linalg import MatrixSpan, guarded_rank, nullspace, real_flat
+from .linalg import MatrixSpan, constrained_span, guarded_rank, real_flat
 
 MODEL_NAMES = (
     "SPIN2",
@@ -75,41 +75,12 @@ def _jmat(n: int) -> np.ndarray:
     return j
 
 
-def _matrix_units(n: int, complex_field: bool) -> list[np.ndarray]:
-    units = []
-    for i in range(n):
-        for j in range(n):
-            e = np.zeros((n, n), dtype=complex if complex_field else float)
-            e[i, j] = 1.0
-            units.append(e)
-            if complex_field:
-                f = np.zeros((n, n), dtype=complex)
-                f[i, j] = 1j
-                units.append(f)
+def _matrix_units(n: int, complex_field: bool) -> np.ndarray:
+    """Real basis e_ij (each followed by i e_ij over C) of the n x n matrices."""
+    units = np.eye(n * n).reshape(n * n, n, n)
+    if complex_field:
+        return np.stack([units, 1j * units], axis=1).reshape(2 * n * n, n, n)
     return units
-
-
-def _constrained_matrices(
-    n: int,
-    complex_field: bool,
-    constraints: list[Callable[[np.ndarray], np.ndarray]],
-    label: str,
-) -> list[np.ndarray]:
-    """Real basis of the matrix subspace killed by the linear constraints."""
-    units = _matrix_units(n, complex_field)
-    if not constraints:
-        return units
-    cols = [
-        np.concatenate([real_flat(c(u)) for c in constraints]) for u in units
-    ]
-    coeffs = nullspace(np.column_stack(cols), label=label)
-    basis = []
-    for k in range(coeffs.shape[1]):
-        m = np.zeros_like(units[0])
-        for c, u in zip(coeffs[:, k], units):
-            m = m + c * u
-        basis.append(m)
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -629,13 +600,13 @@ def _derive(name: str, declaration: dict) -> SpinOrbitModel:
     decl = dict(declaration)
     size, vector_constraints = decl.pop("vectors")
     field = decl["complex_field"]
-    lie = _constrained_matrices(
-        decl["spinor_dim"], field,
+    lie = constrained_span(
+        _matrix_units(decl["spinor_dim"], field),
         [p.lie for p in decl["preserves"] if p.lie is not None],
         f"{name} algebra",
     )
-    vectors = _constrained_matrices(
-        size, field, list(vector_constraints), f"{name} vector space"
+    vectors = constrained_span(
+        _matrix_units(size, field), list(vector_constraints), f"{name} vector space"
     )
     n = sum(decl["signature"])
     for what, got, expected in (("algebra", lie, n * (n - 1) // 2),
@@ -683,11 +654,6 @@ PURITY_SIGNATURES = tuple(sorted(set(_SPLIT_MODELS) | _CLIFFORD_PURITY))
 PURITY_TOL = 1e-8
 
 
-@lru_cache(maxsize=None)
-def _cached_rep(p: int, q: int) -> clifford.SpinRepresentation:
-    return clifford.spin_representation(p, q)
-
-
 def is_pure(signature: tuple[int, int], s: np.ndarray) -> bool:
     """Whether a spinor lies on the minimal (pure) orbit of a split form.
 
@@ -710,7 +676,7 @@ def is_pure(signature: tuple[int, int], s: np.ndarray) -> bool:
         return plus != minus
     if (p, q) not in _CLIFFORD_PURITY:
         raise ValueError(f"no purity criterion for signature {signature}")
-    rep = _cached_rep(p, q)
+    rep = clifford.spin_representation(p, q)
     if (p, q) == (4, 4):
         plus, minus = rep.half_spinor_bases()
         in_plus = _norm(s - plus @ (plus.T @ s)) <= PURITY_TOL * total
@@ -731,11 +697,11 @@ def pure_spinor(signature: tuple[int, int]) -> np.ndarray:
         s[0] = 1.0
         return s
     if (p, q) == (4, 3):
-        rep = _cached_rep(4, 3)
+        rep = clifford.spin_representation(4, 3)
         form = rep.invariant_forms()[0]
         return _null_vector_of(form)
     if (p, q) == (4, 4):
-        rep = _cached_rep(4, 4)
+        rep = clifford.spin_representation(4, 4)
         half = rep.half_spinor_bases()[0]
         forms = rep.invariant_forms()
         restricted = [half.T @ f @ half for f in forms]
@@ -756,15 +722,15 @@ def _null_vector_of(form: np.ndarray) -> np.ndarray:
 
 def spin_action_matrix(p: int, q: int, s: np.ndarray) -> np.ndarray:
     """Columns a.s over the spin(p,q) basis of the Clifford module."""
-    rep = _cached_rep(p, q)
+    rep = clifford.spin_representation(p, q)
     s = np.asarray(s, dtype=float)
     if s.shape != (rep.dim,):
         raise ValueError(f"spinor must have shape ({rep.dim},)")
-    return np.column_stack([a @ s for a in rep.so_basis])
+    return (rep.so_basis @ s).T
 
 
 def spin_stabilizer_dimension(p: int, q: int, s: np.ndarray) -> int:
-    return len(_cached_rep(p, q).so_basis) - spin_orbit_dimension(p, q, s)
+    return len(clifford.spin_representation(p, q).so_basis) - spin_orbit_dimension(p, q, s)
 
 
 def spin_orbit_dimension(p: int, q: int, s: np.ndarray) -> int:

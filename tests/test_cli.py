@@ -244,6 +244,37 @@ class TestExitCodes:
         _, status = run_command(RunSpec("algebra-selfcheck", tol=1e-30))
         assert status == 1
 
+    @pytest.mark.parametrize("command", [c for c in COMMANDS if "seed" in READS[c]])
+    def test_bad_seed_is_bad_input(self, tmp_path, command):
+        # a negative seed used to escape numpy as a ValueError (exit 1)
+        spec = ["--spec", _write(tmp_path, "po2.json", PUREODD2)] if "spec" in READS[command] else []
+        out = tmp_path / "r.json"
+        assert main([command, "--seed", "-1", *spec, "--out", str(out)]) == 2
+        report = json.loads(out.read_text())
+        assert "checks" not in report
+        assert report["error"] == "seed must be a nonnegative integer, got -1"
+        api_spec = {"spec_path": spec[1]} if spec else {}
+        report, status = run_command(RunSpec(command, seed=1.5, **api_spec))
+        assert status == 2 and "checks" not in report
+        assert report["error"] == "seed must be a nonnegative integer, got 1.5"
+
+    @pytest.mark.parametrize("command", [c for c in COMMANDS if "tol" in READS[c]])
+    def test_nan_or_negative_tolerance_is_bad_input(self, tmp_path, command):
+        # such a tolerance used to fail every row (exit 1)
+        spec = ["--spec", _write(tmp_path, "po2.json", PUREODD2)] if "spec" in READS[command] else []
+        out = tmp_path / "r.json"
+        for value in ("nan", "-1"):
+            assert main([command, "--tol", value, *spec, "--out", str(out)]) == 2
+            report = json.loads(out.read_text())
+            assert "checks" not in report
+            assert report["error"] == (
+                f"tolerance must be a nonnegative number, got {float(value)!r}")
+
+    @pytest.mark.parametrize("tol", [0.0, float("inf")])
+    def test_zero_and_infinite_tolerance_are_valid(self, tol):
+        report, status = run_command(RunSpec("cauchy-solve", tol=tol))
+        assert status == 0 and report["pass"]
+
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
     def test_non_finite_metric_coefficient(self, tmp_path, value):
         desc = {"family": "M21", "functions": [{"arity": 2, "coefficients": {"1,1": value}}]}

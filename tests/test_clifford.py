@@ -1,5 +1,7 @@
 """Clifford generator relations, algebra types, reflections, spinor modules."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,19 @@ class TestSpinRepresentation:
         rep = spin_representation(p, q)
         assert rep.dim == _SPIN_DIMS[p, q]
         assert rep.halved == ((p - q) % 8 in (1, 2))
+
+    @pytest.mark.parametrize("p,q", sorted(_SPIN_DIMS))
+    def test_one_shared_read_only_module(self, p, q):
+        rep = spin_representation(p, q)
+        assert spin_representation(p, q) is rep
+        n, d = p + q, rep.dim
+        assert d == rep.basis.shape[1]
+        assert isinstance(rep.so_basis, np.ndarray)
+        assert rep.so_basis.shape == (n * (n - 1) // 2, d, d)
+        assert rep.so_index == tuple(itertools.combinations(range(n), 2))
+        arrays = [rep.basis, rep.so_basis, rep.volume, rep.gens_restricted]
+        for a in [a for a in arrays if a is not None] + rep.invariant_forms():
+            assert not a.flags.writeable
 
     @pytest.mark.parametrize("p,q", [(2, 1), (3, 2), (4, 3), (2, 2), (3, 3)])
     def test_rotation_generators_act_faithfully(self, p, q):

@@ -10,9 +10,11 @@ from spinorlab.linalg import (
     RankAmbiguityError,
     block_rank,
     block_span,
+    constrained_span,
     guarded_rank,
     nullspace,
     orthonormal_span,
+    real_flat,
 )
 
 
@@ -171,3 +173,46 @@ def test_guard_band_is_global_across_blocks():
         block_rank(m, "global")
     with pytest.raises(RankAmbiguityError, match="global: singular value ratio"):
         block_span(list(m), "global")
+
+
+def test_constrained_span_without_constraints_is_the_units():
+    units = np.eye(9).reshape(9, 3, 3)
+    assert constrained_span(units, [], "all") is units
+
+
+def _complex_units(n):
+    e = np.eye(n * n).reshape(n * n, n, n)
+    return np.concatenate([e, 1j * e])
+
+
+@pytest.mark.parametrize("units, constraints, dim", [
+    # symmetric traceless 3x3 matrices in a random basis of all 3x3 ones
+    (np.random.default_rng(4).standard_normal((9, 3, 3)),
+     [lambda m: m - m.T, lambda m: np.array([np.trace(m)])], 5),
+    # u(2): complex 2x2 matrices with m + m^* = 0
+    (_complex_units(2), [lambda m: m + m.conj().T], 4),
+], ids=["real", "complex"])
+def test_constrained_span_is_the_kernel_of_the_stacked_images(units, constraints, dim):
+    got = constrained_span(units, constraints, "test span")
+    assert got.shape == (dim, *units.shape[1:]) and got.dtype == units.dtype
+    images = np.column_stack(
+        [np.concatenate([real_flat(c(u)) for c in constraints]) for u in units])
+    kernel = nullspace(images, "test kernel")
+    assert np.allclose(got, np.tensordot(kernel, units, axes=(0, 0)), atol=1e-14)
+    for m in got:
+        for c in constraints:
+            assert np.abs(c(m)).max() < 1e-12
+
+
+def test_constrained_span_dimension_in_each_caller():
+    from spinorlab import clifford, octospin, orbits
+
+    for name in orbits.MODEL_NAMES:
+        model = orbits.get_model(name)
+        n = sum(model.signature)
+        assert len(model.lie_basis) == n * (n - 1) // 2
+        assert model.vector_space.dim == n
+    forms = {sig: len(clifford.spin_representation(*sig).invariant_forms())
+             for sig in [(3, 2), (4, 2), (3, 3), (4, 3), (4, 4)]}
+    assert forms == {(3, 2): 0, (4, 2): 1, (3, 3): 1, (4, 3): 1, (4, 4): 2}
+    assert len(octospin.unit_stabilizer_basis()) == 21

@@ -478,14 +478,14 @@ class TestPurity:
         from spinorlab import clifford
 
         calls = []
-        solve = clifford.invariant_symmetric_forms
+        solve = clifford.constrained_span
 
         def counted(*args, **kwargs):
             calls.append(args)
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(clifford, "invariant_symmetric_forms", counted)
-        orbits._cached_rep.cache_clear()
+        monkeypatch.setattr(clifford, "constrained_span", counted)
+        clifford.spin_representation.cache_clear()
         s = pure_spinor((4, 4))
         assert is_pure((4, 4), s)
         assert is_pure((4, 4), s)
@@ -506,7 +506,7 @@ class TestPurity:
                 return span(vectors, label)
 
             monkeypatch.setattr(module, "orthonormal_span", counted)
-        orbits._cached_rep.cache_clear()
+        clifford.spin_representation.cache_clear()
         s = pure_spinor((4, 4))
         for _ in range(3):
             assert is_pure((4, 4), s)
