@@ -369,9 +369,9 @@ class SpinRepresentation:
         if self._forms is None:
             d = self.dim
             rows, cols = np.triu_indices(d)
+            k = np.arange(rows.size)
             units = np.zeros((rows.size, d, d))
-            units[np.arange(rows.size), rows, cols] = 1.0
-            units[np.arange(rows.size), cols, rows] = 1.0
+            units[k, rows, cols] = units[k, cols, rows] = 1.0
             forms = constrained_span(
                 units, [lambda e, a=a: a.T @ e + e @ a for a in self.so_basis],
                 "spinor form")
