@@ -7,10 +7,10 @@ declares the inputs each subcommand reads: only those are accepted as
 options (plus --out), passed to its handler and recorded in the header; a
 spec is read once and recorded by its sha256.  Rows are ordered by check
 name and identical inputs produce byte-identical reports.  Exit status: 0
-all checks pass, 1 any check failed, 2 malformed input, 3 a rank decision
-refused inside its guard band.  Written reports are strict JSON: a
-non-finite number is spelled "inf", "-inf" or "nan", and each row's pass
-flag is decided on the float.
+all checks pass, 1 any check failed, 2 malformed input or a report that
+cannot be written, 3 a rank decision refused inside its guard band.
+Written reports are strict JSON: a non-finite number is spelled "inf",
+"-inf" or "nan", and each row's pass flag is decided on the float.
 """
 
 from __future__ import annotations
@@ -104,14 +104,10 @@ def _cmd_algebra_selfcheck(seed: int, tol: float) -> list[dict]:
         "conjugation reverses products",
         "conjugation anti-automorphism (xy)* = y* x*",
         float(np.abs(cl - cr).max()), tol))
-    relations = []
-    for p, q in ((4, 3), (10, 1)):
-        gens = clifford.clifford_generators(p, q)
-        eta = clifford.signature_eta(p, q)
-        eye = np.eye(gens[0].shape[0])
-        for i, gi in enumerate(gens):
-            for j, gj in enumerate(gens):
-                relations.append(np.abs(gi @ gj + gj @ gi + 2.0 * eta[i, j] * eye).max())
+    # every pair of generators, composed as signed permutations
+    relations = [clifford.relation_residual(*clifford.signed_permutations(p, q),
+                                            clifford.signature_eta(p, q))
+                 for p, q in ((4, 3), (10, 1))]
     rows.append(_residual_row(
         "clifford relations", "generator relations v w + w v = -2 <v, w>",
         _worst(relations), tol))
@@ -601,7 +597,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     rs = RunSpec(**vars(build_parser().parse_args(argv)))
     report, status = run_command(rs)
-    _write_report(report, rs.out_path)
+    try:
+        _write_report(report, rs.out_path)
+    except OSError as exc:
+        print(f"spinorlab: cannot write the report to {rs.out_path or 'stdout'}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 2
     return status
 
 

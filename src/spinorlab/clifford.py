@@ -8,6 +8,14 @@ so a unit spacelike vector squares to -I and a unit timelike one to +I.
 The list returned by :func:`clifford_generators` keeps the spacelike block
 first and the timelike block second.
 
+Each generator has one entry +-1 per column, so the generators are stored
+as two read-only (p+q, N) arrays, built once per signature by
+:func:`signed_permutations`: generator k has the entry signs[k, c] in row
+rows[k, c] of column c.  The tensor products of the doubling steps become
+index arithmetic on them, :func:`clifford_generators` scatters them into
+dense matrices, and :func:`relation_residual` checks the defining
+relations by composing them, with no matrix product.
+
 Classification of the generated algebra as R(k), C(k), H(k) or a double
 block F(k)+F(k) works module-theoretically: generate an irreducible
 module from a primitive idempotent built out of products of the
@@ -28,65 +36,113 @@ import numpy as np
 
 from .linalg import MatrixSpan, constrained_span, orthonormal_span
 
-_J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
-_D2 = np.array([[1.0, 0.0], [0.0, -1.0]])
-_X2 = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+# the base generators as signed permutations (rows, signs): column c holds
+# its one nonzero entry, signs[c], in row rows[c]
+def _signed(rows, signs) -> tuple[np.ndarray, np.ndarray]:
+    return np.array(rows, dtype=np.intp), np.array(signs, dtype=float)
 
 
-def _quaternion_left_units() -> tuple[np.ndarray, np.ndarray]:
-    """Left multiplication by i and j on the quaternions, basis (1, i, j, k)."""
-    li = np.array(
-        [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=float
-    )
-    lj = np.array(
-        [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]], dtype=float
-    )
-    return li, lj
+_J2 = _signed([1, 0], [1, -1])  # [[0, -1], [1, 0]]
+_D2 = _signed([0, 1], [1, -1])  # diag(1, -1)
+_X2 = _signed([1, 0], [1, 1])  # [[0, 1], [1, 0]]
+# left multiplication by i and j on the quaternions, basis (1, i, j, k)
+_LI = _signed([1, 0, 3, 2], [1, -1, 1, -1])
+_LJ = _signed([2, 3, 0, 1], [1, -1, -1, 1])
+
+
+def _stack(*perms) -> tuple[np.ndarray, np.ndarray]:
+    return np.stack([r for r, _ in perms]), np.stack([s for _, s in perms])
+
+
+def _compose(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The product a b: column c goes to row ra[rb[c]] with sign sa[rb[c]] sb[c]."""
+    (ra, sa), (rb, sb) = a, b
+    return ra[rb], sa[rb] * sb
+
+
+def _kron(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """``np.kron`` of signed permutations, stacks broadcast against each other.
+
+    Column j nb + l of a (x) b goes to row ra[j] nb + rb[l] with sign sa[j] sb[l].
+    """
+    (ra, sa), (rb, sb) = a, b
+    rows = ra[..., :, None] * rb.shape[-1] + rb[..., None, :]
+    signs = sa[..., :, None] * sb[..., None, :]
+    shape = (*rows.shape[:-2], rows.shape[-2] * rows.shape[-1])
+    return rows.reshape(shape), signs.reshape(shape)
 
 
 def signature_eta(p: int, q: int) -> np.ndarray:
     return np.diag(np.concatenate([np.ones(p), -np.ones(q)]))
 
 
-def clifford_generators(p: int, q: int) -> list[np.ndarray]:
-    """Anticommuting generator matrices for signature (p, q).
+@lru_cache(maxsize=None)
+def signed_permutations(p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The generators of signature (p, q) as read-only stacks ``(rows, signs)``.
 
-    Built from four base cases and three doubling steps:
+    Generator k has the entry signs[k, c] in row rows[k, c] of column c and
+    zeros elsewhere.  Built from four base cases and three doubling steps:
     a mixed step peeling one (1,1) factor, and two definite-signature
     steps trading two spacelike generators for Cl(2,0) = H (size x4) or
-    two timelike ones for Cl(0,2) = R(2) (size x2).
+    two timelike ones for Cl(0,2) = R(2) (size x2).  Each step stacks
+    1 (x) u for its two units u and g (x) omega for the generators g of the
+    smaller signature, where omega is the product of the units.
     """
     if p < 0 or q < 0:
         raise ValueError("signature components must be nonnegative")
-    if p == 0 and q == 0:
-        return []
-    if (p, q) == (1, 0):
-        return [_J2.copy()]
-    if (p, q) == (0, 1):
-        return [_D2.copy()]
-    if (p, q) == (0, 2):
-        return [_D2.copy(), _X2.copy()]
-    if (p, q) == (2, 0):
-        li, lj = _quaternion_left_units()
-        return [li, lj]
-    if p >= 1 and q >= 1:
-        sub = clifford_generators(p - 1, q - 1)
-        omega = _J2 @ _X2  # diag(-1, 1), squares to +I, anticommutes with both
-        eye = np.eye(sub[0].shape[0] if sub else 1)
-        space = [np.kron(g, omega) for g in sub[: p - 1]] + [np.kron(eye, _J2)]
-        time = [np.kron(g, omega) for g in sub[p - 1 :]] + [np.kron(eye, _X2)]
-        return space + time
-    if q == 0:  # p >= 3
-        sub = clifford_generators(0, p - 2)
-        a, b = _quaternion_left_units()
-        omega = a @ b  # left mult by k, squares to -I
-        eye = np.eye(sub[0].shape[0])
-        return [np.kron(eye, a), np.kron(eye, b)] + [np.kron(f, omega) for f in sub]
-    # p == 0, q >= 3
-    sub = clifford_generators(q - 2, 0)
-    omega = _D2 @ _X2  # squares to -I
-    eye = np.eye(sub[0].shape[0])
-    return [np.kron(eye, _D2), np.kron(eye, _X2)] + [np.kron(e, omega) for e in sub]
+    base = {(1, 0): (_J2,), (0, 1): (_D2,), (0, 2): (_D2, _X2), (2, 0): (_LI, _LJ)}
+    if (p, q) == (0, 0):
+        rows, signs = np.zeros((0, 1), dtype=np.intp), np.zeros((0, 1))
+    elif (p, q) in base:
+        rows, signs = _stack(*base[p, q])
+    else:
+        if p >= 1 and q >= 1:
+            sub, units = signed_permutations(p - 1, q - 1), (_J2, _X2)
+            # spacelike block, 1 (x) J2, timelike block, 1 (x) X2
+            order = [*range(2, p + 1), 0, *range(p + 1, p + q), 1]
+        elif q == 0:  # p >= 3
+            sub, units, order = signed_permutations(0, p - 2), (_LI, _LJ), slice(None)
+        else:  # p == 0, q >= 3
+            sub, units, order = signed_permutations(q - 2, 0), (_D2, _X2), slice(None)
+        # J2 X2 = diag(-1, 1) squares to +I, left mult by k and D2 X2 to -I;
+        # each anticommutes with both units
+        omega = _compose(*units)
+        eye = np.arange(sub[0].shape[1]), np.ones(sub[0].shape[1])
+        rows, signs = (np.concatenate(pair)[order]
+                       for pair in zip(_kron(eye, _stack(*units)), _kron(sub, omega)))
+    return _read_only(rows), _read_only(signs)
+
+
+def clifford_generators(p: int, q: int) -> list[np.ndarray]:
+    """Anticommuting generator matrices for signature (p, q), scattered from its permutations."""
+    rows, signs = signed_permutations(p, q)
+    n, size = rows.shape
+    gens = np.zeros((n, size, size))
+    gens[np.arange(n)[:, None], rows, np.arange(size)] = signs
+    return list(gens)
+
+
+def relation_residual(rows: np.ndarray, signs: np.ndarray, eta: np.ndarray) -> float:
+    """Largest entry of |g_i g_j + g_j g_i + 2 eta_ij I| over all pairs (i, j), i = j included.
+
+    ``rows`` and ``signs`` stack signed permutations as in
+    :func:`signed_permutations`.  g_i g_j sends column c to row
+    rows_i[rows_j[c]] with sign signs_i[rows_j[c]] signs_j[c], so column c
+    of the sum has its nonzero entries in at most three rows: that of
+    g_i g_j, that of g_j g_i, and c.  Adding the terms that land in each of
+    those rows reads every entry exactly, for all pairs at once, with no
+    matrix product formed.
+    """
+    i = np.arange(len(rows))[:, None, None]
+    r_ij, s_ij = rows[i, rows[None]], signs[i, rows[None]] * signs[None]
+    r_ji, s_ji = r_ij.transpose(1, 0, 2), s_ij.transpose(1, 0, 2)
+    c = np.arange(rows.shape[-1])
+    d = 2.0 * np.asarray(eta, dtype=float)[:, :, None]
+    at_ij = s_ij + (r_ji == r_ij) * s_ji + (r_ij == c) * d
+    at_ji = s_ji + (r_ij == r_ji) * s_ij + (r_ji == c) * d
+    at_c = d + (r_ij == c) * s_ij + (r_ji == c) * s_ji
+    return float(np.max(np.abs([at_ij, at_ji, at_c]), initial=0.0))
 
 
 def volume_element(gens: list[np.ndarray]) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import spinorlab
-from spinorlab import __version__, algebra, cauchy, geometry
+from spinorlab import __version__, algebra, cauchy, clifford, geometry
 from spinorlab.cli import COMMANDS, DEFAULT_TOLS, RunSpec, build_parser, main, run_command
 
 # the inputs each subcommand reads, as the README's option table lists them
@@ -491,7 +491,33 @@ class TestDeterminism:
         assert len(report["spec_sha256"]) == 64
 
 
+# sha256 of the full written reports whose Clifford generators are built as
+# signed permutations, recorded while they were built by dense np.kron
+CLIFFORD_REPORT_SHA256 = {
+    "algebra-selfcheck": (["--seed", "3"],
+                          "cb60b2d73543a79426a2fc54353b52267dac7f51e90f95236cc9bcd5f8e10f44"),
+    "clifford-table": ([], "feacc7ca92869535f134db0e3787404d61a4c459358f50adf1c1eb996795e86e"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLIFFORD_REPORT_SHA256))
+def test_clifford_report_bytes_are_pinned(tmp_path, command):
+    argv, want = CLIFFORD_REPORT_SHA256[command]
+    out = tmp_path / "report.json"
+    assert main([command, *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
 class TestAlgebraSelfcheck:
+    def test_relations_form_no_dense_generator(self, monkeypatch):
+        def refuse(p, q):
+            raise AssertionError(f"dense generators of ({p},{q}) formed")
+
+        monkeypatch.setattr(clifford, "clifford_generators", refuse)
+        report, status = run_command(RunSpec("algebra-selfcheck", seed=4))
+        assert status == 0
+        assert _by_name(report)["clifford relations"]["residual"] == 0.0
+
     def test_all_identities_pass(self):
         report, status = run_command(RunSpec("algebra-selfcheck", seed=2))
         assert status == 0
@@ -810,6 +836,15 @@ class TestMain:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["pass"] is True
+
+    @pytest.mark.parametrize("where", ["missing parent directory", "a directory"])
+    def test_unwritable_out_is_bad_input(self, tmp_path, capsys, where):
+        out = tmp_path if where == "a directory" else tmp_path / "missing" / "r.json"
+        assert main(["clifford-table", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and str(out) in lines[0]
 
     def test_exit_status_propagates(self, tmp_path):
         spec = _write(tmp_path, "bad_even.json", PUREEVEN2_BAD)

@@ -10,7 +10,9 @@ from spinorlab.clifford import (
     classify_even,
     clifford_generators,
     even_generators,
+    relation_residual,
     signature_eta,
+    signed_permutations,
     spin_representation,
     twisted_reflection,
     vector_embedding,
@@ -82,6 +84,86 @@ class TestGenerators:
             for p in range(n + 1):
                 size = clifford_generators(p, n - p)[0].shape[0]
                 assert size <= 512
+
+
+def _dense_reference(p, q):
+    """The generators by dense np.kron, on the recursion of signed_permutations."""
+    j2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+    d2 = np.array([[1.0, 0.0], [0.0, -1.0]])
+    x2 = np.array([[0.0, 1.0], [1.0, 0.0]])
+    li = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=float)
+    lj = np.array([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]], dtype=float)
+    base = {(0, 0): [], (1, 0): [j2], (0, 1): [d2], (0, 2): [d2, x2], (2, 0): [li, lj]}
+    if (p, q) in base:
+        return base[p, q]
+    if p >= 1 and q >= 1:
+        sub = _dense_reference(p - 1, q - 1)
+        omega, eye = j2 @ x2, np.eye(sub[0].shape[0] if sub else 1)
+        return ([np.kron(g, omega) for g in sub[: p - 1]] + [np.kron(eye, j2)]
+                + [np.kron(g, omega) for g in sub[p - 1:]] + [np.kron(eye, x2)])
+    a, b, sub = (li, lj, _dense_reference(0, p - 2)) if q == 0 else (
+        d2, x2, _dense_reference(q - 2, 0))
+    eye = np.eye(sub[0].shape[0])
+    return [np.kron(eye, a), np.kron(eye, b)] + [np.kron(g, a @ b) for g in sub]
+
+
+def _dense_relation_residual(gens, eta):
+    eye = np.eye(gens[0].shape[0])
+    return max(np.abs(gi @ gj + gj @ gi + 2.0 * eta[i, j] * eye).max()
+               for i, gi in enumerate(gens) for j, gj in enumerate(gens))
+
+
+def _scatter(rows, signs):
+    n, size = rows.shape
+    gens = np.zeros((n, size, size))
+    gens[np.arange(n)[:, None], rows, np.arange(size)] = signs
+    return gens
+
+
+class TestSignedPermutations:
+    @pytest.mark.parametrize("n", range(12))
+    def test_scatter_equals_dense_kron_without_negative_zeros(self, n):
+        for p in range(n + 1):
+            gens = clifford_generators(p, n - p)
+            want = _dense_reference(p, n - p)
+            assert len(gens) == len(want) == n
+            for g, w in zip(gens, want):
+                assert g.shape == w.shape and np.array_equal(g, w)
+                assert not np.any(np.signbit(g[g == 0.0]))
+
+    def test_cached_and_read_only(self):
+        first = signed_permutations(10, 1)
+        assert signed_permutations(10, 1) is first
+        assert first[0].shape == first[1].shape == (11, 256)
+        for arr in first:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0
+
+    def test_negative_signature_rejected(self):
+        with pytest.raises(ValueError):
+            signed_permutations(-1, 2)
+
+    @pytest.mark.parametrize("p,q", [(4, 3), (10, 1)])
+    def test_relation_residual_matches_dense(self, p, q):
+        eta = signature_eta(p, q)
+        rows, signs = signed_permutations(p, q)
+        got = relation_residual(rows, signs, eta)
+        assert got == _dense_relation_residual(_scatter(rows, signs), eta) == 0.0
+
+    @pytest.mark.parametrize("p,q", [(4, 3), (10, 1)])
+    @pytest.mark.parametrize("corrupt", ["flip a sign", "swap two columns"])
+    def test_relation_residual_matches_dense_on_corrupted_generators(self, p, q, corrupt):
+        eta = signature_eta(p, q)
+        rows, signs = (a.copy() for a in signed_permutations(p, q))
+        if corrupt == "flip a sign":
+            signs[3, 5] *= -1.0
+        else:
+            rows[2, [1, 6]] = rows[2, [6, 1]]
+            signs[2, [1, 6]] = signs[2, [6, 1]]
+        got = relation_residual(rows, signs, eta)
+        assert got == _dense_relation_residual(_scatter(rows, signs), eta)
+        assert got > 0.0
 
 
 class TestClassification:
