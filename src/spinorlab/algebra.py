@@ -1,7 +1,8 @@
 """Composition-algebra arithmetic: octonions, quaternion matrices, pfaffians.
 
-Octonions are plain length-8 float vectors multiplied through the frozen
-structure table.  Quaternion matrices are kept as pairs of complex matrices
+Octonions are plain length-8 float vectors; the frozen multiplication table
+is held once, here, as read-only index arrays that every octonion product
+gathers through.  Quaternion matrices are kept as pairs of complex matrices
 (m = A + B j) so that one complex matrix kernel serves multiplication,
 conjugate transposition, inversion and exponentials.
 """
@@ -14,12 +15,12 @@ import numpy as np
 
 from ._octonion_table import TABLE
 
-# Dense structure tensor: (e_s e_t)_k = STRUCTURE[s, t, k].
-STRUCTURE = np.zeros((8, 8, 8))
-for _s in range(8):
-    for _t in range(8):
-        _k, _sign = TABLE[_s][_t]
-        STRUCTURE[_s, _t, _k] = float(_sign)
+# e_s e_t = _SIGN[s, k] e_k for t = _FACTOR[s, k]: each row of TABLE maps the
+# right factor t to its slot k, and _FACTOR holds the inverse permutations.
+_FACTOR = np.argsort(np.array(TABLE)[..., 0], axis=1)
+_SIGN = np.take_along_axis(np.array(TABLE)[..., 1], _FACTOR, axis=1).astype(float)
+_FACTOR.flags.writeable = _SIGN.flags.writeable = False
+_I8 = np.eye(8)
 
 
 def octonion_table_checksum() -> str:
@@ -32,9 +33,9 @@ def octonion_table_checksum() -> str:
 
 def octonion_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Product of two octonions, or of two batches with leading batch axes."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return np.einsum("...s,...t,stk->...k", x, y, STRUCTURE)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    # (x y)_k = sum over s, in s order, of x_s y_FACTOR[s,k] SIGN[s,k]
+    return (x[..., :, None] * y[..., _FACTOR] * _SIGN).sum(axis=-2)
 
 
 def octonion_conj(x: np.ndarray) -> np.ndarray:
@@ -53,12 +54,12 @@ def octonion_norm_sq(x: np.ndarray) -> float | np.ndarray:
 
 def left_mult_matrix(x: np.ndarray) -> np.ndarray:
     """Matrix of y -> x y acting on coefficient vectors."""
-    return np.einsum("s,stk->kt", np.asarray(x, float), STRUCTURE)
+    return octonion_mul(x, _I8).T
 
 
 def right_mult_matrix(x: np.ndarray) -> np.ndarray:
     """Matrix of y -> y x acting on coefficient vectors."""
-    return np.einsum("t,stk->ks", np.asarray(x, float), STRUCTURE)
+    return octonion_mul(_I8, x).T
 
 
 # Coefficient matrix of octonion conjugation.
@@ -66,9 +67,7 @@ CONJ_MATRIX = np.diag([1.0, -1, -1, -1, -1, -1, -1, -1])
 
 
 def octonion_basis(k: int) -> np.ndarray:
-    e = np.zeros(8)
-    e[k] = 1.0
-    return e
+    return _I8[k].copy()
 
 
 # ---------------------------------------------------------------------------

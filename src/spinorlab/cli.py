@@ -517,12 +517,16 @@ def _read_spec(path: str, report: dict) -> dict:
 
 
 def _check_seed_and_tol(args: dict) -> None:
-    """Refuse a seed that is not a nonnegative integer and a NaN or negative tolerance."""
+    """Refuse a seed, order or p that is not an integer, a negative seed, and a
+    tolerance that is not a number, NaN or negative; a bool is neither."""
     seed, tol = args.get("seed", 0), args.get("tol", 0.0)
-    if not isinstance(seed, Integral) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
         raise SpecError(f"seed must be a nonnegative integer, got {seed!r}")
+    for name, val in (("order", args.get("order")), ("p", args.get("p"))):
+        if val is not None and (isinstance(val, bool) or not isinstance(val, Integral)):
+            raise SpecError(f"{name} must be an integer, got {val!r}")
     # NaN compares false, so it is refused with the negative values
-    if not (isinstance(tol, Real) and tol >= 0):
+    if isinstance(tol, bool) or not (isinstance(tol, Real) and tol >= 0):
         raise SpecError(f"tolerance must be a nonnegative number, got {tol!r}")
 
 

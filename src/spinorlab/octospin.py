@@ -7,6 +7,8 @@ of SO(8) together with its outer automorphisms.  Finally a 55-parameter
 family of 32x32 matrices acts on four octonions worth of spinor
 components; its squaring map lands in an 11-dimensional Lorentzian
 vector space and the quartic invariant p detects the orbit type.
+Octonion products come only from ``algebra``'s functions, which own the
+one multiplication table; this module knows nothing of its layout.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 
 from .algebra import (
     CONJ_MATRIX,
-    STRUCTURE,
     left_mult_matrix,
     octonion_basis,
     octonion_conj,
@@ -32,10 +33,7 @@ TRIPLE_TOL = 1e-8
 
 _I8 = np.eye(8)
 _ZERO_OCT = np.zeros(8)
-
-# Multiplication tensor reindexed so that _MUL[k, i, j] is the k-th
-# component of e_i e_j; precomputed for the triple identity check.
-_MUL = np.ascontiguousarray(STRUCTURE.transpose(2, 0, 1))
+_BASIS_PRODUCTS = octonion_mul(_I8[:, None, :], _I8[None, :, :])  # [i, j] holds e_i e_j
 
 
 def _oct(v: np.ndarray | None) -> np.ndarray:
@@ -83,8 +81,9 @@ class TrialityTriple:
 def triple_residual(g1: np.ndarray, g2: np.ndarray, g3: np.ndarray) -> float:
     """Max deviation from orthogonality and from the triple identity."""
     orth = max(float(np.abs(g.T @ g - _I8).max()) for g in (g1, g2, g3))
-    lhs = np.einsum("ka,aij->kij", g2, _MUL)
-    rhs = np.einsum("kab,ai,bj->kij", _MUL, g1, g3)
+    # g2(e_i e_j) against g1(e_i) g3(e_j), for all 64 pairs (i, j)
+    lhs = _BASIS_PRODUCTS @ g2.T
+    rhs = octonion_mul(g1.T[:, None, :], g3.T[None, :, :])
     return max(orth, float(np.abs(lhs - rhs).max()))
 
 
@@ -210,9 +209,9 @@ def unit_stabilizer_basis() -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], 
 def derive_middle_component(a1: np.ndarray, a3: np.ndarray) -> np.ndarray:
     """Solve a2(xy) = a1(x) y + x a3(y) for a2, rejecting incompatible pairs.
 
-    The 512 scalar equations over basis products determine the 64 entries
-    of a2 uniquely; the least squares residual doubles as the membership
-    test for the infinitesimal triple algebra.
+    At x = 1 the identity reads a2(y) = a1(1) y + a3(y), so a2 = L_{a1(1)} + a3.
+    The residual of all 512 scalar equations over basis products is the
+    membership test for the infinitesimal triple algebra.
     """
     a1 = np.asarray(a1, dtype=float)
     a3 = np.asarray(a3, dtype=float)
@@ -220,14 +219,11 @@ def derive_middle_component(a1: np.ndarray, a3: np.ndarray) -> np.ndarray:
     for name, a in (("a1", a1), ("a3", a3)):
         if float(np.abs(a + a.T).max()) > TRIPLE_TOL * scale:
             raise ValueError(f"{name} is not antisymmetric")
-    prods = _MUL.reshape(8, 64)
-    rhs = (
-        np.einsum("si,sjk->kij", a1, STRUCTURE)
-        + np.einsum("tj,itk->kij", a3, STRUCTURE)
-    ).reshape(8, 64)
-    a2t, *_ = np.linalg.lstsq(prods.T, rhs.T, rcond=None)
-    a2 = a2t.T
-    res = float(np.abs(a2 @ prods - rhs).max())
+    a2 = left_mult_matrix(a1[:, 0]) + a3  # a1(1) is the first column of a1
+    # a1(e_i) e_j + e_i a3(e_j) against a2(e_i e_j), for all 64 pairs (i, j)
+    rhs = (octonion_mul(a1.T[:, None, :], _I8[None, :, :])
+           + octonion_mul(_I8[:, None, :], a3.T[None, :, :]))
+    res = float(np.abs(_BASIS_PRODUCTS @ a2.T - rhs).max())
     if res > TRIPLE_TOL * scale:
         raise ValueError(
             f"(a1, a3) admits no compatible middle component (residual {res:.2e})"

@@ -133,6 +133,36 @@ def test_left_right_matrices_agree_with_products():
         assert np.allclose(al.right_mult_matrix(x) @ y, al.octonion_mul(y, x))
 
 
+# -- a dense second route for the table ---------------------------------------
+
+# (e_s e_t)_k = DENSE[s, t, k], built from TABLE without algebra's index arrays
+DENSE = np.zeros((8, 8, 8))
+for _s, _row in enumerate(TABLE):
+    for _t, (_k, _sign) in enumerate(_row):
+        DENSE[_s, _t, _k] = _sign
+
+
+def test_products_equal_the_dense_contraction():
+    rng = np.random.default_rng(29)
+    x, y = rng.normal(size=(2, 300, 8))
+    for i in range(50):
+        assert np.array_equal(al.octonion_mul(x[i], y[i]),
+                              np.einsum("s,t,stk->k", x[i], y[i], DENSE))
+    assert np.array_equal(al.octonion_mul(x, y),
+                          np.einsum("ns,nt,stk->nk", x, y, DENSE))
+    # broadcast: each of 20 left factors against each of 30 right factors
+    xb, yb = x[:20, None, :], y[None, :30, :]
+    assert np.array_equal(al.octonion_mul(xb, yb),
+                          np.einsum("...s,...t,stk->...k", xb, yb, DENSE))
+
+
+def test_multiplication_matrices_equal_the_dense_contraction():
+    rng = np.random.default_rng(30)
+    for x in [*rng.normal(size=(50, 8)), *np.eye(8)]:
+        assert np.array_equal(al.left_mult_matrix(x), np.einsum("s,stk->kt", x, DENSE))
+        assert np.array_equal(al.right_mult_matrix(x), np.einsum("t,stk->ks", x, DENSE))
+
+
 def test_unit_left_right_multiplication_is_orthogonal():
     for _ in range(100):
         x = RNG.normal(size=8)

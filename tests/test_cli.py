@@ -270,6 +270,26 @@ class TestExitCodes:
             assert report["error"] == (
                 f"tolerance must be a nonnegative number, got {float(value)!r}")
 
+    @pytest.mark.parametrize("command, field, value, error", [
+        ("cauchy-solve", "p", 2.0, "p must be an integer, got 2.0"),
+        ("cauchy-solve", "order", 6.0, "order must be an integer, got 6.0"),
+        ("cauchy-solve", "p", True, "p must be an integer, got True"),
+        ("cauchy-solve", "order", True, "order must be an integer, got True"),
+        ("algebra-selfcheck", "seed", True, "seed must be a nonnegative integer, got True"),
+        ("algebra-selfcheck", "tol", True, "tolerance must be a nonnegative number, got True"),
+    ], ids=["float-p", "float-order", "bool-p", "bool-order", "bool-seed", "bool-tol"])
+    def test_bool_or_float_api_input_is_bad_input(self, command, field, value, error):
+        # floats used to escape as a TypeError, and True ran as 1 (exit 0)
+        report, status = run_command(RunSpec(command, **{field: value}))
+        assert status == 2 and "checks" not in report
+        assert report["error"] == error
+
+    def test_numpy_integer_api_inputs_are_accepted(self):
+        _, status = run_command(RunSpec("cauchy-solve", p=np.int64(2), order=np.int64(6)))
+        assert status == 0
+        _, status = run_command(RunSpec("algebra-selfcheck", seed=np.int64(3)))
+        assert status == 0
+
     @pytest.mark.parametrize("tol", [0.0, float("inf")])
     def test_zero_and_infinite_tolerance_are_valid(self, tol):
         report, status = run_command(RunSpec("cauchy-solve", tol=tol))
@@ -491,23 +511,6 @@ class TestDeterminism:
         assert len(report["spec_sha256"]) == 64
 
 
-# sha256 of the full written reports whose Clifford generators are built as
-# signed permutations, recorded while they were built by dense np.kron
-CLIFFORD_REPORT_SHA256 = {
-    "algebra-selfcheck": (["--seed", "3"],
-                          "cb60b2d73543a79426a2fc54353b52267dac7f51e90f95236cc9bcd5f8e10f44"),
-    "clifford-table": ([], "feacc7ca92869535f134db0e3787404d61a4c459358f50adf1c1eb996795e86e"),
-}
-
-
-@pytest.mark.parametrize("command", sorted(CLIFFORD_REPORT_SHA256))
-def test_clifford_report_bytes_are_pinned(tmp_path, command):
-    argv, want = CLIFFORD_REPORT_SHA256[command]
-    out = tmp_path / "report.json"
-    assert main([command, *argv, "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == want
-
-
 class TestAlgebraSelfcheck:
     def test_relations_form_no_dense_generator(self, monkeypatch):
         def refuse(p, q):
@@ -695,29 +698,51 @@ class TestHolonomyEstimate:
 
 DATA = Path(__file__).resolve().parent / "data"
 
-# sha256 of the full written cauchy-solve report, recorded while the series
-# still held one Fraction per coefficient: the exact arithmetic may change
-# how the coefficients are stored, not a byte of any report
-CAUCHY_REPORT_SHA256 = {
-    "p1": (["--p", "1", "--order", "8"],
-           "9fd87b7055c78ba45b63be594e3f75a177923deab9edde79dd53f242a3de3a9a"),
-    "p2": (["--p", "2", "--order", "8"],
-           "58bf7d2165437f3c020e7e145fe83d32db0febb4f43d6bd8fbb53efe86be01c2"),
-    "p3": (["--p", "3", "--order", "8"],
-           "60e4c33971931e2065b02c0503c1aa7ef4c8a5c180b050f8d8d46b8c20a982cd"),
-    "p3-ydeg4-spec": (["--spec", str(DATA / "cauchy_p3_order8_ydeg4.json")],
-                      "544e0b1e7be57bc9ca2348fedd52090182f8445c1099a2d49064a6ceaec12057"),
+# sha256 of full written reports, each recorded before a change to the code
+# behind it: the Clifford rows while the generators were built by dense
+# np.kron, the cauchy-solve reports while the series held one Fraction per
+# coefficient, and the octonion reports while the table was a dense tensor.
+# Such a change may alter how values are computed, not a byte of any report.
+REPORT_SHA256 = {
+    "algebra-selfcheck": (
+        ["algebra-selfcheck", "--seed", "3"],
+        "cb60b2d73543a79426a2fc54353b52267dac7f51e90f95236cc9bcd5f8e10f44"),
+    "clifford-table": (
+        ["clifford-table"],
+        "feacc7ca92869535f134db0e3787404d61a4c459358f50adf1c1eb996795e86e"),
+    "cauchy-p1": (
+        ["cauchy-solve", "--p", "1", "--order", "8"],
+        "9fd87b7055c78ba45b63be594e3f75a177923deab9edde79dd53f242a3de3a9a"),
+    "cauchy-p2": (
+        ["cauchy-solve", "--p", "2", "--order", "8"],
+        "58bf7d2165437f3c020e7e145fe83d32db0febb4f43d6bd8fbb53efe86be01c2"),
+    "cauchy-p3": (
+        ["cauchy-solve", "--p", "3", "--order", "8"],
+        "60e4c33971931e2065b02c0503c1aa7ef4c8a5c180b050f8d8d46b8c20a982cd"),
+    "cauchy-p3-ydeg4-spec": (
+        ["cauchy-solve", "--spec", str(DATA / "cauchy_p3_order8_ydeg4.json")],
+        "544e0b1e7be57bc9ca2348fedd52090182f8445c1099a2d49064a6ceaec12057"),
+    "triality-check": (
+        ["triality-check", "--seed", "5"],
+        "b8a78d762299f8f7a6b1da3acb197940d469d1001d6140c4e911b4bff0e6dc24"),
+    "orbit-report": (
+        ["orbit-report"],
+        "551016f8a37fc2961f46ed4e211bd0ca5e8f72d6ebbb6d15266b8c87b4cf177c"),
+    "curvature-space": (
+        ["curvature-space"],
+        "ace28e0a54c379689c1986afd40a038fc8ce84e8fe5836c8a8ea29e80a7f3e6a"),
 }
 
 
-class TestCauchySolve:
-    @pytest.mark.parametrize("case", sorted(CAUCHY_REPORT_SHA256))
-    def test_report_bytes_are_pinned(self, tmp_path, case):
-        argv, want = CAUCHY_REPORT_SHA256[case]
-        out = tmp_path / "report.json"
-        assert main(["cauchy-solve", *argv, "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+@pytest.mark.parametrize("case", sorted(REPORT_SHA256))
+def test_report_bytes_are_pinned(tmp_path, case):
+    argv, want = REPORT_SHA256[case]
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want
 
+
+class TestCauchySolve:
     def test_builtin_order_six(self):
         report, status = run_command(RunSpec("cauchy-solve", p=2, order=6))
         assert status == 0

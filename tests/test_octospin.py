@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from spinorlab._octonion_table import TABLE
 from spinorlab.algebra import (
     CONJ_MATRIX,
     left_mult_matrix,
@@ -57,6 +58,27 @@ def _rng(salt):
 
 def _random_octonion(rng, scale=1.0):
     return scale * rng.standard_normal(8)
+
+
+# (e_i e_j)_k = MUL[k, i, j], a dense second route for the frozen table
+MUL = np.zeros((8, 8, 8))
+for _i, _row in enumerate(TABLE):
+    for _j, (_k, _sign) in enumerate(_row):
+        MUL[_k, _i, _j] = _sign
+
+
+def _reference_residual(g1, g2, g3):
+    orth = max(float(np.abs(g.T @ g - np.eye(8)).max()) for g in (g1, g2, g3))
+    lhs = np.einsum("ka,aij->kij", g2, MUL)
+    rhs = np.einsum("kab,ai,bj->kij", MUL, g1, g3)
+    return max(orth, float(np.abs(lhs - rhs).max()))
+
+
+def _reference_middle(a1, a3):
+    """Least-squares a2 over all 512 equations a2(e_i e_j) = a1(e_i) e_j + e_i a3(e_j)."""
+    rhs = np.einsum("si,ksj->kij", a1, MUL) + np.einsum("tj,kit->kij", a3, MUL)
+    a2t, *_ = np.linalg.lstsq(MUL.reshape(8, 64).T, rhs.reshape(8, 64).T, rcond=None)
+    return a2t.T
 
 
 class TestCliffordMap:
@@ -150,6 +172,18 @@ class TestTrialityTriples:
                 )
                 assert err < 1e-9
 
+    def test_residual_matches_the_dense_contraction(self):
+        rng = _rng("residual-reference")
+        for _ in range(50):
+            g1, g2, g3 = random_triple(rng).as_tuple()
+            assert abs(triple_residual(g1, g2, g3) - _reference_residual(g1, g2, g3)) <= 1e-15
+            # flipping a column c of g2 leaves it orthogonal but misses every product
+            # landing in slot c by twice that column; take the one with g2's largest entry
+            c = int(np.abs(g2).max(axis=0).argmax())
+            bad = g2.copy()
+            bad[:, c] *= -1
+            assert triple_residual(g1, bad, g3) >= 1.0
+
     def test_composition_respects_identity(self):
         rng = _rng("triple-compose")
         t, s = random_triple(rng), random_triple(rng)
@@ -189,6 +223,11 @@ class TestTripleAlgebra:
         for t in triple_algebra_basis():
             a2 = derive_middle_component(t[0], t[2])
             assert np.abs(a2 - t[1]).max() < 1e-10
+
+    def test_derived_middle_matches_least_squares(self):
+        for t in triple_algebra_basis():
+            a2 = derive_middle_component(t[0], t[2])
+            assert np.abs(a2 - _reference_middle(t[0], t[2])).max() <= 1e-12
 
     def test_incompatible_pair_rejected(self):
         # Left multiplication alone is not a derivation-compatible pair.
