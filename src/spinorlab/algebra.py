@@ -162,11 +162,6 @@ class QMatrix:
     def inv(self) -> "QMatrix":
         return QMatrix.unembed(np.linalg.inv(self.embed()), self.shape)
 
-    def expm(self) -> "QMatrix":
-        from scipy.linalg import expm
-
-        return QMatrix.unembed(expm(self.embed()), self.shape)
-
 
 # ---------------------------------------------------------------------------
 # Pfaffian and the quaternion 2x2 determinant

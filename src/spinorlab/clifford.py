@@ -34,7 +34,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import MatrixSpan, constrained_span, orthonormal_span
+from .linalg import MatrixSpan, Triples, block_kernel, orthonormal_span
 
 
 # the base generators as signed permutations (rows, signs): column c holds
@@ -420,20 +420,40 @@ class SpinRepresentation:
     def invariant_forms(self) -> list[np.ndarray]:
         """Symmetric forms Q with a^T Q + Q a = 0 on the rotation generators (solved once).
 
-        Each form is normalized to unit Frobenius norm and is read-only.
+        The kernel of ``_form_constraints`` is one ``block_kernel``.  Each
+        form is normalized to unit Frobenius norm and is read-only.
         """
         if self._forms is None:
-            d = self.dim
-            rows, cols = np.triu_indices(d)
-            k = np.arange(rows.size)
-            units = np.zeros((rows.size, d, d))
-            units[k, rows, cols] = units[k, cols, rows] = 1.0
-            forms = constrained_span(
-                units, [lambda e, a=a: a.T @ e + e @ a for a in self.so_basis],
-                "spinor form")
+            kernel = block_kernel(_form_constraints(self.so_basis), "spinor form")
+            forms = kernel.T[:, _unit_index(self.dim)]
             forms /= np.linalg.norm(forms, axis=(1, 2))[:, None, None]
             self._forms = list(_read_only(forms))
         return list(self._forms)
+
+
+def _unit_index(d: int) -> np.ndarray:
+    """The symmetric d x d unit holding each cell, units in ``np.triu_indices`` order."""
+    unit = np.zeros((d, d), dtype=np.intp)
+    upper = np.triu_indices(d)
+    unit[upper] = unit[upper[::-1]] = np.arange(upper[0].size)
+    return unit
+
+
+def _form_constraints(so_basis: np.ndarray) -> Triples:
+    """Triples of e -> (a^T e + e a for each a in ``so_basis``) on the symmetric units.
+
+    Row g d^2 + i d + j is cell (i, j) of the image under generator g, and
+    column u is unit u of ``_unit_index``.  Cell (p, o) of a unit sends
+    a nonzero a[p, x] to cell (x, o) of a^T e and to cell (o, x) of e a, so
+    no image is formed densely; a cell that both terms reach is listed twice.
+    """
+    count, d, _ = so_basis.shape
+    g, p, x = np.nonzero(so_basis)
+    base, other = (g * d * d)[:, None], np.arange(d)
+    rows = np.concatenate([base + x[:, None] * d + other, base + other * d + x[:, None]])
+    cols = np.tile(_unit_index(d)[p], (2, 1))
+    values = np.repeat(np.tile(so_basis[g, p, x], 2), d)
+    return Triples(rows.ravel(), cols.ravel(), values, (count * d * d, d * (d + 1) // 2))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

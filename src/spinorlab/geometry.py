@@ -31,6 +31,8 @@ from .jets import (
     shared_context,
 )
 from .linalg import (
+    Triples,
+    block_kernel,
     block_rank,
     block_span,
     bracket_closure,
@@ -1082,21 +1084,19 @@ def _faces(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     return tuple(np.moveaxis(table, -1, 0))
 
 
-def _bianchi_matrix(mats: list[np.ndarray], n: int) -> np.ndarray:
-    """First Bianchi map on h tensor Lambda^2, R(x, y)z + cyclic, one indexed assignment.
+def _bianchi_matrix(mats: list[np.ndarray], n: int) -> Triples:
+    """First Bianchi map on h tensor Lambda^2, R(x, y)z + cyclic, as triples.
 
     Row t n + a is component a on triple t, column alpha C(n, 2) + f basis
     element alpha on pair f; the face without T_s takes (-1)^s h_alpha[a, T_s].
+    Each nonzero cell is listed once.
     """
     row, face, removed, sign = _faces(n, 3)
-    h = np.stack(mats)
     npairs = n * (n - 1) // 2
-    b = np.zeros((n * len(row), len(mats) * npairs))
-    # values[alpha, t, s, a]; each cell is hit once, so += adds to a zero
-    values = sign[..., None] * h[:, :, removed].transpose(0, 2, 3, 1)
-    cols = np.arange(len(mats))[:, None, None] * npairs + face
-    b[row[..., None] * n + np.arange(n), cols[..., None]] += values
-    return b
+    values = sign[..., None] * np.stack(mats)[:, :, removed].transpose(0, 2, 3, 1)
+    alpha, t, s, a = np.nonzero(values)
+    return Triples(row[t, s] * n + a, alpha * npairs + face[t, s], values[alpha, t, s, a],
+                   (n * len(row), len(mats) * npairs))
 
 
 def invariant_forms(mats, k: int, label: str) -> np.ndarray:
@@ -1106,7 +1106,7 @@ def invariant_forms(mats, k: int, label: str) -> np.ndarray:
     keeps every k-form.  Coefficients run over ``combinations(range(n), k)``.
     k-subsets T and U with a common face, T without T_s and U without U_r,
     give -(-1)^(s + r) a[U_r, T_s] at (T, U): pairing the cofaces of each
-    face builds the operator, one block of rows per a.
+    face gives the operator's triples, one block of rows per a.
     """
     h = np.asarray(mats, dtype=float)
     if h.ndim != 3 or h.shape[1] != h.shape[2] or not 1 <= k <= h.shape[1]:
@@ -1115,18 +1115,15 @@ def invariant_forms(mats, k: int, label: str) -> np.ndarray:
     n = h.shape[1]
     row, face, removed, sign = _faces(n, k)
     size = len(row)
-    if not len(h):
-        return np.eye(size)
     # the n - k + 1 cofaces (T, s) of each face, one face per row
     by_face = np.argsort(face, axis=None, kind="stable").reshape(-1, n - k + 1)
     t, r, s = row.ravel()[by_face], removed.ravel()[by_face], sign.ravel()[by_face]
     values = -(s[:, :, None] * s[:, None, :]) * h[:, r[:, None, :], r[:, :, None]]
-    cells = (np.arange(len(h))[:, None, None, None] * size + t[:, :, None]) * size + t[:, None, :]
-    op = np.bincount(cells.ravel(), weights=values.ravel(), minlength=len(h) * size * size)
-    # the guard band decides the rank block by block; the kernel is the rest
-    # of an orthonormal completion of that row basis, with no second decision
-    basis = block_span(op.reshape(-1, size), label)
-    return np.linalg.qr(basis.T, mode="complete")[0][:, len(basis):]
+    rows = np.broadcast_to(np.arange(len(h))[:, None, None, None] * size + t[:, :, None],
+                           values.shape)
+    cols = np.broadcast_to(t[:, None, :], values.shape)
+    return block_kernel(Triples(rows.ravel(), cols.ravel(), values.ravel(),
+                                (len(h) * size, size)), label)
 
 
 def _rank_mod_p(mat: np.ndarray, prime: int = 1_000_003) -> int:
@@ -1154,8 +1151,8 @@ def curvature_space_dim(stabilizer) -> int:
     over floats with a guard band, cross-checked by exact elimination mod a
     large prime whenever the supplied basis is integral.  The orthonormal
     basis of h keeps each element on one block of matrix entries, so the
-    Bianchi matrix splits into independent blocks and is ranked block by
-    block.
+    Bianchi operator's triples split into independent blocks and are ranked
+    block by block.
     """
     mats = [np.asarray(h, dtype=float) for h in stabilizer]
     if not mats:
@@ -1169,7 +1166,10 @@ def curvature_space_dim(stabilizer) -> int:
     integral = (len(mats) == m
                 and all(np.abs(h - np.round(h)).max() < 1e-9 for h in mats))
     if integral:
-        bint = _bianchi_matrix([np.round(h).astype(np.int64) for h in mats], n)
+        # each cell is listed once, so one assignment scatters the triples
+        r, c, v, shape = _bianchi_matrix([np.round(h).astype(np.int64) for h in mats], n)
+        bint = np.zeros(shape, dtype=np.int64)
+        bint[r, c] = v
         rank_int = _rank_mod_p(bint)
         if rank_int != rank:
             raise RuntimeError(

@@ -5,13 +5,19 @@ normalized by the largest one and compared against a hard threshold;
 values falling inside the ambiguous guard band abort the computation
 instead of silently rounding a dimension up or down.  Each decision is
 one SVD, and a kernel or span is read from the same factorization.
-``block_rank`` and ``block_span`` take one SVD per independent block of a
-sparse matrix instead, under one guard band across all blocks.
+
+Large sparse operators are passed as ``Triples`` (rows, columns, values and
+a shape) and never formed densely; a dense array is read through one
+``np.nonzero``.  ``block_rank``, ``block_span`` and ``block_kernel`` find the
+operator's independent blocks with numpy alone (connected components of
+the row/column graph) and take one SVD per block, under one guard band
+across all blocks.  The small dense solves (the orbit models' algebras and
+vector spaces, the octonion unit stabilizer) stay on ``constrained_span``.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -60,45 +66,112 @@ def _guarded_svd(
     return _band_rank(sv, label), vt
 
 
-def _blocks(m: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Row and column indices of the independent blocks of ``m``.
+class Triples(NamedTuple):
+    """A sparse operator: ``values[k]`` at row ``rows[k]``, column ``cols[k]``.
 
-    Rows and columns that share a nonzero belong to the same block; a row
-    or column that is all zero belongs to none.
+    A cell listed more than once holds the sum of its values.
     """
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
 
-    nrows, ncols = m.shape
-    r, c = np.nonzero(m)
-    graph = coo_matrix((np.ones(r.size), (r, nrows + c)),
-                       shape=(nrows + ncols, nrows + ncols))
-    count, labels = connected_components(graph, directed=False)
-    order = np.argsort(labels, kind="stable")
-    bounds = np.searchsorted(labels[order], np.arange(count + 1))
-    out = []
-    for k in range(count):
-        nodes = order[bounds[k]:bounds[k + 1]]
-        rows, cols = nodes[nodes < nrows], nodes[nodes >= nrows] - nrows
-        if rows.size and cols.size:
-            out.append((rows, cols))
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    shape: tuple[int, int]
+
+
+def _triples(op) -> Triples:
+    """``op`` with each nonzero cell once, in row-major order.
+
+    A dense array goes through one ``np.nonzero``.  Triples have their
+    repeated cells summed in the order given, and cells that sum to zero
+    dropped, so both give the cells ``np.nonzero`` finds in the dense sum.
+    """
+    if not isinstance(op, Triples):
+        m = np.asarray(op, dtype=float)
+        r, c = np.nonzero(m)
+        return Triples(r, c, m[r, c], m.shape)
+    nrows, ncols = op.shape
+    values = np.ravel(op.values)
+    listed = values != 0
+    flat = np.ravel(op.rows)[listed].astype(np.intp) * ncols + np.ravel(op.cols)[listed]
+    cells, at = np.unique(flat, return_inverse=True)
+    values = np.bincount(at, weights=values[listed], minlength=cells.size)
+    keep = values != 0
+    return Triples(*np.divmod(cells[keep], ncols), values[keep], (nrows, ncols))
+
+
+def _blocks(op: Triples) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Row and column indices of the independent blocks of nonzero triples.
+
+    Rows and columns that share a cell belong to the same block; a row or
+    column with no cell belongs to none.  Each node of the bipartite
+    row/column graph takes the least node it reaches, by min-label
+    propagation along the cells with pointer jumping; blocks come out in
+    the order of their least node, rows and columns ascending.
+    """
+    nrows = op.shape[0]
+    u, v = op.rows, nrows + op.cols
+    label = np.arange(nrows + op.shape[1])
+    while True:
+        hooked = label.copy()
+        low = np.minimum(label[u], label[v])
+        np.minimum.at(hooked, u, low)
+        np.minimum.at(hooked, v, low)
+        while not np.array_equal(jumped := hooked[hooked], hooked):
+            hooked = jumped
+        if np.array_equal(hooked, label):
+            break
+        label = hooked
+    nodes = np.union1d(u, v)
+    if not nodes.size:
+        return []
+    nodes = nodes[np.argsort(label[nodes], kind="stable")]
+    groups = np.split(nodes, np.flatnonzero(np.diff(label[nodes])) + 1)
+    return [(g[g < nrows], g[g >= nrows] - nrows) for g in groups]
+
+
+def _gathered(op: Triples) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Each independent block of nonzero triples as (rows, columns, dense block)."""
+    blocks = _blocks(op)
+    owner = np.empty(op.shape[0], dtype=np.intp)
+    for k, (rows, _) in enumerate(blocks):
+        owner[rows] = k
+    of_cell = owner[op.rows]
+    order = np.argsort(of_cell, kind="stable")
+    bounds = np.searchsorted(of_cell[order], np.arange(len(blocks) + 1))
+    for k, (rows, cols) in enumerate(blocks):
+        at = order[bounds[k]:bounds[k + 1]]
+        block = np.zeros((rows.size, cols.size))
+        block[np.searchsorted(rows, op.rows[at]), np.searchsorted(cols, op.cols[at])] = op.values[at]
+        yield rows, cols, block
+
+
+def _kept(values: list[np.ndarray], label: str) -> list[int]:
+    """How many of each block's singular values one guard band over all blocks keeps."""
+    merged = np.sort(np.concatenate(values or [np.empty(0)]))[::-1]
+    rank = _band_rank(merged, label)
+    # the kept values are exactly those at least the smallest kept one
+    cut = merged[rank - 1] if rank else np.inf
+    return [int(np.count_nonzero(sv >= cut)) for sv in values]
+
+
+def block_rank(op, label: str = "matrix") -> int:
+    """``guarded_rank`` of a dense array or ``Triples``, one SVD per independent block.
+
+    The blocks' singular values together are those of the operator, and the
+    guard band is applied to them relative to the largest overall.
+    """
+    sv = [np.linalg.svd(b, compute_uv=False) for _, _, b in _gathered(_triples(op))]
+    return sum(_kept(sv, label))
+
+
+def _placed(parts: list[tuple[np.ndarray, np.ndarray]], ncols: int) -> np.ndarray:
+    """The rows of each (columns, rows) part set on its columns, parts stacked in order."""
+    out = np.zeros((sum(len(rows) for _, rows in parts), ncols))
+    done = 0
+    for cols, rows in parts:
+        out[done:done + len(rows), cols] = rows
+        done += len(rows)
     return out
-
-
-def _descending(values: list[np.ndarray]) -> np.ndarray:
-    """The blocks' singular values as one array, largest first."""
-    return np.sort(np.concatenate(values or [np.empty(0)]))[::-1]
-
-
-def block_rank(mat: np.ndarray, label: str = "matrix") -> int:
-    """``guarded_rank`` of ``mat`` from one SVD per independent block.
-
-    The blocks' singular values together are those of ``mat``, and the guard
-    band is applied to them relative to the largest overall.
-    """
-    m = np.asarray(mat, dtype=float)
-    sv = [np.linalg.svd(m[np.ix_(r, c)], compute_uv=False) for r, c in _blocks(m)]
-    return _band_rank(_descending(sv), label)
 
 
 def block_span(vectors: list[np.ndarray], label: str = "span") -> np.ndarray:
@@ -110,20 +183,32 @@ def block_span(vectors: list[np.ndarray], label: str = "span") -> np.ndarray:
     if len(vectors) == 0:
         raise ValueError(f"{label}: no vectors to span")
     rows = np.asarray(vectors, dtype=float).reshape(len(vectors), -1)
-    blocks = _blocks(rows)
-    factors = [np.linalg.svd(rows[np.ix_(r, c)], full_matrices=False)[1:]
-               for r, c in blocks]
-    merged = _descending([sv for sv, _ in factors])
-    rank = _band_rank(merged, label)
-    # the kept values are exactly those at least the smallest kept one
-    cut = merged[rank - 1] if rank else np.inf
-    out = np.zeros((rank, rows.shape[1]))
-    done = 0
-    for (_, cols), (sv, vt) in zip(blocks, factors):
-        keep = int(np.count_nonzero(sv >= cut))
-        out[done:done + keep, cols] = vt[:keep]
-        done += keep
-    return out
+    factors = [(cols, *np.linalg.svd(b, full_matrices=False)[1:])
+               for _, cols, b in _gathered(_triples(rows))]
+    kept = _kept([sv for _, sv, _ in factors], label)
+    return _placed([(cols, vt[:keep]) for (cols, _, vt), keep in zip(factors, kept)],
+                   rows.shape[1])
+
+
+def block_kernel(op, label: str = "matrix") -> np.ndarray:
+    """Orthonormal basis (columns) of the kernel of a dense array or ``Triples``.
+
+    Each independent block gives its trailing right singular vectors on its
+    own columns, under one guard band over all blocks; a column that no
+    block touches is a kernel vector of its own, after those of the blocks.
+    """
+    t = _triples(op)
+    # a tall block's thin vt is already square; only a wide one needs the
+    # full factor to reach its kernel
+    factors = [(cols, *np.linalg.svd(b, full_matrices=b.shape[0] < b.shape[1])[1:])
+               for _, cols, b in _gathered(t)]
+    kept = _kept([sv for _, sv, _ in factors], label)
+    parts = [(cols, vt[keep:]) for (cols, _, vt), keep in zip(factors, kept)]
+    free = np.ones(t.shape[1], dtype=bool)
+    for cols, _ in parts:
+        free[cols] = False
+    parts.append((np.flatnonzero(free), np.eye(np.count_nonzero(free))))
+    return _placed(parts, t.shape[1]).T
 
 
 def guarded_rank(mat: np.ndarray, label: str = "matrix") -> int:

@@ -305,11 +305,6 @@ class SpinOrbitModel:
             m = m + c * a
         return m
 
-    def sample_group(self, rng: np.random.Generator, scale: float = 0.3):
-        from scipy.linalg import expm
-
-        return expm(self.sample_algebra(rng, scale))
-
     def sample_spinor(self, rng: np.random.Generator) -> np.ndarray:
         s = rng.normal(size=self.spinor_dim)
         if self.complex_field:

@@ -152,7 +152,7 @@ def test_criterion_03_orbit_integers(verdict):
 # -- 4: squaring-map identities -----------------------------------------------
 
 
-def test_criterion_04_squaring_identities(verdict):
+def test_criterion_04_squaring_identities(verdict, sample_group):
     with verdict(4, "squaring-map identities and equivariance"):
         rng = np.random.default_rng(SEED)
         for _ in range(200):
@@ -166,7 +166,7 @@ def test_criterion_04_squaring_identities(verdict):
             model = orbits.get_model(name)
             for _ in range(200):
                 s = model.sample_spinor(rng)
-                g = model.sample_group(rng)
+                g = sample_group(model, rng)
                 lhs = model.square_spinor(model.act_spinor(g, s))
                 rhs = model.act_vector(g, model.square_spinor(s))
                 scale = max(1.0, float(np.linalg.norm(rhs)))

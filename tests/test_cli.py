@@ -878,11 +878,20 @@ class TestMain:
         assert code == 1
 
     def test_import_loads_no_scipy(self):
-        code = ("import sys, spinorlab.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        # after the import, and again after the block solves of curvature-space,
+        # orbit-report and the spin(4,4) purity test
+        code = ("import sys\n"
+                "def loaded():\n"
+                "    print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+                "from spinorlab import cli, orbits\n"
+                "loaded()\n"
+                "for command in ('curvature-space', 'orbit-report'):\n"
+                "    assert cli.run_command(cli.RunSpec(command))[1] == 0\n"
+                "assert orbits.is_pure((4, 4), orbits.pure_spinor((4, 4)))\n"
+                "loaded()\n")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=_source_env(), check=True)
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.split() == ["[]", "[]"]
 
     def test_non_finite_report_is_strict_json(self, tmp_path):
         spec = _write(tmp_path, "m31.json", M31_OVERFLOW)

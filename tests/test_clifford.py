@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from spinorlab import clifford
 from spinorlab.clifford import (
     classify,
     classify_even,
@@ -18,7 +19,13 @@ from spinorlab.clifford import (
     vector_embedding,
     volume_element,
 )
-from spinorlab.linalg import span_dimension
+from spinorlab.linalg import (
+    constrained_span,
+    orthonormal_span,
+    projection_residual,
+    real_flat,
+    span_dimension,
+)
 
 # Independent oracle for the algebra type: classical table for definite
 # signatures plus the tensor steps that double the block size.
@@ -334,6 +341,51 @@ class TestSpinRepresentation:
         # squaring to +I fixes the primitive idempotent's module
         rep = spin_representation(p, q)
         assert np.allclose(rep.volume, np.eye(rep.dim), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Invariant spinor forms by two routes
+
+
+def _symmetric_units(d):
+    rows, cols = np.triu_indices(d)
+    k = np.arange(rows.size)
+    units = np.zeros((rows.size, d, d))
+    units[k, rows, cols] = units[k, cols, rows] = 1.0
+    return units
+
+
+def _dense_forms(rep):
+    """Oracle: one dense ``constrained_span`` of the symmetric units, unit Frobenius norm."""
+    forms = constrained_span(
+        _symmetric_units(rep.dim), [lambda e, a=a: a.T @ e + e @ a for a in rep.so_basis],
+        "dense spinor form")
+    return forms / np.linalg.norm(forms, axis=(1, 2))[:, None, None]
+
+
+@pytest.mark.parametrize("p,q", [(3, 3), (4, 3), (4, 4), (7, 0), (8, 0)])
+def test_spinor_forms_by_two_routes(p, q):
+    rep = spin_representation(p, q)
+    # the constraint triples hold the dense images, cell by cell
+    t = clifford._form_constraints(rep.so_basis)
+    images = np.column_stack([np.concatenate([real_flat(a.T @ e + e @ a) for a in rep.so_basis])
+                              for e in _symmetric_units(rep.dim)])
+    scattered = np.zeros(t.shape)
+    np.add.at(scattered, (t.rows, t.cols), t.values)
+    assert np.array_equal(scattered, images)
+    forms, dense = rep.invariant_forms(), _dense_forms(rep)
+    assert len(forms) == len(dense) >= 1
+    for a, b in ((forms, dense), (dense, forms)):
+        span = orthonormal_span(list(b), "forms")
+        assert max(projection_residual(f, span) for f in a) <= 1e-12
+
+
+def test_spin_10_1_has_no_form_and_needs_no_large_svd(svd_cells):
+    clifford.spin_representation.cache_clear()
+    rep = spin_representation(10, 1)
+    assert rep.invariant_forms() == []
+    # one dense solve would take a 56,320 x 528 SVD: 29.7 M cells
+    assert 0 < max(svd_cells) <= 600_000
 
 
 def test_modules_draw_no_random_numbers(monkeypatch):

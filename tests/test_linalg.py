@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from spinorlab import linalg
 from spinorlab.linalg import (
     RankAmbiguityError,
+    Triples,
+    block_kernel,
     block_rank,
     block_span,
     constrained_span,
@@ -62,7 +66,9 @@ AMBIGUOUS = np.diag([1.0, 1e-7, 0.0])
     lambda m: orthonormal_span(list(m), "ambiguous"),
     lambda m: block_rank(m, "ambiguous"),
     lambda m: block_span(list(m), "ambiguous"),
-], ids=["guarded_rank", "nullspace", "orthonormal_span", "block_rank", "block_span"])
+    lambda m: block_kernel(m, "ambiguous"),
+], ids=["guarded_rank", "nullspace", "orthonormal_span", "block_rank", "block_span",
+        "block_kernel"])
 def test_ratio_inside_guard_band_is_refused(decide):
     with pytest.raises(RankAmbiguityError, match=r"ambiguous: singular value ratio 1\.000e-07"):
         decide(AMBIGUOUS)
@@ -139,6 +145,8 @@ def test_block_rank_and_span_match_the_dense_decision(shapes, seed):
             block_rank(m, "blocks")
         with pytest.raises(RankAmbiguityError):
             block_span(list(m), "blocks")
+        with pytest.raises(RankAmbiguityError):
+            block_kernel(m, "blocks")
         return
     assert block_rank(m, "blocks") == rank
     span = block_span(list(m), "blocks")
@@ -151,15 +159,130 @@ def test_block_rank_and_span_match_the_dense_decision(shapes, seed):
         assert linalg.projection_residual(v, span) < 1e-10
     for v in span:
         assert linalg.projection_residual(v, dense) < 1e-10
+    kernel = block_kernel(m, "blocks")
+    assert kernel.shape == (m.shape[1], m.shape[1] - rank)
+    assert np.allclose(kernel.T @ kernel, np.eye(m.shape[1] - rank), atol=1e-12)
+    assert np.abs(m @ kernel).max(initial=0.0) < 1e-10
+    for col in kernel.T:
+        support = set(np.flatnonzero(col))
+        assert any(support <= cs for cs in col_sets)
+
+
+def test_triples_and_dense_array_take_one_route():
+    m, _ = _permuted_blocks([(4, 3, 2), (2, 5, 1), (3, 3, 3)], seed=5)
+    r, c = np.nonzero(m)
+    # each cell split in two halves, in reverse order, with explicit zeros
+    # and a cancelling pair on a cell the dense array leaves empty
+    t = Triples(np.r_[r, r, 0, 1, 1][::-1], np.r_[c, c, 0, 2, 2][::-1],
+                np.r_[m[r, c] / 2, m[r, c] / 2, 0.0, 1.0, -1.0][::-1], m.shape)
+    assert block_rank(t) == block_rank(m)
+    assert np.array_equal(block_kernel(t), block_kernel(m))
+    assert [(list(a), list(b)) for a, b in linalg._blocks(linalg._triples(t))] == \
+        [(list(a), list(b)) for a, b in linalg._blocks(linalg._triples(m))]
 
 
 def test_blocks_skip_zero_rows_and_columns():
-    m = np.zeros((4, 5))
-    m[1, 3] = 2.0
-    m[3, 0] = m[3, 2] = 1.0
-    assert [(list(r), list(c)) for r, c in linalg._blocks(m)] == [([1], [3]), ([3], [0, 2])]
+    # the cells of m[1, 3] = 2 and m[3, 0] = m[3, 2] = 1, one of them listed
+    # in two parts, beside an explicit zero and a pair that cancels
+    m = Triples(np.array([1, 3, 3, 0, 2, 2, 3]), np.array([3, 0, 2, 1, 4, 4, 0]),
+                np.array([2.0, 0.5, 1.0, 0.0, 1.0, -1.0, 0.5]), (4, 5))
+    assert [(list(r), list(c)) for r, c in linalg._blocks(linalg._triples(m))] == \
+        [([1], [3]), ([3], [0, 2])]
     assert block_rank(np.zeros((3, 2))) == 0
     assert block_span([np.zeros(4)]).shape == (0, 4)
+    # the row (1, 1) on columns 0 and 2 leaves one kernel vector, then the
+    # untouched columns 1 and 4
+    kernel = block_kernel(m)
+    assert np.allclose(np.abs(kernel[:, 0]), np.array([1, 0, 1, 0, 0]) / np.sqrt(2), atol=1e-15)
+    assert np.array_equal(kernel[:, 1:], np.eye(5)[:, [1, 4]])
+
+
+def _scipy_blocks(t):
+    """The blocks of nonzero triples by scipy's connected components, least node first."""
+    nrows, ncols = t.shape
+    graph = coo_matrix((np.ones(t.rows.size), (t.rows, nrows + t.cols)),
+                       shape=(nrows + ncols, nrows + ncols))
+    count, labels = connected_components(graph, directed=False)
+    order = np.argsort(labels, kind="stable")
+    bounds = np.searchsorted(labels[order], np.arange(count + 1))
+    out = []
+    for k in range(count):
+        nodes = order[bounds[k]:bounds[k + 1]]
+        rows, cols = nodes[nodes < nrows], nodes[nodes >= nrows] - nrows
+        if rows.size and cols.size:
+            out.append((rows.tolist(), cols.tolist()))
+    return out
+
+
+def _bianchi_case(n):
+    from spinorlab import geometry, octospin
+
+    if n == 11:
+        mats = [e.rho for e in octospin.null_stabilizer_basis()]
+        mats = list(block_span(mats).reshape(-1, n, n))
+    else:
+        mats = geometry.so_basis(n)
+    return geometry._bianchi_matrix(mats, n)
+
+
+def _form_case(sig):
+    from spinorlab import clifford
+
+    return clifford._form_constraints(clifford.spin_representation(*sig).so_basis)
+
+
+def _random_case(seed):
+    # repeated cells, explicit zeros and cancelling pairs, at several densities
+    rng = np.random.default_rng(seed)
+    nrows, ncols = rng.integers(1, 40, size=2)
+    count = int(rng.integers(0, 2 * (nrows + ncols)))
+    rows, cols = rng.integers(0, nrows, count), rng.integers(0, ncols, count)
+    values = rng.standard_normal(count) * (rng.random(count) > 0.2)
+    return Triples(np.r_[rows, rows[:3]], np.r_[cols, cols[:3]],
+                   np.r_[values, -values[:3]], (nrows, ncols))
+
+
+def _path_case(order):
+    # rows and columns alternate along one path of 2,000 nodes: row i meets
+    # columns i - 1 and i; "shuffled" numbers both sides at random
+    n = 1000
+    rows, cols = np.r_[np.arange(n), np.arange(1, n)], np.r_[np.arange(n), np.arange(n - 1)]
+    if order == "reversed":
+        rows, cols = n - 1 - rows, n - 1 - cols
+    elif order == "shuffled":
+        rng = np.random.default_rng(17)
+        rows, cols = rng.permutation(n)[rows], rng.permutation(n)[cols]
+    return Triples(rows, cols, np.ones(rows.size), (n, n))
+
+
+def _empty_case(shape):
+    return Triples(np.zeros(0, int), np.zeros(0, int), np.zeros(0), shape)
+
+
+BLOCK_CASES = {
+    **{f"bianchi so({n})": (_bianchi_case, n) for n in (3, 4, 5)},
+    "bianchi null stabilizer": (_bianchi_case, 11),
+    **{f"spinor forms {sig}": (_form_case, sig)
+       for sig in [(3, 3), (4, 3), (4, 4), (7, 0), (8, 0)]},
+    **{f"random {seed}": (_random_case, seed) for seed in range(40)},
+    **{f"path {order}": (_path_case, order) for order in ("ascending", "reversed", "shuffled")},
+    **{f"empty {shape}": (_empty_case, shape) for shape in [(0, 0), (0, 5), (5, 0)]},
+    "all-zero triples": (lambda shape: Triples(np.array([0, 2, 2]), np.array([1, 3, 3]),
+                                               np.array([0.0, 1.0, -1.0]), shape), (3, 4)),
+    "all-zero array": (np.zeros, (3, 4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_blocks_match_scipy_connected_components(case):
+    build, arg = BLOCK_CASES[case]
+    t = linalg._triples(build(arg))
+    got = [(r.tolist(), c.tolist()) for r, c in linalg._blocks(t)]
+    assert got == _scipy_blocks(t)
+    if case.startswith("path"):
+        assert len(got) == 1 and len(got[0][0]) + len(got[0][1]) == 2000
+    if case.startswith(("empty", "all-zero")):
+        assert got == []
 
 
 def test_guard_band_is_global_across_blocks():

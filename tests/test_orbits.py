@@ -104,11 +104,11 @@ class TestConstruction:
         assert (plus, minus) == model.signature
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
-    def test_sampled_elements_are_members(self, name):
+    def test_sampled_elements_are_members(self, name, sample_group):
         model = get_model(name)
         rng = _rng(name, 1)
         for _ in range(10):
-            g = model.sample_group(rng)
+            g = sample_group(model, rng)
             assert model.membership_residual(g) < 1e-12
 
     def test_spin11_is_the_identity_component(self):
@@ -132,10 +132,10 @@ class TestConstruction:
             model.act_spinor(g, model.sample_spinor(_rng(name, 3)))
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
-    def test_act_spinor_rejects_perturbed_elements(self, name):
+    def test_act_spinor_rejects_perturbed_elements(self, name, sample_group):
         model = get_model(name)
         rng = _rng(name, 2)
-        g = model.sample_group(rng)
+        g = sample_group(model, rng)
         noise = rng.normal(size=g.shape) * 1e-6
         s = model.sample_spinor(rng)
         with pytest.raises(ValueError):
@@ -168,24 +168,24 @@ INVARIANT_KEYS = {
 
 class TestActions:
     @pytest.mark.parametrize("name", MODEL_NAMES)
-    def test_vector_square_is_invariant(self, name):
+    def test_vector_square_is_invariant(self, name, sample_group):
         model = get_model(name)
         rng = _rng(name, 3)
         for _ in range(20):
-            g = model.sample_group(rng)
+            g = sample_group(model, rng)
             v = model.sample_vector(rng)
             before = model.vector_square(v)
             after = model.vector_square(model.act_vector(g, v))
             assert abs(after - before) <= 1e-10 * max(1.0, abs(before))
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
-    def test_orbit_invariants_constant_on_orbits(self, name):
+    def test_orbit_invariants_constant_on_orbits(self, name, sample_group):
         model = get_model(name)
         rng = _rng(name, 4)
         for _ in range(15):
             s = model.sample_spinor(rng)
             ref = model.orbit_invariant(s)
-            g = model.sample_group(rng)
+            g = sample_group(model, rng)
             moved = model.orbit_invariant(model.act_spinor(g, s))
             for key, value in ref.items():
                 if isinstance(value, str):
@@ -194,10 +194,10 @@ class TestActions:
                     assert np.allclose(moved[key], value, atol=1e-10, rtol=1e-10)
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
-    def test_vector_action_is_linear_in_v(self, name):
+    def test_vector_action_is_linear_in_v(self, name, sample_group):
         model = get_model(name)
         rng = _rng(name, 5)
-        g = model.sample_group(rng)
+        g = sample_group(model, rng)
         v1 = model.sample_vector(rng)
         v2 = model.sample_vector(rng)
         lhs = model.act_vector(g, v1 + 2.0 * v2)
@@ -227,12 +227,12 @@ class TestSquaring:
                     model.square_spinor(s)
 
     @pytest.mark.parametrize("name", SQUARING_MODELS)
-    def test_squaring_equivariance(self, name):
+    def test_squaring_equivariance(self, name, sample_group):
         model = get_model(name)
         rng = _rng(name, 7)
         for _ in range(200):
             s = model.sample_spinor(rng)
-            g = model.sample_group(rng)
+            g = sample_group(model, rng)
             lhs = model.square_spinor(model.act_spinor(g, s))
             rhs = model.act_vector(g, model.square_spinor(s))
             scale = max(1.0, float(np.linalg.norm(rhs)))
@@ -355,12 +355,12 @@ class TestOrbitIntegers:
         assert len(labels) == 1
         assert stab + model.orbit_dimension(s) == model.group_dim
 
-    def test_stabilizer_invariant_along_orbit(self):
+    def test_stabilizer_invariant_along_orbit(self, sample_group):
         model = get_model("SPIN51")
         rng = _rng("SPIN51", 13)
         s = np.array([0, 1, 0, 0, 1, 0, 0, 0], dtype=complex)
         for _ in range(5):
-            s = model.act_spinor(model.sample_group(rng), s)
+            s = model.act_spinor(sample_group(model, rng), s)
             assert model.stabilizer_dimension(s) == 4
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
@@ -478,13 +478,13 @@ class TestPurity:
         from spinorlab import clifford
 
         calls = []
-        solve = clifford.constrained_span
+        solve = clifford.block_kernel
 
         def counted(*args, **kwargs):
             calls.append(args)
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(clifford, "constrained_span", counted)
+        monkeypatch.setattr(clifford, "block_kernel", counted)
         clifford.spin_representation.cache_clear()
         s = pure_spinor((4, 4))
         assert is_pure((4, 4), s)
