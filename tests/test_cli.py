@@ -701,7 +701,8 @@ DATA = Path(__file__).resolve().parent / "data"
 # sha256 of full written reports, each recorded before a change to the code
 # behind it: the Clifford rows while the generators were built by dense
 # np.kron, the cauchy-solve reports while the series held one Fraction per
-# coefficient, and the octonion reports while the table was a dense tensor.
+# coefficient, the octonion reports while the table was a dense tensor, and
+# the metric reports while each builder declared its normal form inline.
 # Such a change may alter how values are computed, not a byte of any report.
 REPORT_SHA256 = {
     "algebra-selfcheck": (
@@ -731,6 +732,30 @@ REPORT_SHA256 = {
     "curvature-space": (
         ["curvature-space"],
         "ace28e0a54c379689c1986afd40a038fc8ce84e8fe5836c8a8ea29e80a7f3e6a"),
+    "metric-verify-pureodd2": (
+        ["metric-verify", "--spec", str(DATA / "metric_pureodd2.json"), "--seed", "7"],
+        "7f1415ec1a92e80a763823e6700c8c4c7b7d399a66f1a5b8820d114dc61ae2a7"),
+    "ricci-compare-pureodd2": (
+        ["ricci-compare", "--spec", str(DATA / "metric_pureodd2.json"), "--seed", "7"],
+        "d4094806b0cad379716f7d4e2ba9e3ccaf6ee611513103f3a6704b8ab04f7123"),
+    "holonomy-estimate-pureodd2": (
+        ["holonomy-estimate", "--spec", str(DATA / "metric_pureodd2.json"), "--seed", "7"],
+        "44843364882e5dbb8172c51aedcf1ef89f308a19e21c935afce90169114faab8"),
+    "metric-verify-m22deg": (
+        ["metric-verify", "--spec", str(DATA / "metric_m22deg.json"), "--seed", "7"],
+        "a301a47cd1b03be604e2140c857e72121383d01c5a5235465ae2cb4f0c9ca6f7"),
+    "ricci-compare-m22deg": (
+        ["ricci-compare", "--spec", str(DATA / "metric_m22deg.json"), "--seed", "7"],
+        "4ffd67bfdefe4d38d6d6e2ea836e2473fbb2c78c746cf3aa578db8bdef060e4c"),
+    "holonomy-estimate-m22deg": (
+        ["holonomy-estimate", "--spec", str(DATA / "metric_m22deg.json"), "--seed", "7"],
+        "8e4f207b2c33f5275bf83e80a7ea657347df29aca9b23d0d7c9e05bd87a0fc6e"),
+    "metric-verify-m101": (
+        ["metric-verify", "--spec", str(DATA / "metric_m101.json"), "--seed", "7"],
+        "238b3a13af9b520f82c0735de5bf60e29385811e16fe653faefe272b14ece55f"),
+    "holonomy-estimate-m101": (
+        ["holonomy-estimate", "--spec", str(DATA / "metric_m101.json"), "--seed", "7"],
+        "8b27d60412f4097107c9a82f5a84a34f6bac1c11746a1626460def6bf4dd12fe"),
 }
 
 
