@@ -68,15 +68,20 @@ class CauchyData:
                     for s in layer), default=0.0)
 
 
-def cauchy_data(p: int, order: int, a_tables, b_tables=None) -> CauchyData:
-    """Data from {exponents: rational} tables over (x^1..x^p, y_1..y_p), counted before lifting."""
+def _check_counts(p: int, a_entries, b_entries) -> None:
+    """Refuse p < 1, and an a or b list (b may be empty) whose length is not p(p+1)/2."""
     if p < 1:
         raise ValueError("block size p must be at least 1")
     npairs = p * (p + 1) // 2
+    if len(a_entries) != npairs or len(b_entries) not in (0, npairs):
+        raise ValueError(f"need {npairs} series for p = {p}")
+
+
+def cauchy_data(p: int, order: int, a_tables, b_tables=None) -> CauchyData:
+    """Data from {exponents: rational} tables over (x^1..x^p, y_1..y_p), counted before lifting."""
     if b_tables is None:
         b_tables = [{}] * len(a_tables)
-    if len(a_tables) != npairs or len(b_tables) != npairs:
-        raise ValueError(f"need {npairs} series for p = {p}")
+    _check_counts(p, a_tables, b_tables)
 
     def lift(table):
         lifted = {(0,) + tuple(e): c for e, c in table.items()}
@@ -90,22 +95,23 @@ def cauchy_data_from_spec(d: dict) -> CauchyData:
     """Data from the JSON polynomial format shared with geometry specs."""
     p = _spec_integer(d["p"], "p")
     order = _spec_integer(d.get("order", 6), "order")
+    entries = {key: d.get(key, []) for key in ("a", "b")}
+    for key, fds in entries.items():
+        if not isinstance(fds, list) or not all(isinstance(fd, dict) for fd in fds):
+            raise ValueError(f"{key} must be a list of function objects, got {fds!r}")
+    # counted before any table is read, so a huge p reads nothing
+    _check_counts(p, entries["a"], entries["b"])
 
     def tables(key):
-        entries = d.get(key, [])
-        if not isinstance(entries, list) or not all(isinstance(fd, dict) for fd in entries):
-            raise ValueError(f"{key} must be a list of function objects, got {entries!r}")
         out = []
-        for fd in entries:
-            out.append(_spec_table(fd.get("coefficients", {})))
+        for fd in entries[key]:
+            out.append(_spec_table(fd.get("coefficients", {}), 2 * p))
             # a profile takes the 2p arguments (x^1..x^p, y_1..y_p)
             if "arity" in fd and _spec_integer(fd["arity"], "arity") != 2 * p:
                 raise ValueError(f"{key} entry arity must be 2p = {2 * p}, got {fd['arity']!r}")
         return out
 
-    a = tables("a")
-    b = tables("b") or None
-    return cauchy_data(p, order, a, b)
+    return cauchy_data(p, order, tables("a"), tables("b") or None)
 
 
 def series_to_spec(series: JetSeries) -> dict:

@@ -461,8 +461,7 @@ def _cmd_cauchy_solve(spec: dict | None, tol: float, order: int | None,
 
 
 def _cmd_curvature_space() -> list[dict]:
-    stab = [e.rho for e in octospin.null_stabilizer_basis()]
-    got = geometry.curvature_space_dim(stab)
+    got = geometry.curvature_space_dim(geometry.normal_form("M101").stabilizer)
     rows = [_row(
         "null-spinor stabilizer curvature space",
         "first Bianchi kernel of the eleven-dimensional stabilizer has "

@@ -1,15 +1,16 @@
 """Metric normal forms carrying parallel spinors, with jet-based curvature.
 
-Each normal form is declared as data: coordinates, signature, a constant
-Gram matrix, a basis of the stabilizer subalgebra the Levi-Civita
-connection must take values in, and two independent term lists placing
-profile functions in fixed cells of the metric components and of an
-adapted coframe.  One rule evaluates such a declaration as truncated
-Taylor jets, the 11-dimensional family included: its fiber Gram block
-is formed exactly, once per build, as product tables.  Curvature is read
-off the jets (Christoffel symbols, Riemann, Ricci); closed-form Ricci
-displays, constraint equations, connection membership and holonomy spans
-are all checked against that machinery.
+Each normal form is declared once, in the table :func:`normal_form` reads
+lazily: coordinates, signature, a constant Gram matrix and a basis of the
+stabilizer subalgebra the Levi-Civita connection must take values in.  A
+builder adds two independent term lists placing profile functions in
+fixed cells of the metric components and of an adapted coframe.  One rule
+evaluates such a metric as truncated Taylor jets, the 11-dimensional
+family included: its fiber Gram block is formed exactly, once per build,
+as product tables.  Curvature is read off the jets (Christoffel symbols,
+Riemann, Ricci); closed-form Ricci displays, constraint equations,
+connection membership and holonomy spans are all checked against that
+machinery.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -241,12 +242,12 @@ def _spec_integer(value, key: str) -> int:
 _MAX_EXPONENT = int(np.iinfo(np.intp).max)
 
 
-def _spec_table(coefficients: dict) -> dict[tuple[int, ...], Fraction]:
+def _spec_table(coefficients: dict, arity: int) -> dict[tuple[int, ...], Fraction]:
     """Exact {exponents: coefficient} table from a spec's coefficient map.
 
     Keys are comma-separated exponent strings; values may be numbers or
     rational strings like "3/4", and are kept as Fractions.  A map that is
-    not an object, a key that is not a list of nonnegative machine integers,
+    not an object, a key that is not ``arity`` nonnegative machine integers,
     or a value that is not a finite number (a JSON boolean, Infinity or NaN, a
     zero denominator, past the float range), is rejected with its key.
     """
@@ -258,6 +259,8 @@ def _spec_table(coefficients: dict) -> dict[tuple[int, ...], Fraction]:
         if not all(s.isdecimal() for s in parts):
             raise ValueError(f"exponent key {key!r} is not a list of nonnegative integers")
         exps = tuple(int(s) for s in parts)
+        if len(exps) != arity:
+            raise ValueError(f"exponent key {key!r} lists {len(exps)} exponents for arity {arity}")
         if max(exps) > _MAX_EXPONENT:
             raise ValueError(f"exponent key {key!r} does not fit a machine integer")
         try:
@@ -274,7 +277,7 @@ def _spec_table(coefficients: dict) -> dict[tuple[int, ...], Fraction]:
 def function_from_spec(d: dict) -> FreeFunction:
     """Build a table-backed function from its serialized form (exact rationals)."""
     arity = _spec_integer(d["arity"], "arity")
-    return FreeFunction(arity, table=_spec_table(d.get("coefficients", {})),
+    return FreeFunction(arity, table=_spec_table(d.get("coefficients", {}), arity),
                         name=d.get("name", "f"))
 
 
@@ -292,30 +295,27 @@ def metric_from_spec(d: dict) -> "CoordinateMetric":
 class CoordinateMetric:
     """Metric components over a fixed coordinate chart, evaluated as jets.
 
-    ``family`` is one of the normal-form tags or None for a custom metric;
+    ``form`` is the :class:`NormalForm` built on, or None for a custom metric;
     custom metrics support curvature computations but carry no adapted
     coframe or stabilizer data.  ``ricci_display`` maps a point to the
     family's closed-form Ricci display, or is None where it has none.
     """
 
     def __init__(self, n, signature, coordinates, component_rule, *,
-                 family=None, functions=(), p=None, coframe_rule=None,
-                 gram=None, stabilizer=(), constraint_rule=None, fiber=None,
-                 ricci_display=None):
+                 form=None, functions=(), coframe_rule=None, constraint_rule=None,
+                 fiber=None, ricci_display=None):
         self.n = int(n)
         self.signature = tuple(int(s) for s in signature)
         self.coordinates = tuple(coordinates)
-        self.family = family
+        self.form = form
+        self.family, self.p = (None, None) if form is None else (form.tag, form.p)
+        self.gram, self.stabilizer = (None, ()) if form is None else (form.gram, form.stabilizer)
         self.functions = tuple(functions)
-        self.p = p
         self.fiber = fiber
         self._component_rule = component_rule
         self._coframe_rule = coframe_rule
-        self.gram = None if gram is None else np.asarray(gram, dtype=float)
-        self.stabilizer = tuple(np.asarray(h, dtype=float) for h in stabilizer)
         self._constraint_rule = constraint_rule
         self.ricci_display = ricci_display
-        self._stab_rows = None
         if len(self.coordinates) != self.n:
             raise ValueError("coordinate names disagree with the dimension")
 
@@ -335,15 +335,9 @@ class CoordinateMetric:
         return self.stabilizer_rows().shape[0] if self.stabilizer else 0
 
     def stabilizer_rows(self) -> np.ndarray:
-        if self._stab_rows is None:
-            if self.stabilizer:
-                self._stab_rows = orthonormal_span(list(self.stabilizer), "stabilizer basis")
-            elif self._coframe_rule is not None:
-                # a normal form whose stabilizer is trivial
-                self._stab_rows = np.zeros((0, self.n * self.n))
-            else:
-                raise ValueError("metric carries no stabilizer basis")
-        return self._stab_rows
+        if self.form is None:
+            raise ValueError("metric carries no stabilizer basis")
+        return self.form.stabilizer_rows
 
 
 def custom_metric(n, signature, coordinates, component_rule) -> CoordinateMetric:
@@ -374,39 +368,7 @@ def probe_points(m: CoordinateMetric, seed: int, count: int = 5) -> np.ndarray:
     raise RuntimeError("could not sample nondegenerate probe points")
 
 
-# -- family builders ----------------------------------------------------------
-#
-# Components and coframe are two independent term lists, never one derived
-# from the other (say as E^T gram E), so the coframe Gram reproduction check
-# compares two separate statements of each normal form.
-
-
-def _expect(tag: str, functions, arities) -> None:
-    if len(functions) != len(arities):
-        raise ValueError(f"{tag} takes {len(arities)} functions, got {len(functions)}")
-    for f, a in zip(functions, arities):
-        if f.arity != a:
-            raise ValueError(f"{tag} needs arity {a}, got {f.arity} ({f.name})")
-
-
-def _expect_block(tag: str, functions, p, base: int) -> int:
-    """Check a split family's block size and profiles; return n = 2p + base."""
-    if p is None or p < 1:
-        raise ValueError(f"{tag} needs the block size p")
-    # counted first, so a huge p builds nothing sized by it
-    if len(functions) != p * (p + 1) // 2:
-        raise ValueError(f"{tag} with p = {p} takes {p * (p + 1) // 2} functions, "
-                         f"got {len(functions)}")
-    n = 2 * p + base
-    _expect(f"{tag} with p = {p}", functions, (n,) * len(functions))
-    return n
-
-
-def _fmatrix(functions, pairs, size):
-    grid = [[None] * size for _ in range(size)]
-    for (i, j), f in zip(pairs, functions):
-        grid[i][j] = grid[j][i] = f
-    return grid
+# -- normal forms ---------------------------------------------------------------
 
 
 def _matrix(n: int, cells) -> np.ndarray:
@@ -423,6 +385,151 @@ def _gram(n: int, cells) -> np.ndarray:
     for (i, j), v in cells.items():
         m[j, i] = v
     return m
+
+
+def _gl_pair_blocks(p: int, n: int, xoff: int, yoff: int) -> list[np.ndarray]:
+    """Traceless q acting as q on the x block and -q^T on the y block."""
+    return ([_matrix(n, {(xoff + i, xoff + j): 1.0, (yoff + j, yoff + i): -1.0})
+             for i, j in itertools.permutations(range(p), 2)]
+            + [_matrix(n, {(xoff + i, xoff + i): 1.0, (xoff + i + 1, xoff + i + 1): -1.0,
+                           (yoff + i, yoff + i): -1.0, (yoff + i + 1, yoff + i + 1): 1.0})
+               for i in range(p - 1)])
+
+
+def _skew_pair_blocks(p: int, n: int, xoff: int, yoff: int) -> list[np.ndarray]:
+    """Skew s mapping the x block into the y block, one generator per pair i < j."""
+    return [_matrix(n, {(yoff + i, xoff + j): 1.0, (yoff + j, xoff + i): -1.0})
+            for i, j in itertools.combinations(range(p), 2)]
+
+
+def _pure_declaration(p: int, odd: bool):
+    """PUREODD (odd, a coordinate z first) or PUREEVEN: x and y blocks of size p."""
+    z = int(odd)
+    n = 2 * p + z
+    if odd:
+        gram = _gram(n, {(0, 0): 1.0, **{(1 + i, 1 + p + i): 1.0 for i in range(p)}})
+        stab = [_matrix(n, {(0, 1 + k): -1.0, (1 + p + k, 0): 1.0}) for k in range(p)]
+    else:
+        gram, stab = _gram(n, {(i, p + i): 0.5 for i in range(p)}), []
+    coords = ("z",) * z + tuple(f"{c}{i + 1}" for c in "xy" for i in range(p))
+    stab += _gl_pair_blocks(p, n, z, z + p) + _skew_pair_blocks(p, n, z, z + p)
+    return (p + z, p), coords, gram, stab, (n,) * (p * (p + 1) // 2)
+
+
+_XY3 = ("x1", "x2", "x3", "y1", "y2", "y3")
+
+# tag -> declaration, called with the block size p for PUREODD and PUREEVEN
+# only: (signature, coordinates, Gram matrix, stabilizer basis, profile
+# arities, or None where the builder checks its profile)
+_DECLARATIONS = {
+    "M21": lambda: ((2, 1), ("x11", "x21", "x22"), _gram(3, {(0, 2): -0.5, (1, 1): 1.0}),
+                    [_matrix(3, {(0, 1): 2.0, (1, 2): 1.0})], (2,)),
+    "M31": lambda: ((3, 1), ("x11", "u", "v", "x22"),
+                    _gram(4, {(0, 3): -0.5, (1, 1): 1.0, (2, 2): 1.0}),
+                    [_matrix(4, {(0, 1): 2.0, (1, 3): 1.0}),
+                     _matrix(4, {(0, 2): -2.0, (2, 3): -1.0})], (3,)),
+    "M22GEN": lambda: ((2, 2), ("x11", "x12", "x21", "x22"),
+                       _gram(4, {(0, 3): 0.5, (1, 2): -0.5}),
+                       [_matrix(4, {(0, 2): 1.0, (1, 3): 1.0}),
+                        _matrix(4, {(0, 1): -1.0, (2, 3): -1.0})], (3,)),
+    "M22DEG": lambda: ((2, 2), ("x1", "x2", "y1", "y2"), _gram(4, {(0, 3): 0.5, (1, 2): -0.5}),
+                       [_matrix(4, {(0, 2): 1.0, (1, 3): 1.0}), np.diag([-1.0, 1.0, -1.0, 1.0]),
+                        _matrix(4, {(1, 0): -1.0, (3, 2): -1.0}),
+                        _matrix(4, {(0, 1): -1.0, (2, 3): -1.0})], (4,)),
+    "M41DEG": lambda: ((4, 1), ("x", "s1", "s2", "s3", "r"),
+                       _gram(5, {(0, 0): -1.0, (0, 4): -1.0, **{(a, a): 1.0 for a in (1, 2, 3)}}),
+                       [_matrix(5, {(a, 0): -2.0, (4, a): -2.0}) for a in (1, 2, 3)], (4,)),
+    "M51NULL": lambda: ((5, 1), ("x11", "u1", "u2", "u3", "u4", "x22"),
+                        _gram(6, {(0, 5): -0.5, **{(a, a): 1.0 for a in range(1, 5)}}),
+                        [_matrix(6, {(0, 1 + a): 2.0, (1 + a, 5): 1.0}) for a in range(4)], (5,)),
+    "M33GEN": lambda: ((3, 3), _XY3, _gram(6, {(i, 3 + i): 0.5 for i in range(3)}),
+                       _gl_pair_blocks(3, 6, 0, 3), (6,)),
+    # q acting as q on x and -q^T on y, q traceless with vanishing third column,
+    # and the skew maps of the x block into the y block
+    "M33NULL": lambda: ((3, 3), _XY3, _gram(6, {(i, 3 + i): 0.5 for i in range(3)}),
+                        [_matrix(6, {(0, 0): 1.0, (1, 1): -1.0, (3, 3): -1.0, (4, 4): 1.0})]
+                        + [_matrix(6, {(i, j): 1.0, (3 + j, 3 + i): -1.0})
+                           for i, j in ((0, 1), (1, 0), (2, 0), (2, 1))]
+                        + _skew_pair_blocks(3, 6, 0, 3), (6, 6, 6)),
+    "PUREODD": lambda p: _pure_declaration(p, odd=True),
+    "PUREEVEN": lambda p: _pure_declaration(p, odd=False),
+    # the null spinor's stabilizer; the profile takes 2, 10 or 11 arguments
+    "M101": lambda: ((10, 1), ("x1", "x2", "x3") + tuple(f"w{a + 1}" for a in range(8)),
+                     octospin.GRAM_10_1, [e.rho for e in octospin.null_stabilizer_basis()], None),
+}
+FAMILY_TAGS = tuple(_DECLARATIONS)
+
+
+@dataclass(frozen=True, eq=False)
+class NormalForm:
+    """One declared normal form, shared by every metric built from it.
+
+    The Gram matrix and the stabilizer basis are read-only arrays, and so
+    are the stabilizer's orthonormal rows, solved on first use.
+    """
+
+    tag: str
+    p: int | None
+    signature: tuple[int, int]
+    coordinates: tuple[str, ...]
+    gram: np.ndarray
+    stabilizer: tuple[np.ndarray, ...]
+    arities: tuple[int, ...] | None
+
+    @property
+    def n(self) -> int:
+        return len(self.coordinates)
+
+    @cached_property
+    def stabilizer_rows(self) -> np.ndarray:
+        rows = (orthonormal_span(list(self.stabilizer), "stabilizer basis") if self.stabilizer
+                else np.zeros((0, self.n * self.n)))
+        rows.setflags(write=False)
+        return rows
+
+
+@lru_cache(maxsize=None)
+def _declared(tag: str, p: int | None) -> NormalForm:
+    declare = _DECLARATIONS[tag]
+    signature, coords, gram, stabilizer, arities = declare() if p is None else declare(p)
+    arrays = np.array([gram, *stabilizer], dtype=float)
+    arrays.setflags(write=False)
+    return NormalForm(tag, p, signature, coords, arrays[0], tuple(arrays[1:]), arities)
+
+
+def _block_size(tag: str, p) -> int | None:
+    """The checked block size p of PUREODD and PUREEVEN; every other tag refuses one."""
+    if tag in ("PUREODD", "PUREEVEN"):
+        p = None if p is None else _spec_integer(p, "p")
+        if p is None or p < 1:
+            raise ValueError(f"{tag} needs the block size p")
+    elif p is not None:
+        raise ValueError(f"{tag} takes no block size p, got p = {p!r}")
+    return p
+
+
+def normal_form(tag: str, p=None) -> NormalForm:
+    """The normal form ``tag`` (block size ``p`` for PUREODD and PUREEVEN).
+
+    Built on its first request and then shared; nothing is built at import.
+    """
+    if tag not in _DECLARATIONS:
+        raise ValueError(f"unknown family {tag!r}")
+    return _declared(tag, _block_size(tag, p))
+
+
+# -- family builders ----------------------------------------------------------
+#
+# Components and coframe are two independent term lists, never one derived
+# from the other (say as E^T gram E), so the coframe Gram reproduction check
+# compares two separate statements of each normal form.
+
+
+def _fmatrix(functions, pairs, size):
+    grid = [[None] * size for _ in range(size)]
+    for (i, j), f in zip(pairs, functions):
+        grid[i][j] = grid[j][i] = f
+    return grid
 
 
 def _symmetric_divergence_rule(fgrid, size, y_vars):
@@ -474,89 +581,66 @@ def _profile_rule(const, profiles, terms):
     return rule
 
 
-def _normal_form(tag, signature, coords, gram, stabilizer, functions, profiles,
-                 comp_terms, cof_terms, *, comp_const=None, cof_const=None, **extra):
+def _assemble(form: NormalForm, functions, profiles, comp_terms, cof_terms, *,
+              comp_const=None, cof_const=None, **extra):
     """Metric whose components and coframe are constant parts plus profile terms.
 
     The constant part of the components defaults to the Gram matrix and that
     of the coframe to the identity.  The signature is checked at the origin.
     """
-    n = len(coords)
-    comp = _profile_rule(gram if comp_const is None else comp_const, profiles, comp_terms)
-    cof = _profile_rule(np.eye(n) if cof_const is None else cof_const, profiles, cof_terms)
-    m = CoordinateMetric(n, signature, coords, comp, family=tag, functions=functions,
-                         coframe_rule=cof, gram=gram, stabilizer=stabilizer, **extra)
+    comp = _profile_rule(form.gram if comp_const is None else comp_const, profiles, comp_terms)
+    cof = _profile_rule(np.eye(form.n) if cof_const is None else cof_const, profiles, cof_terms)
+    m = CoordinateMetric(form.n, form.signature, form.coordinates, comp, form=form,
+                         functions=functions, coframe_rule=cof, **extra)
     _check_signature(m)
     return m
 
 
-def _null_corner_form(tag, functions, signature, coords, gram, stabilizer, coeff,
-                      laplacian=None):
-    """One profile f(x_1..x_{n-1}): g_nn gains coeff f and the coframe theta^0 gains f dx_n.
+def _null_corner_form(form, functions, coeff, laplacian=None, corner=-1):
+    """One profile f of every coordinate but the far end from the corner (the last or first).
 
-    With ``laplacian``, a list of profile arguments, the Ricci display is
-    the Laplacian of f in those arguments, placed in the same cell.
+    g gains coeff f in the corner's diagonal cell and the far end's coframe
+    row gains f dx_corner.  With ``laplacian``, a list of profile arguments,
+    the Ricci display is the Laplacian of f in those arguments, in that cell.
     """
-    n = len(coords)
-    profile = (functions[0], range(1, n))
+    n = form.n
+    c = corner % n
+    profile = (functions[0], [a for a in range(n) if a != n - 1 - c])
     display = (None if laplacian is None
-               else _laplacian_display(tag, n, profile, laplacian, (n - 1, n - 1)))
-    return _normal_form(tag, signature, coords, gram, stabilizer, functions, [profile],
-                        [(n - 1, n - 1, coeff, 0)], [(0, n - 1, 1.0, 0)],
-                        ricci_display=display)
+               else _laplacian_display(form.tag, n, profile, laplacian, (c, c)))
+    return _assemble(form, functions, [profile], [(c, c, coeff, 0)],
+                     [(n - 1 - c, c, 1.0, 0)], ricci_display=display)
 
 
-def _paired_block_form(tag, functions, size, xoff, yoff, coeff, signature, coords,
-                       gram, stabilizer, **extra):
+def _paired_block_form(form, functions, size, xoff, yoff, coeff, **extra):
     """Symmetric profile block f_ij of all coordinates, paired against the y block.
 
     g gains coeff f_ij at (x_i, x_j), the coframe row of y_i gains f_ij dx_j,
     and the constraints are the divergences sum_j df_ij/dy_j.
     """
     pairs = symmetric_pairs(size)
-    slot = {}
-    for t, (i, j) in enumerate(pairs):
-        slot[i, j] = slot[j, i] = t
+    slot = _fmatrix(range(len(pairs)), pairs, size)
     cells = list(itertools.product(range(size), repeat=2))
     y_vars = tuple(yoff + j for j in range(size))
-    return _normal_form(
-        tag, signature, coords, gram, stabilizer, functions,
-        [(f, range(len(coords))) for f in functions],
-        [(xoff + i, xoff + j, coeff, slot[i, j]) for i, j in cells],
-        [(yoff + i, xoff + j, 1.0, slot[i, j]) for i, j in cells],
+    return _assemble(
+        form, functions, [(f, range(form.n)) for f in functions],
+        [(xoff + i, xoff + j, coeff, slot[i][j]) for i, j in cells],
+        [(yoff + i, xoff + j, 1.0, slot[i][j]) for i, j in cells],
         constraint_rule=_symmetric_divergence_rule(
             _fmatrix(functions, pairs, size), size, y_vars),
         **extra)
 
 
-def _build_m21(functions):
-    _expect("M21", functions, (2,))
-    return _null_corner_form(
-        "M21", functions, (2, 1), ("x11", "x21", "x22"),
-        _gram(3, {(0, 2): -0.5, (1, 1): 1.0}),
-        (_matrix(3, {(0, 1): 2.0, (1, 2): 1.0}),), -1.0)
+def _pure_form(form, functions):
+    """PUREODD or PUREEVEN: the paired x and y blocks of size p, after z if there is one."""
+    p = form.p
+    z = form.n - 2 * p
+    return _paired_block_form(form, functions, p, z, z + p, 2.0 if z else 1.0,
+                              ricci_display=_bracket_display(form.tag, functions, p, z,
+                                                             odd=bool(z)))
 
 
-def _build_m31(functions):
-    _expect("M31", functions, (3,))
-    return _null_corner_form(
-        "M31", functions, (3, 1), ("x11", "u", "v", "x22"),
-        _gram(4, {(0, 3): -0.5, (1, 1): 1.0, (2, 2): 1.0}),
-        (_matrix(4, {(0, 1): 2.0, (1, 3): 1.0}), _matrix(4, {(0, 2): -2.0, (2, 3): -1.0})),
-        -1.0, laplacian=(0, 1))
-
-
-def _build_m22gen(functions):
-    _expect("M22GEN", functions, (3,))
-    return _null_corner_form(
-        "M22GEN", functions, (2, 2), ("x11", "x12", "x21", "x22"),
-        _gram(4, {(0, 3): 0.5, (1, 2): -0.5}),
-        (_matrix(4, {(0, 2): 1.0, (1, 3): 1.0}), _matrix(4, {(0, 1): -1.0, (2, 3): -1.0})),
-        1.0)
-
-
-def _build_m22deg(functions):
-    _expect("M22DEG", functions, (4,))
+def _build_m22deg(form, functions):
     f, = functions
     # profiles s11, s12, s22 with s_ij = f_{y_i y_j}
     s = [f.partial(2 + i).partial(2 + j) for i, j in symmetric_pairs(2)]
@@ -565,11 +649,8 @@ def _build_m22deg(functions):
                                         for e, c in sij.table.items()},
                               name=f"s{i + 1}{j + 1}")
                  for sij, (i, j) in zip(s, symmetric_pairs(2))]
-    stab = (_matrix(4, {(0, 2): 1.0, (1, 3): 1.0}), np.diag([-1.0, 1.0, -1.0, 1.0]),
-            _matrix(4, {(1, 0): -1.0, (3, 2): -1.0}), _matrix(4, {(0, 1): -1.0, (2, 3): -1.0}))
-    return _normal_form(
-        "M22DEG", (2, 2), ("x1", "x2", "y1", "y2"), _gram(4, {(0, 3): 0.5, (1, 2): -0.5}),
-        stab, functions, [(sij, range(4)) for sij in s],
+    return _assemble(
+        form, functions, [(sij, range(4)) for sij in s],
         [(0, 0, 1.0, 0), (0, 1, 1.0, 1), (1, 0, 1.0, 1), (1, 1, 1.0, 2)],
         [(0, 0, -1.0, 1), (0, 1, -1.0, 2), (1, 0, 1.0, 0), (1, 1, 1.0, 1)],
         cof_const=_matrix(4, {(0, 2): 1.0, (1, 3): 1.0, (2, 0): -1.0, (3, 1): -1.0}),
@@ -577,28 +658,7 @@ def _build_m22deg(functions):
                                        chart=lambda x: np.array([x[0], x[1], x[3], -x[2]])))
 
 
-def _build_m41deg(functions):
-    _expect("M41DEG", functions, (4,))
-    gram = _gram(5, {(0, 0): -1.0, (0, 4): -1.0, (1, 1): 1.0, (2, 2): 1.0, (3, 3): 1.0})
-    stab = tuple(_matrix(5, {(a, 0): -2.0, (4, a): -2.0}) for a in (1, 2, 3))
-    profile = (functions[0], range(4))
-    return _normal_form("M41DEG", (4, 1), ("x", "s1", "s2", "s3", "r"), gram, stab,
-                        functions, [profile], [(0, 0, -2.0, 0)], [(4, 0, 1.0, 0)],
-                        ricci_display=_laplacian_display("M41DEG", 5, profile, (1, 2, 3),
-                                                         (0, 0)))
-
-
-def _build_m51null(functions):
-    _expect("M51NULL", functions, (5,))
-    gram = _gram(6, {(0, 5): -0.5, **{(a, a): 1.0 for a in range(1, 5)}})
-    stab = tuple(_matrix(6, {(0, 1 + a): 2.0, (1 + a, 5): 1.0}) for a in range(4))
-    return _null_corner_form("M51NULL", functions, (5, 1),
-                             ("x11", "u1", "u2", "u3", "u4", "x22"), gram, stab, -1.0,
-                             laplacian=range(4))
-
-
-def _build_m33gen(functions):
-    _expect("M33GEN", functions, (6,))
+def _build_m33gen(form, functions):
     f, = functions
     hess = [[f.partial(i).partial(3 + j) for j in range(3)] for i in range(3)]
     h0 = np.array([[hess[i][j].value(np.zeros(6)) for j in range(3)] for i in range(3)])
@@ -608,107 +668,34 @@ def _build_m33gen(functions):
         raise ValueError(f"mixed Hessian determinant {det:.6g} at the origin is not 1")
     # profile 3i + j is the mixed Hessian entry f_{x_i y_j}
     cells = list(itertools.product(range(3), repeat=2))
-    return _normal_form(
-        "M33GEN", (3, 3), ("x1", "x2", "x3", "y1", "y2", "y3"),
-        _gram(6, {(i, 3 + i): 0.5 for i in range(3)}), tuple(_gl_pair_blocks(3, 6, 0, 3)),
-        functions, [(h, range(6)) for row in hess for h in row],
+    return _assemble(
+        form, functions, [(h, range(6)) for row in hess for h in row],
         [(a, b, 0.5, 3 * i + j) for i, j in cells for a, b in ((i, 3 + j), (3 + j, i))],
         [(3 + i, 3 + j, 1.0, 3 * i + j) for i, j in cells],
         comp_const=np.zeros((6, 6)), cof_const=np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]),
         constraint_rule=_hessian_determinant_rule(hess))
 
 
-def _build_m33null(functions):
-    _expect("M33NULL", functions, (6, 6, 6))
-    return _paired_block_form(
-        "M33NULL", functions, 2, 0, 3, 1.0, (3, 3), ("x1", "x2", "x3", "y1", "y2", "y3"),
-        _gram(6, {(i, 3 + i): 0.5 for i in range(3)}), _m33null_stabilizer())
-
-
-def _build_pure_odd(functions, p):
-    n = _expect_block("PUREODD", functions, p, 1)
-    gram = _gram(n, {(0, 0): 1.0, **{(1 + i, 1 + p + i): 1.0 for i in range(p)}})
-    coords = ("z",) + tuple(f"x{i + 1}" for i in range(p)) + tuple(f"y{i + 1}" for i in range(p))
-    return _paired_block_form("PUREODD", functions, p, 1, 1 + p, 2.0, (p + 1, p), coords,
-                              gram, _pure_odd_stabilizer(p), p=p,
-                              ricci_display=_bracket_display("PUREODD", functions, p, 1,
-                                                             odd=True))
-
-
-def _build_pure_even(functions, p):
-    n = _expect_block("PUREEVEN", functions, p, 0)
-    gram = _gram(n, {(i, p + i): 0.5 for i in range(p)})
-    coords = tuple(f"x{i + 1}" for i in range(p)) + tuple(f"y{i + 1}" for i in range(p))
-    return _paired_block_form("PUREEVEN", functions, p, 0, p, 1.0, (p, p), coords,
-                              gram, _pure_even_stabilizer(p), p=p,
-                              ricci_display=_bracket_display("PUREEVEN", functions, p, 0))
-
-
-def _pure_odd_stabilizer(p: int) -> tuple[np.ndarray, ...]:
-    n = 2 * p + 1
-    out = [_matrix(n, {(0, 1 + k): -1.0, (1 + p + k, 0): 1.0}) for k in range(p)]
-    out.extend(_gl_pair_blocks(p, n, 1, 1 + p))
-    out.extend(_skew_pair_blocks(p, n, 1, 1 + p))
-    return tuple(out)
-
-
-def _pure_even_stabilizer(p: int) -> tuple[np.ndarray, ...]:
-    return tuple(_gl_pair_blocks(p, 2 * p, 0, p) + _skew_pair_blocks(p, 2 * p, 0, p))
-
-
-def _gl_pair_blocks(p: int, n: int, xoff: int, yoff: int) -> list[np.ndarray]:
-    """Traceless q acting as q on the x block and -q^T on the y block."""
-    out = []
-    for i in range(p):
-        for j in range(p):
-            if i == j:
-                continue
-            out.append(_matrix(n, {(xoff + i, xoff + j): 1.0, (yoff + j, yoff + i): -1.0}))
-    for i in range(p - 1):
-        out.append(_matrix(n, {(xoff + i, xoff + i): 1.0, (xoff + i + 1, xoff + i + 1): -1.0,
-                               (yoff + i, yoff + i): -1.0, (yoff + i + 1, yoff + i + 1): 1.0}))
-    return out
-
-
-def _skew_pair_blocks(p: int, n: int, xoff: int, yoff: int) -> list[np.ndarray]:
-    """Skew s mapping the x block into the y block, one generator per pair i < j."""
-    return [_matrix(n, {(yoff + i, xoff + j): 1.0, (yoff + j, xoff + i): -1.0})
-            for i, j in itertools.combinations(range(p), 2)]
-
-
-def _m33null_stabilizer() -> tuple[np.ndarray, ...]:
-    # q runs over traceless matrices with vanishing third column; s is skew.
-    qbasis = [_matrix(3, {(0, 0): 1.0, (1, 1): -1.0})]
-    qbasis += [_matrix(3, {ij: 1.0}) for ij in ((0, 1), (1, 0), (2, 0), (2, 1))]
-    out = []
-    for q in qbasis:
-        m = np.zeros((6, 6))
-        m[:3, :3] = q
-        m[3:, 3:] = -q.T
-        out.append(m)
-    return tuple(out + _skew_pair_blocks(3, 6, 0, 3))
-
-
-def _build_m101(functions):
+def _build_m101(form, functions):
     if len(functions) != 1:
         raise ValueError("M101 takes a single free profile")
     return build_metric_10_1(FiberFamily.identity(), functions[0])
 
 
+# tag -> builder (normal form, profiles) -> metric, adding the profile terms
 _BUILDERS = {
-    "M21": _build_m21,
-    "M31": _build_m31,
-    "M22GEN": _build_m22gen,
+    "M21": partial(_null_corner_form, coeff=-1.0),
+    "M31": partial(_null_corner_form, coeff=-1.0, laplacian=(0, 1)),
+    "M22GEN": partial(_null_corner_form, coeff=1.0),
     "M22DEG": _build_m22deg,
-    "M41DEG": _build_m41deg,
-    "M51NULL": _build_m51null,
+    "M41DEG": partial(_null_corner_form, coeff=-2.0, laplacian=(1, 2, 3), corner=0),
+    "M51NULL": partial(_null_corner_form, coeff=-1.0, laplacian=range(4)),
     "M33GEN": _build_m33gen,
-    "M33NULL": _build_m33null,
-    "PUREODD": _build_pure_odd,
-    "PUREEVEN": _build_pure_even,
+    "M33NULL": partial(_paired_block_form, size=2, xoff=0, yoff=3, coeff=1.0),
+    "PUREODD": _pure_form,
+    "PUREEVEN": _pure_form,
     "M101": _build_m101,
 }
-FAMILY_TAGS = tuple(_BUILDERS)
 
 
 def build_metric(family: str, functions, p=None) -> CoordinateMetric:
@@ -718,13 +705,21 @@ def build_metric(family: str, functions, p=None) -> CoordinateMetric:
     any other family refuses one.
     """
     tag = str(family).strip().upper()
-    if tag not in _BUILDERS:
+    if tag not in _DECLARATIONS:
         raise ValueError(f"unknown family {family!r}")
-    if tag in ("PUREODD", "PUREEVEN"):
-        return _BUILDERS[tag](tuple(functions), None if p is None else _spec_integer(p, "p"))
-    if p is not None:
-        raise ValueError(f"{tag} takes no block size p, got p = {p!r}")
-    return _BUILDERS[tag](tuple(functions))
+    functions = tuple(functions)
+    p = _block_size(tag, p)
+    label = tag if p is None else f"{tag} with p = {p}"
+    # a block family is counted before it is built, so a huge p builds nothing
+    # sized by it; M101 declares no arities, and its builder checks its profile
+    count = p * (p + 1) // 2 if p else len(_declared(tag, None).arities or functions)
+    if len(functions) != count:
+        raise ValueError(f"{label} takes {count} functions, got {len(functions)}")
+    form = _declared(tag, p)
+    for f, a in zip(functions, form.arities or ()):
+        if f.arity != a:
+            raise ValueError(f"{label} needs arity {a}, got {f.arity} ({f.name})")
+    return _BUILDERS[tag](form, functions)
 
 
 def _signature_at(m: CoordinateMetric, point) -> tuple[int, int]:
@@ -1257,16 +1252,14 @@ def build_metric_10_1(fiber, g: FreeFunction) -> CoordinateMetric:
     if g.arity == 11 and g.series.depends_on(0):
         raise ValueError("profile must not depend on x1")
     profiles = [(g, {2: (1, 2), 10: range(1, 11), 11: range(11)}[g.arity])]
-    comp_const, comp_terms = octospin.GRAM_10_1.copy(), [(2, 2, -4.0, 0)]
+    form = _declared("M101", None)
+    comp_const, comp_terms = form.gram.copy(), [(2, 2, -4.0, 0)]
     cof_const, cof_terms = np.eye(11), [(0, 2, 1.0, 0)]
     _place_fiber(comp_const, comp_terms, profiles, _fiber_gram(fiber.entries))
     _place_fiber(cof_const, cof_terms, profiles,
                  {(a, b): fiber.entries[a][b] for a, b in itertools.product(range(8), repeat=2)})
-    coords = ("x1", "x2", "x3") + tuple(f"w{a + 1}" for a in range(8))
-    stab = tuple(e.rho.astype(float).copy() for e in octospin.null_stabilizer_basis())
-    return _normal_form("M101", (10, 1), coords, octospin.GRAM_10_1.copy(), stab, (g,),
-                        profiles, comp_terms, cof_terms, comp_const=comp_const,
-                        cof_const=cof_const, fiber=fiber)
+    return _assemble(form, (g,), profiles, comp_terms, cof_terms, comp_const=comp_const,
+                     cof_const=cof_const, fiber=fiber)
 
 
 def _integral_form(mats, k: int, label: str) -> np.ndarray:

@@ -339,7 +339,7 @@ class TestExitCodes:
         report, status = run_command(RunSpec("metric-verify", spec_path=spec))
         assert status == 2 and f"arity must be an integer, got {arity!r}" in report["error"]
 
-    @pytest.mark.parametrize("key", ["1,1,", "1.5,0,0", "a,b,c"])
+    @pytest.mark.parametrize("key", ["1,1,", "1.5,0,0", "a,b,c", "1", "1,0,0,0"])
     @pytest.mark.parametrize("command", ["metric-verify", "cauchy-solve"])
     def test_malformed_exponent_key(self, tmp_path, key, command):
         function = {"arity": 3, "coefficients": {key: 1}}
@@ -348,6 +348,10 @@ class TestExitCodes:
         spec = _write(tmp_path, "key.json", desc)
         report, status = run_command(RunSpec(command, spec_path=spec))
         assert status == 2 and f"exponent key {key!r}" in report["error"]
+        # a key of the wrong length is named as written, with the arity (2p for cauchy)
+        if all(s.isdecimal() for s in key.split(",")):
+            arity = 3 if command == "metric-verify" else 2
+            assert f"{len(key.split(','))} exponents for arity {arity}" in report["error"]
 
     def test_fractional_metric_p(self, tmp_path):
         for p in (2.7, True, "3", "12/2", 3.0):
@@ -396,15 +400,21 @@ class TestExitCodes:
     ], ids=["metric", "cauchy"])
     def test_huge_block_size_refused_before_building(self, tmp_path, monkeypatch,
                                                      command, desc, message):
-        # the counts are compared arithmetically: no p(p + 1)/2 pairs are listed
-        pairs = geometry.symmetric_pairs
+        # the counts are compared arithmetically: no p(p + 1)/2 pairs are listed,
+        # and no normal form of that p is built
+        pairs, declared = geometry.symmetric_pairs, geometry._declared
 
         def small(size):
             assert size <= 100, f"listed the pairs of p = {size}"
             return pairs(size)
 
+        def small_form(tag, p):
+            assert p is None or p <= 100, f"built the {tag} normal form of p = {p}"
+            return declared(tag, p)
+
         monkeypatch.setattr(geometry, "symmetric_pairs", small)
         monkeypatch.setattr(cauchy, "symmetric_pairs", small)
+        monkeypatch.setattr(geometry, "_declared", small_form)
         report, status = run_command(RunSpec(command, spec_path=_write(tmp_path, "p.json", desc)))
         assert status == 2 and message in report["error"]
 
@@ -917,6 +927,21 @@ class TestMain:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=_source_env(), check=True)
         assert proc.stdout.split() == ["[]", "[]"]
+
+    def test_null_stabilizer_built_only_for_m101(self):
+        # in a fresh interpreter, cauchy-solve and an M21 entry leave the (10,1)
+        # null stabilizer unbuilt; the M101 entry builds it
+        code = ("from spinorlab import cli, geometry, octospin\n"
+                "def built():\n"
+                "    print(octospin.null_stabilizer_basis.cache_info().currsize)\n"
+                "assert cli.run_command(cli.RunSpec('cauchy-solve', p=2))[1] == 0\n"
+                "geometry.normal_form('M21')\n"
+                "built()\n"
+                "geometry.normal_form('M101')\n"
+                "built()\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=_source_env(), check=True)
+        assert proc.stdout.split() == ["0", "1"]
 
     def test_non_finite_report_is_strict_json(self, tmp_path):
         spec = _write(tmp_path, "m31.json", M31_OVERFLOW)
