@@ -68,20 +68,20 @@ class CauchyData:
                     for s in layer), default=0.0)
 
 
-def _check_counts(p: int, a_entries, b_entries) -> None:
-    """Refuse p < 1, and an a or b list (b may be empty) whose length is not p(p+1)/2."""
+def _check_counts(p: int, a_entries, b_entries=None) -> None:
+    """Refuse p < 1, and an a or b list (b None for none) whose length is not p(p+1)/2."""
     if p < 1:
         raise ValueError("block size p must be at least 1")
     npairs = p * (p + 1) // 2
-    if len(a_entries) != npairs or len(b_entries) not in (0, npairs):
+    if len(a_entries) != npairs or (b_entries is not None and len(b_entries) != npairs):
         raise ValueError(f"need {npairs} series for p = {p}")
 
 
 def cauchy_data(p: int, order: int, a_tables, b_tables=None) -> CauchyData:
     """Data from {exponents: rational} tables over (x^1..x^p, y_1..y_p), counted before lifting."""
+    _check_counts(p, a_tables, b_tables)
     if b_tables is None:
         b_tables = [{}] * len(a_tables)
-    _check_counts(p, a_tables, b_tables)
 
     def lift(table):
         lifted = {(0,) + tuple(e): c for e, c in table.items()}
@@ -100,7 +100,7 @@ def cauchy_data_from_spec(d: dict) -> CauchyData:
         if not isinstance(fds, list) or not all(isinstance(fd, dict) for fd in fds):
             raise ValueError(f"{key} must be a list of function objects, got {fds!r}")
     # counted before any table is read, so a huge p reads nothing
-    _check_counts(p, entries["a"], entries["b"])
+    _check_counts(p, entries["a"], entries["b"] or None)
 
     def tables(key):
         out = []
