@@ -766,6 +766,12 @@ REPORT_SHA256 = {
     "holonomy-estimate-m101": (
         ["holonomy-estimate", "--spec", str(DATA / "metric_m101.json"), "--seed", "7"],
         "8b27d60412f4097107c9a82f5a84a34f6bac1c11746a1626460def6bf4dd12fe"),
+    "ricci-compare-m41deg": (
+        ["ricci-compare", "--spec", str(DATA / "metric_m41deg.json"), "--seed", "7"],
+        "54805c646bf302ac7f384af9c4c31bbdf2560d485a5c7c315249cb008b5e8dd5"),
+    "ricci-compare-m51null": (
+        ["ricci-compare", "--spec", str(DATA / "metric_m51null.json"), "--seed", "7"],
+        "218a688624feeaab796f4c06819b4218898235393e1396602a09b794cc70126a"),
 }
 
 
