@@ -4,7 +4,7 @@ Octonions are plain length-8 float vectors; the frozen multiplication table
 is held once, here, as read-only index arrays that every octonion product
 gathers through.  Quaternion matrices are kept as pairs of complex matrices
 (m = A + B j) so that one complex matrix kernel serves multiplication,
-conjugate transposition, inversion and exponentials.
+conjugate transposition and inversion.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ class QMatrix:
     """Quaternion matrix m = A + B j with complex blocks A, B.
 
     Scalars are 1x1 matrices.  The complex embedding used for inversion
-    and exponentials sends m to [[A, -B], [conj(B), conj(A)]].
+    sends m to [[A, -B], [conj(B), conj(A)]].
     """
 
     __slots__ = ("a", "b")
@@ -113,12 +113,6 @@ class QMatrix:
 
     def components(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return (self.a.real, self.a.imag, self.b.real, self.b.imag)
-
-    @staticmethod
-    def from_real(vec: np.ndarray, shape: tuple[int, int]) -> "QMatrix":
-        n, m = shape
-        parts = np.asarray(vec, dtype=float).reshape(4, n, m)
-        return QMatrix.from_components(*parts)
 
     # -- arithmetic --------------------------------------------------------
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -501,14 +502,20 @@ _INPUTS = {
 }
 
 
-def _read_spec(path: str, report: dict) -> dict:
-    """The JSON object at ``path``, read once; its sha256 goes into ``report``."""
+def _read_spec(path: str | os.PathLike, report: dict) -> dict:
+    """The JSON object at ``path``, read once; its sha256 goes into ``report``.
+
+    A path that is not a string or path-like is refused before ``open``,
+    which would take an int or a bool for a file descriptor to read and close.
+    """
+    if not isinstance(path, (str, os.PathLike)):
+        raise SpecError(f"spec path must be a string or a path, got {path!r}")
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
         report["spec_sha256"] = hashlib.sha256(raw).hexdigest()
         spec = json.loads(raw.decode("utf-8"))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise SpecError(f"cannot read spec: {exc}") from exc
     if not isinstance(spec, dict):
         raise SpecError(f"spec must be a JSON object, got {type(spec).__name__}")

@@ -34,7 +34,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import MatrixSpan, Triples, block_kernel, orthonormal_span
+from .linalg import Triples, block_kernel, orthonormal_span
 
 
 # the base generators as signed permutations (rows, signs): column c holds
@@ -328,7 +328,7 @@ def classify_even(p: int, q: int) -> Classification:
     return _classify_generators(even_generators(gens), split=split)
 
 
-# -- vectors under twisted conjugation --------------------------------------
+# -- vectors as elements of the algebra -------------------------------------
 
 
 def vector_embedding(gens: list[np.ndarray], v: np.ndarray) -> np.ndarray:
@@ -337,24 +337,6 @@ def vector_embedding(gens: list[np.ndarray], v: np.ndarray) -> np.ndarray:
     for vi, g in zip(v, gens):
         out = out + vi * g
     return out
-
-
-def twisted_reflection(p: int, q: int, v: np.ndarray, w: np.ndarray, gens=None):
-    """Conjugate the vector w by the invertible vector v, with a sign twist.
-
-    Sends w to g_v g_w g_v / <v, v>, which the tests pin down as the
-    reflection of w across the hyperplane orthogonal to v.
-    """
-    if gens is None:
-        gens = clifford_generators(p, q)
-    eta = signature_eta(p, q)
-    v = np.asarray(v, dtype=float)
-    vv = float(v @ eta @ v)
-    if abs(vv) < 1e-12:
-        raise ValueError("null vectors are not invertible")
-    gv = vector_embedding(gens, v)
-    gw = vector_embedding(gens, np.asarray(w, dtype=float))
-    return MatrixSpan(gens, "vector generators").coefficients(gv @ gw @ gv / vv)
 
 
 # -- spinor modules ----------------------------------------------------------

@@ -121,19 +121,6 @@ class FreeFunction:
         return FreeFunction(self.arity, table=self.series.diff(var).terms,
                             name=f"d{var}_{self.name}")
 
-    def fd_gradient_residual(self, point) -> float:
-        """Max mismatch between jet first partials and central differences."""
-        h = 1e-6
-        point = np.asarray(point, dtype=float)
-        mismatches = []
-        for v in range(self.arity):
-            step = np.zeros(self.arity)
-            step[v] = h
-            fd = (self.value(point + step) - self.value(point - step)) / (2.0 * h)
-            exact = self.derivative(point, v)
-            mismatches.append(abs(fd - exact) / max(1.0, abs(exact)))
-        return _worst(mismatches)
-
 
 def random_polynomial(arity: int, rng: np.random.Generator,
                       degree: int = 3, scale: float = 0.5,
@@ -897,10 +884,13 @@ def _laplacian_display(tag, n, profile, lap_vars, cell):
     f, args = profile
     args = list(args)
     scale = RICCI_CALIBRATION[tag]
+    ctx = shared_context(f.arity, 2)
 
     def display(point):
+        # one order-2 expansion per point serves every second derivative
+        jet = f.jet(ctx, point[args], range(f.arity))
         out = np.zeros((n, n))
-        out[cell] = scale * sum(f.derivative(point[args], a, a) for a in lap_vars)
+        out[cell] = scale * sum(jet.derivative_value(a, a) for a in lap_vars)
         return out
 
     return display
@@ -922,20 +912,16 @@ def ricci_paper(m: CoordinateMetric, point) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConstraintReport:
-    family: str
     residuals: dict
     max_residual: float
-    points: int
 
 
 def constraint_check(m: CoordinateMetric, points) -> ConstraintReport:
     """Per-family constraint residuals over probe points (reports, never rejects)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
     if m._constraint_rule is None:
-        return ConstraintReport(m.family or "custom", {}, 0.0, len(points))
-    residuals = m._constraint_rule(m, points)
-    return ConstraintReport(m.family, dict(residuals), _worst(residuals.values()),
-                            len(points))
+        return ConstraintReport({}, 0.0)
+    residuals = m._constraint_rule(m, np.atleast_2d(np.asarray(points, dtype=float)))
+    return ConstraintReport(dict(residuals), _worst(residuals.values()))
 
 
 # -- adapted coframe and connection ------------------------------------------
@@ -943,10 +929,6 @@ def constraint_check(m: CoordinateMetric, points) -> ConstraintReport:
 
 @dataclass(frozen=True)
 class AdaptedCoframe:
-    point: np.ndarray
-    coframe: np.ndarray
-    gram: np.ndarray
-    stabilizer: tuple
     connection: np.ndarray
     membership_residual: float
     torsion_residual: float
@@ -994,8 +976,7 @@ def adapted_coframe(m: CoordinateMetric, point) -> AdaptedCoframe:
     gms = [m.gram @ av[:, :, c] for c in range(m.n)]
     skew = _worst(np.abs(gm + gm.T).max() for gm in gms)
     member = _worst(projection_residual(av[:, :, c], rows) for c in range(m.n))
-    return AdaptedCoframe(point, ev, m.gram, m.stabilizer, av,
-                          member, torsion, skew, gram_res)
+    return AdaptedCoframe(av, member, torsion, skew, gram_res)
 
 
 # -- holonomy span ------------------------------------------------------------

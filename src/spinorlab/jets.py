@@ -343,42 +343,6 @@ class Jet:
             out = out + term
         return Jet(self.ctx, np.einsum("ikt,kj->ijt", out.c, a0inv))
 
-    # -- analytic functions (scalar jets) -----------------------------------
-
-    def _nilpotent_series(self, coeff_fn) -> "Jet":
-        h = Jet(self.ctx, self.c - self.ctx.constant(self.c[0]).c)
-        out = self.ctx.constant(coeff_fn(0))
-        term = self.ctx.constant(1.0)
-        for k in range(1, self.ctx.order + 1):
-            term = term * h
-            out = out + coeff_fn(k) * term
-        return out
-
-    def sin(self) -> "Jet":
-        u0 = float(self.c[0])
-        s = self._nilpotent_series(
-            lambda k: 0.0 if k % 2 == 0 else (-1) ** (k // 2) / math.factorial(k)
-        )
-        c = self._nilpotent_series(
-            lambda k: (-1) ** (k // 2) / math.factorial(k) if k % 2 == 0 else 0.0
-        )
-        return math.sin(u0) * c + math.cos(u0) * s
-
-    def cos(self) -> "Jet":
-        u0 = float(self.c[0])
-        s = self._nilpotent_series(
-            lambda k: 0.0 if k % 2 == 0 else (-1) ** (k // 2) / math.factorial(k)
-        )
-        c = self._nilpotent_series(
-            lambda k: (-1) ** (k // 2) / math.factorial(k) if k % 2 == 0 else 0.0
-        )
-        return math.cos(u0) * c - math.sin(u0) * s
-
-    def exp(self) -> "Jet":
-        u0 = float(self.c[0])
-        e = self._nilpotent_series(lambda k: 1.0 / math.factorial(k))
-        return math.exp(u0) * e
-
 
 def _meet(jets) -> list[Jet]:
     """The jets of one set of variables, truncated to the lowest order among them."""

@@ -130,23 +130,6 @@ def triality_tau(t: TrialityTriple) -> TrialityTriple:
     return triality_alpha(triality_beta(t))
 
 
-_TRIALITY_OPS = {
-    "alpha": triality_alpha,
-    "beta": triality_beta,
-    "tau": triality_tau,
-}
-
-
-def triality_apply(op: str, t: TrialityTriple) -> TrialityTriple:
-    """Apply one of the outer symmetries alpha, beta, tau to a valid triple."""
-    if op not in _TRIALITY_OPS:
-        raise ValueError(f"unknown triality operation {op!r}")
-    res = triple_residual(*t.as_tuple())
-    if res > TRIPLE_TOL:
-        raise ValueError(f"input is not a triality triple (residual {res:.2e})")
-    return _TRIALITY_OPS[op](t)
-
-
 # ---------------------------------------------------------------------------
 # Infinitesimal triples
 
@@ -252,19 +235,11 @@ class Spin101Element:
 
     ``matrix`` is the 32x32 spinor action, ``rho`` the induced 11x11
     vector action; rho is antisymmetric for the Lorentzian Gram matrix.
-    The octonion slots xv, yv, zv fill the off-diagonal Clifford blocks
-    while (a1, a2, a3) is an infinitesimal triality triple.
+    Both are assembled from an infinitesimal triality triple (a1, a2, a3),
+    the scalars x, y, z and the octonion slots xv, yv, zv that fill the
+    off-diagonal Clifford blocks; the vector block ``rho[3:, 3:]`` is a2.
     """
 
-    a1: np.ndarray
-    a2: np.ndarray
-    a3: np.ndarray
-    x: float
-    y: float
-    z: float
-    xv: np.ndarray
-    yv: np.ndarray
-    zv: np.ndarray
     matrix: np.ndarray
     rho: np.ndarray
 
@@ -297,7 +272,7 @@ def _assemble(a1, a2, a3, x, y, z, xv, yv, zv) -> Spin101Element:
     skew = float(np.abs(rho.T @ GRAM_10_1 + GRAM_10_1 @ rho).max())
     if skew > 1e-9 * max(1.0, float(np.abs(rho).max())):
         raise ValueError(f"vector action is not Gram-antisymmetric ({skew:.2e})")
-    return Spin101Element(a1, a2, a3, float(x), float(y), float(z), xv, yv, zv, matrix, rho)
+    return Spin101Element(matrix, rho)
 
 
 def spin101_element(

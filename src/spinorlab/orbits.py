@@ -55,10 +55,6 @@ MODEL_NAMES = (
 # vector representation.
 SQUARING_MODELS = ("SPIN21", "SPIN31", "SPIN22", "SPIN5", "SPIN41", "SPIN51")
 
-# Two-block models on which swapping the half-spinor factors realizes the
-# action of an orientation-reversing pin element.
-PIN_SWAP_MODELS = ("SPIN4", "SPIN22", "SPIN33", "SPIN51")
-
 MEMBERSHIP_TOL = 1e-10
 SUPPORT_TOL = 1e-9
 
@@ -253,11 +249,10 @@ class SpinOrbitModel:
 
     ``lie_basis`` spans the group's Lie algebra inside the matrices acting
     on the spinor coordinates, cut out by the linearized ``preserves``
-    equations; group elements are sampled as exponentials of its random
-    combinations, and membership of a candidate matrix is the summed
-    residual of the same equations.  Labels and invariants are read off
-    the half-spinor ``blocks``, compactness (q = 0), the ``pairing_fn``
-    between the blocks and the indefinite ``spinor_form``.
+    equations, and membership of a candidate matrix is the summed residual
+    of the same equations.  Labels and invariants are read off the
+    half-spinor ``blocks``, compactness (q = 0), the ``pairing_fn`` between
+    the blocks and the indefinite ``spinor_form``.
     """
 
     name: str
@@ -298,21 +293,11 @@ class SpinOrbitModel:
 
     # -- sampling ----------------------------------------------------------
 
-    def sample_algebra(self, rng: np.random.Generator, scale: float = 0.3):
-        coeffs = rng.normal(size=len(self.lie_basis)) * scale
-        m = np.zeros_like(self.lie_basis[0])
-        for c, a in zip(coeffs, self.lie_basis):
-            m = m + c * a
-        return m
-
     def sample_spinor(self, rng: np.random.Generator) -> np.ndarray:
         s = rng.normal(size=self.spinor_dim)
         if self.complex_field:
             s = s + 1j * rng.normal(size=self.spinor_dim)
         return s
-
-    def sample_vector(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.normal(size=self.vector_space.dim)
 
     # -- group actions -----------------------------------------------------
 
@@ -397,19 +382,6 @@ class SpinOrbitModel:
 
     def orbit_dimension(self, s: np.ndarray) -> int:
         return guarded_rank(self._action_matrix(s), label=f"{self.name} orbit")
-
-    def spinor_blocks(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self.blocks is None:
-            raise ValueError(f"{self.name} has no half-spinor splitting")
-        s = self._coerce_spinor(s)
-        lo, hi = self.blocks
-        return s[lo], s[hi]
-
-    def pin_swap(self, s: np.ndarray) -> np.ndarray:
-        if self.name not in PIN_SWAP_MODELS:
-            raise ValueError(f"{self.name} has no pin swap")
-        plus, minus = self.spinor_blocks(s)
-        return np.concatenate([minus, plus])
 
 
 def _support_label(s: np.ndarray, blocks: tuple[slice, slice]) -> str:
@@ -626,10 +598,6 @@ def get_model(name: str) -> SpinOrbitModel:
     except KeyError:
         raise ValueError(f"unknown orbit model {name!r}") from None
     return _derive(name, declaration)
-
-
-def all_models() -> tuple[SpinOrbitModel, ...]:
-    return tuple(get_model(name) for name in MODEL_NAMES)
 
 
 # ---------------------------------------------------------------------------

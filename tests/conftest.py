@@ -7,10 +7,14 @@ from scipy.linalg import expm
 
 @pytest.fixture
 def sample_group():
-    """Draw an orbit model's group element: exp of ``model.sample_algebra(rng, scale)``."""
+    """Draw an orbit model's group element: exp of a random Lie algebra element."""
 
     def sample(model, rng, scale=0.3):
-        return expm(model.sample_algebra(rng, scale))
+        coeffs = rng.normal(size=len(model.lie_basis)) * scale
+        m = np.zeros_like(model.lie_basis[0])
+        for c, a in zip(coeffs, model.lie_basis):
+            m = m + c * a
+        return expm(m)
 
     return sample
 

@@ -235,6 +235,38 @@ class TestExitCodes:
         _, status = run_command(RunSpec("metric-verify", spec_path=str(path)))
         assert status == 2
 
+    @pytest.mark.parametrize("command", ["metric-verify", "cauchy-solve"])
+    def test_deeply_nested_spec_is_bad_input(self, tmp_path, command):
+        # the JSON parser gives up with a RecursionError, not a ValueError
+        depth = 100_000
+        path = tmp_path / "deep.json"
+        path.write_text('{"a": ' + "[" * depth + "]" * depth + "}")
+        out = tmp_path / "r.json"
+        assert main([command, "--spec", str(path), "--out", str(out)]) == 2
+        report = json.loads(out.read_text())
+        assert "checks" not in report
+        assert report["error"].startswith("cannot read spec: ")
+
+    @pytest.mark.parametrize("as_bool", [False, True], ids=["int", "bool"])
+    def test_spec_path_that_is_not_a_path_is_bad_input(self, as_bool):
+        # open() takes an int or a bool for a file descriptor, reads it and
+        # closes it; True is fd 1, the process's stdout
+        read_fd, write_fd = os.pipe()
+        os.write(write_fd, b"{}")
+        os.close(write_fd)
+        try:
+            fd = 1 if as_bool else read_fd
+            report, status = run_command(
+                RunSpec("metric-verify", spec_path=True if as_bool else read_fd))
+            assert status == 2 and "checks" not in report
+            assert report["error"].startswith("spec path must be a string or a path")
+            os.fstat(fd)
+        finally:
+            try:
+                os.close(read_fd)
+            except OSError:
+                pass
+
     def test_unknown_family(self, tmp_path):
         path = _write(tmp_path, "bad.json", {"family": "M99", "functions": []})
         _, status = run_command(RunSpec("metric-verify", spec_path=path))

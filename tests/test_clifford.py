@@ -1,4 +1,4 @@
-"""Clifford generator relations, algebra types, reflections, spinor modules."""
+"""Clifford generator relations, algebra types, spinor modules."""
 
 import itertools
 
@@ -15,7 +15,6 @@ from spinorlab.clifford import (
     signature_eta,
     signed_permutations,
     spin_representation,
-    twisted_reflection,
     vector_embedding,
     volume_element,
 )
@@ -219,35 +218,6 @@ class TestEvenSubalgebra:
             "even span",
         )
         assert got == 8  # half of dim Cl(2,2) = 16
-
-
-class TestTwistedReflection:
-    @pytest.mark.parametrize("p,q", [(2, 1), (3, 1), (2, 2), (4, 3)])
-    def test_matches_reflection_formula(self, p, q):
-        rng = np.random.default_rng(41 + p + 10 * q)
-        gens = clifford_generators(p, q)
-        eta = signature_eta(p, q)
-        for _ in range(20):
-            v = rng.standard_normal(p + q)
-            w = rng.standard_normal(p + q)
-            vv = v @ eta @ v
-            if abs(vv) < 0.1:
-                continue
-            got = twisted_reflection(p, q, v, w, gens=gens)
-            want = w - 2.0 * (v @ eta @ w) / vv * v
-            assert np.allclose(got, want, atol=1e-10)
-
-    def test_null_vector_is_rejected(self):
-        v = np.array([1.0, 0.0, 1.0])  # null in signature (2,1)
-        with pytest.raises(ValueError):
-            twisted_reflection(2, 1, v, np.array([1.0, 0.0, 0.0]))
-
-    def test_reflection_is_involutive(self):
-        v = np.array([0.3, -1.2, 0.4, 0.0])
-        w = np.array([1.0, 2.0, -0.5, 0.7])
-        once = twisted_reflection(2, 2, v, w)
-        twice = twisted_reflection(2, 2, v, once)
-        assert np.allclose(twice, w, atol=1e-10)
 
 
 _SPIN_DIMS = {

@@ -101,6 +101,20 @@ GENERIC_CASES = [
 # Free functions
 
 
+def _fd_gradient_residual(f, point):
+    """Max mismatch between jet first partials and central differences (NaN if any is)."""
+    h = 1e-6
+    point = np.asarray(point, dtype=float)
+    mismatches = []
+    for v in range(f.arity):
+        step = np.zeros(f.arity)
+        step[v] = h
+        fd = (f.value(point + step) - f.value(point - step)) / (2.0 * h)
+        exact = f.derivative(point, v)
+        mismatches.append(abs(fd - exact) / max(1.0, abs(exact)))
+    return float(np.max(mismatches))
+
+
 class TestFreeFunction:
     def test_table_evaluation(self):
         f = FreeFunction(2, table={(2, 0): 3.0, (1, 1): -1.0, (0, 0): 0.5})
@@ -111,13 +125,13 @@ class TestFreeFunction:
         for salt in range(4):
             f = random_polynomial(3, rng, degree=4, scale=0.7)
             pt = rng.uniform(-1, 1, 3)
-            assert f.fd_gradient_residual(pt) < 1e-6
+            assert _fd_gradient_residual(f, pt) < 1e-6
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_fd_gradient_keeps_nan(self):
         # the x difference is inf - inf; it must not read as a zero mismatch
         f = FreeFunction(2, table={(3, 0): 1e308, (0, 1): 1.0})
-        assert np.isnan(f.fd_gradient_residual(np.array([5.0, 0.0])))
+        assert np.isnan(_fd_gradient_residual(f, np.array([5.0, 0.0])))
 
     def test_partial_is_exact(self):
         f = FreeFunction(2, table={(3, 1): 2.0, (0, 2): 1.0})
@@ -285,28 +299,34 @@ class TestProfileDraws:
 
 
 def _sphere():
+    """The unit round sphere in the stereographic chart, 4(dx^2 + dy^2)/(1 + x^2 + y^2)^2."""
     def rule(X, ctx):
-        th = X[0]
-        return Jet.stack([
-            [ctx.constant(1.0), ctx.constant(0.0)],
-            [ctx.constant(0.0), th.sin() * th.sin()],
-        ])
-    return custom_metric(2, (2, 0), ("th", "ph"), rule)
+        x, y = X
+        conformal = 4.0 / ((1.0 + x * x + y * y) ** 2)
+        zero = ctx.constant(0.0)
+        return Jet.stack([[conformal, zero], [zero, conformal]])
+    return custom_metric(2, (2, 0), ("x", "y"), rule)
+
+
+def _sphere_conformal(pt):
+    return 4.0 / (1.0 + pt @ pt) ** 2
 
 
 class TestCurvatureOracles:
     def test_round_sphere_ricci_is_positive(self):
+        # the unit sphere is Einstein with Ric = g
         m = _sphere()
-        for th in (0.4, 0.9, 1.3):
-            pt = np.array([th, 0.2])
-            want = np.diag([1.0, np.sin(th) ** 2])
+        for pt in ([0.4, 0.2], [-0.9, 0.3], [1.3, -0.7]):
+            pt = np.array(pt)
+            want = _sphere_conformal(pt) * np.eye(2)
             assert np.abs(ricci_numeric(m, pt) - want).max() < 1e-12
 
     def test_sphere_sectional_curvature_one(self):
         m = _sphere()
-        r = riemann_numeric(m, np.array([0.8, -0.1]))
-        # R^th_{ph th ph} = sin^2 th
-        assert r[0, 1, 0, 1] == pytest.approx(np.sin(0.8) ** 2)
+        pt = np.array([0.8, -0.1])
+        r = riemann_numeric(m, pt)
+        # R^x_{yxy} = K g_yy with K = 1
+        assert r[0, 1, 0, 1] == pytest.approx(_sphere_conformal(pt))
 
     def test_ricci_matches_finite_differences(self):
         rng = _rng("fd-ricci")

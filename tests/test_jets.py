@@ -1,7 +1,5 @@
 """Truncated Taylor arithmetic against naive polynomial and sympy oracles."""
 
-import math
-
 import numpy as np
 import pytest
 import sympy as sp
@@ -156,36 +154,6 @@ class TestScalarCalculus:
         for e in ctx.monomials[1:]:
             assert abs(prod.coefficient(e)) < 1e-12
 
-    def test_sin_cos_match_sympy_series(self):
-        t_s = sp.Symbol("t")
-        ctx = JetContext(1, 6)
-        (t,) = ctx.variables([0.3])
-        arg = 2 * t + t * t
-        arg_s = 2 * t_s + t_s**2
-        for jet, expr in [(arg.sin(), sp.sin(arg_s)), (arg.cos(), sp.cos(arg_s))]:
-            ser = sp.series(expr, t_s, 0.3, 7).removeO()
-            poly = sp.Poly(sp.expand(ser.subs(t_s, t_s + sp.Rational(3, 10))), t_s)
-            for k in range(7):
-                want = float(poly.coeff_monomial(t_s**k))
-                assert abs(jet.coefficient((k,)) - want) < 1e-10
-
-    def test_pythagorean_identity(self):
-        ctx = JetContext(2, 5)
-        u, v = ctx.variables([0.9, -1.3])
-        w = u + 2 * v
-        one = w.sin() ** 2 + w.cos() ** 2
-        assert abs(one.value() - 1.0) < 1e-12
-        for e in ctx.monomials[1:]:
-            assert abs(one.coefficient(e)) < 1e-12
-
-    def test_exp_matches_math(self):
-        ctx = JetContext(1, 5)
-        (t,) = ctx.variables([0.2])
-        jet = (t * t).exp()
-        # d/dt exp(t^2) = 2t exp(t^2)
-        assert abs(jet.value() - math.exp(0.04)) < 1e-14
-        assert abs(jet.diff(0).value() - 0.4 * math.exp(0.04)) < 1e-12
-
 
 class TestMatrixJets:
     def test_matmul_matches_entrywise(self):
@@ -281,7 +249,7 @@ class TestTruncate:
     def test_prefix_is_the_jet_of_the_lower_context(self):
         def build(ctx):
             x, y, z = ctx.variables([0.7, -0.4, 0.2])
-            return (x * x * y + 3.0 * z) / (1.0 + x * y * y) - (y * z).sin()
+            return (x * x * y + 3.0 * z) / (1.0 + x * y * y) - y * z / (2.0 + z * z)
 
         high = build(shared_context(3, 3))
         for order in range(4):
@@ -373,7 +341,7 @@ class TestMixedOrders:
     def test_diff_is_a_prefix_in_the_lower_context(self):
         ctx = shared_context(2, 3)
         x, y = ctx.variables([0.5, -1.5])
-        f = x * x * y + y.sin()
+        f = x * x * y + 1.0 / (1.0 + y * y)
         for var in range(2):
             d = f.diff(var)
             assert d.ctx is shared_context(2, 2) and d.c.shape == (d.ctx.nmono,)

@@ -9,7 +9,6 @@ from spinorlab.algebra import QMatrix, qdet2
 from spinorlab import orbits
 from spinorlab.orbits import (
     MODEL_NAMES,
-    PIN_SWAP_MODELS,
     SQUARING_MODELS,
     get_model,
     is_pure,
@@ -32,7 +31,7 @@ def _rng(name, salt=0):
 class TestQuaternionRealization:
     def test_vector_embed_roundtrip(self):
         rng = np.random.default_rng(7)
-        s = QMatrix.from_real(rng.normal(size=8), (2, 1))
+        s = QMatrix.from_components(*rng.normal(size=(4, 2, 1)))
         z = quaternion_vector_embed(s)
         back = quaternion_vector_unembed(z)
         assert (back - s).norm() < 1e-14
@@ -40,8 +39,8 @@ class TestQuaternionRealization:
     def test_matrix_action_matches_embedding(self):
         # embed(M) acting on (a, conj b) coordinates is quaternion action
         rng = np.random.default_rng(8)
-        m = QMatrix.from_real(rng.normal(size=16), (2, 2))
-        s = QMatrix.from_real(rng.normal(size=8), (2, 1))
+        m = QMatrix.from_components(*rng.normal(size=(4, 2, 2)))
+        s = QMatrix.from_components(*rng.normal(size=(4, 2, 1)))
         lhs = m.embed() @ quaternion_vector_embed(s)
         rhs = quaternion_vector_embed(m @ s)
         assert np.max(np.abs(lhs - rhs)) < 1e-13
@@ -51,7 +50,7 @@ class TestQuaternionRealization:
         rng = np.random.default_rng(9)
         j4 = orbits._jmat(2)
         for _ in range(10):
-            s = QMatrix.from_real(rng.normal(size=8), (2, 1))
+            s = QMatrix.from_components(*rng.normal(size=(4, 2, 1)))
             z = quaternion_vector_embed(s)
             direct = (s @ s.conj_t()).embed()
             via_z = orbits._quaternion_outer_embed(z, j4)
@@ -61,7 +60,7 @@ class TestQuaternionRealization:
         rng = np.random.default_rng(10)
         q = QMatrix(np.diag([1.0, -1.0]).astype(complex))
         for _ in range(10):
-            s = QMatrix.from_real(rng.normal(size=8), (2, 1))
+            s = QMatrix.from_components(*rng.normal(size=(4, 2, 1)))
             z = quaternion_vector_embed(s)
             quat_val = (s.conj_t() @ (q @ s)).a[0, 0].real
             embed_val = (z.conj() @ (orbits._Q41 @ z)).real
@@ -173,7 +172,7 @@ class TestActions:
         rng = _rng(name, 3)
         for _ in range(20):
             g = sample_group(model, rng)
-            v = model.sample_vector(rng)
+            v = rng.normal(size=model.vector_space.dim)
             before = model.vector_square(v)
             after = model.vector_square(model.act_vector(g, v))
             assert abs(after - before) <= 1e-10 * max(1.0, abs(before))
@@ -198,8 +197,8 @@ class TestActions:
         model = get_model(name)
         rng = _rng(name, 5)
         g = sample_group(model, rng)
-        v1 = model.sample_vector(rng)
-        v2 = model.sample_vector(rng)
+        v1 = rng.normal(size=model.vector_space.dim)
+        v2 = rng.normal(size=model.vector_space.dim)
         lhs = model.act_vector(g, v1 + 2.0 * v2)
         rhs = model.act_vector(g, v1) + 2.0 * model.act_vector(g, v2)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
@@ -377,38 +376,6 @@ class TestOrbitIntegers:
 
 
 # ---------------------------------------------------------------------------
-# Pin swap
-
-
-class TestPinSwap:
-    @pytest.mark.parametrize("name", PIN_SWAP_MODELS)
-    def test_swap_exchanges_chirality_labels(self, name):
-        model = get_model(name)
-        rng = _rng(name, 14)
-        s = model.sample_spinor(rng)
-        plus, minus = model.blocks
-        chiral = s.copy()
-        chiral[minus] = 0.0
-        assert model.orbit_label(chiral) == "chiral-plus"
-        assert model.orbit_label(model.pin_swap(chiral)) == "chiral-minus"
-
-    @pytest.mark.parametrize("name", PIN_SWAP_MODELS)
-    def test_swap_preserves_dimensions(self, name):
-        model = get_model(name)
-        rng = _rng(name, 15)
-        s = model.sample_spinor(rng)
-        swapped = model.pin_swap(s)
-        assert model.orbit_dimension(s) == model.orbit_dimension(swapped)
-        assert model.stabilizer_dimension(s) == model.stabilizer_dimension(
-            swapped
-        )
-
-    def test_swap_rejected_elsewhere(self):
-        with pytest.raises(ValueError):
-            get_model("SPIN21").pin_swap(np.array([1.0, 0.0]))
-
-
-# ---------------------------------------------------------------------------
 # Purity
 
 
@@ -531,7 +498,7 @@ class TestPurity:
 
 class TestRegistry:
     def test_all_models_listed(self):
-        assert len(orbits.all_models()) == 14
+        assert len({get_model(name) for name in MODEL_NAMES}) == 14
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
