@@ -4,13 +4,12 @@ Each normal form is declared once, in the table :func:`normal_form` reads
 lazily: coordinates, signature, a constant Gram matrix and a basis of the
 stabilizer subalgebra the Levi-Civita connection must take values in.  A
 builder adds two independent term lists placing profile functions in
-fixed cells of the metric components and of an adapted coframe.  One rule
-evaluates such a metric as truncated Taylor jets, the 11-dimensional
-family included: its fiber Gram block is formed exactly, once per build,
-as product tables.  Curvature is read off the jets (Christoffel symbols,
-Riemann, Ricci); closed-form Ricci displays, constraint equations,
-connection membership and holonomy spans are all checked against that
-machinery.
+fixed cells of the metric components and of an adapted coframe; the
+11-dimensional family's identity fiber is part of its constant Gram
+matrix.  One rule evaluates every such metric as truncated Taylor jets.
+Curvature is read off the jets (Christoffel symbols, Riemann, Ricci);
+closed-form Ricci displays, constraint equations, connection membership
+and holonomy spans are all checked against that machinery.
 """
 
 from __future__ import annotations
@@ -290,7 +289,7 @@ class CoordinateMetric:
 
     def __init__(self, n, signature, coordinates, component_rule, *,
                  form=None, functions=(), coframe_rule=None, constraint_rule=None,
-                 fiber=None, ricci_display=None):
+                 ricci_display=None):
         self.n = int(n)
         self.signature = tuple(int(s) for s in signature)
         self.coordinates = tuple(coordinates)
@@ -298,7 +297,6 @@ class CoordinateMetric:
         self.family, self.p = (None, None) if form is None else (form.tag, form.p)
         self.gram, self.stabilizer = (None, ()) if form is None else (form.gram, form.stabilizer)
         self.functions = tuple(functions)
-        self.fiber = fiber
         self._component_rule = component_rule
         self._coframe_rule = coframe_rule
         self._constraint_rule = constraint_rule
@@ -544,16 +542,14 @@ def _hessian_determinant_rule(hess):
 def _profile_rule(const, profiles, terms):
     """Jet rule (point, ctx) -> const + coeff * f_t(point[args_t]) in cell (i, j), per term.
 
-    ``profiles`` lists (FreeFunction, argument indices) and ``terms`` lists
-    (i, j, coeff, t).  Each profile the terms reference is evaluated once
-    per call, and the others not at all.
+    ``profiles`` lists (FreeFunction, argument indices), each referenced by
+    some term, and ``terms`` lists (i, j, coeff, t).  Each profile is
+    evaluated once per call.
     """
     const = np.array(const, dtype=float)
     rows, cols, coeffs, which = zip(*terms)
-    used = sorted(set(which))
-    profiles = [(profiles[t][0], tuple(profiles[t][1])) for t in used]
     cells = np.ravel_multi_index((rows, cols), const.shape)
-    which = np.searchsorted(used, which)
+    which = list(which)
     coeffs = np.array(coeffs, dtype=float)[:, None]
 
     def rule(point, ctx):
@@ -664,9 +660,16 @@ def _build_m33gen(form, functions):
 
 
 def _build_m101(form, functions):
+    # g enters the components as -4 g at (x3, x3) and the coframe as g dx3 in theta^0
     if len(functions) != 1:
         raise ValueError("M101 takes a single free profile")
-    return build_metric_10_1(FiberFamily.identity(), functions[0])
+    g, = functions
+    if g.arity not in (2, 10, 11):
+        raise ValueError("profile takes (x2,x3), (x2,x3,w) or all coordinates")
+    if g.arity == 11 and g.series.depends_on(0):
+        raise ValueError("profile must not depend on x1")
+    args = {2: (1, 2), 10: range(1, 11), 11: range(11)}[g.arity]
+    return _assemble(form, functions, [(g, args)], [(2, 2, -4.0, 0)], [(0, 2, 1.0, 0)])
 
 
 # tag -> builder (normal form, profiles) -> metric, adding the profile terms
@@ -984,7 +987,6 @@ def adapted_coframe(m: CoordinateMetric, point) -> AdaptedCoframe:
 
 @dataclass(frozen=True)
 class HolonomyEstimate:
-    family: str
     span_dim: int
     stabilizer_dim: int
     generator_count: int
@@ -1028,11 +1030,11 @@ def holonomy_span(m: CoordinateMetric, points) -> HolonomyEstimate:
                 residuals.append(projection_residual(th, rows))
     member = _worst(residuals)
     if not ops:
-        return HolonomyEstimate(m.family, 0, sdim, 0, 0, member)
+        return HolonomyEstimate(0, sdim, 0, 0, member)
     basis, sweeps = bracket_closure(ops, "holonomy span")
     # a span beyond the stabilizer means wrong connection or coframe data;
     # the caller's span check reports it
-    return HolonomyEstimate(m.family, len(basis), sdim, len(ops), sweeps, member)
+    return HolonomyEstimate(len(basis), sdim, len(ops), sweeps, member)
 
 
 # -- formal curvature space ----------------------------------------------------
@@ -1157,92 +1159,6 @@ def curvature_space_dim(stabilizer) -> int:
 # -- the 11-dimensional family -------------------------------------------------
 
 
-class FiberFamily:
-    """x3-dependent coframe on the 8-dimensional fiber.
-
-    Entries are numbers or polynomial tables of (x3, w1..w8), so that the
-    Gram block E^T E is formed exactly; each slice must be an invertible
-    8x8 matrix.
-    """
-
-    def __init__(self, entries):
-        arr = np.asarray(entries, dtype=object)
-        if arr.shape != (8, 8):
-            raise ValueError("fiber coframe must be 8x8")
-        for cell in arr.flat:
-            if isinstance(cell, FreeFunction) and cell.arity != 9:
-                raise ValueError("fiber entries are numbers or tables of (x3, w1..w8)")
-        self.entries = [[c if isinstance(c, FreeFunction) else float(c) for c in row]
-                        for row in arr]
-        self.constant = not any(isinstance(c, FreeFunction) for c in arr.flat)
-
-    @classmethod
-    def identity(cls) -> "FiberFamily":
-        return cls(np.eye(8))
-
-
-def _fiber_gram(entries) -> dict:
-    """E^T E as {(a, b): number or product table of (x3, w1..w8)}, formed exactly."""
-    tables = [[c.table if isinstance(c, FreeFunction) else {(0,) * 9: c} for c in row]
-              for row in entries]
-    order = 2 * max((sum(e) for row in tables for t in row for e in t), default=0)
-    series = [[JetSeries(9, order, t) for t in row] for row in tables]
-    cells = {}
-    for a, b in symmetric_pairs(8):
-        total = JetSeries.zero(9, order)
-        for k in range(8):
-            if not (series[k][a].is_zero() or series[k][b].is_zero()):
-                total = total + series[k][a] * series[k][b]
-        if total.terms.keys() - {(0,) * 9}:
-            cell = FreeFunction(9, table=total.terms, name=f"(E^T E){a + 1}{b + 1}")
-        else:
-            cell = float(total.terms.get((0,) * 9, 0.0))
-        cells[a, b] = cells[b, a] = cell
-    return cells
-
-
-def _place_fiber(const, terms, profiles, cells) -> None:
-    """Put {(a, b): number or table} cells into the 8x8 block at (3, 3).
-
-    A number goes into ``const``; a table becomes a profile of (x3, w1..w8),
-    appended to ``profiles`` once however many cells hold it, and a term.
-    """
-    slots = {}
-    for (a, b), cell in cells.items():
-        if isinstance(cell, FreeFunction):
-            if id(cell) not in slots:
-                slots[id(cell)] = len(profiles)
-                profiles.append((cell, range(2, 11)))
-            terms.append((3 + a, 3 + b, 1.0, slots[id(cell)]))
-            cell = 0.0
-        const[3 + a, 3 + b] = cell
-
-
-def build_metric_10_1(fiber, g: FreeFunction) -> CoordinateMetric:
-    """Signature (10,1) metric from a fiber coframe family and a free profile.
-
-    The profile g may take (x2, x3), (x2, x3, w1..w8) or all eleven
-    coordinates, but must not depend on x1.  It enters the components as
-    -4 g in the (x3, x3) cell and the coframe as g dx3 in theta^0; the fiber
-    block is E in the coframe and E^T E in the components.
-    """
-    if not isinstance(fiber, FiberFamily):
-        fiber = FiberFamily(fiber)
-    if g.arity not in (2, 10, 11):
-        raise ValueError("profile takes (x2,x3), (x2,x3,w) or all coordinates")
-    if g.arity == 11 and g.series.depends_on(0):
-        raise ValueError("profile must not depend on x1")
-    profiles = [(g, {2: (1, 2), 10: range(1, 11), 11: range(11)}[g.arity])]
-    form = _declared("M101", None)
-    comp_const, comp_terms = form.gram.copy(), [(2, 2, -4.0, 0)]
-    cof_const, cof_terms = np.eye(11), [(0, 2, 1.0, 0)]
-    _place_fiber(comp_const, comp_terms, profiles, _fiber_gram(fiber.entries))
-    _place_fiber(cof_const, cof_terms, profiles,
-                 {(a, b): fiber.entries[a][b] for a, b in itertools.product(range(8), repeat=2)})
-    return _assemble(form, (g,), profiles, comp_terms, cof_terms, comp_const=comp_const,
-                     cof_const=cof_const, fiber=fiber)
-
-
 def _integral_form(mats, k: int, label: str) -> np.ndarray:
     """The one invariant k-form of ``mats``: max |coefficient| 1, first one > 0, integral."""
     kern = invariant_forms(mats, k, label)
@@ -1268,14 +1184,11 @@ def _alternating(coeffs, n: int, k: int) -> np.ndarray:
 def parallel_forms_10_1(m: CoordinateMetric) -> dict[str, np.ndarray]:
     """dx3, dx2^dx3 and dx3^Phi: the stabilizer's one invariant 1-, 2- and 5-form.
 
-    Each is pulled back by the coframe at the origin; dx3^Phi has constant
-    coordinate components only for a constant fiber, so only that gets it.
+    Each is pulled back by the coframe at the origin.
     """
     if m.family != "M101":
         raise ValueError("parallel-form inventory is specific to M101")
-    degrees = {"dx3": 1, "dx2^dx3": 2}
-    if m.fiber is not None and m.fiber.constant:
-        degrees["dx3^Phi"] = 5
+    degrees = {"dx3": 1, "dx2^dx3": 2, "dx3^Phi": 5}
     coframe = m.coframe_jets(np.zeros(m.n), order=0).value()
     out = {}
     for name, k in degrees.items():

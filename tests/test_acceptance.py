@@ -367,7 +367,7 @@ def test_criterion_11_eleven_dimensional_assembly(verdict):
         g = geometry.FreeFunction(2, table={
             (1, 0): 0.4, (0, 1): -0.3, (2, 0): 0.6,
             (1, 1): 0.2, (0, 2): -0.5, (2, 1): 0.15})
-        m = geometry.build_metric_10_1(geometry.FiberFamily.identity(), g)
+        m = geometry.build_metric("M101", [g])
         pts = geometry.probe_points(m, SEED, count=5)
         for pt in pts:
             assert geometry.adapted_coframe(m, pt).membership_residual <= 1e-9

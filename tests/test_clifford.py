@@ -15,8 +15,6 @@ from spinorlab.clifford import (
     signature_eta,
     signed_permutations,
     spin_representation,
-    vector_embedding,
-    volume_element,
 )
 from spinorlab.linalg import (
     constrained_span,

@@ -14,11 +14,9 @@ from spinorlab import geometry, octospin
 from spinorlab.geometry import (
     FAMILY_TAGS,
     RICCI_CALIBRATION,
-    FiberFamily,
     FreeFunction,
     adapted_coframe,
     build_metric,
-    build_metric_10_1,
     constraint_check,
     curvature_space_dim,
     custom_metric,
@@ -442,14 +440,15 @@ class TestFamilyBuilders:
             assert len(calls) == len(set(map(id, calls))) == distinct
 
     def test_wrong_function_count_rejected(self):
-        with pytest.raises(ValueError):
-            build_metric("M31", [])
-        with pytest.raises(ValueError):
-            build_metric("M33NULL", [FreeFunction.zero(6)])
+        for family, count, arity in [("M31", 0, 4), ("M33NULL", 1, 6),
+                                     ("M101", 0, 2), ("M101", 2, 2)]:
+            with pytest.raises(ValueError):
+                build_metric(family, [FreeFunction.zero(arity)] * count)
 
     def test_wrong_arity_rejected(self):
-        with pytest.raises(ValueError):
-            build_metric("M21", [FreeFunction.zero(5)])
+        for family, arity in [("M21", 5), ("M101", 3)]:
+            with pytest.raises(ValueError):
+                build_metric(family, [FreeFunction.zero(arity)])
 
     def test_block_size_required_for_pure_families(self):
         with pytest.raises(ValueError):
@@ -1216,14 +1215,14 @@ class TestElevenDimensionalFamily:
     def test_profile_must_not_depend_on_first_coordinate(self):
         bad = FreeFunction(11, table={(1,) + (0,) * 10: 1.0})
         with pytest.raises(ValueError):
-            build_metric_10_1(FiberFamily.identity(), bad)
+            build_metric("M101", [bad])
 
     def test_fiber_dependent_profile_keeps_connection_adapted(self):
         table = {(1, 0) + (0,) * 8: 0.4, (0, 2) + (0,) * 8: -0.5}
         e = [0] * 10
         e[2] = 2
         table[tuple(e)] = 0.3
-        m = build_metric_10_1(FiberFamily.identity(), FreeFunction(10, table=table))
+        m = build_metric("M101", [FreeFunction(10, table=table)])
         for pt in probe_points(m, 43, count=3):
             assert adapted_coframe(m, pt).membership_residual < 1e-9
 
@@ -1240,65 +1239,14 @@ class TestElevenDimensionalFamily:
         assert np.count_nonzero(five[2]) == 14 * 24
         assert not np.any(five[:2]) and not np.any(five[2, 2])
 
-    def test_constant_fiber_pulls_back_the_five_form(self):
-        # dx3^Phi of a constant fiber E is the identity fiber's pulled back by E
-        fiber = np.eye(8)
-        fiber[0, 3], fiber[5, 1], fiber[2, 2], fiber[7, 6], fiber[4, 4] = 2.0, -0.5, 3.0, 1.0, -1.0
-        g = FreeFunction(2, table={(1, 1): 0.3, (2, 0): -0.2})
-        flat = parallel_forms_10_1(build_metric_10_1(FiberFamily.identity(), g))
-        forms = parallel_forms_10_1(build_metric_10_1(FiberFamily(fiber), g))
-        assert np.array_equal(forms["dx3"], flat["dx3"])
-        assert np.array_equal(forms["dx2^dx3"], flat["dx2^dx3"])
-        pulled = np.einsum("abcd,ai,bj,ck,dl->ijkl", flat["dx3^Phi"][2, 3:, 3:, 3:, 3:],
-                           fiber, fiber, fiber, fiber, optimize=True)
-        assert np.array_equal(forms["dx3^Phi"][2, 3:, 3:, 3:, 3:], pulled)
-
-    def test_nonconstant_fiber_drops_four_form(self):
-        entries = np.eye(8).astype(object)
-        entries[0, 0] = FreeFunction(9, table={(0,) * 9: 1.0, (1,) + (0,) * 8: 0.2})
-        fiber = FiberFamily(entries)
-        assert not fiber.constant
-        g = FreeFunction(2, table={(1, 1): 0.3})
-        m = build_metric_10_1(fiber, g)
-        assert "dx3^Phi" not in parallel_forms_10_1(m)
-
-    def test_fiber_shape_checked(self):
-        with pytest.raises(ValueError):
-            FiberFamily(np.eye(7))
-
-    def test_degenerate_fiber_rejected(self):
-        entries = np.eye(8)
-        entries[4, 4] = 0.0
-        with pytest.raises(ValueError, match="degenerate"):
-            build_metric_10_1(FiberFamily(entries), FreeFunction(2, table={(1, 1): 0.3}))
-
-    def test_fiber_gram_block_is_coframe_product(self):
-        # the components' E^T E comes from exact product tables; multiply the
-        # coframe's E jets instead
-        entries = np.eye(8).astype(object)
-        entries[0, 0] = FreeFunction(9, table={(0,) * 9: 1.0, (1,) + (0,) * 8: 0.2})
-        entries[2, 5] = random_polynomial(9, _rng("M101 fiber"), degree=2, scale=0.1)
-        entries[5, 5] = FreeFunction(9, table={(0,) * 9: 1.0, (2,) + (0,) * 8: -0.3})
-        entries[7, 1] = 0.25
-        m = build_metric_10_1(FiberFamily(entries), FreeFunction(2, table={(1, 1): 0.3}))
-        for pt in probe_points(m, 45, count=2):
-            for order in (0, 1, 2):
-                e = m.coframe_jets(pt, order=order).c[3:, 3:]
-                g = m.component_jets(pt, order=order)
-                want = g.ctx.matmul_arrays(np.swapaxes(e, 0, 1), e)
-                assert np.abs(g.c[3:, 3:] - want).max() < 1e-14
-
-    def test_identity_fiber_gram_skips_zero_factors(self, monkeypatch):
-        # a product with a zero factor is skipped, so the identity fiber's
-        # E^T E takes one product per diagonal cell and no other
+    def test_build_multiplies_no_series(self, monkeypatch):
+        # the identity fiber is constant, so a build multiplies no exact series
         calls = []
         mul = JetSeries.__mul__
         monkeypatch.setattr(JetSeries, "__mul__", lambda s, o: calls.append(1) or mul(s, o))
         for _ in range(2):
-            build_metric_10_1(FiberFamily.identity(), FreeFunction(2, table={(1, 1): 0.3}))
-        assert len(calls) == 2 * 8
-        cells = geometry._fiber_gram(FiberFamily.identity().entries)
-        assert cells == {(a, b): float(a == b) for a in range(8) for b in range(8)}
+            build_metric("M101", [FreeFunction(2, table={(1, 1): 0.3})])
+        assert calls == []
 
     def test_holonomy_span_stays_within_stabilizer(self):
         m = _generic("M101")

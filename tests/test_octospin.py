@@ -13,7 +13,6 @@ from spinorlab.algebra import (
     octonion_basis,
     octonion_conj,
     octonion_inner,
-    octonion_mul,
     octonion_norm_sq,
     right_mult_matrix,
 )
