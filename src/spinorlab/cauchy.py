@@ -20,6 +20,8 @@ from .geometry import (
     _bracket_parts,
     _fmatrix,
     _quadratic_bracket,
+    _spec_entry,
+    _spec_function_list,
     _spec_integer,
     _spec_table,
     symmetric_pairs,
@@ -93,12 +95,9 @@ def cauchy_data(p: int, order: int, a_tables, b_tables=None) -> CauchyData:
 
 def cauchy_data_from_spec(d: dict) -> CauchyData:
     """Data from the JSON polynomial format shared with geometry specs."""
-    p = _spec_integer(d["p"], "p")
+    p = _spec_integer(_spec_entry(d, "p"), "p")
     order = _spec_integer(d.get("order", 6), "order")
-    entries = {key: d.get(key, []) for key in ("a", "b")}
-    for key, fds in entries.items():
-        if not isinstance(fds, list) or not all(isinstance(fd, dict) for fd in fds):
-            raise ValueError(f"{key} must be a list of function objects, got {fds!r}")
+    entries = {key: _spec_function_list(d.get(key, []), key) for key in ("a", "b")}
     # counted before any table is read, so a huge p reads nothing
     _check_counts(p, entries["a"], entries["b"] or None)
 

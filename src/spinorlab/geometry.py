@@ -218,6 +218,20 @@ def quadratic_profile_functions(h4: np.ndarray, h2: np.ndarray) -> list[FreeFunc
 # -- spec files ---------------------------------------------------------------
 
 
+def _spec_entry(d: dict, key: str):
+    """A required spec entry; an absent one is reported by its key."""
+    if key not in d:
+        raise ValueError(f"missing key {key!r}")
+    return d[key]
+
+
+def _spec_function_list(fds, key: str) -> list[dict]:
+    """A spec's list of function objects, rejected with its key otherwise."""
+    if not isinstance(fds, list) or not all(isinstance(fd, dict) for fd in fds):
+        raise ValueError(f"{key} must be a list of function objects, got {fds!r}")
+    return fds
+
+
 def _spec_integer(value, key: str) -> int:
     """A JSON integer; true, 3.0, "3" or "12/2" is rejected with its key."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -262,14 +276,15 @@ def _spec_table(coefficients: dict, arity: int) -> dict[tuple[int, ...], Fractio
 
 def function_from_spec(d: dict) -> FreeFunction:
     """Build a table-backed function from its serialized form (exact rationals)."""
-    arity = _spec_integer(d["arity"], "arity")
+    arity = _spec_integer(_spec_entry(d, "arity"), "arity")
     return FreeFunction(arity, table=_spec_table(d.get("coefficients", {}), arity),
                         name=d.get("name", "f"))
 
 
 def metric_from_spec(d: dict) -> "CoordinateMetric":
-    family = str(d["family"])
-    functions = [function_from_spec(fd) for fd in d["functions"]]
+    family = str(_spec_entry(d, "family"))
+    fds = _spec_function_list(_spec_entry(d, "functions"), "functions")
+    functions = [function_from_spec(fd) for fd in fds]
     if d.get("fiber", "identity") != "identity":
         raise ValueError("only the identity fiber is serializable")
     return build_metric(family, functions, p=d.get("p"))

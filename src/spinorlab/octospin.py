@@ -346,10 +346,15 @@ def bracket_element(m: Spin101Element, n: Spin101Element) -> Spin101Element:
 # Squaring map and quartic invariant
 
 
-def _split(zvec: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _spinor(zvec: np.ndarray) -> np.ndarray:
     zvec = np.asarray(zvec, dtype=float)
     if zvec.shape != (32,):
-        raise ValueError(f"expected a 32-component spinor, got shape {zvec.shape}")
+        raise ValueError("spinor must have shape (32,)")
+    return zvec
+
+
+def _split(zvec: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    zvec = _spinor(zvec)
     return zvec[0:8], zvec[8:16], zvec[16:24], zvec[24:32]
 
 
@@ -394,7 +399,7 @@ def timelike_spinor() -> np.ndarray:
 
 
 def spinor_action_matrix(zvec: np.ndarray) -> np.ndarray:
-    zvec = np.asarray(zvec, dtype=float)
+    zvec = _spinor(zvec)
     return np.column_stack([e.matrix @ zvec for e in spin101_basis()])
 
 

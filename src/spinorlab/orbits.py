@@ -31,7 +31,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import clifford
-from .algebra import QMatrix, pfaffian, qdet2
 from .linalg import MatrixSpan, constrained_span, guarded_rank, real_flat
 
 MODEL_NAMES = (
@@ -117,22 +116,6 @@ def _hodge_star4(m: np.ndarray) -> np.ndarray:
     return out - out.T
 
 
-def quaternion_vector_embed(q: QMatrix) -> np.ndarray:
-    """C^{2n} coordinates (a, conj(b)) of a quaternion column s = a + b j."""
-    if q.shape[1] != 1:
-        raise ValueError("expected a quaternion column vector")
-    return np.concatenate([q.a[:, 0], q.b[:, 0].conj()])
-
-
-def quaternion_vector_unembed(z: np.ndarray) -> QMatrix:
-    """Inverse of quaternion_vector_embed."""
-    z = np.asarray(z, dtype=complex).ravel()
-    if z.size % 2:
-        raise ValueError("expected an even number of complex coordinates")
-    n = z.size // 2
-    return QMatrix(z[:n].reshape(n, 1), z[n:].conj().reshape(n, 1))
-
-
 def _quaternion_outer_embed(z: np.ndarray, jmat: np.ndarray) -> np.ndarray:
     """Complex embedding of the quaternion outer product s s^* from z."""
     jz = jmat @ z.conj()
@@ -144,7 +127,8 @@ def _form_value(q: np.ndarray, s: np.ndarray) -> float:
 
 
 def _pf_real(m: np.ndarray) -> float:
-    return float(np.real(pfaffian(m)))
+    """Real part of the Pfaffian of a skew 4x4 matrix."""
+    return float(np.real(m[0, 1] * m[2, 3] - m[0, 2] * m[1, 3] + m[0, 3] * m[1, 2]))
 
 
 def _det_real(m: np.ndarray) -> float:
@@ -152,7 +136,12 @@ def _det_real(m: np.ndarray) -> float:
 
 
 def _minus_qdet(m: np.ndarray) -> float:
-    return -qdet2(QMatrix.unembed(m, (2, 2)))
+    """-(a c - |b|^2) for the quaternion-Hermitian [[a, b], [b^*, c]].
+
+    Read off its complex embedding m: a = m00, c = m11, and b = m01 + conj(m21) j.
+    """
+    b_sq = np.abs(m[[0, 2], 1]) ** 2
+    return -(float(m[0, 0].real) * float(m[1, 1].real) - float(b_sq[0] + b_sq[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +397,12 @@ _H1, _H2, _H4 = _halves(1), _halves(2), _halves(4)
 
 
 def _quaternion_pairing(s: np.ndarray) -> tuple[float, ...]:
-    # the quaternion s-^* s+ between the SPIN51 half-spinors
-    lam = quaternion_vector_unembed(s[4:8]).conj_t() @ (
-        quaternion_vector_unembed(s[0:4])
-    )
-    return tuple(float(c[0, 0]) for c in lam.components())
+    # the quaternion s-^* s+ = c + d j between the SPIN51 half-spinors,
+    # as its components (Re c, Im c, Re d, Im d)
+    plus, minus = s[0:4], s[4:8]
+    c = np.vdot(minus[:2], plus[:2]) + np.vdot(minus[2:], plus[2:])
+    d = np.conj(minus[:2] @ plus[2:] - minus[2:] @ plus[:2])
+    return (float(c.real), float(c.imag), float(d.real), float(d.imag))
 
 
 # Each entry gives the signature, the spinor space, the preserved
@@ -625,21 +615,24 @@ def is_pure(signature: tuple[int, int], s: np.ndarray) -> bool:
     ``clifford.spin_representation`` for (4,3) and (4,4).
     """
     p, q = signature
+    decl = _SPLIT_MODELS.get((p, q))
+    if decl is None and (p, q) not in _CLIFFORD_PURITY:
+        raise ValueError(f"no purity criterion for signature {signature}")
+    rep = None if decl else clifford.spin_representation(p, q)
+    dim = decl["spinor_dim"] if decl else rep.dim
     s = np.asarray(s, dtype=float)
+    if s.shape != (dim,):
+        raise ValueError(f"spinor must have shape ({dim},)")
     total = _norm(s)
     if total == 0.0:
         raise ValueError("the zero spinor has no purity type")
-    if (p, q) in _SPLIT_MODELS:
-        blocks = _SPLIT_MODELS[(p, q)].get("blocks")
-        if blocks is None:
+    if decl:
+        if "blocks" not in decl:
             return True
-        lo, hi = blocks
+        lo, hi = decl["blocks"]
         plus = _norm(s[lo]) > PURITY_TOL * total
         minus = _norm(s[hi]) > PURITY_TOL * total
         return plus != minus
-    if (p, q) not in _CLIFFORD_PURITY:
-        raise ValueError(f"no purity criterion for signature {signature}")
-    rep = clifford.spin_representation(p, q)
     if (p, q) == (4, 4):
         plus, minus = rep.half_spinor_bases()
         in_plus = _norm(s - plus @ (plus.T @ s)) <= PURITY_TOL * total

@@ -1,4 +1,5 @@
-"""Octonion, quaternion-matrix and pfaffian checks.
+"""Octonion checks, and the orbit models' closed-form Pfaffian and
+quaternion determinant.
 
 The frozen multiplication table is re-derived here through an independent
 quaternion model (complex 2x2 matrices) so the checked-in data cannot
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from spinorlab import algebra as al
+from spinorlab import orbits
 from spinorlab._octonion_table import TABLE
 
 RNG = np.random.default_rng(20260814)
@@ -185,55 +187,30 @@ def test_checksum_is_stable():
     assert len(al.octonion_table_checksum()) == 64
 
 
-# -- quaternion matrices -----------------------------------------------------
+# -- the quaternion subalgebra ------------------------------------------------
 
-
-def _random_qmatrix(n, m):
-    return al.QMatrix(
-        RNG.normal(size=(n, m)) + 1j * RNG.normal(size=(n, m)),
-        RNG.normal(size=(n, m)) + 1j * RNG.normal(size=(n, m)),
-    )
-
-
-def test_qmatrix_embedding_is_multiplicative():
-    for _ in range(25):
-        p = _random_qmatrix(2, 2)
-        q = _random_qmatrix(2, 2)
-        direct = (p @ q).embed()
-        via = p.embed() @ q.embed()
-        assert np.max(np.abs(direct - via)) < 1e-10
-
-
-def test_qmatrix_conj_t_matches_embedding():
-    for _ in range(25):
-        p = _random_qmatrix(2, 3)
-        assert np.max(np.abs(p.conj_t().embed() - p.embed().conj().T)) < 1e-12
-
-
-def test_qmatrix_inverse():
-    for _ in range(25):
-        p = _random_qmatrix(2, 2)
-        prod = p @ p.inv()
-        assert (prod - al.QMatrix.eye(2)).norm() < 1e-9
+# Hamilton's table: e_s e_t = sign * e_k for (k, sign) = HAMILTON[s][t],
+# with e_0..e_3 = 1, i, j, k.
+HAMILTON = (
+    ((0, 1), (1, 1), (2, 1), (3, 1)),
+    ((1, 1), (0, -1), (3, 1), (2, -1)),
+    ((2, 1), (3, -1), (0, -1), (1, 1)),
+    ((3, 1), (2, 1), (1, -1), (0, -1)),
+)
 
 
 def test_scalar_quaternions_match_octonion_subalgebra():
     # e_0..e_3 of the octonion table multiply like 1, i, j, k
-    units = [
-        al.QMatrix.from_components(1, 0, 0, 0),
-        al.QMatrix.from_components(0, 1, 0, 0),
-        al.QMatrix.from_components(0, 0, 1, 0),
-        al.QMatrix.from_components(0, 0, 0, 1),
-    ]
     for s in range(4):
         for t in range(4):
             k, sign = TABLE[s][t]
             assert k < 4
-            prod = units[s] @ units[t]
-            assert (prod - units[k].scale(sign)).norm() < 1e-14
+            assert (k, sign) == HAMILTON[s][t]
+            prod = al.octonion_mul(al.octonion_basis(s), al.octonion_basis(t))
+            assert np.max(np.abs(prod - sign * al.octonion_basis(k))) < 1e-14
 
 
-# -- pfaffian and qdet2 ------------------------------------------------------
+# -- the orbit models' Pfaffian and quaternion determinant -------------------
 
 
 def test_pfaffian_two_blocks():
@@ -241,15 +218,14 @@ def test_pfaffian_two_blocks():
     a = np.zeros((4, 4))
     a[0, 1], a[1, 0] = lam, -lam
     a[2, 3], a[3, 2] = mu, -mu
-    assert abs(al.pfaffian(a) - lam * mu) < 1e-14
+    assert abs(orbits._pf_real(a) - lam * mu) < 1e-14
 
 
-@pytest.mark.parametrize("n", [2, 4, 6, 8])
-def test_pfaffian_squares_to_determinant(n):
+def test_pfaffian_squares_to_determinant():
     for _ in range(20):
-        a = RNG.normal(size=(n, n))
+        a = RNG.normal(size=(4, 4))
         a = a - a.T
-        assert abs(al.pfaffian(a) ** 2 - np.linalg.det(a)) < 1e-8 * max(
+        assert abs(orbits._pf_real(a) ** 2 - np.linalg.det(a)) < 1e-8 * max(
             1.0, abs(np.linalg.det(a))
         )
 
@@ -262,31 +238,19 @@ def test_pfaffian_congruence_with_unimodular():
         a = a - a.T
         g = expm(RNG.normal(size=(4, 4)) * 0.3)
         g /= np.linalg.det(g) ** 0.25
-        lhs = al.pfaffian(g @ a @ g.T)
-        assert abs(lhs - al.pfaffian(a)) < 1e-9 * max(1.0, abs(al.pfaffian(a)))
-
-
-def test_pfaffian_rejects_bad_input():
-    with pytest.raises(ValueError):
-        al.pfaffian(np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        al.pfaffian(RNG.normal(size=(4, 4)))
+        lhs = orbits._pf_real(g @ a @ g.T)
+        assert abs(lhs - orbits._pf_real(a)) < 1e-9 * max(1.0, abs(orbits._pf_real(a)))
 
 
 def test_qdet2_on_squared_spinor_is_zero():
+    # m embeds the quaternion s s^*, whose squared norm is half of m's
     for _ in range(50):
-        s = _random_qmatrix(2, 1)
-        m = s @ s.conj_t()
-        assert abs(al.qdet2(m)) < 1e-10 * max(1.0, m.norm() ** 2)
+        z = RNG.normal(size=4) + 1j * RNG.normal(size=4)
+        m = orbits._quaternion_outer_embed(z, orbits._J4)
+        assert abs(orbits._minus_qdet(m)) < 1e-10 * max(1.0, 0.5 * np.linalg.norm(m) ** 2)
 
 
 def test_qdet2_diagonal():
-    m = al.QMatrix(np.diag([3.0, -2.0]).astype(complex))
-    assert abs(al.qdet2(m) + 6.0) < 1e-14
-
-
-def test_qdet2_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        al.qdet2(_random_qmatrix(2, 2))
-    with pytest.raises(ValueError):
-        al.qdet2(al.QMatrix.eye(3))
+    # the embedding of the quaternion diag(3, -2)
+    m = np.diag([3.0, -2.0, 3.0, -2.0]).astype(complex)
+    assert abs(orbits._minus_qdet(m) - 6.0) < 1e-14

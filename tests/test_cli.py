@@ -364,6 +364,23 @@ class TestExitCodes:
         report, status = run_command(RunSpec(command, spec_path=spec))
         assert status == 2 and f"{key} must be" in report["error"]
 
+    @pytest.mark.parametrize("command, desc, message", [
+        ("metric-verify", {"functions": [{"arity": 2, "coefficients": {}}]},
+         "bad metric spec: missing key 'family'"),
+        ("metric-verify", {"family": "M21"}, "bad metric spec: missing key 'functions'"),
+        ("metric-verify", {"family": "M21", "functions": [{"coefficients": {}}]},
+         "bad metric spec: missing key 'arity'"),
+        ("metric-verify", {"family": "M21", "functions": 5},
+         "bad metric spec: functions must be a list of function objects, got 5"),
+        ("metric-verify", {"family": "M21", "functions": [[2]]},
+         "bad metric spec: functions must be a list of function objects, got [[2]]"),
+        ("cauchy-solve", {"order": 4, "a": []}, "bad initial data: missing key 'p'"),
+    ], ids=["family", "functions", "arity", "functions-int", "functions-entry", "p"])
+    def test_spec_missing_or_malformed_key(self, tmp_path, command, desc, message):
+        spec = _write(tmp_path, "keys.json", desc)
+        report, status = run_command(RunSpec(command, spec_path=spec))
+        assert status == 2 and report["error"] == message
+
     @pytest.mark.parametrize("arity", [3.5, "3", True])
     def test_arity_that_is_not_an_integer(self, tmp_path, arity):
         desc = {"family": "M31", "functions": [{"arity": arity, "coefficients": {"2,0,0": 1}}]}

@@ -1,20 +1,18 @@
 """Orbit-model tests: group structure, equivariance, dimensions, purity."""
 
 import zlib
+from functools import partial
 
 import numpy as np
 import pytest
 
-from spinorlab.algebra import QMatrix, qdet2
-from spinorlab import orbits
+from spinorlab import octospin, orbits
 from spinorlab.orbits import (
     MODEL_NAMES,
     SQUARING_MODELS,
     get_model,
     is_pure,
     pure_spinor,
-    quaternion_vector_embed,
-    quaternion_vector_unembed,
     spin_orbit_dimension,
     spin_stabilizer_dimension,
 )
@@ -25,46 +23,131 @@ def _rng(name, salt=0):
 
 
 # ---------------------------------------------------------------------------
-# Realization conventions
+# Realization conventions, checked against Hamilton's quaternion product
+
+
+def _hamilton(p, q):
+    """Product of quaternions given by components (w, x, y, z), with ij = k."""
+    w1, x1, y1, z1 = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
+    w2, x2, y2, z2 = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    return np.stack([
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    ], axis=-1)
+
+
+def _qmatmul(p, q):
+    """Product of quaternion matrices of shapes (n, k, 4) and (k, m, 4)."""
+    return _hamilton(p[:, :, None, :], q[None, :, :, :]).sum(axis=1)
+
+
+def _qconj_t(p):
+    return np.swapaxes(p, 0, 1) * np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def _qembed(p):
+    """[[A, -B], [conj(B), conj(A)]] for p = A + B j; column 0 of a column's
+    embedding is its C^{2n} coordinates (a, conj(b))."""
+    p = np.asarray(p, dtype=float)
+    a, b = p[..., 0] + 1j * p[..., 1], p[..., 2] + 1j * p[..., 3]
+    return np.block([[a, -b], [b.conj(), a.conj()]])
 
 
 class TestQuaternionRealization:
-    def test_vector_embed_roundtrip(self):
-        rng = np.random.default_rng(7)
-        s = QMatrix.from_components(*rng.normal(size=(4, 2, 1)))
-        z = quaternion_vector_embed(s)
-        back = quaternion_vector_unembed(z)
-        assert (back - s).norm() < 1e-14
-
     def test_matrix_action_matches_embedding(self):
-        # embed(M) acting on (a, conj b) coordinates is quaternion action
+        # embed(M) acting on (a, conj b) coordinates is quaternion action,
+        # and embed(M) is quaternion-linear in the models' sense
         rng = np.random.default_rng(8)
-        m = QMatrix.from_components(*rng.normal(size=(4, 2, 2)))
-        s = QMatrix.from_components(*rng.normal(size=(4, 2, 1)))
-        lhs = m.embed() @ quaternion_vector_embed(s)
-        rhs = quaternion_vector_embed(m @ s)
+        m = rng.normal(size=(2, 2, 4))
+        s = rng.normal(size=(2, 1, 4))
+        lhs = _qembed(m) @ _qembed(s)[:, 0]
+        rhs = _qembed(_qmatmul(m, s))[:, 0]
         assert np.max(np.abs(lhs - rhs)) < 1e-13
+        assert np.max(np.abs(orbits._quaternion_linear(_qembed(m)))) < 1e-14
 
     def test_outer_square_embedding(self):
         # s s^* as a quaternion matrix equals z z^* + (jz)(jz)^*
         rng = np.random.default_rng(9)
         j4 = orbits._jmat(2)
         for _ in range(10):
-            s = QMatrix.from_components(*rng.normal(size=(4, 2, 1)))
-            z = quaternion_vector_embed(s)
-            direct = (s @ s.conj_t()).embed()
+            s = rng.normal(size=(2, 1, 4))
+            z = _qembed(s)[:, 0]
+            direct = _qembed(_qmatmul(s, _qconj_t(s)))
             via_z = orbits._quaternion_outer_embed(z, j4)
             assert np.max(np.abs(direct - via_z)) < 1e-12
 
     def test_indefinite_form_matches_quaternion_form(self):
         rng = np.random.default_rng(10)
-        q = QMatrix(np.diag([1.0, -1.0]).astype(complex))
+        q = np.zeros((2, 2, 4))
+        q[0, 0, 0], q[1, 1, 0] = 1.0, -1.0
         for _ in range(10):
-            s = QMatrix.from_components(*rng.normal(size=(4, 2, 1)))
-            z = quaternion_vector_embed(s)
-            quat_val = (s.conj_t() @ (q @ s)).a[0, 0].real
+            s = rng.normal(size=(2, 1, 4))
+            z = _qembed(s)[:, 0]
+            quat_val = _qmatmul(_qconj_t(s), _qmatmul(q, s))[0, 0, 0]
             embed_val = (z.conj() @ (orbits._Q41 @ z)).real
             assert abs(quat_val - embed_val) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Closed forms of the vector squares and the SPIN51 pairing
+
+
+def _skew4(m01, m02, m03, m12, m13, m23):
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 1], m[0, 2], m[0, 3], m[1, 2], m[1, 3], m[2, 3] = m01, m02, m03, m12, m13, m23
+    return m - m.T
+
+
+def _qhermitian(a, c, b):
+    """Embedding of the quaternion-Hermitian [[a, b], [b^*, c]]."""
+    b = np.asarray(b, dtype=float)
+    return _qembed([[[a, 0, 0, 0], b], [b * [1, -1, -1, -1], [c, 0, 0, 0]]])
+
+
+# One vector per model, as a matrix of its vector space, and its square as
+# computed through a general Pfaffian expansion and a quaternion-matrix
+# determinant, independently of the closed forms.
+FROZEN_SQUARES = {
+    "SPIN32": (_skew4(0.5, -1.25, 2.0, 0.75, 1.25, -0.375).real, 2.8749999999999996),
+    "SPIN6": (_skew4(0.5 + 1.25j, -0.75 + 0.5j, 1.5 - 0.25j,
+                     1.5 + 0.25j, 0.75 + 0.5j, 0.5 - 1.25j), 4.937500000000002),
+    "SPIN42": (_skew4(0.5 + 1.25j, -0.75 + 0.5j, 1.5 - 0.25j,
+                      -1.5 - 0.25j, -0.75 - 0.5j, 0.5 - 1.25j), 1.3125000000000007),
+    "SPIN33": (_skew4(0.5, -1.25, 2.0, 0.75, 1.5, 0.625).real, 3.687499999999999),
+    "SPIN41": (_qhermitian(0.75, 0.75, [0.5, -1.25, 1.0, 0.25]), 2.3124999999999987),
+    "SPIN51": (_qhermitian(1.5, -0.5, [0.25, 0.75, -1.0, 0.5]), 2.6250000000000004),
+}
+FROZEN_PAIRING_SPINOR = np.array([
+    0.5 + 0.25j, -1.0 + 0.75j, 0.375 - 0.5j, 1.25 + 0.125j,
+    -0.625 + 1.0j, 0.75 - 0.25j, 1.5 + 0.5j, -0.25 - 0.875j,
+])
+FROZEN_PAIRING = (-1.109375, -0.21875, -0.296875, 0.84375)
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("name", sorted(FROZEN_SQUARES))
+    def test_vector_square_matches_frozen_value(self, name):
+        model = get_model(name)
+        m, frozen = FROZEN_SQUARES[name]
+        value = model.vector_square(model.vector_space.coefficients(m))
+        assert abs(value - frozen) <= 1e-14 * abs(frozen)
+
+    def test_spin51_pairing_matches_frozen_value(self):
+        pairing = get_model("SPIN51").orbit_invariant(FROZEN_PAIRING_SPINOR)["pairing"]
+        assert np.max(np.abs(np.subtract(pairing, FROZEN_PAIRING))) <= (
+            1e-14 * np.linalg.norm(FROZEN_PAIRING)
+        )
+
+    def test_spin51_pairing_is_the_quaternion_product(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            plus, minus = rng.normal(size=(2, 2, 1, 4))
+            s = np.concatenate([_qembed(plus)[:, 0], _qembed(minus)[:, 0]])
+            direct = _qmatmul(_qconj_t(minus), plus)[0, 0]
+            pairing = get_model("SPIN51").orbit_invariant(s)["pairing"]
+            assert np.max(np.abs(np.subtract(pairing, direct))) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -258,20 +341,18 @@ class TestSquaring:
             assert abs(value - 0.5 * norm_sq**2) <= 1e-9 * norm_sq**2
 
     def test_spin41_square_timelike_iff_nonnull(self):
-        # qdet2 of sigma(s) equals nu(s)^2 / 4: nonnegative, zero only on
-        # the null cone of the spinor form
+        # the quaternion determinant -v.v of sigma(s) equals nu(s)^2 / 4:
+        # nonnegative, zero only on the null cone of the spinor form
         model = get_model("SPIN41")
         rng = _rng("SPIN41", 10)
         for _ in range(50):
             s = model.sample_spinor(rng)
             nu = model.orbit_invariant(s)["nu"]
-            m = model.vector_space.matrix(model.square_spinor(s))
-            det_value = qdet2(QMatrix.unembed(m, (2, 2)))
+            det_value = -model.vector_square(model.square_spinor(s))
             assert det_value >= -1e-12
             assert abs(det_value - 0.25 * nu**2) <= 1e-9 * max(1.0, nu**2)
         null_s = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex)
-        m = model.vector_space.matrix(model.square_spinor(null_s))
-        assert abs(qdet2(QMatrix.unembed(m, (2, 2)))) <= 1e-12
+        assert abs(model.vector_square(model.square_spinor(null_s))) <= 1e-12
 
     def test_spin31_square_is_forward_pointing(self):
         # s s^* is positive semidefinite: one nappe of the null cone
@@ -403,6 +484,20 @@ class TestPurity:
     def test_zero_spinor_rejected(self):
         with pytest.raises(ValueError):
             is_pure((2, 2), np.zeros(4))
+
+    @pytest.mark.parametrize("check, shape, dim", [
+        (partial(is_pure, (2, 1)), (5,), 2),
+        (partial(is_pure, (2, 2)), (3,), 4),
+        (partial(is_pure, (4, 3)), (9,), 8),
+        (partial(is_pure, (4, 4)), (8,), 16),
+        (octospin.spinor_action_matrix, (31,), 32),
+        (octospin.orbit_dimension_10_1, (32, 1), 32),
+        (octospin.stabilizer_dimension_10_1, (33,), 32),
+    ], ids=["is_pure-2-1", "is_pure-2-2", "is_pure-4-3", "is_pure-4-4",
+            "spinor_action_matrix", "orbit_dimension_10_1", "stabilizer_dimension_10_1"])
+    def test_spinor_shape_checked(self, check, shape, dim):
+        with pytest.raises(ValueError, match=rf"spinor must have shape \({dim},\)"):
+            check(np.ones(shape))
 
     def test_unsupported_signature_rejected(self):
         with pytest.raises(ValueError):
