@@ -135,17 +135,6 @@ def bracket_series(flat, p: int):
 # -- solver ------------------------------------------------------------------
 
 
-def _left_factors(parts, order: int):
-    """The (grid, dy) of bracket parts, each series truncated at ``order``.
-
-    They are the left factors of every bracket product, and a product is
-    cut at the lower order of its factors, so the right factors stay whole.
-    """
-    grid, dy, _ = parts
-    return ([[s.truncate(order) for s in row] for row in grid],
-            [[[s.truncate(order) for s in cell] for cell in row] for row in dy], None)
-
-
 def solve_ricci_ivp(data: CauchyData, check_constraints: bool = True):
     """Solve f_zz = -2 B(f) with f|_{z=0} = a, f_z|_{z=0} = b.
 
@@ -155,7 +144,9 @@ def solve_ricci_ivp(data: CauchyData, check_constraints: bool = True):
     bilinear, and x, y derivatives keeping z-degrees, the z^m coefficient
     of B(f) is L(S_m) + sum_{i<=m} Q(S_i, S_{m-i}) up to degree N - 2 - m,
     and it fixes S_{m+2}: the recursion is triangular and, with rational
-    data, exact.  Each slice's y-derivatives are formed once.
+    data, exact.  Each slice's y-derivatives are formed once.  L(S_m) is
+    trusted to that degree, so each pair's products, all summed onto it in
+    one call, form no term past it.
     """
     if check_constraints and data.max_constraint_residual() != 0.0:
         raise ValueError("initial data violates the divergence constraints")
@@ -165,14 +156,14 @@ def solve_ricci_ivp(data: CauchyData, check_constraints: bool = True):
     slices = [list(data.a), [b.truncate(order - 1) for b in data.b]]
     parts = []  # bracket parts of each final slice; None for a zero slice
     for m in range(order - 1):
-        keep = order - 2 - m
         grid = _fmatrix(slices[m], pairs, p)
         empty = all(s.is_zero() for s in slices[m])
         parts.append(None if empty else _bracket_parts(grid, y_vars))
         totals = _bracket_linear(grid, x_vars, y_vars)
-        for i in range(m + 1):
-            if parts[i] is not None and parts[m - i] is not None:
-                _add_bracket_products(totals, _left_factors(parts[i], keep), parts[m - i])
+        factors = [(parts[i], parts[m - i]) for i in range(m + 1)
+                   if parts[i] is not None and parts[m - i] is not None]
+        if factors:
+            _add_bracket_products(totals, factors)
         scale = Fraction(-2, (m + 2) * (m + 1))
         slices.append([s * scale for s in totals])
     zero = JetSeries.zero(2 * p + 1, order)

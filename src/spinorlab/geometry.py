@@ -135,11 +135,15 @@ def symmetric_pairs(size: int) -> tuple[tuple[int, int], ...]:
 
 def divergence_free_draw(size: int, arity: int, y_vars, rng: np.random.Generator,
                          degree: int = 3, scale: float = 0.5) -> list[FreeFunction]:
-    """Random symmetric family f_ij with sum_j df_ij/dy_j = 0 identically.
+    """Random symmetric family f_ij with sum_j df_ij/dy_j = 0 to rounding.
 
     ``y_vars[j]`` is the argument index paired with the second function
     index j.  The divergence conditions are linear in the coefficient
     tables, so a draw is a random kernel element of the constraint matrix.
+    That kernel comes from a float SVD and entries below 1e-13 are dropped,
+    so the divergence of the float tables, read exactly, is a polynomial
+    with coefficients of rounding size (about 1e-16 at degree 3 and
+    p <= 3), not zero.
     """
     y_vars = tuple(int(v) for v in y_vars)
     if len(y_vars) != size:
@@ -834,22 +838,23 @@ def _bracket_linear(grid, x_vars, y_vars) -> list:
     return out
 
 
-def _add_bracket_products(totals: list, f, g) -> list:
-    """Add the bilinear part Q_jl(f, g) = -f_mk g_jl,y_m y_k + f_mj,y_k g_kl,y_m to totals.
+def _add_bracket_products(totals: list, factors) -> list:
+    """Add Q_jl(f, g) = -f_mk g_jl,y_m y_k + f_mj,y_k g_kl,y_m for each (f, g) of ``factors``.
 
     f and g are :func:`_bracket_parts`; Q(f, f) is the bracket's product
-    part.  Each pair's terms are added to its total in place, in (m, k) order.
+    part.  Each pair's 2p^2 signed products per (f, g), in (m, k) order,
+    go to its total's ``add_products`` in one call, and the total is
+    replaced in place.
     """
-    f_grid, f_dy, _ = f
-    _, g_dy, g_dyy = g
-    p = len(f_grid)
+    p = len(factors[0][0][0])
     for t, (j, l) in enumerate(symmetric_pairs(p)):
-        total = totals[t]
-        for m in range(p):
-            for k in range(p):
-                total = total - f_grid[m][k] * g_dyy[t][m][k]
-                total = total + f_dy[m][j][k] * g_dy[k][l][m]
-        totals[t] = total
+        products = []
+        for (f_grid, f_dy, _), (_, g_dy, g_dyy) in factors:
+            for m in range(p):
+                for k in range(p):
+                    products.append((-1, f_grid[m][k], g_dyy[t][m][k]))
+                    products.append((1, f_dy[m][j][k], g_dy[k][l][m]))
+        totals[t] = totals[t].add_products(products)
     return totals
 
 
@@ -858,10 +863,11 @@ def _quadratic_bracket(grid, x_vars, y_vars):
 
     The one quadratic bracket of both split normal forms, B = L + Q(f, f)
     (:func:`_bracket_linear`, :func:`_add_bracket_products`).  It needs only
-    diff, +, - and *, so ``grid`` may hold jets at a point or exact series.
+    diff, + and ``add_products``, so ``grid`` may hold jets at a point or
+    exact series.
     """
     parts = _bracket_parts(grid, y_vars)
-    return tuple(_add_bracket_products(_bracket_linear(grid, x_vars, y_vars), parts, parts))
+    return tuple(_add_bracket_products(_bracket_linear(grid, x_vars, y_vars), [(parts, parts)]))
 
 
 def _bracket_display(tag, block, p, xoff, odd=False, chart=None):

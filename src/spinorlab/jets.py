@@ -26,8 +26,11 @@ at order 1 even when it is built from the derivatives of order-2 jets.
 polynomial stored as {exponents: integer numerator} over one positive
 denominator, in lowest terms.  Its arithmetic runs on Python ints, and
 Fractions appear only at the boundary, where a coefficient is given or
-read.  It backs table-defined profile functions and the exact Cauchy
-solver alike.
+read.  A sum of products, self + sum of sign * f * g, is formed in one
+pass over one numerator map, with one common denominator and one
+reduction (:meth:`JetSeries.add_products`); a single product is its
+one-term case.  It backs table-defined profile functions and the exact
+Cauchy solver alike.
 :class:`TaylorShift` expands such a polynomial at a point whose arguments
 are coordinates (argument i is y_i = p_i + x_{v_i}), in one weighted
 product from the values p and the variable indices v, with no
@@ -298,6 +301,16 @@ class Jet:
 
     __rmul__ = __mul__
 
+    def add_products(self, products) -> "Jet":
+        """self + sum of sign * f * g over the (sign, f, g) of ``products``, sign +-1.
+
+        The products are added one at a time, in the order given.
+        """
+        total = self
+        for sign, f, g in products:
+            total = total + f * g if sign > 0 else total - f * g
+        return total
+
     def __matmul__(self, other: "Jet") -> "Jet":
         a, b = self._coerce(other)
         return Jet(a.ctx, a.ctx.matmul_arrays(a.c, b.c))
@@ -364,8 +377,11 @@ class JetSeries:
     ``nums`` over one positive denominator ``den``, in lowest terms (the gcd
     of ``den`` and every numerator is 1, the zero series has ``den`` 1), so
     ``==`` and ``hash`` compare structure.  Arithmetic is on Python ints; a
-    sum scales each operand by the lcm of the denominators, a product
-    multiplies them, and each result divides out its common content once.
+    sum scales each operand by the lcm of the denominators, and each result
+    divides out its common content once.  Products are summed by
+    :meth:`add_products`: every product's terms go straight into one
+    numerator map over the lcm of the products' denominators, so no
+    product or partial sum is built as a series; ``*`` is its one-term case.
     Fractions appear only at the boundary: the constructor converts each
     given number, a float exactly, and ``terms`` and ``coefficient`` read
     Fractions back.  A zero operand costs no loop, and truncating to an
@@ -482,14 +498,49 @@ class JetSeries:
     def __neg__(self) -> "JetSeries":
         return self._like(self.order, {e: -n for e, n in self.nums.items()}, self.den)
 
+    def add_products(self, products) -> "JetSeries":
+        """self + sum of sign * f * g over the (sign, f, g) of ``products``, sign +-1.
+
+        The result is trusted to the lowest order of self and every factor,
+        a zero factor included, as the sum formed one product at a time is.
+        A product with a zero factor forms no term.  The others are summed
+        in one {exponents: numerator} map over D, the lcm of self's and each
+        product's denominator, each weighted by sign * D / (f.den * g.den);
+        the right terms are taken by degree, so each left term stops at the
+        first right term past its room, and a left term past the order is
+        skipped.  Zero sums are dropped and the content divided out once.
+        """
+        order = self.order
+        live = []
+        for sign, f, g in products:
+            self._check(f)
+            self._check(g)
+            order = min(order, f.order, g.order)
+            if f.nums and g.nums:
+                live.append((sign, f, g))
+        if not live:
+            return self.truncate(order)
+        den = math.lcm(self.den, *(f.den * g.den for _, f, g in live))
+        scale = den // self.den
+        out = {e: n * scale for e, n in _upto(self.nums, self.order, order).items()}
+        for sign, f, g in live:
+            weight = sign * (den // (f.den * g.den))
+            rows = sorted(((sum(e), e, n) for e, n in g.nums.items()), key=itemgetter(0))
+            for e1, n1 in f.nums.items():
+                room = order - sum(e1)
+                if room < 0:
+                    continue
+                n1 *= weight
+                for d2, e2, n2 in rows:
+                    if d2 > room:
+                        break
+                    e = tuple(map(add, e1, e2))
+                    out[e] = out.get(e, 0) + n1 * n2
+        return self._reduced(order, {e: n for e, n in out.items() if n}, den)
+
     def __mul__(self, other):
         if isinstance(other, JetSeries):
-            self._check(other)
-            order = min(self.order, other.order)
-            if not (self.nums and other.nums):
-                return self._like(order, {})
-            return self._reduced(order, _product(self.nums, other.nums, order),
-                                 self.den * other.den)
+            return self._like(self.order, {}).add_products(((1, self, other),))
         scal = _coerce_exact(other)
         if not scal or not self.nums:
             return self._like(self.order, {})
@@ -540,24 +591,6 @@ class JetSeries:
 def _upto(nums: dict, have: int, order: int) -> dict:
     """The terms of total degree <= ``order`` of numerators trusted to ``have``."""
     return nums if have <= order else {e: n for e, n in nums.items() if sum(e) <= order}
-
-
-def _product(left: dict, right: dict, order: int) -> dict:
-    """Numerators of the product of two nonempty term maps, to total degree ``order``.
-
-    Zero sums are dropped.  The right terms are taken by degree, so each
-    left term stops at the first right term past its room.
-    """
-    rows = sorted(((sum(e), e, n) for e, n in right.items()), key=itemgetter(0))
-    out = {}
-    for e1, n1 in left.items():
-        room = order - sum(e1)
-        for d2, e2, n2 in rows:
-            if d2 > room:
-                break
-            e = tuple(map(add, e1, e2))
-            out[e] = out.get(e, 0) + n1 * n2
-    return {e: n for e, n in out.items() if n}
 
 
 class TaylorShift:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinorlab import cauchy, cli, geometry, jets
+from spinorlab import cauchy, cli, geometry
 from spinorlab.cauchy import (
     CauchyData,
     JetSeries,
@@ -61,6 +61,11 @@ _SERIES_TABLES = st.dictionaries(
     st.tuples(*[st.integers(0, 3)] * 3).filter(lambda e: sum(e) <= 5),
     st.fractions(min_value=-4, max_value=4, max_denominator=6), max_size=6)
 _SERIES_OPERANDS = st.one_of(st.just({}), _SERIES_TABLES)
+# nonzero factors of low degree, so that most products keep terms and
+# several products of different denominators meet in one sum
+_FACTOR_TABLES = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 3).filter(lambda e: sum(e) <= 2),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6), min_size=1, max_size=4)
 
 
 class _OracleSeries:
@@ -199,6 +204,32 @@ class TestJetSeries:
             assert r.den > 0 and math.gcd(r.den, *r.nums.values()) == 1
             assert all(r.coefficient(e) == c for e, c in want.terms.items())
         assert (a == b) == (ra.order == rb.order and ra.terms == rb.terms)
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(base=_SERIES_OPERANDS, base_order=st.integers(0, 5),
+           products=st.lists(st.tuples(st.sampled_from((1, -1)), _FACTOR_TABLES,
+                                       st.integers(1, 5), _FACTOR_TABLES, st.integers(1, 5)),
+                             min_size=1, max_size=5),
+           zeroed=st.sets(st.integers(0, 9), max_size=2))
+    def test_sum_of_products_matches_term_by_term_oracle(self, base, base_order, products,
+                                                         zeroed):
+        # factors of mixed orders and denominators, zero factors (the
+        # ``zeroed`` ones), product terms past the order and a base of lower
+        # order than its factors all occur among the draws
+        series, want = [], _OracleSeries(3, base_order, base)
+        for i, (sign, t1, o1, t2, o2) in enumerate(products):
+            t1, t2 = ({} if 2 * i in zeroed else t1), ({} if 2 * i + 1 in zeroed else t2)
+            series.append((sign, JetSeries(3, o1, t1), JetSeries(3, o2, t2)))
+            want = want.plus(_OracleSeries(3, o1, t1).product(_OracleSeries(3, o2, t2)), sign)
+        got = JetSeries(3, base_order, base).add_products(series)
+        assert (got.nvars, got.order, got.terms) == (want.nvars, want.order, want.terms)
+        assert got.den > 0 and math.gcd(got.den, *got.nums.values()) == 1
+        assert all(got.nums.values())
+        # each product and its mirror image: the sum cancels to zero
+        mirrored = series + [(-sign, g, f) for sign, f, g in series]
+        cancelled = JetSeries.zero(3, 5).add_products(mirrored)
+        low = min(min(f.order, g.order) for _, f, g in series)
+        assert (cancelled.order, cancelled.nums, cancelled.den) == (low, {}, 1)
 
     def test_zero_operands_and_high_truncation_cost_nothing(self):
         a = JetSeries(2, 4, {(1, 0): Fr(1, 3), (0, 3): 2})
@@ -343,12 +374,37 @@ class TestSolver:
         assert all(s1 == s2 for s1, s2 in zip(f1, f2))
 
 
+def _oracle_bracket(flat, p):
+    """B_jl = f_jl,x^k y_k - f_mk f_jl,y_m y_k + f_mj,y_k f_kl,y_m, pair order.
+
+    Written out with the series' +, - and * alone, one product at a time,
+    so it shares no code with the library's bracket and meets its sums of
+    products only in their one-term case, ``*``.
+    """
+    pairs = geometry.symmetric_pairs(p)
+    f = {}
+    for (i, j), s in zip(pairs, flat):
+        f[i, j] = f[j, i] = s
+    x, y = range(1, 1 + p), range(1 + p, 1 + 2 * p)
+    out = []
+    for j, l in pairs:
+        b = f[j, l].diff(x[0]).diff(y[0])
+        for k in range(1, p):
+            b = b + f[j, l].diff(x[k]).diff(y[k])
+        for m in range(p):
+            for k in range(p):
+                b = b - f[m, k] * f[j, l].diff(y[m]).diff(y[k])
+                b = b + f[m, j].diff(y[k]) * f[k, l].diff(y[m])
+        out.append(b)
+    return out
+
+
 def _full_bracket_solve(data):
     """Oracle: the ungraded recursion, one full bracket of the whole solution per step."""
     order = data.order
     f = [a + b.times_z_power(1).truncate(order) for a, b in zip(data.a, data.b)]
     for m in range(order - 1):
-        bracket = bracket_series(f, data.p)
+        bracket = _oracle_bracket(f, data.p)
         for t in range(len(f)):
             phi = bracket[t].z_coefficient(m) * Fr(-2, (m + 2) * (m + 1))
             f[t] = f[t] + phi.times_z_power(m + 2).truncate(order)
@@ -395,6 +451,15 @@ def _ivp_data(draw, p):
     return cauchy_data(p, order, layer(), layer()), free
 
 
+class _UnreadNums(dict):
+    """Numerators whose terms fail the test as soon as they are read."""
+
+    def _unread(self, *args):
+        raise AssertionError("a product with a zero factor reached the product loop")
+
+    items = keys = values = get = __iter__ = __getitem__ = _unread
+
+
 class TestGradedRecursion:
     @pytest.mark.parametrize("p", [1, 2, 3])
     @settings(derandomize=True, max_examples=30, deadline=None)
@@ -428,23 +493,28 @@ class TestGradedRecursion:
         assert calls == [2, 2]
 
     def test_p3_solve_loops_over_no_product_with_a_zero_factor(self, monkeypatch):
-        loops, zero_factors = [], []
-        product, mul = jets._product, JetSeries.__mul__
+        zero_factors, live = [], []
+        add_products = JetSeries.add_products
 
-        def counted_product(left, right, order):
-            loops.append(bool(left) and bool(right))
-            return product(left, right, order)
+        def guarded(self, products):
+            # both factors of a product with a zero factor get numerators
+            # that fail the test when the product loop reads them
+            checked = []
+            for sign, f, g in products:
+                if f.is_zero() or g.is_zero():
+                    zero_factors.append((f, g))
+                    f, g = (s._like(s.order, _UnreadNums(s.nums), s.den) for s in (f, g))
+                else:
+                    live.append((f, g))
+                checked.append((sign, f, g))
+            return add_products(self, checked)
 
-        def counted_mul(s, o):
-            zero_factors.append(isinstance(o, JetSeries) and (s.is_zero() or o.is_zero()))
-            return mul(s, o)
-
-        monkeypatch.setattr(jets, "_product", counted_product)
-        monkeypatch.setattr(JetSeries, "__mul__", counted_mul)
-        solve_ricci_ivp(cauchy_data(3, 8, *cli._builtin_cauchy_tables(3)))
+        data = cauchy_data(3, 8, *cli._builtin_cauchy_tables(3))
+        want = solve_ricci_ivp(data)
+        monkeypatch.setattr(JetSeries, "add_products", guarded)
         # the zero factors are there, and none of them reaches the product loop
-        assert sum(zero_factors) > 0 and len(loops) > 0
-        assert all(loops)
+        assert solve_ricci_ivp(data) == want
+        assert len(zero_factors) > 0 and len(live) > 0
 
 
 class TestResidualReport:

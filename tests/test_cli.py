@@ -782,6 +782,9 @@ REPORT_SHA256 = {
     "cauchy-p3-ydeg4-spec": (
         ["cauchy-solve", "--spec", str(DATA / "cauchy_p3_order8_ydeg4.json")],
         "544e0b1e7be57bc9ca2348fedd52090182f8445c1099a2d49064a6ceaec12057"),
+    "cauchy-p2-order12-ydeg4-spec": (
+        ["cauchy-solve", "--spec", str(DATA / "cauchy_p2_order12_ydeg4.json")],
+        "80ad91148502ee3b6334ffaed36deb055197298d32058dc1245c0898297cd3d6"),
     "triality-check": (
         ["triality-check", "--seed", "5"],
         "b8a78d762299f8f7a6b1da3acb197940d469d1001d6140c4e911b4bff0e6dc24"),

@@ -273,6 +273,24 @@ class TestProfileDraws:
             total = sum(grid[(i, j)].derivative(pt, y_vars[j]) for j in range(size))
             assert abs(total) < 1e-12
 
+    @pytest.mark.parametrize("seed", [90, 7, 1])
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("extra", [0, 1], ids=["even", "odd"])
+    def test_draw_divergence_vanishes_to_rounding(self, seed, p, extra):
+        # the exact divergence of the float tables is a nonzero polynomial
+        # (largest coefficient 1e-16 to 6e-16 on these draws): it is zero
+        # only to rounding, which this bound freezes
+        arity = 2 * p + extra
+        y_vars = tuple(arity - p + j for j in range(p))
+        fs = divergence_free_draw(p, arity, y_vars, np.random.default_rng(seed),
+                                  degree=3, scale=0.3)
+        grid = geometry._fmatrix(fs, symmetric_pairs(p), p)
+        for i in range(p):
+            div = grid[i][0].series.diff(y_vars[0])
+            for j in range(1, p):
+                div = div + grid[i][j].series.diff(y_vars[j])
+            assert div.max_abs() < 1e-14
+
     def test_quadratic_profile_rejects_bad_trace(self):
         h4 = np.zeros((2, 2, 2, 2))
         h4[0, 0, 0, 0] = 1.0
