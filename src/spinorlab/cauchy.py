@@ -104,7 +104,7 @@ def cauchy_data_from_spec(d: dict) -> CauchyData:
     def tables(key):
         out = []
         for fd in entries[key]:
-            out.append(_spec_table(fd.get("coefficients", {}), 2 * p))
+            out.append(_spec_table(_spec_entry(fd, "coefficients"), 2 * p))
             # a profile takes the 2p arguments (x^1..x^p, y_1..y_p)
             if "arity" in fd and _spec_integer(fd["arity"], "arity") != 2 * p:
                 raise ValueError(f"{key} entry arity must be 2p = {2 * p}, got {fd['arity']!r}")

@@ -3,13 +3,14 @@
 Each normal form is declared once, in the table :func:`normal_form` reads
 lazily: coordinates, signature, a constant Gram matrix and a basis of the
 stabilizer subalgebra the Levi-Civita connection must take values in.  A
-builder adds two independent term lists placing profile functions in
-fixed cells of the metric components and of an adapted coframe; the
-11-dimensional family's identity fiber is part of its constant Gram
-matrix.  One rule evaluates every such metric as truncated Taylor jets.
-Curvature is read off the jets (Christoffel symbols, Riemann, Ricci);
-closed-form Ricci displays, constraint equations, connection membership
-and holonomy spans are all checked against that machinery.
+builder adds two independent term lists placing profile functions, each
+an exact :class:`~spinorlab.jets.JetSeries`, in fixed cells of the metric
+components and of an adapted coframe; the 11-dimensional family's
+identity fiber is part of its constant Gram matrix.  One rule evaluates
+every such metric as truncated Taylor jets.  Curvature is read off the
+jets (Christoffel symbols, Riemann, Ricci); closed-form Ricci displays,
+constraint equations, connection membership and holonomy spans are all
+checked against that machinery.
 """
 
 from __future__ import annotations
@@ -24,9 +25,7 @@ import numpy as np
 from . import octospin
 from .jets import (
     Jet,
-    JetContext,
     JetSeries,
-    TaylorShift,
     monomials_upto,
     shared_context,
 )
@@ -53,79 +52,16 @@ def _worst(values) -> float:
     return float(np.max(np.asarray(list(values), dtype=float), initial=0.0))
 
 
-# -- free functions ----------------------------------------------------------
-
-
-class FreeFunction:
-    """Polynomial profile of ``arity`` arguments, expanded as jets at points.
-
-    The sparse monomial table {exponents: coefficient} is held as a
-    :class:`JetSeries` truncated at its own total degree, so the profile is
-    evaluated and differentiated exactly.
-    """
-
-    def __init__(self, arity: int, table, name: str = "f"):
-        self.arity = int(arity)
-        self.name = name
-        # Taylor shifts of the table, by (nvars, order, argument variables)
-        self._shifts: dict[tuple, TaylorShift] = {}
-        order = max((sum(int(e) for e in exps) for exps in table), default=0)
-        self.series = JetSeries(self.arity, order, table)
-
-    @property
-    def table(self):
-        """The {exponents: coefficient} terms of the series."""
-        return self.series.terms
-
-    @cached_property
-    def _float_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """The terms as float arrays, converted once for every Taylor shift."""
-        return self.series.float_terms()
-
-    @classmethod
-    def zero(cls, arity: int) -> "FreeFunction":
-        return cls(arity, table={})
-
-    def __repr__(self) -> str:
-        return f"FreeFunction({self.name}, arity={self.arity})"
-
-    def jet(self, ctx: JetContext, point, variables) -> Jet:
-        """The jet of f in ``ctx`` at ``point``, argument i being coordinate ``variables[i]``.
-
-        The table is expanded as its Taylor shift, precomputed once per
-        context size and argument variables.
-        """
-        variables = tuple(variables)
-        if len(variables) != self.arity:
-            raise ValueError(f"{self.name} takes {self.arity} arguments, got {len(variables)}")
-        point = np.asarray(point, dtype=float)
-        if point.shape != (ctx.nvars,):
-            raise ValueError("need one value per variable")
-        key = (ctx.nvars, ctx.order, variables)
-        shift = self._shifts.get(key)
-        if shift is None:
-            shift = self._shifts[key] = TaylorShift(*self._float_terms, ctx, variables)
-        return Jet(ctx, shift(point[list(variables)]))
-
-    def value(self, point) -> float:
-        return self.series.evaluate(point)
-
-    def derivative(self, point, *vars_: int) -> float:
-        """Mixed partial derivative value at ``point``."""
-        ctx = shared_context(self.arity, max(len(vars_), 1))
-        return self.jet(ctx, point, range(self.arity)).derivative_value(*vars_)
-
-    def partial(self, var: int) -> "FreeFunction":
-        """Exact partial derivative."""
-        return FreeFunction(self.arity, table=self.series.diff(var).terms,
-                            name=f"d{var}_{self.name}")
+# -- profiles -----------------------------------------------------------------
+#
+# A profile is the exact JetSeries of its {exponents: coefficient} table:
+# evaluated and differentiated exactly, and expanded at a point as a jet.
 
 
 def random_polynomial(arity: int, rng: np.random.Generator,
-                      degree: int = 3, scale: float = 0.5,
-                      name: str = "f") -> FreeFunction:
+                      degree: int = 3, scale: float = 0.5) -> JetSeries:
     table = {e: scale * rng.uniform(-1.0, 1.0) for e in monomials_upto(arity, degree)}
-    return FreeFunction(arity, table=table, name=name)
+    return JetSeries(arity, degree, table)
 
 
 def symmetric_pairs(size: int) -> tuple[tuple[int, int], ...]:
@@ -134,7 +70,7 @@ def symmetric_pairs(size: int) -> tuple[tuple[int, int], ...]:
 
 
 def divergence_free_draw(size: int, arity: int, y_vars, rng: np.random.Generator,
-                         degree: int = 3, scale: float = 0.5) -> list[FreeFunction]:
+                         degree: int = 3, scale: float = 0.5) -> list[JetSeries]:
     """Random symmetric family f_ij with sum_j df_ij/dy_j = 0 to rounding.
 
     ``y_vars[j]`` is the argument index paired with the second function
@@ -169,17 +105,17 @@ def divergence_free_draw(size: int, arity: int, y_vars, rng: np.random.Generator
     kern = nullspace(np.stack(rows), "divergence constraints")
     coeffs = scale * (kern @ rng.standard_normal(kern.shape[1]))
     out = []
-    for t, (i, j) in enumerate(pairs):
+    for t in range(len(pairs)):
         table = {}
         for e, v in midx.items():
             c = coeffs[t * nm + v]
             if abs(c) > 1e-13:
                 table[e] = c
-        out.append(FreeFunction(arity, table=table, name=f"f{i + 1}{j + 1}"))
+        out.append(JetSeries(arity, degree, table))
     return out
 
 
-def quadratic_profile_functions(h4: np.ndarray, h2: np.ndarray) -> list[FreeFunction]:
+def quadratic_profile_functions(h4: np.ndarray, h2: np.ndarray) -> list[JetSeries]:
     """Profiles f_ij = h4[i,j,k,l] y_k y_l / 2 + h2[i,j] z^2 / 2 in 2p+1 variables.
 
     h4 must be symmetric in (i,j) and (k,l) with vanishing mixed trace
@@ -215,7 +151,7 @@ def quadratic_profile_functions(h4: np.ndarray, h2: np.ndarray) -> list[FreeFunc
                 exps[1 + p + k] += 1
                 exps[1 + p + l] += 1
                 table[tuple(exps)] = table.get(tuple(exps), 0.0) + coeff
-        out.append(FreeFunction(arity, table=table, name=f"f{i + 1}{j + 1}"))
+        out.append(JetSeries(arity, 2, table))
     return out
 
 
@@ -278,11 +214,11 @@ def _spec_table(coefficients: dict, arity: int) -> dict[tuple[int, ...], Fractio
     return table
 
 
-def function_from_spec(d: dict) -> FreeFunction:
-    """Build a table-backed function from its serialized form (exact rationals)."""
+def function_from_spec(d: dict) -> JetSeries:
+    """A profile from its serialized form (exact rationals), to its table's total degree."""
     arity = _spec_integer(_spec_entry(d, "arity"), "arity")
-    return FreeFunction(arity, table=_spec_table(d.get("coefficients", {}), arity),
-                        name=d.get("name", "f"))
+    table = _spec_table(_spec_entry(d, "coefficients"), arity)
+    return JetSeries(arity, max(map(sum, table), default=0), table)
 
 
 def metric_from_spec(d: dict) -> "CoordinateMetric":
@@ -540,9 +476,11 @@ def _symmetric_divergence_rule(fgrid, size, y_vars):
     names = [f"divergence row {i + 1}" for i in range(size)]
 
     def rule(m: CoordinateMetric, points) -> dict[str, float]:
+        ctx = shared_context(m.n, 1)
         return {
             names[i]: _worst(
-                abs(sum(fgrid[i][j].derivative(pt, y_vars[j]) for j in range(size)))
+                abs(sum(fgrid[i][j].jet(ctx, pt, range(m.n)).derivative_value(y_vars[j])
+                        for j in range(size)))
                 for pt in points)
             for i in range(size)
         }
@@ -552,7 +490,7 @@ def _symmetric_divergence_rule(fgrid, size, y_vars):
 
 def _hessian_determinant_rule(hess):
     def rule(m: CoordinateMetric, points) -> dict[str, float]:
-        dets = (np.linalg.det([[h.value(pt) for h in row] for row in hess]) for pt in points)
+        dets = (np.linalg.det([[h.evaluate(pt) for h in row] for row in hess]) for pt in points)
         return {"hessian determinant": _worst(abs(d - 1.0) for d in dets)}
 
     return rule
@@ -561,7 +499,7 @@ def _hessian_determinant_rule(hess):
 def _profile_rule(const, profiles, terms):
     """Jet rule (point, ctx) -> const + coeff * f_t(point[args_t]) in cell (i, j), per term.
 
-    ``profiles`` lists (FreeFunction, argument indices), each referenced by
+    ``profiles`` lists (profile series, argument indices), each referenced by
     some term, and ``terms`` lists (i, j, coeff, t).  Each profile is
     evaluated once per call.
     """
@@ -645,12 +583,11 @@ def _pure_form(form, functions):
 def _build_m22deg(form, functions):
     f, = functions
     # profiles s11, s12, s22 with s_ij = f_{y_i y_j}
-    s = [f.partial(2 + i).partial(2 + j) for i, j in symmetric_pairs(2)]
+    s = [f.diff(2 + i).diff(2 + j) for i, j in symmetric_pairs(2)]
     # the Ricci display reads the s_ij in the chart (v1, v2) = (y2, -y1)
-    recharted = [FreeFunction(4, table={(e[0], e[1], e[3], e[2]): c * (-1) ** e[2]
-                                        for e, c in sij.table.items()},
-                              name=f"s{i + 1}{j + 1}")
-                 for sij, (i, j) in zip(s, symmetric_pairs(2))]
+    recharted = [JetSeries(4, sij.order, {(e[0], e[1], e[3], e[2]): c * (-1) ** e[2]
+                                          for e, c in sij.terms.items()})
+                 for sij in s]
     return _assemble(
         form, functions, [(sij, range(4)) for sij in s],
         [(0, 0, 1.0, 0), (0, 1, 1.0, 1), (1, 0, 1.0, 1), (1, 1, 1.0, 2)],
@@ -662,8 +599,8 @@ def _build_m22deg(form, functions):
 
 def _build_m33gen(form, functions):
     f, = functions
-    hess = [[f.partial(i).partial(3 + j) for j in range(3)] for i in range(3)]
-    h0 = np.array([[hess[i][j].value(np.zeros(6)) for j in range(3)] for i in range(3)])
+    hess = [[f.diff(i).diff(3 + j) for j in range(3)] for i in range(3)]
+    h0 = np.array([[hess[i][j].evaluate(np.zeros(6)) for j in range(3)] for i in range(3)])
     det = np.linalg.det(h0)
     # a NaN entry makes the determinant NaN, which fails this test too
     if not abs(det - 1.0) <= 1e-8:
@@ -683,11 +620,11 @@ def _build_m101(form, functions):
     if len(functions) != 1:
         raise ValueError("M101 takes a single free profile")
     g, = functions
-    if g.arity not in (2, 10, 11):
+    if g.nvars not in (2, 10, 11):
         raise ValueError("profile takes (x2,x3), (x2,x3,w) or all coordinates")
-    if g.arity == 11 and g.series.depends_on(0):
+    if g.nvars == 11 and g.depends_on(0):
         raise ValueError("profile must not depend on x1")
-    args = {2: (1, 2), 10: range(1, 11), 11: range(11)}[g.arity]
+    args = {2: (1, 2), 10: range(1, 11), 11: range(11)}[g.nvars]
     return _assemble(form, functions, [(g, args)], [(2, 2, -4.0, 0)], [(0, 2, 1.0, 0)])
 
 
@@ -725,9 +662,9 @@ def build_metric(family: str, functions, p=None) -> CoordinateMetric:
     if len(functions) != count:
         raise ValueError(f"{label} takes {count} functions, got {len(functions)}")
     form = _declared(tag, p)
-    for f, a in zip(functions, form.arities or ()):
-        if f.arity != a:
-            raise ValueError(f"{label} needs arity {a}, got {f.arity} ({f.name})")
+    for k, (f, a) in enumerate(zip(functions, form.arities or ())):
+        if f.nvars != a:
+            raise ValueError(f"{label} needs arity {a}, got {f.nvars} (function {k + 1})")
     return _BUILDERS[tag](form, functions)
 
 
@@ -815,13 +752,14 @@ def _bracket_parts(grid, y_vars):
     """``grid`` with the y-derivatives the bracket's product part reads.
 
     Returns (grid, dy, dyy) with dy[i][j][k] = f_ij,y_k (shared by the
-    symmetric entries) and dyy[t][m][k] = f_jl,y_m y_k for the t-th pair (j, l).
+    symmetric entries) and dyy[t][m][k] = f_jl,y_m y_k for the t-th pair (j, l)
+    (shared by (m, k) and (k, m)).
     """
     p = len(grid)
     pairs = symmetric_pairs(p)
     dy = _fmatrix([[grid[j][l].diff(y_vars[k]) for k in range(p)] for j, l in pairs],
                   pairs, p)
-    dyy = [[[dy[j][l][m].diff(y_vars[k]) for k in range(p)] for m in range(p)]
+    dyy = [_fmatrix([dy[j][l][m].diff(y_vars[k]) for m, k in pairs], pairs, p)
            for j, l in pairs]
     return grid, dy, dyy
 
@@ -878,7 +816,7 @@ def _bracket_display(tag, block, p, xoff, odd=False, chart=None):
     form adds the second derivative in z, coordinate 0: c (f_zz + 2 B).
     ``chart`` maps a point to the coordinates the block is written in.
     """
-    n = block[0].arity
+    n = block[0].nvars
     pairs = symmetric_pairs(p)
     x_vars, y_vars = range(xoff, xoff + p), range(xoff + p, xoff + 2 * p)
     cells = slice(xoff, xoff + p)
@@ -908,11 +846,11 @@ def _laplacian_display(tag, n, profile, lap_vars, cell):
     f, args = profile
     args = list(args)
     scale = RICCI_CALIBRATION[tag]
-    ctx = shared_context(f.arity, 2)
+    ctx = shared_context(f.nvars, 2)
 
     def display(point):
         # one order-2 expansion per point serves every second derivative
-        jet = f.jet(ctx, point[args], range(f.arity))
+        jet = f.jet(ctx, point[args], range(f.nvars))
         out = np.zeros((n, n))
         out[cell] = scale * sum(jet.derivative_value(a, a) for a in lap_vars)
         return out

@@ -29,12 +29,13 @@ Fractions appear only at the boundary, where a coefficient is given or
 read.  A sum of products, self + sum of sign * f * g, is formed in one
 pass over one numerator map, with one common denominator and one
 reduction (:meth:`JetSeries.add_products`); a single product is its
-one-term case.  It backs table-defined profile functions and the exact
-Cauchy solver alike.
+one-term case.  A normal form's profile function is such a series, as is
+each series of the exact Cauchy solver.
 :class:`TaylorShift` expands such a polynomial at a point whose arguments
 are coordinates (argument i is y_i = p_i + x_{v_i}), in one weighted
 product from the values p and the variable indices v, with no
-coordinate-variable jets and no jet products.
+coordinate-variable jets and no jet products; :meth:`JetSeries.jet` is
+that expansion, kept per context and argument variables.
 """
 
 from __future__ import annotations
@@ -388,7 +389,7 @@ class JetSeries:
     order at or above the series' own returns the series itself.
     """
 
-    __slots__ = ("nvars", "order", "nums", "den", "_terms")
+    __slots__ = ("nvars", "order", "nums", "den", "_terms", "_floats", "_shifts")
 
     def __init__(self, nvars: int, order: int, terms=None):
         self.nvars = int(nvars)
@@ -406,6 +407,7 @@ class JetSeries:
         self.den = den = math.lcm(*(c.denominator for c in terms.values()))
         self.nums = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
         self._terms = MappingProxyType(terms)
+        self._floats = self._shifts = None
 
     @classmethod
     def zero(cls, nvars: int, order: int) -> "JetSeries":
@@ -418,6 +420,16 @@ class JetSeries:
             den = self.den
             self._terms = MappingProxyType({e: Fraction(n, den) for e, n in self.nums.items()})
         return self._terms
+
+    @property
+    def arity(self) -> int:
+        """``nvars``; only the benchmark's spec writer (``perfbench/workloads.py``) reads it."""
+        return self.nvars
+
+    @property
+    def table(self) -> MappingProxyType:
+        """``terms``; only the benchmark's spec writer (``perfbench/workloads.py``) reads it."""
+        return self.terms
 
     def coefficient(self, exps) -> Fraction:
         return Fraction(self.nums.get(tuple(int(e) for e in exps), 0), self.den)
@@ -458,7 +470,7 @@ class JetSeries:
         out.order = order
         out.nums = nums
         out.den = den
-        out._terms = None
+        out._terms = out._floats = out._shifts = None
         return out
 
     def _reduced(self, order: int, nums: dict, den: int) -> "JetSeries":
@@ -579,6 +591,26 @@ class JetSeries:
 
     def depends_on(self, var: int) -> bool:
         return any(e[var] for e in self.nums)
+
+    def jet(self, ctx: JetContext, point, variables) -> Jet:
+        """The jet in ``ctx`` at ``point``, argument i being coordinate ``variables[i]``.
+
+        The terms are expanded as their Taylor shift, built once per context
+        size and argument variables from floats converted once per series.
+        """
+        variables = tuple(variables)
+        if len(variables) != self.nvars:
+            raise ValueError(f"series takes {self.nvars} arguments, got {len(variables)}")
+        point = np.asarray(point, dtype=float)
+        if point.shape != (ctx.nvars,):
+            raise ValueError("need one value per variable")
+        if self._shifts is None:
+            self._floats, self._shifts = self.float_terms(), {}
+        key = (ctx.nvars, ctx.order, variables)
+        shift = self._shifts.get(key)
+        if shift is None:
+            shift = self._shifts[key] = TaylorShift(*self._floats, ctx, variables)
+        return Jet(ctx, shift(point[list(variables)]))
 
     def evaluate(self, point) -> float:
         point = np.asarray(point, dtype=float)

@@ -261,11 +261,11 @@ def test_criterion_07_harmonicity_both_directions(verdict):
         for family, harmonic, witness in HARMONIC_CASES:
             arity = len(next(iter(harmonic)))
             m = geometry.build_metric(
-                family, [geometry.FreeFunction(arity, table=harmonic)])
+                family, [cauchy.JetSeries(arity, 4, harmonic)])
             for pt in geometry.probe_points(m, SEED, count=3):
                 assert np.abs(geometry.ricci_numeric(m, pt)).max() <= 1e-8
             m = geometry.build_metric(
-                family, [geometry.FreeFunction(arity, table=witness)])
+                family, [cauchy.JetSeries(arity, 4, witness)])
             worst = max(np.abs(geometry.ricci_numeric(m, pt)).max()
                         for pt in geometry.probe_points(m, SEED + 1, count=3))
             assert worst >= 0.1, (family, worst)
@@ -277,11 +277,11 @@ def test_criterion_07_harmonicity_both_directions(verdict):
 def test_criterion_08_holonomy_spans(verdict):
     with verdict(8, "holonomy spans 0 / 4 / 14", budget=120):
         flat = geometry.build_metric(
-            "M21", [geometry.FreeFunction(2, table={(1, 0): 0.8, (0, 1): 0.2})])
+            "M21", [cauchy.JetSeries(2, 1, {(1, 0): 0.8, (0, 1): 0.2})])
         est = geometry.holonomy_span(flat, geometry.probe_points(flat, SEED, count=3))
         assert est.span_dim == 0
 
-        quartic = geometry.FreeFunction(4, table={
+        quartic = cauchy.JetSeries(4, 4, {
             (0, 0, 2, 2): 1.0, (0, 0, 4, 0): 1.0, (0, 0, 0, 4): -1.0,
             (0, 0, 3, 1): 1.0})
         m = geometry.build_metric("M22DEG", [quartic])
@@ -364,7 +364,7 @@ def test_criterion_10_cauchy_propagation(verdict):
 
 def test_criterion_11_eleven_dimensional_assembly(verdict):
     with verdict(11, "flat-fiber assembly in eleven dimensions"):
-        g = geometry.FreeFunction(2, table={
+        g = cauchy.JetSeries(2, 3, {
             (1, 0): 0.4, (0, 1): -0.3, (2, 0): 0.6,
             (1, 1): 0.2, (0, 2): -0.5, (2, 1): 0.15})
         m = geometry.build_metric("M101", [g])

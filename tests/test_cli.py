@@ -375,7 +375,14 @@ class TestExitCodes:
         ("metric-verify", {"family": "M21", "functions": [[2]]},
          "bad metric spec: functions must be a list of function objects, got [[2]]"),
         ("cauchy-solve", {"order": 4, "a": []}, "bad initial data: missing key 'p'"),
-    ], ids=["family", "functions", "arity", "functions-int", "functions-entry", "p"])
+        # a misspelled coefficient map is not a zero profile
+        ("metric-verify",
+         {"family": "M31", "functions": [{"arity": 3, "coeficients": {"2,0,0": 1}}]},
+         "bad metric spec: missing key 'coefficients'"),
+        ("cauchy-solve", {"p": 1, "order": 4, "a": [{"arity": 2, "coeffs": {"2,0": 1}}]},
+         "bad initial data: missing key 'coefficients'"),
+    ], ids=["family", "functions", "arity", "functions-int", "functions-entry", "p",
+            "coefficients", "cauchy-coefficients"])
     def test_spec_missing_or_malformed_key(self, tmp_path, command, desc, message):
         spec = _write(tmp_path, "keys.json", desc)
         report, status = run_command(RunSpec(command, spec_path=spec))
@@ -824,6 +831,12 @@ REPORT_SHA256 = {
     "ricci-compare-m51null": (
         ["ricci-compare", "--spec", str(DATA / "metric_m51null.json"), "--seed", "7"],
         "218a688624feeaab796f4c06819b4218898235393e1396602a09b794cc70126a"),
+    "metric-verify-m33gen": (
+        ["metric-verify", "--spec", str(DATA / "metric_m33gen.json"), "--seed", "7"],
+        "a276a34c4203047aa8e30279f9fbd8c0cce3fffb584785571af9008b14d0a4ff"),
+    "holonomy-estimate-m33gen": (
+        ["holonomy-estimate", "--spec", str(DATA / "metric_m33gen.json"), "--seed", "7"],
+        "1def8a011cb2c87c1b09febfe97ad16d528bc6019250ce0c2b55ba105f147b95"),
 }
 
 

@@ -10,11 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinorlab import geometry, octospin
+from spinorlab import geometry, jets, octospin
 from spinorlab.geometry import (
     FAMILY_TAGS,
     RICCI_CALIBRATION,
-    FreeFunction,
     adapted_coframe,
     build_metric,
     constraint_check,
@@ -68,7 +67,7 @@ def _generic(family, salt=0, p=None):
             table[tuple(e)] = 1.0
         table[(2, 0, 0, 0, 3, 0)] = 0.35
         table[(1, 2, 0, 0, 0, 2)] = -0.27
-        return build_metric(family, [FreeFunction(6, table=table)])
+        return build_metric(family, [JetSeries(6, 5, table)])
     if family == "M33NULL":
         fs = divergence_free_draw(2, 6, (3, 4), rng, degree=3, scale=0.4)
         return build_metric(family, fs)
@@ -81,8 +80,8 @@ def _generic(family, salt=0, p=None):
                                   rng, degree=3, scale=0.3)
         return build_metric(family, fs, p=p)
     if family == "M101":
-        g = FreeFunction(2, table={(1, 0): 0.4, (0, 1): -0.3, (2, 0): 0.6,
-                                   (1, 1): 0.2, (0, 2): -0.5, (2, 1): 0.15})
+        g = JetSeries(2, 3, {(1, 0): 0.4, (0, 1): -0.3, (2, 0): 0.6,
+                             (1, 1): 0.2, (0, 2): -0.5, (2, 1): 0.15})
         return build_metric(family, [g])
     raise ValueError(family)
 
@@ -104,19 +103,25 @@ def _fd_gradient_residual(f, point):
     h = 1e-6
     point = np.asarray(point, dtype=float)
     mismatches = []
-    for v in range(f.arity):
-        step = np.zeros(f.arity)
+    for v in range(f.nvars):
+        step = np.zeros(f.nvars)
         step[v] = h
-        fd = (f.value(point + step) - f.value(point - step)) / (2.0 * h)
-        exact = f.derivative(point, v)
+        fd = (f.evaluate(point + step) - f.evaluate(point - step)) / (2.0 * h)
+        exact = _derivative(f, point, v)
         mismatches.append(abs(fd - exact) / max(1.0, abs(exact)))
     return float(np.max(mismatches))
 
 
+def _derivative(f, point, *vars_):
+    """Mixed partial derivative of a profile at ``point``, read off its jet."""
+    ctx = shared_context(f.nvars, max(len(vars_), 1))
+    return f.jet(ctx, point, range(f.nvars)).derivative_value(*vars_)
+
+
 class TestFreeFunction:
     def test_table_evaluation(self):
-        f = FreeFunction(2, table={(2, 0): 3.0, (1, 1): -1.0, (0, 0): 0.5})
-        assert f.value([2.0, 5.0]) == pytest.approx(12.0 - 10.0 + 0.5)
+        f = JetSeries(2, 2, {(2, 0): 3.0, (1, 1): -1.0, (0, 0): 0.5})
+        assert f.evaluate([2.0, 5.0]) == pytest.approx(12.0 - 10.0 + 0.5)
 
     def test_derivative_matches_finite_differences(self):
         rng = _rng("fd")
@@ -128,36 +133,36 @@ class TestFreeFunction:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_fd_gradient_keeps_nan(self):
         # the x difference is inf - inf; it must not read as a zero mismatch
-        f = FreeFunction(2, table={(3, 0): 1e308, (0, 1): 1.0})
+        f = JetSeries(2, 3, {(3, 0): 1e308, (0, 1): 1.0})
         assert np.isnan(_fd_gradient_residual(f, np.array([5.0, 0.0])))
 
     def test_partial_is_exact(self):
-        f = FreeFunction(2, table={(3, 1): 2.0, (0, 2): 1.0})
-        fx = f.partial(0)
+        f = JetSeries(2, 4, {(3, 1): 2.0, (0, 2): 1.0})
+        fx = f.diff(0)
         assert fx.table == {(2, 1): 6.0}
-        assert f.partial(1).table == {(3, 0): 2.0, (0, 1): 2.0}
+        assert f.diff(1).table == {(3, 0): 2.0, (0, 1): 2.0}
 
     def test_mixed_partials_commute(self):
-        f = FreeFunction(2, table={(2, 2): 1.0, (3, 1): -0.5})
+        f = JetSeries(2, 4, {(2, 2): 1.0, (3, 1): -0.5})
         pt = [0.7, -0.4]
-        assert f.derivative(pt, 0, 1) == pytest.approx(f.derivative(pt, 1, 0))
+        assert _derivative(f, pt, 0, 1) == pytest.approx(_derivative(f, pt, 1, 0))
 
     def test_argument_count_checked(self):
-        f = FreeFunction(2, table={(1, 0): 1.0})
+        f = JetSeries(2, 1, {(1, 0): 1.0})
         ctx = JetContext(3, 1)
         with pytest.raises(ValueError):
             f.jet(ctx, np.zeros(3), range(3))
 
     def test_point_size_checked(self):
-        f = FreeFunction(2, table={(1, 0): 1.0})
+        f = JetSeries(2, 1, {(1, 0): 1.0})
         with pytest.raises(ValueError):
             f.jet(JetContext(3, 1), np.zeros(2), (0, 1))
 
 
-def _product_jet(f: FreeFunction, args: list[Jet]) -> Jet:
+def _product_jet(f: JetSeries, args: list[Jet]) -> Jet:
     """The jet of f's table at argument jets, as a sum of products of their powers."""
     ctx = args[0].ctx
-    powers: list[dict[int, Jet]] = [{0: ctx.constant(1.0)} for _ in range(f.arity)]
+    powers: list[dict[int, Jet]] = [{0: ctx.constant(1.0)} for _ in range(f.nvars)]
 
     def pw(i: int, e: int) -> Jet:
         cache = powers[i]
@@ -198,7 +203,7 @@ def _table_at_point(draw, arity):
 
 
 class TestTaylorShift:
-    """FreeFunction.jet at a point against the jet-product oracle at coordinate jets."""
+    """JetSeries.jet at a point against the jet-product oracle at coordinate jets."""
 
     @pytest.mark.parametrize("argmap", list(ARGUMENT_MAPS))
     @settings(derandomize=True, max_examples=25, deadline=None)
@@ -210,17 +215,17 @@ class TestTaylorShift:
         point[list(variables)] = values
         ctx = JetContext(nvars, order)
         X, absX = ctx.variables(point), ctx.variables(np.abs(point))
-        f = FreeFunction(len(variables), table=table)
+        f = JetSeries(len(variables), 5, table)
         got, want = f.jet(ctx, point, variables), _product_jet(f, [X[v] for v in variables])
         # scale: the same expansion with every coefficient and value made positive
-        size = FreeFunction(len(variables), table={e: abs(c) for e, c in table.items()})
+        size = JetSeries(len(variables), 5, {e: abs(c) for e, c in table.items()})
         scale = _product_jet(size, [absX[v] for v in variables]).c
         assert got.ctx.order == want.ctx.order == order
         assert np.all(np.abs(got.c - want.c) <= 1e-12 * scale + np.finfo(float).tiny)
 
     def test_repeated_variable(self):
         # f(x, x) sums the shifted coefficients of both arguments
-        f = FreeFunction(2, table={(2, 1): 1.0, (1, 0): -3.0})
+        f = JetSeries(2, 3, {(2, 1): 1.0, (1, 0): -3.0})
         ctx = JetContext(1, 3)
         X = ctx.variables([0.7])
         got, want = f.jet(ctx, [0.7], (0, 0)), _product_jet(f, [X[0], X[0]])
@@ -228,7 +233,7 @@ class TestTaylorShift:
 
     def test_degree_sets_no_table_size(self):
         # y^(10^6) at y = 1 + x has Taylor coefficients binom(10^6, b)
-        f = FreeFunction(1, table={(10**6,): 1})
+        f = JetSeries(1, 10**6, {(10**6,): 1})
         assert f.jet(JetContext(1, 2), [1.0], (0,)).c.tolist() == [1.0, 1e6, 499999500000.0]
 
     def test_shift_data_stays_with_its_function(self):
@@ -238,7 +243,7 @@ class TestTaylorShift:
         X = ctx.variables([0.3, -0.2])
         ids = []
         for i in range(20):
-            f = FreeFunction(2, table={(i % 3 + 1, 0): i + 1.0, (0, i % 2 + 1): 0.5})
+            f = JetSeries(2, 3, {(i % 3 + 1, 0): i + 1.0, (0, i % 2 + 1): 0.5})
             got, want = f.jet(ctx, [0.3, -0.2], (0, 1)), _product_jet(f, X)
             assert np.allclose(got.c, want.c, rtol=1e-14, atol=1e-14)
             ids.append(id(f))
@@ -270,7 +275,7 @@ class TestProfileDraws:
             grid[(i, j)] = grid[(j, i)] = f
         pt = rng.uniform(-0.7, 0.7, arity)
         for i in range(size):
-            total = sum(grid[(i, j)].derivative(pt, y_vars[j]) for j in range(size))
+            total = sum(_derivative(grid[(i, j)], pt, y_vars[j]) for j in range(size))
             assert abs(total) < 1e-12
 
     @pytest.mark.parametrize("seed", [90, 7, 1])
@@ -286,9 +291,9 @@ class TestProfileDraws:
                                   degree=3, scale=0.3)
         grid = geometry._fmatrix(fs, symmetric_pairs(p), p)
         for i in range(p):
-            div = grid[i][0].series.diff(y_vars[0])
+            div = grid[i][0].diff(y_vars[0])
             for j in range(1, p):
-                div = div + grid[i][j].series.diff(y_vars[j])
+                div = div + grid[i][j].diff(y_vars[j])
             assert div.max_abs() < 1e-14
 
     def test_quadratic_profile_rejects_bad_trace(self):
@@ -449,8 +454,8 @@ class TestFamilyBuilders:
     def test_each_profile_evaluated_once(self, family, p, distinct, monkeypatch):
         m = _generic(family, p=p)
         calls = []
-        jet = FreeFunction.jet
-        monkeypatch.setattr(FreeFunction, "jet",
+        jet = JetSeries.jet
+        monkeypatch.setattr(JetSeries, "jet",
                             lambda f, *args: calls.append(f) or jet(f, *args))
         for jets in (m.component_jets, m.coframe_jets):
             calls.clear()
@@ -461,24 +466,24 @@ class TestFamilyBuilders:
         for family, count, arity in [("M31", 0, 4), ("M33NULL", 1, 6),
                                      ("M101", 0, 2), ("M101", 2, 2)]:
             with pytest.raises(ValueError):
-                build_metric(family, [FreeFunction.zero(arity)] * count)
+                build_metric(family, [JetSeries.zero(arity, 0)] * count)
 
     def test_wrong_arity_rejected(self):
         for family, arity in [("M21", 5), ("M101", 3)]:
             with pytest.raises(ValueError):
-                build_metric(family, [FreeFunction.zero(arity)])
+                build_metric(family, [JetSeries.zero(arity, 0)])
 
     def test_block_size_required_for_pure_families(self):
         with pytest.raises(ValueError):
-            build_metric("PUREODD", [FreeFunction.zero(5)] * 3)
+            build_metric("PUREODD", [JetSeries.zero(5, 0)] * 3)
 
     def test_parenthesized_tag_is_unknown(self):
         # the block size is spelled only as p
         with pytest.raises(ValueError, match="unknown family"):
-            build_metric("PUREODD(2)", [FreeFunction.zero(5)] * 3)
+            build_metric("PUREODD(2)", [JetSeries.zero(5, 0)] * 3)
         with pytest.raises(ValueError, match="unknown family"):
-            build_metric("PUREODD(1)", [FreeFunction.zero(5)] * 3, p=2)
-        m = build_metric("PUREODD", [FreeFunction.zero(5)] * 3, p=2)
+            build_metric("PUREODD(1)", [JetSeries.zero(5, 0)] * 3, p=2)
+        m = build_metric("PUREODD", [JetSeries.zero(5, 0)] * 3, p=2)
         assert m.p == 2 and m.n == 5
 
     def test_unknown_family_rejected(self):
@@ -493,7 +498,7 @@ class TestFamilyBuilders:
             e[3 + i] += 1
             table[tuple(e)] = 2.0
         with pytest.raises(ValueError):
-            build_metric("M33GEN", [FreeFunction(6, table=table)])
+            build_metric("M33GEN", [JetSeries(6, 2, table)])
 
 
 # ---------------------------------------------------------------------------
@@ -502,21 +507,21 @@ class TestFamilyBuilders:
 
 class TestFlatnessCriteria:
     def test_m21_flat_iff_profile_linear_in_middle_coordinate(self):
-        lin = FreeFunction(2, table={(0, 0): 0.3, (1, 0): 0.7, (0, 1): -0.2, (0, 2): 0.5})
+        lin = JetSeries(2, 2, {(0, 0): 0.3, (1, 0): 0.7, (0, 1): -0.2, (0, 2): 0.5})
         m = build_metric("M21", [lin])
         pt = np.array([0.1, 0.2, -0.3])
         assert np.abs(riemann_numeric(m, pt)).max() < 1e-10
-        quad = FreeFunction(2, table={(2, 0): 1.0})
+        quad = JetSeries(2, 2, {(2, 0): 1.0})
         m = build_metric("M21", [quad])
         assert np.abs(riemann_numeric(m, pt)).max() > 0.1
 
     def test_m22gen_flat_iff_no_mixed_cross_derivative(self):
-        sep = FreeFunction(3, table={(2, 0, 0): 0.7, (0, 0, 3): 0.4,
-                                     (1, 0, 1): -0.3, (0, 1, 1): 0.5})
+        sep = JetSeries(3, 3, {(2, 0, 0): 0.7, (0, 0, 3): 0.4,
+                               (1, 0, 1): -0.3, (0, 1, 1): 0.5})
         m = build_metric("M22GEN", [sep])
         for pt in probe_points(m, 8, count=3):
             assert np.abs(ricci_numeric(m, pt)).max() < 1e-10
-        cross = FreeFunction(3, table={(1, 1, 0): 1.0})
+        cross = JetSeries(3, 2, {(1, 1, 0): 1.0})
         m = build_metric("M22GEN", [cross])
         assert np.abs(ricci_numeric(m, np.zeros(4))).max() > 0.1
 
@@ -543,10 +548,10 @@ class TestFlatnessCriteria:
     ])
     def test_ricci_flat_iff_profile_harmonic(self, family, harmonic, witness):
         arity = len(next(iter(harmonic)))
-        m = build_metric(family, [FreeFunction(arity, table=harmonic)])
+        m = build_metric(family, [JetSeries(arity, 4, harmonic)])
         for pt in probe_points(m, 10, count=3):
             assert np.abs(ricci_numeric(m, pt)).max() < 1e-8
-        m = build_metric(family, [FreeFunction(arity, table=witness)])
+        m = build_metric(family, [JetSeries(arity, 4, witness)])
         for pt in probe_points(m, 11, count=3):
             assert np.abs(ricci_numeric(m, pt)).max() > 0.1
 
@@ -653,7 +658,7 @@ class TestDisplayedConnections:
         for pt in probe_points(m, 12, count=3):
             av = self._connection_values(m, pt)
             closed = np.zeros((3, 3, 3))
-            closed[:, :, 2] = 0.5 * f.derivative(pt[1:], 0) * m.stabilizer[0]
+            closed[:, :, 2] = 0.5 * _derivative(f, pt[1:], 0) * m.stabilizer[0]
             assert np.abs(av - closed).max() < 1e-12
 
     def test_m31_display(self):
@@ -662,8 +667,8 @@ class TestDisplayedConnections:
         for pt in probe_points(m, 13, count=3):
             av = self._connection_values(m, pt)
             closed = np.zeros((4, 4, 4))
-            closed[:, :, 3] = (0.5 * f.derivative(pt[1:], 0) * m.stabilizer[0]
-                               - 0.5 * f.derivative(pt[1:], 1) * m.stabilizer[1])
+            closed[:, :, 3] = (0.5 * _derivative(f, pt[1:], 0) * m.stabilizer[0]
+                               - 0.5 * _derivative(f, pt[1:], 1) * m.stabilizer[1])
             assert np.abs(av - closed).max() < 1e-12
 
     def test_m22gen_display(self):
@@ -672,8 +677,8 @@ class TestDisplayedConnections:
         for pt in probe_points(m, 14, count=3):
             av = self._connection_values(m, pt)
             closed = np.zeros((4, 4, 4))
-            closed[:, :, 3] = (f.derivative(pt[1:], 1) * m.stabilizer[0]
-                               - f.derivative(pt[1:], 0) * m.stabilizer[1])
+            closed[:, :, 3] = (_derivative(f, pt[1:], 1) * m.stabilizer[0]
+                               - _derivative(f, pt[1:], 0) * m.stabilizer[1])
             assert np.abs(av - closed).max() < 1e-12
 
     def test_m41deg_display(self):
@@ -683,7 +688,7 @@ class TestDisplayedConnections:
             av = self._connection_values(m, pt)
             closed = np.zeros((5, 5, 5))
             for a in range(3):
-                closed[:, :, 0] -= 0.5 * f.derivative(pt[:4], 1 + a) * m.stabilizer[a]
+                closed[:, :, 0] -= 0.5 * _derivative(f, pt[:4], 1 + a) * m.stabilizer[a]
             assert np.abs(av - closed).max() < 1e-12
 
     def test_m51null_display(self):
@@ -693,7 +698,7 @@ class TestDisplayedConnections:
             av = self._connection_values(m, pt)
             closed = np.zeros((6, 6, 6))
             for a in range(4):
-                closed[:, :, 5] += 0.5 * f.derivative(pt[1:], a) * m.stabilizer[a]
+                closed[:, :, 5] += 0.5 * _derivative(f, pt[1:], a) * m.stabilizer[a]
             assert np.abs(av - closed).max() < 1e-12
 
     def test_pure_odd_display(self):
@@ -706,23 +711,23 @@ class TestDisplayedConnections:
         n = m.n
         for pt in probe_points(m, 17, count=2):
             av = self._connection_values(m, pt)
-            fval = np.array([[fgrid[i][j].value(pt) for j in range(p)] for i in range(p)])
+            fval = np.array([[fgrid[i][j].evaluate(pt) for j in range(p)] for i in range(p)])
             closed = np.zeros((n, n, n))
             for k in range(p):
                 phi = np.zeros((p, p))
                 tau = np.zeros(p)
                 sig = np.zeros((p, p))
                 for i in range(p):
-                    tau[i] = fgrid[i][k].derivative(pt, 0)
+                    tau[i] = _derivative(fgrid[i][k], pt, 0)
                     for j in range(p):
-                        phi[i, j] = -fgrid[j][k].derivative(pt, 1 + p + i)
+                        phi[i, j] = -_derivative(fgrid[j][k], pt, 1 + p + i)
                 for i in range(p):
                     for j in range(p):
-                        s = (fgrid[i][k].derivative(pt, 1 + j)
-                             - fgrid[j][k].derivative(pt, 1 + i))
+                        s = (_derivative(fgrid[i][k], pt, 1 + j)
+                             - _derivative(fgrid[j][k], pt, 1 + i))
                         for l in range(p):
-                            s += fval[i][l] * fgrid[j][k].derivative(pt, 1 + p + l)
-                            s -= fval[j][l] * fgrid[i][k].derivative(pt, 1 + p + l)
+                            s += fval[i][l] * _derivative(fgrid[j][k], pt, 1 + p + l)
+                            s -= fval[j][l] * _derivative(fgrid[i][k], pt, 1 + p + l)
                         sig[i, j] = s
                 blk = np.zeros((n, n))
                 blk[0, 1:1 + p] = -tau
@@ -743,7 +748,7 @@ class TestDisplayedConnections:
                 blk = av[:, :, k]
                 for i in range(p):
                     for j in range(p):
-                        q = -fgrid[j][k].derivative(pt, p + i)
+                        q = -_derivative(fgrid[j][k], pt, p + i)
                         assert blk[i, j] == pytest.approx(q, abs=1e-12)
                         assert blk[p + j, p + i] == pytest.approx(-q, abs=1e-12)
 
@@ -801,11 +806,11 @@ class TestRicciDisplays:
         pts = probe_points(m, 31, count=3)
         first = ricci_paper(m, pts[0])
         built = []
-        shift, init = geometry.TaylorShift, FreeFunction.__init__
-        monkeypatch.setattr(geometry, "TaylorShift",
+        shift, init = jets.TaylorShift, JetSeries.__init__
+        monkeypatch.setattr(jets, "TaylorShift",
                             lambda *a: built.append("shift") or shift(*a))
-        monkeypatch.setattr(FreeFunction, "__init__",
-                            lambda self, *a, **kw: built.append("function") or init(self, *a, **kw))
+        monkeypatch.setattr(JetSeries, "__init__",
+                            lambda self, *a, **kw: built.append("series") or init(self, *a, **kw))
         for pt in pts:
             ricci_paper(m, pt)
         assert built == []
@@ -830,23 +835,23 @@ class TestConstraintReports:
 
     def test_hand_picked_divergence_free_pattern(self):
         # f_11 = y2, f_12 = -y1/2, f_22 = y2/2: both rows vanish identically
-        fs = [FreeFunction(4, table={(0, 0, 0, 1): 1.0}),
-              FreeFunction(4, table={(0, 0, 1, 0): -0.5}),
-              FreeFunction(4, table={(0, 0, 0, 1): 0.5})]
+        fs = [JetSeries(4, 1, {(0, 0, 0, 1): 1.0}),
+              JetSeries(4, 1, {(0, 0, 1, 0): -0.5}),
+              JetSeries(4, 1, {(0, 0, 0, 1): 0.5})]
         m = build_metric("PUREEVEN", fs, p=2)
         rep = constraint_check(m, probe_points(m, 24, count=3))
         assert rep.max_residual < 1e-14
 
     def test_y_independent_odd_profiles_pass(self):
-        fs = [FreeFunction(7, table={(0, 1, 0, 0, 0, 0, 0): 0.3,
-                                     (2, 0, 0, 0, 0, 0, 0): 0.5})
+        fs = [JetSeries(7, 2, {(0, 1, 0, 0, 0, 0, 0): 0.3,
+                               (2, 0, 0, 0, 0, 0, 0): 0.5})
               for _ in range(6)]
         m = build_metric("PUREODD", fs, p=3)
         assert constraint_check(m, probe_points(m, 25, count=3)).max_residual == 0.0
 
     def test_violating_profile_is_reported_not_rejected(self):
-        fs = [FreeFunction(4, table={(0, 0, 1, 0): 1.0}),  # d f_11 / d y1 = 1
-              FreeFunction.zero(4), FreeFunction.zero(4)]
+        fs = [JetSeries(4, 1, {(0, 0, 1, 0): 1.0}),  # d f_11 / d y1 = 1
+              JetSeries.zero(4, 0), JetSeries.zero(4, 0)]
         m = build_metric("PUREEVEN", fs, p=2)
         rep = constraint_check(m, probe_points(m, 26, count=3))
         assert rep.residuals["divergence row 1"] == pytest.approx(1.0)
@@ -854,9 +859,9 @@ class TestConstraintReports:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_at_a_later_point_is_kept(self):
         # the divergence is inf - inf = NaN at the second point only
-        fs = [FreeFunction(4, table={(0, 0, 3, 0): 1e308}),
-              FreeFunction(4, table={(0, 0, 0, 3): -1e308}),
-              FreeFunction.zero(4)]
+        fs = [JetSeries(4, 3, {(0, 0, 3, 0): 1e308}),
+              JetSeries(4, 3, {(0, 0, 0, 3): -1e308}),
+              JetSeries.zero(4, 0)]
         m = build_metric("PUREEVEN", fs, p=2)
         rep = constraint_check(m, [(0, 0, 0.01, 0.01), (0, 0, 5, 5)])
         assert np.isnan(rep.residuals["divergence row 1"])
@@ -875,13 +880,13 @@ class TestConstraintReports:
 
 class TestHolonomySpans:
     def test_flat_metric_has_trivial_span(self):
-        m = build_metric("M21", [FreeFunction(2, table={(1, 0): 0.8, (0, 1): 0.2})])
+        m = build_metric("M21", [JetSeries(2, 1, {(1, 0): 0.8, (0, 1): 0.2})])
         est = holonomy_span(m, probe_points(m, 30, count=3))
         assert est.span_dim == 0 and est.generator_count == 0
 
     def test_quartic_hessian_profile_fills_stabilizer(self):
-        quartic = FreeFunction(4, table={(0, 0, 2, 2): 1.0, (0, 0, 4, 0): 1.0,
-                                         (0, 0, 0, 4): -1.0, (0, 0, 3, 1): 1.0})
+        quartic = JetSeries(4, 4, {(0, 0, 2, 2): 1.0, (0, 0, 4, 0): 1.0,
+                                   (0, 0, 0, 4): -1.0, (0, 0, 3, 1): 1.0})
         m = build_metric("M22DEG", [quartic])
         est = holonomy_span(m, probe_points(m, 31, count=3))
         assert est.span_dim == 4 == est.stabilizer_dim
@@ -1231,7 +1236,7 @@ class TestElevenDimensionalFamily:
         assert res > 1e-3
 
     def test_profile_must_not_depend_on_first_coordinate(self):
-        bad = FreeFunction(11, table={(1,) + (0,) * 10: 1.0})
+        bad = JetSeries(11, 1, {(1,) + (0,) * 10: 1.0})
         with pytest.raises(ValueError):
             build_metric("M101", [bad])
 
@@ -1240,7 +1245,7 @@ class TestElevenDimensionalFamily:
         e = [0] * 10
         e[2] = 2
         table[tuple(e)] = 0.3
-        m = build_metric("M101", [FreeFunction(10, table=table)])
+        m = build_metric("M101", [JetSeries(10, 2, table)])
         for pt in probe_points(m, 43, count=3):
             assert adapted_coframe(m, pt).membership_residual < 1e-9
 
@@ -1263,7 +1268,7 @@ class TestElevenDimensionalFamily:
         mul = JetSeries.__mul__
         monkeypatch.setattr(JetSeries, "__mul__", lambda s, o: calls.append(1) or mul(s, o))
         for _ in range(2):
-            build_metric("M101", [FreeFunction(2, table={(1, 1): 0.3})])
+            build_metric("M101", [JetSeries(2, 2, {(1, 1): 0.3})])
         assert calls == []
 
     def test_holonomy_span_stays_within_stabilizer(self):
@@ -1286,7 +1291,7 @@ class TestSpecRoundTrip:
         f = function_from_spec({"arity": 2, "coefficients": {"1,1": "1/3", "0,2": 2}})
         assert f.table == {(1, 1): Fraction(1, 3), (0, 2): 2}
         assert all(isinstance(c, Fraction) for c in f.table.values())
-        assert f.partial(0).table == {(0, 1): Fraction(1, 3)}
+        assert f.diff(0).table == {(0, 1): Fraction(1, 3)}
 
     def test_one_fraction_per_coefficient(self, monkeypatch):
         made = []

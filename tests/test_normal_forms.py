@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from spinorlab import geometry
-from spinorlab.geometry import FAMILY_TAGS, FreeFunction, build_metric, normal_form
+from spinorlab.geometry import FAMILY_TAGS, build_metric, normal_form
+from spinorlab.jets import JetSeries
 
 ENTRIES = [(tag, p) for tag in FAMILY_TAGS
            for p in ((1, 2, 3) if tag in ("PUREODD", "PUREEVEN") else (None,))]
@@ -13,9 +14,9 @@ ENTRIES = [(tag, p) for tag in FAMILY_TAGS
 def _profiles(form):
     """Profiles that build a metric of ``form``: zero, but M33GEN's mixed Hessian is 1."""
     if form.tag == "M33GEN":
-        return [FreeFunction(6, table={(1, 0, 0, 1, 0, 0): 1.0, (0, 1, 0, 0, 1, 0): 1.0,
-                                       (0, 0, 1, 0, 0, 1): 1.0})]
-    return [FreeFunction.zero(a) for a in form.arities or (2,)]
+        return [JetSeries(6, 2, {(1, 0, 0, 1, 0, 0): 1.0, (0, 1, 0, 0, 1, 0): 1.0,
+                                 (0, 0, 1, 0, 0, 1): 1.0})]
+    return [JetSeries.zero(a, 0) for a in form.arities or (2,)]
 
 
 @pytest.mark.parametrize("tag, p", ENTRIES)
@@ -62,7 +63,7 @@ def test_stabilizer_rows_solved_once_per_entry(monkeypatch):
     span = geometry.orthonormal_span
     monkeypatch.setattr(geometry, "orthonormal_span",
                         lambda *args: calls.append(1) or span(*args))
-    metrics = [build_metric("PUREEVEN", [FreeFunction.zero(10)] * 15, p=5) for _ in range(2)]
+    metrics = [build_metric("PUREEVEN", [JetSeries.zero(10, 0)] * 15, p=5) for _ in range(2)]
     for m in metrics:
         geometry.adapted_coframe(m, np.zeros(m.n))
         geometry.holonomy_span(m, np.zeros((1, m.n)))
