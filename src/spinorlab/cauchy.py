@@ -21,9 +21,10 @@ from .geometry import (
     _fmatrix,
     _quadratic_bracket,
     _spec_entry,
+    _spec_fields,
     _spec_function_list,
     _spec_integer,
-    _spec_table,
+    _spec_ratios,
     symmetric_pairs,
 )
 from .jets import JetSeries
@@ -95,22 +96,27 @@ def cauchy_data(p: int, order: int, a_tables, b_tables=None) -> CauchyData:
 
 def cauchy_data_from_spec(d: dict) -> CauchyData:
     """Data from the JSON polynomial format shared with geometry specs."""
+    _spec_fields(d, ("p", "order", "a", "b"))
     p = _spec_integer(_spec_entry(d, "p"), "p")
     order = _spec_integer(d.get("order", 6), "order")
     entries = {key: _spec_function_list(d.get(key, []), key) for key in ("a", "b")}
     # counted before any table is read, so a huge p reads nothing
     _check_counts(p, entries["a"], entries["b"] or None)
+    keys = {}
 
-    def tables(key):
+    def layer(key):
         out = []
         for fd in entries[key]:
-            out.append(_spec_table(_spec_entry(fd, "coefficients"), 2 * p))
+            ratios = _spec_ratios(_spec_entry(fd, "coefficients"), 2 * p, keys)
             # a profile takes the 2p arguments (x^1..x^p, y_1..y_p)
             if "arity" in fd and _spec_integer(fd["arity"], "arity") != 2 * p:
                 raise ValueError(f"{key} entry arity must be 2p = {2 * p}, got {fd['arity']!r}")
-        return out
+            lifted = [((0,) + e, num, den) for e, num, den in ratios]
+            out.append(JetSeries.from_ratios(2 * p + 1, order, lifted))
+        return tuple(out)
 
-    return cauchy_data(p, order, tables("a"), tables("b") or None)
+    a = layer("a")
+    return CauchyData(p, order, a, layer("b") or (JetSeries.zero(2 * p + 1, order),) * len(a))
 
 
 def series_to_spec(series: JetSeries) -> dict:

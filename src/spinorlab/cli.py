@@ -297,7 +297,7 @@ def _cmd_metric_verify(spec: dict | None, seed: int, tol: float) -> list[dict]:
                       "connection is skew for the coframe Gram matrix",
                       skew, tol),
     ]
-    found = geometry._signature_at(m, np.zeros(m.n))
+    found = geometry._signature(m.components(np.zeros(m.n)))
     rows.append(_row("metric signature",
                      "normal form has the family's split signature",
                      found == m.signature,

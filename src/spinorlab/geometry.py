@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
@@ -26,6 +25,7 @@ from . import octospin
 from .jets import (
     Jet,
     JetSeries,
+    _ratio,
     monomials_upto,
     shared_context,
 )
@@ -179,52 +179,85 @@ def _spec_integer(value, key: str) -> int:
     return value
 
 
+def _spec_fields(d: dict, allowed: tuple[str, ...]) -> None:
+    """Refuse a top-level spec key outside ``allowed``, naming it."""
+    for key in d:
+        if key not in allowed:
+            raise ValueError(f"unknown key {key!r}, expected one of {', '.join(allowed)}")
+
+
 _MAX_EXPONENT = int(np.iinfo(np.intp).max)
 
 
-def _spec_table(coefficients: dict, arity: int) -> dict[tuple[int, ...], Fraction]:
-    """Exact {exponents: coefficient} table from a spec's coefficient map.
+def _spec_exponents(key, arity: int, keys: dict) -> tuple[int, ...]:
+    """The exponents of a coefficient key: ``arity`` nonnegative machine integers.
 
-    Keys are comma-separated exponent strings; values may be numbers or
-    rational strings like "3/4", and are kept as Fractions.  A map that is
-    not an object, a key that is not ``arity`` nonnegative machine integers,
-    or a value that is not a finite number (a JSON boolean, Infinity or NaN, a
-    zero denominator, past the float range), is rejected with its key.
+    A key is comma-separated exponents, with spaces and enclosing parentheses
+    allowed.  Its parse is kept in ``keys``, so a key repeated across the
+    functions of one spec is parsed once.
     """
-    if not isinstance(coefficients, dict):
-        raise ValueError(f"coefficients must be an object, got {coefficients!r}")
-    table: dict[tuple[int, ...], Fraction] = {}
-    for key, val in coefficients.items():
+    parsed = keys.get(key)
+    if parsed is None:
         parts = [s.strip() for s in str(key).strip("() ").split(",")]
         if not all(s.isdecimal() for s in parts):
             raise ValueError(f"exponent key {key!r} is not a list of nonnegative integers")
         exps = tuple(int(s) for s in parts)
-        if len(exps) != arity:
-            raise ValueError(f"exponent key {key!r} lists {len(exps)} exponents for arity {arity}")
-        if max(exps) > _MAX_EXPONENT:
-            raise ValueError(f"exponent key {key!r} does not fit a machine integer")
-        try:
-            if isinstance(val, bool):
-                raise TypeError("a boolean is not a coefficient")
-            coeff = Fraction(val)
-            float(coeff)  # OverflowError past the float range
-        except (OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"coefficient {key!r} is not a finite number: {val!r}") from exc
-        table[exps] = table[exps] + coeff if exps in table else coeff
-    return table
+        parsed = keys[key] = (exps, max(exps) <= _MAX_EXPONENT)
+    exps, fits = parsed
+    if len(exps) != arity:
+        raise ValueError(f"exponent key {key!r} lists {len(exps)} exponents for arity {arity}")
+    if not fits:
+        raise ValueError(f"exponent key {key!r} does not fit a machine integer")
+    return exps
+
+
+def _spec_coefficient(key, val) -> tuple[int, int]:
+    """A coefficient as (numerator, positive denominator), exactly.
+
+    An int is (val, 1), a float its ``as_integer_ratio()``, and a rational
+    string like "3/4" parses through one Fraction.  A value that is not a
+    finite number (a JSON boolean, Infinity or NaN, a zero denominator, past
+    the float range) is rejected with its key.
+    """
+    try:
+        if isinstance(val, bool):
+            raise TypeError("a boolean is not a coefficient")
+        num, den = _ratio(val)
+        num / den  # OverflowError past the float range
+    except (OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"coefficient {key!r} is not a finite number: {val!r}") from exc
+    return num, den
+
+
+def _spec_ratios(coefficients: dict, arity: int, keys: dict) -> list[tuple]:
+    """(exponents, numerator, denominator) of each entry of a spec's coefficient map.
+
+    A map that is not an object, and each bad key or value, is rejected with
+    its key; a repeated exponent tuple is left for the series to add up.
+    """
+    if not isinstance(coefficients, dict):
+        raise ValueError(f"coefficients must be an object, got {coefficients!r}")
+    return [(_spec_exponents(key, arity, keys), *_spec_coefficient(key, val))
+            for key, val in coefficients.items()]
+
+
+def _spec_function(d: dict, keys: dict) -> JetSeries:
+    arity = _spec_integer(_spec_entry(d, "arity"), "arity")
+    ratios = _spec_ratios(_spec_entry(d, "coefficients"), arity, keys)
+    return JetSeries.from_ratios(arity, max((sum(e) for e, _, _ in ratios), default=0), ratios)
 
 
 def function_from_spec(d: dict) -> JetSeries:
     """A profile from its serialized form (exact rationals), to its table's total degree."""
-    arity = _spec_integer(_spec_entry(d, "arity"), "arity")
-    table = _spec_table(_spec_entry(d, "coefficients"), arity)
-    return JetSeries(arity, max(map(sum, table), default=0), table)
+    return _spec_function(d, {})
 
 
 def metric_from_spec(d: dict) -> "CoordinateMetric":
+    _spec_fields(d, ("family", "functions", "p", "fiber"))
     family = str(_spec_entry(d, "family"))
     fds = _spec_function_list(_spec_entry(d, "functions"), "functions")
-    functions = [function_from_spec(fd) for fd in fds]
+    keys = {}
+    functions = [_spec_function(fd, keys) for fd in fds]
     if d.get("fiber", "identity") != "identity":
         raise ValueError("only the identity fiber is serializable")
     return build_metric(family, functions, p=d.get("p"))
@@ -472,18 +505,23 @@ def _fmatrix(functions, pairs, size):
     return grid
 
 
-def _symmetric_divergence_rule(fgrid, size, y_vars):
+def _symmetric_divergence_rule(functions, slot, y_vars):
+    """Rows sum_j df_ij/dy_j of the symmetric block f_ij = ``functions[slot[i][j]]``.
+
+    Each profile is expanded once per point, and every row reads those jets.
+    """
+    size = len(slot)
     names = [f"divergence row {i + 1}" for i in range(size)]
 
     def rule(m: CoordinateMetric, points) -> dict[str, float]:
         ctx = shared_context(m.n, 1)
-        return {
-            names[i]: _worst(
-                abs(sum(fgrid[i][j].jet(ctx, pt, range(m.n)).derivative_value(y_vars[j])
-                        for j in range(size)))
-                for pt in points)
-            for i in range(size)
-        }
+        rows = []
+        for pt in points:
+            jets = [f.jet(ctx, pt, range(m.n)) for f in functions]
+            rows.append([abs(sum(jets[slot[i][j]].derivative_value(y_vars[j])
+                                 for j in range(size)))
+                         for i in range(size)])
+        return {names[i]: _worst(row[i] for row in rows) for i in range(size)}
 
     return rule
 
@@ -566,8 +604,7 @@ def _paired_block_form(form, functions, size, xoff, yoff, coeff, **extra):
         form, functions, [(f, range(form.n)) for f in functions],
         [(xoff + i, xoff + j, coeff, slot[i][j]) for i, j in cells],
         [(yoff + i, xoff + j, 1.0, slot[i][j]) for i, j in cells],
-        constraint_rule=_symmetric_divergence_rule(
-            _fmatrix(functions, pairs, size), size, y_vars),
+        constraint_rule=_symmetric_divergence_rule(functions, slot, y_vars),
         **extra)
 
 
@@ -668,17 +705,17 @@ def build_metric(family: str, functions, p=None) -> CoordinateMetric:
     return _BUILDERS[tag](form, functions)
 
 
-def _signature_at(m: CoordinateMetric, point) -> tuple[int, int]:
-    """Numbers of positive and negative eigenvalues of the metric at a point."""
-    w = np.linalg.eigvalsh(m.components(point))
+def _signature(components: np.ndarray) -> tuple[int, int]:
+    """Numbers of positive and negative eigenvalues of metric components."""
+    w = np.linalg.eigvalsh(components)
     return int((w > 0).sum()), int((w < 0).sum())
 
 
 def _check_signature(m: CoordinateMetric) -> None:
-    origin = np.zeros(m.n)
-    if abs(np.linalg.det(m.components(origin))) <= DEGENERACY_TOL:
+    g = m.components(np.zeros(m.n))
+    if abs(np.linalg.det(g)) <= DEGENERACY_TOL:
         raise ValueError("metric degenerate at the origin probe")
-    found = _signature_at(m, origin)
+    found = _signature(g)
     if found != m.signature:
         raise ValueError(f"{m.family} signature {found} != declared {m.signature}")
 
@@ -749,7 +786,7 @@ RICCI_CALIBRATION = {
 
 
 def _bracket_parts(grid, y_vars):
-    """``grid`` with the y-derivatives the bracket's product part reads.
+    """``grid`` with the y-derivatives the bracket's product part reads, as exact series.
 
     Returns (grid, dy, dyy) with dy[i][j][k] = f_ij,y_k (shared by the
     symmetric entries) and dyy[t][m][k] = f_jl,y_m y_k for the t-th pair (j, l)
@@ -765,7 +802,7 @@ def _bracket_parts(grid, y_vars):
 
 
 def _bracket_linear(grid, x_vars, y_vars) -> list:
-    """Linear part of the bracket: L_jl = f_jl,x^k y_k (summed), pair order."""
+    """Linear part of the bracket of exact series: L_jl = f_jl,x^k y_k (summed), pair order."""
     p = len(grid)
     out = []
     for j, l in symmetric_pairs(p):
@@ -777,21 +814,22 @@ def _bracket_linear(grid, x_vars, y_vars) -> list:
 
 
 def _add_bracket_products(totals: list, factors) -> list:
-    """Add Q_jl(f, g) = -f_mk g_jl,y_m y_k + f_mj,y_k g_kl,y_m for each (f, g) of ``factors``.
+    """Add Q_jl(f, g) = -f_mk g_jl,y_m y_k + f_mj,y_k g_kl,y_m to exact series, per (f, g).
 
     f and g are :func:`_bracket_parts`; Q(f, f) is the bracket's product
-    part.  Each pair's 2p^2 signed products per (f, g), in (m, k) order,
-    go to its total's ``add_products`` in one call, and the total is
-    replaced in place.
+    part.  f_mk and g_jl,y_m y_k are symmetric in (m, k), so their product
+    is passed once per m <= k, with weight -2 when m < k; the p^2 products
+    f_mj,y_k g_kl,y_m follow.  Each pair's products for all (f, g) go to
+    its total's ``add_products`` in one call, and the total is replaced in
+    place.
     """
     p = len(factors[0][0][0])
-    for t, (j, l) in enumerate(symmetric_pairs(p)):
+    pairs = symmetric_pairs(p)
+    for t, (j, l) in enumerate(pairs):
         products = []
         for (f_grid, f_dy, _), (_, g_dy, g_dyy) in factors:
-            for m in range(p):
-                for k in range(p):
-                    products.append((-1, f_grid[m][k], g_dyy[t][m][k]))
-                    products.append((1, f_dy[m][j][k], g_dy[k][l][m]))
+            products += [(-1 if m == k else -2, f_grid[m][k], g_dyy[t][m][k]) for m, k in pairs]
+            products += [(1, f_dy[m][j][k], g_dy[k][l][m]) for m in range(p) for k in range(p)]
         totals[t] = totals[t].add_products(products)
     return totals
 
@@ -799,13 +837,63 @@ def _add_bracket_products(totals: list, factors) -> list:
 def _quadratic_bracket(grid, x_vars, y_vars):
     """B_jl = f_jl,x^k y_k - f_mk f_jl,y_m y_k + f_mj,y_k f_kl,y_m (summed), pair order.
 
-    The one quadratic bracket of both split normal forms, B = L + Q(f, f)
-    (:func:`_bracket_linear`, :func:`_add_bracket_products`).  It needs only
-    diff, + and ``add_products``, so ``grid`` may hold jets at a point or
-    exact series.
+    The one quadratic bracket of both split normal forms on exact series,
+    B = L + Q(f, f) (:func:`_bracket_linear`, :func:`_add_bracket_products`).
+    The displays evaluate it at a point by :func:`_array_bracket`.
     """
     parts = _bracket_parts(grid, y_vars)
     return tuple(_add_bracket_products(_bracket_linear(grid, x_vars, y_vars), [(parts, parts)]))
+
+
+@lru_cache(maxsize=None)
+def _bracket_columns(nvars: int, p: int, xoff: int):
+    """Where :func:`_array_bracket` reads an order-2 jet, and the pair grid.
+
+    Returns the coefficient columns of x^k y_k, of y_k and of y_m y_k, the
+    (p, p) array of pair indices of (i, j), and its columns j and l of each
+    pair (j, l) in pair order, for x^k coordinate xoff + k and y_k
+    coordinate xoff + p + k.
+    """
+    index = shared_context(nvars, 2).index
+
+    def column(*variables):
+        exps = [0] * nvars
+        for v in variables:
+            exps[v] += 1
+        return index[tuple(exps)]
+
+    xs, ys = range(xoff, xoff + p), range(xoff + p, xoff + 2 * p)
+    linear = [column(x, y) for x, y in zip(xs, ys)]
+    first = [column(y) for y in ys]
+    second = [[column(ym, yk) for yk in ys] for ym in ys]
+    pairs = symmetric_pairs(p)
+    grid = np.array(_fmatrix(range(len(pairs)), pairs, p))
+    mj, kl = grid[:, [j for j, _ in pairs]], grid[:, [l for _, l in pairs]]
+    return linear, first, second, grid, mj, kl
+
+
+def _array_bracket(coeffs: np.ndarray, nvars: int, p: int, xoff: int) -> np.ndarray:
+    """The (p, p) bracket B at a point from the block's order-2 jet coefficients.
+
+    ``coeffs`` stacks the profiles' jets in ``shared_context(nvars, 2)`` as
+    (pairs, monomials), in pair order.  Each partial is one coefficient
+    (times 2 for y_k y_k), and all pairs are evaluated at once.  The float
+    operations and their order are those of the bracket formed term by
+    term with jets: the linear part summed over k, then for each (m, k)
+    the product -f_mk f_jl,y_m y_k and then f_mj,y_k f_kl,y_m, each
+    product added to 0.0 first, as a jet product's coefficient sum is.
+    """
+    linear, first, second, grid, mj, kl = _bracket_columns(nvars, p, xoff)
+    value, dy = coeffs[:, 0], coeffs[:, first]
+    total = coeffs[:, linear[0]]
+    for k in range(1, p):
+        total = total + coeffs[:, linear[k]]
+    for m in range(p):
+        for k in range(p):
+            dyy = coeffs[:, second[m][k]] * 2.0 if m == k else coeffs[:, second[m][k]]
+            total = total - (0.0 + value[grid[m, k]] * dyy)
+            total = total + (0.0 + dy[mj[m], k] * dy[kl[k], m])
+    return total[grid]
 
 
 def _bracket_display(tag, block, p, xoff, odd=False, chart=None):
@@ -814,26 +902,24 @@ def _bracket_display(tag, block, p, xoff, odd=False, chart=None):
     ``block`` lists the profiles f_ij of all n coordinates in pair order,
     x^k being coordinate xoff + k and y_k coordinate xoff + p + k.  The odd
     form adds the second derivative in z, coordinate 0: c (f_zz + 2 B).
-    ``chart`` maps a point to the coordinates the block is written in.
+    ``chart`` maps a point to the coordinates the block is written in.  At
+    each point every profile is expanded once, to order 2, and the bracket
+    is read off the stacked coefficients (:func:`_array_bracket`).
     """
     n = block[0].nvars
-    pairs = symmetric_pairs(p)
-    x_vars, y_vars = range(xoff, xoff + p), range(xoff + p, xoff + 2 * p)
+    ctx = shared_context(n, 2)
+    grid = _bracket_columns(n, p, xoff)[3]
+    zz = ctx.index[(2,) + (0,) * (n - 1)]
     cells = slice(xoff, xoff + p)
     scale = RICCI_CALIBRATION[tag]
 
     def display(point):
         if chart is not None:
             point = chart(point)
-        ctx = shared_context(n, 2)
-        jets = _fmatrix([f.jet(ctx, point, range(n)) for f in block], pairs, p)
-        bracket = np.zeros((p, p))
-        for (j, l), b in zip(pairs, _quadratic_bracket(jets, x_vars, y_vars)):
-            bracket[j, l] = bracket[l, j] = b.value()
+        coeffs = np.stack([f.jet(ctx, point, range(n)).c for f in block])
+        bracket = _array_bracket(coeffs, n, p, xoff)
         if odd:
-            zz = np.array([[jets[i][j].diff(0).diff(0).value() for j in range(p)]
-                           for i in range(p)])
-            bracket = zz + 2.0 * bracket
+            bracket = coeffs[grid, zz] * 2.0 + 2.0 * bracket
         out = np.zeros((n, n))
         out[cells, cells] = scale * bracket
         return out

@@ -24,12 +24,15 @@ at order 1 even when it is built from the derivatives of order-2 jets.
 
 :class:`JetSeries` is the sparse counterpart: an exact truncated
 polynomial stored as {exponents: integer numerator} over one positive
-denominator, in lowest terms.  Its arithmetic runs on Python ints, and
-Fractions appear only at the boundary, where a coefficient is given or
-read.  A sum of products, self + sum of sign * f * g, is formed in one
-pass over one numerator map, with one common denominator and one
-reduction (:meth:`JetSeries.add_products`); a single product is its
-one-term case.  A normal form's profile function is such a series, as is
+denominator, in lowest terms.  Its arithmetic runs on Python ints.  A
+series is built from (exponents, numerator, denominator) triples with one
+common denominator and one reduction (:meth:`JetSeries.from_ratios`); the
+constructor reads an int or a float as such a pair with no Fraction, and
+Fractions appear only where a rational string is given or a coefficient
+is read.  A sum of products, self + sum of w * f * g with integer weights
+w, is formed in one pass over one numerator map, with one common
+denominator and one reduction (:meth:`JetSeries.add_products`); a single
+product is its one-term case.  A normal form's profile function is such a series, as is
 each series of the exact Cauchy solver.
 :class:`TaylorShift` expands such a polynomial at a point whose arguments
 are coordinates (argument i is y_i = p_i + x_{v_i}), in one weighted
@@ -302,16 +305,6 @@ class Jet:
 
     __rmul__ = __mul__
 
-    def add_products(self, products) -> "Jet":
-        """self + sum of sign * f * g over the (sign, f, g) of ``products``, sign +-1.
-
-        The products are added one at a time, in the order given.
-        """
-        total = self
-        for sign, f, g in products:
-            total = total + f * g if sign > 0 else total - f * g
-        return total
-
     def __matmul__(self, other: "Jet") -> "Jet":
         a, b = self._coerce(other)
         return Jet(a.ctx, a.ctx.matmul_arrays(a.c, b.c))
@@ -383,8 +376,10 @@ class JetSeries:
     :meth:`add_products`: every product's terms go straight into one
     numerator map over the lcm of the products' denominators, so no
     product or partial sum is built as a series; ``*`` is its one-term case.
-    Fractions appear only at the boundary: the constructor converts each
-    given number, a float exactly, and ``terms`` and ``coefficient`` read
+    The constructor reads each given coefficient as an integer pair (an int
+    as (v, 1), a float exactly by ``as_integer_ratio``, anything else
+    through one Fraction) and builds the series by :meth:`from_ratios`,
+    with one lcm and one reduction; ``terms`` and ``coefficient`` read
     Fractions back.  A zero operand costs no loop, and truncating to an
     order at or above the series' own returns the series itself.
     """
@@ -392,22 +387,37 @@ class JetSeries:
     __slots__ = ("nvars", "order", "nums", "den", "_terms", "_floats", "_shifts")
 
     def __init__(self, nvars: int, order: int, terms=None):
-        self.nvars = int(nvars)
-        self.order = int(order)
-        clean = {}
+        ratios = []
         for exps, coeff in (terms or {}).items():
             exps = tuple(int(e) for e in exps)
-            if len(exps) != self.nvars or min(exps, default=0) < 0:
+            if len(exps) != int(nvars) or min(exps, default=0) < 0:
                 raise ValueError(f"bad exponent tuple {exps}")
-            if sum(exps) > self.order:
-                continue
-            coeff = _coerce_exact(coeff)
-            clean[exps] = clean[exps] + coeff if exps in clean else coeff
-        terms = {e: c for e, c in clean.items() if c != 0}
-        self.den = den = math.lcm(*(c.denominator for c in terms.values()))
-        self.nums = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
-        self._terms = MappingProxyType(terms)
-        self._floats = self._shifts = None
+            ratios.append((exps, *_ratio(coeff)))
+        self._fill(nvars, order, ratios)
+
+    @classmethod
+    def from_ratios(cls, nvars: int, order: int, ratios) -> "JetSeries":
+        """Sum of num / den x^exps over the (exps, num, den) of ``ratios``.
+
+        Each ``exps`` is a tuple of ``nvars`` nonnegative ints and each
+        ``den`` a positive int; a repeated ``exps`` adds up.  The public
+        constructor converts its terms to such triples and comes here too.
+        """
+        out = cls.__new__(cls)
+        out._fill(nvars, order, ratios)
+        return out
+
+    def _fill(self, nvars: int, order: int, ratios) -> None:
+        """Set the fields from (exps, num, den) triples: one lcm, one reduction."""
+        self.nvars = int(nvars)
+        self.order = order = int(order)
+        ratios = [r for r in ratios if sum(r[0]) <= order]
+        den = math.lcm(*(d for _, _, d in ratios))
+        nums = {}
+        for exps, n, d in ratios:
+            nums[exps] = nums.get(exps, 0) + n * (den // d)
+        self.nums, self.den = _lowest({e: n for e, n in nums.items() if n}, den)
+        self._terms = self._floats = self._shifts = None
 
     @classmethod
     def zero(cls, nvars: int, order: int) -> "JetSeries":
@@ -475,12 +485,7 @@ class JetSeries:
 
     def _reduced(self, order: int, nums: dict, den: int) -> "JetSeries":
         """:meth:`_like` after dividing out the common content of ``den`` and ``nums``."""
-        if den != 1:
-            g = math.gcd(den, *nums.values())
-            if g != 1:
-                den //= g
-                nums = {e: n // g for e, n in nums.items()}
-        return self._like(order, nums, den)
+        return self._like(order, *_lowest(nums, den))
 
     def _combine(self, other: "JetSeries", sign: int) -> "JetSeries":
         """self + sign * other, in the lower order of the two."""
@@ -511,32 +516,32 @@ class JetSeries:
         return self._like(self.order, {e: -n for e, n in self.nums.items()}, self.den)
 
     def add_products(self, products) -> "JetSeries":
-        """self + sum of sign * f * g over the (sign, f, g) of ``products``, sign +-1.
+        """self + sum of w * f * g over the (w, f, g) of ``products``, w any int weight.
 
-        The result is trusted to the lowest order of self and every factor,
+        A product that occurs twice may come once with weight 2.  The result is trusted to the lowest order of self and every factor,
         a zero factor included, as the sum formed one product at a time is.
         A product with a zero factor forms no term.  The others are summed
         in one {exponents: numerator} map over D, the lcm of self's and each
-        product's denominator, each weighted by sign * D / (f.den * g.den);
+        product's denominator, each weighted by w * D / (f.den * g.den);
         the right terms are taken by degree, so each left term stops at the
         first right term past its room, and a left term past the order is
         skipped.  Zero sums are dropped and the content divided out once.
         """
         order = self.order
         live = []
-        for sign, f, g in products:
+        for weight, f, g in products:
             self._check(f)
             self._check(g)
             order = min(order, f.order, g.order)
             if f.nums and g.nums:
-                live.append((sign, f, g))
+                live.append((weight, f, g))
         if not live:
             return self.truncate(order)
         den = math.lcm(self.den, *(f.den * g.den for _, f, g in live))
         scale = den // self.den
         out = {e: n * scale for e, n in _upto(self.nums, self.order, order).items()}
-        for sign, f, g in live:
-            weight = sign * (den // (f.den * g.den))
+        for weight, f, g in live:
+            weight *= den // (f.den * g.den)
             rows = sorted(((sum(e), e, n) for e, n in g.nums.items()), key=itemgetter(0))
             for e1, n1 in f.nums.items():
                 room = order - sum(e1)
@@ -553,12 +558,11 @@ class JetSeries:
     def __mul__(self, other):
         if isinstance(other, JetSeries):
             return self._like(self.order, {}).add_products(((1, self, other),))
-        scal = _coerce_exact(other)
-        if not scal or not self.nums:
+        top, bottom = _ratio(other)
+        if not top or not self.nums:
             return self._like(self.order, {})
-        top = scal.numerator
         return self._reduced(self.order, {e: n * top for e, n in self.nums.items()},
-                             self.den * scal.denominator)
+                             self.den * bottom)
 
     __rmul__ = __mul__
 
@@ -620,6 +624,16 @@ class JetSeries:
         return total
 
 
+def _lowest(nums: dict, den: int) -> tuple[dict, int]:
+    """Nonzero numerators over a positive ``den``, with their common content divided out."""
+    if den != 1:
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {e: n // g for e, n in nums.items()}
+    return nums, den
+
+
 def _upto(nums: dict, have: int, order: int) -> dict:
     """The terms of total degree <= ``order`` of numerators trusted to ``have``."""
     return nums if have <= order else {e: n for e, n in nums.items() if sum(e) <= order}
@@ -672,8 +686,18 @@ class TaylorShift:
         return np.bincount(self._cols, weights=weights, minlength=self._nmono)
 
 
-def _coerce_exact(val) -> Fraction:
-    return val if isinstance(val, Fraction) else Fraction(val)
+def _ratio(val) -> tuple[int, int]:
+    """A number as (numerator, positive denominator) in lowest terms, exactly.
+
+    An int is (val, 1) and a float its ``as_integer_ratio()`` (dyadic); any
+    other value goes through one ``Fraction``, so a rational string parses.
+    """
+    if isinstance(val, int) and not isinstance(val, bool):
+        return val, 1
+    if isinstance(val, float):
+        return val.as_integer_ratio()
+    val = val if isinstance(val, Fraction) else Fraction(val)
+    return val.numerator, val.denominator
 
 
 def _saturating_float(num: int, den: int) -> float:

@@ -1,8 +1,13 @@
 """Fixtures shared by the test modules."""
 
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
+
+from spinorlab.jets import JetSeries
 
 
 @pytest.fixture
@@ -31,3 +36,22 @@ def svd_cells(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     return cells
+
+
+@pytest.fixture(scope="session")
+def fraction_reader():
+    """Read a spec function as one Fraction per coefficient, summed by exponents.
+
+    An oracle for ``geometry.function_from_spec`` on well-formed input: the
+    exponents are the key's digit runs, and the series is taken to the
+    table's total degree.
+    """
+
+    def read(fd):
+        table = {}
+        for key, val in fd["coefficients"].items():
+            exps = tuple(int(s) for s in re.findall(r"[0-9]+", str(key)))
+            table[exps] = table.get(exps, 0) + Fraction(val)
+        return JetSeries(fd["arity"], max(map(sum, table), default=0), table)
+
+    return read

@@ -207,26 +207,26 @@ class TestJetSeries:
 
     @settings(derandomize=True, max_examples=120, deadline=None)
     @given(base=_SERIES_OPERANDS, base_order=st.integers(0, 5),
-           products=st.lists(st.tuples(st.sampled_from((1, -1)), _FACTOR_TABLES,
+           products=st.lists(st.tuples(st.sampled_from((1, -1, 2, -2)), _FACTOR_TABLES,
                                        st.integers(1, 5), _FACTOR_TABLES, st.integers(1, 5)),
                              min_size=1, max_size=5),
            zeroed=st.sets(st.integers(0, 9), max_size=2))
     def test_sum_of_products_matches_term_by_term_oracle(self, base, base_order, products,
                                                          zeroed):
         # factors of mixed orders and denominators, zero factors (the
-        # ``zeroed`` ones), product terms past the order and a base of lower
-        # order than its factors all occur among the draws
+        # ``zeroed`` ones), product terms past the order, a base of lower
+        # order than its factors and weights +-2 all occur among the draws
         series, want = [], _OracleSeries(3, base_order, base)
-        for i, (sign, t1, o1, t2, o2) in enumerate(products):
+        for i, (weight, t1, o1, t2, o2) in enumerate(products):
             t1, t2 = ({} if 2 * i in zeroed else t1), ({} if 2 * i + 1 in zeroed else t2)
-            series.append((sign, JetSeries(3, o1, t1), JetSeries(3, o2, t2)))
-            want = want.plus(_OracleSeries(3, o1, t1).product(_OracleSeries(3, o2, t2)), sign)
+            series.append((weight, JetSeries(3, o1, t1), JetSeries(3, o2, t2)))
+            want = want.plus(_OracleSeries(3, o1, t1).product(_OracleSeries(3, o2, t2)), weight)
         got = JetSeries(3, base_order, base).add_products(series)
         assert (got.nvars, got.order, got.terms) == (want.nvars, want.order, want.terms)
         assert got.den > 0 and math.gcd(got.den, *got.nums.values()) == 1
         assert all(got.nums.values())
         # each product and its mirror image: the sum cancels to zero
-        mirrored = series + [(-sign, g, f) for sign, f, g in series]
+        mirrored = series + [(-weight, g, f) for weight, f, g in series]
         cancelled = JetSeries.zero(3, 5).add_products(mirrored)
         low = min(min(f.order, g.order) for _, f, g in series)
         assert (cancelled.order, cancelled.nums, cancelled.den) == (low, {}, 1)
@@ -553,15 +553,17 @@ class TestSharedBracket:
     @given(tables=st.lists(_TABLES, min_size=3, max_size=3),
            point=st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5))
     def test_series_bracket_matches_jet_bracket_at_a_point(self, tables, point):
+        # the exact bracket against the displays' array bracket, read off
+        # the order-2 jets at the point (x^k coordinate 1 + k, y_k 3 + k)
         series = [JetSeries(5, 6, t) for t in tables]
         exact = bracket_series(series, 2)
         ctx = JetContext(5, 2)
-        jets = [s.jet(ctx, point, range(5)) for s in series]
-        grid = geometry._fmatrix(jets, geometry.symmetric_pairs(2), 2)
-        at_point = geometry._quadratic_bracket(grid, (1, 2), (3, 4))
-        for s, j in zip(exact, at_point):
+        coeffs = np.stack([s.jet(ctx, point, range(5)).c for s in series])
+        at_point = geometry._array_bracket(coeffs, 5, 2, 1)
+        for (j, l), s in zip(geometry.symmetric_pairs(2), exact):
             ref = s.evaluate(point)
-            assert abs(j.value() - ref) <= 1e-12 * max(1.0, abs(ref))
+            assert abs(at_point[j, l] - ref) <= 1e-12 * max(1.0, abs(ref))
+            assert at_point[l, j] == at_point[j, l]
 
 
 class TestSpecRoundTrip:

@@ -327,14 +327,17 @@ class TestExitCodes:
         report, status = run_command(RunSpec("cauchy-solve", tol=tol))
         assert status == 0 and report["pass"]
 
-    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    # a JSON integer is exact, but one past the float range is no coefficient
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"),
+                                       pytest.param(10 ** 400, id="int-past-float-range")])
     def test_non_finite_metric_coefficient(self, tmp_path, value):
         desc = {"family": "M21", "functions": [{"arity": 2, "coefficients": {"1,1": value}}]}
         spec = _write(tmp_path, "nonfinite.json", desc)
         report, status = run_command(RunSpec("metric-verify", spec_path=spec))
         assert status == 2 and "'1,1'" in report["error"]
 
-    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"),
+                                       pytest.param(-10 ** 400, id="int-past-float-range")])
     def test_non_finite_cauchy_coefficient(self, tmp_path, value):
         desc = {"p": 1, "order": 4, "a": [{"arity": 2, "coefficients": {"2,0": value}}]}
         spec = _write(tmp_path, "nonfinite.json", desc)
@@ -486,6 +489,23 @@ class TestExitCodes:
         report, status = run_command(RunSpec(command, spec_path=spec))
         assert status == 2 and "checks" not in report
         assert f"coefficient {key!r} is not a finite number" in report["error"]
+
+    @pytest.mark.parametrize("command, desc, unknown", [
+        ("metric-verify", {"family": "M31", "name": "draw 1",
+                           "functions": [{"name": "f", "arity": 3,
+                                          "coefficients": {"2,0,0": 1}}]}, ("name",)),
+        ("cauchy-solve", {"p": 1, "Order": 4,
+                          "a": [{"name": "a11", "arity": 2, "coefficients": {"2,0": 1}}],
+                          "B": [{"coefficients": {"0,1": 1}}]}, ("Order", "B")),
+    ], ids=["metric", "cauchy"])
+    def test_unknown_top_level_key(self, tmp_path, command, desc, unknown):
+        # a misspelled key used to be read as its default; the first unknown
+        # key is named, and a function entry's name is still ignored
+        report, status = run_command(RunSpec(command, spec_path=_write(tmp_path, "k.json", desc)))
+        assert status == 2 and "checks" not in report
+        assert f"unknown key {unknown[0]!r}" in report["error"]
+        valid = {k: v for k, v in desc.items() if k not in unknown}
+        assert run_command(RunSpec(command, spec_path=_write(tmp_path, "v.json", valid)))[1] == 0
 
     def test_exponent_sets_no_table_size(self, tmp_path):
         # a profile of degree 10^6 is expanded without a table sized by its degree
@@ -768,7 +788,9 @@ DATA = Path(__file__).resolve().parent / "data"
 # behind it: the Clifford rows while the generators were built by dense
 # np.kron, the cauchy-solve reports while the series held one Fraction per
 # coefficient, the octonion reports while the table was a dense tensor, and
-# the metric reports while each builder declared its normal form inline.
+# the metric reports while each builder declared its normal form inline,
+# and the p = 3 metric reports while the Ricci display formed its bracket
+# one jet product at a time.
 # Such a change may alter how values are computed, not a byte of any report.
 REPORT_SHA256 = {
     "algebra-selfcheck": (
@@ -834,6 +856,18 @@ REPORT_SHA256 = {
     "metric-verify-m33gen": (
         ["metric-verify", "--spec", str(DATA / "metric_m33gen.json"), "--seed", "7"],
         "a276a34c4203047aa8e30279f9fbd8c0cce3fffb584785571af9008b14d0a4ff"),
+    "metric-verify-pureodd3": (
+        ["metric-verify", "--spec", str(DATA / "metric_pureodd3.json"), "--seed", "7"],
+        "90a00af903fa96038544a1c369403971436ae9d36009e33331956aba4b0e29a0"),
+    "ricci-compare-pureodd3": (
+        ["ricci-compare", "--spec", str(DATA / "metric_pureodd3.json"), "--seed", "7"],
+        "d66ae21515173d735c8f73059b8731e9a6f4c801208a57a93efe9ce2f9767cda"),
+    "metric-verify-pureeven3": (
+        ["metric-verify", "--spec", str(DATA / "metric_pureeven3.json"), "--seed", "7"],
+        "169ca3070bba1f6c7fa2eb851ffced659d0854ccfca79b74e0cdbaf69af81f5c"),
+    "ricci-compare-pureeven3": (
+        ["ricci-compare", "--spec", str(DATA / "metric_pureeven3.json"), "--seed", "7"],
+        "adac1defa456e2a2f28a808cc6ddf1d34388327f30aeb336f6060b11b9c5fb1b"),
     "holonomy-estimate-m33gen": (
         ["holonomy-estimate", "--spec", str(DATA / "metric_m33gen.json"), "--seed", "7"],
         "1def8a011cb2c87c1b09febfe97ad16d528bc6019250ce0c2b55ba105f147b95"),

@@ -1294,13 +1294,42 @@ class TestSpecRoundTrip:
         assert f.diff(0).table == {(0, 1): Fraction(1, 3)}
 
     def test_one_fraction_per_coefficient(self, monkeypatch):
+        # an int or a float is read as an integer pair, a rational string
+        # through at most one Fraction
         made = []
         new = Fraction.__new__
         monkeypatch.setattr(Fraction, "__new__", staticmethod(
             lambda cls, *args, **kw: made.append(args) or new(cls, *args, **kw)))
+        numbers = function_from_spec({"arity": 2, "coefficients": {"0,2": 2, "2,0": 0.5}})
+        assert made == []
         f = function_from_spec({"arity": 2, "coefficients": {"1,1": "1/3", "0,2": 2, "2,0": 0.5}})
-        assert len(made) == 3
+        assert len(made) <= 1
+        monkeypatch.undo()
+        assert numbers.table == {(0, 2): 2, (2, 0): Fraction(1, 2)}
         assert f.table == {(1, 1): Fraction(1, 3), (0, 2): 2, (2, 0): Fraction(1, 2)}
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(arity=st.integers(1, 3), data=st.data())
+    def test_integer_reader_matches_fraction_oracle(self, fraction_reader, arity, data):
+        spellings = (lambda e: ",".join(map(str, e)),
+                     lambda e: "(" + ", ".join(map(str, e)) + ")",
+                     lambda e: " " + " , ".join(map(str, e)) + " ")
+        key = st.builds(lambda e, spell: spell(e), st.tuples(*[st.integers(0, 4)] * arity),
+                        st.sampled_from(spellings))
+        value = st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308 / 3, -0.0]),
+            st.integers(-10 ** 300, 10 ** 300),
+            st.fractions(max_denominator=10 ** 6).map(str))
+        coefficients = data.draw(st.dictionaries(key, value, max_size=8))
+        # two spellings of one exponent tuple, "1,0" and "(1, 0)", that cancel
+        cancel = data.draw(value)
+        first = (1,) + (0,) * (arity - 1)
+        coefficients[spellings[0](first)] = cancel
+        coefficients[spellings[1](first)] = (
+            str(-Fraction(cancel)) if isinstance(cancel, str) else -cancel)
+        fd = {"arity": arity, "coefficients": coefficients}
+        assert function_from_spec(fd) == fraction_reader(fd)
 
     def test_metric_round_trip(self):
         d = {"family": "PUREEVEN", "p": 2, "functions": [

@@ -24,10 +24,12 @@ workloads = _load_workloads()
 
 # the specs are built in memory only: make_plan would write them to files
 @pytest.mark.parametrize("family, p, arity", workloads.METRIC_CLASSES)
-def test_metric_spec_is_accepted(family, p, arity):
+def test_metric_spec_is_accepted(fraction_reader, family, p, arity):
     spec = workloads.metric_spec(family, p, arity, np.random.default_rng(5))
     m = geometry.metric_from_spec(spec)
     assert m.family == family and m.p == p
+    # read on integers, each profile is the series of one Fraction per coefficient
+    assert m.functions == tuple(fraction_reader(fd) for fd in spec["functions"])
 
 
 @pytest.mark.parametrize("p, order, ydeg", workloads.CAUCHY_CLASSES)
