@@ -189,25 +189,24 @@ def _spec_fields(d: dict, allowed: tuple[str, ...]) -> None:
 _MAX_EXPONENT = int(np.iinfo(np.intp).max)
 
 
-def _spec_exponents(key, arity: int, keys: dict) -> tuple[int, ...]:
+def _spec_exponents(key, arity: int, parsed: dict) -> tuple[int, ...]:
     """The exponents of a coefficient key: ``arity`` nonnegative machine integers.
 
     A key is comma-separated exponents, with spaces and enclosing parentheses
-    allowed.  Its parse is kept in ``keys``, so a key repeated across the
-    functions of one spec is parsed once.
+    allowed.  ``parsed`` keeps each key already read for this arity, so a key
+    repeated across the functions of one spec is parsed once.
     """
-    parsed = keys.get(key)
-    if parsed is None:
+    exps = parsed.get(key)
+    if exps is None:
         parts = [s.strip() for s in str(key).strip("() ").split(",")]
-        if not all(s.isdecimal() for s in parts):
+        if not all(map(str.isdecimal, parts)):
             raise ValueError(f"exponent key {key!r} is not a list of nonnegative integers")
-        exps = tuple(int(s) for s in parts)
-        parsed = keys[key] = (exps, max(exps) <= _MAX_EXPONENT)
-    exps, fits = parsed
-    if len(exps) != arity:
-        raise ValueError(f"exponent key {key!r} lists {len(exps)} exponents for arity {arity}")
-    if not fits:
-        raise ValueError(f"exponent key {key!r} does not fit a machine integer")
+        exps = tuple(map(int, parts))
+        if len(exps) != arity:
+            raise ValueError(f"exponent key {key!r} lists {len(exps)} exponents for arity {arity}")
+        if max(exps) > _MAX_EXPONENT:
+            raise ValueError(f"exponent key {key!r} does not fit a machine integer")
+        parsed[key] = exps
     return exps
 
 
@@ -234,10 +233,12 @@ def _spec_ratios(coefficients: dict, arity: int, keys: dict) -> list[tuple]:
 
     A map that is not an object, and each bad key or value, is rejected with
     its key; a repeated exponent tuple is left for the series to add up.
+    ``keys`` maps each arity to the keys already parsed for it.
     """
     if not isinstance(coefficients, dict):
         raise ValueError(f"coefficients must be an object, got {coefficients!r}")
-    return [(_spec_exponents(key, arity, keys), *_spec_coefficient(key, val))
+    parsed = keys.setdefault(arity, {})
+    return [(_spec_exponents(key, arity, parsed), *_spec_coefficient(key, val))
             for key, val in coefficients.items()]
 
 

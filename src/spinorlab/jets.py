@@ -32,8 +32,8 @@ Fractions appear only where a rational string is given or a coefficient
 is read.  A sum of products, self + sum of w * f * g with integer weights
 w, is formed in one pass over one numerator map, with one common
 denominator and one reduction (:meth:`JetSeries.add_products`); a single
-product is its one-term case.  A normal form's profile function is such a series, as is
-each series of the exact Cauchy solver.
+product is its one-term case.  A normal form's profile function is such
+a series, as is each series of the exact Cauchy solver.
 :class:`TaylorShift` expands such a polynomial at a point whose arguments
 are coordinates (argument i is y_i = p_i + x_{v_i}), in one weighted
 product from the values p and the variable indices v, with no
@@ -518,8 +518,9 @@ class JetSeries:
     def add_products(self, products) -> "JetSeries":
         """self + sum of w * f * g over the (w, f, g) of ``products``, w any int weight.
 
-        A product that occurs twice may come once with weight 2.  The result is trusted to the lowest order of self and every factor,
-        a zero factor included, as the sum formed one product at a time is.
+        A product that occurs twice may come once with weight 2.  The result
+        is trusted to the lowest order of self and every factor, a zero
+        factor included, as the sum formed one product at a time is.
         A product with a zero factor forms no term.  The others are summed
         in one {exponents: numerator} map over D, the lcm of self's and each
         product's denominator, each weighted by w * D / (f.den * g.den);
@@ -692,10 +693,10 @@ def _ratio(val) -> tuple[int, int]:
     An int is (val, 1) and a float its ``as_integer_ratio()`` (dyadic); any
     other value goes through one ``Fraction``, so a rational string parses.
     """
-    if isinstance(val, int) and not isinstance(val, bool):
-        return val, 1
     if isinstance(val, float):
         return val.as_integer_ratio()
+    if isinstance(val, int) and not isinstance(val, bool):
+        return val, 1
     val = val if isinstance(val, Fraction) else Fraction(val)
     return val.numerator, val.denominator
 
