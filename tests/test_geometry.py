@@ -457,10 +457,17 @@ class TestFamilyBuilders:
         jet = JetSeries.jet
         monkeypatch.setattr(JetSeries, "jet",
                             lambda f, *args: calls.append(f) or jet(f, *args))
+        point = np.full(m.n, 0.1)
         for jets in (m.component_jets, m.coframe_jets):
             calls.clear()
-            jets(np.full(m.n, 0.1), order=1)
+            jets(point, order=1)
             assert len(calls) == len(set(map(id, calls))) == distinct
+        # the divergence rows of a paired block share one expansion per profile
+        # and point; M101 has no constraint rule
+        calls.clear()
+        constraint_check(m, [point, -point])
+        assert len(calls) == (0 if family == "M101" else 2 * distinct)
+        assert len(set(map(id, calls))) == (0 if family == "M101" else distinct)
 
     def test_wrong_function_count_rejected(self):
         for family, count, arity in [("M31", 0, 4), ("M33NULL", 1, 6),
