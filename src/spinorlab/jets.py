@@ -23,16 +23,21 @@ that of its inputs: a quantity read through its first partials is formed
 at order 1 even when it is built from the derivatives of order-2 jets.
 
 :class:`JetSeries` is the sparse counterpart: an exact truncated
-polynomial stored as {exponents: integer numerator} over one positive
-denominator, in lowest terms.  Its arithmetic runs on Python ints.  A
-series is built from (exponents, numerator, denominator) triples with one
-common denominator and one reduction (:meth:`JetSeries.from_ratios`); the
-constructor reads an int or a float as such a pair with no Fraction, and
-Fractions appear only where a rational string is given or a coefficient
-is read.  A sum of products, self + sum of w * f * g with integer weights
-w, is formed in one pass over one numerator map, with one common
-denominator and one reduction (:meth:`JetSeries.add_products`); a single
-product is its one-term case.  A normal form's profile function is such
+polynomial stored as {packed monomial: integer numerator} over one
+positive denominator, in lowest terms.  A packed monomial is one Python
+int, sum e_i 2^(64 i) + deg 2^(64 nvars): each exponent has a 64-bit
+digit and the total degree is an unbounded top digit, so the key of a
+product is the sum of the keys and a degree bound is a bound on the key.
+Exponent tuples appear only where a series is built or read.  Its
+arithmetic runs on Python ints.  A series is built from (exponents,
+numerator, denominator) triples with one common denominator and one
+reduction (:meth:`JetSeries.from_ratios`); the constructor reads an int
+or a float as such a pair with no Fraction, and Fractions appear only
+where a rational string is given or a coefficient is read.  A sum of
+products, self + sum of w * f * g with integer weights w, is formed in
+one pass over one numerator map, with one common denominator and one
+reduction (:meth:`JetSeries.add_products`); a single product is its
+one-term case.  A normal form's profile function is such
 a series, as is each series of the exact Cauchy solver.
 :class:`TaylorShift` expands such a polynomial at a point whose arguments
 are coordinates (argument i is y_i = p_i + x_{v_i}), in one weighted
@@ -44,10 +49,10 @@ that expansion, kept per context and argument variables.
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from operator import add, itemgetter
 from types import MappingProxyType
 
 import numpy as np
@@ -370,18 +375,25 @@ class JetSeries:
     trusted order by one.  The coefficients are held as integer numerators
     ``nums`` over one positive denominator ``den``, in lowest terms (the gcd
     of ``den`` and every numerator is 1, the zero series has ``den`` 1), so
-    ``==`` and ``hash`` compare structure.  Arithmetic is on Python ints; a
-    sum scales each operand by the lcm of the denominators, and each result
-    divides out its common content once.  Products are summed by
-    :meth:`add_products`: every product's terms go straight into one
-    numerator map over the lcm of the products' denominators, so no
-    product or partial sum is built as a series; ``*`` is its one-term case.
+    ``==`` and ``hash`` compare structure.  ``nums`` is keyed by packed
+    monomials (see the module notes): an exponent e_i sits in bits
+    [64 i, 64 i + 64) and the total degree above them, so a product's key
+    is one integer add and a term is within order N when its key is below
+    (N + 1) << 64 nvars.  An exponent must be below 2^64; a product or a
+    z-shift whose order would let one reach it raises ``ValueError``.
+    Arithmetic is on Python ints; a sum scales each operand by the lcm of
+    the denominators, and each result divides out its common content once.
+    Products are summed by :meth:`add_products`: every product's terms go
+    straight into one numerator map over the lcm of the products'
+    denominators, so no product or partial sum is built as a series; ``*``
+    is its one-term case.
     The constructor reads each given coefficient as an integer pair (an int
     as (v, 1), a float exactly by ``as_integer_ratio``, anything else
     through one Fraction) and builds the series by :meth:`from_ratios`,
     with one lcm and one reduction; ``terms`` and ``coefficient`` read
-    Fractions back.  A zero operand costs no loop, and truncating to an
-    order at or above the series' own returns the series itself.
+    Fractions back under exponent tuples.  A zero operand costs no loop,
+    and truncating to an order at or above the series' own returns the
+    series itself.
     """
 
     __slots__ = ("nvars", "order", "nums", "den", "_terms", "_floats", "_shifts")
@@ -390,7 +402,8 @@ class JetSeries:
         ratios = []
         for exps, coeff in (terms or {}).items():
             exps = tuple(int(e) for e in exps)
-            if len(exps) != int(nvars) or min(exps, default=0) < 0:
+            if (len(exps) != int(nvars) or min(exps, default=0) < 0
+                    or max(exps, default=0) > _DIGIT_MASK):
                 raise ValueError(f"bad exponent tuple {exps}")
             ratios.append((exps, *_ratio(coeff)))
         self._fill(nvars, order, ratios)
@@ -399,7 +412,7 @@ class JetSeries:
     def from_ratios(cls, nvars: int, order: int, ratios) -> "JetSeries":
         """Sum of num / den x^exps over the (exps, num, den) of ``ratios``.
 
-        Each ``exps`` is a tuple of ``nvars`` nonnegative ints and each
+        Each ``exps`` is a tuple of ``nvars`` ints in [0, 2^64) and each
         ``den`` a positive int; a repeated ``exps`` adds up.  The public
         constructor converts its terms to such triples and comes here too.
         """
@@ -409,14 +422,16 @@ class JetSeries:
 
     def _fill(self, nvars: int, order: int, ratios) -> None:
         """Set the fields from (exps, num, den) triples: one lcm, one reduction."""
-        self.nvars = int(nvars)
+        self.nvars = nvars = int(nvars)
         self.order = order = int(order)
-        ratios = [r for r in ratios if sum(r[0]) <= order]
-        den = math.lcm(*(d for _, _, d in ratios))
+        pack, shift = _digits(nvars).pack, _DIGIT_BITS * nvars
+        keyed = [(int.from_bytes(pack(*exps), "little") + (deg << shift), n, d)
+                 for exps, n, d in ratios if (deg := sum(exps)) <= order]
+        den = math.lcm(*(d for _, _, d in keyed))
         nums = {}
-        for exps, n, d in ratios:
-            nums[exps] = nums.get(exps, 0) + n * (den // d)
-        self.nums, self.den = _lowest({e: n for e, n in nums.items() if n}, den)
+        for key, n, d in keyed:
+            nums[key] = nums.get(key, 0) + n * (den // d)
+        self.nums, self.den = _lowest({k: n for k, n in nums.items() if n}, den)
         self._terms = self._floats = self._shifts = None
 
     @classmethod
@@ -427,8 +442,9 @@ class JetSeries:
     def terms(self) -> MappingProxyType:
         """The {exponents: Fraction} terms, read-only, built on the first read."""
         if self._terms is None:
-            den = self.den
-            self._terms = MappingProxyType({e: Fraction(n, den) for e, n in self.nums.items()})
+            den, nvars = self.den, self.nvars
+            self._terms = MappingProxyType({_unpack(k, nvars): Fraction(n, den)
+                                            for k, n in self.nums.items()})
         return self._terms
 
     @property
@@ -442,17 +458,31 @@ class JetSeries:
         return self.terms
 
     def coefficient(self, exps) -> Fraction:
-        return Fraction(self.nums.get(tuple(int(e) for e in exps), 0), self.den)
+        """The coefficient of x^exps; 0 for a tuple no term can have."""
+        try:
+            key = _pack(tuple(int(e) for e in exps), self.nvars)
+        except struct.error:  # a wrong length, or an exponent outside [0, 2^64)
+            return Fraction(0)
+        return Fraction(self.nums.get(key, 0), self.den)
 
     def is_zero(self) -> bool:
         return not self.nums
 
     def float_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Exponent rows and float coefficients of the terms, in sorted exponent order."""
-        items = sorted(self.nums.items())
-        exps = np.array([e for e, _ in items], dtype=np.intp).reshape(-1, self.nvars)
-        floats = np.array([_saturating_float(n, self.den) for _, n in items])
-        return _frozen(exps), _frozen(floats)
+        """Exponent rows and float coefficients of the terms, in sorted exponent order.
+
+        The keys' exponent digits are read in one buffer, and the rows
+        sorted lexicographically, first variable first.
+        """
+        nvars, low = self.nvars, _low_mask(self.nvars)
+        digits = b"".join([(k & low).to_bytes(8 * nvars, "little") for k in self.nums])
+        exps = np.frombuffer(digits, dtype="<i8").reshape(len(self.nums), nvars)
+        if (exps < 0).any():  # an exponent of 2^63 or more reads as negative
+            raise OverflowError("an exponent does not fit a machine integer")
+        rank = np.lexsort(exps.T[::-1])
+        nums = list(self.nums.values())
+        floats = np.array([_saturating_float(nums[i], self.den) for i in rank.tolist()])
+        return _frozen(exps[rank].astype(np.intp, copy=False)), _frozen(floats)
 
     def max_abs(self) -> float:
         top = max(map(abs, self.nums.values()), default=0)
@@ -473,7 +503,7 @@ class JetSeries:
         """Result of internal arithmetic, ``nums`` over ``den`` already in lowest terms.
 
         Skips the public constructor's checks: ``nums`` has well-formed
-        integer exponents within ``order`` and no zero numerator.
+        packed keys within ``order`` and no zero numerator.
         """
         out = JetSeries.__new__(JetSeries)
         out.nvars = self.nvars
@@ -487,6 +517,10 @@ class JetSeries:
         """:meth:`_like` after dividing out the common content of ``den`` and ``nums``."""
         return self._like(order, *_lowest(nums, den))
 
+    def _digit(self, var) -> int:
+        """The bit offset of variable ``var``'s exponent, indexed as a tuple would be."""
+        return _DIGIT_BITS * range(self.nvars)[var]
+
     def _combine(self, other: "JetSeries", sign: int) -> "JetSeries":
         """self + sign * other, in the lower order of the two."""
         self._check(other)
@@ -497,13 +531,13 @@ class JetSeries:
             return (other if sign > 0 else -other).truncate(order)
         den = math.lcm(self.den, other.den)
         left, right = den // self.den, sign * (den // other.den)
-        out = {e: n * left for e, n in _upto(self.nums, self.order, order).items()}
-        for e, n in _upto(other.nums, other.order, order).items():
-            total = out.get(e, 0) + n * right
+        out = {k: n * left for k, n in _upto(self.nums, self.order, order, self.nvars).items()}
+        for k, n in _upto(other.nums, other.order, order, self.nvars).items():
+            total = out.get(k, 0) + n * right
             if total:
-                out[e] = total
+                out[k] = total
             else:
-                del out[e]
+                del out[k]
         return self._reduced(order, out, den)
 
     def __add__(self, other: "JetSeries") -> "JetSeries":
@@ -513,7 +547,7 @@ class JetSeries:
         return self._combine(other, -1)
 
     def __neg__(self) -> "JetSeries":
-        return self._like(self.order, {e: -n for e, n in self.nums.items()}, self.den)
+        return self._like(self.order, {k: -n for k, n in self.nums.items()}, self.den)
 
     def add_products(self, products) -> "JetSeries":
         """self + sum of w * f * g over the (w, f, g) of ``products``, w any int weight.
@@ -522,11 +556,14 @@ class JetSeries:
         is trusted to the lowest order of self and every factor, a zero
         factor included, as the sum formed one product at a time is.
         A product with a zero factor forms no term.  The others are summed
-        in one {exponents: numerator} map over D, the lcm of self's and each
-        product's denominator, each weighted by w * D / (f.den * g.den);
-        the right terms are taken by degree, so each left term stops at the
-        first right term past its room, and a left term past the order is
-        skipped.  Zero sums are dropped and the content divided out once.
+        in one {key: numerator} map over D, the lcm of self's and each
+        product's denominator, each weighted by w * D / (f.den * g.den); a
+        term pair's key is the sum of its keys.  The right terms are taken
+        by degree, so each left term stops at the first pair whose key
+        passes the order's bound, and a left term past it is skipped.  Zero
+        sums are dropped and the content divided out once.  An order of
+        2^64 or more, which would let an exponent pass its digit, raises
+        ``ValueError``.
         """
         order = self.order
         live = []
@@ -538,23 +575,26 @@ class JetSeries:
                 live.append((weight, f, g))
         if not live:
             return self.truncate(order)
+        if order > _DIGIT_MASK:
+            raise ValueError(f"a product of order {order} may hold an exponent past 2^64")
+        shift = _DIGIT_BITS * self.nvars
+        limit = _key_limit(order, self.nvars)
         den = math.lcm(self.den, *(f.den * g.den for _, f, g in live))
         scale = den // self.den
-        out = {e: n * scale for e, n in _upto(self.nums, self.order, order).items()}
+        out = {k: n * scale for k, n in _upto(self.nums, self.order, order, self.nvars).items()}
         for weight, f, g in live:
             weight *= den // (f.den * g.den)
-            rows = sorted(((sum(e), e, n) for e, n in g.nums.items()), key=itemgetter(0))
-            for e1, n1 in f.nums.items():
-                room = order - sum(e1)
-                if room < 0:
+            rows = sorted(g.nums.items(), key=lambda row: row[0] >> shift)
+            for k1, n1 in f.nums.items():
+                if k1 >= limit:
                     continue
                 n1 *= weight
-                for d2, e2, n2 in rows:
-                    if d2 > room:
+                for k2, n2 in rows:
+                    k = k1 + k2
+                    if k >= limit:
                         break
-                    e = tuple(map(add, e1, e2))
-                    out[e] = out.get(e, 0) + n1 * n2
-        return self._reduced(order, {e: n for e, n in out.items() if n}, den)
+                    out[k] = out.get(k, 0) + n1 * n2
+        return self._reduced(order, {k: n for k, n in out.items() if n}, den)
 
     def __mul__(self, other):
         if isinstance(other, JetSeries):
@@ -562,7 +602,7 @@ class JetSeries:
         top, bottom = _ratio(other)
         if not top or not self.nums:
             return self._like(self.order, {})
-        return self._reduced(self.order, {e: n * top for e, n in self.nums.items()},
+        return self._reduced(self.order, {k: n * top for k, n in self.nums.items()},
                              self.den * bottom)
 
     __rmul__ = __mul__
@@ -572,30 +612,41 @@ class JetSeries:
             raise ValueError("variable counts disagree")
 
     def diff(self, var: int) -> "JetSeries":
+        at = self._digit(var)
+        step = (1 << at) + (1 << _DIGIT_BITS * self.nvars)
         out = {}
-        for exps, n in self.nums.items():
-            k = exps[var]
-            if k:
-                out[exps[:var] + (k - 1,) + exps[var + 1:]] = n * k
+        for k, n in self.nums.items():
+            e = k >> at & _DIGIT_MASK
+            if e:
+                out[k - step] = n * e
         return self._reduced(self.order - 1, out, self.den)
 
     def truncate(self, order: int) -> "JetSeries":
         """The series to total degree ``order``; itself when that is at or above its order."""
+        order = int(order)
         if order >= self.order:
             return self
-        return self._reduced(order, _upto(self.nums, self.order, order), self.den)
+        return self._reduced(order, _upto(self.nums, self.order, order, self.nvars), self.den)
 
     def z_coefficient(self, k: int) -> "JetSeries":
         """Coefficient of z^k: a series in the same variables, z-free."""
-        out = {(0,) + exps[1:]: n for exps, n in self.nums.items() if exps[0] == k}
+        k = int(k)
+        drop = k * (1 + (1 << _DIGIT_BITS * self.nvars))
+        out = {key - drop: n for key, n in self.nums.items() if key & _DIGIT_MASK == k}
         return self._reduced(self.order - k, out, self.den)
 
     def times_z_power(self, k: int) -> "JetSeries":
-        out = {(exps[0] + k,) + exps[1:]: n for exps, n in self.nums.items()}
-        return self._like(self.order + k, out, self.den)
+        """z^k times the series, for k >= 0; an order of 2^64 or more raises ``ValueError``."""
+        k = int(k)
+        order = self.order + k
+        if k < 0 or (self.nums and order > _DIGIT_MASK):
+            raise ValueError(f"z^{k} of a series of order {self.order} leaves the exponent range")
+        lift = k * (1 + (1 << _DIGIT_BITS * self.nvars))
+        return self._like(order, {key + lift: n for key, n in self.nums.items()}, self.den)
 
     def depends_on(self, var: int) -> bool:
-        return any(e[var] for e in self.nums)
+        at = self._digit(var)
+        return any(k >> at & _DIGIT_MASK for k in self.nums)
 
     def jet(self, ctx: JetContext, point, variables) -> Jet:
         """The jet in ``ctx`` at ``point``, argument i being coordinate ``variables[i]``.
@@ -620,9 +671,42 @@ class JetSeries:
     def evaluate(self, point) -> float:
         point = np.asarray(point, dtype=float)
         total = 0.0
-        for exps, n in self.nums.items():
+        for k, n in self.nums.items():
+            exps = _unpack(k, self.nvars)
             total += _saturating_float(n, self.den) * float(np.prod(point ** np.asarray(exps)))
         return total
+
+
+# one 64-bit digit per exponent of a packed monomial key, the degree above them
+_DIGIT_BITS = 64
+_DIGIT_MASK = (1 << _DIGIT_BITS) - 1
+
+
+@lru_cache(maxsize=None)
+def _digits(nvars: int) -> struct.Struct:
+    """The little-endian layout of ``nvars`` exponent digits."""
+    return struct.Struct(f"<{nvars}Q")
+
+
+def _low_mask(nvars: int) -> int:
+    """The bits of a key's ``nvars`` exponent digits, below its degree."""
+    return (1 << _DIGIT_BITS * nvars) - 1
+
+
+def _key_limit(order: int, nvars: int) -> int:
+    """The least key of total degree above ``order``."""
+    return (order + 1) << _DIGIT_BITS * nvars
+
+
+def _pack(exps: tuple, nvars: int) -> int:
+    """The key of exponent tuple ``exps``; ``struct.error`` unless it is ``nvars`` digits."""
+    digits = int.from_bytes(_digits(nvars).pack(*exps), "little")
+    return digits + (sum(exps) << _DIGIT_BITS * nvars)
+
+
+def _unpack(key: int, nvars: int) -> tuple[int, ...]:
+    """The exponent tuple of a key."""
+    return _digits(nvars).unpack((key & _low_mask(nvars)).to_bytes(8 * nvars, "little"))
 
 
 def _lowest(nums: dict, den: int) -> tuple[dict, int]:
@@ -631,13 +715,16 @@ def _lowest(nums: dict, den: int) -> tuple[dict, int]:
         g = math.gcd(den, *nums.values())
         if g != 1:
             den //= g
-            nums = {e: n // g for e, n in nums.items()}
+            nums = {k: n // g for k, n in nums.items()}
     return nums, den
 
 
-def _upto(nums: dict, have: int, order: int) -> dict:
+def _upto(nums: dict, have: int, order: int, nvars: int) -> dict:
     """The terms of total degree <= ``order`` of numerators trusted to ``have``."""
-    return nums if have <= order else {e: n for e, n in nums.items() if sum(e) <= order}
+    if have <= order:
+        return nums
+    limit = _key_limit(order, nvars)
+    return {k: n for k, n in nums.items() if k < limit}
 
 
 class TaylorShift:

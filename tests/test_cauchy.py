@@ -61,6 +61,8 @@ _SERIES_TABLES = st.dictionaries(
     st.tuples(*[st.integers(0, 3)] * 3).filter(lambda e: sum(e) <= 5),
     st.fractions(min_value=-4, max_value=4, max_denominator=6), max_size=6)
 _SERIES_OPERANDS = st.one_of(st.just({}), _SERIES_TABLES)
+# a point whose coordinates and powers are exact floats
+_POINT = (0.5, -2.0, 1.5)
 # nonzero factors of low degree, so that most products keep terms and
 # several products of different denominators meet in one sum
 _FACTOR_TABLES = st.dictionaries(
@@ -203,7 +205,66 @@ class TestJetSeries:
             # one positive denominator, in lowest terms
             assert r.den > 0 and math.gcd(r.den, *r.nums.values()) == 1
             assert all(r.coefficient(e) == c for e, c in want.terms.items())
+            assert [r.depends_on(v) for v in range(3)] == [
+                any(e[v] for e in want.terms) for v in range(3)]
+            # the float value against the exact one, at a point of exact floats
+            values = [want.terms[e] * math.prod(Fr(x) ** n for x, n in zip(_POINT, e))
+                      for e in want.terms]
+            assert abs(r.evaluate(_POINT) - float(sum(values))) <= 1e-12 * (
+                1 + float(sum(map(abs, values))))
+            # float terms in lexicographic exponent order
+            rows, floats = r.float_terms()
+            assert rows.shape == (len(want.terms), 3)
+            assert list(map(tuple, rows.tolist())) == sorted(want.terms)
+            assert floats.tolist() == [float(want.terms[e]) for e in sorted(want.terms)]
         assert (a == b) == (ra.order == rb.order and ra.terms == rb.terms)
+
+    def test_exponents_fill_their_64_bit_digits(self):
+        # products whose exponents reach 2^64 - 1, the last value a key's
+        # digit holds, against the term-by-term oracle; the degree passes it
+        top = 2 ** 64 - 1
+        a_terms = {(2 ** 63, 0, 0): Fr(1, 2), (1, 2 ** 63, 0): 3, (0, 0, 1): -1}
+        b_terms = {(2 ** 63 - 1, 0, 0): 5, (0, 2 ** 63 - 1, 1): Fr(-2, 3), (1, 0, 0): 1}
+        a, b = JetSeries(3, top, a_terms), JetSeries(3, 2 ** 66, b_terms)
+        ra, rb = _OracleSeries(3, top, a_terms), _OracleSeries(3, 2 ** 66, b_terms)
+        edge = JetSeries(3, top - 2, {(2 ** 63, 2 ** 62, 1): 7})
+        pairs = ((a * b, ra.product(rb)), (b * a, rb.product(ra)),
+                 (a.add_products([(2, b, a), (-1, a, b)]), ra.plus(rb.product(ra))),
+                 (edge.times_z_power(2),
+                  _OracleSeries(3, top - 2, edge.terms).times_z_power(2)))
+        for r, want in pairs:
+            assert (r.nvars, r.order, r.terms) == (want.nvars, want.order, want.terms)
+        assert (a * b).coefficient((top, 0, 0)) == Fr(5, 2)
+        assert b.coefficient((0, 2 ** 63 - 1, 1)) == Fr(-2, 3)
+        # an order that would let a digit reach 2^64 refuses, never carries
+        with pytest.raises(ValueError, match="2\\^64"):
+            b * b
+        with pytest.raises(ValueError, match="exponent range"):
+            edge.times_z_power(3)
+        assert JetSeries.zero(3, top).times_z_power(3).order == top + 3
+        with pytest.raises(ValueError, match="bad exponent tuple"):
+            JetSeries(3, 2 ** 66, {(2 ** 64, 0, 0): 1})
+
+    def test_coefficient_of_a_tuple_no_term_has_is_zero(self):
+        s = JetSeries(2, 4, {(1, 0): 3, (0, 1): 2, (1, 1): 5, (0, 0): 1})
+        for exps in ((1,), (1, 0, 0), (), (-1, 1), (2, -1), (1, 2 ** 64), (2 ** 64 + 1, 0),
+                     (2 ** 64, 1)):
+            assert s.coefficient(exps) == 0
+        assert s.coefficient(np.array([1, 1])) == 5
+
+    def test_numpy_integer_arguments_act_as_ints(self):
+        terms = {(1, 2, 0): Fr(1, 3), (2, 0, 1): -2, (0, 1, 1): 5, (3, 0, 0): 1}
+        a = JetSeries(3, 5, terms)
+        made = JetSeries(np.int64(3), np.int64(5),
+                         {tuple(map(np.int64, e)): c for e, c in terms.items()})
+        assert made == a and type(made.nvars) is type(made.order) is int
+        for i in range(3):
+            n = np.int64(i)
+            for op in ("diff", "z_coefficient", "times_z_power", "truncate"):
+                got, want = getattr(a, op)(n), getattr(a, op)(i)
+                assert got == want and type(got.order) is int
+                assert got.terms == want.terms
+            assert a.depends_on(n) == a.depends_on(i)
 
     @settings(derandomize=True, max_examples=120, deadline=None)
     @given(base=_SERIES_OPERANDS, base_order=st.integers(0, 5),

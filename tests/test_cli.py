@@ -526,6 +526,15 @@ class TestExitCodes:
         assert status == 2 and "checks" not in report
         assert f"exponent key {key!r} does not fit a machine integer" in report["error"]
 
+    @pytest.mark.parametrize("command", ["metric-verify", "ricci-compare", "holonomy-estimate"])
+    def test_largest_machine_exponents_run(self, tmp_path, command):
+        # three exponents 2^63 - 1 in one key: a total degree past 2^64
+        key = ",".join([str(np.iinfo(np.int64).max)] * 3)
+        spec = _write(tmp_path, "m31.json", {
+            "family": "M31", "functions": [{"arity": 3, "coefficients": {key: 1}}]})
+        report, status = run_command(RunSpec(command, spec_path=spec))
+        assert status == 0 and report["pass"] is True
+
     @pytest.mark.parametrize("text", [b"[1, 2]", b"null", b'{"family": "M21\xff"}'],
                              ids=["list", "null", "not-utf8"])
     @pytest.mark.parametrize("command", ["metric-verify", "cauchy-solve"])
