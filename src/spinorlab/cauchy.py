@@ -4,9 +4,11 @@ The odd split-signature normal form reduces Ricci-flatness to a second
 order evolution in the distinguished coordinate z for the profile matrix
 f_jl(z, x, y): the z^2-coefficients are determined recursively from lower
 z-degrees through the quadratic bracket that also governs the even case.
-With rational data the recursion is exact, so the constraint-propagation
-statement (divergence-type residuals stay zero) becomes a zero-tolerance
-identity check rather than a numerical one.
+This module holds that bracket on exact series; the Ricci displays of
+``geometry`` evaluate it in floats at a point.  With rational data the
+recursion is exact, so the constraint-propagation statement
+(divergence-type residuals stay zero) becomes a zero-tolerance identity
+check rather than a numerical one.
 """
 
 from __future__ import annotations
@@ -15,11 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import (
-    _add_bracket_products,
-    _bracket_linear,
-    _bracket_parts,
     _fmatrix,
-    _quadratic_bracket,
     _spec_entry,
     _spec_fields,
     _spec_function_list,
@@ -27,7 +25,7 @@ from .geometry import (
     _spec_ratios,
     symmetric_pairs,
 )
-from .jets import JetSeries
+from .jets import _DIGIT_MASK, JetSeries
 
 
 # -- initial data ---------------------------------------------------------
@@ -52,6 +50,9 @@ class CauchyData:
         npairs = self.p * (self.p + 1) // 2
         if self.order < 2:
             raise ValueError("truncation order must be at least 2")
+        if self.order > _DIGIT_MASK:
+            # a packed series key holds each exponent in one 64-bit digit
+            raise ValueError(f"truncation order {self.order} is past 2^64 - 1")
         if len(self.a) != npairs or len(self.b) != npairs:
             raise ValueError(f"need {npairs} series for p = {self.p}")
         for s in self.a + self.b:
@@ -126,16 +127,69 @@ def series_to_spec(series: JetSeries) -> dict:
 
 
 # -- the quadratic bracket --------------------------------------------------
+#
+# Series in (z, x^1..x^p, y_1..y_p): x^k is variable 1 + k, y_k is 1 + p + k.
+
+
+def _bracket_parts(grid):
+    """``grid`` with the y-derivatives the bracket's product part reads.
+
+    Returns (grid, dy, dyy) with dy[i][j][k] = f_ij,y_k (shared by the
+    symmetric entries) and dyy[t][m][k] = f_jl,y_m y_k for the t-th pair (j, l)
+    (shared by (m, k) and (k, m)).
+    """
+    p = len(grid)
+    pairs = symmetric_pairs(p)
+    dy = _fmatrix([[grid[j][l].diff(1 + p + k) for k in range(p)] for j, l in pairs],
+                  pairs, p)
+    dyy = [_fmatrix([dy[j][l][m].diff(1 + p + k) for m, k in pairs], pairs, p)
+           for j, l in pairs]
+    return grid, dy, dyy
+
+
+def _bracket_linear(grid) -> list:
+    """Linear part of the bracket: L_jl = f_jl,x^k y_k (summed), pair order."""
+    p = len(grid)
+    out = []
+    for j, l in symmetric_pairs(p):
+        total = grid[j][l].diff(1).diff(1 + p)
+        for k in range(1, p):
+            total = total + grid[j][l].diff(1 + k).diff(1 + p + k)
+        out.append(total)
+    return out
+
+
+def _add_bracket_products(totals: list, factors) -> list:
+    """Add Q_jl(f, g) = -f_mk g_jl,y_m y_k + f_mj,y_k g_kl,y_m to ``totals``, per (f, g).
+
+    f and g are :func:`_bracket_parts`; Q(f, f) is the bracket's product
+    part.  f_mk and g_jl,y_m y_k are symmetric in (m, k), so their product
+    is passed once per m <= k, with weight -2 when m < k; the p^2 products
+    f_mj,y_k g_kl,y_m follow.  Each pair's products for all (f, g) go to
+    its total's ``add_products`` in one call, and the total is replaced in
+    place.
+    """
+    p = len(factors[0][0][0])
+    pairs = symmetric_pairs(p)
+    for t, (j, l) in enumerate(pairs):
+        products = []
+        for (f_grid, f_dy, _), (_, g_dy, g_dyy) in factors:
+            products += [(-1 if m == k else -2, f_grid[m][k], g_dyy[t][m][k]) for m, k in pairs]
+            products += [(1, f_dy[m][j][k], g_dy[k][l][m]) for m in range(p) for k in range(p)]
+        totals[t] = totals[t].add_products(products)
+    return totals
 
 
 def bracket_series(flat, p: int):
-    """B_jl = f_jl,x^k y_k - f_mk f_jl,y_m y_k + f_mj,y_k f_kl,y_m (summed).
+    """B_jl = f_jl,x^k y_k - f_mk f_jl,y_m y_k + f_mj,y_k f_kl,y_m (summed), pair order.
 
     The same quadratic bracket drives both split cases: for z-independent
     series it is the even-system Ricci up to the calibrated constant.
+    B = L + Q(f, f) (:func:`_bracket_linear`, :func:`_add_bracket_products`).
     """
     grid = _fmatrix(flat, symmetric_pairs(p), p)
-    return _quadratic_bracket(grid, range(1, 1 + p), range(1 + p, 1 + 2 * p))
+    parts = _bracket_parts(grid)
+    return tuple(_add_bracket_products(_bracket_linear(grid), [(parts, parts)]))
 
 
 # -- solver ------------------------------------------------------------------
@@ -158,14 +212,13 @@ def solve_ricci_ivp(data: CauchyData, check_constraints: bool = True):
         raise ValueError("initial data violates the divergence constraints")
     p, order = data.p, data.order
     pairs = symmetric_pairs(p)
-    x_vars, y_vars = range(1, 1 + p), range(1 + p, 1 + 2 * p)
     slices = [list(data.a), [b.truncate(order - 1) for b in data.b]]
     parts = []  # bracket parts of each final slice; None for a zero slice
     for m in range(order - 1):
         grid = _fmatrix(slices[m], pairs, p)
         empty = all(s.is_zero() for s in slices[m])
-        parts.append(None if empty else _bracket_parts(grid, y_vars))
-        totals = _bracket_linear(grid, x_vars, y_vars)
+        parts.append(None if empty else _bracket_parts(grid))
+        totals = _bracket_linear(grid)
         factors = [(parts[i], parts[m - i]) for i in range(m + 1)
                    if parts[i] is not None and parts[m - i] is not None]
         if factors:
@@ -184,13 +237,15 @@ def constraint_residual(f, p: int):
     return tuple(sum((grid[j][l].diff(1 + p + j) for j in range(p)), zero) for l in range(p))
 
 
+def _ricci(f, bracket):
+    """Odd-case Ricci series -(f_jl,zz + 2 B_jl) from the bracket B of f, pair order."""
+    return tuple(-(s.diff(0).diff(0) + 2 * b) for s, b in zip(f, bracket))
+
+
 def ricci_series(f, p: int):
     """Odd-case Ricci series -(f_jl,zz + 2 B_jl), pair order."""
-    bracket = bracket_series(tuple(f), p)
-    out = []
-    for t, s in enumerate(f):
-        out.append(-(s.diff(0).diff(0) + 2 * bracket[t]))
-    return tuple(out)
+    f = tuple(f)
+    return _ricci(f, bracket_series(f, p))
 
 
 def verify_ricci_flat(f, p: int) -> dict:
@@ -199,20 +254,20 @@ def verify_ricci_flat(f, p: int) -> dict:
     odd_ricci: max coefficient of the odd closed-form Ricci series (trusted
     to order N-2).  even_bracket: the even-system bracket of the initial
     slice must equal the z^2 coefficient up to the recursion constant,
-    tying the even pipeline to the same quadratic bracket.
+    tying the even pipeline to the same quadratic bracket.  The bracket
+    differentiates in x and y only, so B(a), a the z^0 slice, is the z^0
+    coefficient of B(f), to the same order: the full bracket is formed once.
     constraint: max coefficient over the divergence series A_l.
     """
     f = tuple(f)
-    ricci = ricci_series(f, p)
-    initial = [s.z_coefficient(0) for s in f]
-    even = bracket_series(tuple(initial), p)
+    bracket = bracket_series(f, p)
     even_res = 0.0
-    for t in range(len(f)):
+    for s, b in zip(f, bracket):
         # phi_2 = -B(a): the first recursion step is the even system's value
-        mismatch = f[t].z_coefficient(2) + even[t]
+        mismatch = s.z_coefficient(2) + b.z_coefficient(0)
         even_res = max(even_res, mismatch.max_abs())
     return {
-        "odd_ricci": max(s.max_abs() for s in ricci),
+        "odd_ricci": max(s.max_abs() for s in _ricci(f, bracket)),
         "even_bracket": even_res,
         "constraint": max(s.max_abs() for s in constraint_residual(f, p)),
     }

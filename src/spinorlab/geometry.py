@@ -786,66 +786,6 @@ RICCI_CALIBRATION = {
 }
 
 
-def _bracket_parts(grid, y_vars):
-    """``grid`` with the y-derivatives the bracket's product part reads, as exact series.
-
-    Returns (grid, dy, dyy) with dy[i][j][k] = f_ij,y_k (shared by the
-    symmetric entries) and dyy[t][m][k] = f_jl,y_m y_k for the t-th pair (j, l)
-    (shared by (m, k) and (k, m)).
-    """
-    p = len(grid)
-    pairs = symmetric_pairs(p)
-    dy = _fmatrix([[grid[j][l].diff(y_vars[k]) for k in range(p)] for j, l in pairs],
-                  pairs, p)
-    dyy = [_fmatrix([dy[j][l][m].diff(y_vars[k]) for m, k in pairs], pairs, p)
-           for j, l in pairs]
-    return grid, dy, dyy
-
-
-def _bracket_linear(grid, x_vars, y_vars) -> list:
-    """Linear part of the bracket of exact series: L_jl = f_jl,x^k y_k (summed), pair order."""
-    p = len(grid)
-    out = []
-    for j, l in symmetric_pairs(p):
-        total = grid[j][l].diff(x_vars[0]).diff(y_vars[0])
-        for k in range(1, p):
-            total = total + grid[j][l].diff(x_vars[k]).diff(y_vars[k])
-        out.append(total)
-    return out
-
-
-def _add_bracket_products(totals: list, factors) -> list:
-    """Add Q_jl(f, g) = -f_mk g_jl,y_m y_k + f_mj,y_k g_kl,y_m to exact series, per (f, g).
-
-    f and g are :func:`_bracket_parts`; Q(f, f) is the bracket's product
-    part.  f_mk and g_jl,y_m y_k are symmetric in (m, k), so their product
-    is passed once per m <= k, with weight -2 when m < k; the p^2 products
-    f_mj,y_k g_kl,y_m follow.  Each pair's products for all (f, g) go to
-    its total's ``add_products`` in one call, and the total is replaced in
-    place.
-    """
-    p = len(factors[0][0][0])
-    pairs = symmetric_pairs(p)
-    for t, (j, l) in enumerate(pairs):
-        products = []
-        for (f_grid, f_dy, _), (_, g_dy, g_dyy) in factors:
-            products += [(-1 if m == k else -2, f_grid[m][k], g_dyy[t][m][k]) for m, k in pairs]
-            products += [(1, f_dy[m][j][k], g_dy[k][l][m]) for m in range(p) for k in range(p)]
-        totals[t] = totals[t].add_products(products)
-    return totals
-
-
-def _quadratic_bracket(grid, x_vars, y_vars):
-    """B_jl = f_jl,x^k y_k - f_mk f_jl,y_m y_k + f_mj,y_k f_kl,y_m (summed), pair order.
-
-    The one quadratic bracket of both split normal forms on exact series,
-    B = L + Q(f, f) (:func:`_bracket_linear`, :func:`_add_bracket_products`).
-    The displays evaluate it at a point by :func:`_array_bracket`.
-    """
-    parts = _bracket_parts(grid, y_vars)
-    return tuple(_add_bracket_products(_bracket_linear(grid, x_vars, y_vars), [(parts, parts)]))
-
-
 @lru_cache(maxsize=None)
 def _bracket_columns(nvars: int, p: int, xoff: int):
     """Where :func:`_array_bracket` reads an order-2 jet, and the pair grid.
@@ -883,6 +823,7 @@ def _array_bracket(coeffs: np.ndarray, nvars: int, p: int, xoff: int) -> np.ndar
     term with jets: the linear part summed over k, then for each (m, k)
     the product -f_mk f_jl,y_m y_k and then f_mj,y_k f_kl,y_m, each
     product added to 0.0 first, as a jet product's coefficient sum is.
+    The same bracket on exact series is ``cauchy.bracket_series``.
     """
     linear, first, second, grid, mj, kl = _bracket_columns(nvars, p, xoff)
     value, dy = coeffs[:, 0], coeffs[:, first]
@@ -905,7 +846,7 @@ def _bracket_display(tag, block, p, xoff, odd=False, chart=None):
     form adds the second derivative in z, coordinate 0: c (f_zz + 2 B).
     ``chart`` maps a point to the coordinates the block is written in.  At
     each point every profile is expanded once, to order 2, and the bracket
-    is read off the stacked coefficients (:func:`_array_bracket`).
+    is read off the stacked coefficients in floats (:func:`_array_bracket`).
     """
     n = block[0].nvars
     ctx = shared_context(n, 2)

@@ -538,7 +538,7 @@ class TestGradedRecursion:
         for data in cases:
             assert solve_ricci_ivp(data) == _full_bracket_solve(data)
 
-    def test_solver_makes_no_full_bracket_and_verify_makes_two(self, monkeypatch):
+    def test_solver_makes_no_full_bracket_and_verify_makes_one(self, monkeypatch):
         calls = []
         full = cauchy.bracket_series
 
@@ -549,8 +549,9 @@ class TestGradedRecursion:
         monkeypatch.setattr(cauchy, "bracket_series", counted)
         f = solve_ricci_ivp(_generic_data())
         assert calls == []
+        # the even row reads the z^0 coefficient of the one full bracket
         verify_ricci_flat(f, 2)
-        assert calls == [2, 2]
+        assert calls == [2]
 
     def test_p3_solve_loops_over_no_product_with_a_zero_factor(self, monkeypatch):
         zero_factors, live = [], []
@@ -588,6 +589,35 @@ class TestResidualReport:
         tampered = [s + s.z_coefficient(2).times_z_power(2) for s in f]
         rep = verify_ricci_flat(tampered, 2)
         assert rep["even_bracket"] > 0.0
+
+    @pytest.mark.parametrize("tamper", ["double_z2", "z0_term", "z3_term", "truncated"])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_rows_match_the_bracket_of_the_initial_slice(self, p, tamper):
+        # the even row against its old route, B of the z^0 slices, and the
+        # odd row against ricci_series, on solutions broken four ways
+        data = _generic_data() if p == 2 else cauchy_data(3, 8, *cli._builtin_cauchy_tables(3))
+        f = list(solve_ricci_ivp(data))
+        n, order = 2 * p + 1, data.order
+        x1_y1, z3_y1y2 = [0] * n, [0] * n
+        x1_y1[1] = x1_y1[1 + p] = 1
+        z3_y1y2[0], z3_y1y2[1 + p], z3_y1y2[2 + p] = 3, 1, 1
+        if tamper == "double_z2":
+            f = [s + s.z_coefficient(2).times_z_power(2) for s in f]
+        elif tamper == "z0_term":
+            f[1] = f[1] + JetSeries(n, order, {tuple(x1_y1): Fr(2, 7)})
+        elif tamper == "z3_term":
+            f[-1] = f[-1] + JetSeries(n, order, {tuple(z3_y1y2): Fr(1, 5)})
+        else:
+            f[0] = f[0].truncate(order - 1)
+        even = bracket_series([s.z_coefficient(0) for s in f], p)
+        rep = verify_ricci_flat(f, p)
+        assert rep["even_bracket"] == max(
+            (s.z_coefficient(2) + b).max_abs() for s, b in zip(f, even))
+        assert rep["odd_ricci"] == max(s.max_abs() for s in ricci_series(f, p))
+        if tamper in ("double_z2", "z0_term"):
+            assert rep["even_bracket"] > 0.0
+        if tamper == "z3_term":
+            assert rep["odd_ricci"] > 0.0
 
     def test_float_cross_validation_against_geometry(self):
         f = solve_ricci_ivp(_generic_data())

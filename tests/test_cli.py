@@ -574,6 +574,24 @@ class TestExitCodes:
         report, status = run_command(RunSpec("metric-verify", spec_path=spec))
         assert status == 2 and "signature (1, 1) != declared (3, 1)" in report["error"]
 
+    @pytest.mark.parametrize("route", ["built-in", "spec"])
+    def test_cauchy_order_past_a_key_digit(self, tmp_path, route):
+        # an order of 2^64 or more used to end in a traceback (exit 1) from
+        # the product loop, or never end when every product has a zero factor
+        order = 2 ** 64 + 4
+        if route == "spec":
+            spec = _write(tmp_path, "c.json", {
+                "p": 1, "order": order, "a": [{"coefficients": {"2,0": "1/3"}}]})
+            args = ["--spec", spec]
+        else:
+            args = ["--p", "2", "--order", str(order)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "spinorlab.cli", "cauchy-solve", *args],
+            capture_output=True, text=True, env=_source_env(), timeout=60)
+        report = json.loads(proc.stdout)
+        assert proc.returncode == 2 and proc.stderr == "" and "checks" not in report
+        assert f"truncation order {order} is past 2^64 - 1" in report["error"]
+
     def test_cauchy_p_out_of_range(self):
         _, status = run_command(RunSpec("cauchy-solve", p=4))
         assert status == 2

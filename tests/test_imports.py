@@ -1,5 +1,6 @@
 """Every module under src/ and tests/ references each name it imports, and
-src/ references each top-level private function and class it defines."""
+src/ references each top-level private function and class it defines, in
+its own module when another module reads it."""
 
 import ast
 from pathlib import Path
@@ -33,6 +34,29 @@ def test_scan_flags_an_unused_name():
     assert unused_imports(source) == ["e", "os"]
 
 
+def _private_definitions(tree) -> list[str]:
+    """Names of the top-level private functions and classes of a module."""
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")]
+
+
+def _names(tree) -> set[str]:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def _outside_reads(tree) -> tuple[set[str], set[tuple[str, str]]]:
+    """The attribute names a module reads, and the (module, name) pairs it imports."""
+    attributes, imported = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            attributes.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module.rsplit(".", 1)[-1]
+            imported.update((module, a.name) for a in node.names)
+    return attributes, imported
+
+
 def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
     """``module._name`` of each top-level private function or class of the
     named sources that no other node of them reads: a ``Name`` in its own
@@ -40,22 +64,27 @@ def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
     trees = {name: ast.parse(source) for name, source in sources.items()}
     attributes, imported = set(), set()
     for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute):
-                attributes.add(node.attr)
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                module = node.module.rsplit(".", 1)[-1]
-                imported.update((module, a.name) for a in node.names)
-    out = []
-    for module, tree in trees.items():
-        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and node.name.startswith("_") and not node.name.startswith("__")
-                    and node.name not in names | attributes
-                    and (module, node.name) not in imported):
-                out.append(f"{module}.{node.name}")
-    return sorted(out)
+        tree_attributes, tree_imported = _outside_reads(tree)
+        attributes |= tree_attributes
+        imported |= tree_imported
+    return sorted(f"{module}.{name}" for module, tree in trees.items()
+                  for name in _private_definitions(tree)
+                  if name not in _names(tree) | attributes
+                  and (module, name) not in imported)
+
+
+def privates_read_only_elsewhere(sources: dict[str, str]) -> list[str]:
+    """``module._name`` of each top-level private function or class of the
+    named sources that no ``Name`` of its own module reads, while another
+    module imports it or reads it as an attribute: it belongs with that reader."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    reads = {module: _outside_reads(tree) for module, tree in trees.items()}
+    return sorted(f"{module}.{name}" for module, tree in trees.items()
+                  for name in _private_definitions(tree)
+                  if name not in _names(tree)
+                  and any(name in attributes or (module, name) in imported
+                          for other, (attributes, imported) in reads.items()
+                          if other != module))
 
 
 def test_no_unreferenced_private_definition():
@@ -70,3 +99,18 @@ def test_scan_flags_an_unreferenced_private_definition():
              "def _unread():\n    pass\n\n\nx = object()._by_attribute\n",
     }
     assert unreferenced_private_definitions(sources) == ["a._orphan", "b._unread"]
+
+
+def test_no_private_read_only_elsewhere():
+    assert privates_read_only_elsewhere(SRC) == []
+
+
+def test_scan_flags_a_private_read_only_elsewhere():
+    sources = {
+        "a": "def _imported():\n    pass\n\n\ndef _by_attribute():\n    pass\n\n\n"
+             "def _shared():\n    pass\n\n\ndef _own_attribute():\n    pass\n\n\n"
+             "class _Orphan:\n    pass\n\n\n_shared()\nx = object()._own_attribute\n",
+        "b": "from . import a\nfrom .a import _imported, _shared\n\n\n"
+             "_imported()\n_shared()\na._by_attribute()\n",
+    }
+    assert privates_read_only_elsewhere(sources) == ["a._by_attribute", "a._imported"]
