@@ -109,6 +109,7 @@ def cauchy_data_from_spec(d: dict) -> CauchyData:
         out = []
         for fd in entries[key]:
             ratios = _spec_ratios(_spec_entry(fd, "coefficients"), 2 * p, keys)
+            _spec_fields(fd, ("name", "arity", "coefficients"))
             # a profile takes the 2p arguments (x^1..x^p, y_1..y_p)
             if "arity" in fd and _spec_integer(fd["arity"], "arity") != 2 * p:
                 raise ValueError(f"{key} entry arity must be 2p = {2 * p}, got {fd['arity']!r}")

@@ -302,8 +302,7 @@ def _cmd_metric_verify(spec: dict | None, seed: int, tol: float) -> list[dict]:
                      "normal form has the family's split signature",
                      found == m.signature,
                      computed=list(found), expected=list(m.signature)))
-    rep = geometry.constraint_check(m, pts)
-    for cname, res in sorted(rep.residuals.items()):
+    for cname, res in sorted(geometry.constraint_check(m, pts).items()):
         rows.append(_residual_row(
             f"constraint {cname}",
             "profile functions satisfy the family constraint equations",
@@ -396,22 +395,10 @@ def _builtin_cauchy_tables(p: int):
             for i, j, v in bspec:
                 bmat[i, j] = v
             h4 += coeff * np.einsum("ij,kl->ijkl", amat, bmat)
-        atabs = []
-        for i, j in geometry.symmetric_pairs(3):
-            table = {}
-            for k in range(3):
-                for l in range(k, 3):
-                    c = h4[i, j, k, l] if k != l else Fraction(h4[i, j, k, l], 2)
-                    if c == 0:
-                        continue
-                    exps = [0] * 6
-                    exps[3 + k] += 1
-                    exps[3 + l] += 1
-                    table[tuple(exps)] = table.get(tuple(exps), 0) + Fraction(c)
-            exps = [0] * 6
-            exps[min(i, 2)] = 2
-            table[tuple(exps)] = table.get(tuple(exps), 0) + Fraction(1, 3 + i + j)
-            atabs.append(table)
+        profiles = geometry.quadratic_profile_functions(h4, np.zeros((3, 3)))
+        atabs = [{e[1:]: c for e, c in f.terms.items()} for f in profiles]
+        for table, (i, j) in zip(atabs, geometry.symmetric_pairs(3)):
+            table[tuple(2 if v == i else 0 for v in range(6))] = Fraction(1, 3 + i + j)
         return atabs, None
     raise SpecError("built-in data covers p in {1, 2, 3}")
 

@@ -24,6 +24,12 @@ generator is an involution of matrix space and the generators pairwise
 anticommute, so composing the averaging maps (X + g X g^-1)/2 over all
 generators is an exact projector onto the commutant.  Every step is
 deterministic, with no sampling and no tolerance tuning.
+
+:func:`spin_representation` builds a signature's spinor module once and
+shares it: ``so_basis`` is one read-only (C(p+q, 2), d, d) array of the
+generators (1/2) g_i g_j, and the invariant symmetric forms are one
+``block_kernel`` of closed-form constraint triples (a symmetric unit has
+at most two nonzero entries).
 """
 
 from __future__ import annotations

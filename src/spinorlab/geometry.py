@@ -1,16 +1,31 @@
 """Metric normal forms carrying parallel spinors, with jet-based curvature.
 
 Each normal form is declared once, in the table :func:`normal_form` reads
-lazily: coordinates, signature, a constant Gram matrix and a basis of the
-stabilizer subalgebra the Levi-Civita connection must take values in.  A
-builder adds two independent term lists placing profile functions, each
-an exact :class:`~spinorlab.jets.JetSeries`, in fixed cells of the metric
-components and of an adapted coframe; the 11-dimensional family's
-identity fiber is part of its constant Gram matrix.  One rule evaluates
-every such metric as truncated Taylor jets.  Curvature is read off the
-jets (Christoffel symbols, Riemann, Ricci); closed-form Ricci displays,
-constraint equations, connection membership and holonomy spans are all
-checked against that machinery.
+lazily, once per tag and block size: coordinates, signature, profile
+arities, and a read-only constant Gram matrix and stabilizer basis.  A
+builder places the profiles, exact :class:`~spinorlab.jets.JetSeries`, in
+fixed cells of two independent term lists, the metric components and an
+adapted coframe (never one derived from the other, so the coframe Gram
+check compares two statements of the form), and declares the family's
+closed-form Ricci display (:func:`ricci_paper`) beside the profiles it
+reads.  M22DEG's and M33GEN's Hessian profiles are exact ``diff``s of the
+given one; the 11-dimensional identity fiber is in the Gram matrix.  A spec
+table is read on integers, each exponent key parsed once per spec, to its
+total degree.  One rule evaluates every such metric as Taylor jets at a
+point, expanding each profile by ``JetSeries.jet`` with no coordinate jets;
+only :func:`custom_metric` hands its rule one jet per coordinate.  A
+derived jet is carried only to the order its reader uses: the Christoffel
+symbols and coframe connection behind curvature and holonomy to order 1
+(from order-2 jets), those of :func:`christoffel_values` and the connection
+certificates to order 0.  Curvature is read off the jets, and the Ricci
+displays, constraint equations, connection membership and holonomy spans
+are checked against it; the displays' quadratic bracket (PUREODD, PUREEVEN,
+M22DEG) is read off the profiles' stacked order-2 jet coefficients, all
+pairs at once.  Curvature spaces and a stabilizer's invariant k-forms read
+one cached table of k-subset faces; their operators are triples of nonzero
+cells, solved block by block, and an integral stabilizer basis such as
+so(4)'s is also ranked exactly mod a prime.  The 11-dimensional family's
+parallel forms are its stabilizer's invariant 1-, 2- and 5-form.
 """
 
 from __future__ import annotations
@@ -53,9 +68,6 @@ def _worst(values) -> float:
 
 
 # -- profiles -----------------------------------------------------------------
-#
-# A profile is the exact JetSeries of its {exponents: coefficient} table:
-# evaluated and differentiated exactly, and expanded at a point as a jet.
 
 
 def random_polynomial(arity: int, rng: np.random.Generator,
@@ -85,10 +97,7 @@ def divergence_free_draw(size: int, arity: int, y_vars, rng: np.random.Generator
     if len(y_vars) != size:
         raise ValueError("need one divergence variable per index")
     pairs = symmetric_pairs(size)
-    pair_col = {}
-    for t, (i, j) in enumerate(pairs):
-        pair_col[(i, j)] = t
-        pair_col[(j, i)] = t
+    slot = _fmatrix(range(len(pairs)), pairs, size)
     monos = monomials_upto(arity, degree)
     midx = {e: t for t, e in enumerate(monos)}
     nm = len(monos)
@@ -99,7 +108,7 @@ def divergence_free_draw(size: int, arity: int, y_vars, rng: np.random.Generator
             for j in range(size):
                 bumped = list(mono)
                 bumped[y_vars[j]] += 1
-                col = pair_col[(i, j)] * nm + midx[tuple(bumped)]
+                col = slot[i][j] * nm + midx[tuple(bumped)]
                 row[col] += bumped[y_vars[j]]
             rows.append(row)
     kern = nullspace(np.stack(rows), "divergence constraints")
@@ -180,7 +189,7 @@ def _spec_integer(value, key: str) -> int:
 
 
 def _spec_fields(d: dict, allowed: tuple[str, ...]) -> None:
-    """Refuse a top-level spec key outside ``allowed``, naming it."""
+    """Refuse a spec key outside ``allowed``, naming it."""
     for key in d:
         if key not in allowed:
             raise ValueError(f"unknown key {key!r}, expected one of {', '.join(allowed)}")
@@ -245,6 +254,7 @@ def _spec_ratios(coefficients: dict, arity: int, keys: dict) -> list[tuple]:
 def _spec_function(d: dict, keys: dict) -> JetSeries:
     arity = _spec_integer(_spec_entry(d, "arity"), "arity")
     ratios = _spec_ratios(_spec_entry(d, "coefficients"), arity, keys)
+    _spec_fields(d, ("name", "arity", "coefficients"))
     return JetSeries.from_ratios(arity, max((sum(e) for e, _, _ in ratios), default=0), ratios)
 
 
@@ -493,10 +503,6 @@ def normal_form(tag: str, p=None) -> NormalForm:
 
 
 # -- family builders ----------------------------------------------------------
-#
-# Components and coframe are two independent term lists, never one derived
-# from the other (say as E^T gram E), so the coframe Gram reproduction check
-# compares two separate statements of each normal form.
 
 
 def _fmatrix(functions, pairs, size):
@@ -900,18 +906,11 @@ def ricci_paper(m: CoordinateMetric, point) -> np.ndarray:
 # -- constraint reports -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
-    residuals: dict
-    max_residual: float
-
-
-def constraint_check(m: CoordinateMetric, points) -> ConstraintReport:
+def constraint_check(m: CoordinateMetric, points) -> dict[str, float]:
     """Per-family constraint residuals over probe points (reports, never rejects)."""
     if m._constraint_rule is None:
-        return ConstraintReport({}, 0.0)
-    residuals = m._constraint_rule(m, np.atleast_2d(np.asarray(points, dtype=float)))
-    return ConstraintReport(dict(residuals), _worst(residuals.values()))
+        return {}
+    return dict(m._constraint_rule(m, np.atleast_2d(np.asarray(points, dtype=float))))
 
 
 # -- adapted coframe and connection ------------------------------------------

@@ -3,7 +3,8 @@
 A jet is a polynomial truncated at a fixed total degree, used to carry a
 function value together with its partial derivatives at a base point.
 One :class:`Jet` type holds a scalar or an array of such polynomials
-(the metric components, a coframe); a scalar is the shape () case.
+(the metric components, a coframe), with ``*`` entrywise, ``@`` the
+matrix product and one inverse; a scalar is the shape () case.
 All jets attached to one :class:`JetContext` share the monomial basis and
 the precomputed sparse multiplication table, so products and derivatives
 are plain indexed numpy operations.  ``shared_context`` hands out one
@@ -24,26 +25,30 @@ at order 1 even when it is built from the derivatives of order-2 jets.
 
 :class:`JetSeries` is the sparse counterpart: an exact truncated
 polynomial stored as {packed monomial: integer numerator} over one
-positive denominator, in lowest terms.  A packed monomial is one Python
-int, sum e_i 2^(64 i) + deg 2^(64 nvars): each exponent has a 64-bit
-digit and the total degree is an unbounded top digit, so the key of a
-product is the sum of the keys and a degree bound is a bound on the key.
-Exponent tuples appear only where a series is built or read.  Its
-arithmetic runs on Python ints.  A series is built from (exponents,
-numerator, denominator) triples with one common denominator and one
-reduction (:meth:`JetSeries.from_ratios`); the constructor reads an int
-or a float as such a pair with no Fraction, and Fractions appear only
-where a rational string is given or a coefficient is read.  A sum of
-products, self + sum of w * f * g with integer weights w, is formed in
-one pass over one numerator map, with one common denominator and one
-reduction (:meth:`JetSeries.add_products`); a single product is its
-one-term case.  A normal form's profile function is such
+positive denominator, in lowest terms, so ``==`` and ``hash`` compare
+structure.  A packed monomial is one Python int, sum e_i 2^(64 i) +
+deg 2^(64 nvars), so the key of a product is the sum of the keys and a
+degree bound is a bound on the key; an exponent must be below 2^64, and
+the constructor, or a product or z-shift that could reach it, raises
+``ValueError``.  Exponent tuples appear only where a series is built or
+read.  Arithmetic runs on Python ints: a sum scales each operand by the
+lcm of the denominators; a series is built from (exponents, numerator,
+denominator) triples (:meth:`JetSeries.from_ratios`), the constructor
+reading an int or a float as such a pair with no Fraction; a sum of
+products self + sum of w * f * g with integer weights w
+(:meth:`JetSeries.add_products`, ``*`` its one-term case; a product that
+occurs twice may be passed once with weight 2) fills one numerator map;
+each result is reduced once.  A zero operand costs no loop, and
+truncating to an order at or above the series' own returns the series.
+A coefficient beyond the float range reads as +-inf in ``max_abs``,
+``float_terms`` and ``evaluate``, and a nonzero one below it as
++-``math.ulp(0.0)``, never 0.0.  A normal form's profile function is such
 a series, as is each series of the exact Cauchy solver.
 :class:`TaylorShift` expands such a polynomial at a point whose arguments
-are coordinates (argument i is y_i = p_i + x_{v_i}), in one weighted
-product from the values p and the variable indices v, with no
-coordinate-variable jets and no jet products; :meth:`JetSeries.jet` is
-that expansion, kept per context and argument variables.
+are coordinates (argument i is y_i = p_i + x_{v_i}) in one weighted
+product, with no jet products and the same saturating read;
+:meth:`JetSeries.jet` is that expansion, kept per context and argument
+variables, from float coefficients converted once per series.
 """
 
 from __future__ import annotations
@@ -372,31 +377,12 @@ class JetSeries:
 
     Terms of total degree above ``order`` are dropped; multiplication
     truncates to the smaller operand order and differentiation lowers the
-    trusted order by one.  The coefficients are held as integer numerators
-    ``nums`` over one positive denominator ``den``, in lowest terms (the gcd
-    of ``den`` and every numerator is 1, the zero series has ``den`` 1), so
-    ``==`` and ``hash`` compare structure.  ``nums`` is keyed by packed
-    monomials (see the module notes): an exponent e_i sits in bits
-    [64 i, 64 i + 64) and the total degree above them, so a product's key
-    is one integer add and a term is within order N when its key is below
-    (N + 1) << 64 nvars.  An exponent must be below 2^64; a product or a
-    z-shift whose order would let one reach it raises ``ValueError``.
-    Arithmetic is on Python ints; a sum scales each operand by the lcm of
-    the denominators, and each result divides out its common content once.
-    Products are summed by :meth:`add_products`: every product's terms go
-    straight into one numerator map over the lcm of the products'
-    denominators, so no product or partial sum is built as a series; ``*``
-    is its one-term case.
-    The constructor reads each given coefficient as an integer pair (an int
-    as (v, 1), a float exactly by ``as_integer_ratio``, anything else
-    through one Fraction) and builds the series by :meth:`from_ratios`,
-    with one lcm and one reduction; ``terms`` and ``coefficient`` read
-    Fractions back under exponent tuples.  A zero operand costs no loop,
-    and truncating to an order at or above the series' own returns the
-    series itself.
+    trusted order by one.  ``nums`` maps packed monomials to integer
+    numerators over ``den`` > 0, with gcd 1 (the zero series has ``den`` 1);
+    see the module notes.  ``terms`` and ``coefficient`` read Fractions.
     """
 
-    __slots__ = ("nvars", "order", "nums", "den", "_terms", "_floats", "_shifts")
+    __slots__ = ("nvars", "order", "nums", "den", "_floats", "_shifts")
 
     def __init__(self, nvars: int, order: int, terms=None):
         ratios = []
@@ -432,7 +418,7 @@ class JetSeries:
         for key, n, d in keyed:
             nums[key] = nums.get(key, 0) + n * (den // d)
         self.nums, self.den = _lowest({k: n for k, n in nums.items() if n}, den)
-        self._terms = self._floats = self._shifts = None
+        self._floats = self._shifts = None
 
     @classmethod
     def zero(cls, nvars: int, order: int) -> "JetSeries":
@@ -440,12 +426,9 @@ class JetSeries:
 
     @property
     def terms(self) -> MappingProxyType:
-        """The {exponents: Fraction} terms, read-only, built on the first read."""
-        if self._terms is None:
-            den, nvars = self.den, self.nvars
-            self._terms = MappingProxyType({_unpack(k, nvars): Fraction(n, den)
-                                            for k, n in self.nums.items()})
-        return self._terms
+        """The {exponents: Fraction} terms, read-only, built anew on each read."""
+        return MappingProxyType({_unpack(k, self.nvars): Fraction(n, self.den)
+                                 for k, n in self.nums.items()})
 
     @property
     def arity(self) -> int:
@@ -510,7 +493,7 @@ class JetSeries:
         out.order = order
         out.nums = nums
         out.den = den
-        out._terms = out._floats = out._shifts = None
+        out._floats = out._shifts = None
         return out
 
     def _reduced(self, order: int, nums: dict, den: int) -> "JetSeries":

@@ -6,13 +6,19 @@ values falling inside the ambiguous guard band abort the computation
 instead of silently rounding a dimension up or down.  Each decision is
 one SVD, and a kernel or span is read from the same factorization.
 
-Large sparse operators are passed as ``Triples`` (rows, columns, values and
-a shape) and never formed densely; a dense array is read through one
-``np.nonzero``.  ``block_rank``, ``block_span`` and ``block_kernel`` find the
-operator's independent blocks with numpy alone (connected components of
-the row/column graph) and take one SVD per block, under one guard band
-across all blocks.  The small dense solves (the orbit models' algebras and
-vector spaces, the octonion unit stabilizer) stay on ``constrained_span``.
+Large sparse operators are passed as ``Triples`` (rows, columns, values, a
+shape; a repeated cell holds the sum of its values) and never formed
+densely; a dense array is read through one ``np.nonzero``.  ``block_rank``,
+``block_span`` and ``block_kernel`` find the independent blocks (connected
+components of the rows and columns that share a cell, by min-label
+propagation with pointer jumping, numpy only), gather each with rows and
+columns ascending and take one SVD per block (thin for a tall one), under
+one guard band over all blocks.  ``block_kernel`` returns each block's
+trailing right singular vectors, then one unit vector per column that no
+block touches.  The small dense solves (orbit-model algebras and vector
+spaces, the octonion unit stabilizer) stay on ``constrained_span``: the
+combinations of a stacked basis that the linear constraints kill, from
+one guarded nullspace.
 """
 
 from __future__ import annotations
@@ -49,21 +55,6 @@ def _band_rank(sv: np.ndarray, label: str) -> int:
             f"[{GUARD_LO:g}, {GUARD_HI:g}]"
         )
     return int(np.count_nonzero(rel >= GUARD_HI))
-
-
-def _guarded_svd(
-    m: np.ndarray, label: str, vectors: bool = True, full_matrices: bool = False
-) -> tuple[int, np.ndarray | None]:
-    """Guard-banded rank of ``m`` and its ``vt`` factor, from one SVD.
-
-    With ``vectors=False`` only singular values are computed and ``vt`` is
-    None.
-    """
-    if vectors:
-        _, sv, vt = np.linalg.svd(m, full_matrices=full_matrices)
-    else:
-        sv, vt = np.linalg.svd(m, compute_uv=False), None
-    return _band_rank(sv, label), vt
 
 
 class Triples(NamedTuple):
@@ -216,7 +207,7 @@ def guarded_rank(mat: np.ndarray, label: str = "matrix") -> int:
     m = np.asarray(mat, dtype=float)
     if m.size == 0:
         return 0
-    return _guarded_svd(m, label, vectors=False)[0]
+    return _band_rank(np.linalg.svd(m, compute_uv=False), label)
 
 
 def nullspace(mat: np.ndarray, label: str = "matrix") -> np.ndarray:
@@ -226,8 +217,8 @@ def nullspace(mat: np.ndarray, label: str = "matrix") -> np.ndarray:
         return np.eye(m.shape[1] if m.ndim == 2 else 0)
     # a tall matrix's thin vt is already square; only a wide one needs the
     # full factor to reach its kernel
-    rank, vt = _guarded_svd(m, label, full_matrices=m.shape[0] < m.shape[1])
-    return vt[rank:].T.copy()
+    _, sv, vt = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
+    return vt[_band_rank(sv, label):].T.copy()
 
 
 def constrained_span(
@@ -261,8 +252,8 @@ def orthonormal_span(vectors: list[np.ndarray], label: str = "span") -> np.ndarr
     if len(vectors) == 0:
         raise ValueError(f"{label}: no vectors to span")
     rows = np.stack([np.asarray(v, dtype=float).ravel() for v in vectors])
-    rank, vt = _guarded_svd(rows, label)
-    return vt[:rank].copy()
+    _, sv, vt = np.linalg.svd(rows, full_matrices=False)
+    return vt[:_band_rank(sv, label)].copy()
 
 
 def projection_residual(vec: np.ndarray, basis_rows: np.ndarray) -> float:

@@ -33,27 +33,6 @@ import numpy as np
 from . import clifford
 from .linalg import MatrixSpan, constrained_span, guarded_rank, real_flat
 
-MODEL_NAMES = (
-    "SPIN2",
-    "SPIN11",
-    "SPIN3",
-    "SPIN21",
-    "SPIN4",
-    "SPIN31",
-    "SPIN22",
-    "SPIN5",
-    "SPIN41",
-    "SPIN32",
-    "SPIN6",
-    "SPIN51",
-    "SPIN42",
-    "SPIN33",
-)
-
-# Models whose realization carries an equivariant quadratic map into the
-# vector representation.
-SQUARING_MODELS = ("SPIN21", "SPIN31", "SPIN22", "SPIN5", "SPIN41", "SPIN51")
-
 MEMBERSHIP_TOL = 1e-10
 SUPPORT_TOL = 1e-9
 
@@ -551,6 +530,12 @@ _DECLARATIONS = {
     ),
 }
 
+MODEL_NAMES = tuple(_DECLARATIONS)
+
+# Models whose realization carries an equivariant quadratic map into the
+# vector representation.
+SQUARING_MODELS = tuple(name for name, d in _DECLARATIONS.items() if "sigma_fn" in d)
+
 
 def _derive(name: str, declaration: dict) -> SpinOrbitModel:
     """The model of a declaration: Lie algebra and vectors from constraints."""
@@ -594,12 +579,10 @@ def get_model(name: str) -> SpinOrbitModel:
 # Purity in split (and nearly split) signatures
 
 
-# Split signatures whose purity criterion runs through an orbit model: a
-# model with half-spinor blocks (even split) or without (odd split).
-_SPLIT_MODELS = {
-    _DECLARATIONS[name]["signature"]: _DECLARATIONS[name]
-    for name in ("SPIN11", "SPIN21", "SPIN22", "SPIN32", "SPIN33")
-}
+# Split signatures (p, p) and (p + 1, p), whose purity criterion runs through
+# an orbit model with half-spinor blocks (even split) or without (odd split).
+_SPLIT_MODELS = {d["signature"]: d for d in _DECLARATIONS.values()
+                 if d["signature"][0] - d["signature"][1] in (0, 1)}
 _CLIFFORD_PURITY = {(4, 3), (4, 4)}
 
 PURITY_SIGNATURES = tuple(sorted(set(_SPLIT_MODELS) | _CLIFFORD_PURITY))

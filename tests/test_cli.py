@@ -507,6 +507,19 @@ class TestExitCodes:
         valid = {k: v for k, v in desc.items() if k not in unknown}
         assert run_command(RunSpec(command, spec_path=_write(tmp_path, "v.json", valid)))[1] == 0
 
+    @pytest.mark.parametrize("command, desc, unknown", [
+        ("cauchy-solve", {"p": 1, "order": 4,
+                          "a": [{"arty": 3, "coefficients": {"2,0": "1/3"}}]}, "arty"),
+        ("metric-verify", {"family": "M21", "functions": [
+            {"arity": 2, "coefficients": {"2,0": 0.1}, "scale": 100}]}, "scale"),
+    ], ids=["cauchy", "metric"])
+    def test_unknown_function_key(self, tmp_path, command, desc, unknown):
+        # a misspelled arity used to skip the arity check, and an unknown
+        # field of a function object was ignored
+        report, status = run_command(RunSpec(command, spec_path=_write(tmp_path, "f.json", desc)))
+        assert status == 2 and "checks" not in report
+        assert f"unknown key {unknown!r}" in report["error"]
+
     def test_exponent_sets_no_table_size(self, tmp_path):
         # a profile of degree 10^6 is expanded without a table sized by its degree
         spec = _write(tmp_path, "deg.json", {

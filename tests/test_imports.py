@@ -1,6 +1,7 @@
 """Every module under src/ and tests/ references each name it imports, and
 src/ references each top-level private function and class it defines, in
-its own module when another module reads it."""
+its own module when another module reads it.  The top-level public
+definitions that src/ never reads are a frozen list."""
 
 import ast
 from pathlib import Path
@@ -34,11 +35,11 @@ def test_scan_flags_an_unused_name():
     assert unused_imports(source) == ["e", "os"]
 
 
-def _private_definitions(tree) -> list[str]:
-    """Names of the top-level private functions and classes of a module."""
+def _definitions(tree, private: bool) -> list[str]:
+    """Names of the top-level private (or public) functions and classes of a module."""
     return [node.name for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and not node.name.startswith("__")]
+            and node.name.startswith("_") == private and not node.name.startswith("__")]
 
 
 def _names(tree) -> set[str]:
@@ -57,10 +58,7 @@ def _outside_reads(tree) -> tuple[set[str], set[tuple[str, str]]]:
     return attributes, imported
 
 
-def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
-    """``module._name`` of each top-level private function or class of the
-    named sources that no other node of them reads: a ``Name`` in its own
-    module, an attribute anywhere, or an import from its module."""
+def _unread_definitions(sources: dict[str, str], private: bool) -> list[str]:
     trees = {name: ast.parse(source) for name, source in sources.items()}
     attributes, imported = set(), set()
     for tree in trees.values():
@@ -68,9 +66,22 @@ def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
         attributes |= tree_attributes
         imported |= tree_imported
     return sorted(f"{module}.{name}" for module, tree in trees.items()
-                  for name in _private_definitions(tree)
+                  for name in _definitions(tree, private)
                   if name not in _names(tree) | attributes
                   and (module, name) not in imported)
+
+
+def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
+    """``module._name`` of each top-level private function or class of the
+    named sources that no other node of them reads: a ``Name`` in its own
+    module, an attribute anywhere, or an import from its module."""
+    return _unread_definitions(sources, private=True)
+
+
+def public_definitions_without_src_reader(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each top-level public function or class of the
+    named sources that none of them reads, by the same three routes."""
+    return _unread_definitions(sources, private=False)
 
 
 def privates_read_only_elsewhere(sources: dict[str, str]) -> list[str]:
@@ -80,7 +91,7 @@ def privates_read_only_elsewhere(sources: dict[str, str]) -> list[str]:
     trees = {name: ast.parse(source) for name, source in sources.items()}
     reads = {module: _outside_reads(tree) for module, tree in trees.items()}
     return sorted(f"{module}.{name}" for module, tree in trees.items()
-                  for name in _private_definitions(tree)
+                  for name in _definitions(tree, private=True)
                   if name not in _names(tree)
                   and any(name in attributes or (module, name) in imported
                           for other, (attributes, imported) in reads.items()
@@ -99,6 +110,45 @@ def test_scan_flags_an_unreferenced_private_definition():
              "def _unread():\n    pass\n\n\nx = object()._by_attribute\n",
     }
     assert unreferenced_private_definitions(sources) == ["a._orphan", "b._unread"]
+
+
+# The public API that only tests, perfbench and users call; ROADMAP item 12
+# either gives each one a report row or removes it.  A definition that
+# gains a reader in src/ leaves this list, and a new one must be named here.
+PUBLIC_WITHOUT_SRC_READER = [
+    "cauchy.ricci_series",
+    "clifford.classify_even",
+    "geometry.custom_metric",
+    "geometry.divergence_free_draw",
+    "geometry.function_from_spec",
+    "geometry.parallel_form_residual",
+    "geometry.parallel_forms_10_1",
+    "geometry.random_polynomial",
+    "octospin.bracket_element",
+    "octospin.clifford_map_mx",
+    "octospin.p_invariant",
+    "octospin.sample_element",
+    "octospin.sigma_10_1",
+    "octospin.spin101_element",
+    "octospin.vector_inner_10_1",
+    "orbits.is_pure",
+    "orbits.spin_stabilizer_dimension",
+]
+
+
+def test_public_definitions_without_src_reader_are_listed():
+    assert public_definitions_without_src_reader(SRC) == PUBLIC_WITHOUT_SRC_READER
+
+
+def test_scan_flags_a_public_definition_without_reader():
+    sources = {
+        "a": "def used():\n    pass\n\n\ndef orphan():\n    pass\n\n\n"
+             "class Imported:\n    pass\n\n\ndef _private():\n    pass\n\n\n"
+             "def __dunder__():\n    pass\n\n\nused()\n",
+        "b": "from .a import Imported\n\n\ndef by_attribute():\n    pass\n\n\n"
+             "def unread():\n    pass\n\n\nx = object().by_attribute\n",
+    }
+    assert public_definitions_without_src_reader(sources) == ["a.orphan", "b.unread"]
 
 
 def test_no_private_read_only_elsewhere():

@@ -598,3 +598,8 @@ class TestRegistry:
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
             get_model("SPIN99")
+
+    def test_purity_signatures_are_frozen(self):
+        # derived from the declared signatures; perfbench runs one purity op each
+        assert orbits.PURITY_SIGNATURES == (
+            (1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (4, 3), (4, 4))
