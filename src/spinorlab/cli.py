@@ -449,12 +449,13 @@ def _cmd_cauchy_solve(spec: dict | None, tol: float, order: int | None,
 
 
 def _cmd_curvature_space() -> list[dict]:
-    got = geometry.curvature_space_dim(geometry.normal_form("M101").stabilizer)
+    null = geometry.normal_form("M101")
+    got = geometry.curvature_space_dim(null.stabilizer, null.gram)
     rows = [_row(
         "null-spinor stabilizer curvature space",
         "first Bianchi kernel of the eleven-dimensional stabilizer has "
         "dimension 325", got == 325, dimension=got, expected=325)]
-    ref = geometry.curvature_space_dim(geometry.so_basis(4))
+    ref = geometry.curvature_space_dim(geometry.so_basis(4), np.eye(4))
     rows.append(_row(
         "rotation algebra reference",
         "first Bianchi kernel of so(4) has dimension 20",

@@ -21,11 +21,14 @@ certificates to order 0.  Curvature is read off the jets, and the Ricci
 displays, constraint equations, connection membership and holonomy spans
 are checked against it; the displays' quadratic bracket (PUREODD, PUREEVEN,
 M22DEG) is read off the profiles' stacked order-2 jet coefficients, all
-pairs at once.  Curvature spaces and a stabilizer's invariant k-forms read
-one cached table of k-subset faces; their operators are triples of nonzero
-cells, solved block by block, and an integral stabilizer basis such as
-so(4)'s is also ranked exactly mod a prime.  The 11-dimensional family's
-parallel forms are its stabilizer's invariant 1-, 2- and 5-form.
+pairs at once.  A tensor with the curvature symmetries that satisfies the
+first Bianchi identity is pair-symmetric, so a curvature space is the kernel
+of the Bianchi map on S^2(h) -> Lambda^4, with h read as 2-forms through
+the Gram matrix.  It and a stabilizer's invariant k-forms read one cached
+table of k-subset faces; their operators are triples of nonzero cells,
+solved block by block, and a half-integral stabilizer basis and Gram matrix,
+such as so(4)'s, are also ranked exactly mod a prime.  The 11-dimensional
+family's parallel forms are its stabilizer's invariant 1-, 2- and 5-form.
 """
 
 from __future__ import annotations
@@ -45,11 +48,13 @@ from .jets import (
     shared_context,
 )
 from .linalg import (
+    SPAN_TOL,
     Triples,
     block_kernel,
     block_rank,
     block_span,
     bracket_closure,
+    guarded_rank,
     nullspace,
     orthonormal_span,
     projection_residual,
@@ -1048,19 +1053,25 @@ def _faces(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     return tuple(np.moveaxis(table, -1, 0))
 
 
-def _bianchi_matrix(mats: list[np.ndarray], n: int) -> Triples:
-    """First Bianchi map on h tensor Lambda^2, R(x, y)z + cyclic, as triples.
+def _pair_bianchi(forms, n: int) -> Triples:
+    """First Bianchi map b on S^2(h) -> Lambda^4, as triples.
 
-    Row t n + a is component a on triple t, column alpha C(n, 2) + f basis
-    element alpha on pair f; the face without T_s takes (-1)^s h_alpha[a, T_s].
-    Each nonzero cell is listed once.
+    ``forms`` stacks the 2-forms omega_alpha = G h_alpha of an h basis.  Row t
+    is the 4-subset (a, b, c, d) at t of ``_faces(n, 4)``, column k the pair
+    alpha <= beta at k of ``np.triu_indices``; the cell holds
+    b(omega_alpha omega_beta + omega_beta omega_alpha)_abcd, with
+    b(R)_abcd = R_abcd + R_acdb + R_adbc, halved when alpha = beta.  Each
+    nonzero cell is listed once.
     """
-    row, face, removed, sign = _faces(n, 3)
-    npairs = n * (n - 1) // 2
-    values = sign[..., None] * np.stack(mats)[:, :, removed].transpose(0, 2, 3, 1)
-    alpha, t, s, a = np.nonzero(values)
-    return Triples(row[t, s] * n + a, alpha * npairs + face[t, s], values[alpha, t, s, a],
-                   (n * len(row), len(mats) * npairs))
+    w = np.asarray(forms)
+    a, b, c, d = _faces(n, 4)[2].T
+    # b(omega_x omega_y)_abcd sums the splits (ab|cd), (ac|db), (ad|bc): [x, y, t]
+    split = np.einsum("xst,yst->xyt", w[:, [a, a, a], [b, c, d]], w[:, [c, d, b], [d, b, c]],
+                      optimize=True)
+    x, y = np.triu_indices(len(w))
+    values = split[x, y] + (x != y)[:, None] * split[y, x]
+    cols, rows = np.nonzero(values)
+    return Triples(rows, cols, values[cols, rows], values.shape[::-1])
 
 
 def invariant_forms(mats, k: int, label: str) -> np.ndarray:
@@ -1108,38 +1119,56 @@ def _rank_mod_p(mat: np.ndarray, prime: int = 1_000_003) -> int:
     return r
 
 
-def curvature_space_dim(stabilizer) -> int:
-    """Dimension of the formal curvature space of a matrix algebra.
+def curvature_space_dim(stabilizer, gram) -> int:
+    """Dimension of the formal curvature space K(h) of a matrix algebra h.
 
-    Kernel of the first Bianchi map on h tensor Lambda^2; the rank is taken
-    over floats with a guard band, cross-checked by exact elimination mod a
-    large prime whenever the supplied basis is integral.  The orthonormal
-    basis of h keeps each element on one block of matrix entries, so the
-    Bianchi operator's triples split into independent blocks and are ranked
-    block by block.
+    ``gram`` is the metric G, for which every element of h must be skew.
+    A tensor with the curvature symmetries that satisfies the first Bianchi
+    identity is pair-symmetric, R_abcd = R_cdab (Besse, *Einstein
+    Manifolds*, 1987), so K(h), the Bianchi kernel on h tensor Lambda^2, is
+    the kernel of b on S^2(h), with h read as 2-forms G h.  The rank is taken
+    over floats with a guard band on an orthonormal basis of h, built block
+    by block so that the operator's triples split into independent blocks,
+    and cross-checked by exact elimination mod a large prime on the supplied
+    basis whenever it and G are half-integral (their doubles are integral,
+    and scaling a basis element or G scales columns only).
     """
-    mats = [np.asarray(h, dtype=float) for h in stabilizer]
-    if not mats:
+    g = np.asarray(gram, dtype=float)
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        raise ValueError(f"curvature space: the Gram matrix must be an (n, n) array, "
+                         f"got shape {g.shape}")
+    n = g.shape[0]
+    if np.abs(g - g.T).max(initial=0.0) > SPAN_TOL * max(1.0, np.abs(g).max(initial=0.0)):
+        raise ValueError("curvature space: the Gram matrix is not symmetric")
+    if guarded_rank(g, "curvature space Gram matrix") < n:
+        raise ValueError("curvature space: the Gram matrix is degenerate")
+    mats = np.asarray(stabilizer, dtype=float)
+    if not len(mats):
         return 0
-    n = mats[0].shape[0]
+    if mats.shape[1:] != (n, n):
+        raise ValueError(f"curvature space: need ({n}, {n}) algebra elements for a "
+                         f"({n}, {n}) Gram matrix, got shape {mats.shape}")
+    forms = g @ mats
+    for k, w in enumerate(forms):
+        residual = np.abs(w + w.T).max()
+        if residual > SPAN_TOL * max(1.0, np.abs(w).max()):
+            raise ValueError(f"curvature space: algebra element {k} is not skew for the "
+                             f"Gram matrix (residual {residual:.2e})")
     rows = block_span(mats, "curvature space basis")
     m = rows.shape[0]
-    if m == 0:
-        return 0
-    rank = block_rank(_bianchi_matrix(rows.reshape(m, n, n), n), "curvature space")
-    integral = (len(mats) == m
-                and all(np.abs(h - np.round(h)).max() < 1e-9 for h in mats))
-    if integral:
+    rank = block_rank(_pair_bianchi(g @ rows.reshape(m, n, n), n), "curvature space")
+    doubled = 2 * np.concatenate([mats, g[None]])
+    if len(mats) == m and np.abs(doubled - np.round(doubled)).max() < 1e-9:
+        ints = np.round(doubled).astype(np.int64)
         # each cell is listed once, so one assignment scatters the triples
-        r, c, v, shape = _bianchi_matrix([np.round(h).astype(np.int64) for h in mats], n)
+        r, c, v, shape = _pair_bianchi(ints[-1] @ ints[:-1], n)
         bint = np.zeros(shape, dtype=np.int64)
         bint[r, c] = v
         rank_int = _rank_mod_p(bint)
         if rank_int != rank:
             raise RuntimeError(
                 f"float rank {rank} disagrees with exact rank {rank_int}")
-    npairs = n * (n - 1) // 2
-    return m * npairs - rank
+    return m * (m + 1) // 2 - rank
 
 
 # -- the 11-dimensional family -------------------------------------------------

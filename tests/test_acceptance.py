@@ -321,8 +321,8 @@ def test_criterion_08_holonomy_spans(verdict):
 def test_criterion_09_curvature_space_dimensions(verdict):
     with verdict(9, "curvature space dimensions 325 and 20", budget=120):
         stab = [e.rho for e in octospin.null_stabilizer_basis()]
-        assert geometry.curvature_space_dim(stab) == 325
-        assert geometry.curvature_space_dim(geometry.so_basis(4)) == 20
+        assert geometry.curvature_space_dim(stab, octospin.GRAM_10_1) == 325
+        assert geometry.curvature_space_dim(geometry.so_basis(4), np.eye(4)) == 20
 
 
 # -- 10: exact evolution of the constraints ---------------------------------------

@@ -980,53 +980,121 @@ def _dense_curvature_space_dim(mats):
     return rows.shape[0] * n * (n - 1) // 2 - guarded_rank(b, "dense curvature space")
 
 
+def _alternated_pairs(forms, n):
+    """Textbook b on S^2(h): 8 Alt(R) of each pair tensor, on the 4-subsets, column by column.
+
+    On a tensor skew in each pair and symmetric under the pair swap, the 24
+    signed permutations of (a, b, c, d) give each term of
+    R_abcd + R_acdb + R_adbc eight times.
+    """
+    perms = list(itertools.permutations(range(4)))
+    signs = np.round(np.linalg.det(np.eye(4)[perms]))
+    subsets = tuple(np.array(list(itertools.combinations(range(n), 4)), dtype=int).reshape(-1, 4).T)
+    pairs = [(x, y) for x in range(len(forms)) for y in range(x, len(forms))]
+    out = np.zeros((math.comb(n, 4), len(pairs)))
+    for k, (x, y) in enumerate(pairs):
+        r = np.einsum("ab,cd->abcd", forms[x], forms[y])
+        r = (r + r.transpose(2, 3, 0, 1)) / (2 if x == y else 1)
+        alt = sum(sign * r.transpose(perm) for sign, perm in zip(signs, perms))
+        out[:, k] = alt[subsets] / 8
+    return out
+
+
 def _curvature_case(case):
+    """An algebra and the Gram matrix it is skew for."""
     if case == "null":
-        return [e.rho for e in octospin.null_stabilizer_basis()]
+        return [e.rho for e in octospin.null_stabilizer_basis()], octospin.GRAM_10_1
     if case == "so4 rotated":
         # conjugate by a random rotation and mix the basis: every entry dense
         rng = np.random.default_rng(11)
         r = np.linalg.qr(rng.standard_normal((4, 4)))[0]
         mix = np.linalg.qr(rng.standard_normal((6, 6)))[0]
         conj = [r @ h @ r.T for h in so_basis(4)]
-        return [sum(c * h for c, h in zip(row, conj)) for row in mix]
-    return so_basis(int(case[2]))
+        return [sum(c * h for c, h in zip(row, conj)) for row in mix], np.eye(4)
+    n = int(case[2])
+    return so_basis(n), np.eye(n)
+
+
+# dim K(h) of every declared stabilizer with its own Gram matrix; M101's is
+# Bryant's 325, the others are frozen from this code
+NORMAL_FORM_CURVATURE = {
+    ("M21", None): 1, ("M31", None): 3, ("M22GEN", None): 3, ("M22DEG", None): 9,
+    ("M41DEG", None): 6, ("M51NULL", None): 10, ("M33GEN", None): 27,
+    ("M33NULL", None): 30, ("PUREODD", 1): 1, ("PUREODD", 2): 18, ("PUREODD", 3): 83,
+    ("PUREEVEN", 1): 0, ("PUREEVEN", 2): 9, ("PUREEVEN", 3): 54, ("PUREEVEN", 4): 178,
+    ("M101", None): 325,
+}
 
 
 class TestCurvatureSpace:
     def test_trivial_inputs(self):
-        assert curvature_space_dim([]) == 0
-        assert curvature_space_dim([np.zeros((4, 4))]) == 0
+        assert curvature_space_dim([], np.eye(4)) == 0
+        assert curvature_space_dim([np.zeros((4, 4))], np.eye(4)) == 0
 
     def test_full_rotation_algebra(self):
         # n=4 Riemann tensors: 20 independent components
-        assert curvature_space_dim(so_basis(4)) == 20
+        assert curvature_space_dim(so_basis(4), np.eye(4)) == 20
 
     def test_spinor_stabilizer_in_eleven_dimensions(self):
         stab = [e.rho for e in octospin.null_stabilizer_basis()]
-        assert curvature_space_dim(stab) == 325
+        assert curvature_space_dim(stab, octospin.GRAM_10_1) == 325
 
     @pytest.mark.parametrize("case, expected", [
         ("so3", 6), ("so4", 20), ("so5", 50), ("null", 325), ("so4 rotated", 20)])
     def test_block_route_matches_dense_oracle(self, case, expected):
-        mats = _curvature_case(case)
-        assert curvature_space_dim(mats) == _dense_curvature_space_dim(mats) == expected
+        mats, gram = _curvature_case(case)
+        assert curvature_space_dim(mats, gram) == _dense_curvature_space_dim(mats) == expected
+
+    @pytest.mark.parametrize("family, p", sorted(NORMAL_FORM_CURVATURE, key=str))
+    def test_declared_stabilizers(self, family, p, monkeypatch):
+        calls = []
+        rank_mod_p = geometry._rank_mod_p
+        monkeypatch.setattr(geometry, "_rank_mod_p",
+                            lambda mat: calls.append(mat.shape) or rank_mod_p(mat))
+        form = geometry.normal_form(family, p)
+        got = curvature_space_dim(form.stabilizer, form.gram)
+        assert got == NORMAL_FORM_CURVATURE[family, p]
+        if form.stabilizer:
+            assert got == _dense_curvature_space_dim(list(form.stabilizer))
+        # every basis but M101's (0.47 away from integral) is half-integral,
+        # so its rank is also taken exactly; an empty one ranks nothing
+        assert len(calls) == (0 if family == "M101" or not form.stabilizer else 1)
+
+    def test_exact_rank_disagreement_is_refused(self, monkeypatch):
+        rank_mod_p = geometry._rank_mod_p
+        monkeypatch.setattr(geometry, "_rank_mod_p", lambda mat: rank_mod_p(mat) + 1)
+        with pytest.raises(RuntimeError, match="float rank 1 disagrees with exact rank 2"):
+            curvature_space_dim(so_basis(4), np.eye(4))
+
+    @pytest.mark.parametrize("gram, message", [
+        (np.ones((4, 3)), "must be an \\(n, n\\) array, got shape \\(4, 3\\)"),
+        (np.ones(4), "must be an \\(n, n\\) array, got shape \\(4,\\)"),
+        (np.triu(np.ones((4, 4))), "Gram matrix is not symmetric"),
+        (np.diag([1.0, 1.0, 1.0, 0.0]), "Gram matrix is degenerate"),
+        (np.diag([1.0, 1.0, 1.0, 2.0]), "algebra element 2 is not skew for the Gram matrix"),
+        (np.eye(5), "need \\(5, 5\\) algebra elements"),
+    ])
+    def test_bad_input_refused(self, gram, message):
+        with pytest.raises(ValueError, match=message):
+            curvature_space_dim(so_basis(4), gram)
 
     def test_null_stabilizer_needs_no_large_svd(self, svd_cells):
         stab = [e.rho for e in octospin.null_stabilizer_basis()]
-        assert curvature_space_dim(stab) == 325
-        # the dense Bianchi matrix has 1815 x 1650 cells
-        assert 0 < max(svd_cells) <= 300_000
+        assert curvature_space_dim(stab, octospin.GRAM_10_1) == 325
+        # the dense h tensor Lambda^2 Bianchi matrix has 1815 x 1650 cells; b
+        # on S^2(h) is 330 x 465 in three blocks, the largest 70 x 231
+        assert 0 < max(svd_cells) <= 20_000
 
     @pytest.mark.parametrize("case", ["so3", "so4", "so5", "null"])
     def test_bianchi_triples_match_the_dense_fill(self, case):
-        mats = _curvature_case(case)
-        n = mats[0].shape[0]
-        t = geometry._bianchi_matrix(mats, n)
-        assert t.shape == (n * math.comb(n, 3), len(mats) * n * (n - 1) // 2)
+        mats, gram = _curvature_case(case)
+        n, m = len(gram), len(mats)
+        forms = gram @ np.array(mats)
+        t = geometry._pair_bianchi(forms, n)
+        assert t.shape == (math.comb(n, 4), m * (m + 1) // 2)
         # each cell listed once, and every cell agrees with the textbook loop
         assert np.unique(t.rows * t.shape[1] + t.cols).size == t.rows.size
-        assert np.array_equal(_scattered(t), _dense_bianchi(mats, n))
+        assert np.allclose(_scattered(t), _alternated_pairs(forms, n), rtol=0, atol=1e-12)
 
     def test_so_basis_count(self):
         assert len(so_basis(5)) == 10
@@ -1035,21 +1103,20 @@ class TestCurvatureSpace:
 
 
 def test_bianchi_rows_kill_the_round_sphere():
-    # R(e_i, e_j) = e_i e_j^T - e_j e_i^T, the so(n) basis element of the pair
-    # itself, satisfies the first Bianchi identity; a swapped pair does not
-    for n in (3, 4, 5):
-        npairs = n * (n - 1) // 2
-        b = geometry._bianchi_matrix(so_basis(n), n)
-        assert b.shape == (n * math.comb(n, 3), npairs * npairs)
+    # R = sum of omega_f omega_f over the so(n) basis, the pair's own 2-form,
+    # satisfies the first Bianchi identity; omega_01 omega_23 + omega_23 omega_01 does not
+    for n in (4, 5):
+        pairs = list(itertools.combinations(range(n), 2))
+        b = geometry._pair_bianchi(so_basis(n), n)
+        x, y = np.triu_indices(len(pairs))
+        assert b.shape == (math.comb(n, 4), x.size)
 
         def apply(r):
-            return np.bincount(b.rows, weights=b.values * r.ravel()[b.cols],
-                               minlength=b.shape[0])
+            return np.bincount(b.rows, weights=b.values * r[b.cols], minlength=b.shape[0])
 
-        assert not np.any(apply(np.eye(npairs)))
-        swapped = np.zeros((npairs, npairs))
-        swapped[0, 1] = 1.0
-        assert np.any(apply(swapped))
+        assert not np.any(apply((x == y).astype(float)))
+        mixed = (x == pairs.index((0, 1))) & (y == pairs.index((2, 3)))
+        assert np.any(apply(mixed.astype(float)))
 
 
 # ---------------------------------------------------------------------------
@@ -1148,7 +1215,7 @@ class TestInvariantForms:
             assert np.allclose(basis.T @ basis, np.eye(count), atol=1e-12)
             if n ** k <= 10 ** 6:
                 assert _invariance_residual(mats, k, basis) < 1e-12
-        assert curvature_space_dim(mats) == kdim
+        assert curvature_space_dim(mats, np.eye(n)) == kdim
 
     @pytest.mark.parametrize("family, p", sorted(NORMAL_FORM_COUNTS, key=str))
     def test_normal_form_counts(self, family, p):

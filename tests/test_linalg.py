@@ -214,6 +214,23 @@ def _scipy_blocks(t):
     return out
 
 
+def _bianchi_triples(mats, n):
+    """First Bianchi map on h tensor Lambda^2, R(x, y)z + cyclic, as triples.
+
+    Row t n + a is component a on triple t, column alpha C(n, 2) + f basis
+    element alpha on pair f; the face without T_s takes (-1)^s h_alpha[a, T_s].
+    Each nonzero cell is listed once.
+    """
+    from spinorlab import geometry
+
+    row, face, removed, sign = geometry._faces(n, 3)
+    npairs = n * (n - 1) // 2
+    values = sign[..., None] * np.stack(mats)[:, :, removed].transpose(0, 2, 3, 1)
+    alpha, t, s, a = np.nonzero(values)
+    return Triples(row[t, s] * n + a, alpha * npairs + face[t, s], values[alpha, t, s, a],
+                   (n * len(row), len(mats) * npairs))
+
+
 def _bianchi_case(n):
     from spinorlab import geometry, octospin
 
@@ -222,7 +239,7 @@ def _bianchi_case(n):
         mats = list(block_span(mats).reshape(-1, n, n))
     else:
         mats = geometry.so_basis(n)
-    return geometry._bianchi_matrix(mats, n)
+    return _bianchi_triples(mats, n)
 
 
 def _form_case(sig):
