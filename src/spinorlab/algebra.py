@@ -8,6 +8,7 @@ gathers through.
 from __future__ import annotations
 
 import hashlib
+from functools import cache
 
 import numpy as np
 
@@ -21,8 +22,9 @@ _FACTOR.flags.writeable = _SIGN.flags.writeable = False
 _I8 = np.eye(8)
 
 
+@cache
 def octonion_table_checksum() -> str:
-    """SHA-256 of the frozen multiplication table, embedded in CLI reports."""
+    """SHA-256 of the frozen multiplication table, embedded in CLI reports; hashed once."""
     payload = ";".join(
         f"{s},{t},{TABLE[s][t][0]},{TABLE[s][t][1]}" for s in range(8) for t in range(8)
     )

@@ -11,9 +11,13 @@ closed-form Ricci display (:func:`ricci_paper`) beside the profiles it
 reads.  M22DEG's and M33GEN's Hessian profiles are exact ``diff``s of the
 given one; the 11-dimensional identity fiber is in the Gram matrix.  A spec
 table is read on integers, each exponent key parsed once per spec, to its
-total degree.  One rule evaluates every such metric as Taylor jets at a
-point, expanding each profile by ``JetSeries.jet`` with no coordinate jets;
-only :func:`custom_metric` hands its rule one jet per coordinate.  A
+total degree.  One rule evaluates every such metric as Taylor jets at
+points, expanding each profile by ``JetSeries.jet`` with no coordinate jets;
+only :func:`custom_metric` hands its rule one jet per coordinate, point by
+point.  Every float routine of the metric path takes points (..., n) and
+returns its result per point, the leading axes first; a single point is
+the (n,) case of the same code, and a (P, n) batch equals the stack of its
+P single-point results bit for bit.  A
 derived jet is carried only to the order its reader uses: the Christoffel
 symbols and coframe connection behind curvature and holonomy to order 1
 (from order-2 jets), those of :func:`christoffel_values` and the connection
@@ -34,6 +38,7 @@ family's parallel forms are its stabilizer's invariant 1-, 2- and 5-form.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
@@ -308,16 +313,17 @@ class CoordinateMetric:
         if len(self.coordinates) != self.n:
             raise ValueError("coordinate names disagree with the dimension")
 
-    def component_jets(self, point, order: int) -> Jet:
-        return self._component_rule(np.asarray(point, dtype=float), shared_context(self.n, order))
+    def component_jets(self, points, order: int) -> Jet:
+        """The (..., n, n) component jets at points (..., n)."""
+        return self._component_rule(np.asarray(points, dtype=float), shared_context(self.n, order))
 
-    def components(self, point) -> np.ndarray:
-        return self.component_jets(point, order=0).value()
+    def components(self, points) -> np.ndarray:
+        return self.component_jets(points, order=0).value()
 
-    def coframe_jets(self, point, order: int) -> Jet:
+    def coframe_jets(self, points, order: int) -> Jet:
         if self._coframe_rule is None:
             raise ValueError("metric carries no adapted coframe")
-        return self._coframe_rule(np.asarray(point, dtype=float), shared_context(self.n, order))
+        return self._coframe_rule(np.asarray(points, dtype=float), shared_context(self.n, order))
 
     @property
     def stabilizer_dimension(self) -> int:
@@ -333,27 +339,34 @@ def custom_metric(n, signature, coordinates, component_rule) -> CoordinateMetric
     """Metric from a raw component rule.
 
     ``component_rule(X, ctx)`` takes the coordinate jets X of a shared
-    context, one per coordinate at the point, and returns the n x n matrix
+    context, one per coordinate at one point, and returns the n x n matrix
     :class:`~spinorlab.jets.Jet` of the components, for instance
-    ``Jet.stack`` of scalar jet rows.  The normal forms take the point
-    itself and form no coordinate jets.
+    ``Jet.stack`` of scalar jet rows; the rule is written for one point, so
+    points (..., n) are handed to it one at a time and the jets stacked.
+    The normal forms take the points themselves and form no coordinate jets.
     """
-    def rule(point, ctx):
-        return component_rule(ctx.variables(point), ctx)
+    def rule(points, ctx):
+        cells = [component_rule(ctx.variables(x), ctx) for x in points.reshape(-1, n)]
+        coeffs = np.stack([j.c for j in cells])
+        return Jet(cells[0].ctx, coeffs.reshape(points.shape[:-1] + coeffs.shape[1:]))
 
     return CoordinateMetric(n, signature, coordinates, rule)
 
 
 def probe_points(m: CoordinateMetric, seed: int, count: int = 5) -> np.ndarray:
-    """Seeded sample points in the box [-1/2, 1/2]^n, avoiding degeneracies."""
+    """Seeded sample points in the box [-1/2, 1/2]^n, avoiding degeneracies.
+
+    Candidates are drawn ``count`` at a time, up to 100 blocks, and kept in
+    draw order where |det g| > ``DEGENERACY_TOL``: the points of drawing and
+    testing one candidate at a time.
+    """
     rng = np.random.default_rng(seed)
     pts = []
-    for _ in range(100 * count):
-        x = rng.uniform(-0.5, 0.5, m.n)
-        if abs(np.linalg.det(m.components(x))) > DEGENERACY_TOL:
-            pts.append(x)
-            if len(pts) == count:
-                return np.array(pts)
+    for _ in range(100):
+        block = rng.uniform(-0.5, 0.5, (count, m.n))
+        pts.extend(block[np.abs(np.linalg.det(m.components(block))) > DEGENERACY_TOL])
+        if 0 < count <= len(pts):
+            return np.array(pts[:count])
     raise RuntimeError("could not sample nondegenerate probe points")
 
 
@@ -520,20 +533,17 @@ def _fmatrix(functions, pairs, size):
 def _symmetric_divergence_rule(functions, slot, y_vars):
     """Rows sum_j df_ij/dy_j of the symmetric block f_ij = ``functions[slot[i][j]]``.
 
-    Each profile is expanded once per point, and every row reads those jets.
+    Each profile is expanded once, at all points, and every row reads those jets.
     """
     size = len(slot)
     names = [f"divergence row {i + 1}" for i in range(size)]
 
     def rule(m: CoordinateMetric, points) -> dict[str, float]:
         ctx = shared_context(m.n, 1)
-        rows = []
-        for pt in points:
-            jets = [f.jet(ctx, pt, range(m.n)) for f in functions]
-            rows.append([abs(sum(jets[slot[i][j]].derivative_value(y_vars[j])
-                                 for j in range(size)))
-                         for i in range(size)])
-        return {names[i]: _worst(row[i] for row in rows) for i in range(size)}
+        jets = [f.jet(ctx, points, range(m.n)) for f in functions]
+        return {names[i]: _worst(abs(sum(jets[slot[i][j]].derivative_value(y_vars[j])
+                                         for j in range(size))))
+                for i in range(size)}
 
     return rule
 
@@ -547,24 +557,30 @@ def _hessian_determinant_rule(hess):
 
 
 def _profile_rule(const, profiles, terms):
-    """Jet rule (point, ctx) -> const + coeff * f_t(point[args_t]) in cell (i, j), per term.
+    """Jet rule (points, ctx) -> const + coeff * f_t(points[..., args_t]) in cell (i, j), per term.
 
     ``profiles`` lists (profile series, argument indices), each referenced by
     some term, and ``terms`` lists (i, j, coeff, t).  Each profile is
-    evaluated once per call.
+    evaluated once per call, at all points (..., n), and every cell of every
+    point sums its terms in one bincount.
     """
     const = np.array(const, dtype=float)
     rows, cols, coeffs, which = zip(*terms)
     cells = np.ravel_multi_index((rows, cols), const.shape)
     which = list(which)
-    coeffs = np.array(coeffs, dtype=float)[:, None]
+    coeffs = np.array(coeffs, dtype=float)[:, None, None]
 
-    def rule(point, ctx):
-        jets = [f.jet(ctx, point, args) for f, args in profiles]
-        bins = (cells[:, None] * ctx.nmono + np.arange(ctx.nmono)).ravel()
-        vals = coeffs * np.stack([j.c for j in jets])[which]
-        c = np.bincount(bins, weights=vals.ravel(), minlength=const.size * ctx.nmono)
-        c = c.reshape(const.shape + (ctx.nmono,))
+    def rule(points, ctx):
+        lead = points.shape[:-1]
+        count = math.prod(lead)
+        jets = np.stack([f.jet(ctx, points, args).c for f, args in profiles])
+        vals = coeffs * jets.reshape(len(profiles), count, ctx.nmono)[which]
+        # bin of (term t, point r, monomial k): cell t of point r's matrix, monomial k
+        bins = (cells[:, None] + const.size * np.arange(count))[..., None] * ctx.nmono
+        bins = bins + np.arange(ctx.nmono)
+        c = np.bincount(bins.ravel(), weights=vals.ravel(),
+                        minlength=count * const.size * ctx.nmono)
+        c = c.reshape(lead + const.shape + (ctx.nmono,))
         c[..., 0] += const
         return Jet(ctx, c)
 
@@ -642,8 +658,9 @@ def _build_m22deg(form, functions):
         [(0, 0, 1.0, 0), (0, 1, 1.0, 1), (1, 0, 1.0, 1), (1, 1, 1.0, 2)],
         [(0, 0, -1.0, 1), (0, 1, -1.0, 2), (1, 0, 1.0, 0), (1, 1, 1.0, 1)],
         cof_const=_matrix(4, {(0, 2): 1.0, (1, 3): 1.0, (2, 0): -1.0, (3, 1): -1.0}),
-        ricci_display=_bracket_display("M22DEG", recharted, 2, 0,
-                                       chart=lambda x: np.array([x[0], x[1], x[3], -x[2]])))
+        ricci_display=_bracket_display(
+            "M22DEG", recharted, 2, 0,
+            chart=lambda x: np.stack([x[..., 0], x[..., 1], x[..., 3], -x[..., 2]], axis=-1)))
 
 
 def _build_m33gen(form, functions):
@@ -735,53 +752,62 @@ def _check_signature(m: CoordinateMetric) -> None:
 # -- curvature from jets ------------------------------------------------------
 
 
-def _christoffel_arrays(m: CoordinateMetric, point, order: int):
-    """Christoffel coefficients as jets to ``order``, shape (n, n, n, nmono), and their context.
+def _christoffel_arrays(m: CoordinateMetric, points, order: int):
+    """Christoffel coefficients as (..., n, n, n, nmono) jets to ``order``, and their context.
 
     They read the first partials of the metric, whose jets are taken one
-    order higher.
+    order higher.  Any point where |det g| <= ``DEGENERACY_TOL`` raises.
     """
-    G = m.component_jets(point, order=order + 1)
-    if abs(np.linalg.det(G.value())) <= DEGENERACY_TOL:
+    G = m.component_jets(points, order=order + 1)
+    if (np.abs(np.linalg.det(G.value())) <= DEGENERACY_TOL).any():
         raise ValueError("metric degenerate at the probe point")
     ginv = G.truncate(order).inv()
     ctx = ginv.ctx
-    n = G.shape[0]
-    dG = np.stack([G.ctx.diff_arrays(G.c, b) for b in range(n)])
-    k = dG.transpose(1, 0, 2, 3) + np.einsum("cdbt->dbct", dG) - dG
-    gam = 0.5 * ctx.matmul_arrays(ginv.c, k.reshape(n, n * n, -1)).reshape(n, n, n, -1)
-    return gam, ctx
+    n = m.n
+    lead = G.shape[:-2]
+    # dG[..., b, c, d, t]: the partial in b of g_cd
+    dG = np.stack([G.ctx.diff_arrays(G.c, b) for b in range(n)], axis=-4)
+    k = dG.swapaxes(-4, -3) + np.einsum("...cdbt->...dbct", dG) - dG
+    gam = 0.5 * ctx.matmul_arrays(ginv.c, k.reshape(lead + (n, n * n, -1)))
+    return gam.reshape(lead + (n, n, n, -1)), ctx
 
 
-def christoffel_values(m: CoordinateMetric, point) -> np.ndarray:
-    return _christoffel_arrays(m, point, 0)[0][..., 0]
+def christoffel_values(m: CoordinateMetric, points) -> np.ndarray:
+    return _christoffel_arrays(m, points, 0)[0][..., 0]
 
 
-def _curvature_parts(m: CoordinateMetric, point) -> tuple[np.ndarray, np.ndarray]:
-    """Christoffel values and their first partials, stacked on the derivative first."""
-    gam, ctx = _christoffel_arrays(m, point, 1)
-    dgam = np.stack([ctx.diff_arrays(gam, j)[..., 0] for j in range(m.n)])
-    return gam[..., 0], dgam
+def _linear_parts(c: np.ndarray, n: int) -> np.ndarray:
+    """First partials of order-1 jets (..., nmono) in n variables, as (..., n).
+
+    The monomials of degree 1 follow the constant, one per variable in order.
+    """
+    return c[..., 1:n + 1]
 
 
-def ricci_numeric(m: CoordinateMetric, point) -> np.ndarray:
-    """Ricci tensor from jet Christoffel symbols (round sphere positive)."""
-    gv, dgam = _curvature_parts(m, point)
-    term1 = np.einsum("aadb->bd", dgam)
-    term2 = np.einsum("daab->bd", dgam)
-    contr = np.einsum("aae->e", gv)
-    term3 = np.einsum("e,edb->bd", contr, gv)
-    term4 = np.einsum("ade,eab->bd", gv, gv)
+def _curvature_parts(m: CoordinateMetric, points) -> tuple[np.ndarray, np.ndarray]:
+    """Christoffel values and their first partials, the derivative axis before (a, b, c)."""
+    gam, _ = _christoffel_arrays(m, points, 1)
+    return gam[..., 0], np.moveaxis(_linear_parts(gam, m.n), -1, -4)
+
+
+def ricci_numeric(m: CoordinateMetric, points) -> np.ndarray:
+    """Ricci tensor from jet Christoffel symbols (round sphere positive), (..., n, n)."""
+    gv, dgam = _curvature_parts(m, points)
+    term1 = np.einsum("...aadb->...bd", dgam)
+    term2 = np.einsum("...daab->...bd", dgam)
+    contr = np.einsum("...aae->...e", gv)
+    term3 = np.einsum("...e,...edb->...bd", contr, gv)
+    term4 = np.einsum("...ade,...eab->...bd", gv, gv)
     return term1 - term2 + term3 - term4
 
 
-def riemann_numeric(m: CoordinateMetric, point) -> np.ndarray:
-    """Curvature tensor R^a_{bcd} at a point."""
-    gv, dgam = _curvature_parts(m, point)
-    t1 = np.einsum("cadb->abcd", dgam)
-    t2 = np.einsum("dacb->abcd", dgam)
-    t3 = np.einsum("ace,edb->abcd", gv, gv)
-    t4 = np.einsum("ade,ecb->abcd", gv, gv)
+def riemann_numeric(m: CoordinateMetric, points) -> np.ndarray:
+    """Curvature tensor R^a_{bcd} at points (..., n), as (..., n, n, n, n)."""
+    gv, dgam = _curvature_parts(m, points)
+    t1 = np.einsum("...cadb->...abcd", dgam)
+    t2 = np.einsum("...dacb->...abcd", dgam)
+    t3 = np.einsum("...ace,...edb->...abcd", gv, gv)
+    t4 = np.einsum("...ade,...ecb->...abcd", gv, gv)
     return t1 - t2 + t3 - t4
 
 
@@ -825,10 +851,10 @@ def _bracket_columns(nvars: int, p: int, xoff: int):
 
 
 def _array_bracket(coeffs: np.ndarray, nvars: int, p: int, xoff: int) -> np.ndarray:
-    """The (p, p) bracket B at a point from the block's order-2 jet coefficients.
+    """The (..., p, p) bracket B at points from the block's order-2 jet coefficients.
 
     ``coeffs`` stacks the profiles' jets in ``shared_context(nvars, 2)`` as
-    (pairs, monomials), in pair order.  Each partial is one coefficient
+    (..., pairs, monomials), in pair order.  Each partial is one coefficient
     (times 2 for y_k y_k), and all pairs are evaluated at once.  The float
     operations and their order are those of the bracket formed term by
     term with jets: the linear part summed over k, then for each (m, k)
@@ -837,16 +863,16 @@ def _array_bracket(coeffs: np.ndarray, nvars: int, p: int, xoff: int) -> np.ndar
     The same bracket on exact series is ``cauchy.bracket_series``.
     """
     linear, first, second, grid, mj, kl = _bracket_columns(nvars, p, xoff)
-    value, dy = coeffs[:, 0], coeffs[:, first]
-    total = coeffs[:, linear[0]]
+    value, dy = coeffs[..., 0], coeffs[..., first]
+    total = coeffs[..., linear[0]]
     for k in range(1, p):
-        total = total + coeffs[:, linear[k]]
+        total = total + coeffs[..., linear[k]]
     for m in range(p):
         for k in range(p):
-            dyy = coeffs[:, second[m][k]] * 2.0 if m == k else coeffs[:, second[m][k]]
-            total = total - (0.0 + value[grid[m, k]] * dyy)
-            total = total + (0.0 + dy[mj[m], k] * dy[kl[k], m])
-    return total[grid]
+            dyy = coeffs[..., second[m][k]] * 2.0 if m == k else coeffs[..., second[m][k]]
+            total = total - (0.0 + value[..., grid[m, k], None] * dyy)
+            total = total + (0.0 + dy[..., mj[m], k] * dy[..., kl[k], m])
+    return total[..., grid]
 
 
 def _bracket_display(tag, block, p, xoff, odd=False, chart=None):
@@ -855,9 +881,10 @@ def _bracket_display(tag, block, p, xoff, odd=False, chart=None):
     ``block`` lists the profiles f_ij of all n coordinates in pair order,
     x^k being coordinate xoff + k and y_k coordinate xoff + p + k.  The odd
     form adds the second derivative in z, coordinate 0: c (f_zz + 2 B).
-    ``chart`` maps a point to the coordinates the block is written in.  At
-    each point every profile is expanded once, to order 2, and the bracket
-    is read off the stacked coefficients in floats (:func:`_array_bracket`).
+    ``chart`` maps points (..., n) to the coordinates the block is written
+    in.  Every profile is expanded once, to order 2, at all points, and the
+    bracket is read off the stacked coefficients in floats
+    (:func:`_array_bracket`).
     """
     n = block[0].nvars
     ctx = shared_context(n, 2)
@@ -866,15 +893,15 @@ def _bracket_display(tag, block, p, xoff, odd=False, chart=None):
     cells = slice(xoff, xoff + p)
     scale = RICCI_CALIBRATION[tag]
 
-    def display(point):
+    def display(points):
         if chart is not None:
-            point = chart(point)
-        coeffs = np.stack([f.jet(ctx, point, range(n)).c for f in block])
+            points = chart(points)
+        coeffs = np.stack([f.jet(ctx, points, range(n)).c for f in block], axis=-2)
         bracket = _array_bracket(coeffs, n, p, xoff)
         if odd:
-            bracket = coeffs[grid, zz] * 2.0 + 2.0 * bracket
-        out = np.zeros((n, n))
-        out[cells, cells] = scale * bracket
+            bracket = coeffs[..., grid, zz] * 2.0 + 2.0 * bracket
+        out = np.zeros(points.shape[:-1] + (n, n))
+        out[..., cells, cells] = scale * bracket
         return out
 
     return display
@@ -887,25 +914,25 @@ def _laplacian_display(tag, n, profile, lap_vars, cell):
     scale = RICCI_CALIBRATION[tag]
     ctx = shared_context(f.nvars, 2)
 
-    def display(point):
-        # one order-2 expansion per point serves every second derivative
-        jet = f.jet(ctx, point[args], range(f.nvars))
-        out = np.zeros((n, n))
-        out[cell] = scale * sum(jet.derivative_value(a, a) for a in lap_vars)
+    def display(points):
+        # one order-2 expansion at all points serves every second derivative
+        jet = f.jet(ctx, points[..., args], range(f.nvars))
+        out = np.zeros(points.shape[:-1] + (n, n))
+        out[(...,) + cell] = scale * sum(jet.derivative_value(a, a) for a in lap_vars)
         return out
 
     return display
 
 
-def ricci_paper(m: CoordinateMetric, point) -> np.ndarray:
-    """Closed-form Ricci display of a normal form that declares one.
+def ricci_paper(m: CoordinateMetric, points) -> np.ndarray:
+    """Closed-form Ricci display of a normal form that declares one, (..., n, n).
 
     Output matches ricci_numeric; the per-family constant was calibrated
     once against the jet oracle and is frozen in RICCI_CALIBRATION.
     """
     if m.ricci_display is None:
         raise ValueError(f"{m.family or 'custom metric'} has no closed-form Ricci display")
-    return m.ricci_display(np.asarray(point, dtype=float))
+    return m.ricci_display(np.asarray(points, dtype=float))
 
 
 # -- constraint reports -------------------------------------------------------
@@ -923,15 +950,17 @@ def constraint_check(m: CoordinateMetric, points) -> dict[str, float]:
 
 @dataclass(frozen=True)
 class AdaptedCoframe:
+    """Connection values (..., n, n, n) and residuals of the points' leading shape."""
+
     connection: np.ndarray
-    membership_residual: float
-    torsion_residual: float
-    skew_residual: float
-    gram_residual: float
+    membership_residual: float | np.ndarray
+    torsion_residual: float | np.ndarray
+    skew_residual: float | np.ndarray
+    gram_residual: float | np.ndarray
 
 
 def _connection_arrays(E: Jet, gram: np.ndarray):
-    """Levi-Civita connection A^a_{b,c} in the coframe, as jet arrays.
+    """Levi-Civita connection A^a_{b,c} in the coframe, as (..., n, n, n, nmono) jet arrays.
 
     Solves dtheta^a + A^a_b wedge theta^b = 0 with A metric for the constant
     Gram matrix.  A reads the first partials of E, so it is formed in the
@@ -940,36 +969,59 @@ def _connection_arrays(E: Jet, gram: np.ndarray):
     """
     einv = E.truncate(E.ctx.order - 1).inv()
     ctx = einv.ctx
-    n = E.shape[0]
-    dE = np.stack([E.ctx.diff_arrays(E.c, j) for j in range(n)])
-    t = dE.transpose(1, 0, 2, 3)
-    f = t - t.transpose(0, 2, 1, 3)
-    t1 = ctx.matmul_arrays(f.reshape(n * n, n, -1), einv.c).reshape(n, n, n, -1)
-    t1 = np.ascontiguousarray(t1.transpose(0, 2, 1, 3)).reshape(n * n, n, -1)
-    c = ctx.matmul_arrays(t1, einv.c).reshape(n, n, n, -1).transpose(0, 2, 1, 3)
-    k = np.einsum("ea,apqt->epqt", gram, c)
-    d = 0.5 * (k - np.einsum("bact->abct", k) - np.einsum("cabt->abct", k))
-    a = np.einsum("ae,ebct->abct", np.linalg.inv(gram), d)
+    n = E.shape[-1]
+    lead = E.shape[:-2]
+    # dE[..., j, a, b, t]: the partial in j of E^a_b
+    dE = np.stack([E.ctx.diff_arrays(E.c, j) for j in range(n)], axis=-4)
+    t = dE.swapaxes(-4, -3)
+    f = t - t.swapaxes(-3, -2)
+    t1 = ctx.matmul_arrays(f.reshape(lead + (n * n, n, -1)), einv.c)
+    t1 = t1.reshape(lead + (n, n, n, -1)).swapaxes(-3, -2)
+    t1 = np.ascontiguousarray(t1).reshape(lead + (n * n, n, -1))
+    c = ctx.matmul_arrays(t1, einv.c).reshape(lead + (n, n, n, -1)).swapaxes(-3, -2)
+    k = np.einsum("ea,...apqt->...epqt", gram, c)
+    d = 0.5 * (k - np.einsum("...bact->...abct", k) - np.einsum("...cabt->...abct", k))
+    a = np.einsum("ae,...ebct->...abct", np.linalg.inv(gram), d)
     return a, c, ctx
 
 
-def adapted_coframe(m: CoordinateMetric, point) -> AdaptedCoframe:
-    """Coframe, connection and certificate residuals at a point."""
-    point = np.asarray(point, dtype=float)
-    E = m.coframe_jets(point, order=1)
+def _first_singular(mats: np.ndarray) -> int:
+    """Index of the first matrix of a stack that ``np.linalg.inv`` refuses."""
+    for i, mat in enumerate(mats):
+        try:
+            np.linalg.inv(mat)
+        except np.linalg.LinAlgError:
+            return i
+    raise ValueError("no singular matrix in the stack")
+
+
+def adapted_coframe(m: CoordinateMetric, points) -> AdaptedCoframe:
+    """Coframe, connection and certificate residuals at points (..., n).
+
+    The connection values are (..., n, n, n) and each residual has the
+    points' leading shape.
+    """
+    points = np.asarray(points, dtype=float)
+    E = m.coframe_jets(points, order=1)
     try:
         a, c, _ = _connection_arrays(E, m.gram)
     except np.linalg.LinAlgError as exc:
-        raise ValueError(f"adapted coframe degenerate at {point}") from exc
+        flat = points.reshape(-1, m.n)
+        first = flat[_first_singular(E.value().reshape(len(flat), m.n, m.n))]
+        raise ValueError(f"adapted coframe degenerate at {first}") from exc
     av = a[..., 0]
     cv = c[..., 0]
     ev = E.value()
-    gram_res = float(np.abs(ev.T @ m.gram @ ev - m.components(point)).max())
-    torsion = float(np.abs((av - av.transpose(0, 2, 1)) - cv).max())
+    gram_res = np.abs(ev.swapaxes(-2, -1) @ m.gram @ ev - m.components(points))
+    gram_res = gram_res.max(axis=(-2, -1))
+    torsion = np.abs((av - av.swapaxes(-2, -1)) - cv).max(axis=(-3, -2, -1))
+    # the connection's value on each coordinate c, (..., c, a, b)
+    forms = np.moveaxis(av, -1, -3)
+    gms = m.gram @ forms
+    skew = np.abs(gms + gms.swapaxes(-2, -1)).max(axis=(-3, -2, -1))
     rows = m.stabilizer_rows()
-    gms = [m.gram @ av[:, :, c] for c in range(m.n)]
-    skew = _worst(np.abs(gm + gm.T).max() for gm in gms)
-    member = _worst(projection_residual(av[:, :, c], rows) for c in range(m.n))
+    member = np.array([projection_residual(f, rows) for f in forms.reshape(-1, m.n, m.n)])
+    member = member.reshape(forms.shape[:-2]).max(axis=-1)
     return AdaptedCoframe(av, member, torsion, skew, gram_res)
 
 
@@ -985,40 +1037,41 @@ class HolonomyEstimate:
     membership_residual: float
 
 
-def curvature_operators(m: CoordinateMetric, point) -> list[np.ndarray]:
-    """Coframe curvature endomorphisms on all coordinate planes at a point."""
-    point = np.asarray(point, dtype=float)
-    E = m.coframe_jets(point, order=2)
+def curvature_operators(m: CoordinateMetric, points) -> np.ndarray:
+    """Coframe curvature endomorphisms on all coordinate planes at points (..., n).
+
+    Returns (..., planes, n, n), the planes i < j in ``np.triu_indices`` order.
+    """
+    points = np.asarray(points, dtype=float)
+    E = m.coframe_jets(points, order=2)
     a, _, ctx = _connection_arrays(E, m.gram)
     n = m.n
+    lead = E.shape[:-2]
     e1 = E.truncate(ctx.order).c
-    ahat = ctx.matmul_arrays(a.reshape(n * n, n, -1), e1).reshape(n, n, n, -1)
-    av = ahat[..., 0]
-    dav = np.stack([ctx.diff_arrays(ahat, j)[..., 0] for j in range(n)])
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            th = (dav[i][:, :, j] - dav[j][:, :, i]
-                  + av[:, :, i] @ av[:, :, j] - av[:, :, j] @ av[:, :, i])
-            out.append(th)
-    return out
+    ahat = ctx.matmul_arrays(a.reshape(lead + (n * n, n, -1)), e1)
+    ahat = ahat.reshape(lead + (n, n, n, -1))
+    # values and first partials on coordinate c, (..., c, a, b) and (..., j, c, a, b)
+    av = np.moveaxis(ahat[..., 0], -1, -3)
+    dav = np.moveaxis(_linear_parts(ahat, n), (-1, -2), (-4, -3))
+    i, j = np.triu_indices(n, 1)
+    left, right = av[..., i, :, :], av[..., j, :, :]
+    return dav[..., i, j, :, :] - dav[..., j, i, :, :] + left @ right - right @ left
 
 
 def holonomy_span(m: CoordinateMetric, points) -> HolonomyEstimate:
-    """Bracket-closed span of sampled curvature operators (cap 10 sweeps)."""
+    """Bracket-closed span of sampled curvature operators (cap 10 sweeps).
+
+    The operators are taken point by point, each point's planes in order.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     rows = m.stabilizer_rows()
     sdim = rows.shape[0]
-    ops = []
-    residuals = []
-    for pt in points:
-        for th in curvature_operators(m, pt):
-            if not np.isfinite(th).all():
-                # NaN membership fails the check; the closure's SVD would raise
-                residuals.append(np.nan)
-            elif np.abs(th).max() > 1e-10:
-                ops.append(th)
-                residuals.append(projection_residual(th, rows))
+    ops = curvature_operators(m, points).reshape(-1, m.n, m.n)
+    finite = np.isfinite(ops).all(axis=(1, 2))
+    ops = list(ops[finite & (np.abs(ops).max(axis=(1, 2)) > 1e-10)])
+    # a non-finite operator's NaN membership fails the check; the closure's
+    # SVD would raise on it
+    residuals = [projection_residual(th, rows) for th in ops] + [np.nan] * int((~finite).sum())
     member = _worst(residuals)
     if not ops:
         return HolonomyEstimate(0, sdim, 0, 0, member)

@@ -4,7 +4,10 @@ A jet is a polynomial truncated at a fixed total degree, used to carry a
 function value together with its partial derivatives at a base point.
 One :class:`Jet` type holds a scalar or an array of such polynomials
 (the metric components, a coframe), with ``*`` entrywise, ``@`` the
-matrix product and one inverse; a scalar is the shape () case.
+matrix product and one inverse; a scalar is the shape () case.  ``@`` and
+the inverse act on the last two axes, so leading axes may index points: a
+jet of shape (P, n, n) holds one n x n matrix at each of P points, and a
+single point is the (n, n) case of the same code.
 All jets attached to one :class:`JetContext` share the monomial basis and
 the precomputed sparse multiplication table, so products and derivatives
 are plain indexed numpy operations.  ``shared_context`` hands out one
@@ -48,7 +51,9 @@ a series, as is each series of the exact Cauchy solver.
 are coordinates (argument i is y_i = p_i + x_{v_i}) in one weighted
 product, with no jet products and the same saturating read;
 :meth:`JetSeries.jet` is that expansion, kept per context and argument
-variables, from float coefficients converted once per series.
+variables, from float coefficients converted once per series.  It takes
+points (..., n), and :class:`TaylorShift` their arguments (..., k), the
+leading axes indexing points; a single point is the (n,) case.
 """
 
 from __future__ import annotations
@@ -166,9 +171,9 @@ class JetContext:
         return self._sum_products((c1[..., self._mul_i] * c2[..., self._mul_j]).T).T
 
     def matmul_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Matrix product of jet matrices, shapes (n,k,nmono) x (k,m,nmono)."""
+        """Matrix product of jet matrices, shapes (..., n, k, nmono) x (..., k, m, nmono)."""
         products = np.moveaxis(a, -1, 0)[self._mul_i] @ np.moveaxis(b, -1, 0)[self._mul_j]
-        return self._sum_products(products).transpose(1, 2, 0)
+        return np.moveaxis(self._sum_products(products), 0, -1)
 
     def diff_arrays(self, c: np.ndarray, var: int) -> np.ndarray:
         """Partial derivative in ``var``, as coefficients of the context one order lower."""
@@ -342,23 +347,23 @@ class Jet:
         return Jet(shared_context(self.ctx.nvars, self.ctx.order - 1), c)
 
     def inv(self) -> "Jet":
-        """Inverse of a square matrix jet; a scalar is the 1x1 case."""
+        """Inverse of a square matrix jet on its last two axes; a scalar is the 1x1 case."""
         if not self.shape:
             if self.c[0] == 0.0:
                 raise ZeroDivisionError("jet with zero value part")
             return Jet(self.ctx, self.c[None, None]).inv()[0, 0]
-        if len(self.shape) != 2 or self.shape[0] != self.shape[1]:
+        if len(self.shape) < 2 or self.shape[-1] != self.shape[-2]:
             raise ValueError("square matrices only")
         a0inv = np.linalg.inv(self.c[..., 0])
         # A = A0 + H with H valueless, so A^-1 = sum (-A0^-1 H)^k A0^-1.
         h = self.c.copy()
         h[..., 0] = 0.0
-        ninv = Jet(self.ctx, -np.einsum("ik,kjt->ijt", a0inv, h))
-        out = term = self.ctx.constant(np.eye(self.shape[0]))
+        ninv = Jet(self.ctx, -np.einsum("...ik,...kjt->...ijt", a0inv, h))
+        out = term = self.ctx.constant(np.broadcast_to(np.eye(self.shape[-1]), self.shape))
         for _ in range(self.ctx.order):
             term = ninv @ term
             out = out + term
-        return Jet(self.ctx, np.einsum("ikt,kj->ijt", out.c, a0inv))
+        return Jet(self.ctx, np.einsum("...ikt,...kj->...ijt", out.c, a0inv))
 
 
 def _meet(jets) -> list[Jet]:
@@ -631,17 +636,18 @@ class JetSeries:
         at = self._digit(var)
         return any(k >> at & _DIGIT_MASK for k in self.nums)
 
-    def jet(self, ctx: JetContext, point, variables) -> Jet:
-        """The jet in ``ctx`` at ``point``, argument i being coordinate ``variables[i]``.
+    def jet(self, ctx: JetContext, points, variables) -> Jet:
+        """The jet in ``ctx`` at ``points``, argument i being coordinate ``variables[i]``.
 
-        The terms are expanded as their Taylor shift, built once per context
-        size and argument variables from floats converted once per series.
+        ``points`` is (..., ctx.nvars) and the jet has the leading shape.  The
+        terms are expanded as their Taylor shift, built once per context size
+        and argument variables from floats converted once per series.
         """
         variables = tuple(variables)
         if len(variables) != self.nvars:
             raise ValueError(f"series takes {self.nvars} arguments, got {len(variables)}")
-        point = np.asarray(point, dtype=float)
-        if point.shape != (ctx.nvars,):
+        points = np.asarray(points, dtype=float)
+        if points.shape[-1:] != (ctx.nvars,):
             raise ValueError("need one value per variable")
         if self._shifts is None:
             self._floats, self._shifts = self.float_terms(), {}
@@ -649,7 +655,7 @@ class JetSeries:
         shift = self._shifts.get(key)
         if shift is None:
             shift = self._shifts[key] = TaylorShift(*self._floats, ctx, variables)
-        return Jet(ctx, shift(point[list(variables)]))
+        return Jet(ctx, shift(points[..., list(variables)]))
 
     def evaluate(self, point) -> float:
         point = np.asarray(point, dtype=float)
@@ -751,10 +757,20 @@ class TaylorShift:
         self._at = cell + binom.size * np.arange(k)
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        """Coefficients of the jet at base values p (one per argument)."""
-        powers = np.asarray(values, dtype=float)[:, None, None] ** self._gaps
-        weights = self._coeffs * (self._binom * powers.ravel()[self._at].prod(axis=1))
-        return np.bincount(self._cols, weights=weights, minlength=self._nmono)
+        """Coefficients (..., nmono) of the jets at base values p, (..., k).
+
+        Each row of p is one point; all rows are summed in one bincount, row
+        r's coefficients offset by r nmono.
+        """
+        values = np.asarray(values, dtype=float)
+        lead, k = values.shape[:-1], values.shape[-1]
+        rows = math.prod(lead)
+        powers = values.reshape(rows, k, 1, 1) ** self._gaps
+        picked = powers.reshape(rows, k * self._gaps.size)[:, self._at].prod(axis=-1)
+        weights = self._coeffs * (self._binom * picked)
+        bins = np.arange(rows)[:, None] * self._nmono + self._cols
+        out = np.bincount(bins.ravel(), weights=weights.ravel(), minlength=rows * self._nmono)
+        return out.reshape(lead + (self._nmono,))
 
 
 def _ratio(val) -> tuple[int, int]:

@@ -830,7 +830,8 @@ DATA = Path(__file__).resolve().parent / "data"
 # coefficient, the octonion reports while the table was a dense tensor, and
 # the metric reports while each builder declared its normal form inline,
 # and the p = 3 metric reports while the Ricci display formed its bracket
-# one jet product at a time.
+# one jet product at a time, and the M41DEG, M51NULL and p = 3 holonomy
+# reports while each probe point was evaluated on its own.
 # Such a change may alter how values are computed, not a byte of any report.
 REPORT_SHA256 = {
     "algebra-selfcheck": (
@@ -911,7 +912,30 @@ REPORT_SHA256 = {
     "holonomy-estimate-m33gen": (
         ["holonomy-estimate", "--spec", str(DATA / "metric_m33gen.json"), "--seed", "7"],
         "1def8a011cb2c87c1b09febfe97ad16d528bc6019250ce0c2b55ba105f147b95"),
+    "metric-verify-m41deg": (
+        ["metric-verify", "--spec", str(DATA / "metric_m41deg.json"), "--seed", "7"],
+        "082a1dad973ef8c8e56c5194a626b16ae695d538c93d677398a71bd12c5a64f5"),
+    "metric-verify-m51null": (
+        ["metric-verify", "--spec", str(DATA / "metric_m51null.json"), "--seed", "7"],
+        "b8830963aa8f298f7e5cf3eab91cadd6095d4cb5f163713fa5ba88f08d3df8b8"),
+    "holonomy-estimate-m41deg": (
+        ["holonomy-estimate", "--spec", str(DATA / "metric_m41deg.json"), "--seed", "7"],
+        "9f1e4eaa66b6ff4777d055483cff59da6252d4d0d4898be52a95f421c3034226"),
+    "holonomy-estimate-m51null": (
+        ["holonomy-estimate", "--spec", str(DATA / "metric_m51null.json"), "--seed", "7"],
+        "89472a54aaee2f05947092a67385c5329871391f85e2be9655d5afe4b63652a6"),
+    "holonomy-estimate-pureodd3": (
+        ["holonomy-estimate", "--spec", str(DATA / "metric_pureodd3.json"), "--seed", "7"],
+        "41e81487a668dd93d046fde4d3508e977119e7d8751beff3855d5487559cba5f"),
+    "holonomy-estimate-pureeven3": (
+        ["holonomy-estimate", "--spec", str(DATA / "metric_pureeven3.json"), "--seed", "7"],
+        "1ef440004c27d8decee73e8230573d04fe1b14309232a12386787e4f5bc904d5"),
 }
+
+# metric runs that end in exit status 2 and so have no report to pin: M101 and
+# M33GEN declare no closed-form Ricci display
+UNPINNED_METRIC_RUNS = {("ricci-compare", "metric_m101.json"),
+                        ("ricci-compare", "metric_m33gen.json")}
 
 
 @pytest.mark.parametrize("case", sorted(REPORT_SHA256))
@@ -920,6 +944,22 @@ def test_report_bytes_are_pinned(tmp_path, case):
     out = tmp_path / "report.json"
     assert main([*argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
+def test_every_metric_report_is_pinned(tmp_path):
+    # each metric spec under tests/data, run by each metric command at seed 7,
+    # is pinned above, or is a listed run that exits 2
+    pinned = [argv for argv, _ in REPORT_SHA256.values()]
+    unpinned = set()
+    for spec in sorted(DATA.glob("metric_*.json")):
+        for command in ("metric-verify", "ricci-compare", "holonomy-estimate"):
+            argv = [command, "--spec", str(spec), "--seed", "7"]
+            if argv in pinned:
+                continue
+            unpinned.add((command, spec.name))
+            status = main([*argv, "--out", str(tmp_path / "report.json")])
+            assert status == 2, (command, spec.name, status)
+    assert unpinned == UNPINNED_METRIC_RUNS
 
 
 class TestCauchySolve:

@@ -1,13 +1,16 @@
 """Geometry tests: family builders, jet curvature, connections, holonomy."""
 
 import itertools
+import json
 import math
 import zlib
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinorlab import geometry, jets, octospin
@@ -462,12 +465,11 @@ class TestFamilyBuilders:
             calls.clear()
             jets(point, order=1)
             assert len(calls) == len(set(map(id, calls))) == distinct
-        # the divergence rows of a paired block share one expansion per profile
-        # and point; M101 has no constraint rule
+        # the divergence rows of a paired block share one expansion per profile,
+        # taken at both points at once; M101 has no constraint rule
         calls.clear()
         constraint_check(m, [point, -point])
-        assert len(calls) == (0 if family == "M101" else 2 * distinct)
-        assert len(set(map(id, calls))) == (0 if family == "M101" else distinct)
+        assert len(calls) == len(set(map(id, calls))) == (0 if family == "M101" else distinct)
 
     def test_wrong_function_count_rejected(self):
         for family, count, arity in [("M31", 0, 4), ("M33NULL", 1, 6),
@@ -625,10 +627,8 @@ class TestTruncatedDerivedJets:
             assert np.array_equal(gv, gam[..., 0]) and np.array_equal(dgv, dgam)
             assert np.array_equal(geometry.christoffel_values(m, pt),
                                   _full_christoffel(m, pt, 1)[..., 0])
-            got = geometry.curvature_operators(m, pt)
-            want = _full_curvature_operators(m, pt)
-            assert len(got) == len(want)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            assert np.array_equal(geometry.curvature_operators(m, pt),
+                                  np.stack(_full_curvature_operators(m, pt)))
             full = _full_connection(m.coframe_jets(pt, order=1), m.gram)
             assert np.array_equal(adapted_coframe(m, pt).connection, full[..., 0])
 
@@ -818,7 +818,7 @@ class TestRicciDisplays:
                             lambda *a: built.append("shift") or shift(*a))
         monkeypatch.setattr(JetSeries, "__init__",
                             lambda self, *a, **kw: built.append("series") or init(self, *a, **kw))
-        for pt in pts:
+        for pt in (*pts, pts):
             ricci_paper(m, pt)
         assert built == []
         assert np.array_equal(ricci_paper(m, pts[0]), first)
@@ -1439,3 +1439,139 @@ class TestProbePoints:
         m = _generic("M41DEG")
         for pt in probe_points(m, 8, count=6):
             assert abs(np.linalg.det(m.components(pt))) > 1e-8
+
+    @staticmethod
+    def _one_at_a_time(m, seed, count):
+        """The sampler drawing and testing one candidate at a time; (points, draws)."""
+        rng = np.random.default_rng(seed)
+        pts = []
+        for draws in range(1, 100 * count + 1):
+            x = rng.uniform(-0.5, 0.5, m.n)
+            if abs(np.linalg.det(m.components(x))) > geometry.DEGENERACY_TOL:
+                pts.append(x)
+                if len(pts) == count:
+                    return np.array(pts), draws
+        raise RuntimeError("could not sample nondegenerate probe points")
+
+    @staticmethod
+    def _power_metric(k):
+        """diag(a^k, 1): |det g| > 1e-8 only where |a| > 10^(-8/k)."""
+        def rule(X, ctx):
+            return Jet.stack([[X[0] ** k, ctx.constant(0.0)],
+                              [ctx.constant(0.0), ctx.constant(1.0)]])
+        return custom_metric(2, (2, 0), ("a", "b"), rule)
+
+    @pytest.mark.parametrize("seed", [0, 7, 90, 4242])
+    @pytest.mark.parametrize("count", [1, 3, 5, 8])
+    def test_same_points_as_one_at_a_time(self, seed, count):
+        # a spec metric, and a custom one degenerate on |a| <= 0.316, where
+        # candidates are refused in the middle of a block
+        for m in (_spec_metric("metric_m41deg.json"), self._power_metric(16)):
+            want, _ = self._one_at_a_time(m, seed, count)
+            assert np.array_equal(probe_points(m, seed, count=count), want)
+        _, draws = self._one_at_a_time(self._power_metric(16), seed, 8)
+        assert draws > 8
+
+    @pytest.mark.parametrize("k", [24, 40])
+    def test_sparse_and_empty_boxes(self, k):
+        # a^24 passes on 7% of the box, so 100 candidates may all fail; a^40
+        # passes nowhere in it
+        m = self._power_metric(k)
+        for seed, count in itertools.product(range(6), (1, 2, 5)):
+            try:
+                want, _ = self._one_at_a_time(m, seed, count)
+            except RuntimeError:
+                with pytest.raises(RuntimeError, match="nondegenerate probe points"):
+                    probe_points(m, seed, count=count)
+            else:
+                assert np.array_equal(probe_points(m, seed, count=count), want)
+
+
+DATA = Path(__file__).resolve().parent / "data"
+METRIC_SPECS = sorted(path.name for path in DATA.glob("metric_*.json"))
+
+
+@lru_cache(maxsize=None)
+def _spec_metric(name):
+    return metric_from_spec(json.loads((DATA / name).read_text()))
+
+
+def _batch_routines(m):
+    """Each batched routine of m as points (..., n) -> one array."""
+    def coframe(points):
+        ac = adapted_coframe(m, points)
+        residuals = (ac.membership_residual, ac.torsion_residual, ac.skew_residual,
+                     ac.gram_residual)
+        return np.concatenate([ac.connection.reshape(np.shape(ac.gram_residual) + (-1,)),
+                               np.stack(residuals, axis=-1)], axis=-1)
+
+    out = {"components": m.components, "adapted_coframe": coframe}
+    for order in range(3):
+        out[f"component_jets order {order}"] = lambda x, o=order: m.component_jets(x, o).c
+        out[f"coframe_jets order {order}"] = lambda x, o=order: m.coframe_jets(x, o).c
+    for routine in (geometry.christoffel_values, ricci_numeric, riemann_numeric,
+                    geometry.curvature_operators):
+        out[routine.__name__] = lambda x, f=routine: f(m, x)
+    if m.ricci_display is not None:
+        out["ricci_paper"] = lambda x: ricci_paper(m, x)
+    return out
+
+
+class TestPointBatches:
+    """A routine at points (P, n) equals the stack of its calls at each point, bit for bit."""
+
+    @staticmethod
+    def _check(m, pts):
+        for name, routine in _batch_routines(m).items():
+            stack = np.stack([routine(x) for x in pts])
+            assert np.array_equal(routine(pts), stack), name
+            # a (1, n) batch is the (n,) call with one leading axis
+            assert np.array_equal(routine(pts[:1]), routine(pts[0])[None]), name
+
+    @pytest.mark.parametrize("spec", METRIC_SPECS)
+    def test_batch_equals_stack(self, spec):
+        m = _spec_metric(spec)
+        self._check(m, probe_points(m, 11, count=5))
+
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    @given(st.lists(st.lists(st.floats(-0.5, 0.5), min_size=5, max_size=5),
+                    min_size=1, max_size=4))
+    def test_batch_equals_stack_in_the_box(self, rows):
+        m = _spec_metric("metric_m41deg.json")
+        pts = np.array(rows)
+        assume((np.abs(np.linalg.det(m.components(pts))) > geometry.DEGENERACY_TOL).all())
+        self._check(m, pts)
+
+    def test_divergence_rows_batch(self):
+        m = _spec_metric("metric_pureodd3.json")
+        pts = probe_points(m, 11, count=5)
+        rows = constraint_check(m, pts)
+        assert rows == {name: geometry._worst(constraint_check(m, [x])[name] for x in pts)
+                        for name in rows}
+
+    def test_holonomy_keeps_point_major_order(self, monkeypatch):
+        m = _spec_metric("metric_pureodd2.json")
+        pts = probe_points(m, 11, count=3)
+        seen = []
+        closure = geometry.bracket_closure
+        monkeypatch.setattr(geometry, "bracket_closure",
+                            lambda ops, label: seen.append(np.stack(ops)) or closure(ops, label))
+        holonomy_span(m, pts)
+        want = np.concatenate([geometry.curvature_operators(m, x) for x in pts])
+        assert np.array_equal(seen[0], want[np.abs(want).max(axis=(1, 2)) > 1e-10])
+
+    def test_degenerate_coframe_names_the_first_bad_point(self):
+        # E = diag(a, 1) is singular where a = 0
+        def rule(points, ctx):
+            c = np.zeros(points.shape[:-1] + (2, 2, ctx.nmono))
+            c[..., 0, 0, 0] = points[..., 0]
+            c[..., 1, 1, 0] = 1.0
+            if ctx.order:
+                c[..., 0, 0, 1] = 1.0
+            return Jet(ctx, c)
+
+        m = geometry.CoordinateMetric(2, (2, 0), ("a", "b"), rule, coframe_rule=rule)
+        m.gram = np.eye(2)
+        pts = np.array([[0.3, 0.1], [0.0, 0.2], [0.0, -0.4]])
+        with pytest.raises(ValueError, match=r"adapted coframe degenerate at \[0.  0.2\]"):
+            adapted_coframe(m, pts)

@@ -231,8 +231,22 @@ class TestMatrixJets:
 
     def test_non_square_inverse_raises(self):
         ctx = JetContext(2, 1)
-        with pytest.raises(ValueError):
-            ctx.constant(np.ones((2, 3))).inv()
+        for shape in ((2, 3), (4, 2, 3), (3,)):
+            with pytest.raises(ValueError):
+                ctx.constant(np.ones(shape)).inv()
+
+    def test_leading_axes_are_points(self):
+        # @ and the inverse of a (P, n, n) jet equal the stack of the P matrix
+        # jets' results, bit for bit
+        rng = np.random.default_rng(17)
+        ctx = JetContext(3, 2)
+        a = rng.standard_normal((4, 3, 3, ctx.nmono))
+        a[..., 0] += 4.0 * np.eye(3)
+        b = rng.standard_normal((4, 3, 2, ctx.nmono))
+        batch, single = Jet(ctx, a), [Jet(ctx, m) for m in a]
+        assert np.array_equal(ctx.matmul_arrays(a, b),
+                              np.stack([ctx.matmul_arrays(x, y) for x, y in zip(a, b)]))
+        assert np.array_equal(batch.inv().c, np.stack([m.inv().c for m in single]))
 
     def test_mixed_contexts_raise(self):
         a = JetContext(2, 2).variables([0.0, 1.0])[0]
