@@ -11,28 +11,29 @@ closed-form Ricci display (:func:`ricci_paper`) beside the profiles it
 reads.  M22DEG's and M33GEN's Hessian profiles are exact ``diff``s of the
 given one; the 11-dimensional identity fiber is in the Gram matrix.  A spec
 table is read on integers, each exponent key parsed once per spec, to its
-total degree.  One rule evaluates every such metric as Taylor jets at
-points, expanding each profile by ``JetSeries.jet`` with no coordinate jets;
-only :func:`custom_metric` hands its rule one jet per coordinate, point by
-point.  Every float routine of the metric path takes points (..., n) and
-returns its result per point, the leading axes first; a single point is
-the (n,) case of the same code, and a (P, n) batch equals the stack of its
-P single-point results bit for bit.  A
-derived jet is carried only to the order its reader uses: the Christoffel
-symbols and coframe connection behind curvature and holonomy to order 1
-(from order-2 jets), those of :func:`christoffel_values` and the connection
-certificates to order 0.  Curvature is read off the jets, and the Ricci
-displays, constraint equations, connection membership and holonomy spans
-are checked against it; the displays' quadratic bracket (PUREODD, PUREEVEN,
-M22DEG) is read off the profiles' stacked order-2 jet coefficients, all
-pairs at once.  A tensor with the curvature symmetries that satisfies the
-first Bianchi identity is pair-symmetric, so a curvature space is the kernel
-of the Bianchi map on S^2(h) -> Lambda^4, with h read as 2-forms through
-the Gram matrix.  It and a stabilizer's invariant k-forms read one cached
-table of k-subset faces; their operators are triples of nonzero cells,
-solved block by block, and a half-integral stabilizer basis and Gram matrix,
-such as so(4)'s, are also ranked exactly mod a prime.  The 11-dimensional
-family's parallel forms are its stabilizer's invariant 1-, 2- and 5-form.
+total degree.  Every metric is constant parts plus polynomial terms, and
+one rule evaluates it as Taylor jets at points, expanding each polynomial
+once by ``JetSeries.jet``; a :func:`custom_metric` is a table of exact
+polynomial components on that same rule, so no path goes point by point.
+Every float routine of the metric path takes points (..., n) and returns
+its result per point, the leading axes first; a single point is the (n,)
+case of the same code, and a (P, n) batch equals the stack of its P
+single-point results bit for bit.  A derived jet is carried only to the
+order its reader uses: the Christoffel symbols and coframe connection behind
+curvature and holonomy to order 1 (from order-2 jets), those of
+:func:`christoffel_values` and the connection certificates to order 0.
+Curvature is read off the jets, and the Ricci displays, constraint
+equations, connection membership and holonomy spans are checked against it;
+the displays' quadratic bracket (PUREODD, PUREEVEN, M22DEG) is read off the
+profiles' stacked order-2 jet coefficients, all pairs at once.  A tensor
+with the curvature symmetries that satisfies the first Bianchi identity is
+pair-symmetric, so a curvature space is the kernel of the Bianchi map on
+S^2(h) -> Lambda^4, with h read as 2-forms through the Gram matrix.  It and
+a stabilizer's invariant k-forms read one cached table of k-subset faces;
+their operators are triples of nonzero cells, solved block by block, and a
+half-integral stabilizer basis and Gram matrix, such as so(4)'s, are also
+ranked exactly mod a prime.  The 11-dimensional family's parallel forms are
+its stabilizer's invariant 1-, 2- and 5-form.
 """
 
 from __future__ import annotations
@@ -263,6 +264,8 @@ def _spec_ratios(coefficients: dict, arity: int, keys: dict) -> list[tuple]:
 
 def _spec_function(d: dict, keys: dict) -> JetSeries:
     arity = _spec_integer(_spec_entry(d, "arity"), "arity")
+    if arity < 0:
+        raise ValueError(f"arity must be a nonnegative integer, got {arity}")
     ratios = _spec_ratios(_spec_entry(d, "coefficients"), arity, keys)
     _spec_fields(d, ("name", "arity", "coefficients"))
     return JetSeries.from_ratios(arity, max((sum(e) for e, _, _ in ratios), default=0), ratios)
@@ -335,21 +338,25 @@ class CoordinateMetric:
         return self.form.stabilizer_rows
 
 
-def custom_metric(n, signature, coordinates, component_rule) -> CoordinateMetric:
-    """Metric from a raw component rule.
+def custom_metric(n, signature, coordinates, components) -> CoordinateMetric:
+    """Metric from exact polynomial components ``{(i, j): JetSeries}`` with i <= j.
 
-    ``component_rule(X, ctx)`` takes the coordinate jets X of a shared
-    context, one per coordinate at one point, and returns the n x n matrix
-    :class:`~spinorlab.jets.Jet` of the components, for instance
-    ``Jet.stack`` of scalar jet rows; the rule is written for one point, so
-    points (..., n) are handed to it one at a time and the jets stacked.
-    The normal forms take the points themselves and form no coordinate jets.
+    Each component is a :class:`~spinorlab.jets.JetSeries` in the n coordinates;
+    cell (j, i) mirrors cell (i, j), and an absent cell is zero.  The normal
+    forms' rule evaluates them, on a zero constant part.
     """
-    def rule(points, ctx):
-        cells = [component_rule(ctx.variables(x), ctx) for x in points.reshape(-1, n)]
-        coeffs = np.stack([j.c for j in cells])
-        return Jet(cells[0].ctx, coeffs.reshape(points.shape[:-1] + coeffs.shape[1:]))
-
+    n = int(n)
+    cells = list(components.items())
+    if not cells:
+        raise ValueError("a custom metric needs at least one component")
+    for (i, j), f in cells:
+        if not 0 <= i <= j < n:
+            raise ValueError(f"component key {(i, j)} is not a cell i <= j < {n}")
+        if not isinstance(f, JetSeries) or f.nvars != n:
+            raise ValueError(f"component {(i, j)} must be a JetSeries in {n} variables, "
+                             f"got {f!r}")
+    terms = [(a, b, 1.0, t) for t, ((i, j), _) in enumerate(cells) for a, b in {(i, j), (j, i)}]
+    rule = _profile_rule(np.zeros((n, n)), [(f, range(n)) for _, f in cells], terms)
     return CoordinateMetric(n, signature, coordinates, rule)
 
 
@@ -548,10 +555,15 @@ def _symmetric_divergence_rule(functions, slot, y_vars):
     return rule
 
 
+def _hessian_determinants(hess, points) -> float | np.ndarray:
+    """Determinants at points (..., 6) of the nine series ``hess``, row by row, one jet each."""
+    cells = np.stack([h.jet(shared_context(6, 0), points, range(6)).value() for h in hess], -1)
+    return np.linalg.det(cells.reshape(cells.shape[:-1] + (3, 3)))
+
+
 def _hessian_determinant_rule(hess):
     def rule(m: CoordinateMetric, points) -> dict[str, float]:
-        dets = (np.linalg.det([[h.evaluate(pt) for h in row] for row in hess]) for pt in points)
-        return {"hessian determinant": _worst(abs(d - 1.0) for d in dets)}
+        return {"hessian determinant": _worst(np.abs(_hessian_determinants(hess, points) - 1.0))}
 
     return rule
 
@@ -665,16 +677,15 @@ def _build_m22deg(form, functions):
 
 def _build_m33gen(form, functions):
     f, = functions
-    hess = [[f.diff(i).diff(3 + j) for j in range(3)] for i in range(3)]
-    h0 = np.array([[hess[i][j].evaluate(np.zeros(6)) for j in range(3)] for i in range(3)])
-    det = np.linalg.det(h0)
+    hess = [f.diff(i).diff(3 + j) for i in range(3) for j in range(3)]
+    det = _hessian_determinants(hess, np.zeros(6))
     # a NaN entry makes the determinant NaN, which fails this test too
     if not abs(det - 1.0) <= 1e-8:
         raise ValueError(f"mixed Hessian determinant {det:.6g} at the origin is not 1")
     # profile 3i + j is the mixed Hessian entry f_{x_i y_j}
     cells = list(itertools.product(range(3), repeat=2))
     return _assemble(
-        form, functions, [(h, range(6)) for row in hess for h in row],
+        form, functions, [(h, range(6)) for h in hess],
         [(a, b, 0.5, 3 * i + j) for i, j in cells for a, b in ((i, 3 + j), (3 + j, i))],
         [(3 + i, 3 + j, 1.0, 3 * i + j) for i, j in cells],
         comp_const=np.zeros((6, 6)), cof_const=np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]),

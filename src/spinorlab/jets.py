@@ -2,25 +2,24 @@
 
 A jet is a polynomial truncated at a fixed total degree, used to carry a
 function value together with its partial derivatives at a base point.
-One :class:`Jet` type holds a scalar or an array of such polynomials
-(the metric components, a coframe), with ``*`` entrywise, ``@`` the
-matrix product and one inverse; a scalar is the shape () case.  ``@`` and
-the inverse act on the last two axes, so leading axes may index points: a
-jet of shape (P, n, n) holds one n x n matrix at each of P points, and a
-single point is the (n, n) case of the same code.
+A :class:`Jet` is a coefficient array: the monomial coefficients sit on
+the last axis, and the axes before them index points and then the cells
+of a scalar, vector or matrix (the metric components, a coframe).  A jet
+of shape (P, n, n) holds one n x n matrix at each of P points, and a
+single point is the (n, n) case of the same code.  A jet reads its
+values, coefficients and partial derivatives, and a square matrix jet has
+an inverse on its last two axes.
 All jets attached to one :class:`JetContext` share the monomial basis and
 the precomputed sparse multiplication table, so products and derivatives
-are plain indexed numpy operations.  ``shared_context`` hands out one
-read-only context per (nvars, order).
+of coefficient arrays are plain indexed numpy operations.
+``shared_context`` hands out one read-only context per (nvars, order).
 
 A jet is trusted to its context's order and carries no other.  ``diff``
 lands one order lower, in the context ``shared_context(nvars, order - 1)``.
-Jets of the same variables but different orders meet in the lower order,
-as :class:`JetSeries` do.  Reading a coefficient past the order raises
-:class:`JetOrderError`.  As the monomials are ordered by degree, a lower
-context is a prefix of the coefficients (:meth:`Jet.truncate`), and
-sums, products, inverses and derivatives of prefixes equal the prefixes
-of the full results.
+Reading a coefficient past the order raises :class:`JetOrderError`.  As
+the monomials are ordered by degree, a lower context is a prefix of the
+coefficients (:meth:`Jet.truncate`), and sums, products, inverses and
+derivatives of prefixes equal the prefixes of the full results.
 
 A derived jet lives in the context of the order its reader needs, not
 that of its inputs: a quantity read through its first partials is formed
@@ -167,6 +166,7 @@ class JetContext:
         return out.reshape((self.nmono,) + lead)
 
     def mul_arrays(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+        """Entrywise product of jet arrays; only the tracer and the table tests call it."""
         # reversing the axes puts the products first and back last
         return self._sum_products((c1[..., self._mul_i] * c2[..., self._mul_j]).T).T
 
@@ -208,29 +208,12 @@ class JetContext:
         c[..., 0] = value
         return Jet(self, c)
 
-    def variable(self, var: int, value: float) -> "Jet":
-        if not 0 <= var < self.nvars:
-            raise ValueError("variable index out of range")
-        c = np.zeros(self.nmono)
-        c[0] = value
-        if self.order >= 1:
-            exps = tuple(1 if i == var else 0 for i in range(self.nvars))
-            c[self.index[exps]] = 1.0
-        return Jet(self, c)
-
-    def variables(self, values) -> list["Jet"]:
-        values = np.asarray(values, dtype=float)
-        if values.shape != (self.nvars,):
-            raise ValueError("need one value per variable")
-        return [self.variable(v, values[v]) for v in range(self.nvars)]
-
 
 class Jet:
-    """Truncated Taylor expansion of a scalar or an array, trusted to ``ctx.order``.
+    """Truncated Taylor expansion of an array, trusted to ``ctx.order``.
 
     The monomial coefficients sit on the last axis of ``c``, so ``shape`` is
-    () for a scalar and (n, m) for a matrix.  ``*`` is entrywise, ``@`` is
-    the matrix product and ``jet[i, j]`` is an entry.
+    () for a scalar at one point and (P, n, n) for a matrix at P points.
     """
 
     __slots__ = ("ctx", "c")
@@ -242,17 +225,6 @@ class Jet:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.c.shape[:-1]
-
-    @staticmethod
-    def stack(rows) -> "Jet":
-        """Matrix jet from rows of scalar jets, in the lowest order among them."""
-        rows = [list(r) for r in rows]
-        cells = _meet([j for r in rows for j in r])
-        return Jet(cells[0].ctx, np.reshape([j.c for j in cells], (len(rows), len(rows[0]), -1)))
-
-    def __getitem__(self, index) -> "Jet":
-        """Entry or sub-array; the index never reaches the coefficient axis."""
-        return Jet(self.ctx, self.c[np.index_exp[index] + (slice(None),)])
 
     def truncate(self, order: int) -> "Jet":
         """The same jet in ``shared_context(nvars, order)``, for ``order`` at most its own.
@@ -289,57 +261,7 @@ class Jet:
             j = j.diff(v)
         return j.value()
 
-    # -- arithmetic ----------------------------------------------------------
-
-    def _coerce(self, other) -> tuple["Jet", "Jet"]:
-        """Self and ``other`` (a jet or a constant) in one context."""
-        if not isinstance(other, Jet):
-            return self, self.ctx.constant(other)
-        return (self, other) if other.ctx is self.ctx else _meet((self, other))
-
-    def __add__(self, other):
-        a, b = self._coerce(other)
-        return Jet(a.ctx, a.c + b.c)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet(self.ctx, -self.c)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Jet(self.ctx, self.c * other)
-        a, b = self._coerce(other)
-        return Jet(a.ctx, a.ctx.mul_arrays(a.c, b.c))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "Jet") -> "Jet":
-        a, b = self._coerce(other)
-        return Jet(a.ctx, a.ctx.matmul_arrays(a.c, b.c))
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return Jet(self.ctx, self.c / other)
-        a, b = self._coerce(other)
-        return a * b.inv()
-
-    def __rtruediv__(self, other):
-        return self.inv() * other
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = self.ctx.constant(1.0)
-        for _ in range(n):
-            out = out * self
-        return out
+    # -- calculus -----------------------------------------------------------
 
     def diff(self, var: int) -> "Jet":
         """Partial derivative in ``var``, in the context one order lower."""
@@ -347,34 +269,19 @@ class Jet:
         return Jet(shared_context(self.ctx.nvars, self.ctx.order - 1), c)
 
     def inv(self) -> "Jet":
-        """Inverse of a square matrix jet on its last two axes; a scalar is the 1x1 case."""
-        if not self.shape:
-            if self.c[0] == 0.0:
-                raise ZeroDivisionError("jet with zero value part")
-            return Jet(self.ctx, self.c[None, None]).inv()[0, 0]
+        """Inverse of a square matrix jet on its last two axes."""
         if len(self.shape) < 2 or self.shape[-1] != self.shape[-2]:
             raise ValueError("square matrices only")
         a0inv = np.linalg.inv(self.c[..., 0])
         # A = A0 + H with H valueless, so A^-1 = sum (-A0^-1 H)^k A0^-1.
         h = self.c.copy()
         h[..., 0] = 0.0
-        ninv = Jet(self.ctx, -np.einsum("...ik,...kjt->...ijt", a0inv, h))
-        out = term = self.ctx.constant(np.broadcast_to(np.eye(self.shape[-1]), self.shape))
+        ninv = -np.einsum("...ik,...kjt->...ijt", a0inv, h)
+        out = term = self.ctx.constant(np.broadcast_to(np.eye(self.shape[-1]), self.shape)).c
         for _ in range(self.ctx.order):
-            term = ninv @ term
+            term = self.ctx.matmul_arrays(ninv, term)
             out = out + term
-        return Jet(self.ctx, np.einsum("...ikt,...kj->...ijt", out.c, a0inv))
-
-
-def _meet(jets) -> list[Jet]:
-    """The jets of one set of variables, truncated to the lowest order among them."""
-    ctxs = {j.ctx for j in jets}
-    if len(ctxs) == 1:
-        return list(jets)
-    if len({c.nvars for c in ctxs}) > 1 or len({c.order for c in ctxs}) < len(ctxs):
-        raise ValueError("jets from different contexts")
-    order = min(c.order for c in ctxs)
-    return [j.truncate(order) for j in jets]
+        return Jet(self.ctx, np.einsum("...ikt,...kj->...ijt", out, a0inv))
 
 
 class JetSeries:
@@ -415,6 +322,8 @@ class JetSeries:
         """Set the fields from (exps, num, den) triples: one lcm, one reduction."""
         self.nvars = nvars = int(nvars)
         self.order = order = int(order)
+        if nvars < 0:
+            raise ValueError(f"a series needs nvars >= 0, got {nvars}")
         pack, shift = _digits(nvars).pack, _DIGIT_BITS * nvars
         keyed = [(int.from_bytes(pack(*exps), "little") + (deg << shift), n, d)
                  for exps, n, d in ratios if (deg := sum(exps)) <= order]

@@ -176,6 +176,13 @@ class TestJetSeries:
         with pytest.raises(ValueError):
             JetSeries(2, 3, {(-1, 0): Fr(1)})
 
+    def test_negative_variable_count_rejected(self):
+        # both constructors used to escape with a struct.error
+        with pytest.raises(ValueError, match="nvars >= 0"):
+            JetSeries(-1, 2)
+        with pytest.raises(ValueError, match="nvars >= 0"):
+            JetSeries.from_ratios(-1, 2, [])
+
     def test_variable_count_mismatch_rejected(self):
         a = JetSeries(2, 3, {(1, 0): 1})
         b = JetSeries(3, 3, {(1, 0, 0): 1})

@@ -391,6 +391,16 @@ class TestExitCodes:
         report, status = run_command(RunSpec(command, spec_path=spec))
         assert status == 2 and report["error"] == message
 
+    @pytest.mark.parametrize("command", ["metric-verify", "ricci-compare", "holonomy-estimate"])
+    def test_negative_arity_is_bad_input(self, tmp_path, command):
+        # it used to escape with a struct.error traceback (exit 1, no report)
+        desc = {"family": "M21", "functions": [{"arity": -1, "coefficients": {}}]}
+        out = tmp_path / "r.json"
+        assert main([command, "--spec", _write(tmp_path, "neg.json", desc), "--out", str(out)]) == 2
+        report = json.loads(out.read_text())
+        assert "checks" not in report
+        assert report["error"] == "bad metric spec: arity must be a nonnegative integer, got -1"
+
     @pytest.mark.parametrize("arity", [3.5, "3", True])
     def test_arity_that_is_not_an_integer(self, tmp_path, arity):
         desc = {"family": "M31", "functions": [{"arity": arity, "coefficients": {"2,0,0": 1}}]}

@@ -162,25 +162,27 @@ class TestFreeFunction:
             f.jet(JetContext(3, 1), np.zeros(2), (0, 1))
 
 
-def _product_jet(f: JetSeries, args: list[Jet]) -> Jet:
-    """The jet of f's table at argument jets, as a sum of products of their powers."""
-    ctx = args[0].ctx
-    powers: list[dict[int, Jet]] = [{0: ctx.constant(1.0)} for _ in range(f.nvars)]
+def _exact_jet(f: JetSeries, ctx: JetContext, point, variables) -> np.ndarray:
+    """The coefficients in ``ctx`` of f at y_i = p_v + x_v, v = ``variables[i]``, exactly.
 
-    def pw(i: int, e: int) -> Jet:
-        cache = powers[i]
-        if e not in cache:
-            cache[e] = pw(i, e - 1) * args[i]
-        return cache[e]
+    p_v is the float coordinate read as a Fraction; the terms are exact
+    JetSeries products of the shifted arguments, rounded once at the end.
+    """
+    origin = (0,) * ctx.nvars
 
-    out = ctx.constant(0.0)
-    for exps, coeff in sorted(f.table.items()):
-        term = ctx.constant(coeff)
-        for i, e in enumerate(exps):
-            if e:
-                term = term * pw(i, e)
-        out = out + term
-    return out
+    def shifted(v):
+        unit = tuple(int(u == v) for u in range(ctx.nvars))
+        return JetSeries(ctx.nvars, ctx.order, {origin: Fraction(point[v]), unit: 1})
+
+    args = [shifted(v) for v in variables]
+    total = JetSeries.zero(ctx.nvars, ctx.order)
+    for exps, coeff in f.terms.items():
+        term = JetSeries(ctx.nvars, ctx.order, {origin: coeff})
+        for arg, e in zip(args, exps):
+            for _ in range(e):
+                term = term * arg
+        total = total + term
+    return np.array([float(total.coefficient(e)) for e in ctx.monomials])
 
 
 # Argument maps of the call sites: all coordinates, the null-corner slice
@@ -206,7 +208,7 @@ def _table_at_point(draw, arity):
 
 
 class TestTaylorShift:
-    """JetSeries.jet at a point against the jet-product oracle at coordinate jets."""
+    """JetSeries.jet at a point against the exact expansion of the shifted arguments."""
 
     @pytest.mark.parametrize("argmap", list(ARGUMENT_MAPS))
     @settings(derandomize=True, max_examples=25, deadline=None)
@@ -217,22 +219,20 @@ class TestTaylorShift:
         point = np.zeros(nvars)
         point[list(variables)] = values
         ctx = JetContext(nvars, order)
-        X, absX = ctx.variables(point), ctx.variables(np.abs(point))
         f = JetSeries(len(variables), 5, table)
-        got, want = f.jet(ctx, point, variables), _product_jet(f, [X[v] for v in variables])
+        got, want = f.jet(ctx, point, variables), _exact_jet(f, ctx, point, variables)
         # scale: the same expansion with every coefficient and value made positive
         size = JetSeries(len(variables), 5, {e: abs(c) for e, c in table.items()})
-        scale = _product_jet(size, [absX[v] for v in variables]).c
-        assert got.ctx.order == want.ctx.order == order
-        assert np.all(np.abs(got.c - want.c) <= 1e-12 * scale + np.finfo(float).tiny)
+        scale = _exact_jet(size, ctx, np.abs(point), variables)
+        assert got.ctx.order == order
+        assert np.all(np.abs(got.c - want) <= 1e-12 * scale + np.finfo(float).tiny)
 
     def test_repeated_variable(self):
         # f(x, x) sums the shifted coefficients of both arguments
         f = JetSeries(2, 3, {(2, 1): 1.0, (1, 0): -3.0})
         ctx = JetContext(1, 3)
-        X = ctx.variables([0.7])
-        got, want = f.jet(ctx, [0.7], (0, 0)), _product_jet(f, [X[0], X[0]])
-        assert np.allclose(got.c, want.c, rtol=1e-14, atol=1e-14)
+        got, want = f.jet(ctx, [0.7], (0, 0)), _exact_jet(f, ctx, [0.7], (0, 0))
+        assert np.allclose(got.c, want, rtol=1e-14, atol=1e-14)
 
     def test_degree_sets_no_table_size(self):
         # y^(10^6) at y = 1 + x has Taylor coefficients binom(10^6, b)
@@ -243,12 +243,11 @@ class TestTaylorShift:
         # functions built and dropped in turn reuse object ids; each must
         # still be expanded from its own table
         ctx = JetContext(2, 2)
-        X = ctx.variables([0.3, -0.2])
         ids = []
         for i in range(20):
             f = JetSeries(2, 3, {(i % 3 + 1, 0): i + 1.0, (0, i % 2 + 1): 0.5})
-            got, want = f.jet(ctx, [0.3, -0.2], (0, 1)), _product_jet(f, X)
-            assert np.allclose(got.c, want.c, rtol=1e-14, atol=1e-14)
+            got, want = f.jet(ctx, [0.3, -0.2], (0, 1)), _exact_jet(f, ctx, [0.3, -0.2], (0, 1))
+            assert np.allclose(got.c, want, rtol=1e-14, atol=1e-14)
             ids.append(id(f))
             del f
         assert len(set(ids)) < len(ids)  # CPython hands freed ids out again
@@ -322,52 +321,50 @@ class TestProfileDraws:
 # Curvature oracles
 
 
-def _sphere():
-    """The unit round sphere in the stereographic chart, 4(dx^2 + dy^2)/(1 + x^2 + y^2)^2."""
-    def rule(X, ctx):
-        x, y = X
-        conformal = 4.0 / ((1.0 + x * x + y * y) ** 2)
-        zero = ctx.constant(0.0)
-        return Jet.stack([[conformal, zero], [zero, conformal]])
-    return custom_metric(2, (2, 0), ("x", "y"), rule)
+def _one(n, order=0):
+    """The constant 1 as a series in n variables, trusted to ``order``."""
+    return JetSeries(n, order, {(0,) * n: 1})
 
 
-def _sphere_conformal(pt):
-    return 4.0 / (1.0 + pt @ pt) ** 2
+def _sphere(eps=1):
+    """The polynomial surface g = dx^2 + eps (1 - x^2)^2 dy^2, Riemannian or Lorentzian.
+
+    For |x| < 1 its curvature is K = 2 / (1 - x^2) > 0 in both signs: Ric = K g
+    and R^x_{yxy} = K g_yy.
+    """
+    warp = JetSeries(2, 4, {(0, 0): eps, (2, 0): -2 * eps, (4, 0): eps})
+    return custom_metric(2, (2, 0) if eps > 0 else (1, 1), ("x", "y"),
+                         {(0, 0): _one(2), (1, 1): warp})
+
+
+def _sphere_curvature(pt):
+    return 2.0 / (1.0 - pt[0] ** 2)
 
 
 class TestCurvatureOracles:
     def test_round_sphere_ricci_is_positive(self):
-        # the unit sphere is Einstein with Ric = g
-        m = _sphere()
-        for pt in ([0.4, 0.2], [-0.9, 0.3], [1.3, -0.7]):
-            pt = np.array(pt)
-            want = _sphere_conformal(pt) * np.eye(2)
-            assert np.abs(ricci_numeric(m, pt) - want).max() < 1e-12
+        # Ric = K g with K > 0; the Lorentzian sign pins the convention too
+        for eps in (1, -1):
+            m = _sphere(eps)
+            for pt in ([0.4, 0.2], [-0.9, 0.3], [0.6, -1.7]):
+                pt = np.array(pt)
+                want = _sphere_curvature(pt) * m.components(pt)
+                assert np.abs(ricci_numeric(m, pt) - want).max() < 1e-12 * _sphere_curvature(pt)
 
     def test_sphere_sectional_curvature_one(self):
-        m = _sphere()
-        pt = np.array([0.8, -0.1])
-        r = riemann_numeric(m, pt)
-        # R^x_{yxy} = K g_yy with K = 1
-        assert r[0, 1, 0, 1] == pytest.approx(_sphere_conformal(pt))
+        # R^x_{yxy} = K g_yy, K = 2 / (1 - x^2) the sectional curvature
+        for eps in (1, -1):
+            m = _sphere(eps)
+            pt = np.array([0.8, -0.1])
+            r = riemann_numeric(m, pt)
+            assert r[0, 1, 0, 1] == pytest.approx(_sphere_curvature(pt) * m.components(pt)[1, 1])
 
     def test_ricci_matches_finite_differences(self):
         rng = _rng("fd-ricci")
         fs = [random_polynomial(3, rng, degree=2, scale=0.1) for _ in range(6)]
-
-        def rule(X, ctx):
-            point = [x.value() for x in X]
-            e = [[None] * 3 for _ in range(3)]
-            k = 0
-            for i in range(3):
-                for j in range(i, 3):
-                    base = 1.0 if i == j else 0.0
-                    e[i][j] = e[j][i] = base + fs[k].jet(ctx, point, range(3))
-                    k += 1
-            return Jet.stack(e)
-
-        m = custom_metric(3, (3, 0), ("a", "b", "c"), rule)
+        m = custom_metric(3, (3, 0), ("a", "b", "c"),
+                          {(i, j): fs[k] + _one(3, 2) if i == j else fs[k]
+                           for k, (i, j) in enumerate(symmetric_pairs(3))})
         pt = np.array([0.11, -0.07, 0.19])
         h = 1e-4
         gam0 = geometry.christoffel_values(m, pt)
@@ -383,14 +380,34 @@ class TestCurvatureOracles:
         assert np.abs(ricci_numeric(m, pt) - fd).max() < 1e-6
 
     def test_degenerate_point_rejected(self):
-        def rule(X, ctx):
-            return Jet.stack([
-                [X[0], ctx.constant(0.0)],
-                [ctx.constant(0.0), ctx.constant(1.0)],
-            ])
-        m = custom_metric(2, (2, 0), ("a", "b"), rule)
+        # diag(a, 1) is degenerate at a = 0
+        m = custom_metric(2, (2, 0), ("a", "b"),
+                          {(0, 0): JetSeries(2, 1, {(1, 0): 1}), (1, 1): _one(2)})
         with pytest.raises(ValueError):
             ricci_numeric(m, np.zeros(2))
+
+
+class TestCustomMetric:
+    def test_absent_cell_is_zero_and_off_diagonal_cell_mirrors(self):
+        m = custom_metric(3, (3, 0), ("a", "b", "c"),
+                          {(0, 0): _one(3), (0, 2): JetSeries(3, 1, {(1, 0, 0): 1}),
+                           (1, 1): _one(3), (2, 2): _one(3)})
+        g = m.components(np.array([0.25, 0.5, -0.75]))
+        assert np.array_equal(g, [[1.0, 0.0, 0.25], [0.0, 1.0, 0.0], [0.25, 0.0, 1.0]])
+
+    @pytest.mark.parametrize("key", [(1, 0), (0, 2), (2, 2), (-1, 0)])
+    def test_key_outside_the_upper_triangle_refused(self, key):
+        with pytest.raises(ValueError, match="is not a cell i <= j < 2"):
+            custom_metric(2, (2, 0), ("a", "b"), {(0, 0): _one(2), key: _one(2)})
+
+    @pytest.mark.parametrize("value", [_one(3), 1.0, "1"], ids=["nvars", "float", "string"])
+    def test_value_that_is_not_a_series_in_n_variables_refused(self, value):
+        with pytest.raises(ValueError, match="must be a JetSeries in 2 variables"):
+            custom_metric(2, (2, 0), ("a", "b"), {(0, 0): _one(2), (1, 1): value})
+
+    def test_empty_table_refused(self):
+        with pytest.raises(ValueError, match="at least one component"):
+            custom_metric(2, (2, 0), ("a", "b"), {})
 
 
 # ---------------------------------------------------------------------------
@@ -398,20 +415,23 @@ class TestCurvatureOracles:
 
 
 class TestFamilyBuilders:
-    def test_normal_form_jets_form_no_coordinate_jets(self, monkeypatch):
+    def test_metric_jets_take_all_points_at_once(self, monkeypatch):
+        # no metric, normal form or custom, goes point by point: a batch of
+        # points costs the JetSeries.jet calls of one point, one per polynomial
         calls = []
-        variable = JetContext.variable
-        monkeypatch.setattr(JetContext, "variable",
-                            lambda ctx, *a: calls.append(a) or variable(ctx, *a))
-        for family, p in GENERIC_CASES:
-            m = _generic(family, p=p)
-            pt = probe_points(m, 5, count=1)[0]
-            m.component_jets(pt, 2)
-            m.coframe_jets(pt, 2)
-        assert not calls
-        # a custom rule still takes one coordinate jet per coordinate
-        _sphere().component_jets(np.array([0.4, 0.2]), 2)
-        assert len(calls) == 2
+        jet = JetSeries.jet
+        monkeypatch.setattr(JetSeries, "jet", lambda f, *args: calls.append(f) or jet(f, *args))
+        metrics = [_generic(family, p=p) for family, p in GENERIC_CASES] + [_sphere(-1)]
+        for m in metrics:
+            pts = probe_points(m, 5, count=3)
+            routines = [m.component_jets] if m.form is None else [m.component_jets, m.coframe_jets]
+            for routine in routines:
+                counts = []
+                for points in (pts[0], pts):
+                    calls.clear()
+                    routine(points, 2)
+                    counts.append(len(calls))
+                assert counts[0] == counts[1] == len(set(map(id, calls)))
 
     @pytest.mark.parametrize("family,p", GENERIC_CASES)
     def test_signature_and_gram(self, family, p):
@@ -453,6 +473,7 @@ class TestFamilyBuilders:
 
     @pytest.mark.parametrize("family,p,distinct", [
         ("PUREODD", 3, 6), ("PUREEVEN", 3, 6), ("M33NULL", None, 3), ("M101", None, 1),
+        ("M33GEN", None, 9),
     ])
     def test_each_profile_evaluated_once(self, family, p, distinct, monkeypatch):
         m = _generic(family, p=p)
@@ -1456,10 +1477,8 @@ class TestProbePoints:
     @staticmethod
     def _power_metric(k):
         """diag(a^k, 1): |det g| > 1e-8 only where |a| > 10^(-8/k)."""
-        def rule(X, ctx):
-            return Jet.stack([[X[0] ** k, ctx.constant(0.0)],
-                              [ctx.constant(0.0), ctx.constant(1.0)]])
-        return custom_metric(2, (2, 0), ("a", "b"), rule)
+        return custom_metric(2, (2, 0), ("a", "b"),
+                             {(0, 0): JetSeries(2, k, {(k, 0): 1}), (1, 1): _one(2)})
 
     @pytest.mark.parametrize("seed", [0, 7, 90, 4242])
     @pytest.mark.parametrize("count", [1, 3, 5, 8])

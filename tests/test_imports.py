@@ -1,7 +1,8 @@
 """Every module under src/ and tests/ references each name it imports, and
 src/ references each top-level private function and class it defines, in
 its own module when another module reads it.  The top-level public
-definitions that src/ never reads are a frozen list."""
+definitions, and the public methods of top-level classes, that src/ never
+reads are frozen lists."""
 
 import ast
 from pathlib import Path
@@ -58,17 +59,35 @@ def _outside_reads(tree) -> tuple[set[str], set[tuple[str, str]]]:
     return attributes, imported
 
 
-def _unread_definitions(sources: dict[str, str], private: bool) -> list[str]:
+def _public_methods(tree) -> list[tuple[str, str]]:
+    """(``Class.method``, method) of each public method of a module's top-level classes.
+
+    A dunder or private method is skipped; a property is a method.
+    """
+    return [(f"{node.name}.{item.name}", item.name) for node in tree.body
+            if isinstance(node, ast.ClassDef) for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not item.name.startswith("_")]
+
+
+def _unread(sources: dict[str, str], definitions) -> list[str]:
+    """``module.label`` of each (label, name) of ``definitions(tree)`` that no
+    node of the sources reads: a ``Name`` in its own module, an attribute
+    anywhere, or an import from its module."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
     attributes, imported = set(), set()
     for tree in trees.values():
         tree_attributes, tree_imported = _outside_reads(tree)
         attributes |= tree_attributes
         imported |= tree_imported
-    return sorted(f"{module}.{name}" for module, tree in trees.items()
-                  for name in _definitions(tree, private)
+    return sorted(f"{module}.{label}" for module, tree in trees.items()
+                  for label, name in definitions(tree)
                   if name not in _names(tree) | attributes
                   and (module, name) not in imported)
+
+
+def _unread_definitions(sources: dict[str, str], private: bool) -> list[str]:
+    return _unread(sources, lambda tree: [(name, name) for name in _definitions(tree, private)])
 
 
 def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
@@ -82,6 +101,12 @@ def public_definitions_without_src_reader(sources: dict[str, str]) -> list[str]:
     """``module.name`` of each top-level public function or class of the
     named sources that none of them reads, by the same three routes."""
     return _unread_definitions(sources, private=False)
+
+
+def public_methods_without_src_reader(sources: dict[str, str]) -> list[str]:
+    """``module.Class.method`` of each public method of the top-level classes
+    of the named sources that none of them reads, by the same three routes."""
+    return _unread(sources, _public_methods)
 
 
 def privates_read_only_elsewhere(sources: dict[str, str]) -> list[str]:
@@ -149,6 +174,51 @@ def test_scan_flags_a_public_definition_without_reader():
              "def unread():\n    pass\n\n\nx = object().by_attribute\n",
     }
     assert public_definitions_without_src_reader(sources) == ["a.orphan", "b.unread"]
+
+
+# The public methods of src/ classes that src/ never reads, each with who
+# does.  A method that gains a reader in src/ leaves this list, and a new
+# one must be named here with its reason, so a test-only method cannot
+# creep back unnoticed (ROADMAP item 12's method inventory).
+PUBLIC_METHODS_WITHOUT_SRC_READER = {
+    "clifford.SpinRepresentation.vector_action": "tests of the vector module",
+    "geometry.CoordinateMetric.stabilizer_dimension": "tests and the acceptance battery",
+    "jets.Jet.coefficient": "order-guarded coefficient read, the jet tests' reference",
+    "jets.JetContext.mul_arrays": "perfbench tracer target; the table tests read it",
+    "jets.JetSeries.arity": "the benchmark's spec writer",
+    "jets.JetSeries.coefficient": "exact coefficient read of the series tests",
+    "jets.JetSeries.evaluate": "the tests' reference for values",
+    "jets.JetSeries.table": "the benchmark's spec writer",
+    "orbits.SpinOrbitModel.act_spinor": "equivariance tests and the acceptance battery",
+    "orbits.SpinOrbitModel.act_vector": "equivariance tests and the acceptance battery",
+    "orbits.SpinOrbitModel.orbit_invariant": "orbit tests",
+    "orbits.SpinOrbitModel.orbit_label": "orbit tests",
+    "orbits.SpinOrbitModel.sample_spinor": "orbit tests and the acceptance battery",
+    "orbits.SpinOrbitModel.square_spinor": "squaring tests and the acceptance battery",
+    "orbits.SpinOrbitModel.stabilizer_dimension": "orbit tests and the acceptance battery",
+    "orbits.SpinOrbitModel.vector_square": "orbit tests",
+}
+
+
+def test_public_methods_without_src_reader_are_listed():
+    assert public_methods_without_src_reader(SRC) == sorted(PUBLIC_METHODS_WITHOUT_SRC_READER)
+
+
+def test_scan_flags_a_public_method_without_reader():
+    sources = {
+        "a": "class A:\n    def used(self):\n        pass\n\n"
+             "    def orphan(self):\n        pass\n\n"
+             "    @property\n    def shown(self):\n        pass\n\n"
+             "    def _private(self):\n        pass\n\n"
+             "    def __call__(self):\n        pass\n\n\n"
+             "def top():\n    pass\n\n\nA().used()\n",
+        "b": "class B:\n    def by_attribute(self):\n        pass\n\n"
+             "    def by_name(self):\n        pass\n\n"
+             "    def unread(self):\n        pass\n\n\n"
+             "x = object().by_attribute\nby_name = 1\nprint(by_name)\n",
+    }
+    assert public_methods_without_src_reader(sources) == ["a.A.orphan", "a.A.shown",
+                                                          "b.B.unread"]
 
 
 def test_no_private_read_only_elsewhere():
