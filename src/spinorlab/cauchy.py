@@ -103,12 +103,11 @@ def cauchy_data_from_spec(d: dict) -> CauchyData:
     entries = {key: _spec_function_list(d.get(key, []), key) for key in ("a", "b")}
     # counted before any table is read, so a huge p reads nothing
     _check_counts(p, entries["a"], entries["b"] or None)
-    keys = {}
 
     def layer(key):
         out = []
         for fd in entries[key]:
-            ratios = _spec_ratios(_spec_entry(fd, "coefficients"), 2 * p, keys)
+            ratios = _spec_ratios(_spec_entry(fd, "coefficients"), 2 * p)
             _spec_fields(fd, ("name", "arity", "coefficients"))
             # a profile takes the 2p arguments (x^1..x^p, y_1..y_p)
             if "arity" in fd and _spec_integer(fd["arity"], "arity") != 2 * p:

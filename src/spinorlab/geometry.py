@@ -10,11 +10,12 @@ check compares two statements of the form), and declares the family's
 closed-form Ricci display (:func:`ricci_paper`) beside the profiles it
 reads.  M22DEG's and M33GEN's Hessian profiles are exact ``diff``s of the
 given one; the 11-dimensional identity fiber is in the Gram matrix.  A spec
-table is read on integers, each exponent key parsed once per spec, to its
-total degree.  Every metric is constant parts plus polynomial terms, and
-one rule evaluates it as Taylor jets at points, expanding each polynomial
-once by ``JetSeries.jet``; a :func:`custom_metric` is a table of exact
-polynomial components on that same rule, so no path goes point by point.
+table is read on integers, each exponent key parsed once per (key, arity)
+through one bounded cache, to its total degree.  Every metric is constant
+parts plus polynomial terms, and one rule evaluates it as Taylor jets at
+points, expanding all its polynomials in one ``jets.expand`` gather; a
+:func:`custom_metric` is a table of exact polynomial components on that
+same rule, so no path goes point by point.
 Every float routine of the metric path takes points (..., n) and returns
 its result per point, the leading axes first; a single point is the (n,)
 case of the same code, and a (P, n) batch equals the stack of its P
@@ -50,6 +51,7 @@ from .jets import (
     Jet,
     JetSeries,
     _ratio,
+    expand,
     monomials_upto,
     shared_context,
 )
@@ -209,24 +211,26 @@ def _spec_fields(d: dict, allowed: tuple[str, ...]) -> None:
 _MAX_EXPONENT = int(np.iinfo(np.intp).max)
 
 
-def _spec_exponents(key, arity: int, parsed: dict) -> tuple[int, ...]:
+# Parsed exponent keys held by the cache of _spec_exponents.
+_SPEC_KEYS = 4096
+
+
+@lru_cache(maxsize=_SPEC_KEYS, typed=True)
+def _spec_exponents(key, arity: int) -> tuple[int, ...]:
     """The exponents of a coefficient key: ``arity`` nonnegative machine integers.
 
     A key is comma-separated exponents, with spaces and enclosing parentheses
-    allowed.  ``parsed`` keeps each key already read for this arity, so a key
-    repeated across the functions of one spec is parsed once.
+    allowed.  Parsed keys are cached by (key, arity), so a key repeated across
+    functions and specs is parsed once; a bad key raises each time.
     """
-    exps = parsed.get(key)
-    if exps is None:
-        parts = [s.strip() for s in str(key).strip("() ").split(",")]
-        if not all(map(str.isdecimal, parts)):
-            raise ValueError(f"exponent key {key!r} is not a list of nonnegative integers")
-        exps = tuple(map(int, parts))
-        if len(exps) != arity:
-            raise ValueError(f"exponent key {key!r} lists {len(exps)} exponents for arity {arity}")
-        if max(exps) > _MAX_EXPONENT:
-            raise ValueError(f"exponent key {key!r} does not fit a machine integer")
-        parsed[key] = exps
+    parts = [s.strip() for s in str(key).strip("() ").split(",")]
+    if not all(map(str.isdecimal, parts)):
+        raise ValueError(f"exponent key {key!r} is not a list of nonnegative integers")
+    exps = tuple(map(int, parts))
+    if len(exps) != arity:
+        raise ValueError(f"exponent key {key!r} lists {len(exps)} exponents for arity {arity}")
+    if max(exps) > _MAX_EXPONENT:
+        raise ValueError(f"exponent key {key!r} does not fit a machine integer")
     return exps
 
 
@@ -248,40 +252,37 @@ def _spec_coefficient(key, val) -> tuple[int, int]:
     return num, den
 
 
-def _spec_ratios(coefficients: dict, arity: int, keys: dict) -> list[tuple]:
+def _spec_ratios(coefficients: dict, arity: int) -> list[tuple]:
     """(exponents, numerator, denominator) of each entry of a spec's coefficient map.
 
     A map that is not an object, and each bad key or value, is rejected with
     its key; a repeated exponent tuple is left for the series to add up.
-    ``keys`` maps each arity to the keys already parsed for it.
     """
     if not isinstance(coefficients, dict):
         raise ValueError(f"coefficients must be an object, got {coefficients!r}")
-    parsed = keys.setdefault(arity, {})
-    return [(_spec_exponents(key, arity, parsed), *_spec_coefficient(key, val))
+    return [(_spec_exponents(key, arity), *_spec_coefficient(key, val))
             for key, val in coefficients.items()]
 
 
-def _spec_function(d: dict, keys: dict) -> JetSeries:
+def _spec_function(d: dict) -> JetSeries:
     arity = _spec_integer(_spec_entry(d, "arity"), "arity")
     if arity < 0:
         raise ValueError(f"arity must be a nonnegative integer, got {arity}")
-    ratios = _spec_ratios(_spec_entry(d, "coefficients"), arity, keys)
+    ratios = _spec_ratios(_spec_entry(d, "coefficients"), arity)
     _spec_fields(d, ("name", "arity", "coefficients"))
     return JetSeries.from_ratios(arity, max((sum(e) for e, _, _ in ratios), default=0), ratios)
 
 
 def function_from_spec(d: dict) -> JetSeries:
     """A profile from its serialized form (exact rationals), to its table's total degree."""
-    return _spec_function(d, {})
+    return _spec_function(d)
 
 
 def metric_from_spec(d: dict) -> "CoordinateMetric":
     _spec_fields(d, ("family", "functions", "p", "fiber"))
     family = str(_spec_entry(d, "family"))
     fds = _spec_function_list(_spec_entry(d, "functions"), "functions")
-    keys = {}
-    functions = [_spec_function(fd, keys) for fd in fds]
+    functions = [_spec_function(fd) for fd in fds]
     if d.get("fiber", "identity") != "identity":
         raise ValueError("only the identity fiber is serializable")
     return build_metric(family, functions, p=d.get("p"))
@@ -540,15 +541,15 @@ def _fmatrix(functions, pairs, size):
 def _symmetric_divergence_rule(functions, slot, y_vars):
     """Rows sum_j df_ij/dy_j of the symmetric block f_ij = ``functions[slot[i][j]]``.
 
-    Each profile is expanded once, at all points, and every row reads those jets.
+    All profiles are expanded in one gather, at all points, and every row reads those jets.
     """
     size = len(slot)
     names = [f"divergence row {i + 1}" for i in range(size)]
 
     def rule(m: CoordinateMetric, points) -> dict[str, float]:
-        ctx = shared_context(m.n, 1)
-        jets = [f.jet(ctx, points, range(m.n)) for f in functions]
-        return {names[i]: _worst(abs(sum(jets[slot[i][j]].derivative_value(y_vars[j])
+        jet = expand([(f, range(m.n)) for f in functions], shared_context(m.n, 1), points)
+        partials = {v: jet.derivative_value(v) for v in y_vars}
+        return {names[i]: _worst(abs(sum(partials[y_vars[j]][..., slot[i][j]]
                                          for j in range(size))))
                 for i in range(size)}
 
@@ -556,8 +557,8 @@ def _symmetric_divergence_rule(functions, slot, y_vars):
 
 
 def _hessian_determinants(hess, points) -> float | np.ndarray:
-    """Determinants at points (..., 6) of the nine series ``hess``, row by row, one jet each."""
-    cells = np.stack([h.jet(shared_context(6, 0), points, range(6)).value() for h in hess], -1)
+    """Determinants at points (..., 6) of the nine series ``hess``, row by row, in one gather."""
+    cells = expand([(h, range(6)) for h in hess], shared_context(6, 0), points).value()
     return np.linalg.det(cells.reshape(cells.shape[:-1] + (3, 3)))
 
 
@@ -572,9 +573,9 @@ def _profile_rule(const, profiles, terms):
     """Jet rule (points, ctx) -> const + coeff * f_t(points[..., args_t]) in cell (i, j), per term.
 
     ``profiles`` lists (profile series, argument indices), each referenced by
-    some term, and ``terms`` lists (i, j, coeff, t).  Each profile is
-    evaluated once per call, at all points (..., n), and every cell of every
-    point sums its terms in one bincount.
+    some term, and ``terms`` lists (i, j, coeff, t).  The profiles are
+    expanded in one gather per call, at all points (..., n), and every cell
+    of every point sums its terms in one bincount.
     """
     const = np.array(const, dtype=float)
     rows, cols, coeffs, which = zip(*terms)
@@ -585,8 +586,8 @@ def _profile_rule(const, profiles, terms):
     def rule(points, ctx):
         lead = points.shape[:-1]
         count = math.prod(lead)
-        jets = np.stack([f.jet(ctx, points, args).c for f, args in profiles])
-        vals = coeffs * jets.reshape(len(profiles), count, ctx.nmono)[which]
+        jets = expand(profiles, ctx, points).c.reshape(count, len(profiles), ctx.nmono)
+        vals = coeffs * jets.transpose(1, 0, 2)[which]
         # bin of (term t, point r, monomial k): cell t of point r's matrix, monomial k
         bins = (cells[:, None] + const.size * np.arange(count))[..., None] * ctx.nmono
         bins = bins + np.arange(ctx.nmono)
@@ -893,8 +894,8 @@ def _bracket_display(tag, block, p, xoff, odd=False, chart=None):
     x^k being coordinate xoff + k and y_k coordinate xoff + p + k.  The odd
     form adds the second derivative in z, coordinate 0: c (f_zz + 2 B).
     ``chart`` maps points (..., n) to the coordinates the block is written
-    in.  Every profile is expanded once, to order 2, at all points, and the
-    bracket is read off the stacked coefficients in floats
+    in.  The block is expanded in one gather, to order 2, at all points,
+    and the bracket is read off the stacked coefficients in floats
     (:func:`_array_bracket`).
     """
     n = block[0].nvars
@@ -907,7 +908,7 @@ def _bracket_display(tag, block, p, xoff, odd=False, chart=None):
     def display(points):
         if chart is not None:
             points = chart(points)
-        coeffs = np.stack([f.jet(ctx, points, range(n)).c for f in block], axis=-2)
+        coeffs = expand([(f, range(n)) for f in block], ctx, points).c
         bracket = _array_bracket(coeffs, n, p, xoff)
         if odd:
             bracket = coeffs[..., grid, zz] * 2.0 + 2.0 * bracket

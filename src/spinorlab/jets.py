@@ -46,13 +46,16 @@ A coefficient beyond the float range reads as +-inf in ``max_abs``,
 ``float_terms`` and ``evaluate``, and a nonzero one below it as
 +-``math.ulp(0.0)``, never 0.0.  A normal form's profile function is such
 a series, as is each series of the exact Cauchy solver.
-:class:`TaylorShift` expands such a polynomial at a point whose arguments
-are coordinates (argument i is y_i = p_i + x_{v_i}) in one weighted
-product, with no jet products and the same saturating read;
-:meth:`JetSeries.jet` is that expansion, kept per context and argument
-variables, from float coefficients converted once per series.  It takes
-points (..., n), and :class:`TaylorShift` their arguments (..., k), the
-leading axes indexing points; a single point is the (n,) case.
+:func:`expand` takes the jets of a list of such polynomials at points
+(..., n) whose arguments are coordinates (argument i is y_i = p_i +
+x_{v_i}), as one jet (..., P): one power table of the coordinates, one
+weighted product and one bincount, with no jet products and the same
+saturating read, from float coefficients converted once per series.  Its
+index arrays depend only on each series' monomial support, its argument
+variables and the context's size and order, so one bounded cache keyed by
+those serves every draw of a normal form; it holds no series.
+:meth:`JetSeries.jet` is the one-series case.  The leading axes index
+points; a single point is the (n,) case.
 """
 
 from __future__ import annotations
@@ -91,7 +94,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _exponent_rows(nvars: int, order: int) -> np.ndarray:
     """``monomials_upto(nvars, order)`` as a read-only integer array, one row each."""
-    rows = np.array(monomials_upto(nvars, order), dtype=np.intp).reshape(-1, nvars)
+    monomials = monomials_upto(nvars, order)
+    rows = np.array(monomials, dtype=np.intp).reshape(len(monomials), nvars)
     return _frozen(rows)
 
 
@@ -148,7 +152,6 @@ class JetContext:
             self._dsrc.append(_frozen(np.array(src, dtype=np.intp)))
             self._ddst.append(_frozen(np.array(dst, dtype=np.intp)))
             self._dfac.append(_frozen(np.array(fac, dtype=float)))
-        self._columns: dict[tuple[int, ...], np.ndarray] = {}
 
     # -- raw array kernels (last axis = monomial coefficients) -------------
 
@@ -182,22 +185,6 @@ class JetContext:
         out = np.zeros(c.shape[:-1] + (math.comb(self.nvars + self.order - 1, self.nvars),))
         out[..., self._ddst[var]] = c[..., self._dsrc[var]] * self._dfac[var]
         return out
-
-    # -- Taylor shift columns ------------------------------------------------
-
-    def _placed_columns(self, variables: tuple[int, ...]) -> np.ndarray:
-        """Column of x^E(b) for each row b of ``_exponent_rows(len(variables), order)``.
-
-        E(b) puts b_i on variable ``variables[i]`` (repeated variables add).
-        """
-        cols = self._columns.get(variables)
-        if cols is None:
-            place = np.zeros((len(variables), self.nvars), dtype=np.intp)
-            place[np.arange(len(variables)), variables] = 1
-            exps = _exponent_rows(len(variables), self.order) @ place
-            cols = np.array([self.index[tuple(e)] for e in exps.tolist()], dtype=np.intp)
-            cols = self._columns[variables] = _frozen(cols)
-        return cols
 
     # -- constructors -------------------------------------------------------
 
@@ -294,7 +281,7 @@ class JetSeries:
     see the module notes.  ``terms`` and ``coefficient`` read Fractions.
     """
 
-    __slots__ = ("nvars", "order", "nums", "den", "_floats", "_shifts")
+    __slots__ = ("nvars", "order", "nums", "den", "_floats")
 
     def __init__(self, nvars: int, order: int, terms=None):
         ratios = []
@@ -332,7 +319,7 @@ class JetSeries:
         for key, n, d in keyed:
             nums[key] = nums.get(key, 0) + n * (den // d)
         self.nums, self.den = _lowest({k: n for k, n in nums.items() if n}, den)
-        self._floats = self._shifts = None
+        self._floats = None
 
     @classmethod
     def zero(cls, nvars: int, order: int) -> "JetSeries":
@@ -376,7 +363,8 @@ class JetSeries:
         exps = np.frombuffer(digits, dtype="<i8").reshape(len(self.nums), nvars)
         if (exps < 0).any():  # an exponent of 2^63 or more reads as negative
             raise OverflowError("an exponent does not fit a machine integer")
-        rank = np.lexsort(exps.T[::-1])
+        # a series in no variables has at most its constant term: nothing to sort
+        rank = np.lexsort(exps.T[::-1]) if nvars else np.arange(len(self.nums))
         nums = list(self.nums.values())
         floats = np.array([_saturating_float(nums[i], self.den) for i in rank.tolist()])
         return _frozen(exps[rank].astype(np.intp, copy=False)), _frozen(floats)
@@ -407,7 +395,7 @@ class JetSeries:
         out.order = order
         out.nums = nums
         out.den = den
-        out._floats = out._shifts = None
+        out._floats = None
         return out
 
     def _reduced(self, order: int, nums: dict, den: int) -> "JetSeries":
@@ -548,23 +536,17 @@ class JetSeries:
     def jet(self, ctx: JetContext, points, variables) -> Jet:
         """The jet in ``ctx`` at ``points``, argument i being coordinate ``variables[i]``.
 
-        ``points`` is (..., ctx.nvars) and the jet has the leading shape.  The
-        terms are expanded as their Taylor shift, built once per context size
-        and argument variables from floats converted once per series.
+        ``points`` is (..., ctx.nvars) and the jet has the leading shape: the
+        one-profile case of :func:`expand`.
         """
-        variables = tuple(variables)
-        if len(variables) != self.nvars:
-            raise ValueError(f"series takes {self.nvars} arguments, got {len(variables)}")
-        points = np.asarray(points, dtype=float)
-        if points.shape[-1:] != (ctx.nvars,):
-            raise ValueError("need one value per variable")
-        if self._shifts is None:
-            self._floats, self._shifts = self.float_terms(), {}
-        key = (ctx.nvars, ctx.order, variables)
-        shift = self._shifts.get(key)
-        if shift is None:
-            shift = self._shifts[key] = TaylorShift(*self._floats, ctx, variables)
-        return Jet(ctx, shift(points[..., list(variables)]))
+        return Jet(ctx, expand(((self, variables),), ctx, points).c[..., 0, :])
+
+    def _float_rows(self) -> tuple[bytes, np.ndarray]:
+        """:meth:`float_terms` with the exponent rows as bytes, converted once per series."""
+        if self._floats is None:
+            exps, floats = self.float_terms()
+            self._floats = exps.tobytes(), floats
+        return self._floats
 
     def evaluate(self, point) -> float:
         point = np.asarray(point, dtype=float)
@@ -625,61 +607,108 @@ def _upto(nums: dict, have: int, order: int, nvars: int) -> dict:
     return {k: n for k, n in nums.items() if k < limit}
 
 
-class TaylorShift:
-    """Jet of a polynomial at coordinate variables, precomputed for one context.
+def expand(profiles, ctx: JetContext, points) -> Jet:
+    """Jets in ``ctx`` at ``points`` of the (series, argument variables) of ``profiles``.
 
-    For P(y) = sum_a c_a y^a at y_i = p_i + x_{v_i}, the coefficient of
-    x^E(b) is sum_a c_a prod_i binom(a_i, b_i) p_i^(a_i - b_i), where E(b)
-    puts b_i on variable v_i.  The pairs (a, b) with b <= a and |b| within
-    the context order, their binomial weights, exponent gaps and target
-    columns depend only on the terms, the context and the variables; each
-    call raises each value to the gaps that occur and takes one weighted
-    product, so nothing is sized by the largest exponent.  The terms come
-    as :meth:`JetSeries.float_terms`; they are summed in that sorted order,
-    as a term-by-term jet product would.
+    Argument i of a series is coordinate ``variables[i]``.  ``points`` is
+    (..., ctx.nvars) and the jet has shape (..., P), one profile after the
+    other.  One power table of the coordinates, one weighted product and one
+    bincount serve every profile and point, over the cached structure of
+    :func:`_shift_structure`; each bin sums its profile's terms in the same
+    order as that profile's expansion on its own.
     """
+    points = np.asarray(points, dtype=float)
+    if points.shape[-1:] != (ctx.nvars,):
+        raise ValueError("need one value per variable")
+    shapes, coeffs = [], []
+    for f, variables in profiles:
+        variables = tuple(variables)
+        if len(variables) != f.nvars:
+            raise ValueError(f"series takes {f.nvars} arguments, got {len(variables)}")
+        rows, floats = f._float_rows()
+        shapes.append((rows, len(floats), variables))
+        coeffs.append(floats)
+    gaps, at, terms, binom, cols = _shift_structure(tuple(shapes), ctx.nvars, ctx.order)
+    lead = points.shape[:-1]
+    count = math.prod(lead)
+    width = len(shapes) * ctx.nmono
+    # row v len(gaps) + g: coordinate v to the power gaps[g], at every point
+    coords = points.reshape(count, ctx.nvars).T
+    powers = (coords[:, None, :] ** gaps[:, None]).reshape(-1, count)
+    # each pair's factors multiplied left to right, as a product over them is
+    picked = powers[at[0]]
+    for factor in at[1:]:
+        picked = picked * powers[factor]
+    weights = np.concatenate(coeffs)[terms, None] * (binom[:, None] * picked)
+    # point r's bins come after those of the points before it; a bin takes
+    # its pairs in order whatever the layout
+    bins = cols[:, None] + np.arange(count) * width
+    out = np.bincount(bins.ravel(), weights=weights.ravel(), minlength=count * width)
+    return Jet(ctx, out.reshape(lead + (len(shapes), ctx.nmono)))
 
-    __slots__ = ("_nmono", "_cols", "_coeffs", "_binom", "_gaps", "_at")
 
-    def __init__(self, alphas: np.ndarray, coeffs: np.ndarray, ctx: JetContext,
-                 variables: tuple[int, ...]):
+# Structures held by the cache of _shift_structure; every op of the
+# benchmark's metric-certify plans at seeds 90 and 7 needs 36 together.
+_SHIFT_STRUCTURES = 128
+
+
+@lru_cache(maxsize=_SHIFT_STRUCTURES)
+def _shift_structure(shapes: tuple, nvars: int, order: int) -> tuple[np.ndarray, ...]:
+    """Index arrays that expand polynomials of the given supports at coordinates.
+
+    ``shapes`` lists per profile its exponent rows (the bytes of
+    :meth:`JetSeries.float_terms`' intp rows), its term count and its
+    argument variables; the context is (nvars, order).  For P(y) = sum_a c_a
+    y^a at y_i = p_i + x_{v_i}, the coefficient of x^E(b) is sum_a c_a prod_i
+    binom(a_i, b_i) p_i^(a_i - b_i), where E(b) puts b_i on variable v_i.
+    Over the pairs (a, b) with b <= a and |b| within the order, profile by
+    profile, this returns: the distinct gaps a_i - b_i, 0 among them; a
+    (factor, pair) array of the rows v_i len(gaps) + (gap index) of the
+    (nvars, gaps) power table, padded with x_0^0 = 1 to the widest arity
+    and at least one factor; each pair's term in the profiles' concatenated
+    coefficients; its binomial weight; and its bin, profile p's column E(b)
+    offset by p nmono.  Only the exponents, never the largest of them, size
+    the tables.
+    """
+    index = shared_context(nvars, order).index
+    steps = np.arange(order + 1)
+    terms, binoms, gaps, cols = [], [], [], []
+    offset = 0
+    for p, (rows, count, variables) in enumerate(shapes):
+        for v in variables:
+            if not 0 <= v < nvars:
+                raise ValueError(f"argument variable {v} is not one of the {nvars} coordinates")
         k = len(variables)
-        betas = _exponent_rows(k, ctx.order)
-        fits = np.ones((len(alphas), len(betas)), dtype=bool)
+        alphas = np.frombuffer(rows, dtype=np.intp).reshape(count, k)
+        betas = _exponent_rows(k, order)
+        fits = np.ones((count, len(betas)), dtype=bool)
         for i in range(k):
             fits &= betas[:, i] <= alphas[:, i, None]
         a, b = np.nonzero(fits)
-        self._nmono = ctx.nmono
-        self._cols = ctx._placed_columns(variables)[b]
-        self._coeffs = coeffs[a]
         # per distinct exponent e: binom(e, j) for j <= order, each step's
-        # product an integer (exact as a float below 2^53), and the gap e - j
-        exps, steps = np.unique(alphas), np.arange(ctx.order + 1)
+        # product an integer (exact as a float below 2^53)
+        exps = np.unique(alphas)
         binom = np.ones((len(exps), len(steps)))
         for j in steps[1:]:
             binom[:, j] = binom[:, j - 1] * (exps - j + 1) / j
-        self._gaps = np.maximum(exps[:, None] - steps, 0)
-        # flat index of (a_i, b_i) in those (exponents, order + 1) tables, and
-        # of p_i^(a_i - b_i) in the (k, exponents, order + 1) power table
         cell = np.searchsorted(exps, alphas)[a] * len(steps) + betas[b]
-        self._binom = binom.ravel()[cell].prod(axis=1)
-        self._at = cell + binom.size * np.arange(k)
-
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        """Coefficients (..., nmono) of the jets at base values p, (..., k).
-
-        Each row of p is one point; all rows are summed in one bincount, row
-        r's coefficients offset by r nmono.
-        """
-        values = np.asarray(values, dtype=float)
-        lead, k = values.shape[:-1], values.shape[-1]
-        rows = math.prod(lead)
-        powers = values.reshape(rows, k, 1, 1) ** self._gaps
-        picked = powers.reshape(rows, k * self._gaps.size)[:, self._at].prod(axis=-1)
-        weights = self._coeffs * (self._binom * picked)
-        bins = np.arange(rows)[:, None] * self._nmono + self._cols
-        out = np.bincount(bins.ravel(), weights=weights.ravel(), minlength=rows * self._nmono)
-        return out.reshape(lead + (self._nmono,))
+        binoms.append(binom.ravel()[cell].prod(axis=1))
+        place = np.zeros((k, nvars), dtype=np.intp)
+        place[np.arange(k), variables] = 1
+        placed = [index[tuple(e)] for e in (betas @ place).tolist()]
+        cols.append(np.array(placed, dtype=np.intp)[b] + p * len(index))
+        terms.append(a + offset)
+        gaps.append(alphas[a] - betas[b])
+        offset += count
+    gap_set = np.unique(np.concatenate([np.zeros(1, dtype=np.intp)] + [g.ravel() for g in gaps]))
+    at = np.zeros((max([1, *(len(v) for _, _, v in shapes)]), sum(map(len, terms))), dtype=np.intp)
+    start = 0
+    for gap, (_, _, variables) in zip(gaps, shapes):
+        at[:len(variables), start:start + len(gap)] = (
+            np.array(variables, dtype=np.intp) * len(gap_set) + np.searchsorted(gap_set, gap)).T
+        start += len(gap)
+    return tuple(map(_frozen, (gap_set, at, np.concatenate(terms), np.concatenate(binoms),
+                               np.concatenate(cols))))
 
 
 def _ratio(val) -> tuple[int, int]:

@@ -207,6 +207,24 @@ def _table_at_point(draw, arity):
     return table, point
 
 
+@st.composite
+def _gather(draw):
+    """Profiles of mixed arities (0-3) at coordinate variables, repeats allowed, and points."""
+    nvars = draw(st.integers(1, 4))
+    ctx = JetContext(nvars, draw(st.integers(0, 3)))
+    profiles = []
+    for _ in range(draw(st.integers(1, 4))):
+        arity = draw(st.integers(0, 3))
+        variables = draw(st.lists(st.integers(0, nvars - 1), min_size=arity, max_size=arity))
+        exps = st.tuples(*[st.integers(0, 4)] * arity)
+        table = draw(st.dictionaries(exps, st.floats(-20, 20, allow_subnormal=False), max_size=8))
+        profiles.append((JetSeries(arity, 12, table), variables))
+    count = draw(st.integers(1, 3))
+    values = draw(st.lists(st.floats(-2, 2, allow_subnormal=False),
+                           min_size=count * nvars, max_size=count * nvars))
+    return profiles, ctx, np.array(values).reshape(count, nvars)
+
+
 class TestTaylorShift:
     """JetSeries.jet at a point against the exact expansion of the shifted arguments."""
 
@@ -260,6 +278,58 @@ class TestTaylorShift:
                 num = ricci_numeric(m, pt)
                 form = ricci_paper(m, pt)
                 assert np.abs(num - form).max() / max(1.0, np.abs(num).max()) < 1e-9
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(gather=_gather())
+    def test_gather_stacks_the_one_profile_expansions(self, gather):
+        # bit for bit: each bin sums its profile's terms as the lone expansion does
+        profiles, ctx, points = gather
+        got = jets.expand(profiles, ctx, points)
+        want = np.stack([f.jet(ctx, points, variables).c for f, variables in profiles], axis=-2)
+        assert got.shape == points.shape[:-1] + (len(profiles),)
+        assert np.array_equal(got.c, want)
+
+    @pytest.mark.parametrize("variable", [-1, 2])
+    def test_argument_variable_out_of_range_refused(self, variable):
+        f = JetSeries(1, 3, {(2,): 1.0})
+        with pytest.raises(ValueError, match=f"argument variable {variable} is not one"):
+            f.jet(JetContext(2, 1), [0.5, 2.0], (variable,))
+
+    def test_series_in_no_variables_is_its_constant(self):
+        f = JetSeries(0, 2, {(): 2.5})
+        rows, floats = f.float_terms()
+        assert rows.shape == (1, 0) and floats.tolist() == [2.5]
+        ctx = JetContext(3, 2)
+        points = _rng("no variables").uniform(-1, 1, (3, 3))
+        want = np.zeros((3, ctx.nmono))
+        # the zero series' rows are as empty; its term count keeps it apart
+        assert np.array_equal(JetSeries.zero(0, 2).jet(ctx, points, ()).c, want)
+        want[:, 0] = 2.5
+        assert np.array_equal(f.jet(ctx, points, ()).c, want)
+
+    def test_draws_of_one_support_share_every_structure(self):
+        def spec(salt, drop=()):
+            f = random_polynomial(3, _rng("one support", salt), degree=3, scale=0.4)
+            table = {",".join(map(str, e)): float(c) for e, c in f.terms.items() if e not in drop}
+            return {"family": "M31", "functions": [{"arity": 3, "coefficients": table}]}
+
+        info = jets._shift_structure.cache_info
+        metric_from_spec(spec(0))
+        misses = info().misses
+        metric_from_spec(spec(1))
+        assert info().misses == misses
+        # the signature check's one gather meets a new support
+        metric_from_spec(spec(2, drop={(1, 1, 1)}))
+        assert info().misses == misses + 1
+
+    def test_structure_cache_is_bounded(self):
+        ctx = JetContext(1, 1)
+        for e in range(jets._SHIFT_STRUCTURES + 5):
+            JetSeries(1, e, {(e,): 1.0}).jet(ctx, [0.5], (0,))
+        info = jets._shift_structure.cache_info()
+        assert info.maxsize == jets._SHIFT_STRUCTURES
+        assert info.currsize == jets._SHIFT_STRUCTURES
+        assert geometry._spec_exponents.cache_info().maxsize == geometry._SPEC_KEYS
 
 
 class TestProfileDraws:
@@ -476,21 +546,31 @@ class TestFamilyBuilders:
         ("M33GEN", None, 9),
     ])
     def test_each_profile_evaluated_once(self, family, p, distinct, monkeypatch):
+        # each rule evaluation is one gather holding each distinct profile once
         m = _generic(family, p=p)
-        calls = []
-        jet = JetSeries.jet
-        monkeypatch.setattr(JetSeries, "jet",
-                            lambda f, *args: calls.append(f) or jet(f, *args))
+        gathers = []
+        expand = jets.expand
+
+        def counted(profiles, *args):
+            gathers.append([f for f, _ in profiles])
+            return expand(profiles, *args)
+
+        # geometry's own name and the one JetSeries.jet reaches
+        monkeypatch.setattr(geometry, "expand", counted)
+        monkeypatch.setattr(jets, "expand", counted)
         point = np.full(m.n, 0.1)
-        for jets in (m.component_jets, m.coframe_jets):
-            calls.clear()
-            jets(point, order=1)
-            assert len(calls) == len(set(map(id, calls))) == distinct
-        # the divergence rows of a paired block share one expansion per profile,
-        # taken at both points at once; M101 has no constraint rule
-        calls.clear()
+        for rule in (m.component_jets, m.coframe_jets):
+            gathers.clear()
+            rule(point, order=1)
+            assert len(gathers) == 1
+            assert len(gathers[0]) == len(set(map(id, gathers[0]))) == distinct
+        # the divergence rows of a paired block share one gather, taken at
+        # both points at once; M101 has no constraint rule
+        gathers.clear()
         constraint_check(m, [point, -point])
-        assert len(calls) == len(set(map(id, calls))) == (0 if family == "M101" else distinct)
+        assert len(gathers) == (0 if family == "M101" else 1)
+        for profiles in gathers:
+            assert len(profiles) == len(set(map(id, profiles))) == distinct
 
     def test_wrong_function_count_rejected(self):
         for family, count, arity in [("M31", 0, 4), ("M33NULL", 1, 6),
@@ -834,14 +914,14 @@ class TestRicciDisplays:
         pts = probe_points(m, 31, count=3)
         first = ricci_paper(m, pts[0])
         built = []
-        shift, init = jets.TaylorShift, JetSeries.__init__
-        monkeypatch.setattr(jets, "TaylorShift",
-                            lambda *a: built.append("shift") or shift(*a))
+        init = JetSeries.__init__
         monkeypatch.setattr(JetSeries, "__init__",
                             lambda self, *a, **kw: built.append("series") or init(self, *a, **kw))
+        misses = jets._shift_structure.cache_info().misses
         for pt in (*pts, pts):
             ricci_paper(m, pt)
         assert built == []
+        assert jets._shift_structure.cache_info().misses == misses
         assert np.array_equal(ricci_paper(m, pts[0]), first)
 
 
